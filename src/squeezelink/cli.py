@@ -1,8 +1,8 @@
 """Command-line front end: duan, sweep, threshold and selfcheck subcommands.
 
 Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure,
-3 unstable/non-convergent/degenerate operating point, 4 too many failed
-sweep points.
+3 unstable/non-convergent/degenerate operating point or float overflow,
+4 too many failed sweep points.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnstableDrift, NonConvergence, DegenerateSqueeze) as exc:
+    except (UnstableDrift, NonConvergence, DegenerateSqueeze, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 

@@ -25,13 +25,15 @@ SEPARABILITY_BOUND = 2.0
 
 
 class DegenerateSqueeze(ValueError):
-    """Raised when a threshold is requested at r = 0, where it diverges."""
+    """A threshold diverges: r = 0, or r so small that the threshold overflows."""
 
 
 def is_entangled(total: float) -> bool:
     """Strict inequality: a total variance of exactly 2 is separable."""
     if total < 0:
         raise ValueError(f"total variance must be >= 0, got {total!r}")
+    if math.isnan(total):  # an overflow upstream, not a verdict of "separable"
+        raise FloatingPointError("total variance is NaN")
     return total < SEPARABILITY_BOUND
 
 
@@ -177,7 +179,7 @@ def threshold_cooperativity(r: float, n_th: float) -> float:
             "threshold cooperativity diverges at r = 0: no entanglement without squeezing"
         )
     _check_nonnegative(n_th=n_th)
-    return 2.0 * n_th / (-math.expm1(-2.0 * r))
+    return _finite_threshold(2.0 * n_th / (-math.expm1(-2.0 * r)), "C_min", r)
 
 
 def cooperativity_power_slope(unit: OptomechanicalUnit) -> float:
@@ -232,7 +234,14 @@ def diagnostic_minimum_power(
         raise ValueError("temperature must be > 0")
     alpha = power_threshold_prefactor(unit)
     x = HBAR * unit.mirror.omega_M / (KB * temperature)
-    return alpha / ((-math.expm1(-2.0 * r)) * math.expm1(x))
+    p_min = alpha / ((-math.expm1(-2.0 * r)) * math.expm1(x))
+    return _finite_threshold(p_min, "diagnostic P_min", r)
+
+
+def _finite_threshold(value: float, name: str, r: float) -> float:
+    if not math.isfinite(value):
+        raise DegenerateSqueeze(f"{name} is not finite at r = {r!r}; the threshold diverges")
+    return value
 
 
 def _check_nonnegative(**kwargs):

@@ -207,8 +207,11 @@ def resolve_system(
         system = preset_system(preset)
     from .sweep import set_param
 
-    if r_override is not None:
-        system = set_param(system, "bath.r", r_override)
-    if temperature_override is not None:
-        system = set_param(system, "temperature", temperature_override)
+    try:
+        if r_override is not None:
+            system = set_param(system, "bath.r", r_override)
+        if temperature_override is not None:
+            system = set_param(system, "temperature", temperature_override)
+    except ValueError as exc:
+        raise ConfigError(f"invalid override: {exc}") from exc
     return system

@@ -30,8 +30,8 @@ class MultipleBranches(UserWarning):
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        if not 0.0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,10 @@ class MirrorParams:
 
     def __post_init__(self):
         _require_positive(omega_M=self.omega_M, gamma=self.gamma, mass=self.mass)
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(
+                f"temperature must be >= 0 and finite, got {self.temperature!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,28 @@ class SqueezedBath:
     r: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"squeeze parameter r must be >= 0, got {self.r!r}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"squeeze parameter r must be >= 0 and finite, got {self.r!r}")
 
     @property
     def N(self) -> float:
-        return math.sinh(self.r) ** 2
+        try:
+            return math.sinh(self.r) ** 2
+        except OverflowError:
+            raise self._overflow("N = sinh^2 r") from None
 
     @property
     def M_corr(self) -> float:
-        return math.sinh(self.r) * math.cosh(self.r)
+        try:
+            value = math.sinh(self.r) * math.cosh(self.r)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise self._overflow("M_corr = sinh r cosh r")
+        return value
+
+    def _overflow(self, what: str) -> OverflowError:
+        return OverflowError(f"squeezed-bath {what} overflows a float at r = {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -276,15 +290,26 @@ def mean_fields_from_bare_detuning(
 class StabilityReport:
     stable: bool
     max_real_part: float
+    worst_index: tuple[int, ...] = ()  # stack index of the least stable matrix
 
 
 def stability_check(drift: np.ndarray) -> StabilityReport:
-    """Whether every eigenvalue of the drift matrix has negative real part."""
+    """Whether every eigenvalue of the drift matrix has negative real part.
+
+    Accepts one ``(n, n)`` matrix or a stack ``(..., n, n)``; for a stack
+    the report covers every matrix and names the least stable one.
+    """
     drift = np.asarray(drift, dtype=float)
-    if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
+    if drift.ndim < 2 or drift.shape[-1] != drift.shape[-2]:
         raise ValueError(f"drift must be a square matrix, got shape {drift.shape}")
-    max_re = float(np.max(np.linalg.eigvals(drift).real))
-    return StabilityReport(stable=max_re < 0.0, max_real_part=max_re)
+    max_re = np.linalg.eigvals(drift).real.max(axis=-1)
+    worst = np.unravel_index(np.argmax(max_re), max_re.shape)
+    worst_re = float(max_re[worst])
+    return StabilityReport(
+        stable=worst_re < 0.0,
+        max_real_part=worst_re,
+        worst_index=tuple(int(i) for i in worst),
+    )
 
 
 def unit_with_cooperativity(

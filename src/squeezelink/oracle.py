@@ -11,6 +11,15 @@ The quadrature ordering is fixed everywhere:
 ``(X1, Y1, x1, y1, X2, Y2, x2, y2)`` -- mirror then field quadratures of
 unit 1, then unit 2. Uppercase denotes mirror, lowercase field.
 
+In the rotating-wave model the X quadratures ``(X1, x1, X2, x2)`` and the
+Y quadratures ``(Y1, y1, Y2, y2)`` never couple: every entry of A and D
+between the two sets is exactly zero. The Lyapunov equation therefore
+splits into two decoupled 4x4 blocks of 16 unknowns each, in place of one
+8x8 system of 64. :func:`solve_lyapunov_stack` finds the blocks from the
+nonzero pattern, solves each on its own (Y is never derived from X) and
+solves a whole stack of systems per call; a generic drift matrix forms a
+single block and gets the full solve.
+
 Noise normalization (derivation note in ``docs/noise_conventions.md``):
 with symmetrized white-noise correlators ``<n_i(t) n_j(t')>_sym = D_ij
 delta(t - t')``, the decoupled (G = 0) steady state has mirror quadrature
@@ -25,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .closedform import DuanResult
 from .model import SteadyState, SystemParams, stability_check
@@ -106,28 +114,72 @@ def build_rwa_drift_diffusion(
 
 
 def solve_lyapunov(dd: DriftDiffusion) -> CovarianceMatrix:
-    """Steady-state covariance from A V + V A^T + D = 0.
-
-    Dense vectorized solve: at n = 8 the 64-unknown linear system is solved
-    directly by LU with partial pivoting.
-    """
+    """Steady-state covariance from A V + V A^T + D = 0 (a stack of one)."""
     A, D = np.asarray(dd.A, dtype=float), np.asarray(dd.D, dtype=float)
-    n = A.shape[0]
+    return CovarianceMatrix(V=solve_lyapunov_stack(A[None], D[None])[0])
+
+
+def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Steady-state covariances ``V[b]`` from ``A[b] V + V A[b]^T + D[b] = 0``.
+
+    ``A`` and ``D`` are stacks of shape ``(B, n, n)``. Every drift matrix
+    must be stable. The indices split into the connected components of the
+    joint nonzero pattern of all ``A`` and ``D`` in the stack; each
+    component's Kronecker system (m^2 unknowns for m indices) is solved for
+    the whole stack in one LU call. Each item must then satisfy the full
+    n x n equation to ``1e-10 * ||D[b]||``. Errors name the stack index.
+    """
+    A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
+    if A.ndim != 3 or A.shape != D.shape:
+        raise ValueError(
+            f"need stacks A and D of equal shape (B, n, n), got {A.shape} and {D.shape}"
+        )
     report = stability_check(A)
     if not report.stable:
         raise UnstableDrift(
-            f"drift matrix is not stable (max Re eigenvalue = {report.max_real_part:g})"
+            f"drift matrix is not stable (max Re eigenvalue = "
+            f"{report.max_real_part:g} at stack index {report.worst_index[0]})"
         )
-    eye = np.eye(n)
-    K = np.kron(eye, A) + np.kron(A, eye)
-    V = np.linalg.solve(K, -D.reshape(n * n)).reshape(n, n)
-    V = 0.5 * (V + V.T)
-    residual = np.linalg.norm(A @ V + V @ A.T + D)
-    if residual > 1e-10 * max(np.linalg.norm(D), 1e-300):
+    V = np.zeros_like(D)
+    for block in _blocks(A, D):
+        rows = block[:, None]
+        V[:, rows, block] = _kronecker_solve(A[:, rows, block], D[:, rows, block])
+    V = 0.5 * (V + V.transpose(0, 2, 1))
+    residual = np.linalg.norm(A @ V + V @ A.transpose(0, 2, 1) + D, axis=(1, 2))
+    bound = 1e-10 * np.maximum(np.linalg.norm(D, axis=(1, 2)), 1e-300)
+    worst = int(np.argmax(residual / bound))
+    if not residual[worst] <= bound[worst]:
         raise UnstableDrift(
-            f"Lyapunov residual {residual:g} exceeds tolerance; system nearly singular"
+            f"Lyapunov residual {residual[worst]:g} at stack index {worst} exceeds "
+            "tolerance; system nearly singular"
         )
-    return CovarianceMatrix(V=V)
+    return V
+
+
+def _blocks(A: np.ndarray, D: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the stack's nonzero pattern."""
+    n = A.shape[-1]
+    linked = ((A != 0) | (D != 0)).any(axis=0)
+    reach = linked | linked.T | np.eye(n, dtype=bool)
+    for _ in range(max(n - 1, 1).bit_length()):  # paths of length up to n - 1
+        reach = reach @ reach
+    blocks: dict[int, list[int]] = {}
+    for i, first in enumerate(reach.argmax(axis=1).tolist()):  # by smallest member
+        blocks.setdefault(first, []).append(i)
+    return [np.array(block) for block in blocks.values()]
+
+
+def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Solve ``(I (x) A + A (x) I) vec V = -vec D`` for a stack of m x m blocks."""
+    B, m, _ = A.shape
+    # K[b, (i, k), (j, l)] = delta_ij A[b, k, l] + A[b, i, j] delta_kl, filled
+    # in place so that no temporary of K's size is made
+    K = np.zeros((B, m, m, m, m))
+    diag = np.arange(m)
+    K[:, diag, :, diag, :] = A
+    K[:, :, diag, :, diag] += A
+    rhs = -D.reshape(B, m * m, 1)
+    return np.linalg.solve(K.reshape(B, m * m, m * m), rhs).reshape(B, m, m)
 
 
 def duan_from_covariance(V: CovarianceMatrix, pair: str = "mirror") -> DuanResult:
@@ -170,6 +222,10 @@ def spectral_duan_sum(
     """
     if pair not in ("mirror", "field"):
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
+    # imported here: scipy.integrate is the package's only scipy import and
+    # dominates its import time, and only this route needs it
+    from scipy import integrate
+
     units = (system.unit1, system.unit2)
     p = [
         (u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)

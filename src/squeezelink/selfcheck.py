@@ -7,9 +7,10 @@ line per check and the test suite can assert on the same numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -21,6 +22,9 @@ GRID_C = (0.5, 2.0, 15.0, 90.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
 GRID_NTH = (0.0, 1.0, 5.0, 10.0)
 GRID_RATIO = (6.5e-4, 0.01, 0.05)
+
+#: systems per stacked Lyapunov solve; bounds the stack's working memory
+STACK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -46,27 +50,44 @@ def _symmetric_system(C, r, n_th, ratio, kappa=KAPPA_REF):
     return system, (ss, ss)
 
 
+def _covariances(
+    items: Iterable[tuple[Any, oracle.DriftDiffusion]],
+) -> Iterator[tuple[Any, oracle.CovarianceMatrix]]:
+    """Pair each ``(tag, drift/diffusion)`` with its covariance, in order.
+
+    Items are drawn lazily and solved STACK_CHUNK at a time, one stacked
+    Lyapunov call per chunk, so memory stays flat however many there are.
+    """
+    items = iter(items)
+    while chunk := list(itertools.islice(items, STACK_CHUNK)):
+        V = oracle.solve_lyapunov_stack(
+            np.stack([dd.A for _, dd in chunk]), np.stack([dd.D for _, dd in chunk])
+        )
+        for (tag, _), v in zip(chunk, V):
+            yield tag, oracle.CovarianceMatrix(V=v)
+
+
+def _grid_systems():
+    """((grid point, system, steady states), drift/diffusion) over the grid."""
+    for point in itertools.product(GRID_C, GRID_R, GRID_NTH, GRID_RATIO):
+        system, steady = _symmetric_system(*point)
+        yield (point, system, steady), oracle.build_rwa_drift_diffusion(system, steady)
+
+
 def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:
     """Closed form, Lyapunov and spectral integration agree pairwise."""
     worst = 0.0
-    for C in GRID_C:
-        for r in GRID_R:
-            for n_th in GRID_NTH:
-                for ratio in GRID_RATIO:
-                    system, steady = _symmetric_system(C, r, n_th, ratio)
-                    exact = closedform.duan_sum_nonadiabatic(
-                        C, r, n_th, ratio * KAPPA_REF, KAPPA_REF
-                    ).total
-                    dd = oracle.build_rwa_drift_diffusion(system, steady)
-                    lyap = oracle.duan_from_covariance(
-                        oracle.solve_lyapunov(dd), "mirror"
-                    ).total
-                    spec = oracle.spectral_duan_sum(system, steady, "mirror")
-                    worst = max(
-                        worst,
-                        abs(lyap - exact) / exact,
-                        abs(spec - exact) / exact,
-                    )
+    for ((C, r, n_th, ratio), system, steady), V in _covariances(_grid_systems()):
+        exact = closedform.duan_sum_nonadiabatic(
+            C, r, n_th, ratio * KAPPA_REF, KAPPA_REF
+        ).total
+        lyap = oracle.duan_from_covariance(V, "mirror").total
+        spec = oracle.spectral_duan_sum(system, steady, "mirror")
+        worst = max(
+            worst,
+            abs(lyap - exact) / exact,
+            abs(spec - exact) / exact,
+        )
     return CheckResult("triple", worst <= tolerance, worst, tolerance,
                        "relative, closed-form vs Lyapunov vs spectral")
 
@@ -101,12 +122,8 @@ def check_threshold(tolerance: float = 1e-10) -> CheckResult:
                        "boundary exactness")
 
 
-def check_separability_floor(
-    tolerance: float = 1e-9, samples: int = 10_000, seed: int = 20240817
-) -> CheckResult:
-    """Without squeezing no parameter set drops below the vacuum bound 2."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0  # largest dip below 2
+def _separability_samples(rng, samples):
+    """(closed-form total, drift/diffusion) at random r = 0 parameter sets."""
     bath = model.SqueezedBath(r=0.0)
     for _ in range(samples):
         C = float(10.0 ** rng.uniform(-2, 3))
@@ -115,12 +132,20 @@ def check_separability_floor(
         closed = closedform.duan_sum_nonadiabatic(
             C, 0.0, n_th, ratio * KAPPA_REF, KAPPA_REF
         ).total
-        worst = max(worst, 2.0 - closed)
         system, steady = _symmetric_system(C, 0.0, n_th, ratio)
         system = model.SystemParams(system.unit1, system.unit2, bath)
-        dd = oracle.build_rwa_drift_diffusion(system, steady)
-        lyap = oracle.duan_from_covariance(oracle.solve_lyapunov(dd), "mirror").total
-        worst = max(worst, 2.0 - lyap)
+        yield closed, oracle.build_rwa_drift_diffusion(system, steady)
+
+
+def check_separability_floor(
+    tolerance: float = 1e-9, samples: int = 10_000, seed: int = 20240817
+) -> CheckResult:
+    """Without squeezing no parameter set drops below the vacuum bound 2."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0  # largest dip below 2
+    for closed, V in _covariances(_separability_samples(rng, samples)):
+        lyap = oracle.duan_from_covariance(V, "mirror").total
+        worst = max(worst, 2.0 - closed, 2.0 - lyap)
     return CheckResult("separability", worst <= tolerance, max(worst, 0.0), tolerance,
                        f"{samples} random r=0 parameter sets, closed form and oracle")
 
@@ -128,14 +153,9 @@ def check_separability_floor(
 def check_xy_symmetry(tolerance: float = 1e-10) -> CheckResult:
     """Oracle covariance gives equal X and Y joint variances for identical units."""
     worst = 0.0
-    for C in GRID_C:
-        for r in GRID_R:
-            for n_th in GRID_NTH:
-                for ratio in GRID_RATIO:
-                    system, steady = _symmetric_system(C, r, n_th, ratio)
-                    dd = oracle.build_rwa_drift_diffusion(system, steady)
-                    res = oracle.duan_from_covariance(oracle.solve_lyapunov(dd), "mirror")
-                    worst = max(worst, abs(res.var_X - res.var_Y))
+    for _, V in _covariances(_grid_systems()):
+        res = oracle.duan_from_covariance(V, "mirror")
+        worst = max(worst, abs(res.var_X - res.var_Y))
     return CheckResult("xy-symmetry", worst <= tolerance, worst, tolerance)
 
 
@@ -166,37 +186,34 @@ def check_weak_coupling(tolerance: float = 1e-12) -> CheckResult:
                        tolerance, "first-order defect identity + floor >= 2")
 
 
-def check_lyapunov_solver(
-    tolerance: float = 1e-9, trials: int = 50, seed: int = 7
-) -> CheckResult:
-    """Constructed-solution recovery plus the uncertainty-principle floor."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+def _constructed_systems(rng, trials):
+    """(V0, drift/diffusion) with random stable A and V0 as the exact solution."""
     for _ in range(trials):
         B = rng.standard_normal((8, 8))
         shift = max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0
         A = B - shift * np.eye(8)
         L = rng.standard_normal((8, 8))
         V0 = L @ L.T
-        D = -(A @ V0 + V0 @ A.T)
-        V = oracle.solve_lyapunov(oracle.DriftDiffusion(A=A, D=D)).V
-        worst = max(worst, np.linalg.norm(V - V0) / np.linalg.norm(V0))
+        yield V0, oracle.DriftDiffusion(A=A, D=-(A @ V0 + V0 @ A.T))
+
+
+def check_lyapunov_solver(
+    tolerance: float = 1e-9, trials: int = 50, seed: int = 7
+) -> CheckResult:
+    """Constructed-solution recovery plus the uncertainty-principle floor."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for V0, V in _covariances(_constructed_systems(rng, trials)):
+        worst = max(worst, np.linalg.norm(V.V - V0) / np.linalg.norm(V0))
     if worst > tolerance:
         return CheckResult("lyapunov", False, worst, tolerance, "constructed solutions")
 
     # uncertainty products on physical solutions
     uncert_worst = 0.0
-    for C in GRID_C:
-        for r in GRID_R:
-            for n_th in GRID_NTH:
-                for ratio in GRID_RATIO:
-                    system, steady = _symmetric_system(C, r, n_th, ratio)
-                    V = oracle.solve_lyapunov(
-                        oracle.build_rwa_drift_diffusion(system, steady)
-                    )
-                    for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
-                        product = V.variance(x) * V.variance(y)
-                        uncert_worst = max(uncert_worst, 0.25 - product)
+    for _, V in _covariances(_grid_systems()):
+        for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
+            product = V.variance(x) * V.variance(y)
+            uncert_worst = max(uncert_worst, 0.25 - product)
     ok = uncert_worst <= 1e-10
     return CheckResult("lyapunov", ok, worst if ok else uncert_worst, tolerance,
                        "constructed solutions + uncertainty floor")

@@ -212,7 +212,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     C2=c2,
                 )
             )
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
             rows.append(
                 SweepRow(
                     axis_value=x, total=math.nan, var_X=math.nan, var_Y=math.nan,

@@ -238,6 +238,10 @@ class TestVerdict:
         with pytest.raises(ValueError):
             is_entangled(-0.1)
 
+    def test_nan_total_rejected(self):
+        with pytest.raises(FloatingPointError):
+            is_entangled(math.nan)
+
     def test_result_exposes_xy_symmetry(self):
         result = duan_sum_adiabatic_identical(15.0, 1.0, 5.0)
         assert result.var_X == result.var_Y

@@ -209,6 +209,46 @@ class TestCliSweep:
         assert code == cli.EXIT_CONFIG
 
 
+class TestCliBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("duan", "--r", "nan"),
+            ("duan", "--r", "inf"),
+            ("duan", "--temperature-uk", "nan"),
+            ("duan", "--regime", "oracle", "--r", "nan"),
+            ("threshold", "--temperature-uk", "nan"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        code, text = run_cli(*argv)
+        assert code == cli.EXIT_CONFIG and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("duan", "--r", "400"),
+            ("duan", "--regime", "oracle", "--r", "400"),
+            ("threshold", "--r", "1e-320"),
+            ("threshold", "--r", "1e-320", "--quantity", "power"),
+        ],
+    )
+    def test_overflow_exits_3(self, argv, capsys):
+        code, _ = run_cli(*argv)
+        assert code == cli.EXIT_UNSTABLE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_nan_total_exits_3_without_a_verdict(self, tmp_path, capsys):
+        path = tmp_path / "huge.ini"
+        path.write_text("[unit1]\npower_w = 1e300\n[unit2]\npower_w = 1e300\n")
+        code, text = run_cli("duan", "--config", str(path))
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        assert capsys.readouterr().err == "error: total variance is NaN\n"
+
+
 class TestCliThreshold:
     def parse(self, text):
         return dict(line.split(" = ") for line in text.strip().splitlines())

@@ -118,6 +118,19 @@ class TestSqueezedBath:
         with pytest.raises(ValueError):
             SqueezedBath(r=-0.1)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ValueError):
+            SqueezedBath(r=r)
+
+    @pytest.mark.parametrize("r", [356.0, 400.0, 1000.0])
+    def test_overflow_raises_instead_of_inf(self, r):
+        bath = SqueezedBath(r=r)
+        with pytest.raises(OverflowError, match="overflows"):
+            bath.N
+        with pytest.raises(OverflowError, match="overflows"):
+            bath.M_corr
+
 
 class TestMeanFields:
     def test_reference_photon_number_at_red_sideband(self):
@@ -179,6 +192,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             MirrorParams(omega_M=1e6, gamma=1e3, mass=1e-10, temperature=-1e-6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ResonatorParams(omega_r=bad, omega_L=1e15, kappa=1e6, length=0.01, power=1e-3)
+        with pytest.raises(ValueError):
+            MirrorParams(omega_M=1e6, gamma=bad, mass=1e-10, temperature=1e-4)
+        with pytest.raises(ValueError):
+            MirrorParams(omega_M=1e6, gamma=1e3, mass=1e-10, temperature=bad)
+
     def test_low_finesse_warns_but_builds(self):
         with pytest.warns(UserWarning):
             ResonatorParams(omega_r=1e8, omega_L=1e8, kappa=1e6, length=0.01, power=1e-3)
@@ -200,6 +222,14 @@ class TestStability:
             G = 10.0 ** rng.uniform(-2, 8)
             A = np.array([[-gamma / 2, G], [-G, -kappa / 2]])
             assert stability_check(A).stable
+
+    def test_stack_names_least_stable_matrix(self):
+        stack = np.stack([-np.eye(3), np.diag([-1.0, 0.5, -2.0]), -2.0 * np.eye(3)])
+        report = stability_check(stack)
+        assert not report.stable
+        assert report.worst_index == (1,)
+        assert report.max_real_part == pytest.approx(0.5)
+        assert stability_check(stack[[0, 2]]).stable
 
     def test_equal_rates_give_exact_margin(self):
         gamma = 1234.5

@@ -7,6 +7,7 @@ from squeezelink import closedform, model, oracle
 from squeezelink.model import SqueezedBath, SystemParams, unit_with_cooperativity
 from squeezelink.oracle import (
     IDX,
+    QUADRATURES,
     DriftDiffusion,
     QuadratureConfig,
     RwaViolation,
@@ -14,6 +15,7 @@ from squeezelink.oracle import (
     build_rwa_drift_diffusion,
     duan_from_covariance,
     solve_lyapunov,
+    solve_lyapunov_stack,
     spectral_duan_sum,
 )
 
@@ -107,6 +109,92 @@ class TestLyapunovSolver:
         assert residual <= 1e-10 * np.linalg.norm(dd.D)
         assert np.linalg.eigvalsh(V).min() >= -1e-12
         assert np.allclose(V, V.T, atol=1e-12)
+
+
+def random_stable_system(rng, n=8):
+    B = rng.standard_normal((n, n))
+    A = B - (max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0) * np.eye(n)
+    L = rng.standard_normal((n, n))
+    V0 = L @ L.T
+    return A, -(A @ V0 + V0 @ A.T)
+
+
+def physical_stack():
+    dds = [
+        build_rwa_drift_diffusion(*make_system(C, r, n_th, ratio))
+        for C, r, n_th, ratio in [
+            (0.5, 0.0, 0.0, 6.5e-4), (15.0, 1.0, 5.0, 0.01), (90.0, 2.0, 10.0, 0.05),
+        ]
+    ]
+    return np.stack([dd.A for dd in dds]), np.stack([dd.D for dd in dds])
+
+
+class TestStackedLyapunov:
+    @pytest.mark.parametrize("kind", ["rwa", "generic"])
+    def test_stack_equals_per_item_solves(self, kind):
+        if kind == "rwa":
+            A, D = physical_stack()
+        else:
+            rng = np.random.default_rng(5)
+            A, D = (np.stack(m) for m in zip(*(random_stable_system(rng) for _ in range(6))))
+        V = solve_lyapunov_stack(A, D)
+        for a, d, v in zip(A, D, V):
+            single = solve_lyapunov(DriftDiffusion(A=a, D=d)).V
+            assert np.allclose(v, single, rtol=1e-12, atol=1e-12)
+
+    def test_rwa_model_splits_into_x_and_y_blocks(self):
+        A, D = physical_stack()
+        blocks = [[QUADRATURES[i] for i in block] for block in oracle._blocks(A, D)]
+        assert sorted(blocks) == [["X1", "x1", "X2", "x2"], ["Y1", "y1", "Y2", "y2"]]
+        xs = [IDX[name] for name in ("X1", "x1", "X2", "x2")]
+        ys = [IDX[name] for name in ("Y1", "y1", "Y2", "y2")]
+        for M in (A, D, solve_lyapunov_stack(A, D)):
+            assert np.all(M[:, xs][:, :, ys] == 0) and np.all(M[:, ys][:, :, xs] == 0)
+
+    def test_y_block_is_solved_not_copied(self):
+        # flipping the y1-y2 bath correlation moves var(Y1 + Y2) and leaves
+        # var(X1 - X2) alone; a Y block derived from the X block would not
+        A, D = physical_stack()
+        D2 = D.copy()
+        for i, j in (("y1", "y2"), ("y2", "y1")):
+            D2[:, IDX[i], IDX[j]] *= -1.0
+        before = duan_from_covariance(oracle.CovarianceMatrix(V=solve_lyapunov_stack(A, D)[2]))
+        after = duan_from_covariance(oracle.CovarianceMatrix(V=solve_lyapunov_stack(A, D2)[2]))
+        assert after.var_X == before.var_X
+        assert after.var_Y > before.var_Y + 1.0
+
+    def test_generic_drift_is_one_block(self):
+        rng = np.random.default_rng(11)
+        A, D = random_stable_system(rng)
+        assert [block.tolist() for block in oracle._blocks(A[None], D[None])] == [
+            list(range(8))
+        ]
+
+    def test_pattern_is_the_union_over_the_stack(self):
+        # each item alone is diagonal except for one different link
+        A = np.stack([-np.eye(4), -np.eye(4)])
+        A[0, 0, 1] = 0.3
+        A[1, 2, 3] = 0.3
+        D = np.stack([np.eye(4), np.eye(4)])
+        assert [b.tolist() for b in oracle._blocks(A, D)] == [[0, 1], [2, 3]]
+        D[1, 1, 2] = D[1, 2, 1] = 0.1
+        assert [b.tolist() for b in oracle._blocks(A, D)] == [[0, 1, 2, 3]]
+        V = solve_lyapunov_stack(A, D)
+        residual = A @ V + V @ A.transpose(0, 2, 1) + D
+        assert np.abs(residual).max() <= 1e-14
+
+    def test_unstable_item_is_named(self):
+        A, D = physical_stack()
+        A[1] = -A[1]
+        with pytest.raises(UnstableDrift, match="at stack index 1"):
+            solve_lyapunov_stack(A, D)
+
+    def test_shape_mismatch_rejected(self):
+        A, D = physical_stack()
+        with pytest.raises(ValueError):
+            solve_lyapunov_stack(A, D[:2])
+        with pytest.raises(ValueError):
+            solve_lyapunov_stack(A[0], D[0])
 
 
 class TestDuanFromCovariance:

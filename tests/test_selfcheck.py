@@ -1,0 +1,96 @@
+"""Chunked, stacked Lyapunov solves in the selfcheck grids."""
+
+import numpy as np
+import pytest
+
+from squeezelink import model, oracle, selfcheck
+
+
+def tagged_systems(count):
+    rng = np.random.default_rng(3)
+    for k in range(count):
+        C = float(10.0 ** rng.uniform(-1, 2))
+        r = float(rng.uniform(0.0, 2.0))
+        system, steady = selfcheck._symmetric_system(C, r, 2.0, 0.01)
+        yield k, oracle.build_rwa_drift_diffusion(system, steady)
+
+
+@pytest.mark.parametrize("count", [1, 7, 14, 23])
+def test_chunked_solves_match_single_solves(monkeypatch, count):
+    # 7 per chunk: one partial chunk, exact multiples and a remainder
+    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 7)
+    got = list(selfcheck._covariances(tagged_systems(count)))
+    assert [tag for tag, _ in got] == list(range(count))
+    for (_, dd), (_, V) in zip(tagged_systems(count), got):
+        single = oracle.solve_lyapunov(dd).V
+        assert np.allclose(V.V, single, rtol=1e-13, atol=1e-13)
+
+
+def test_items_are_drawn_lazily(monkeypatch):
+    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 4)
+    drawn = []
+
+    def systems():
+        for tag, dd in tagged_systems(10):
+            drawn.append(tag)
+            yield tag, dd
+
+    stream = selfcheck._covariances(systems())
+    next(stream)
+    assert drawn == [0, 1, 2, 3]
+
+
+def test_unstable_item_aborts_the_check(monkeypatch):
+    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 4)
+    items = list(tagged_systems(6))
+    tag, dd = items[5]
+    items[5] = tag, oracle.DriftDiffusion(A=-dd.A, D=dd.D)
+    with pytest.raises(oracle.UnstableDrift, match="at stack index 1"):
+        list(selfcheck._covariances(items))
+
+
+def dense_lyapunov(dd):
+    """The unsplit 64-unknown Kronecker solve, as a reference."""
+    n = dd.A.shape[0]
+    K = np.kron(np.eye(n), dd.A) + np.kron(dd.A, np.eye(n))
+    V = np.linalg.solve(K, -dd.D.reshape(n * n)).reshape(n, n)
+    return oracle.CovarianceMatrix(V=0.5 * (V + V.T))
+
+
+def scalar_separability_totals(samples, seed):
+    """(closed-form, oracle) totals, one dense solve per sample, in draw order."""
+    rng = np.random.default_rng(seed)
+    bath = model.SqueezedBath(r=0.0)
+    totals = []
+    for _ in range(samples):
+        C = float(10.0 ** rng.uniform(-2, 3))
+        n_th = float(rng.uniform(0.0, 50.0))
+        ratio = float(10.0 ** rng.uniform(-6, 0))
+        kappa = selfcheck.KAPPA_REF
+        closed = selfcheck.closedform.duan_sum_nonadiabatic(
+            C, 0.0, n_th, ratio * kappa, kappa
+        ).total
+        system, steady = selfcheck._symmetric_system(C, 0.0, n_th, ratio)
+        system = model.SystemParams(system.unit1, system.unit2, bath)
+        V = dense_lyapunov(oracle.build_rwa_drift_diffusion(system, steady))
+        totals.append((closed, oracle.duan_from_covariance(V, "mirror").total))
+    return totals
+
+
+@pytest.mark.parametrize("seed", [1, 20240817])
+def test_separability_matches_scalar_loop(monkeypatch, seed):
+    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 16)
+    reference = scalar_separability_totals(50, seed)
+    samples = selfcheck._separability_samples(np.random.default_rng(seed), 50)
+    stacked = [
+        (closed, oracle.duan_from_covariance(V, "mirror").total)
+        for closed, V in selfcheck._covariances(samples)
+    ]
+    assert len(stacked) == len(reference)
+    for (closed, lyap), (ref_closed, ref_lyap) in zip(stacked, reference):
+        assert closed == ref_closed  # same draws, same order
+        assert lyap == pytest.approx(ref_lyap, rel=1e-12)
+    dip = max(0.0, *(2.0 - total for pair in reference for total in pair))
+    result = selfcheck.check_separability_floor(samples=50, seed=seed)
+    assert result.passed
+    assert result.max_err == pytest.approx(dip, abs=1e-14)

@@ -99,6 +99,11 @@ class TestRunSweep:
         assert [row.error is not None for row in rows] == [True, True, False, False, False]
         assert all(math.isnan(row.total) for row in rows if row.error)
 
+    def test_overflow_becomes_error_rows(self, base):
+        rows = run_sweep(SweepSpec(base, "bath.r", 0.0, 1000.0, 3))
+        assert [row.error is not None for row in rows] == [False, True, True]
+        assert rows[1].error.startswith("OverflowError")
+
     def test_identical_only_quantity_rejects_asymmetric_grid(self, base):
         spec = SweepSpec(
             base, "unit2.power", 1e-3, 5e-3, 3, quantity="mirror-duan-nonadiabatic"
