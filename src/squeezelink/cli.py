@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import __version__, closedform, config, model, oracle, selfcheck, sweep
+from . import __version__, closedform, config, model, selfcheck, sweep
 from .closedform import DegenerateSqueeze
 from .config import ConfigError
 from .model import NonConvergence
@@ -81,28 +81,13 @@ def _add_config_args(parser):
 
 def cmd_duan(args, out) -> int:
     system = _resolve(args)
-    if args.pair == "mirror":
-        quantity = {
-            "adiabatic": "mirror-duan-adiabatic",
-            "nonadiabatic": "mirror-duan-nonadiabatic",
-            "oracle": "oracle-duan",
-        }[args.regime]
-        try:
-            result, c1, c2 = sweep.evaluate_quantity(system, quantity)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif args.regime == "oracle":
-        ss1 = model.mean_fields_from_effective_detuning(
-            system.unit1, -system.unit1.mirror.omega_M
-        )
-        ss2 = model.mean_fields_from_effective_detuning(
-            system.unit2, -system.unit2.mirror.omega_M
-        )
-        dd = oracle.build_rwa_drift_diffusion(system, (ss1, ss2))
-        result = oracle.duan_from_covariance(oracle.solve_lyapunov(dd), "field")
-        c1, c2 = ss1.C, ss2.C
-    else:
-        result, c1, c2 = sweep.evaluate_quantity(system, "field-duan")
+    route = args.regime
+    if (args.pair, route) == ("field", "adiabatic"):
+        route = "nonadiabatic"  # the field pair's only closed form
+    try:
+        result, c1, c2 = sweep.evaluate(system, args.pair, route)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     for key, value in (
         ("pair", args.pair),
@@ -152,12 +137,18 @@ def cmd_sweep(args, out) -> int:
 
     if args.range is None:
         raise ConfigError("--axis sweeps need --range MIN:MAX:COUNT[:log]")
+    if args.max_errors < 0:
+        raise ConfigError(f"--max-errors must be >= 0, got {args.max_errors}")
     lo, hi, count, scale = _parse_range(args.range)
-    spec = sweep.SweepSpec(
-        base=_resolve(args), axis=args.axis,
-        start=lo, stop=hi, count=count, scale=scale, quantity=args.quantity,
-    )
-    rows = sweep.run_sweep(spec)
+    base = _resolve(args)
+    try:
+        spec = sweep.SweepSpec(
+            base=base, axis=args.axis,
+            start=lo, stop=hi, count=count, scale=scale, quantity=args.quantity,
+        )
+        rows = sweep.run_sweep(spec)  # raises only for a bad grid; points fail as rows
+    except ValueError as exc:
+        raise ConfigError(f"bad --range {args.range!r}: {exc}") from exc
     failures = [row for row in rows if row.error is not None]
     meta = {
         "preset": args.preset, "axis": args.axis, "quantity": args.quantity,

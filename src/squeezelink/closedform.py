@@ -44,6 +44,13 @@ class DuanResult:
     var_X: float
     var_Y: float
 
+    def __post_init__(self):
+        total = self.var_X + self.var_Y
+        if not math.isfinite(total):  # an overflow upstream, never a verdict
+            raise FloatingPointError(
+                f"total variance is {'NaN' if math.isnan(total) else total}"
+            )
+
     @property
     def total(self) -> float:
         return self.var_X + self.var_Y

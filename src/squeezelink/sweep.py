@@ -7,6 +7,7 @@ order and are identical regardless of how the evaluation is scheduled.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,12 +25,13 @@ from .model import (
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-QUANTITIES = (
-    "mirror-duan-adiabatic",
-    "mirror-duan-nonadiabatic",
-    "field-duan",
-    "oracle-duan",
-)
+#: sweep quantity name -> (pair, route) key of EVALUATORS
+QUANTITIES = {
+    "mirror-duan-adiabatic": ("mirror", "adiabatic"),
+    "mirror-duan-nonadiabatic": ("mirror", "nonadiabatic"),
+    "field-duan": ("field", "nonadiabatic"),
+    "oracle-duan": ("mirror", "oracle"),
+}
 
 
 class BracketFailure(RuntimeError):
@@ -145,7 +147,8 @@ def _steady_states(system: SystemParams):
     return ss1, ss2
 
 
-def _require_identical(system: SystemParams, ss1, ss2, quantity):
+def _require_identical(system: SystemParams, ss1, ss2, quantity: str):
+    """(C, r, n_th, gamma, kappa) shared by two identical units; else ValueError."""
     def close(a, b):
         return abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-300)
 
@@ -160,37 +163,59 @@ def _require_identical(system: SystemParams, ss1, ss2, quantity):
             f"quantity {quantity!r} assumes identical units; "
             "use 'mirror-duan-adiabatic' or 'oracle-duan' for asymmetric systems"
         )
+    return (ss1.C, system.bath.r, ss1.n_th,
+            system.unit1.mirror.gamma, system.unit1.resonator.kappa)
+
+
+def _mirror_adiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
+    rates = AdiabaticRates.from_steady_states(ss1, ss2)
+    return closedform.duan_sum_adiabatic_general(rates, system.bath)
+
+
+def _mirror_nonadiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
+    args = _require_identical(system, ss1, ss2, "mirror-duan-nonadiabatic")
+    return closedform.duan_sum_nonadiabatic(*args)
+
+
+def _field_nonadiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
+    args = _require_identical(system, ss1, ss2, "field-duan")
+    return closedform.field_sum_nonadiabatic(*args)
+
+
+def _oracle_duan(pair: str, system: SystemParams, ss1, ss2) -> DuanResult:
+    dd = oracle.build_rwa_drift_diffusion(system, (ss1, ss2))
+    return oracle.duan_from_covariance(oracle.solve_lyapunov(dd), pair)
+
+
+#: (pair, route) -> evaluator(system, ss1, ss2) at the red-detuned steady
+#: states. The field pair has no adiabatic closed form. The evaluators look
+#: up closedform and oracle functions at call time, so that wrappers put on
+#: those modules (such as the benchmark's per-layer tracer) see every call.
+EVALUATORS: dict[tuple[str, str], Callable[..., DuanResult]] = {
+    ("mirror", "adiabatic"): _mirror_adiabatic,
+    ("mirror", "nonadiabatic"): _mirror_nonadiabatic,
+    ("field", "nonadiabatic"): _field_nonadiabatic,
+    ("mirror", "oracle"): functools.partial(_oracle_duan, "mirror"),
+    ("field", "oracle"): functools.partial(_oracle_duan, "field"),
+}
+
+
+def evaluate(system: SystemParams, pair: str, route: str) -> tuple[DuanResult, float, float]:
+    """Duan sum of one pair by one route at the red-detuned operating point.
+
+    Returns the result together with the cooperativities of both units.
+    """
+    evaluator = EVALUATORS[(pair, route)]
+    ss1, ss2 = _steady_states(system)
+    return evaluator(system, ss1, ss2), ss1.C, ss2.C
 
 
 def evaluate_quantity(system: SystemParams, quantity: str) -> tuple[DuanResult, float, float]:
-    """Evaluate one entanglement quantity at the red-detuned operating point.
-
-    Returns the Duan result together with the cooperativities of both units.
-    """
-    ss1, ss2 = _steady_states(system)
-    if quantity == "mirror-duan-adiabatic":
-        result = closedform.duan_sum_adiabatic_general(
-            AdiabaticRates.from_steady_states(ss1, ss2), system.bath
-        )
-    elif quantity == "mirror-duan-nonadiabatic":
-        _require_identical(system, ss1, ss2, quantity)
-        result = closedform.duan_sum_nonadiabatic(
-            ss1.C, system.bath.r, ss1.n_th,
-            system.unit1.mirror.gamma, system.unit1.resonator.kappa,
-        )
-    elif quantity == "field-duan":
-        _require_identical(system, ss1, ss2, quantity)
-        result = closedform.field_sum_nonadiabatic(
-            ss1.C, system.bath.r, ss1.n_th,
-            system.unit1.mirror.gamma, system.unit1.resonator.kappa,
-        )
-    elif quantity == "oracle-duan":
-        dd = oracle.build_rwa_drift_diffusion(system, (ss1, ss2))
-        V = oracle.solve_lyapunov(dd)
-        result = oracle.duan_from_covariance(V, pair="mirror")
-    else:
+    """:func:`evaluate` for a named sweep quantity (see ``QUANTITIES``)."""
+    key = QUANTITIES.get(quantity)
+    if key is None:
         raise ValueError(f"unknown quantity {quantity!r}")
-    return result, ss1.C, ss2.C
+    return evaluate(system, *key)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

@@ -1,306 +1,58 @@
-"""Acceptance gate: one test (and one printed verdict line) per criterion.
+"""Acceptance gate: every check in ``selfcheck.ALL_CHECKS``, at a pinned tolerance.
 
-Each criterion prints ``PASS``/``FAIL`` with its measured worst error and
-tolerance on the real stdout so the lines survive pytest's capture.
+The checks in ``squeezelink.selfcheck`` are the one implementation of the
+acceptance criteria; ``squeezelink selfcheck`` runs the same functions and
+prints the same lines. Each test below runs one check with its default
+arguments, prints the check's summary line on the real stdout so that it
+survives pytest's capture, and asserts that
+
+* the check passed, and
+* the tolerance the check reports equals the literal pinned here, so that
+  loosening a check in ``selfcheck`` cannot loosen this gate unnoticed.
+
+The tests keep their criterion numbers; ``weak-coupling`` is criterion 14.
 """
 
 import math
 import sys
 import time
 
-import numpy as np
-import pytest
-
-from squeezelink import cli, closedform, config, model, oracle, sweep
-from squeezelink.closedform import (
-    AdiabaticRates,
-    duan_sum_adiabatic_general,
-    duan_sum_adiabatic_identical,
-    duan_sum_nonadiabatic,
-    minimum_power,
-    threshold_cooperativity,
-)
-from squeezelink.model import SqueezedBath, SystemParams, unit_with_cooperativity
-from squeezelink.oracle import (
-    DriftDiffusion,
-    build_rwa_drift_diffusion,
-    duan_from_covariance,
-    solve_lyapunov,
-    spectral_duan_sum,
-)
-
-KAPPA = 2 * math.pi * 215e3
-C_GRID = (0.5, 2.0, 15.0, 90.0)
-R_GRID = (0.0, 0.5, 1.0, 2.0)
-NTH_GRID = (0.0, 1.0, 5.0, 10.0)
-RATIO_GRID = (6.5e-4, 0.01, 0.05)
+from squeezelink import selfcheck
 
 
-def verdict(name: str, passed: bool, detail: str) -> None:
-    print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}", file=sys.__stdout__)
-    assert passed, f"{name}: {detail}"
+def criterion(check: str, tolerance: float, max_seconds: float = math.inf):
+    """A test that runs ``ALL_CHECKS[check]`` and holds it to ``tolerance``."""
+
+    def test():
+        started = time.perf_counter()
+        result = selfcheck.ALL_CHECKS[check]()
+        elapsed = time.perf_counter() - started
+        print(result.summary(), file=sys.__stdout__)
+        assert result.tolerance == tolerance, f"{check} tolerance is now {result.tolerance!r}"
+        assert result.passed, result.summary()
+        assert elapsed < max_seconds, f"{check} took {elapsed:.2f}s (limit {max_seconds:g}s)"
+
+    test.check = check
+    return test
 
 
-def identical_system(C, r, n_th, ratio, kappa=KAPPA):
-    unit = unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
-    system = SystemParams(unit1=unit, unit2=unit, bath=SqueezedBath(r=r))
-    ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-    return system, (ss, ss)
+test_criterion_01_triple_agreement = criterion("triple", 1e-6, max_seconds=5.0)
+test_criterion_02_adiabatic_reduction = criterion("adiabatic-limit", 1e-4)
+test_criterion_03_threshold = criterion("threshold", 1e-10)
+test_criterion_04_separability_floor = criterion("separability", 1e-9)
+test_criterion_05_xy_symmetry = criterion("xy-symmetry", 1e-10)
+test_criterion_06_strong_coupling_asymptote = criterion("strong-coupling", 1e-4)
+test_criterion_07_symmetric_drive_optimum = criterion("symmetric-drive", 1e-3)
+test_criterion_08_field_insensitivity = criterion("field-insensitivity", 2e-3)
+test_criterion_09_dissipation_ordering = criterion("dissipation-ordering", 0.0)
+test_criterion_10_thermal_occupation_figures = criterion("thermal-occupation", 0.10)
+test_criterion_11_lyapunov_correctness = criterion("lyapunov", 1e-9)
+test_criterion_12_power_threshold_root = criterion("power-threshold", 1e-8)
+test_criterion_13_determinism = criterion("determinism", 0.0)
+test_criterion_14_weak_coupling = criterion("weak-coupling", 1e-12)
 
 
-def test_criterion_01_triple_agreement():
-    started = time.perf_counter()
-    worst = 0.0
-    for C in C_GRID:
-        for r in R_GRID:
-            for n_th in NTH_GRID:
-                for ratio in RATIO_GRID:
-                    system, steady = identical_system(C, r, n_th, ratio)
-                    closed = duan_sum_nonadiabatic(
-                        C, r, n_th, ratio * KAPPA, KAPPA
-                    ).total
-                    lyap = duan_from_covariance(
-                        solve_lyapunov(build_rwa_drift_diffusion(system, steady)),
-                        "mirror",
-                    ).total
-                    spectral = spectral_duan_sum(system, steady, "mirror")
-                    worst = max(
-                        worst,
-                        abs(lyap - closed) / closed,
-                        abs(spectral - closed) / closed,
-                    )
-    elapsed = time.perf_counter() - started
-    verdict(
-        "criterion-01 triple-agreement",
-        worst <= 1e-6 and elapsed < 5.0,
-        f"max rel err {worst:.3e} (tol 1e-6), runtime {elapsed:.2f}s (limit 5s)",
-    )
-
-
-def test_criterion_02_adiabatic_reduction():
-    worst = 0.0
-    for C in C_GRID:
-        for r in R_GRID:
-            for n_th in NTH_GRID:
-                full = duan_sum_nonadiabatic(C, r, n_th, 1e-6, 1.0).total
-                adiab = duan_sum_adiabatic_identical(C, r, n_th).total
-                worst = max(worst, abs(full - adiab))
-    verdict(
-        "criterion-02 adiabatic-reduction",
-        worst <= 1e-4,
-        f"max abs err {worst:.3e} at gamma/kappa = 1e-6 (tol 1e-4)",
-    )
-
-
-def test_criterion_03_threshold():
-    c_min = threshold_cooperativity(1.0, 1.0)
-    boundary = duan_sum_adiabatic_identical(c_min, 1.0, 1.0).total
-    ok = abs(c_min - 2.313035) <= 1e-5 and abs(boundary - 2.0) <= 1e-10
-    verdict(
-        "criterion-03 threshold",
-        ok,
-        f"C_min = {c_min:.6f} (expect 2.313035 +- 1e-5), "
-        f"boundary total deviation {abs(boundary - 2.0):.3e} (tol 1e-10)",
-    )
-
-
-def test_criterion_04_separability_floor():
-    rng = np.random.default_rng(20240817)
-    bath = SqueezedBath(r=0.0)
-    worst_closed = worst_oracle = math.inf
-    for _ in range(10_000):
-        gamma = 10.0 ** rng.uniform(1.0, 4.0)
-        ga1 = gamma * 10.0 ** rng.uniform(-2.0, 3.0)
-        ga2 = gamma * 10.0 ** rng.uniform(-2.0, 3.0)
-        n1, n2 = rng.uniform(0.0, 30.0, size=2)
-        rates = AdiabaticRates(
-            Gamma_a1=ga1, Gamma_a2=ga2,
-            Gamma_1=ga1 + gamma, Gamma_2=ga2 + gamma,
-            n_th1=n1, n_th2=n2,
-        )
-        worst_closed = min(worst_closed, duan_sum_adiabatic_general(rates, bath).total)
-
-        C = 10.0 ** rng.uniform(-1.0, 2.0)
-        ratio = 10.0 ** rng.uniform(-4.0, -1.0)
-        system, steady = identical_system(C, 0.0, rng.uniform(0.0, 30.0), ratio)
-        worst_oracle = min(
-            worst_oracle,
-            duan_from_covariance(
-                solve_lyapunov(build_rwa_drift_diffusion(system, steady)), "mirror"
-            ).total,
-        )
-    ok = worst_closed >= 2.0 - 1e-12 and worst_oracle >= 2.0 - 1e-9
-    verdict(
-        "criterion-04 separability-floor",
-        ok,
-        f"10^4 r=0 samples: min closed-form total {worst_closed:.12f}, "
-        f"min oracle total {worst_oracle:.12f} (floor 2)",
-    )
-
-
-def test_criterion_05_xy_symmetry():
-    worst = 0.0
-    for C in C_GRID:
-        for r in R_GRID:
-            for n_th in NTH_GRID:
-                for ratio in RATIO_GRID:
-                    system, steady = identical_system(C, r, n_th, ratio)
-                    result = duan_from_covariance(
-                        solve_lyapunov(build_rwa_drift_diffusion(system, steady)),
-                        "mirror",
-                    )
-                    worst = max(worst, abs(result.var_X - result.var_Y))
-    verdict(
-        "criterion-05 xy-symmetry",
-        worst <= 1e-10,
-        f"max |var_X - var_Y| = {worst:.3e} (tol 1e-10)",
-    )
-
-
-def test_criterion_06_strong_coupling_asymptote():
-    worst = 0.0
-    for r in (0.5, 1.0, 2.0):
-        for n_th in (1.0, 5.0, 10.0):
-            exact = duan_sum_adiabatic_identical(1e6, r, n_th).total
-            approx = 2.0 * math.exp(-2.0 * r) + 4.0 * n_th / 1e6
-            worst = max(worst, abs(exact - approx))
-    verdict(
-        "criterion-06 strong-coupling-asymptote",
-        worst <= 1e-4,
-        f"max abs err {worst:.3e} at C = 1e6 (tol 1e-4)",
-    )
-
-
-def test_criterion_07_symmetric_drive_optimum():
-    base = sweep.set_param(config.default_system(), "temperature", 0.25e-3)
-    base = sweep.set_param(base, "bath.r", 2.0)
-    worst = 0.0
-    for p1 in (5e-3, 10e-3, 15e-3):
-        fixed = sweep.set_param(base, "unit1.power", p1)
-
-        def objective(p2):
-            system = sweep.set_param(fixed, "unit2.power", p2)
-            result, _, _ = sweep.evaluate_quantity(system, "mirror-duan-adiabatic")
-            return result.total
-
-        p2_best, _ = sweep.minimize_scalar(
-            objective, sweep.OptimizeSpec(lo=0.2 * p1, hi=3.0 * p1)
-        )
-        worst = max(worst, abs(p2_best - p1) / p1)
-    verdict(
-        "criterion-07 symmetric-drive-optimum",
-        worst <= 1e-3,
-        f"max relative offset of P2* from P1 is {worst:.3e} (tol 1e-3)",
-    )
-
-
-def test_criterion_08_field_insensitivity():
-    f15 = closedform.field_sum_nonadiabatic(15.0, 1.0, 5.0, 6.5e-4, 1.0).total
-    f90 = closedform.field_sum_nonadiabatic(90.0, 1.0, 5.0, 6.5e-4, 1.0).total
-    m15 = duan_sum_nonadiabatic(15.0, 1.0, 5.0, 6.5e-4, 1.0).total
-    m90 = duan_sum_nonadiabatic(90.0, 1.0, 5.0, 6.5e-4, 1.0).total
-    field_shift = abs(f90 - f15)
-    mirror_drop = m15 - m90
-    ok = field_shift <= 2e-3 and mirror_drop >= 0.05
-    verdict(
-        "criterion-08 field-insensitivity",
-        ok,
-        f"field shift {field_shift:.3e} (tol 2e-3), "
-        f"mirror drop {mirror_drop:.3f} (needs >= 0.05)",
-    )
-
-
-def test_criterion_09_dissipation_ordering():
-    violations = 0
-    for C in np.linspace(1.0, 100.0, 199):
-        adiab = duan_sum_adiabatic_identical(float(C), 2.0, 5.0).total
-        gk1 = duan_sum_nonadiabatic(float(C), 2.0, 5.0, 0.01, 1.0).total
-        gk5 = duan_sum_nonadiabatic(float(C), 2.0, 5.0, 0.05, 1.0).total
-        if not (adiab <= gk1 <= gk5):
-            violations += 1
-    verdict(
-        "criterion-09 dissipation-ordering",
-        violations == 0,
-        f"{violations} ordering violations over C in [1, 100] "
-        "(adiabatic <= gk 0.01 <= gk 0.05)",
-    )
-
-
-def test_criterion_10_thermal_occupation_figures():
-    omega_M = 2 * math.pi * 947e3
-    worst = 0.0
-    for temperature, expected in ((62.2e-6, 1.0), (236e-6, 5.0), (452e-6, 10.0)):
-        n = model.thermal_occupation(omega_M, temperature)
-        worst = max(worst, abs(n - expected) / expected)
-    verdict(
-        "criterion-10 thermal-occupation",
-        worst <= 0.10,
-        f"max rel deviation {worst:.3f} from the quoted labels (tol 0.10, "
-        "known ~5% constant-set offset)",
-    )
-
-
-def test_criterion_11_lyapunov_correctness():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(50):
-        B = rng.standard_normal((8, 8))
-        A = B - (max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0) * np.eye(8)
-        L = rng.standard_normal((8, 8))
-        V0 = L @ L.T
-        D = -(A @ V0 + V0 @ A.T)
-        V = solve_lyapunov(DriftDiffusion(A=A, D=D)).V
-        worst = max(worst, np.linalg.norm(V - V0) / np.linalg.norm(V0))
-
-    min_product = math.inf
-    for C in C_GRID:
-        for ratio in RATIO_GRID:
-            system, steady = identical_system(C, 2.0, 10.0, ratio)
-            V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
-            for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
-                min_product = min(min_product, V.variance(x) * V.variance(y))
-    ok = worst <= 1e-9 and min_product >= 0.25 - 1e-10
-    verdict(
-        "criterion-11 lyapunov-correctness",
-        ok,
-        f"constructed-solution max rel err {worst:.3e} (tol 1e-9), "
-        f"min uncertainty product {min_product:.12f} (floor 0.25)",
-    )
-
-
-def test_criterion_12_power_threshold_root():
-    unit = config.fig3_system().unit1
-    temperature = 50e-6
-    n_th = model.thermal_occupation(unit.mirror.omega_M, temperature)
-    worst = 0.0
-    powers = []
-    for r in (0.5, 1.0, 2.0):
-        p_min = minimum_power(unit, r, temperature)
-        powers.append(p_min)
-        import dataclasses
-
-        driven = dataclasses.replace(
-            unit, resonator=dataclasses.replace(unit.resonator, power=p_min)
-        )
-        ss = model.mean_fields_from_effective_detuning(
-            driven, -driven.mirror.omega_M
-        )
-        total = duan_sum_adiabatic_identical(ss.C, r, n_th).total
-        worst = max(worst, abs(total - 2.0))
-    decreasing = powers[0] > powers[1] > powers[2]
-    verdict(
-        "criterion-12 power-threshold-root",
-        worst <= 1e-8 and decreasing,
-        f"max boundary deviation {worst:.3e} (tol 1e-8), "
-        f"P_min decreasing in r: {decreasing}",
-    )
-
-
-def test_criterion_13_determinism():
-    first = cli.render_figure_csv("fig2").encode()
-    second = cli.render_figure_csv("fig2").encode()
-    verdict(
-        "criterion-13 determinism",
-        first == second,
-        f"fig2 CSV byte-identical across two runs ({len(first)} bytes)",
-    )
+def test_every_check_is_a_criterion():
+    gated = [test.check for name, test in globals().items()
+             if name.startswith("test_criterion_")]
+    assert sorted(gated) == sorted(selfcheck.ALL_CHECKS)

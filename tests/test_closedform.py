@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +8,7 @@ from squeezelink import closedform, config, model
 from squeezelink.closedform import (
     AdiabaticRates,
     DegenerateSqueeze,
+    DuanResult,
     duan_sum_adiabatic_general,
     duan_sum_adiabatic_identical,
     duan_sum_nonadiabatic,
@@ -42,6 +44,23 @@ class TestAdiabaticGeneral:
             general = duan_sum_adiabatic_general(rates, SqueezedBath(r=r)).total
             identical = duan_sum_adiabatic_identical(C, r, n_th).total
             assert general == pytest.approx(identical, abs=1e-12)
+
+    def test_separability_floor_for_random_asymmetric_rates(self):
+        # without squeezing, no pair of units reaches below the vacuum bound 2
+        rng = np.random.default_rng(20240817)
+        bath = SqueezedBath(r=0.0)
+        lowest = math.inf
+        for _ in range(10_000):
+            gamma = 10.0 ** rng.uniform(1.0, 4.0)
+            ga1, ga2 = gamma * 10.0 ** rng.uniform(-2.0, 3.0, size=2)
+            n1, n2 = rng.uniform(0.0, 30.0, size=2)
+            rates = AdiabaticRates(
+                Gamma_a1=ga1, Gamma_a2=ga2,
+                Gamma_1=ga1 + gamma, Gamma_2=ga2 + gamma,
+                n_th1=n1, n_th2=n2,
+            )
+            lowest = min(lowest, duan_sum_adiabatic_general(rates, bath).total)
+        assert lowest >= 2.0 - 1e-12
 
     def test_asymmetric_drive_is_worse_than_symmetric(self):
         # brute-force scan: fixing the mean radiation-pressure rate, the
@@ -241,6 +260,12 @@ class TestVerdict:
     def test_nan_total_rejected(self):
         with pytest.raises(FloatingPointError):
             is_entangled(math.nan)
+
+    def test_non_finite_result_rejected(self):
+        # sqrt(Gamma_a1 * Gamma_a2) overflows first at huge asymmetric drives
+        for var_X in (math.nan, math.inf, -math.inf):
+            with pytest.raises(FloatingPointError):
+                DuanResult(var_X=var_X, var_Y=1.0)
 
     def test_result_exposes_xy_symmetry(self):
         result = duan_sum_adiabatic_identical(15.0, 1.0, 5.0)

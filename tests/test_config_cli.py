@@ -147,10 +147,17 @@ class TestCliDuan:
         assert numeric == pytest.approx(closed, rel=1e-6)
 
     def test_nonadiabatic_on_asymmetric_config_fails_cleanly(self, tmp_path, capsys):
+        # the closed forms that assume identical units; the field pair's
+        # adiabatic regime is its nonadiabatic closed form
         path = tmp_path / "c.ini"
         path.write_text("[unit2]\npower_mw = 3\n")
-        code, _ = run_cli("duan", "--regime", "nonadiabatic", "--config", str(path))
-        assert code == cli.EXIT_CONFIG
+        for pair, regime in (("mirror", "nonadiabatic"), ("field", "nonadiabatic"),
+                             ("field", "adiabatic")):
+            code, text = run_cli("duan", "--pair", pair, "--regime", regime,
+                                 "--config", str(path))
+            assert code == cli.EXIT_CONFIG and text == "", (pair, regime)
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1, (pair, regime)
 
 
 class TestCliSweep:
@@ -202,6 +209,10 @@ class TestCliSweep:
             ("sweep", "--figure", "fig7"),
             ("duan", "--config", "/nonexistent.ini"),
             ("duan", "--preset", "bogus"),
+            ("sweep", "--axis", "bath.r", "--range", "0:1:1"),
+            ("sweep", "--axis", "bath.r", "--range", "1:0:5"),
+            ("sweep", "--axis", "bath.r", "--range", "0:1:5:log"),
+            ("sweep", "--axis", "bath.r", "--range", "0:1:3", "--max-errors", "-1"),
         ],
     )
     def test_config_errors_exit_2(self, argv):

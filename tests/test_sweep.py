@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squeezelink import closedform, config, sweep
+from squeezelink.model import NonConvergence
+from squeezelink.oracle import UnstableDrift
 from squeezelink.sweep import (
     BracketFailure,
     OptimizeSpec,
@@ -14,6 +17,8 @@ from squeezelink.sweep import (
     run_sweep,
     set_param,
 )
+
+POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +135,35 @@ class TestEvaluateQuantity:
     def test_unknown_quantity(self, base):
         with pytest.raises(ValueError):
             evaluate_quantity(base, "bogus")
+
+    def test_quantities_name_table_entries(self):
+        assert list(sweep.QUANTITIES) == [
+            "mirror-duan-adiabatic", "mirror-duan-nonadiabatic", "field-duan", "oracle-duan",
+        ]
+        assert set(sweep.QUANTITIES.values()) <= set(sweep.EVALUATORS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(sweep.EVALUATORS)),
+        r=POSITIVE, temperature=POSITIVE, power=POSITIVE,
+        unit2=st.none() | st.tuples(POSITIVE, POSITIVE),
+    )
+    def test_every_entry_gives_a_finite_total_or_a_typed_error(
+        self, key, r, temperature, power, unit2
+    ):
+        system = config.default_system()
+        for path, value in (("bath.r", r), ("temperature", temperature),
+                            ("unit1.power", power), ("unit2.power", power)):
+            system = set_param(system, path, value)
+        if unit2 is not None:  # otherwise the units are identical
+            system = set_param(system, "unit2.power", unit2[0])
+            system = set_param(system, "unit2.mirror.omega_M", unit2[1])
+        try:
+            result, _, _ = sweep.evaluate(system, *key)
+        except (ValueError, ArithmeticError, UnstableDrift, NonConvergence):
+            return
+        assert math.isfinite(result.total) and result.total >= 0.0
+        assert isinstance(result.entangled, bool)
 
 
 class TestMinimizeScalar:
