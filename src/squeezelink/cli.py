@@ -126,10 +126,7 @@ def cmd_sweep(args, out) -> int:
 
     if args.figure is not None:
         try:
-            base = _resolve(args) if (args.config or args.preset != "fig2-text"
-                                      or args.r is not None
-                                      or args.temperature_uk is not None) else None
-            text = render_figure_csv(args.figure, base=base, preset=args.preset)
+            text = render_figure_csv(args.figure, base=_resolve(args), preset=args.preset)
         except sweep.UnknownFigure as exc:
             raise ConfigError(f"unknown figure {exc.args[0]!r}") from exc
         _emit(text, args.out, out)

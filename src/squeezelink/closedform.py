@@ -46,7 +46,9 @@ class DuanResult:
 
     def __post_init__(self):
         total = self.var_X + self.var_Y
-        if not math.isfinite(total):  # an overflow upstream, never a verdict
+        # a non-finite or negative total comes from an overflow or a
+        # cancellation upstream, such as (2N + 1) - 2M at large r; never a verdict
+        if not 0.0 <= total < math.inf:
             raise FloatingPointError(
                 f"total variance is {'NaN' if math.isnan(total) else total}"
             )

@@ -37,6 +37,7 @@ from .model import (
     ResonatorParams,
     SqueezedBath,
     SystemParams,
+    set_param,
 )
 
 PRESET_DIR_ENV = "SQUEEZELINK_PRESET_DIR"
@@ -205,8 +206,6 @@ def resolve_system(
         system = load_config(config_path, preset=preset)
     else:
         system = preset_system(preset)
-    from .sweep import set_param
-
     try:
         if r_override is not None:
             system = set_param(system, "bath.r", r_override)

@@ -6,6 +6,7 @@ happen at config ingestion (see :mod:`squeezelink.config`), never here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -129,6 +130,46 @@ class SystemParams:
     unit1: OptomechanicalUnit
     unit2: OptomechanicalUnit
     bath: SqueezedBath
+
+
+def _unit_paths() -> dict[str, tuple[str, str, str]]:
+    """``unitN.part.field`` and ``unitN.field`` -> (unit, part, field).
+
+    The short form is unambiguous because no field name is shared by
+    :class:`ResonatorParams` and :class:`MirrorParams`.
+    """
+    paths = {}
+    for unit in ("unit1", "unit2"):
+        for part, params in (("resonator", ResonatorParams), ("mirror", MirrorParams)):
+            for field in dataclasses.fields(params):
+                key = (unit, part, field.name)
+                paths[f"{unit}.{part}.{field.name}"] = paths[f"{unit}.{field.name}"] = key
+    return paths
+
+
+_UNIT_PATHS = _unit_paths()
+
+
+def set_param(system: SystemParams, path: str, value: float) -> SystemParams:
+    """Return a copy of the system with one parameter replaced.
+
+    Paths address dataclass fields, e.g. ``unit2.resonator.power``,
+    ``unit1.mirror.omega_M`` or ``bath.r``. The intermediate level may be
+    omitted (``unit2.power``), and the bare path ``temperature`` sets both
+    mirror baths at once.
+    """
+    if path == "temperature":
+        sys1 = set_param(system, "unit1.mirror.temperature", value)
+        return set_param(sys1, "unit2.mirror.temperature", value)
+    if path == "bath.r":
+        return dataclasses.replace(system, bath=SqueezedBath(r=value))
+    if path not in _UNIT_PATHS:
+        kind = "bath parameter" if path.startswith("bath.") else "parameter"
+        raise ValueError(f"unknown {kind} path {path!r}")
+    unit_name, part_name, field = _UNIT_PATHS[path]
+    unit = getattr(system, unit_name)
+    part = dataclasses.replace(getattr(unit, part_name), **{field: value})
+    return dataclasses.replace(system, **{unit_name: dataclasses.replace(unit, **{part_name: part})})
 
 
 @dataclass(frozen=True)

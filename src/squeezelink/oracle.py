@@ -127,13 +127,16 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     joint nonzero pattern of all ``A`` and ``D`` in the stack; each
     component's Kronecker system (m^2 unknowns for m indices) is solved for
     the whole stack in one LU call. Each item must then satisfy the full
-    n x n equation to ``1e-10 * ||D[b]||``. Errors name the stack index.
+    n x n equation to ``1e-10 * ||D[b]||``, checked on V and D divided by
+    ``max |D[b]|`` so that the norms cannot overflow. A non-finite A, D or
+    V raises ``FloatingPointError``. Errors name the stack index.
     """
     A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
     if A.ndim != 3 or A.shape != D.shape:
         raise ValueError(
             f"need stacks A and D of equal shape (B, n, n), got {A.shape} and {D.shape}"
         )
+    _require_finite("drift or diffusion matrix", A, D)
     report = stability_check(A)
     if not report.stable:
         raise UnstableDrift(
@@ -144,9 +147,13 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     for block in _blocks(A, D):
         rows = block[:, None]
         V[:, rows, block] = _kronecker_solve(A[:, rows, block], D[:, rows, block])
-    V = 0.5 * (V + V.transpose(0, 2, 1))
-    residual = np.linalg.norm(A @ V + V @ A.transpose(0, 2, 1) + D, axis=(1, 2))
-    bound = 1e-10 * np.maximum(np.linalg.norm(D, axis=(1, 2)), 1e-300)
+    V = 0.5 * V + 0.5 * V.transpose(0, 2, 1)  # halved first, so the sum cannot overflow
+    _require_finite("Lyapunov solution", V)
+    scale = np.abs(D).max(axis=(1, 2), keepdims=True)
+    scale[scale == 0.0] = 1.0
+    Vs, Ds = V / scale, D / scale
+    residual = np.linalg.norm(A @ Vs + Vs @ A.transpose(0, 2, 1) + Ds, axis=(1, 2))
+    bound = 1e-10 * np.maximum(np.linalg.norm(Ds, axis=(1, 2)), 1e-300)
     worst = int(np.argmax(residual / bound))
     if not residual[worst] <= bound[worst]:
         raise UnstableDrift(
@@ -154,6 +161,13 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
             "tolerance; system nearly singular"
         )
     return V
+
+
+def _require_finite(what: str, *stacks: np.ndarray):
+    for x in stacks:
+        if not np.isfinite(x).all():
+            index = int(np.argmin(np.isfinite(x).all(axis=(1, 2))))
+            raise FloatingPointError(f"{what} is not finite at stack index {index}")
 
 
 def _blocks(A: np.ndarray, D: np.ndarray) -> list[np.ndarray]:

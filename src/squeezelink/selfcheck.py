@@ -223,20 +223,12 @@ def check_lyapunov_solver(
 def check_symmetric_drive_optimum(tolerance: float = 1e-3) -> CheckResult:
     """Minimizing over the second drive power lands on the first."""
     base = config.default_system()
-    base = sweep.set_param(base, "temperature", 0.25e-3)
-    base = sweep.set_param(base, "bath.r", 2.0)
+    base = model.set_param(base, "temperature", 0.25e-3)
+    base = model.set_param(base, "bath.r", 2.0)
     worst = 0.0
     for p1 in (5e-3, 10e-3, 15e-3):
-        fixed = sweep.set_param(base, "unit1.power", p1)
-
-        def objective(p2: float) -> float:
-            result, _, _ = sweep.evaluate_quantity(
-                sweep.set_param(fixed, "unit2.power", p2), "mirror-duan-adiabatic"
-            )
-            return result.total
-
-        p2_star, _ = sweep.minimize_scalar(
-            objective, sweep.OptimizeSpec(lo=0.2 * p1, hi=3.0 * p1, tolerance=1e-7)
+        p2_star, _ = sweep.optimize_partner(
+            base, "power", p1, sweep.OptimizeSpec(lo=0.2 * p1, hi=3.0 * p1, tolerance=1e-7)
         )
         worst = max(worst, abs(p2_star - p1) / p1)
     return CheckResult("symmetric-drive", worst <= tolerance, worst, tolerance,
@@ -291,11 +283,11 @@ def check_power_threshold(tolerance: float = 1e-8) -> CheckResult:
     monotone = True
     for r in (0.5, 1.0, 2.0):
         p_min = closedform.minimum_power(unit, r, temperature)
-        probe = sweep.set_param(
+        probe = model.set_param(
             model.SystemParams(unit, unit, model.SqueezedBath(r=r)),
             "unit1.power", p_min,
         )
-        probe = sweep.set_param(probe, "unit2.power", p_min)
+        probe = model.set_param(probe, "unit2.power", p_min)
         ss = model.mean_fields_from_effective_detuning(
             probe.unit1, -probe.unit1.mirror.omega_M
         )

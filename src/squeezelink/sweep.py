@@ -14,14 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import closedform, oracle
+from . import closedform, config, oracle
 from .closedform import AdiabaticRates, DuanResult
-from .model import (
-    OptomechanicalUnit,
-    SqueezedBath,
-    SystemParams,
-    mean_fields_from_effective_detuning,
-)
+from .model import SystemParams, mean_fields_from_effective_detuning, set_param
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -95,59 +90,13 @@ class OptimizeSpec:
             raise ValueError("tolerance must be > 0")
 
 
-def set_param(system: SystemParams, path: str, value: float) -> SystemParams:
-    """Return a copy of the system with one parameter replaced.
-
-    Paths address dataclass fields, e.g. ``unit2.resonator.power``,
-    ``unit1.mirror.omega_M`` or ``bath.r``. The intermediate level may be
-    omitted (``unit2.power``), and the bare path ``temperature`` sets both
-    mirror baths at once.
-    """
-    if path == "temperature":
-        sys1 = set_param(system, "unit1.mirror.temperature", value)
-        return set_param(sys1, "unit2.mirror.temperature", value)
-
-    parts = path.split(".")
-    head, rest = parts[0], parts[1:]
-    if head == "bath":
-        if rest != ["r"]:
-            raise ValueError(f"unknown bath parameter path {path!r}")
-        return dataclasses.replace(system, bath=SqueezedBath(r=value))
-    if head not in ("unit1", "unit2"):
-        raise ValueError(f"unknown parameter path {path!r}")
-    unit = getattr(system, head)
-    return dataclasses.replace(system, **{head: _set_unit_param(unit, rest, value, path)})
-
-
-def _set_unit_param(unit: OptomechanicalUnit, rest, value, path):
-    if len(rest) == 2:
-        sub, field = rest
-        if sub not in ("resonator", "mirror"):
-            raise ValueError(f"unknown parameter path {path!r}")
-    elif len(rest) == 1:
-        field = rest[0]
-        in_res = field in {f.name for f in dataclasses.fields(unit.resonator)}
-        in_mir = field in {f.name for f in dataclasses.fields(unit.mirror)}
-        if in_res and in_mir:
-            raise ValueError(f"ambiguous parameter path {path!r}")
-        if not (in_res or in_mir):
-            raise ValueError(f"unknown parameter path {path!r}")
-        sub = "resonator" if in_res else "mirror"
-    else:
-        raise ValueError(f"unknown parameter path {path!r}")
-    target = getattr(unit, sub)
-    if field not in {f.name for f in dataclasses.fields(target)}:
-        raise ValueError(f"unknown parameter path {path!r}")
-    return dataclasses.replace(unit, **{sub: dataclasses.replace(target, **{field: value})})
-
-
 def _steady_states(system: SystemParams):
     ss1 = mean_fields_from_effective_detuning(system.unit1, -system.unit1.mirror.omega_M)
     ss2 = mean_fields_from_effective_detuning(system.unit2, -system.unit2.mirror.omega_M)
     return ss1, ss2
 
 
-def _require_identical(system: SystemParams, ss1, ss2, quantity: str):
+def _require_identical(system: SystemParams, ss1, ss2, pair: str):
     """(C, r, n_th, gamma, kappa) shared by two identical units; else ValueError."""
     def close(a, b):
         return abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-300)
@@ -160,8 +109,8 @@ def _require_identical(system: SystemParams, ss1, ss2, quantity: str):
     )
     if not ok:
         raise ValueError(
-            f"quantity {quantity!r} assumes identical units; "
-            "use 'mirror-duan-adiabatic' or 'oracle-duan' for asymmetric systems"
+            f"the nonadiabatic {pair} closed form assumes identical units; "
+            "for asymmetric units use the adiabatic mirror form or the oracle route"
         )
     return (ss1.C, system.bath.r, ss1.n_th,
             system.unit1.mirror.gamma, system.unit1.resonator.kappa)
@@ -173,12 +122,12 @@ def _mirror_adiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
 
 
 def _mirror_nonadiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
-    args = _require_identical(system, ss1, ss2, "mirror-duan-nonadiabatic")
+    args = _require_identical(system, ss1, ss2, "mirror")
     return closedform.duan_sum_nonadiabatic(*args)
 
 
 def _field_nonadiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
-    args = _require_identical(system, ss1, ss2, "field-duan")
+    args = _require_identical(system, ss1, ss2, "field")
     return closedform.field_sum_nonadiabatic(*args)
 
 
@@ -302,11 +251,10 @@ class FigureDataset:
 def figure_dataset(fig_id: str, base: Optional[SystemParams] = None) -> FigureDataset:
     """Dataset behind one of the reference figures (fig2..fig9).
 
-    ``base`` overrides the built-in default system; figure-specific
-    parameters from the reference parameter sets still take precedence.
+    ``base`` (the default preset if omitted) supplies every parameter that
+    the figure does not fix; each figure applies its own fixed parameters
+    on top of it, whatever preset or override it came from.
     """
-    from .config import default_system, fig3_system
-
     builders = {
         "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
         "fig5a": _fig5a, "fig5b": _fig5b, "fig6a": _fig6a, "fig6b": _fig6b,
@@ -314,9 +262,7 @@ def figure_dataset(fig_id: str, base: Optional[SystemParams] = None) -> FigureDa
     }
     if fig_id not in builders:
         raise UnknownFigure(fig_id)
-    if base is None:
-        base = fig3_system() if fig_id == "fig3" else default_system()
-    return builders[fig_id](base)
+    return builders[fig_id](base if base is not None else config.default_system())
 
 
 def _adiabatic_total(system: SystemParams) -> float:
@@ -324,36 +270,60 @@ def _adiabatic_total(system: SystemParams) -> float:
     return result.total
 
 
-def _fig2(base: SystemParams) -> FigureDataset:
-    temps = np.linspace(1e-6, 1.0, 241)
-    r_values = (0.5, 1.0, 2.0)
+def _curve_rows(base: SystemParams, axis_paths: Sequence[str], axis_values,
+                curve_path: str, curve_values: Sequence[float]) -> list[tuple]:
+    """(axis value, adiabatic total of each curve) for every axis value.
+
+    The axis value goes to every path in ``axis_paths``, then each curve
+    sets ``curve_path`` to its own value.
+    """
     rows = []
-    for T in temps:
-        sys_t = set_param(base, "temperature", float(T))
-        vals = [
-            _adiabatic_total(set_param(sys_t, "bath.r", r)) for r in r_values
-        ]
-        rows.append((float(T), *vals))
+    for x in axis_values:
+        x = float(x)
+        system = base
+        for path in axis_paths:
+            system = set_param(system, path, x)
+        rows.append((x, *[_adiabatic_total(set_param(system, curve_path, v))
+                          for v in curve_values]))
+    return rows
+
+
+def optimize_partner(base: SystemParams, field: str, value1: float,
+                     spec: OptimizeSpec) -> tuple[float, float]:
+    """(argmin, min) of the adiabatic total over unit 2's ``field``.
+
+    Unit 1's ``field`` is held at ``value1``; ``field`` is a unit path
+    without its unit, such as ``power`` or ``mirror.omega_M``.
+    """
+    fixed = set_param(base, f"unit1.{field}", value1)
+    path2 = f"unit2.{field}"
+    return minimize_scalar(lambda value2: _adiabatic_total(set_param(fixed, path2, value2)),
+                           spec)
+
+
+_FIG23_R = (0.5, 1.0, 2.0)
+
+
+def _r_curves(base: SystemParams, axis_name: str, axis_unit: str,
+              axis_paths: Sequence[str], axis_values) -> FigureDataset:
     return FigureDataset(
-        axis_name="temperature", axis_unit="K",
-        columns=[f"total_r_{r:g}" for r in r_values], rows=rows,
-        metadata=_system_metadata(base) | {"r_values": list(r_values)},
+        axis_name=axis_name, axis_unit=axis_unit,
+        columns=[f"total_r_{r:g}" for r in _FIG23_R],
+        rows=_curve_rows(base, axis_paths, axis_values, "bath.r", _FIG23_R),
+        metadata=_system_metadata(base) | {"r_values": list(_FIG23_R)},
     )
+
+
+def _fig2(base: SystemParams) -> FigureDataset:
+    return _r_curves(base, "temperature", "K", ("temperature",),
+                     np.linspace(1e-6, 1.0, 241))
 
 
 def _fig3(base: SystemParams) -> FigureDataset:
-    powers = np.linspace(1e-8, 2e-5, 241)
-    r_values = (0.5, 1.0, 2.0)
-    rows = []
-    for P in powers:
-        sys_p = set_param(set_param(base, "unit1.power", float(P)), "unit2.power", float(P))
-        vals = [_adiabatic_total(set_param(sys_p, "bath.r", r)) for r in r_values]
-        rows.append((float(P), *vals))
-    return FigureDataset(
-        axis_name="power", axis_unit="W",
-        columns=[f"total_r_{r:g}" for r in r_values], rows=rows,
-        metadata=_system_metadata(base) | {"r_values": list(r_values)},
-    )
+    for unit in ("unit1", "unit2"):  # resonant cavity, omega_r = omega_L
+        base = set_param(base, f"{unit}.omega_r", getattr(base, unit).resonator.omega_L)
+    return _r_curves(base, "power", "W", ("unit1.power", "unit2.power"),
+                     np.linspace(1e-8, 2e-5, 241))
 
 
 def _fig4(base: SystemParams) -> FigureDataset:
@@ -375,60 +345,49 @@ def _fig4(base: SystemParams) -> FigureDataset:
 
 _FIG5_T = 0.25e-3  # K
 _FIG5_R = 2.0
+_FIG6_P = 11e-3  # W
+_OPT_TEMPERATURES = (0.25e-3, 0.4e-3, 0.5e-3)  # K, one optimized curve each
+_OPT_COLUMNS = tuple(f"optimized_total_T_{T * 1e3:g}mK" for T in _OPT_TEMPERATURES)
+
+
+def _optimized_rows(base: SystemParams, field: str, values1, lo: float,
+                    hi: float) -> list[tuple]:
+    """(unit 1's value, optimized total at each temperature) for every value.
+
+    Unit 2's ``field`` is searched over ``[lo, hi]`` times unit 1's value.
+    """
+    rows = []
+    for v1 in values1:
+        v1 = float(v1)
+        spec = OptimizeSpec(lo=lo * v1, hi=hi * v1)
+        rows.append((v1, *[
+            optimize_partner(set_param(base, "temperature", T), field, v1, spec)[1]
+            for T in _OPT_TEMPERATURES
+        ]))
+    return rows
 
 
 def _fig5a(base: SystemParams) -> FigureDataset:
     base = set_param(set_param(base, "temperature", _FIG5_T), "bath.r", _FIG5_R)
     p1_values = (5e-3, 10e-3, 15e-3)
-    p2s = np.linspace(0.2e-3, 30e-3, 241)
-    rows = []
-    for p2 in p2s:
-        vals = []
-        for p1 in p1_values:
-            sys_p = set_param(set_param(base, "unit1.power", p1), "unit2.power", float(p2))
-            vals.append(_adiabatic_total(sys_p))
-        rows.append((float(p2), *vals))
     return FigureDataset(
         axis_name="power_2", axis_unit="W",
-        columns=[f"total_P1_{p1 * 1e3:g}mW" for p1 in p1_values], rows=rows,
+        columns=[f"total_P1_{p1 * 1e3:g}mW" for p1 in p1_values],
+        rows=_curve_rows(base, ("unit2.power",), np.linspace(0.2e-3, 30e-3, 241),
+                         "unit1.power", p1_values),
         metadata=_system_metadata(base)
         | {"r": _FIG5_R, "temperature": _FIG5_T, "p1_values": list(p1_values)},
     )
 
 
-def _optimized_total(base: SystemParams, fixed_path: str, fixed_value: float,
-                     opt_path: str, spec: OptimizeSpec) -> float:
-    sys_fixed = set_param(base, fixed_path, fixed_value)
-
-    def objective(v: float) -> float:
-        return _adiabatic_total(set_param(sys_fixed, opt_path, v))
-
-    _, best = minimize_scalar(objective, spec)
-    return best
-
-
 def _fig5b(base: SystemParams) -> FigureDataset:
     base = set_param(base, "bath.r", _FIG5_R)
-    temp_values = (0.25e-3, 0.4e-3, 0.5e-3)
-    p1s = np.linspace(1e-3, 30e-3, 59)
-    rows = []
-    for p1 in p1s:
-        vals = []
-        for T in temp_values:
-            sys_t = set_param(base, "temperature", T)
-            spec = OptimizeSpec(lo=0.1 * float(p1), hi=3.0 * float(p1))
-            vals.append(
-                _optimized_total(sys_t, "unit1.power", float(p1), "unit2.power", spec)
-            )
-        rows.append((float(p1), *vals))
     return FigureDataset(
-        axis_name="power_1", axis_unit="W",
-        columns=[f"optimized_total_T_{T * 1e3:g}mK" for T in temp_values], rows=rows,
-        metadata=_system_metadata(base) | {"r": _FIG5_R, "temperatures": list(temp_values)},
+        axis_name="power_1", axis_unit="W", columns=_OPT_COLUMNS,
+        rows=_optimized_rows(base, "power", np.linspace(1e-3, 30e-3, 59), 0.1, 3.0),
+        metadata=_system_metadata(base)
+        | {"r": _FIG5_R, "temperatures": list(_OPT_TEMPERATURES)},
     )
-
-
-_FIG6_P = 11e-3  # W
 
 
 def _fig6_base(base: SystemParams) -> SystemParams:
@@ -440,46 +399,24 @@ def _fig6a(base: SystemParams) -> FigureDataset:
     base = _fig6_base(base)
     wm_ref = base.unit1.mirror.omega_M
     wm1_values = (0.5 * wm_ref, wm_ref, 1.5 * wm_ref)
-    wm2s = np.linspace(0.2 * wm_ref, 2.0 * wm_ref, 241)
-    rows = []
-    for wm2 in wm2s:
-        vals = []
-        for wm1 in wm1_values:
-            sys_w = set_param(
-                set_param(base, "unit1.mirror.omega_M", wm1),
-                "unit2.mirror.omega_M", float(wm2),
-            )
-            vals.append(_adiabatic_total(sys_w))
-        rows.append((float(wm2), *vals))
     return FigureDataset(
         axis_name="omega_M2", axis_unit="rad/s",
-        columns=[f"total_wM1_{wm1:.6g}" for wm1 in wm1_values], rows=rows,
+        columns=[f"total_wM1_{wm1:.6g}" for wm1 in wm1_values],
+        rows=_curve_rows(base, ("unit2.mirror.omega_M",),
+                         np.linspace(0.2 * wm_ref, 2.0 * wm_ref, 241),
+                         "unit1.mirror.omega_M", wm1_values),
         metadata=_system_metadata(base) | {"omega_M1_values": list(wm1_values)},
     )
 
 
 def _fig6b(base: SystemParams) -> FigureDataset:
     base = _fig6_base(base)
-    temp_values = (0.25e-3, 0.4e-3, 0.5e-3)
     wm_ref = base.unit1.mirror.omega_M
-    wm1s = np.linspace(0.4 * wm_ref, 2.0 * wm_ref, 49)
-    rows = []
-    for wm1 in wm1s:
-        vals = []
-        for T in temp_values:
-            sys_t = set_param(base, "temperature", T)
-            spec = OptimizeSpec(lo=0.2 * float(wm1), hi=3.0 * float(wm1))
-            vals.append(
-                _optimized_total(
-                    sys_t, "unit1.mirror.omega_M", float(wm1),
-                    "unit2.mirror.omega_M", spec,
-                )
-            )
-        rows.append((float(wm1), *vals))
     return FigureDataset(
-        axis_name="omega_M1", axis_unit="rad/s",
-        columns=[f"optimized_total_T_{T * 1e3:g}mK" for T in temp_values], rows=rows,
-        metadata=_system_metadata(base) | {"temperatures": list(temp_values)},
+        axis_name="omega_M1", axis_unit="rad/s", columns=_OPT_COLUMNS,
+        rows=_optimized_rows(base, "mirror.omega_M",
+                             np.linspace(0.4 * wm_ref, 2.0 * wm_ref, 49), 0.2, 3.0),
+        metadata=_system_metadata(base) | {"temperatures": list(_OPT_TEMPERATURES)},
     )
 
 

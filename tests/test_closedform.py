@@ -267,6 +267,11 @@ class TestVerdict:
             with pytest.raises(FloatingPointError):
                 DuanResult(var_X=var_X, var_Y=1.0)
 
+    def test_negative_result_rejected(self):
+        # (2N + 1) - 2M cancels at large r and can leave a negative total
+        with pytest.raises(FloatingPointError, match="total variance is -"):
+            DuanResult(var_X=-2.0, var_Y=1.0)
+
     def test_result_exposes_xy_symmetry(self):
         result = duan_sum_adiabatic_identical(15.0, 1.0, 5.0)
         assert result.var_X == result.var_Y

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import pytest
 
@@ -158,6 +159,9 @@ class TestCliDuan:
             assert code == cli.EXIT_CONFIG and text == "", (pair, regime)
             err = capsys.readouterr().err
             assert err.startswith("config error:") and err.count("\n") == 1, (pair, regime)
+            # right for duan and for sweep alike: no sweep quantity names
+            assert err.endswith("use the adiabatic mirror form or the oracle route\n")
+            assert "mirror-duan-adiabatic" not in err and "oracle-duan" not in err
 
 
 class TestCliSweep:
@@ -174,6 +178,11 @@ class TestCliSweep:
         first = data[1].split(",")
         assert float(first[0]) == 0.0
         assert first[4] in ("true", "false")
+
+    def test_fig3_keeps_its_resonant_cavity_under_overrides(self):
+        # 50 uK is the default temperature, so this override changes nothing
+        code, text = run_cli("sweep", "--figure", "fig3", "--temperature-uk", "50")
+        assert code == 0 and text == run_cli("sweep", "--figure", "fig3")[1]
 
     def test_figure_determinism_bytes(self):
         one = cli.render_figure_csv("fig4")
@@ -258,6 +267,33 @@ class TestCliBadNumbers:
         code, text = run_cli("duan", "--config", str(path))
         assert code == cli.EXIT_UNSTABLE and text == ""
         assert capsys.readouterr().err == "error: total variance is NaN\n"
+
+    def test_non_finite_drift_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.ini"
+        path.write_text("[unit1]\npower_w = 1e300\n[unit2]\npower_w = 1e300\n")
+        code, text = run_cli("duan", "--regime", "oracle", "--config", str(path))
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_cancelled_total_exits_3_without_a_verdict(self, tmp_path, capsys):
+        # (2N + 1) - 2M cancels at r = 26 and leaves a negative total
+        path = tmp_path / "c.ini"
+        path.write_text("[unit1]\npower_mw = 15.625\ntemperature_k = 1\n"
+                        "[unit2]\npower_mw = 15.625\ntemperature_k = 1\n")
+        code, text = run_cli("duan", "--r", "26", "--config", str(path))
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: total variance is -") and err.count("\n") == 1
+
+    def test_hot_oracle_gives_a_quiet_verdict(self, capsys):
+        # ||D|| overflows a float at this temperature; the residual gate must
+        # still hold without numpy overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli("duan", "--regime", "oracle", "--temperature-uk", "1e300")
+        assert code == cli.EXIT_OK and "total = 5.9910805625e+295\n" in text
+        assert capsys.readouterr().err == ""
 
 
 class TestCliThreshold:

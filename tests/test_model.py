@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,11 @@ from squeezelink.model import (
     OptomechanicalUnit,
     ResonatorParams,
     SqueezedBath,
+    SystemParams,
     mean_fields_from_bare_detuning,
     mean_fields_from_effective_detuning,
     single_photon_coupling,
+    set_param,
     stability_check,
     thermal_occupation,
 )
@@ -244,3 +247,29 @@ def test_unit_with_cooperativity_round_trip():
     ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
     assert ss.C == pytest.approx(15.0, rel=1e-10)
     assert ss.n_th == pytest.approx(5.0, rel=1e-10)
+
+
+PARTS = (("resonator", ResonatorParams), ("mirror", MirrorParams))
+
+
+class TestSetParam:
+    @staticmethod
+    def values(system):
+        return {(unit, part, f.name): getattr(getattr(getattr(system, unit), part), f.name)
+                for unit in ("unit1", "unit2")
+                for part, params in PARTS for f in dataclasses.fields(params)}
+
+    def test_every_field_of_both_units_by_full_and_short_path(self):
+        system = SystemParams(default_unit(), default_unit(), SqueezedBath(r=1.0))
+        before = self.values(system)
+        for unit, part, field in before:
+            for path in (f"{unit}.{part}.{field}", f"{unit}.{field}"):
+                changed = set_param(system, path, 1.5 * before[unit, part, field])
+                expected = before | {(unit, part, field): 1.5 * before[unit, part, field]}
+                assert self.values(changed) == expected, path
+                assert changed.bath == system.bath
+
+    def test_part_field_names_are_disjoint(self):
+        # what makes the short path unitN.field unambiguous
+        names = [{f.name for f in dataclasses.fields(params)} for _, params in PARTS]
+        assert all(names) and not names[0] & names[1]

@@ -189,6 +189,27 @@ class TestStackedLyapunov:
         with pytest.raises(UnstableDrift, match="at stack index 1"):
             solve_lyapunov_stack(A, D)
 
+    @pytest.mark.parametrize("which", ["A", "D"])
+    def test_non_finite_item_is_named(self, which):
+        A, D = physical_stack()
+        (A if which == "A" else D)[2, 0, 0] = math.inf
+        with pytest.raises(FloatingPointError, match="at stack index 2"):
+            solve_lyapunov_stack(A, D)
+
+    def test_overflowing_solution_is_named(self):
+        A = np.stack([-np.eye(2), -1e-10 * np.eye(2)])
+        D = np.stack([np.eye(2), 1e300 * np.eye(2)])  # V = D / 2e-10 overflows
+        with pytest.raises(FloatingPointError, match="at stack index 1"):
+            solve_lyapunov_stack(A, D)
+
+    def test_residual_gate_holds_when_the_norm_of_d_overflows(self):
+        # ||D|| overflows at this scale; the gate works on D / max|D|, so it
+        # neither warns nor lets the solution through unchecked
+        A, D = physical_stack()
+        V = solve_lyapunov_stack(A, D)
+        huge = solve_lyapunov_stack(A, 1e200 * D)
+        assert np.abs(huge / 1e200 - V).max() <= 1e-14 * np.abs(V).max()
+
     def test_shape_mismatch_rejected(self):
         A, D = physical_stack()
         with pytest.raises(ValueError):
