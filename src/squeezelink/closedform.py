@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     HBAR,
     KB,
@@ -82,7 +84,7 @@ class AdiabaticRates:
         for j, (ga, g_tot) in enumerate(
             [(self.Gamma_a1, self.Gamma_1), (self.Gamma_a2, self.Gamma_2)], start=1
         ):
-            if ga < 0 or g_tot <= 0 or g_tot < ga:
+            if _rates_out_of_bounds(ga, g_tot):
                 raise ValueError(
                     f"unit {j}: need 0 <= Gamma_a <= Gamma and Gamma > 0, "
                     f"got Gamma_a={ga!r}, Gamma={g_tot!r}"
@@ -110,21 +112,54 @@ class AdiabaticRates:
         )
 
 
+def _rates_out_of_bounds(Gamma_a, Gamma):
+    # bitwise | so that the same expression serves floats and arrays
+    return (Gamma_a < 0) | (Gamma <= 0) | (Gamma < Gamma_a)
+
+
+def _adiabatic_sum(Ga1, Ga2, G1, G2, n_th1, n_th2, N, M, sqrt):
+    """The adiabatic mirror total in + - * / and the given ``sqrt``, for floats or arrays."""
+    return (
+        (2.0 * N + 1.0) * (Ga1 / G1 + Ga2 / G2)
+        - 8.0 * sqrt(Ga1 * Ga2) * M / (G1 + G2)
+        + ((G1 - Ga1) / G1) * (2.0 * n_th1 + 1.0)
+        + ((G2 - Ga2) / G2) * (2.0 * n_th2 + 1.0)
+    )
+
+
 def duan_sum_adiabatic_general(
     rates: AdiabaticRates, bath: SqueezedBath
 ) -> DuanResult:
     """Mirror-mirror variance sum in the adiabatic regime, arbitrary asymmetry."""
-    N, M = bath.N, bath.M_corr
-    total = (
-        (2.0 * N + 1.0) * (rates.Gamma_a1 / rates.Gamma_1 + rates.Gamma_a2 / rates.Gamma_2)
-        - 8.0
-        * math.sqrt(rates.Gamma_a1 * rates.Gamma_a2)
-        * M
-        / (rates.Gamma_1 + rates.Gamma_2)
-        + (rates.gamma1 / rates.Gamma_1) * (2.0 * rates.n_th1 + 1.0)
-        + (rates.gamma2 / rates.Gamma_2) * (2.0 * rates.n_th2 + 1.0)
-    )
-    return DuanResult.from_total(total)
+    return DuanResult.from_total(_adiabatic_sum(
+        rates.Gamma_a1, rates.Gamma_a2, rates.Gamma_1, rates.Gamma_2,
+        rates.n_th1, rates.n_th2, bath.N, bath.M_corr, math.sqrt,
+    ))
+
+
+def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
+    """:func:`duan_sum_adiabatic_general` totals over arrays.
+
+    ``unit1`` and ``unit2`` carry ``Gamma_a``, ``Gamma`` and ``n_th`` arrays
+    (see :func:`model.red_sideband_arrays`); ``N`` and ``M`` are the bath's
+    terms (see :func:`model.squeeze_arrays`). All broadcast together. The
+    totals equal the per-point ones bit for bit. Every element passes the
+    :class:`AdiabaticRates` bounds and the finite, non-negative total check
+    of :class:`DuanResult`, or the first failing element raises what the
+    per-point route raises.
+    """
+    terms = (unit1.Gamma_a, unit2.Gamma_a, unit1.Gamma, unit2.Gamma, unit1.n_th, unit2.n_th)
+    bad = _rates_out_of_bounds(terms[0], terms[2]) | _rates_out_of_bounds(terms[1], terms[3])
+    if np.any(bad):
+        *terms, bad = np.broadcast_arrays(*terms, bad)
+        k = np.flatnonzero(bad)[0]
+        AdiabaticRates(*(float(t.flat[k]) for t in terms))  # raises
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
+        total = np.asarray(_adiabatic_sum(*terms, N, M, np.sqrt))
+    bad = ~((0.0 <= total) & (total < math.inf))
+    if bad.any():
+        DuanResult.from_total(float(total[bad][0]))  # raises
+    return total
 
 
 def duan_sum_adiabatic_identical(C: float, r: float, n_th: float) -> DuanResult:

@@ -10,6 +10,8 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,25 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_temperature(value):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"temperature must be >= 0 and finite, got {value!r}")
+
+
+def _optical_ratio_low(omega_r, omega_L, kappa):
+    # bitwise | so that the same expression serves floats and arrays
+    return (omega_r < _OPTICAL_RATIO_FLOOR * kappa) | (omega_L < _OPTICAL_RATIO_FLOOR * kappa)
+
+
+def _warn_optical_ratio():
+    warnings.warn(
+        "optical frequencies are not large compared to the cavity "
+        f"linewidth (ratio below {_OPTICAL_RATIO_FLOOR:g}); results "
+        "assume a high-finesse cavity",
+        stacklevel=3,  # the caller of the function that checks
+    )
+
+
 @dataclass(frozen=True)
 class ResonatorParams:
     """One driven optical cavity: frequency, drive, loss and geometry."""
@@ -53,13 +74,8 @@ class ResonatorParams:
             length=self.length,
             power=self.power,
         )
-        if min(self.omega_r, self.omega_L) < _OPTICAL_RATIO_FLOOR * self.kappa:
-            warnings.warn(
-                "optical frequencies are not large compared to the cavity "
-                f"linewidth (ratio below {_OPTICAL_RATIO_FLOOR:g}); results "
-                "assume a high-finesse cavity",
-                stacklevel=2,
-            )
+        if _optical_ratio_low(self.omega_r, self.omega_L, self.kappa):
+            _warn_optical_ratio()
 
 
 @dataclass(frozen=True)
@@ -73,10 +89,7 @@ class MirrorParams:
 
     def __post_init__(self):
         _require_positive(omega_M=self.omega_M, gamma=self.gamma, mass=self.mass)
-        if not 0.0 <= self.temperature < math.inf:
-            raise ValueError(
-                f"temperature must be >= 0 and finite, got {self.temperature!r}"
-            )
+        _require_temperature(self.temperature)
 
 
 @dataclass(frozen=True)
@@ -132,22 +145,34 @@ class SystemParams:
     bath: SqueezedBath
 
 
-def _unit_paths() -> dict[str, tuple[str, str, str]]:
-    """``unitN.part.field`` and ``unitN.field`` -> (unit, part, field).
+def _unit_paths() -> dict[str, tuple[tuple[str, str, str], ...]]:
+    """Unit parameter path -> the (unit, part, field) triples it sets.
 
-    The short form is unambiguous because no field name is shared by
-    :class:`ResonatorParams` and :class:`MirrorParams`.
+    ``unitN.part.field`` and ``unitN.field`` set one field; the short form
+    is unambiguous because no field name is shared by
+    :class:`ResonatorParams` and :class:`MirrorParams`. ``temperature``
+    sets both mirror baths.
     """
     paths = {}
     for unit in ("unit1", "unit2"):
         for part, params in (("resonator", ResonatorParams), ("mirror", MirrorParams)):
             for field in dataclasses.fields(params):
-                key = (unit, part, field.name)
+                key = ((unit, part, field.name),)
                 paths[f"{unit}.{part}.{field.name}"] = paths[f"{unit}.{field.name}"] = key
+    paths["temperature"] = paths["unit1.temperature"] + paths["unit2.temperature"]
     return paths
 
 
 _UNIT_PATHS = _unit_paths()
+
+
+def unit_targets(path: str) -> tuple[tuple[str, str, str], ...]:
+    """(unit, part, field) of every unit field that ``set_param(path)`` sets."""
+    targets = _UNIT_PATHS.get(path)
+    if targets is None:
+        kind = "bath parameter" if path.startswith("bath.") else "parameter"
+        raise ValueError(f"unknown {kind} path {path!r}")
+    return targets
 
 
 def set_param(system: SystemParams, path: str, value: float) -> SystemParams:
@@ -158,18 +183,14 @@ def set_param(system: SystemParams, path: str, value: float) -> SystemParams:
     omitted (``unit2.power``), and the bare path ``temperature`` sets both
     mirror baths at once.
     """
-    if path == "temperature":
-        sys1 = set_param(system, "unit1.mirror.temperature", value)
-        return set_param(sys1, "unit2.mirror.temperature", value)
     if path == "bath.r":
         return dataclasses.replace(system, bath=SqueezedBath(r=value))
-    if path not in _UNIT_PATHS:
-        kind = "bath parameter" if path.startswith("bath.") else "parameter"
-        raise ValueError(f"unknown {kind} path {path!r}")
-    unit_name, part_name, field = _UNIT_PATHS[path]
-    unit = getattr(system, unit_name)
-    part = dataclasses.replace(getattr(unit, part_name), **{field: value})
-    return dataclasses.replace(system, **{unit_name: dataclasses.replace(unit, **{part_name: part})})
+    for unit_name, part_name, field in unit_targets(path):
+        unit = getattr(system, unit_name)
+        part = dataclasses.replace(getattr(unit, part_name), **{field: value})
+        system = dataclasses.replace(
+            system, **{unit_name: dataclasses.replace(unit, **{part_name: part})})
+    return system
 
 
 @dataclass(frozen=True)
@@ -196,9 +217,14 @@ def thermal_occupation(omega_M: float, temperature: float) -> float:
         raise ValueError("omega_M must be positive")
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    if temperature == 0.0:
+    return _occupation(omega_M, temperature)
+
+
+def _occupation(omega_M: float, temperature: float) -> float:
+    k_T = KB * temperature
+    if k_T == 0.0:  # T = 0, or so small that k_B T underflows: exp(-inf)
         return 0.0
-    x = HBAR * omega_M / (KB * temperature)
+    x = HBAR * omega_M / k_T
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to ~1e-300
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -218,7 +244,7 @@ def single_photon_coupling(
 ) -> float:
     """Single-photon optomechanical coupling (omega_r/L) sqrt(hbar/(M omega_M))."""
     _require_positive(omega_r=omega_r, length=length, mass=mass, omega_M=omega_M)
-    return (omega_r / length) * math.sqrt(HBAR / (mass * omega_M))
+    return _coupling(omega_r, length, mass, omega_M, math.sqrt)
 
 
 def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
@@ -226,7 +252,31 @@ def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
     _require_positive(kappa=kappa, omega_L=omega_L)
     if power < 0:
         raise ValueError("power must be >= 0")
-    return math.sqrt(2.0 * kappa * power / (HBAR * omega_L))
+    return _drive(power, kappa, omega_L, math.sqrt)
+
+
+# The rate formulas below use only + - * / and the ``sqrt`` they are given,
+# and write squares as x * x, so that math.sqrt on floats and np.sqrt on
+# arrays give the same bits: the per-point steady state and the array core
+# share one op sequence.
+
+
+def _coupling(omega_r, length, mass, omega_M, sqrt):
+    return (omega_r / length) * sqrt(HBAR / (mass * omega_M))
+
+
+def _drive(power, kappa, omega_L, sqrt):
+    return sqrt(2.0 * kappa * power / (HBAR * omega_L))
+
+
+def _sideband_rates(res, mir, delta_eff, sqrt):
+    """(g, eps, n_bar, G, Gamma_a) of one unit; ``res``/``mir`` hold its fields."""
+    g = _coupling(res.omega_r, res.length, mir.mass, mir.omega_M, sqrt)
+    eps = _drive(res.power, res.kappa, res.omega_L, sqrt)
+    half_kappa = res.kappa / 2.0
+    n_bar = eps * eps / (half_kappa * half_kappa + delta_eff * delta_eff)
+    G = g * sqrt(n_bar)
+    return g, eps, n_bar, G, 4.0 * (G * G) / res.kappa
 
 
 def _radiation_shift(unit: OptomechanicalUnit, g: float, n_bar: float) -> float:
@@ -246,15 +296,11 @@ def mean_fields_from_effective_detuning(
     if not math.isfinite(delta_eff):
         raise ValueError("delta_eff must be finite")
     res, mir = unit.resonator, unit.mirror
-    g = single_photon_coupling(res.omega_r, res.length, mir.mass, mir.omega_M)
-    eps = drive_amplitude(res.power, res.kappa, res.omega_L)
-    n_bar = eps**2 / ((res.kappa / 2.0) ** 2 + delta_eff**2)
+    g, _, n_bar, G, Gamma_a = _sideband_rates(res, mir, delta_eff, math.sqrt)
     alpha = -1j * math.sqrt(n_bar)
     beta = -1j * g * n_bar / (mir.gamma / 2.0 + 1j * mir.omega_M)
     delta_bare = delta_eff + g * (2.0 * beta.real)
     phi = -math.atan(2.0 * delta_eff / res.kappa)
-    G = g * math.sqrt(n_bar)
-    Gamma_a = 4.0 * G**2 / res.kappa
     return SteadyState(
         alpha=alpha,
         beta=beta,
@@ -269,6 +315,74 @@ def mean_fields_from_effective_detuning(
         C=Gamma_a / mir.gamma,
         n_th=thermal_occupation(mir.omega_M, mir.temperature),
     )
+
+
+class SidebandArrays(NamedTuple):
+    """Red-sideband rates of one unit, elementwise over parameter arrays."""
+
+    g: np.ndarray
+    eps: np.ndarray
+    n_bar: np.ndarray
+    G: np.ndarray
+    Gamma_a: np.ndarray
+    Gamma: np.ndarray
+    n_th: np.ndarray
+
+
+def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
+    """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
+
+    Each keyword replaces the field of that name in ``unit`` (``power``,
+    ``omega_M``, ``temperature``, ...) by an array; the arrays broadcast
+    together. Element by element the rates equal, bit for bit, those of
+    :func:`mean_fields_from_effective_detuning` on the unit with those
+    fields. Every element passes the checks that building that unit runs,
+    or the first failing element raises what they raise. When ``omega_r``,
+    ``omega_L`` or ``kappa`` is given, the optical-ratio warning fires if
+    any element would fire it.
+    """
+    res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
+    for name, values in fields.items():
+        part = res if name in res else mir if name in mir else None
+        if part is None:
+            raise ValueError(f"unknown unit field {name!r}")
+        part[name] = values = np.asarray(values, dtype=float)
+        low = 0.0 <= values if name == "temperature" else 0.0 < values
+        bad = ~(low & (values < math.inf))  # also flags NaN
+        if bad.any():
+            first = float(values[bad][0])
+            if name == "temperature":
+                _require_temperature(first)
+            else:
+                _require_positive(**{name: first})
+    if (fields.keys() & {"omega_r", "omega_L", "kappa"}
+            and np.any(_optical_ratio_low(res["omega_r"], res["omega_L"], res["kappa"]))):
+        _warn_optical_ratio()
+
+    res, mir = SimpleNamespace(**res), SimpleNamespace(**mir)
+    with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
+        g, eps, n_bar, G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
+        Gamma = Gamma_a + mir.gamma
+    # per element through the float formula: np.expm1 may differ from math.expm1 in the last bit
+    omega_M, temperature = np.broadcast_arrays(mir.omega_M, mir.temperature)
+    n_th = np.array(list(map(_occupation, omega_M.ravel().tolist(),
+                             temperature.ravel().tolist()))).reshape(omega_M.shape)
+    return SidebandArrays(g=g, eps=eps, n_bar=n_bar, G=G, Gamma_a=Gamma_a, Gamma=Gamma,
+                          n_th=n_th)
+
+
+def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M_corr) of :class:`SqueezedBath` for every element of ``r``.
+
+    Each distinct r goes through the bath itself, so its checks and its
+    overflow errors apply, and the values are its bits.
+    """
+    r = np.asarray(r, dtype=float)
+    values, inverse = np.unique(r.ravel(), return_inverse=True)
+    baths = [SqueezedBath(r=value) for value in values.tolist()]
+    N = np.array([bath.N for bath in baths])[inverse].reshape(r.shape)
+    M = np.array([bath.M_corr for bath in baths])[inverse].reshape(r.shape)
+    return N, M
 
 
 def mean_fields_from_bare_detuning(

@@ -225,12 +225,12 @@ def check_symmetric_drive_optimum(tolerance: float = 1e-3) -> CheckResult:
     base = config.default_system()
     base = model.set_param(base, "temperature", 0.25e-3)
     base = model.set_param(base, "bath.r", 2.0)
-    worst = 0.0
-    for p1 in (5e-3, 10e-3, 15e-3):
-        p2_star, _ = sweep.optimize_partner(
-            base, "power", p1, sweep.OptimizeSpec(lo=0.2 * p1, hi=3.0 * p1, tolerance=1e-7)
-        )
-        worst = max(worst, abs(p2_star - p1) / p1)
+    p1 = np.array([5e-3, 10e-3, 15e-3])
+    p2_star, _ = sweep.optimize_partners(
+        base, "power", p1,
+        [sweep.OptimizeSpec(lo=0.2 * p, hi=3.0 * p, tolerance=1e-7) for p in p1.tolist()],
+    )
+    worst = float(np.max(np.abs(p2_star - p1) / p1))
     return CheckResult("symmetric-drive", worst <= tolerance, worst, tolerance,
                        "relative offset of optimal P2 from P1")
 

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import closedform, config, oracle
 from .closedform import AdiabaticRates, DuanResult
-from .model import SystemParams, mean_fields_from_effective_detuning, set_param
+from .model import (
+    SystemParams,
+    mean_fields_from_effective_detuning,
+    red_sideband_arrays,
+    set_param,
+    squeeze_arrays,
+    unit_targets,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,6 +55,8 @@ class SweepSpec:
     quantity: str = "mirror-duan-adiabatic"
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("sweep range needs a finite start and stop")
         if not self.start < self.stop:
             raise ValueError("sweep range needs start < stop")
         if self.count < 2:
@@ -84,10 +93,10 @@ class OptimizeSpec:
     tolerance: float = 1e-6  # relative bracket width
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("optimize bracket needs lo < hi")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("optimize bracket needs finite lo < hi")
+        if not 0.0 < self.tolerance < 1.0:  # also rejects NaN
+            raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
 
 
 def _steady_states(system: SystemParams):
@@ -202,37 +211,79 @@ def minimize_scalar(
     spec: OptimizeSpec,
     scan_points: int = 33,
 ) -> tuple[float, float]:
-    """Golden-section search after verifying an interior minimum exists.
+    """(argmin, min) of a scalar objective over the bracket of ``spec``.
 
-    A coarse scan locates a three-point bracket; the search then shrinks it
-    to ``tolerance * (hi - lo)``. Raises :class:`BracketFailure` when every
-    scanned interior point lies above both endpoints.
+    This is the lockstep golden-section search of :func:`_golden_searches`
+    run as a batch of one: a scan of ``scan_points`` points finds a
+    three-point bracket around the smallest value, and golden-section steps
+    shrink it to ``tolerance * (hi - lo)``. The objective is called once
+    per point, with a float. Raises :class:`BracketFailure` when the scan
+    is smallest at a bracket edge.
     """
-    xs = np.linspace(spec.lo, spec.hi, scan_points)
-    ys = np.array([objective(float(x)) for x in xs])
-    k = int(np.argmin(ys))
-    if k == 0 or k == scan_points - 1:
+    def batch(x, _search):
+        return np.array([objective(value) for value in x.ravel().tolist()],
+                        dtype=float).reshape(x.shape)
+
+    x_min, y_min = _golden_searches(batch, [spec], scan_points)
+    return float(x_min[0]), float(y_min[0])
+
+
+def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     specs: Sequence[OptimizeSpec],
+                     scan_points: int = 33) -> tuple[np.ndarray, np.ndarray]:
+    """(argmins, minima) of one golden-section search per spec, run in lockstep.
+
+    ``objective(x, search)`` gets points ``x`` of shape ``(len(search), k)``
+    and returns the objective of search ``search[j]`` at each point of row
+    ``j``, in the same shape. Each search scans ``scan_points`` points of its
+    bracket for a three-point bracket around the smallest value, then
+    shrinks that bracket by the golden ratio to ``tolerance * (hi - lo)``.
+    All searches share one objective call per scan and per golden step; a
+    search drops out of the calls once its bracket is small enough, so
+    every search sees the same points, and returns the same bits, as it
+    would alone. Raises :class:`BracketFailure` for the first search whose
+    scan is smallest at a bracket edge.
+    """
+    n = len(specs)
+    lo = np.array([spec.lo for spec in specs])
+    hi = np.array([spec.hi for spec in specs])
+    tol = np.array([spec.tolerance for spec in specs]) * (hi - lo)
+    every = np.arange(n)
+
+    xs = np.linspace(lo, hi, scan_points, axis=1)
+    ys = objective(xs, every)
+    k = np.argmin(ys, axis=1)
+    edge = np.flatnonzero((k == 0) | (k == scan_points - 1))
+    if edge.size:
+        i = edge[0]
+        which = f"search {i} of {n}: " if n > 1 else ""
         raise BracketFailure(
-            f"no interior minimum in [{spec.lo:g}, {spec.hi:g}]; "
+            f"{which}no interior minimum in [{lo[i]:g}, {hi[i]:g}]; "
             f"objective is smallest at the bracket edge"
         )
-    a, b = float(xs[k - 1]), float(xs[k + 1])
-
-    tol = spec.tolerance * (spec.hi - spec.lo)
+    a, b = xs[every, k - 1], xs[every, k + 1]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    x_min = c if fc < fd else d
-    return x_min, min(fc, fd)
+    f = objective(np.stack([c, d], axis=1), every)
+    fc, fd = f[:, 0], f[:, 1]
+
+    active = every[b - a > tol]
+    while active.size:
+        a0, b0, c0, d0 = a[active], b[active], c[active], d[active]
+        fc0, fd0 = fc[active], fd[active]
+        # left: the minimum lies in [a, d], and c moves in; right: in [c, b], d moves in
+        left = fc0 < fd0
+        a1 = np.where(left, a0, c0)
+        b1 = np.where(left, d0, b0)
+        x = np.where(left, b1 - _GOLDEN * (b1 - a1), a1 + _GOLDEN * (b1 - a1))
+        fx = objective(x[:, None], active)[:, 0]
+        a[active], b[active] = a1, b1
+        c[active] = np.where(left, x, d0)
+        d[active] = np.where(left, c0, x)
+        fc[active] = np.where(left, fx, fd0)
+        fd[active] = np.where(left, fc0, fx)
+        active = active[b1 - a1 > tol[active]]
+    return np.where(fc < fd, c, d), np.where(fd < fc, fd, fc)
 
 
 # ---------------------------------------------------------------------------
@@ -265,40 +316,61 @@ def figure_dataset(fig_id: str, base: Optional[SystemParams] = None) -> FigureDa
     return builders[fig_id](base if base is not None else config.default_system())
 
 
-def _adiabatic_total(system: SystemParams) -> float:
-    result, _, _ = evaluate_quantity(system, "mirror-duan-adiabatic")
-    return result.total
+def adiabatic_totals(system: SystemParams, overrides: dict) -> np.ndarray:
+    """Adiabatic mirror totals with each path of ``overrides`` set to arrays.
+
+    The paths are those of :func:`set_param` and the arrays broadcast
+    together. Element by element the totals equal, bit for bit, the total
+    of ``evaluate(s, "mirror", "adiabatic")`` where ``s`` is ``system``
+    with those values set, and an invalid element raises what building and
+    evaluating ``s`` would raise.
+    """
+    fields = {"unit1": {}, "unit2": {}}
+    for path, values in overrides.items():
+        if path != "bath.r":
+            for unit, _, field in unit_targets(path):
+                fields[unit][field] = values
+    r = overrides.get("bath.r")
+    N, M = (system.bath.N, system.bath.M_corr) if r is None else squeeze_arrays(r)
+    return closedform.duan_sum_adiabatic_arrays(
+        red_sideband_arrays(system.unit1, **fields["unit1"]),
+        red_sideband_arrays(system.unit2, **fields["unit2"]), N, M)
 
 
 def _curve_rows(base: SystemParams, axis_paths: Sequence[str], axis_values,
                 curve_path: str, curve_values: Sequence[float]) -> list[tuple]:
     """(axis value, adiabatic total of each curve) for every axis value.
 
-    The axis value goes to every path in ``axis_paths``, then each curve
+    The axis value goes to every path in ``axis_paths``, and each curve
     sets ``curve_path`` to its own value.
     """
-    rows = []
-    for x in axis_values:
-        x = float(x)
-        system = base
-        for path in axis_paths:
-            system = set_param(system, path, x)
-        rows.append((x, *[_adiabatic_total(set_param(system, curve_path, v))
-                          for v in curve_values]))
-    return rows
+    axis = np.asarray(axis_values, dtype=float)
+    totals = adiabatic_totals(base, {path: axis[:, None] for path in axis_paths}
+                              | {curve_path: np.asarray(curve_values, dtype=float)})
+    return [(x, *row) for x, row in zip(axis.tolist(), totals.tolist())]
 
 
-def optimize_partner(base: SystemParams, field: str, value1: float,
-                     spec: OptimizeSpec) -> tuple[float, float]:
-    """(argmin, min) of the adiabatic total over unit 2's ``field``.
+def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[OptimizeSpec],
+                      overrides: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(argmins, minima) of the adiabatic total over unit 2's ``field``.
 
-    Unit 1's ``field`` is held at ``value1``; ``field`` is a unit path
-    without its unit, such as ``power`` or ``mirror.omega_M``.
+    Search k holds unit 1's ``field`` at ``values1[k]`` and each path of
+    ``overrides`` at its k-th value, and searches unit 2's ``field`` over
+    the bracket of ``specs[k]``. ``field`` is a unit path without its unit,
+    such as ``power`` or ``mirror.omega_M``. All searches run in lockstep
+    (see :func:`_golden_searches`), each with the result it has alone.
     """
-    fixed = set_param(base, f"unit1.{field}", value1)
-    path2 = f"unit2.{field}"
-    return minimize_scalar(lambda value2: _adiabatic_total(set_param(fixed, path2, value2)),
-                           spec)
+    values1 = np.asarray(values1, dtype=float)
+    overrides = {path: np.asarray(values, dtype=float)
+                 for path, values in (overrides or {}).items()}
+
+    def objective(x, search):
+        # per-search values as columns, so that they broadcast along each row
+        fixed = {path: values[search, None] for path, values in overrides.items()}
+        return adiabatic_totals(base, fixed | {f"unit1.{field}": values1[search, None],
+                                               f"unit2.{field}": x})
+
+    return _golden_searches(objective, specs)
 
 
 _FIG23_R = (0.5, 1.0, 2.0)
@@ -354,17 +426,16 @@ def _optimized_rows(base: SystemParams, field: str, values1, lo: float,
                     hi: float) -> list[tuple]:
     """(unit 1's value, optimized total at each temperature) for every value.
 
-    Unit 2's ``field`` is searched over ``[lo, hi]`` times unit 1's value.
+    Unit 2's ``field`` is searched over ``[lo, hi]`` times unit 1's value;
+    every (value, temperature) search runs in one lockstep batch.
     """
-    rows = []
-    for v1 in values1:
-        v1 = float(v1)
-        spec = OptimizeSpec(lo=lo * v1, hi=hi * v1)
-        rows.append((v1, *[
-            optimize_partner(set_param(base, "temperature", T), field, v1, spec)[1]
-            for T in _OPT_TEMPERATURES
-        ]))
-    return rows
+    values1 = np.asarray(values1, dtype=float).tolist()
+    temps = len(_OPT_TEMPERATURES)
+    specs = [OptimizeSpec(lo=lo * v1, hi=hi * v1) for v1 in values1 for _ in range(temps)]
+    _, minima = optimize_partners(
+        base, field, np.repeat(values1, temps), specs,
+        {"temperature": np.tile(_OPT_TEMPERATURES, len(values1))})
+    return [(v1, *row) for v1, row in zip(values1, minima.reshape(-1, temps).tolist())]
 
 
 def _fig5a(base: SystemParams) -> FigureDataset:

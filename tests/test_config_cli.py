@@ -222,6 +222,8 @@ class TestCliSweep:
             ("sweep", "--axis", "bath.r", "--range", "1:0:5"),
             ("sweep", "--axis", "bath.r", "--range", "0:1:5:log"),
             ("sweep", "--axis", "bath.r", "--range", "0:1:3", "--max-errors", "-1"),
+            ("sweep", "--axis", "bath.r", "--range", "0:inf:3"),
+            ("sweep", "--axis", "bath.r", "--range", "1e-3:1e400:3:log"),
         ],
     )
     def test_config_errors_exit_2(self, argv):

@@ -75,6 +75,10 @@ class TestThermalOccupation:
         n = thermal_occupation(2 * math.pi * 1.5e9, 1e-7)
         assert 0.0 <= n < 1e-200
 
+    def test_temperature_whose_k_t_underflows_gives_zero(self):
+        # below about 3.6e-301 K, k_B T rounds to 0 and the occupation is exp(-inf)
+        assert thermal_occupation(OMEGA_M, 2.2250738585e-313) == 0.0
+
     def test_inverse(self):
         for n in (0.0, 0.3, 1.0, 5.0, 100.0):
             T = model.temperature_for_occupation(OMEGA_M, n)

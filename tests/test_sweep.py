@@ -1,9 +1,14 @@
+import hashlib
+import json
 import math
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squeezelink import closedform, config, sweep
+from squeezelink import cli, closedform, config, sweep
 from squeezelink.model import NonConvergence
 from squeezelink.oracle import UnstableDrift
 from squeezelink.sweep import (
@@ -82,6 +87,12 @@ class TestSweepSpec:
         spec = SweepSpec(base, "bath.r", 0.0, 1.0, 5, scale="log")
         with pytest.raises(ValueError):
             spec.grid()
+
+    @pytest.mark.parametrize("start, stop", [(0.0, math.inf), (-math.inf, 1.0),
+                                             (math.nan, 1.0), (0.0, math.nan)])
+    def test_non_finite_range_rejected(self, base, start, stop):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(base, "bath.r", start, stop, 3)
 
 
 class TestRunSweep:
@@ -189,6 +200,133 @@ class TestMinimizeScalar:
             OptimizeSpec(1.0, 1.0)
         with pytest.raises(ValueError):
             OptimizeSpec(0.0, 1.0, tolerance=0.0)
+
+    @pytest.mark.parametrize("lo, hi, tolerance", [
+        (0.0, 10.0, math.nan), (0.0, 10.0, math.inf), (0.0, 10.0, 1.0), (0.0, 10.0, -1e-6),
+        (0.0, math.inf, 1e-6), (-math.inf, 0.0, 1e-6), (math.nan, 1.0, 1e-6),
+    ])
+    def test_non_finite_or_out_of_range_spec_rejected(self, lo, hi, tolerance):
+        with pytest.raises(ValueError):
+            OptimizeSpec(lo, hi, tolerance=tolerance)
+
+
+def _quadratic_family(shifts, widths):
+    """(vectorized objective, scalar objective of search k) of shifted quartic bowls."""
+    def batch(x, search):
+        u = (x - shifts[search, None]) / widths[search, None]
+        return u * u + 0.25 * u * u * u * u
+
+    def one(k):
+        def objective(x):
+            u = (x - shifts[k]) / widths[k]
+            return u * u + 0.25 * u * u * u * u
+        return objective
+
+    return batch, one
+
+
+class TestLockstepSearch:
+    def test_batch_equals_searches_of_one_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        shifts = rng.uniform(-3.0, 3.0, n)
+        widths = 10.0 ** rng.uniform(-2.0, 1.0, n)
+        # different tolerances make the searches finish at different steps
+        specs = [OptimizeSpec(s - w * rng.uniform(1.0, 4.0), s + w * rng.uniform(1.0, 4.0),
+                              tolerance=10.0 ** rng.uniform(-12.0, -3.0))
+                 for s, w in zip(shifts, widths)]
+        batch, one = _quadratic_family(shifts, widths)
+        x_min, y_min = sweep._golden_searches(batch, specs)
+        for k, spec in enumerate(specs):
+            assert (x_min[k], y_min[k]) == minimize_scalar(one(k), spec)
+
+    def test_partner_batch_equals_partner_searches_of_one(self, base):
+        base = set_param(base, "bath.r", 2.0)
+        values1 = np.array([2e-3, 7e-3, 19e-3])
+        temperatures = np.array([0.25e-3, 0.5e-3, 0.4e-3])
+        specs = [OptimizeSpec(0.1 * v, 3.0 * v) for v in values1]
+        x_min, y_min = sweep.optimize_partners(base, "power", values1, specs,
+                                               {"temperature": temperatures})
+        for k, (v1, T) in enumerate(zip(values1, temperatures)):
+            alone = sweep.optimize_partners(set_param(base, "temperature", T), "power",
+                                            [v1], [specs[k]])
+            assert (x_min[k], y_min[k]) == (alone[0][0], alone[1][0])
+
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    def test_edge_minimum_names_its_search(self, bad):
+        shifts = np.zeros(7)
+        shifts[bad] = 50.0  # outside its bracket: the scan is smallest at the edge
+        batch, _ = _quadratic_family(shifts, np.ones(7))
+        specs = [OptimizeSpec(-2.0, 2.0)] * 7
+        with pytest.raises(BracketFailure, match=f"search {bad} of 7"):
+            sweep._golden_searches(batch, specs)
+
+
+OMEGA_M = config.default_system().unit2.mirror.omega_M
+ARRAY_PATHS = ("unit1.power", "unit2.power", "unit2.mirror.omega_M", "temperature", "bath.r")
+ARRAY_POINT = st.tuples(
+    st.floats(1e-12, 10.0), st.floats(1e-12, 10.0),  # drive powers, W
+    st.floats(0.05 * OMEGA_M, 20.0 * OMEGA_M),
+    st.floats(0.0, 10.0),  # temperature, K
+    st.floats(0.0, 3.0),  # squeeze parameter
+)
+
+
+class TestArrayCore:
+    @settings(max_examples=80, deadline=None)
+    @given(points=st.lists(ARRAY_POINT, min_size=1, max_size=8))
+    def test_array_total_equals_per_point_route_bit_for_bit(self, base, points):
+        per_point = []
+        for point in points:
+            system = base
+            for path, value in zip(ARRAY_PATHS, point):
+                system = set_param(system, path, value)
+            per_point.append(sweep.evaluate(system, "mirror", "adiabatic")[0].total)
+        columns = {path: np.array(values) for path, values in zip(ARRAY_PATHS, zip(*points))}
+        assert sweep.adiabatic_totals(base, columns).tolist() == per_point
+
+    @pytest.mark.parametrize("path, valid, bad, error", [
+        ("unit1.power", 1e-3, -1e-3, ValueError),
+        ("unit2.mirror.omega_M", OMEGA_M, math.nan, ValueError),
+        ("temperature", 1e-4, math.inf, ValueError),
+        ("unit2.temperature", 1e-4, -1.0, ValueError),
+        ("bath.r", 1.0, 400.0, OverflowError),
+        ("bath.r", 1.0, -0.5, ValueError),
+        ("unit1.bogus", 1.0, 1.0, ValueError),
+    ])
+    def test_invalid_element_raises_what_the_point_raises(self, base, path, valid, bad,
+                                                          error):
+        with pytest.raises(error) as per_point:
+            evaluate_quantity(set_param(base, path, bad), "mirror-duan-adiabatic")
+        with pytest.raises(error) as array:
+            sweep.adiabatic_totals(base, {path: np.array([valid, bad, valid])})
+        assert str(array.value) == str(per_point.value)
+
+    def test_non_finite_total_raises_like_the_point(self, base):
+        huge = {"unit1.power": 1e300, "unit2.power": 1e300}
+        system = base
+        for path, value in huge.items():
+            system = set_param(system, path, value)
+        with pytest.raises(FloatingPointError):
+            evaluate_quantity(system, "mirror-duan-adiabatic")
+        with pytest.raises(FloatingPointError):
+            sweep.adiabatic_totals(base, {path: np.array([1e-3, value])
+                                          for path, value in huge.items()})
+
+    def test_low_optical_ratio_warns(self, base):
+        with pytest.warns(UserWarning, match="high-finesse"):
+            sweep.adiabatic_totals(base, {"unit2.kappa": np.array([1.0, 1e13])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep.adiabatic_totals(base, {"unit2.power": np.array([1e-3, 2e-3])})
+
+
+def test_figure_csvs_match_the_pinned_hashes():
+    """Every figure CSV is byte-identical to the benchmark's pinned digests."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "figure_sha256.json"
+    pinned = json.loads(path.read_text())["sha256"]
+    assert {fig: hashlib.sha256(cli.render_figure_csv(fig).encode()).hexdigest()
+            for fig in pinned} == pinned
 
 
 class TestFigureDatasets:
