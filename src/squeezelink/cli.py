@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -207,10 +208,12 @@ def cmd_threshold(args, out) -> int:
 
 def cmd_selfcheck(args, out) -> int:
     only = args.only if args.only else None
+    if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be >= 0 and finite, got {args.tolerance!r}")
     try:
         results = selfcheck.run_checks(only=only, tolerance=args.tolerance)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(exc.args[0]) from exc
     for result in results:
         print(result.summary(), file=out)
     failed = [r for r in results if not r.passed]

@@ -20,6 +20,7 @@ from .model import (
     SqueezedBath,
     SteadyState,
     mean_fields_from_effective_detuning,
+    per_distinct,
     thermal_occupation,
 )
 
@@ -155,7 +156,16 @@ def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
         k = np.flatnonzero(bad)[0]
         AdiabaticRates(*(float(t.flat[k]) for t in terms))  # raises
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        total = np.asarray(_adiabatic_sum(*terms, N, M, np.sqrt))
+        return require_totals(_adiabatic_sum(*terms, N, M, np.sqrt))
+
+
+def require_totals(total) -> np.ndarray:
+    """``total`` as an array, once every element passes :class:`DuanResult`'s check.
+
+    The first non-finite or negative total raises what a per-point
+    :class:`DuanResult` with that total raises.
+    """
+    total = np.asarray(total)
     bad = ~((0.0 <= total) & (total < math.inf))
     if bad.any():
         DuanResult.from_total(float(total[bad][0]))  # raises
@@ -182,16 +192,38 @@ def duan_sum_weak_coupling_approx(C: float, r: float, n_th: float) -> float:
     return 2.0 + 2.0 * C * math.exp(-2.0 * r) + 4.0 * n_th
 
 
+def _nonadiabatic_sum(C, r, n_th, gamma, kappa, exp):
+    """The nonadiabatic mirror total in + - * / and the given ``exp``, for floats or arrays."""
+    return (2.0 * C / (C + 1.0)) * kappa * exp(-2.0 * r) / (kappa + gamma) + (
+        2.0 * (2.0 * n_th + 1.0) / (C + 1.0)
+    ) * (1.0 + C * gamma / (kappa + gamma))
+
+
 def duan_sum_nonadiabatic(
     C: float, r: float, n_th: float, gamma: float, kappa: float
 ) -> DuanResult:
     """Mirror-mirror variance sum for identical units, no adiabatic elimination."""
     _check_nonnegative(C=C, r=r, n_th=n_th)
     _check_positive(gamma=gamma, kappa=kappa)
-    total = (2.0 * C / (C + 1.0)) * kappa * math.exp(-2.0 * r) / (kappa + gamma) + (
-        2.0 * (2.0 * n_th + 1.0) / (C + 1.0)
-    ) * (1.0 + C * gamma / (kappa + gamma))
-    return DuanResult.from_total(total)
+    return DuanResult.from_total(_nonadiabatic_sum(C, r, n_th, gamma, kappa, math.exp))
+
+
+def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
+    """:func:`duan_sum_nonadiabatic` totals over arrays that broadcast together.
+
+    The totals equal the per-point ones bit for bit (``exp`` is
+    ``math.exp``, once per distinct r). Every element passes the per-point
+    checks, or the first failing element raises what they raise.
+    """
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (C, r, n_th, gamma, kappa)))
+    C, r, n_th, gamma, kappa = args
+    bad = (C < 0) | (r < 0) | (n_th < 0) | ~(gamma > 0) | ~(kappa > 0)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        duan_sum_nonadiabatic(*(float(a.flat[k]) for a in args))  # raises
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
+        return require_totals(_nonadiabatic_sum(
+            C, r, n_th, gamma, kappa, lambda x: per_distinct(math.exp, x)))
 
 
 def field_sum_nonadiabatic(

@@ -363,12 +363,29 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
         g, eps, n_bar, G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
         Gamma = Gamma_a + mir.gamma
-    # per element through the float formula: np.expm1 may differ from math.expm1 in the last bit
-    omega_M, temperature = np.broadcast_arrays(mir.omega_M, mir.temperature)
-    n_th = np.array(list(map(_occupation, omega_M.ravel().tolist(),
-                             temperature.ravel().tolist()))).reshape(omega_M.shape)
+    # through the float formula: np.expm1 may differ from math.expm1 in the last bit
+    n_th = per_distinct(_occupation, mir.omega_M, mir.temperature)
     return SidebandArrays(g=g, eps=eps, n_bar=n_bar, G=G, Gamma_a=Gamma_a, Gamma=Gamma,
                           n_th=n_th)
+
+
+def per_distinct(fn, *arrays) -> np.ndarray:
+    """``fn`` over the elements of arrays that broadcast together, with its own bits.
+
+    When one array alone has more than one element, ``fn`` runs once per
+    distinct value of it. Otherwise it runs once per element: sorting
+    tuples of several arrays costs more than the calls it saves.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    varying = [a for a in arrays if a.size > 1]
+    if len(varying) != 1:
+        arrays = np.broadcast_arrays(*arrays)
+        return np.array(list(map(fn, *(a.ravel().tolist() for a in arrays))),
+                        dtype=float).reshape(arrays[0].shape)
+    distinct, inverse = np.unique(varying[0], return_inverse=True)
+    args = [distinct.tolist() if a.size > 1 else [a.item()] * distinct.size for a in arrays]
+    values = np.array(list(map(fn, *args)), dtype=float)
+    return values[inverse].reshape(np.broadcast_shapes(*(a.shape for a in arrays)))
 
 
 def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
@@ -487,9 +504,7 @@ def unit_with_cooperativity(
     if C < 0:
         raise ValueError("C must be >= 0")
     g = single_photon_coupling(omega_r, length, mass, omega_M)
-    n_bar = C * gamma * kappa / (4.0 * g**2)
-    eps_sq = n_bar * ((kappa / 2.0) ** 2 + omega_M**2)
-    power = eps_sq * HBAR * omega_L / (2.0 * kappa)
+    power = _cooperativity_power(C, gamma, kappa, g, omega_M, omega_L)
     if power == 0.0:
         power = 1e-300  # C = 0: keep the strictly-positive invariant
     return OptomechanicalUnit(
@@ -503,3 +518,31 @@ def unit_with_cooperativity(
             temperature=temperature_for_occupation(omega_M, n_th),
         ),
     )
+
+
+def _cooperativity_power(C, gamma, kappa, g, omega_M, omega_L):
+    """Drive power of cooperativity C at delta_eff = -omega_M, for floats or arrays."""
+    n_bar = C * gamma * kappa / (4.0 * g**2)
+    eps_sq = n_bar * ((kappa / 2.0) ** 2 + omega_M**2)
+    return eps_sq * HBAR * omega_L / (2.0 * kappa)
+
+
+def cooperativity_arrays(C, kappa: float, gamma, n_th) -> SidebandArrays:
+    """:func:`red_sideband_arrays` of ``unit_with_cooperativity(C, kappa, gamma, n_th)``.
+
+    ``C``, ``gamma`` and ``n_th`` broadcast together. Element by element the
+    rates have the bits of that unit's steady state, and every element
+    passes the checks that building the unit runs, or an error it raises.
+    """
+    C, gamma, n_th = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (C, gamma, n_th)))
+    if (C < 0).any():
+        raise ValueError("C must be >= 0")
+    unit = unit_with_cooperativity(C=0.0, kappa=kappa, gamma=kappa, n_th=0.0)  # the defaults
+    res, mir = unit.resonator, unit.mirror
+    g = single_photon_coupling(res.omega_r, res.length, mir.mass, mir.omega_M)
+    with np.errstate(all="ignore"):  # the power check reports an overflow
+        power = _cooperativity_power(C, gamma, kappa, g, mir.omega_M, res.omega_L)
+    power = np.where(power == 0.0, 1e-300, power)  # as unit_with_cooperativity does at C = 0
+    temperature = [temperature_for_occupation(mir.omega_M, n) for n in n_th.ravel().tolist()]
+    return red_sideband_arrays(unit, power=power, gamma=gamma,
+                               temperature=np.reshape(temperature, n_th.shape))

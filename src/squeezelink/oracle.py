@@ -18,7 +18,10 @@ splits into two decoupled 4x4 blocks of 16 unknowns each, in place of one
 8x8 system of 64. :func:`solve_lyapunov_stack` finds the blocks from the
 nonzero pattern, solves each on its own (Y is never derived from X) and
 solves a whole stack of systems per call; a generic drift matrix forms a
-single block and gets the full solve.
+single block and gets the full solve; the split is cached by pattern.
+:func:`build_rwa_drift_diffusion_stack` is the one assembly of A and D: it
+takes per-unit arrays (gamma, kappa, G, n_th) and the bath's N and M, and
+:func:`build_rwa_drift_diffusion` calls it on one system's floats.
 
 Noise normalization (derivation note in ``docs/noise_conventions.md``):
 with symmetrized white-noise correlators ``<n_i(t) n_j(t')>_sym = D_ij
@@ -29,13 +32,14 @@ pins the diffusion matrix used here.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import DuanResult
+from .closedform import DuanResult, require_totals
 from .model import SteadyState, SystemParams, stability_check
 
 QUADRATURES = ("X1", "Y1", "x1", "y1", "X2", "Y2", "x2", "y2")
@@ -90,27 +94,40 @@ def build_rwa_drift_diffusion(
                 RwaViolation,
                 stacklevel=2,
             )
+    A, D = build_rwa_drift_diffusion_stack(
+        *((u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th) for u, ss in zip(units, steady)),
+        system.bath.N, system.bath.M_corr,
+    )
+    return DriftDiffusion(A=A, D=D)
 
-    A = np.zeros((8, 8))
-    D = np.zeros((8, 8))
-    N, M = system.bath.N, system.bath.M_corr
-    for j, (unit, ss) in enumerate(zip(units, steady)):
+
+def build_rwa_drift_diffusion_stack(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and diffusion stacks ``(..., 8, 8)`` of the model over parameter arrays.
+
+    ``unit1`` and ``unit2`` are each unit's ``(gamma, kappa, G, n_th)``; these
+    and the bath's ``N`` and ``M`` (``M_corr``) broadcast together, and their
+    shape is the stack's. Floats give one 8x8 pair. Entry by entry the result
+    does not depend on the route: floats and arrays go through the same ops.
+    """
+    shape = np.broadcast(*unit1, *unit2, N, M).shape
+    A = np.zeros(shape + (8, 8))
+    D = np.zeros(shape + (8, 8))
+    for j, (gamma, kappa, G, n_th) in enumerate((unit1, unit2)):
         o = 4 * j
-        gamma, kappa, G = unit.mirror.gamma, unit.resonator.kappa, ss.G
         # X' = -gamma/2 X + G x ; x' = -kappa/2 x - G X (same for Y, y)
         for q in (0, 1):  # X/Y then x/y rows
-            A[o + q, o + q] = -gamma / 2.0
-            A[o + q, o + q + 2] = G
-            A[o + q + 2, o + q + 2] = -kappa / 2.0
-            A[o + q + 2, o + q] = -G
-        D[o + 0, o + 0] = D[o + 1, o + 1] = gamma * (2.0 * ss.n_th + 1.0) / 2.0
-        D[o + 2, o + 2] = D[o + 3, o + 3] = kappa * (2.0 * N + 1.0) / 2.0
+            A[..., o + q, o + q] = -gamma / 2.0
+            A[..., o + q, o + q + 2] = G
+            A[..., o + q + 2, o + q + 2] = -kappa / 2.0
+            A[..., o + q + 2, o + q] = -G
+        D[..., o + 0, o + 0] = D[..., o + 1, o + 1] = gamma * (2.0 * n_th + 1.0) / 2.0
+        D[..., o + 2, o + 2] = D[..., o + 3, o + 3] = kappa * (2.0 * N + 1.0) / 2.0
 
     # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-)
-    kgm = math.sqrt(units[0].resonator.kappa * units[1].resonator.kappa) * M
-    D[IDX["x1"], IDX["x2"]] = D[IDX["x2"], IDX["x1"]] = kgm
-    D[IDX["y1"], IDX["y2"]] = D[IDX["y2"], IDX["y1"]] = -kgm
-    return DriftDiffusion(A=A, D=D)
+    kgm = np.sqrt(unit1[1] * unit2[1]) * M
+    D[..., IDX["x1"], IDX["x2"]] = D[..., IDX["x2"], IDX["x1"]] = kgm
+    D[..., IDX["y1"], IDX["y2"]] = D[..., IDX["y2"], IDX["y1"]] = -kgm
+    return A, D
 
 
 def solve_lyapunov(dd: DriftDiffusion) -> CovarianceMatrix:
@@ -170,17 +187,26 @@ def _require_finite(what: str, *stacks: np.ndarray):
             raise FloatingPointError(f"{what} is not finite at stack index {index}")
 
 
-def _blocks(A: np.ndarray, D: np.ndarray) -> list[np.ndarray]:
+def _blocks(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, ...]:
     """Index sets of the connected components of the stack's nonzero pattern."""
-    n = A.shape[-1]
     linked = ((A != 0) | (D != 0)).any(axis=0)
+    return _pattern_blocks(linked.tobytes(), linked.shape[0])
+
+
+@functools.lru_cache(maxsize=64)
+def _pattern_blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
+    """:func:`_blocks` of one n x n boolean pattern; cached, as few patterns recur."""
+    linked = np.frombuffer(pattern, dtype=bool).reshape(n, n)
     reach = linked | linked.T | np.eye(n, dtype=bool)
     for _ in range(max(n - 1, 1).bit_length()):  # paths of length up to n - 1
         reach = reach @ reach
     blocks: dict[int, list[int]] = {}
     for i, first in enumerate(reach.argmax(axis=1).tolist()):  # by smallest member
         blocks.setdefault(first, []).append(i)
-    return [np.array(block) for block in blocks.values()]
+    found = tuple(np.array(block) for block in blocks.values())
+    for block in found:
+        block.flags.writeable = False  # shared by every later call
+    return found
 
 
 def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -198,19 +224,32 @@ def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def duan_from_covariance(V: CovarianceMatrix, pair: str = "mirror") -> DuanResult:
     """Variances of the joint EPR quadratures (u1 - u2, v1 + v2) from V."""
-    if pair == "mirror":
-        X1, Y1, X2, Y2 = "X1", "Y1", "X2", "Y2"
-    elif pair == "field":
-        X1, Y1, X2, Y2 = "x1", "y1", "x2", "y2"
-    else:
+    var_X, var_Y = _duan_variances(V.V, pair)
+    return DuanResult(var_X=float(var_X), var_Y=float(var_Y))
+
+
+def duan_from_covariance_stack(
+    V: np.ndarray, pair: str = "mirror"
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(var_X, var_Y)`` of :func:`duan_from_covariance` over a stack ``(..., 8, 8)``.
+
+    Every total passes :class:`DuanResult`'s check, or the first that fails raises.
+    """
+    var_X, var_Y = _duan_variances(V, pair)
+    require_totals(var_X + var_Y)
+    return var_X, var_Y
+
+
+_PAIR_INDICES = {pair: tuple(IDX[q] for q in names) for pair, names in
+                 (("mirror", ("X1", "Y1", "X2", "Y2")), ("field", ("x1", "y1", "x2", "y2")))}
+
+
+def _duan_variances(V: np.ndarray, pair: str):
+    if pair not in _PAIR_INDICES:
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
-    var_X = (
-        V.variance(X1) + V.variance(X2) - 2.0 * V.covariance(X1, X2)
-    )
-    var_Y = (
-        V.variance(Y1) + V.variance(Y2) + 2.0 * V.covariance(Y1, Y2)
-    )
-    return DuanResult(var_X=var_X, var_Y=var_Y)
+    X1, Y1, X2, Y2 = _PAIR_INDICES[pair]
+    return (V[..., X1, X1] + V[..., X2, X2] - 2.0 * V[..., X1, X2],
+            V[..., Y1, Y1] + V[..., Y2, Y2] + 2.0 * V[..., Y1, Y2])
 
 
 @dataclass(frozen=True)
@@ -250,33 +289,48 @@ def spectral_duan_sum(
     scale = max(max(kappa, gamma, G, gamma / 2.0 + 2.0 * G**2 / kappa)
                 for gamma, kappa, G, _ in p) / 2.0
 
-    def kernel(w: float) -> float:
-        d = [G**2 + (gamma / 2.0 + 1j * w) * (kappa / 2.0 + 1j * w)
-             for gamma, kappa, G, _ in p]
-        s = 0.0
-        for (gamma, kappa, G, n_th), dj in zip(p, d):
-            dd = abs(dj) ** 2
-            if pair == "mirror":
-                s += (
-                    gamma * ((kappa / 2.0) ** 2 + w**2) * (2.0 * n_th + 1.0)
-                    + G**2 * kappa * (2.0 * N + 1.0)
-                ) / (2.0 * dd)
-            else:
-                s += (
-                    G**2 * gamma * (2.0 * n_th + 1.0)
-                    + ((gamma / 2.0) ** 2 + w**2) * kappa * (2.0 * N + 1.0)
-                ) / (2.0 * dd)
-        (g1, k1, G1, _), (g2, k2, G2, _) = p
-        if pair == "mirror":
-            num = G1 * G2 * math.sqrt(k1 * k2)
-        else:
-            num = math.sqrt(k1 * k2) * ((g1 / 2.0 + 1j * w) * (g2 / 2.0 - 1j * w))
-        cross = M * (num / (d[0] * np.conj(d[1]))).real
-        return s - 2.0 * cross
+    # The integrand in real arithmetic, with every w-independent factor
+    # hoisted. Each unit's denominator is d = G^2 + (gamma/2 + iw)(kappa/2 + iw),
+    # and its term is (u (v + w^2) x + c) / (2 |d|^2): for the mirrors
+    # u = gamma, v = (kappa/2)^2, x = 2 n_th + 1, c = G^2 kappa (2N + 1); for
+    # the fields u = kappa, v = (gamma/2)^2, x = 2N + 1, c = G^2 gamma (2 n_th + 1).
+    # Sums and products appear in the order of the complex formulas (w**2
+    # where they square, w * w inside complex products), and the cross term
+    # divides num by d1 conj(d2) the way numpy's complex division does, so
+    # the integrand keeps its bits.
+    (g1, k1, G1, n1), (g2, k2, G2, n2) = p
+    a1, b1, a2, b2 = g1 / 2.0, k1 / 2.0, g2 / 2.0, k2 / 2.0
+    ab1, ab2, a12, GG1, GG2 = a1 * b1, a2 * b2, a1 * a2, G1**2, G2**2
+    t1, t2, tN = 2.0 * n1 + 1.0, 2.0 * n2 + 1.0, 2.0 * N + 1.0
+    sk = math.sqrt(k1 * k2)
+    field = pair == "field"
+    if field:
+        u1, v1, x1, c1 = k1, a1**2, tN, GG1 * g1 * t1
+        u2, v2, x2, c2 = k2, a2**2, tN, GG2 * g2 * t2
+    else:
+        u1, v1, x1, c1 = g1, b1**2, t1, GG1 * k1 * tN
+        u2, v2, x2, c2 = g2, b2**2, t2, GG2 * k2 * tN
+    mirror_num = G1 * G2 * sk
 
     def integrand(theta: float) -> float:
         w = scale * math.tan(theta)
-        return kernel(w) * scale / math.cos(theta) ** 2
+        w2, ww = w**2, w * w
+        d1r, d1i = GG1 + (ab1 - ww), a1 * w + w * b1
+        d2r, d2i = GG2 + (ab2 - ww), a2 * w + w * b2
+        s = (u1 * (v1 + w2) * x1 + c1) / (2.0 * abs(complex(d1r, d1i)) ** 2) + (
+            u2 * (v2 + w2) * x2 + c2) / (2.0 * abs(complex(d2r, d2i)) ** 2)
+        if field:  # sqrt(k1 k2) (a1 + iw)(a2 - iw)
+            nr, ni = sk * (a12 - w * -w), sk * (a1 * -w + w * a2)
+        else:
+            nr, ni = mirror_num, 0.0
+        br, bi = d1r * d2r - d1i * -d2i, d1r * -d2i + d1i * d2r  # d1 conj(d2)
+        if abs(br) >= abs(bi):  # numpy's division (Smith's method), real part
+            rat = bi / br
+            re = (nr + ni * rat) * (1.0 / (br + bi * rat))
+        else:
+            rat = br / bi
+            re = (nr * rat + ni) * (1.0 / (bi + br * rat))
+        return (s - 2.0 * (M * re)) * scale / math.cos(theta) ** 2
 
     # place breakpoints at the characteristic linewidths and at the
     # hybridized-mode splitting so the adaptive rule finds narrow features

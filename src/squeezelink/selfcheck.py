@@ -15,6 +15,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from . import closedform, config, model, oracle, sweep
+from .oracle import IDX
 
 KAPPA_REF = 2.0 * math.pi * 215e3
 
@@ -44,6 +45,7 @@ class CheckResult:
 
 
 def _symmetric_system(C, r, n_th, ratio, kappa=KAPPA_REF):
+    """One identical-unit system and its steady states, for the spectral route."""
     unit = model.unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
     system = model.SystemParams(unit1=unit, unit2=unit, bath=model.SqueezedBath(r=r))
     ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
@@ -67,27 +69,43 @@ def _covariances(
             yield tag, oracle.CovarianceMatrix(V=v)
 
 
-def _grid_systems():
-    """((grid point, system, steady states), drift/diffusion) over the grid."""
-    for point in itertools.product(GRID_C, GRID_R, GRID_NTH, GRID_RATIO):
-        system, steady = _symmetric_system(*point)
-        yield (point, system, steady), oracle.build_rwa_drift_diffusion(system, steady)
+def _grid():
+    """(C, r, n_th, gamma/kappa) arrays over the acceptance grid, in product order."""
+    return np.array(list(itertools.product(GRID_C, GRID_R, GRID_NTH, GRID_RATIO))).T
+
+
+def _symmetric_covariances(C, r, n_th, ratio) -> Iterator[np.ndarray]:
+    """Covariance stacks of the :func:`_symmetric_system` points over arrays.
+
+    The oracle inputs are built over the whole arrays; the systems are
+    assembled and solved STACK_CHUNK at a time, so memory stays flat.
+    """
+    C, r, n_th, ratio = np.broadcast_arrays(C, r, n_th, ratio)
+    gamma = ratio * KAPPA_REF
+    rates = model.cooperativity_arrays(C, KAPPA_REF, gamma, n_th)
+    N, M = model.squeeze_arrays(r)
+    for start in range(0, C.size, STACK_CHUNK):
+        part = slice(start, start + STACK_CHUNK)
+        unit = (gamma[part], KAPPA_REF, rates.G[part], rates.n_th[part])
+        yield oracle.solve_lyapunov_stack(
+            *oracle.build_rwa_drift_diffusion_stack(unit, unit, N[part], M[part]))
+
+
+def _mirror_totals(C, r, n_th, ratio) -> np.ndarray:
+    """Lyapunov mirror totals of the :func:`_symmetric_system` points over arrays."""
+    return np.concatenate([np.add(*oracle.duan_from_covariance_stack(V, "mirror"))
+                           for V in _symmetric_covariances(C, r, n_th, ratio)])
 
 
 def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:
     """Closed form, Lyapunov and spectral integration agree pairwise."""
-    worst = 0.0
-    for ((C, r, n_th, ratio), system, steady), V in _covariances(_grid_systems()):
-        exact = closedform.duan_sum_nonadiabatic(
-            C, r, n_th, ratio * KAPPA_REF, KAPPA_REF
-        ).total
-        lyap = oracle.duan_from_covariance(V, "mirror").total
-        spec = oracle.spectral_duan_sum(system, steady, "mirror")
-        worst = max(
-            worst,
-            abs(lyap - exact) / exact,
-            abs(spec - exact) / exact,
-        )
+    grid = _grid()
+    C, r, n_th, ratio = grid
+    exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, ratio * KAPPA_REF, KAPPA_REF)
+    lyap = _mirror_totals(*grid)
+    spec = np.array([oracle.spectral_duan_sum(*_symmetric_system(*point), "mirror")
+                     for point in grid.T.tolist()])
+    worst = float(np.max(np.abs(np.stack([lyap, spec]) - exact) / exact, initial=0.0))
     return CheckResult("triple", worst <= tolerance, worst, tolerance,
                        "relative, closed-form vs Lyapunov vs spectral")
 
@@ -122,41 +140,39 @@ def check_threshold(tolerance: float = 1e-10) -> CheckResult:
                        "boundary exactness")
 
 
-def _separability_samples(rng, samples):
-    """(closed-form total, drift/diffusion) at random r = 0 parameter sets."""
-    bath = model.SqueezedBath(r=0.0)
-    for _ in range(samples):
-        C = float(10.0 ** rng.uniform(-2, 3))
-        n_th = float(rng.uniform(0.0, 50.0))
-        ratio = float(10.0 ** rng.uniform(-6, 0))
-        closed = closedform.duan_sum_nonadiabatic(
-            C, 0.0, n_th, ratio * KAPPA_REF, KAPPA_REF
-        ).total
-        system, steady = _symmetric_system(C, 0.0, n_th, ratio)
-        system = model.SystemParams(system.unit1, system.unit2, bath)
-        yield closed, oracle.build_rwa_drift_diffusion(system, steady)
-
-
 def check_separability_floor(
     tolerance: float = 1e-9, samples: int = 10_000, seed: int = 20240817
 ) -> CheckResult:
     """Without squeezing no parameter set drops below the vacuum bound 2."""
-    rng = np.random.default_rng(seed)
-    worst = -math.inf  # largest dip below 2; negative while every total is above
-    for closed, V in _covariances(_separability_samples(rng, samples)):
-        lyap = oracle.duan_from_covariance(V, "mirror").total
-        worst = max(worst, 2.0 - closed, 2.0 - lyap)
+    closed, lyap = _separability_totals(samples, seed)
+    # largest dip below 2; negative while every total is above
+    worst = float(np.max(2.0 - np.concatenate([closed, lyap]), initial=-math.inf))
     return CheckResult("separability", worst <= tolerance, max(worst, 0.0), tolerance,
                        f"{samples} random r=0 parameter sets, closed form and oracle, "
                        f"min total {2.0 - worst:.12f}")
 
 
+def _separability_totals(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(closed-form, Lyapunov) totals at random r = 0 parameter sets, in draw order."""
+    # row k holds sample k's (log10 C, n_th, log10 gamma/kappa), drawn in that order
+    u = np.random.default_rng(seed).uniform([-2, 0, -6], [3, 50, 0], size=(samples, 3))
+    closed, lyap = [], []
+    for start in range(0, samples, STACK_CHUNK):  # few Python floats alive at a time
+        log_C, n_th, log_ratio = u[start:start + STACK_CHUNK].T
+        C = np.array([10.0 ** x for x in log_C.tolist()])
+        ratio = np.array([10.0 ** x for x in log_ratio.tolist()])
+        closed.append(closedform.duan_sum_nonadiabatic_arrays(
+            C, 0.0, n_th, ratio * KAPPA_REF, KAPPA_REF))
+        lyap.append(_mirror_totals(C, 0.0, n_th, ratio))
+    return np.concatenate(closed), np.concatenate(lyap)
+
+
 def check_xy_symmetry(tolerance: float = 1e-10) -> CheckResult:
     """Oracle covariance gives equal X and Y joint variances for identical units."""
     worst = 0.0
-    for _, V in _covariances(_grid_systems()):
-        res = oracle.duan_from_covariance(V, "mirror")
-        worst = max(worst, abs(res.var_X - res.var_Y))
+    for V in _symmetric_covariances(*_grid()):
+        var_X, var_Y = oracle.duan_from_covariance_stack(V, "mirror")
+        worst = max(worst, float(np.max(np.abs(var_X - var_Y))))
     return CheckResult("xy-symmetry", worst <= tolerance, worst, tolerance)
 
 
@@ -211,10 +227,10 @@ def check_lyapunov_solver(
 
     # uncertainty products on physical solutions
     uncert_worst = 0.0
-    for _, V in _covariances(_grid_systems()):
+    for V in _symmetric_covariances(*_grid()):
         for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
-            product = V.variance(x) * V.variance(y)
-            uncert_worst = max(uncert_worst, 0.25 - product)
+            product = V[:, IDX[x], IDX[x]] * V[:, IDX[y], IDX[y]]
+            uncert_worst = max(uncert_worst, float(np.max(0.25 - product)))
     ok = uncert_worst <= 1e-10
     return CheckResult("lyapunov", ok, worst if ok else uncert_worst, tolerance,
                        "constructed solutions + uncertainty floor")
@@ -334,10 +350,8 @@ def run_checks(
     tolerance: Optional[float] = None,
 ) -> list[CheckResult]:
     names = list(ALL_CHECKS) if only is None else list(only)
-    results = []
-    for name in names:
+    for name in names:  # before any check runs
         if name not in ALL_CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(ALL_CHECKS)}")
-        check = ALL_CHECKS[name]
-        results.append(check() if tolerance is None else check(tolerance=tolerance))
-    return results
+    return [ALL_CHECKS[name]() if tolerance is None else ALL_CHECKS[name](tolerance=tolerance)
+            for name in names]

@@ -156,6 +156,24 @@ class TestNonadiabatic:
         hi = duan_sum_nonadiabatic(15.0, 2.0, 5.0, 0.05, 1.0).total
         assert hi > lo
 
+    @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 5.0), st.floats(0.0, 50.0),
+                              st.floats(1e-8, 10.0)), min_size=1, max_size=8))
+    def test_arrays_equal_per_point_totals(self, points):
+        C, r, n_th, gamma = (np.array(column) for column in zip(*points))
+        totals = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, 1.0)
+        assert totals.tolist() == [duan_sum_nonadiabatic(*p, 1.0).total for p in points]
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.array([1.0, -1.0]), 1.0, 1.0, 0.1, 1.0), "C must be >= 0"),
+        ((1.0, 1.0, 1.0, np.array([0.1, 0.0]), 1.0), "gamma must be > 0"),
+        ((1.0, 1.0, 1.0, 0.1, np.array([1.0, math.nan])), "kappa must be > 0"),
+        ((np.array([1.0, math.nan]), 1.0, 1.0, 0.1, 1.0), "total variance is NaN"),
+        ((1.0, np.array([0.0, -800.0]), 1.0, 0.1, 1.0), "r must be >= 0"),
+    ])
+    def test_arrays_reject_what_a_point_rejects(self, args, message):
+        with pytest.raises((ValueError, FloatingPointError), match=message):
+            closedform.duan_sum_nonadiabatic_arrays(*args)
+
 
 class TestFieldSum:
     def test_reference_value(self):

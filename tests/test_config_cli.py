@@ -224,6 +224,10 @@ class TestCliSweep:
             ("sweep", "--axis", "bath.r", "--range", "0:1:3", "--max-errors", "-1"),
             ("sweep", "--axis", "bath.r", "--range", "0:inf:3"),
             ("sweep", "--axis", "bath.r", "--range", "1e-3:1e400:3:log"),
+            ("selfcheck", "--tolerance", "nan"),
+            ("selfcheck", "--tolerance", "-1"),
+            ("selfcheck", "--tolerance", "inf"),
+            ("selfcheck", "--only", "nope"),
         ],
     )
     def test_config_errors_exit_2(self, argv):
@@ -341,6 +345,21 @@ class TestCliSelfcheck:
     def test_unknown_check_is_config_error(self):
         code, _ = run_cli("selfcheck", "--only", "bogus")
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--only", "threshold", "--only", "nope"), "config error: unknown check 'nope'; known: "),
+        (("--tolerance", "nan"), "config error: --tolerance must be >= 0 and finite, got nan"),
+        (("--tolerance", "-1"), "config error: --tolerance must be >= 0 and finite, got -1.0"),
+    ])
+    def test_config_error_is_one_plain_line(self, argv, message, capsys):
+        code, text = run_cli("selfcheck", *argv)
+        assert code == cli.EXIT_CONFIG and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_zero_tolerance_is_valid(self):
+        code, text = run_cli("selfcheck", "--only", "dissipation-ordering", "--tolerance", "0")
+        assert code == 0 and text.startswith("PASS dissipation-ordering")
 
     def test_impossible_tolerance_fails(self):
         code, text = run_cli(

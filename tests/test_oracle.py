@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squeezelink import closedform, model, oracle
 from squeezelink.model import SqueezedBath, SystemParams, unit_with_cooperativity
@@ -13,7 +14,9 @@ from squeezelink.oracle import (
     RwaViolation,
     UnstableDrift,
     build_rwa_drift_diffusion,
+    build_rwa_drift_diffusion_stack,
     duan_from_covariance,
+    duan_from_covariance_stack,
     solve_lyapunov,
     solve_lyapunov_stack,
     spectral_duan_sum,
@@ -329,3 +332,182 @@ class TestStructuralProperties:
             V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
             for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
                 assert V.variance(x) * V.variance(y) >= 0.25 - 1e-10
+
+
+def asymmetric_system(C1, C2, ratio1, ratio2, kappa_ratio, n1, n2, r):
+    u1 = unit_with_cooperativity(C=C1, kappa=KAPPA, gamma=ratio1 * KAPPA, n_th=n1)
+    kappa2 = kappa_ratio * KAPPA
+    u2 = unit_with_cooperativity(C=C2, kappa=kappa2, gamma=ratio2 * kappa2, n_th=n2)
+    steady = tuple(model.mean_fields_from_effective_detuning(u, -u.mirror.omega_M)
+                   for u in (u1, u2))
+    return SystemParams(u1, u2, SqueezedBath(r=r)), steady
+
+
+SYSTEM_ARGS = st.tuples(
+    st.floats(0.0, 1e3), st.floats(0.0, 1e3),  # C1, C2
+    st.floats(1e-6, 1.0), st.floats(1e-6, 1.0),  # gamma/kappa of each unit
+    st.floats(0.1, 10.0),  # kappa2/kappa1
+    st.floats(0.0, 50.0), st.floats(0.0, 50.0),  # n_th of each unit
+    st.floats(0.0, 3.0),  # r
+)
+
+
+def reference_drift_diffusion(system, steady):
+    """The one-system assembly as it was before the array builder, kept verbatim."""
+    units = (system.unit1, system.unit2)
+    A = np.zeros((8, 8))
+    D = np.zeros((8, 8))
+    N, M = system.bath.N, system.bath.M_corr
+    for j, (unit, ss) in enumerate(zip(units, steady)):
+        o = 4 * j
+        gamma, kappa, G = unit.mirror.gamma, unit.resonator.kappa, ss.G
+        for q in (0, 1):
+            A[o + q, o + q] = -gamma / 2.0
+            A[o + q, o + q + 2] = G
+            A[o + q + 2, o + q + 2] = -kappa / 2.0
+            A[o + q + 2, o + q] = -G
+        D[o + 0, o + 0] = D[o + 1, o + 1] = gamma * (2.0 * ss.n_th + 1.0) / 2.0
+        D[o + 2, o + 2] = D[o + 3, o + 3] = kappa * (2.0 * N + 1.0) / 2.0
+    kgm = math.sqrt(units[0].resonator.kappa * units[1].resonator.kappa) * M
+    D[IDX["x1"], IDX["x2"]] = D[IDX["x2"], IDX["x1"]] = kgm
+    D[IDX["y1"], IDX["y2"]] = D[IDX["y2"], IDX["y1"]] = -kgm
+    return A, D
+
+
+class TestArrayBuilder:
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(SYSTEM_ARGS, min_size=1, max_size=5))
+    def test_stack_and_one_system_builds_keep_their_bits(self, points):
+        systems = [asymmetric_system(*point) for point in points]
+        def unit_arrays(j):
+            rows = [((s.unit1, s.unit2)[j], steady[j]) for s, steady in systems]
+            return tuple(np.array(column) for column in zip(*(
+                (u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th) for u, ss in rows)))
+
+        units = (unit_arrays(0), unit_arrays(1))
+        N = np.array([s.bath.N for s, _ in systems])
+        M = np.array([s.bath.M_corr for s, _ in systems])
+        A, D = build_rwa_drift_diffusion_stack(*units, N, M)
+        assert A.shape == D.shape == (len(systems), 8, 8)
+        for a, d, (system, steady) in zip(A, D, systems):
+            dd = build_rwa_drift_diffusion(system, steady)
+            ref_A, ref_D = reference_drift_diffusion(system, steady)
+            assert a.tobytes() == dd.A.tobytes() == ref_A.tobytes()
+            assert d.tobytes() == dd.D.tobytes() == ref_D.tobytes()
+
+    def test_scalars_give_one_pair_and_shapes_broadcast(self):
+        A, D = build_rwa_drift_diffusion_stack((0.1, 1.0, 0.5, 2.0), (0.1, 1.0, 0.5, 2.0), 0.0, 0.0)
+        assert A.shape == D.shape == (8, 8)
+        G = np.array([0.5, 0.7, 0.9])
+        A, D = build_rwa_drift_diffusion_stack((0.1, 1.0, G, 2.0), (0.1, 1.0, G, 2.0), 1.0, 1.5)
+        assert A.shape == D.shape == (3, 8, 8)
+        assert A[:, IDX["X2"], IDX["x2"]].tolist() == G.tolist()
+        assert np.all(D[:, IDX["x1"], IDX["x2"]] == 1.5)
+
+
+class TestStackedDuan:
+    def test_equals_per_item_results(self):
+        A, D = physical_stack()
+        V = solve_lyapunov_stack(A, D)
+        for pair in ("mirror", "field"):
+            var_X, var_Y = duan_from_covariance_stack(V, pair)
+            for k, v in enumerate(V):
+                single = duan_from_covariance(oracle.CovarianceMatrix(V=v), pair)
+                assert (var_X[k], var_Y[k]) == (single.var_X, single.var_Y)
+
+    def test_first_bad_total_raises_the_per_point_error(self):
+        V = np.stack([np.eye(8) / 2] * 3)
+        V[1, IDX["X1"], IDX["X1"]] = math.nan
+        with pytest.raises(FloatingPointError, match="total variance is NaN"):
+            duan_from_covariance_stack(V)
+        with pytest.raises(ValueError, match="pair must be"):
+            duan_from_covariance_stack(V, "bogus")
+
+
+class TestBlockCache:
+    def test_split_is_cached_by_pattern(self):
+        A, D = physical_stack()
+        first = oracle._blocks(A, D)
+        assert oracle._blocks(2.0 * A, D) is first  # same pattern, other values
+        assert all(not block.flags.writeable for block in first)
+        rng = np.random.default_rng(2)
+        A2, D2 = random_stable_system(rng)
+        assert oracle._blocks(A2[None], D2[None]) is not first
+
+
+def reference_spectral_duan_sum(system, steady, pair="mirror", config=QuadratureConfig()):
+    """The spectral route as it was before its integrand was hoisted, kept verbatim."""
+    from scipy import integrate
+
+    units = (system.unit1, system.unit2)
+    p = [
+        (u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
+        for u, ss in zip(units, steady)
+    ]
+    N, M = system.bath.N, system.bath.M_corr
+
+    scale = max(max(kappa, gamma, G, gamma / 2.0 + 2.0 * G**2 / kappa)
+                for gamma, kappa, G, _ in p) / 2.0
+
+    def kernel(w: float) -> float:
+        d = [G**2 + (gamma / 2.0 + 1j * w) * (kappa / 2.0 + 1j * w)
+             for gamma, kappa, G, _ in p]
+        s = 0.0
+        for (gamma, kappa, G, n_th), dj in zip(p, d):
+            dd = abs(dj) ** 2
+            if pair == "mirror":
+                s += (
+                    gamma * ((kappa / 2.0) ** 2 + w**2) * (2.0 * n_th + 1.0)
+                    + G**2 * kappa * (2.0 * N + 1.0)
+                ) / (2.0 * dd)
+            else:
+                s += (
+                    G**2 * gamma * (2.0 * n_th + 1.0)
+                    + ((gamma / 2.0) ** 2 + w**2) * kappa * (2.0 * N + 1.0)
+                ) / (2.0 * dd)
+        (g1, k1, G1, _), (g2, k2, G2, _) = p
+        if pair == "mirror":
+            num = G1 * G2 * math.sqrt(k1 * k2)
+        else:
+            num = math.sqrt(k1 * k2) * ((g1 / 2.0 + 1j * w) * (g2 / 2.0 - 1j * w))
+        cross = M * (num / (d[0] * np.conj(d[1]))).real
+        return s - 2.0 * cross
+
+    def integrand(theta: float) -> float:
+        w = scale * math.tan(theta)
+        return kernel(w) * scale / math.cos(theta) ** 2
+
+    features = set()
+    for gamma, kappa, G, _ in p:
+        for w in (gamma / 2.0, kappa / 2.0, G, gamma / 2.0 + 2.0 * G**2 / kappa):
+            if w > 0:
+                features.add(math.atan(w / scale))
+                features.add(-math.atan(w / scale))
+    points = sorted(features)
+
+    var_X, err = integrate.quad(
+        integrand,
+        -math.pi / 2.0,
+        math.pi / 2.0,
+        points=points,
+        epsabs=config.abs_tol,
+        epsrel=config.rel_tol,
+        limit=config.subdivision_limit,
+    )
+    var_X /= 2.0 * math.pi
+    return 2.0 * var_X
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+@pytest.mark.parametrize("args", [
+    (0.0, 0.0, 0.01, 0.01, 1.0, 3.0, 3.0, 0.0),  # decoupled thermal mirrors
+    (15.0, 15.0, 1e-6, 1e-6, 1.0, 5.0, 5.0, 1.0),  # adiabatic, identical
+    (90.0, 90.0, 0.05, 0.05, 1.0, 10.0, 10.0, 2.0),
+    (15.0, 40.0, 0.01, 0.02, 1.7, 5.0, 2.0, 1.0),  # asymmetric units
+    (0.5, 300.0, 0.3, 1e-4, 0.2, 0.0, 30.0, 2.5),
+    (900.0, 2.0, 1.0, 0.05, 6.0, 40.0, 0.5, 0.3),
+])
+def test_spectral_route_keeps_its_bits(args, pair):
+    system, steady = asymmetric_system(*args)
+    assert spectral_duan_sum(system, steady, pair) == reference_spectral_duan_sum(
+        system, steady, pair)

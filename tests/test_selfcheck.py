@@ -81,16 +81,34 @@ def scalar_separability_totals(samples, seed):
 def test_separability_matches_scalar_loop(monkeypatch, seed):
     monkeypatch.setattr(selfcheck, "STACK_CHUNK", 16)
     reference = scalar_separability_totals(50, seed)
-    samples = selfcheck._separability_samples(np.random.default_rng(seed), 50)
-    stacked = [
-        (closed, oracle.duan_from_covariance(V, "mirror").total)
-        for closed, V in selfcheck._covariances(samples)
-    ]
-    assert len(stacked) == len(reference)
-    for (closed, lyap), (ref_closed, ref_lyap) in zip(stacked, reference):
-        assert closed == ref_closed  # same draws, same order
-        assert lyap == pytest.approx(ref_lyap, rel=1e-12)
+    closed, lyap = selfcheck._separability_totals(50, seed)
+    assert len(closed) == len(lyap) == len(reference)
+    for c, total, (ref_closed, ref_lyap) in zip(closed.tolist(), lyap.tolist(), reference):
+        assert c == ref_closed  # same draws, same order
+        assert total == pytest.approx(ref_lyap, rel=1e-12)
     dip = max(0.0, *(2.0 - total for pair in reference for total in pair))
     result = selfcheck.check_separability_floor(samples=50, seed=seed)
     assert result.passed
     assert result.max_err == pytest.approx(dip, abs=1e-14)
+
+
+def test_array_route_equals_per_point_solves(monkeypatch):
+    # the grid's oracle totals, built over arrays and solved in chunks,
+    # equal one build_rwa_drift_diffusion + solve_lyapunov per point
+    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 50)
+    grid = selfcheck._grid()
+    totals = selfcheck._mirror_totals(*grid)
+    assert totals.shape == (192,)
+    for point, total in zip(grid.T.tolist(), totals.tolist()):
+        system, steady = selfcheck._symmetric_system(*point)
+        V = oracle.solve_lyapunov(oracle.build_rwa_drift_diffusion(system, steady))
+        assert total == oracle.duan_from_covariance(V, "mirror").total
+
+
+def test_array_route_rejects_what_the_per_point_route_rejects():
+    with pytest.raises(ValueError, match="C must be >= 0"):
+        selfcheck._mirror_totals(np.array([1.0, -1.0]), 0.0, 1.0, 0.01)
+    with pytest.raises(ValueError, match="n_th must be >= 0"):
+        selfcheck._mirror_totals(1.0, 0.0, np.array([1.0, -1.0]), 0.01)
+    with pytest.raises(ValueError, match="squeeze parameter r"):
+        selfcheck._mirror_totals(1.0, np.array([0.5, np.nan]), 1.0, 0.01)
