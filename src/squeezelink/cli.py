@@ -145,6 +145,8 @@ def cmd_sweep(args, out) -> int:
             start=lo, stop=hi, count=count, scale=scale, quantity=args.quantity,
         )
         rows = sweep.run_sweep(spec)  # raises only for a bad grid; points fail as rows
+    except model.UnknownPath as exc:
+        raise ConfigError(f"bad --axis {args.axis!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad --range {args.range!r}: {exc}") from exc
     failures = [row for row in rows if row.error is not None]

@@ -19,6 +19,7 @@ from .model import (
     OptomechanicalUnit,
     SqueezedBath,
     SteadyState,
+    flag_or_raise,
     mean_fields_from_effective_detuning,
     per_distinct,
     thermal_occupation,
@@ -138,7 +139,7 @@ def duan_sum_adiabatic_general(
     ))
 
 
-def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
+def duan_sum_adiabatic_arrays(unit1, unit2, N, M, flag=None) -> np.ndarray:
     """:func:`duan_sum_adiabatic_general` totals over arrays.
 
     ``unit1`` and ``unit2`` carry ``Gamma_a``, ``Gamma`` and ``n_th`` arrays
@@ -147,28 +148,26 @@ def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     totals equal the per-point ones bit for bit. Every element passes the
     :class:`AdiabaticRates` bounds and the finite, non-negative total check
     of :class:`DuanResult`, or the first failing element raises what the
-    per-point route raises.
+    per-point route raises; with ``flag`` (see :func:`model.flag_or_raise`)
+    failing elements are marked instead.
     """
     terms = (unit1.Gamma_a, unit2.Gamma_a, unit1.Gamma, unit2.Gamma, unit1.n_th, unit2.n_th)
     bad = _rates_out_of_bounds(terms[0], terms[2]) | _rates_out_of_bounds(terms[1], terms[3])
-    if np.any(bad):
-        *terms, bad = np.broadcast_arrays(*terms, bad)
-        k = np.flatnonzero(bad)[0]
-        AdiabaticRates(*(float(t.flat[k]) for t in terms))  # raises
+    flag_or_raise(bad, flag, AdiabaticRates, *terms)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(_adiabatic_sum(*terms, N, M, np.sqrt))
+        return require_totals(_adiabatic_sum(*terms, N, M, np.sqrt), flag)
 
 
-def require_totals(total) -> np.ndarray:
+def require_totals(total, flag=None) -> np.ndarray:
     """``total`` as an array, once every element passes :class:`DuanResult`'s check.
 
     The first non-finite or negative total raises what a per-point
-    :class:`DuanResult` with that total raises.
+    :class:`DuanResult` with that total raises; with ``flag`` (see
+    :func:`model.flag_or_raise`) failing totals are marked instead.
     """
     total = np.asarray(total)
     bad = ~((0.0 <= total) & (total < math.inf))
-    if bad.any():
-        DuanResult.from_total(float(total[bad][0]))  # raises
+    flag_or_raise(bad, flag, DuanResult.from_total, total)
     return total
 
 
@@ -208,22 +207,24 @@ def duan_sum_nonadiabatic(
     return DuanResult.from_total(_nonadiabatic_sum(C, r, n_th, gamma, kappa, math.exp))
 
 
-def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
+def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa, flag=None) -> np.ndarray:
     """:func:`duan_sum_nonadiabatic` totals over arrays that broadcast together.
 
     The totals equal the per-point ones bit for bit (``exp`` is
     ``math.exp``, once per distinct r). Every element passes the per-point
-    checks, or the first failing element raises what they raise.
+    checks, or the first failing element raises what they raise; with
+    ``flag`` (see :func:`model.flag_or_raise`) failing elements are marked
+    instead.
     """
-    args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (C, r, n_th, gamma, kappa)))
-    C, r, n_th, gamma, kappa = args
-    bad = (C < 0) | (r < 0) | (n_th < 0) | ~(gamma > 0) | ~(kappa > 0)
-    if bad.any():
-        k = np.flatnonzero(bad)[0]
-        duan_sum_nonadiabatic(*(float(a.flat[k]) for a in args))  # raises
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(_nonadiabatic_sum(
-            C, r, n_th, gamma, kappa, lambda x: per_distinct(math.exp, x)))
+    return _identical_units_arrays(_nonadiabatic_sum, duan_sum_nonadiabatic,
+                                   (C, r, n_th, gamma, kappa), flag)
+
+
+def _field_sum(C, r, n_th, gamma, kappa, exp):
+    """The field total in + - * / and the given ``exp``, for floats or arrays."""
+    return (2.0 * C * (2.0 * n_th + 1.0) / (C + 1.0)) * gamma / (gamma + kappa) + 2.0 * (
+        kappa / (kappa + gamma) + gamma / ((1.0 + C) * (gamma + kappa))
+    ) * exp(-2.0 * r)
 
 
 def field_sum_nonadiabatic(
@@ -232,10 +233,26 @@ def field_sum_nonadiabatic(
     """Field-field variance sum for identical units."""
     _check_nonnegative(C=C, r=r, n_th=n_th)
     _check_positive(gamma=gamma, kappa=kappa)
-    total = (2.0 * C * (2.0 * n_th + 1.0) / (C + 1.0)) * gamma / (gamma + kappa) + 2.0 * (
-        kappa / (kappa + gamma) + gamma / ((1.0 + C) * (gamma + kappa))
-    ) * math.exp(-2.0 * r)
-    return DuanResult.from_total(total)
+    return DuanResult.from_total(_field_sum(C, r, n_th, gamma, kappa, math.exp))
+
+
+def field_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa, flag=None) -> np.ndarray:
+    """:func:`field_sum_nonadiabatic` as :func:`duan_sum_nonadiabatic_arrays`."""
+    return _identical_units_arrays(_field_sum, field_sum_nonadiabatic,
+                                   (C, r, n_th, gamma, kappa), flag)
+
+
+def _identical_units_arrays(total, per_point, args, flag) -> np.ndarray:
+    """``total`` over the broadcast ``args`` with the checks of ``per_point``."""
+    C, r, n_th, gamma, kappa = args = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in args))
+    bad = (C < 0) | (r < 0) | (n_th < 0) | ~(gamma > 0) | ~(kappa > 0)
+    flag_or_raise(bad, flag, per_point, *args)
+    if flag is not None:  # a marked r < 0 could overflow exp
+        r = np.where(bad, 0.0, r)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
+        return require_totals(total(
+            C, r, n_th, gamma, kappa, lambda x: per_distinct(math.exp, x)), flag)
 
 
 def field_sum_strong_coupling_limit(

@@ -7,6 +7,7 @@ happen at config ingestion (see :mod:`squeezelink.config`), never here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +26,10 @@ _OPTICAL_RATIO_FLOOR = 1e3
 
 class NonConvergence(RuntimeError):
     """Fixed-point iteration for the bare-detuning map failed to converge."""
+
+
+class UnknownPath(ValueError):
+    """Parameter path that names no parameter (see :func:`set_param`)."""
 
 
 class MultipleBranches(UserWarning):
@@ -171,7 +176,7 @@ def unit_targets(path: str) -> tuple[tuple[str, str, str], ...]:
     targets = _UNIT_PATHS.get(path)
     if targets is None:
         kind = "bath parameter" if path.startswith("bath.") else "parameter"
-        raise ValueError(f"unknown {kind} path {path!r}")
+        raise UnknownPath(f"unknown {kind} path {path!r}")
     return targets
 
 
@@ -213,10 +218,8 @@ class SteadyState:
 
 def thermal_occupation(omega_M: float, temperature: float) -> float:
     """Bose-Einstein occupation of a mechanical bath at a given temperature."""
-    if omega_M <= 0:
-        raise ValueError("omega_M must be positive")
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    _require_positive(omega_M=omega_M)
+    _require_temperature(temperature)
     return _occupation(omega_M, temperature)
 
 
@@ -232,8 +235,10 @@ def _occupation(omega_M: float, temperature: float) -> float:
 
 def temperature_for_occupation(omega_M: float, n_th: float) -> float:
     """Inverse of :func:`thermal_occupation`; n_th = 0 maps to T = 0."""
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
+    if not 0.0 < omega_M < math.inf:  # inline, as this runs once per array element
+        raise ValueError(f"omega_M must be positive and finite, got {omega_M!r}")
+    if not 0.0 <= n_th < math.inf:  # also rejects NaN
+        raise ValueError(f"n_th must be >= 0 and finite, got {n_th!r}")
     if n_th == 0.0:
         return 0.0
     return HBAR * omega_M / (KB * math.log1p(1.0 / n_th))
@@ -320,16 +325,30 @@ def mean_fields_from_effective_detuning(
 class SidebandArrays(NamedTuple):
     """Red-sideband rates of one unit, elementwise over parameter arrays."""
 
-    g: np.ndarray
-    eps: np.ndarray
-    n_bar: np.ndarray
     G: np.ndarray
     Gamma_a: np.ndarray
     Gamma: np.ndarray
+    C: np.ndarray
     n_th: np.ndarray
+    gamma: np.ndarray  # the mirror's and the cavity's own rates
+    kappa: np.ndarray
 
 
-def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
+def flag_or_raise(bad, flag, check, *arrays):
+    """Mark the elements of the numpy bool array ``bad`` in ``flag``; with no flag, raise.
+
+    Without ``flag``, ``check`` runs on the floats of ``arrays`` at the first
+    bad element, where it raises what the per-point route raises.
+    """
+    if flag is not None:
+        flag |= bad
+    elif bad.any():
+        *arrays, bad = np.broadcast_arrays(*arrays, bad)
+        k = np.flatnonzero(bad)[0]
+        check(*(float(a.flat[k]) for a in arrays))
+
+
+def red_sideband_arrays(unit: OptomechanicalUnit, flag=None, **fields) -> SidebandArrays:
     """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
 
     Each keyword replaces the field of that name in ``unit`` (``power``,
@@ -337,36 +356,34 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
     together. Element by element the rates equal, bit for bit, those of
     :func:`mean_fields_from_effective_detuning` on the unit with those
     fields. Every element passes the checks that building that unit runs,
-    or the first failing element raises what they raise. When ``omega_r``,
-    ``omega_L`` or ``kappa`` is given, the optical-ratio warning fires if
-    any element would fire it.
+    or the first failing element raises what they raise; with ``flag``
+    (see :func:`flag_or_raise`) failing elements are marked instead and take
+    the unit's own value. When ``omega_r``, ``omega_L`` or ``kappa`` is
+    given, the optical-ratio warning fires if any element would fire it.
     """
     res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
     for name, values in fields.items():
         part = res if name in res else mir if name in mir else None
         if part is None:
             raise ValueError(f"unknown unit field {name!r}")
-        part[name] = values = np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=float)
         low = 0.0 <= values if name == "temperature" else 0.0 < values
         bad = ~(low & (values < math.inf))  # also flags NaN
-        if bad.any():
-            first = float(values[bad][0])
-            if name == "temperature":
-                _require_temperature(first)
-            else:
-                _require_positive(**{name: first})
+        flag_or_raise(bad, flag, _require_temperature if name == "temperature"
+                      else lambda value: _require_positive(**{name: value}), values)
+        part[name] = values if flag is None else np.where(bad, part[name], values)
     if (fields.keys() & {"omega_r", "omega_L", "kappa"}
             and np.any(_optical_ratio_low(res["omega_r"], res["omega_L"], res["kappa"]))):
         _warn_optical_ratio()
 
     res, mir = SimpleNamespace(**res), SimpleNamespace(**mir)
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
-        g, eps, n_bar, G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
-        Gamma = Gamma_a + mir.gamma
+        _, _, _, G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
+        Gamma, C = Gamma_a + mir.gamma, Gamma_a / mir.gamma
     # through the float formula: np.expm1 may differ from math.expm1 in the last bit
     n_th = per_distinct(_occupation, mir.omega_M, mir.temperature)
-    return SidebandArrays(g=g, eps=eps, n_bar=n_bar, G=G, Gamma_a=Gamma_a, Gamma=Gamma,
-                          n_th=n_th)
+    return SidebandArrays(G=G, Gamma_a=Gamma_a, Gamma=Gamma, C=C, n_th=n_th,
+                          gamma=np.asarray(mir.gamma), kappa=np.asarray(res.kappa))
 
 
 def per_distinct(fn, *arrays) -> np.ndarray:
@@ -388,18 +405,35 @@ def per_distinct(fn, *arrays) -> np.ndarray:
     return values[inverse].reshape(np.broadcast_shapes(*(a.shape for a in arrays)))
 
 
-def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
+def _bath_terms(r: float, strict: bool = False) -> tuple[float, float]:
+    """(N, M_corr) of the bath at r; NaNs where that raises, unless ``strict``."""
+    try:
+        bath = SqueezedBath(r=r)
+        return bath.N, bath.M_corr
+    except (ValueError, OverflowError):
+        if strict:
+            raise
+        return math.nan, math.nan
+
+
+def squeeze_arrays(r, flag=None) -> tuple[np.ndarray, np.ndarray]:
     """(N, M_corr) of :class:`SqueezedBath` for every element of ``r``.
 
     Each distinct r goes through the bath itself, so its checks and its
-    overflow errors apply, and the values are its bits.
+    overflow errors apply, and the values are its bits. An r that fails
+    them raises; with ``flag`` (see :func:`flag_or_raise`) it is marked
+    instead and takes the terms of r = 0.
     """
     r = np.asarray(r, dtype=float)
     values, inverse = np.unique(r.ravel(), return_inverse=True)
-    baths = [SqueezedBath(r=value) for value in values.tolist()]
-    N = np.array([bath.N for bath in baths])[inverse].reshape(r.shape)
-    M = np.array([bath.M_corr for bath in baths])[inverse].reshape(r.shape)
-    return N, M
+    terms = np.array([_bath_terms(value) for value in values.tolist()]).reshape(-1, 2)
+    bad = np.isnan(terms[:, 0])
+    if bad.any():
+        flag_or_raise(bad[inverse].reshape(r.shape), flag,
+                      functools.partial(_bath_terms, strict=True), r)
+        terms[bad] = 0.0
+    N, M = terms.T
+    return N[inverse].reshape(r.shape), M[inverse].reshape(r.shape)
 
 
 def mean_fields_from_bare_detuning(

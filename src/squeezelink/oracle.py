@@ -123,8 +123,10 @@ def build_rwa_drift_diffusion_stack(unit1, unit2, N, M) -> tuple[np.ndarray, np.
         D[..., o + 0, o + 0] = D[..., o + 1, o + 1] = gamma * (2.0 * n_th + 1.0) / 2.0
         D[..., o + 2, o + 2] = D[..., o + 3, o + 3] = kappa * (2.0 * N + 1.0) / 2.0
 
-    # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-)
-    kgm = np.sqrt(unit1[1] * unit2[1]) * M
+    # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-); an
+    # overflow shows as a non-finite entry, which the solve reports
+    with np.errstate(over="ignore"):
+        kgm = np.sqrt(unit1[1] * unit2[1]) * M
     D[..., IDX["x1"], IDX["x2"]] = D[..., IDX["x2"], IDX["x1"]] = kgm
     D[..., IDX["y1"], IDX["y2"]] = D[..., IDX["y2"], IDX["y1"]] = -kgm
     return A, D

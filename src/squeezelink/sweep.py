@@ -44,6 +44,10 @@ class UnknownFigure(KeyError):
     """Figure identifier outside fig2..fig9."""
 
 
+#: the most grid points one sweep may have
+MAX_SWEEP_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     base: SystemParams
@@ -55,12 +59,16 @@ class SweepSpec:
     quantity: str = "mirror-duan-adiabatic"
 
     def __post_init__(self):
+        if self.axis != "bath.r":
+            unit_targets(self.axis)  # raises UnknownPath
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep range needs a finite start and stop")
         if not self.start < self.stop:
             raise ValueError("sweep range needs start < stop")
-        if self.count < 2:
-            raise ValueError("sweep needs at least 2 grid points")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError("sweep range needs a finite width stop - start")
+        if not 2 <= self.count <= MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep needs 2 to {MAX_SWEEP_POINTS} grid points, got {self.count}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.quantity not in QUANTITIES:
@@ -105,18 +113,19 @@ def _steady_states(system: SystemParams):
     return ss1, ss2
 
 
+def _identical(unit1, unit2):
+    """Whether two units' (gamma, kappa, C, n_th) agree to 1e-9, for floats or arrays."""
+    same = np.True_
+    for a, b in zip(unit1, unit2):
+        same = same & (abs(a - b) <= 1e-9 * np.maximum(np.maximum(abs(a), abs(b)), 1e-300))
+    return same
+
+
 def _require_identical(system: SystemParams, ss1, ss2, pair: str):
     """(C, r, n_th, gamma, kappa) shared by two identical units; else ValueError."""
-    def close(a, b):
-        return abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-300)
-
-    ok = (
-        close(system.unit1.mirror.gamma, system.unit2.mirror.gamma)
-        and close(system.unit1.resonator.kappa, system.unit2.resonator.kappa)
-        and close(ss1.C, ss2.C)
-        and close(ss1.n_th, ss2.n_th)
-    )
-    if not ok:
+    u1, u2 = system.unit1, system.unit2
+    if not _identical((u1.mirror.gamma, u1.resonator.kappa, ss1.C, ss1.n_th),
+                      (u2.mirror.gamma, u2.resonator.kappa, ss2.C, ss2.n_th)):
         raise ValueError(
             f"the nonadiabatic {pair} closed form assumes identical units; "
             "for asymmetric units use the adiabatic mirror form or the oracle route"
@@ -177,33 +186,75 @@ def evaluate_quantity(system: SystemParams, quantity: str) -> tuple[DuanResult, 
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the quantity over the grid; failures become error rows."""
-    rows = []
-    for x in spec.grid():
-        x = float(x)
-        try:
-            system = set_param(spec.base, spec.axis, x)
-            result, c1, c2 = evaluate_quantity(system, spec.quantity)
-            rows.append(
-                SweepRow(
-                    axis_value=x,
-                    total=result.total,
-                    var_X=result.var_X,
-                    var_Y=result.var_Y,
-                    entangled=result.entangled,
-                    C1=c1,
-                    C2=c2,
-                )
-            )
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            rows.append(
-                SweepRow(
-                    axis_value=x, total=math.nan, var_X=math.nan, var_Y=math.nan,
-                    entangled=False, C1=math.nan, C2=math.nan,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+    """Evaluate the quantity over the grid; failures become error rows.
+
+    The grid goes through the array core in one call per unit and route
+    (the oracle in chunks of ``selfcheck.STACK_CHUNK``). The checks mark
+    failing points in a mask instead of raising; a marked point, a point of
+    a failed oracle chunk and a point of a grid the array core raises for
+    take the per-point route (:func:`evaluate_quantity`) for their rows.
+    So the rows equal that route's, bit for bit and error text included.
+    """
+    grid = spec.grid()
+    flag = np.zeros(grid.shape, dtype=bool)
+    try:
+        with np.errstate(all="ignore"):  # failures show in the mask
+            columns = _sweep_columns(spec, grid, flag)
+    except (ValueError, RuntimeError, ArithmeticError):
+        return [_point_row(spec, x) for x in grid.tolist()]
+    rows = [SweepRow(*values) for values in zip(*(c.tolist() for c in columns))]
+    for k in np.flatnonzero(flag).tolist():
+        rows[k] = _point_row(spec, rows[k].axis_value)
     return rows
+
+
+def _sweep_columns(spec: SweepSpec, grid: np.ndarray, flag: np.ndarray) -> Sequence[np.ndarray]:
+    """The :class:`SweepRow` fields over the grid, failing points marked in ``flag``."""
+    pair, route = QUANTITIES[spec.quantity]
+    (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid}, flag)
+    if route == "nonadiabatic":
+        flag |= ~_identical((u1.gamma, u1.kappa, u1.C, u1.n_th),
+                            (u2.gamma, u2.kappa, u2.C, u2.n_th))
+        closed = (closedform.duan_sum_nonadiabatic_arrays if pair == "mirror"
+                  else closedform.field_sum_nonadiabatic_arrays)
+        var_X = var_Y = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa, flag) / 2.0
+    elif route == "adiabatic":
+        var_X = var_Y = closedform.duan_sum_adiabatic_arrays(
+            u1, u2, *squeeze_arrays(r, flag), flag) / 2.0
+    else:
+        var_X, var_Y = _oracle_variances(pair, u1, u2, *squeeze_arrays(r, flag), flag)
+    total = var_X + var_Y  # as DuanResult.total adds them
+    return np.broadcast_arrays(grid, total, var_X, var_Y,
+                               total < closedform.SEPARABILITY_BOUND, u1.C, u2.C)
+
+
+def _oracle_variances(pair: str, u1, u2, N, M, flag: np.ndarray):
+    """Lyapunov (var_X, var_Y) over the grid; the points of a failed chunk are marked."""
+    from . import selfcheck  # here, as selfcheck imports this module
+
+    inputs = np.broadcast_arrays(u1.gamma, u1.kappa, u1.G, u1.n_th,
+                                 u2.gamma, u2.kappa, u2.G, u2.n_th, N, M, flag)
+    var_X, var_Y = np.full((2,) + flag.shape, math.nan)
+    for start in range(0, flag.size, selfcheck.STACK_CHUNK):
+        part = slice(start, start + selfcheck.STACK_CHUNK)
+        c = [x[part] for x in inputs]
+        try:
+            V = oracle.solve_lyapunov_stack(
+                *oracle.build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
+            var_X[part], var_Y[part] = oracle.duan_from_covariance_stack(V, pair)
+        except (ValueError, RuntimeError, ArithmeticError):
+            flag[part] = True
+    return var_X, var_Y
+
+
+def _point_row(spec: SweepSpec, x: float) -> SweepRow:
+    """The row of one grid point by the per-point route."""
+    try:
+        result, c1, c2 = evaluate_quantity(set_param(spec.base, spec.axis, x), spec.quantity)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return SweepRow(x, math.nan, math.nan, math.nan, False, math.nan, math.nan,
+                        error=f"{type(exc).__name__}: {exc}")
+    return SweepRow(x, result.total, result.var_X, result.var_Y, result.entangled, c1, c2)
 
 
 def minimize_scalar(
@@ -325,16 +376,21 @@ def adiabatic_totals(system: SystemParams, overrides: dict) -> np.ndarray:
     with those values set, and an invalid element raises what building and
     evaluating ``s`` would raise.
     """
+    (u1, u2), r = _unit_arrays(system, overrides)
+    N, M = squeeze_arrays(r) if "bath.r" in overrides else (system.bath.N, system.bath.M_corr)
+    return closedform.duan_sum_adiabatic_arrays(u1, u2, N, M)
+
+
+def _unit_arrays(system: SystemParams, overrides: dict, flag=None):
+    """Each unit's :func:`red_sideband_arrays` and the bath's r, with ``overrides`` set."""
     fields = {"unit1": {}, "unit2": {}}
     for path, values in overrides.items():
         if path != "bath.r":
             for unit, _, field in unit_targets(path):
                 fields[unit][field] = values
-    r = overrides.get("bath.r")
-    N, M = (system.bath.N, system.bath.M_corr) if r is None else squeeze_arrays(r)
-    return closedform.duan_sum_adiabatic_arrays(
-        red_sideband_arrays(system.unit1, **fields["unit1"]),
-        red_sideband_arrays(system.unit2, **fields["unit2"]), N, M)
+    units = tuple(red_sideband_arrays(getattr(system, unit), flag, **fields[unit])
+                  for unit in fields)
+    return units, overrides.get("bath.r", system.bath.r)
 
 
 def _curve_rows(base: SystemParams, axis_paths: Sequence[str], axis_values,
@@ -495,14 +551,9 @@ def _fig8(base: SystemParams) -> FigureDataset:
     cs = np.linspace(1.0, 100.0, 241)
     r, n_th = 2.0, 5.0
     ratios = (0.01, 0.05)
-    rows = []
-    for c in cs:
-        adiab = closedform.duan_sum_adiabatic_identical(float(c), r, n_th).total
-        nonad = [
-            closedform.duan_sum_nonadiabatic(float(c), r, n_th, ratio, 1.0).total
-            for ratio in ratios
-        ]
-        rows.append((float(c), adiab, *nonad))
+    nonad = closedform.duan_sum_nonadiabatic_arrays(cs[:, None], r, n_th, ratios, 1.0)
+    rows = [(c, closedform.duan_sum_adiabatic_identical(c, r, n_th).total, *totals)
+            for c, totals in zip(cs.tolist(), nonad.tolist())]
     return FigureDataset(
         axis_name="cooperativity", axis_unit="1",
         columns=["total_adiabatic"] + [f"total_gk_{q:g}" for q in ratios], rows=rows,
@@ -515,18 +566,12 @@ def _fig9(base: SystemParams) -> FigureDataset:
     ratio, n_th = 6.5e-4, 5.0
     c_values = (15.0, 30.0, 90.0)
     c_field = 15.0
-    rows = []
-    for r in rs:
-        mirror = [
-            closedform.duan_sum_nonadiabatic(c, float(r), n_th, ratio, 1.0).total
-            for c in c_values
-        ]
-        field = closedform.field_sum_nonadiabatic(c_field, float(r), n_th, ratio, 1.0).total
-        rows.append((float(r), *mirror, field))
+    mirror = closedform.duan_sum_nonadiabatic_arrays(c_values, rs[:, None], n_th, ratio, 1.0)
+    field = closedform.field_sum_nonadiabatic_arrays(c_field, rs, n_th, ratio, 1.0)
     return FigureDataset(
         axis_name="squeeze_parameter", axis_unit="1",
         columns=[f"mirror_total_C_{c:g}" for c in c_values] + ["field_total"],
-        rows=rows,
+        rows=[(r, *m, f) for r, m, f in zip(rs.tolist(), mirror.tolist(), field.tolist())],
         metadata={
             "gamma_over_kappa": ratio, "n_th": n_th,
             "mirror_C_values": list(c_values), "field_C": c_field,

@@ -184,6 +184,32 @@ class TestFieldSum:
         total = field_sum_nonadiabatic(15.0, 1.0, 5.0, 1e-15, 1.0).total
         assert total == pytest.approx(2.0 * math.exp(-2.0), rel=1e-9)
 
+    @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 400.0), st.floats(0.0, 50.0),
+                              st.floats(1e-8, 10.0)), min_size=1, max_size=8))
+    def test_arrays_equal_per_point_totals(self, points):
+        C, r, n_th, gamma = (np.array(column) for column in zip(*points))
+        totals = closedform.field_sum_nonadiabatic_arrays(C, r, n_th, gamma, 1.0)
+        assert totals.tolist() == [field_sum_nonadiabatic(*p, 1.0).total for p in points]
+
+    @pytest.mark.parametrize("args", [
+        (np.array([1.0, -1.0]), 1.0, 1.0, 0.1, 1.0),
+        (1.0, np.array([0.0, -800.0]), 1.0, 0.1, 1.0),
+        (1.0, 1.0, np.array([1.0, math.inf]), 0.1, 1.0),
+        (1.0, 1.0, 1.0, 0.1, np.array([1.0, 0.0])),
+    ])
+    def test_arrays_reject_what_a_point_rejects(self, args):
+        with pytest.raises((ValueError, FloatingPointError)) as expected:
+            field_sum_nonadiabatic(*(float(np.ravel(a)[-1]) for a in args))
+        with pytest.raises(type(expected.value), match=str(expected.value)):
+            closedform.field_sum_nonadiabatic_arrays(*args)
+
+    def test_flagged_elements_are_marked_not_raised(self):
+        flag = np.zeros(3, dtype=bool)
+        totals = closedform.field_sum_nonadiabatic_arrays(
+            15.0, np.array([1.0, -900.0, 1.0]), np.array([5.0, 5.0, math.inf]), 0.01, 1.0, flag)
+        assert flag.tolist() == [False, True, True]
+        assert totals[0] == field_sum_nonadiabatic(15.0, 1.0, 5.0, 0.01, 1.0).total
+
     def test_insensitive_to_cooperativity(self):
         t15 = field_sum_nonadiabatic(15.0, 1.0, 5.0, 6.5e-4, 1.0).total
         t90 = field_sum_nonadiabatic(90.0, 1.0, 5.0, 6.5e-4, 1.0).total

@@ -224,6 +224,9 @@ class TestCliSweep:
             ("sweep", "--axis", "bath.r", "--range", "0:1:3", "--max-errors", "-1"),
             ("sweep", "--axis", "bath.r", "--range", "0:inf:3"),
             ("sweep", "--axis", "bath.r", "--range", "1e-3:1e400:3:log"),
+            ("sweep", "--axis", "bogus", "--range", "0:1:3"),
+            ("sweep", "--axis", "bath.r", "--range=-1e308:1e308:3"),
+            ("sweep", "--axis", "bath.r", "--range", "0.5:1:1000000000000"),
             ("selfcheck", "--tolerance", "nan"),
             ("selfcheck", "--tolerance", "-1"),
             ("selfcheck", "--tolerance", "inf"),
@@ -233,6 +236,12 @@ class TestCliSweep:
     def test_config_errors_exit_2(self, argv):
         code, _ = run_cli(*argv)
         assert code == cli.EXIT_CONFIG
+
+    def test_unknown_axis_is_one_line_naming_it(self, capsys):
+        code, text = run_cli("sweep", "--axis", "bogus", "--range", "0:1:3")
+        assert code == cli.EXIT_CONFIG and text == ""
+        err = capsys.readouterr().err
+        assert err == "config error: bad --axis 'bogus': unknown parameter path 'bogus'\n"
 
 
 class TestCliBadNumbers:

@@ -84,6 +84,20 @@ class TestThermalOccupation:
             T = model.temperature_for_occupation(OMEGA_M, n)
             assert thermal_occupation(OMEGA_M, T) == pytest.approx(n, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("omega_M, temperature", [
+        (math.nan, 1e-3), (math.inf, 1e-3), (OMEGA_M, math.nan), (OMEGA_M, math.inf),
+    ])
+    def test_non_finite_input_rejected(self, omega_M, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            thermal_occupation(omega_M, temperature)
+
+    @pytest.mark.parametrize("omega_M, n_th", [
+        (OMEGA_M, math.inf), (OMEGA_M, math.nan), (math.inf, 1.0), (math.nan, 1.0),
+    ])
+    def test_inverse_rejects_non_finite_input(self, omega_M, n_th):
+        with pytest.raises(ValueError, match="finite"):
+            model.temperature_for_occupation(omega_M, n_th)
+
 
 class TestSingleSinglePhotonCoupling:
     def test_reference_value(self):

@@ -6,14 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from squeezelink import cli, closedform, config, sweep
-from squeezelink.model import NonConvergence
+from squeezelink import cli, closedform, config, selfcheck, sweep
+from squeezelink.model import NonConvergence, UnknownPath
 from squeezelink.oracle import UnstableDrift
 from squeezelink.sweep import (
     BracketFailure,
     OptimizeSpec,
+    SweepRow,
     SweepSpec,
     UnknownFigure,
     evaluate_quantity,
@@ -94,6 +95,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(base, "bath.r", start, stop, 3)
 
+    def test_non_finite_width_rejected(self, base):
+        with pytest.raises(ValueError, match="finite width"):
+            SweepSpec(base, "bath.r", -1e308, 1e308, 3)
+
+    def test_count_is_capped(self, base):
+        SweepSpec(base, "bath.r", 0.5, 1.0, sweep.MAX_SWEEP_POINTS)
+        with pytest.raises(ValueError, match="grid points"):
+            SweepSpec(base, "bath.r", 0.5, 1.0, 10**12)
+
+    @pytest.mark.parametrize("axis", ["bogus", "unit3.power", "bath.temperature", "power"])
+    def test_unknown_axis_rejected(self, base, axis):
+        with pytest.raises(UnknownPath, match=repr(axis).replace(".", r"\.")):
+            SweepSpec(base, axis, 0.0, 1.0, 3)
+
 
 class TestRunSweep:
     def test_rows_follow_axis_order_and_are_deterministic(self, base):
@@ -135,6 +150,112 @@ class TestRunSweep:
         for rc, ro in zip(run_sweep(spec_c), run_sweep(spec_o)):
             assert ro.total == pytest.approx(rc.total, rel=1e-9)
             assert ro.C1 == pytest.approx(rc.C1, rel=1e-12)
+
+
+def scalar_sweep_rows(spec):
+    """The per-point sweep loop that ``run_sweep`` replaced, verbatim."""
+    rows = []
+    for x in spec.grid():
+        x = float(x)
+        try:
+            system = set_param(spec.base, spec.axis, x)
+            result, c1, c2 = evaluate_quantity(system, spec.quantity)
+            rows.append(
+                SweepRow(
+                    axis_value=x,
+                    total=result.total,
+                    var_X=result.var_X,
+                    var_Y=result.var_Y,
+                    entangled=result.entangled,
+                    C1=c1,
+                    C2=c2,
+                )
+            )
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            rows.append(
+                SweepRow(
+                    axis_value=x, total=math.nan, var_X=math.nan, var_Y=math.nan,
+                    entangled=False, C1=math.nan, C2=math.nan,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            )
+    return rows
+
+
+OMEGA_REF = config.default_system().unit2.mirror.omega_M
+KAPPA_REF = config.default_system().unit1.resonator.kappa
+#: sweep axis -> interval its range is drawn from; each reaches invalid or overflowing values
+SWEEP_AXES = {
+    "bath.r": (-2.0, 1000.0),
+    "temperature": (-1e-3, 10.0),
+    "unit1.power": (-1e-2, 1e300),
+    "unit2.power": (-1e-2, 1e300),
+    "unit2.mirror.omega_M": (-0.5 * OMEGA_REF, 20.0 * OMEGA_REF),
+    "unit1.kappa": (-KAPPA_REF, 1e4 * KAPPA_REF),
+    "unit2.gamma": (-1e3, 1e9),
+}
+
+
+@st.composite
+def sweep_specs(draw):
+    axis = draw(st.sampled_from(sorted(SWEEP_AXES)))
+    lo, hi = SWEEP_AXES[axis]
+    # a narrow range near either end of the interval, or one across it
+    a, b = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):
+        a, b = (lo, lo + (b - a) * 1e-3) if draw(st.booleans()) else (hi - (b - a) * 1e-3, hi)
+        assume(a < b)
+    base = config.default_system()
+    if draw(st.booleans()):  # asymmetric units: unit 2 at its own drive power
+        base = set_param(base, "unit2.power", draw(st.floats(1e-4, 1e-1)))
+    if draw(st.booleans()):
+        base = set_param(base, "bath.r", draw(st.floats(0.0, 400.0)))
+    scale = "log" if a > 0 and draw(st.booleans()) else "linear"
+    return SweepSpec(base, axis, a, b, draw(st.integers(2, 12)), scale=scale,
+                     quantity=draw(st.sampled_from(sorted(sweep.QUANTITIES))))
+
+
+class TestArraySweep:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=sweep_specs())
+    def test_rows_equal_the_per_point_loop(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the optical-ratio warning
+            assert run_sweep(spec) == scalar_sweep_rows(spec)
+
+    @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
+    @pytest.mark.parametrize("axis, start, stop", [
+        ("bath.r", -1.0, 1000.0), ("unit1.power", -1e-2, 1e300),
+        ("unit2.power", 1e-3, 1e-2), ("unit2.gamma", -1e3, 1e9),
+    ])
+    def test_fixed_ranges_equal_the_per_point_loop(self, base, quantity, axis, start, stop):
+        spec = SweepSpec(base, axis, start, stop, 9, quantity=quantity)
+        assert run_sweep(spec) == scalar_sweep_rows(spec)
+
+    @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
+    @pytest.mark.parametrize("axis, start, stop", [
+        ("bath.r", -1.0, 1000.0), ("unit1.power", -1e-3, 1e-2), ("temperature", -1.0, 1.0),
+    ])
+    def test_only_failing_points_take_the_per_point_route(self, base, monkeypatch, quantity,
+                                                         axis, start, stop):
+        calls = []
+        build = sweep.set_param  # the per-point route's first step
+        monkeypatch.setattr(sweep, "set_param", lambda *args: calls.append(args) or build(*args))
+        rows = run_sweep(SweepSpec(base, axis, start, stop, 9, quantity=quantity))
+        errors = sum(row.error is not None for row in rows)
+        assert errors > 0 and len(calls) == errors
+
+    def test_oracle_chunks_equal_the_per_point_loop(self, base, monkeypatch):
+        monkeypatch.setattr(selfcheck, "STACK_CHUNK", 4)
+        spec = SweepSpec(base, "bath.r", -0.5, 2.0, 11, quantity="oracle-duan")
+        assert run_sweep(spec) == scalar_sweep_rows(spec)
+
+    def test_a_grid_the_array_core_raises_for_goes_point_by_point(self, base):
+        # hbar omega_M underflows to 0: the occupation divides by zero
+        spec = SweepSpec(base, "unit2.mirror.omega_M", 1e-320, 1e6, 3)
+        rows = run_sweep(spec)
+        assert rows == scalar_sweep_rows(spec)
+        assert rows[0].error.startswith("ZeroDivisionError")
 
 
 class TestEvaluateQuantity:
