@@ -1,8 +1,8 @@
 """Command-line front end: duan, sweep, threshold and selfcheck subcommands.
 
-Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure,
-3 unstable/non-convergent/degenerate operating point or float overflow,
-4 too many failed sweep points.
+Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure or an
+unwritable ``--out`` path, 3 unstable/non-convergent/degenerate operating
+point or float overflow, 4 too many failed sweep points.
 """
 
 from __future__ import annotations
@@ -177,9 +177,12 @@ def cmd_sweep(args, out) -> int:
 def _emit(text: str, path: Optional[str], out):
     if path is None:
         out.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_threshold(args, out) -> int:

@@ -19,9 +19,9 @@ from .model import (
     OptomechanicalUnit,
     SqueezedBath,
     SteadyState,
-    flag_or_raise,
     mean_fields_from_effective_detuning,
     per_distinct,
+    raise_for_first,
     thermal_occupation,
 )
 
@@ -139,7 +139,7 @@ def duan_sum_adiabatic_general(
     ))
 
 
-def duan_sum_adiabatic_arrays(unit1, unit2, N, M, flag=None) -> np.ndarray:
+def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     """:func:`duan_sum_adiabatic_general` totals over arrays.
 
     ``unit1`` and ``unit2`` carry ``Gamma_a``, ``Gamma`` and ``n_th`` arrays
@@ -148,26 +148,23 @@ def duan_sum_adiabatic_arrays(unit1, unit2, N, M, flag=None) -> np.ndarray:
     totals equal the per-point ones bit for bit. Every element passes the
     :class:`AdiabaticRates` bounds and the finite, non-negative total check
     of :class:`DuanResult`, or the first failing element raises what the
-    per-point route raises; with ``flag`` (see :func:`model.flag_or_raise`)
-    failing elements are marked instead.
+    per-point route raises.
     """
     terms = (unit1.Gamma_a, unit2.Gamma_a, unit1.Gamma, unit2.Gamma, unit1.n_th, unit2.n_th)
     bad = _rates_out_of_bounds(terms[0], terms[2]) | _rates_out_of_bounds(terms[1], terms[3])
-    flag_or_raise(bad, flag, AdiabaticRates, *terms)
+    raise_for_first(bad, AdiabaticRates, *terms)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(_adiabatic_sum(*terms, N, M, np.sqrt), flag)
+        return require_totals(_adiabatic_sum(*terms, N, M, np.sqrt))
 
 
-def require_totals(total, flag=None) -> np.ndarray:
+def require_totals(total) -> np.ndarray:
     """``total`` as an array, once every element passes :class:`DuanResult`'s check.
 
     The first non-finite or negative total raises what a per-point
-    :class:`DuanResult` with that total raises; with ``flag`` (see
-    :func:`model.flag_or_raise`) failing totals are marked instead.
+    :class:`DuanResult` with that total raises.
     """
     total = np.asarray(total)
-    bad = ~((0.0 <= total) & (total < math.inf))
-    flag_or_raise(bad, flag, DuanResult.from_total, total)
+    raise_for_first(~((0.0 <= total) & (total < math.inf)), DuanResult.from_total, total)
     return total
 
 
@@ -207,17 +204,15 @@ def duan_sum_nonadiabatic(
     return DuanResult.from_total(_nonadiabatic_sum(C, r, n_th, gamma, kappa, math.exp))
 
 
-def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa, flag=None) -> np.ndarray:
+def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
     """:func:`duan_sum_nonadiabatic` totals over arrays that broadcast together.
 
     The totals equal the per-point ones bit for bit (``exp`` is
     ``math.exp``, once per distinct r). Every element passes the per-point
-    checks, or the first failing element raises what they raise; with
-    ``flag`` (see :func:`model.flag_or_raise`) failing elements are marked
-    instead.
+    checks, or the first failing element raises what they raise.
     """
     return _identical_units_arrays(_nonadiabatic_sum, duan_sum_nonadiabatic,
-                                   (C, r, n_th, gamma, kappa), flag)
+                                   (C, r, n_th, gamma, kappa))
 
 
 def _field_sum(C, r, n_th, gamma, kappa, exp):
@@ -236,23 +231,21 @@ def field_sum_nonadiabatic(
     return DuanResult.from_total(_field_sum(C, r, n_th, gamma, kappa, math.exp))
 
 
-def field_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa, flag=None) -> np.ndarray:
+def field_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
     """:func:`field_sum_nonadiabatic` as :func:`duan_sum_nonadiabatic_arrays`."""
     return _identical_units_arrays(_field_sum, field_sum_nonadiabatic,
-                                   (C, r, n_th, gamma, kappa), flag)
+                                   (C, r, n_th, gamma, kappa))
 
 
-def _identical_units_arrays(total, per_point, args, flag) -> np.ndarray:
+def _identical_units_arrays(total, per_point, args) -> np.ndarray:
     """``total`` over the broadcast ``args`` with the checks of ``per_point``."""
     C, r, n_th, gamma, kappa = args = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in args))
     bad = (C < 0) | (r < 0) | (n_th < 0) | ~(gamma > 0) | ~(kappa > 0)
-    flag_or_raise(bad, flag, per_point, *args)
-    if flag is not None:  # a marked r < 0 could overflow exp
-        r = np.where(bad, 0.0, r)
+    raise_for_first(bad, per_point, *args)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
         return require_totals(total(
-            C, r, n_th, gamma, kappa, lambda x: per_distinct(math.exp, x)), flag)
+            C, r, n_th, gamma, kappa, lambda x: per_distinct(math.exp, x)))
 
 
 def field_sum_strong_coupling_limit(

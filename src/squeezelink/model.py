@@ -7,7 +7,6 @@ happen at config ingestion (see :mod:`squeezelink.config`), never here.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -228,6 +227,9 @@ def _occupation(omega_M: float, temperature: float) -> float:
     if k_T == 0.0:  # T = 0, or so small that k_B T underflows: exp(-inf)
         return 0.0
     x = HBAR * omega_M / k_T
+    if x == 0.0:  # hbar omega_M underflows: 1 / expm1(0)
+        raise OverflowError(f"thermal occupation diverges at omega_M = {omega_M!r} rad/s, "
+                            f"T = {temperature!r} K: hbar omega_M / k_B T underflows to 0")
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to ~1e-300
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -301,6 +303,8 @@ def mean_fields_from_effective_detuning(
     if not math.isfinite(delta_eff):
         raise ValueError("delta_eff must be finite")
     res, mir = unit.resonator, unit.mirror
+    # before the rates: where hbar omega_M underflows, this error names the cause
+    n_th = thermal_occupation(mir.omega_M, mir.temperature)
     g, _, n_bar, G, Gamma_a = _sideband_rates(res, mir, delta_eff, math.sqrt)
     alpha = -1j * math.sqrt(n_bar)
     beta = -1j * g * n_bar / (mir.gamma / 2.0 + 1j * mir.omega_M)
@@ -318,7 +322,7 @@ def mean_fields_from_effective_detuning(
         Gamma_a=Gamma_a,
         Gamma=Gamma_a + mir.gamma,
         C=Gamma_a / mir.gamma,
-        n_th=thermal_occupation(mir.omega_M, mir.temperature),
+        n_th=n_th,
     )
 
 
@@ -334,21 +338,19 @@ class SidebandArrays(NamedTuple):
     kappa: np.ndarray
 
 
-def flag_or_raise(bad, flag, check, *arrays):
-    """Mark the elements of the numpy bool array ``bad`` in ``flag``; with no flag, raise.
+def raise_for_first(bad, check, *arrays):
+    """Raise for the first element marked in the numpy bool array ``bad``, if any.
 
-    Without ``flag``, ``check`` runs on the floats of ``arrays`` at the first
-    bad element, where it raises what the per-point route raises.
+    ``check`` runs on the floats of ``arrays`` at that element, where it
+    raises what the per-point route raises.
     """
-    if flag is not None:
-        flag |= bad
-    elif bad.any():
+    if bad.any():
         *arrays, bad = np.broadcast_arrays(*arrays, bad)
         k = np.flatnonzero(bad)[0]
         check(*(float(a.flat[k]) for a in arrays))
 
 
-def red_sideband_arrays(unit: OptomechanicalUnit, flag=None, **fields) -> SidebandArrays:
+def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
     """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
 
     Each keyword replaces the field of that name in ``unit`` (``power``,
@@ -356,10 +358,9 @@ def red_sideband_arrays(unit: OptomechanicalUnit, flag=None, **fields) -> Sideba
     together. Element by element the rates equal, bit for bit, those of
     :func:`mean_fields_from_effective_detuning` on the unit with those
     fields. Every element passes the checks that building that unit runs,
-    or the first failing element raises what they raise; with ``flag``
-    (see :func:`flag_or_raise`) failing elements are marked instead and take
-    the unit's own value. When ``omega_r``, ``omega_L`` or ``kappa`` is
-    given, the optical-ratio warning fires if any element would fire it.
+    or the first failing element raises what they raise. When ``omega_r``,
+    ``omega_L`` or ``kappa`` is given, the optical-ratio warning fires if
+    any element would fire it.
     """
     res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
     for name, values in fields.items():
@@ -369,9 +370,9 @@ def red_sideband_arrays(unit: OptomechanicalUnit, flag=None, **fields) -> Sideba
         values = np.asarray(values, dtype=float)
         low = 0.0 <= values if name == "temperature" else 0.0 < values
         bad = ~(low & (values < math.inf))  # also flags NaN
-        flag_or_raise(bad, flag, _require_temperature if name == "temperature"
-                      else lambda value: _require_positive(**{name: value}), values)
-        part[name] = values if flag is None else np.where(bad, part[name], values)
+        raise_for_first(bad, _require_temperature if name == "temperature"
+                        else lambda value: _require_positive(**{name: value}), values)
+        part[name] = values
     if (fields.keys() & {"omega_r", "omega_L", "kappa"}
             and np.any(_optical_ratio_low(res["omega_r"], res["omega_L"], res["kappa"]))):
         _warn_optical_ratio()
@@ -405,33 +406,16 @@ def per_distinct(fn, *arrays) -> np.ndarray:
     return values[inverse].reshape(np.broadcast_shapes(*(a.shape for a in arrays)))
 
 
-def _bath_terms(r: float, strict: bool = False) -> tuple[float, float]:
-    """(N, M_corr) of the bath at r; NaNs where that raises, unless ``strict``."""
-    try:
-        bath = SqueezedBath(r=r)
-        return bath.N, bath.M_corr
-    except (ValueError, OverflowError):
-        if strict:
-            raise
-        return math.nan, math.nan
-
-
-def squeeze_arrays(r, flag=None) -> tuple[np.ndarray, np.ndarray]:
+def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
     """(N, M_corr) of :class:`SqueezedBath` for every element of ``r``.
 
     Each distinct r goes through the bath itself, so its checks and its
-    overflow errors apply, and the values are its bits. An r that fails
-    them raises; with ``flag`` (see :func:`flag_or_raise`) it is marked
-    instead and takes the terms of r = 0.
+    overflow errors apply and raise, and the values are its bits.
     """
     r = np.asarray(r, dtype=float)
     values, inverse = np.unique(r.ravel(), return_inverse=True)
-    terms = np.array([_bath_terms(value) for value in values.tolist()]).reshape(-1, 2)
-    bad = np.isnan(terms[:, 0])
-    if bad.any():
-        flag_or_raise(bad[inverse].reshape(r.shape), flag,
-                      functools.partial(_bath_terms, strict=True), r)
-        terms[bad] = 0.0
+    terms = np.array([(bath.N, bath.M_corr)
+                      for bath in map(SqueezedBath, values.tolist())]).reshape(-1, 2)
     N, M = terms.T
     return N[inverse].reshape(r.shape), M[inverse].reshape(r.shape)
 

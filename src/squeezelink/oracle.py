@@ -21,7 +21,9 @@ solves a whole stack of systems per call; a generic drift matrix forms a
 single block and gets the full solve; the split is cached by pattern.
 :func:`build_rwa_drift_diffusion_stack` is the one assembly of A and D: it
 takes per-unit arrays (gamma, kappa, G, n_th) and the bath's N and M, and
-:func:`build_rwa_drift_diffusion` calls it on one system's floats.
+:func:`build_rwa_drift_diffusion` calls it on one system's floats. Chunking
+lives here too: :func:`covariance_chunks` assembles and solves many systems
+``STACK_CHUNK`` at a time, for the sweeps and the selfcheck grids alike.
 
 Noise normalization (derivation note in ``docs/noise_conventions.md``):
 with symmetrized white-noise correlators ``<n_i(t) n_j(t')>_sym = D_ij
@@ -36,6 +38,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +47,9 @@ from .model import SteadyState, SystemParams, stability_check
 
 QUADRATURES = ("X1", "Y1", "x1", "y1", "X2", "Y2", "x2", "y2")
 IDX = {name: i for i, name in enumerate(QUADRATURES)}
+
+#: systems per stacked Lyapunov solve; bounds the stack's working memory
+STACK_CHUNK = 256
 
 
 class UnstableDrift(RuntimeError):
@@ -130,6 +136,21 @@ def build_rwa_drift_diffusion_stack(unit1, unit2, N, M) -> tuple[np.ndarray, np.
     D[..., IDX["x1"], IDX["x2"]] = D[..., IDX["x2"], IDX["x1"]] = kgm
     D[..., IDX["y1"], IDX["y2"]] = D[..., IDX["y2"], IDX["y1"]] = -kgm
     return A, D
+
+
+def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
+    """Covariance stacks of the model over parameter arrays, ``STACK_CHUNK`` systems each.
+
+    The arguments are those of :func:`build_rwa_drift_diffusion_stack`; they
+    broadcast together and the systems come in flat order. Each chunk is
+    assembled and solved by one :func:`solve_lyapunov_stack` call, whose
+    errors name the stack index within the chunk.
+    """
+    inputs = [x.ravel() for x in np.broadcast_arrays(*unit1, *unit2, N, M)]
+    for start in range(0, inputs[0].size, STACK_CHUNK):
+        c = [x[start:start + STACK_CHUNK] for x in inputs]
+        yield solve_lyapunov_stack(
+            *build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
 
 
 def solve_lyapunov(dd: DriftDiffusion) -> CovarianceMatrix:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -23,9 +23,6 @@ GRID_C = (0.5, 2.0, 15.0, 90.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
 GRID_NTH = (0.0, 1.0, 5.0, 10.0)
 GRID_RATIO = (6.5e-4, 0.01, 0.05)
-
-#: systems per stacked Lyapunov solve; bounds the stack's working memory
-STACK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -52,23 +49,6 @@ def _symmetric_system(C, r, n_th, ratio, kappa=KAPPA_REF):
     return system, (ss, ss)
 
 
-def _covariances(
-    items: Iterable[tuple[Any, oracle.DriftDiffusion]],
-) -> Iterator[tuple[Any, oracle.CovarianceMatrix]]:
-    """Pair each ``(tag, drift/diffusion)`` with its covariance, in order.
-
-    Items are drawn lazily and solved STACK_CHUNK at a time, one stacked
-    Lyapunov call per chunk, so memory stays flat however many there are.
-    """
-    items = iter(items)
-    while chunk := list(itertools.islice(items, STACK_CHUNK)):
-        V = oracle.solve_lyapunov_stack(
-            np.stack([dd.A for _, dd in chunk]), np.stack([dd.D for _, dd in chunk])
-        )
-        for (tag, _), v in zip(chunk, V):
-            yield tag, oracle.CovarianceMatrix(V=v)
-
-
 def _grid():
     """(C, r, n_th, gamma/kappa) arrays over the acceptance grid, in product order."""
     return np.array(list(itertools.product(GRID_C, GRID_R, GRID_NTH, GRID_RATIO))).T
@@ -78,17 +58,13 @@ def _symmetric_covariances(C, r, n_th, ratio) -> Iterator[np.ndarray]:
     """Covariance stacks of the :func:`_symmetric_system` points over arrays.
 
     The oracle inputs are built over the whole arrays; the systems are
-    assembled and solved STACK_CHUNK at a time, so memory stays flat.
+    assembled and solved in chunks (see :func:`oracle.covariance_chunks`).
     """
     C, r, n_th, ratio = np.broadcast_arrays(C, r, n_th, ratio)
     gamma = ratio * KAPPA_REF
     rates = model.cooperativity_arrays(C, KAPPA_REF, gamma, n_th)
-    N, M = model.squeeze_arrays(r)
-    for start in range(0, C.size, STACK_CHUNK):
-        part = slice(start, start + STACK_CHUNK)
-        unit = (gamma[part], KAPPA_REF, rates.G[part], rates.n_th[part])
-        yield oracle.solve_lyapunov_stack(
-            *oracle.build_rwa_drift_diffusion_stack(unit, unit, N[part], M[part]))
+    unit = (gamma, KAPPA_REF, rates.G, rates.n_th)
+    return oracle.covariance_chunks(unit, unit, *model.squeeze_arrays(r))
 
 
 def _mirror_totals(C, r, n_th, ratio) -> np.ndarray:
@@ -157,8 +133,8 @@ def _separability_totals(samples: int, seed: int) -> tuple[np.ndarray, np.ndarra
     # row k holds sample k's (log10 C, n_th, log10 gamma/kappa), drawn in that order
     u = np.random.default_rng(seed).uniform([-2, 0, -6], [3, 50, 0], size=(samples, 3))
     closed, lyap = [], []
-    for start in range(0, samples, STACK_CHUNK):  # few Python floats alive at a time
-        log_C, n_th, log_ratio = u[start:start + STACK_CHUNK].T
+    for start in range(0, samples, oracle.STACK_CHUNK):  # few Python floats alive at a time
+        log_C, n_th, log_ratio = u[start:start + oracle.STACK_CHUNK].T
         C = np.array([10.0 ** x for x in log_C.tolist()])
         ratio = np.array([10.0 ** x for x in log_ratio.tolist()])
         closed.append(closedform.duan_sum_nonadiabatic_arrays(
@@ -204,14 +180,16 @@ def check_weak_coupling(tolerance: float = 1e-12) -> CheckResult:
 
 
 def _constructed_systems(rng, trials):
-    """(V0, drift/diffusion) with random stable A and V0 as the exact solution."""
+    """Stacks (V0, A, D) of random stable A with V0 as the exact solution."""
+    systems = []
     for _ in range(trials):
         B = rng.standard_normal((8, 8))
         shift = max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0
         A = B - shift * np.eye(8)
         L = rng.standard_normal((8, 8))
         V0 = L @ L.T
-        yield V0, oracle.DriftDiffusion(A=A, D=-(A @ V0 + V0 @ A.T))
+        systems.append((V0, A, -(A @ V0 + V0 @ A.T)))
+    return tuple(np.array(stack) for stack in zip(*systems))
 
 
 def check_lyapunov_solver(
@@ -219,9 +197,10 @@ def check_lyapunov_solver(
 ) -> CheckResult:
     """Constructed-solution recovery plus the uncertainty-principle floor."""
     rng = np.random.default_rng(seed)
+    V0, A, D = _constructed_systems(rng, trials)
     worst = 0.0
-    for V0, V in _covariances(_constructed_systems(rng, trials)):
-        worst = max(worst, np.linalg.norm(V.V - V0) / np.linalg.norm(V0))
+    for v0, v in zip(V0, oracle.solve_lyapunov_stack(A, D)):
+        worst = max(worst, np.linalg.norm(v - v0) / np.linalg.norm(v0))
     if worst > tolerance:
         return CheckResult("lyapunov", False, worst, tolerance, "constructed solutions")
 

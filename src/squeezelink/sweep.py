@@ -189,62 +189,41 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the quantity over the grid; failures become error rows.
 
     The grid goes through the array core in one call per unit and route
-    (the oracle in chunks of ``selfcheck.STACK_CHUNK``). The checks mark
-    failing points in a mask instead of raising; a marked point, a point of
-    a failed oracle chunk and a point of a grid the array core raises for
-    take the per-point route (:func:`evaluate_quantity`) for their rows.
-    So the rows equal that route's, bit for bit and error text included.
+    (the oracle in chunks, see :func:`oracle.covariance_chunks`). The array
+    core raises for a failing point, and then every point of the grid takes
+    the per-point route (:func:`evaluate_quantity`) for its row. So the rows
+    equal that route's, bit for bit and error text included.
     """
     grid = spec.grid()
-    flag = np.zeros(grid.shape, dtype=bool)
     try:
-        with np.errstate(all="ignore"):  # failures show in the mask
-            columns = _sweep_columns(spec, grid, flag)
+        with np.errstate(all="ignore"):  # a non-finite value raises where it is checked
+            columns = _sweep_columns(spec, grid)
     except (ValueError, RuntimeError, ArithmeticError):
         return [_point_row(spec, x) for x in grid.tolist()]
-    rows = [SweepRow(*values) for values in zip(*(c.tolist() for c in columns))]
-    for k in np.flatnonzero(flag).tolist():
-        rows[k] = _point_row(spec, rows[k].axis_value)
-    return rows
+    return [SweepRow(*values) for values in zip(*(c.tolist() for c in columns))]
 
 
-def _sweep_columns(spec: SweepSpec, grid: np.ndarray, flag: np.ndarray) -> Sequence[np.ndarray]:
-    """The :class:`SweepRow` fields over the grid, failing points marked in ``flag``."""
+def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
+    """The :class:`SweepRow` fields over the grid; a failing point raises."""
     pair, route = QUANTITIES[spec.quantity]
-    (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid}, flag)
+    (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid})
     if route == "nonadiabatic":
-        flag |= ~_identical((u1.gamma, u1.kappa, u1.C, u1.n_th),
-                            (u2.gamma, u2.kappa, u2.C, u2.n_th))
+        if not np.all(_identical((u1.gamma, u1.kappa, u1.C, u1.n_th),
+                                 (u2.gamma, u2.kappa, u2.C, u2.n_th))):
+            raise ValueError("units differ")  # the per-point route words the error
         closed = (closedform.duan_sum_nonadiabatic_arrays if pair == "mirror"
                   else closedform.field_sum_nonadiabatic_arrays)
-        var_X = var_Y = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa, flag) / 2.0
+        var_X = var_Y = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa) / 2.0
     elif route == "adiabatic":
-        var_X = var_Y = closedform.duan_sum_adiabatic_arrays(
-            u1, u2, *squeeze_arrays(r, flag), flag) / 2.0
+        var_X = var_Y = closedform.duan_sum_adiabatic_arrays(u1, u2, *squeeze_arrays(r)) / 2.0
     else:
-        var_X, var_Y = _oracle_variances(pair, u1, u2, *squeeze_arrays(r, flag), flag)
+        units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
+        var_X, var_Y = map(np.concatenate, zip(*(
+            oracle.duan_from_covariance_stack(V, pair)
+            for V in oracle.covariance_chunks(*units, *squeeze_arrays(r)))))
     total = var_X + var_Y  # as DuanResult.total adds them
     return np.broadcast_arrays(grid, total, var_X, var_Y,
                                total < closedform.SEPARABILITY_BOUND, u1.C, u2.C)
-
-
-def _oracle_variances(pair: str, u1, u2, N, M, flag: np.ndarray):
-    """Lyapunov (var_X, var_Y) over the grid; the points of a failed chunk are marked."""
-    from . import selfcheck  # here, as selfcheck imports this module
-
-    inputs = np.broadcast_arrays(u1.gamma, u1.kappa, u1.G, u1.n_th,
-                                 u2.gamma, u2.kappa, u2.G, u2.n_th, N, M, flag)
-    var_X, var_Y = np.full((2,) + flag.shape, math.nan)
-    for start in range(0, flag.size, selfcheck.STACK_CHUNK):
-        part = slice(start, start + selfcheck.STACK_CHUNK)
-        c = [x[part] for x in inputs]
-        try:
-            V = oracle.solve_lyapunov_stack(
-                *oracle.build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
-            var_X[part], var_Y[part] = oracle.duan_from_covariance_stack(V, pair)
-        except (ValueError, RuntimeError, ArithmeticError):
-            flag[part] = True
-    return var_X, var_Y
 
 
 def _point_row(spec: SweepSpec, x: float) -> SweepRow:
@@ -381,14 +360,14 @@ def adiabatic_totals(system: SystemParams, overrides: dict) -> np.ndarray:
     return closedform.duan_sum_adiabatic_arrays(u1, u2, N, M)
 
 
-def _unit_arrays(system: SystemParams, overrides: dict, flag=None):
+def _unit_arrays(system: SystemParams, overrides: dict):
     """Each unit's :func:`red_sideband_arrays` and the bath's r, with ``overrides`` set."""
     fields = {"unit1": {}, "unit2": {}}
     for path, values in overrides.items():
         if path != "bath.r":
             for unit, _, field in unit_targets(path):
                 fields[unit][field] = values
-    units = tuple(red_sideband_arrays(getattr(system, unit), flag, **fields[unit])
+    units = tuple(red_sideband_arrays(getattr(system, unit), **fields[unit])
                   for unit in fields)
     return units, overrides.get("bath.r", system.bath.r)
 

@@ -203,13 +203,6 @@ class TestFieldSum:
         with pytest.raises(type(expected.value), match=str(expected.value)):
             closedform.field_sum_nonadiabatic_arrays(*args)
 
-    def test_flagged_elements_are_marked_not_raised(self):
-        flag = np.zeros(3, dtype=bool)
-        totals = closedform.field_sum_nonadiabatic_arrays(
-            15.0, np.array([1.0, -900.0, 1.0]), np.array([5.0, 5.0, math.inf]), 0.01, 1.0, flag)
-        assert flag.tolist() == [False, True, True]
-        assert totals[0] == field_sum_nonadiabatic(15.0, 1.0, 5.0, 0.01, 1.0).total
-
     def test_insensitive_to_cooperativity(self):
         t15 = field_sum_nonadiabatic(15.0, 1.0, 5.0, 6.5e-4, 1.0).total
         t90 = field_sum_nonadiabatic(90.0, 1.0, 5.0, 6.5e-4, 1.0).total

@@ -231,11 +231,20 @@ class TestCliSweep:
             ("selfcheck", "--tolerance", "-1"),
             ("selfcheck", "--tolerance", "inf"),
             ("selfcheck", "--only", "nope"),
+            ("sweep", "--figure", "fig2", "--out", "/nonexistent/dir/x.csv"),
+            ("sweep", "--axis", "bath.r", "--range", "0:1:3", "--out", "/nonexistent/dir/x.csv"),
         ],
     )
     def test_config_errors_exit_2(self, argv):
         code, _ = run_cli(*argv)
         assert code == cli.EXIT_CONFIG
+
+    def test_out_path_that_is_a_directory_is_one_line_naming_it(self, tmp_path, capsys):
+        code, text = run_cli("sweep", "--figure", "fig4", "--out", str(tmp_path))
+        assert code == cli.EXIT_CONFIG and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write --out {str(tmp_path)!r}: ")
+        assert err.count("\n") == 1
 
     def test_unknown_axis_is_one_line_naming_it(self, capsys):
         code, text = run_cli("sweep", "--axis", "bogus", "--range", "0:1:3")

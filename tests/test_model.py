@@ -79,6 +79,13 @@ class TestThermalOccupation:
         # below about 3.6e-301 K, k_B T rounds to 0 and the occupation is exp(-inf)
         assert thermal_occupation(OMEGA_M, 2.2250738585e-313) == 0.0
 
+    @pytest.mark.parametrize("omega_M, temperature", [(1e-320, 1e-3), (5e-324, 1.0)])
+    def test_underflowing_quantum_raises_overflow(self, omega_M, temperature):
+        # hbar omega_M rounds to 0, so the occupation 1 / expm1(0) diverges
+        with pytest.raises(OverflowError, match=f"omega_M = {omega_M!r} rad/s, "
+                                                f"T = {temperature!r} K"):
+            thermal_occupation(omega_M, temperature)
+
     def test_inverse(self):
         for n in (0.0, 0.3, 1.0, 5.0, 100.0):
             T = model.temperature_for_occupation(OMEGA_M, n)
@@ -173,6 +180,27 @@ class TestArrayHelpers:
         C, gamma, n_th = (np.array([good, value]) for good, value in zip((1.0, 1e3, 1.0), bad))
         with pytest.raises(ValueError) as got:
             model.cooperativity_arrays(C, 1e6, gamma, n_th)
+        assert str(got.value) == str(expected.value)
+
+    def test_squeeze_arrays_equal_the_bath_bit_for_bit(self):
+        r = np.array([[0.0, 1.3, 0.25], [1.3, 7.0, 0.0]])  # repeated values
+        N, M = model.squeeze_arrays(r)
+        assert N.shape == M.shape == r.shape
+        baths = [SqueezedBath(r=x) for x in r.ravel().tolist()]
+        assert N.ravel().tolist() == [bath.N for bath in baths]
+        assert M.ravel().tolist() == [bath.M_corr for bath in baths]
+        N, M = model.squeeze_arrays(2.0)
+        assert (N.item(), M.item()) == (SqueezedBath(r=2.0).N, SqueezedBath(r=2.0).M_corr)
+
+    @pytest.mark.parametrize("bad, error", [
+        (-0.5, ValueError), (math.nan, ValueError), (400.0, OverflowError),
+    ])
+    def test_squeeze_arrays_raise_what_the_bath_raises(self, bad, error):
+        with pytest.raises(error) as expected:
+            bath = SqueezedBath(r=bad)
+            bath.N, bath.M_corr
+        with pytest.raises(error) as got:
+            model.squeeze_arrays(np.array([0.5, bad, 0.5]))
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("a, b", [

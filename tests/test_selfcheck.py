@@ -6,47 +6,43 @@ import pytest
 from squeezelink import model, oracle, selfcheck
 
 
-def tagged_systems(count):
+def random_systems(count):
+    """((gamma, kappa, G, n_th), N, M) arrays of random identical-unit systems,
+    and each system's drift and diffusion built on its own."""
     rng = np.random.default_rng(3)
-    for k in range(count):
+    units, baths, dds = [], [], []
+    for _ in range(count):
         C = float(10.0 ** rng.uniform(-1, 2))
         r = float(rng.uniform(0.0, 2.0))
-        system, steady = selfcheck._symmetric_system(C, r, 2.0, 0.01)
-        yield k, oracle.build_rwa_drift_diffusion(system, steady)
+        system, (ss, _) = selfcheck._symmetric_system(C, r, 2.0, 0.01)
+        unit = system.unit1
+        units.append((unit.mirror.gamma, unit.resonator.kappa, ss.G, ss.n_th))
+        baths.append((system.bath.N, system.bath.M_corr))
+        dds.append(oracle.build_rwa_drift_diffusion(system, (ss, ss)))
+    N, M = np.array(baths).T
+    return tuple(np.array(column) for column in zip(*units)), N, M, dds
 
 
 @pytest.mark.parametrize("count", [1, 7, 14, 23])
 def test_chunked_solves_match_single_solves(monkeypatch, count):
     # 7 per chunk: one partial chunk, exact multiples and a remainder
-    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 7)
-    got = list(selfcheck._covariances(tagged_systems(count)))
-    assert [tag for tag, _ in got] == list(range(count))
-    for (_, dd), (_, V) in zip(tagged_systems(count), got):
-        single = oracle.solve_lyapunov(dd).V
-        assert np.allclose(V.V, single, rtol=1e-13, atol=1e-13)
-
-
-def test_items_are_drawn_lazily(monkeypatch):
-    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 4)
-    drawn = []
-
-    def systems():
-        for tag, dd in tagged_systems(10):
-            drawn.append(tag)
-            yield tag, dd
-
-    stream = selfcheck._covariances(systems())
-    next(stream)
-    assert drawn == [0, 1, 2, 3]
+    monkeypatch.setattr(oracle, "STACK_CHUNK", 7)
+    unit, N, M, dds = random_systems(count)
+    chunks = list(oracle.covariance_chunks(unit, unit, N, M))
+    assert [len(V) for V in chunks] == [7] * (count // 7) + [count % 7] * (count % 7 > 0)
+    for V, dd in zip(np.concatenate(chunks), dds, strict=True):
+        assert np.allclose(V, oracle.solve_lyapunov(dd).V, rtol=1e-13, atol=1e-13)
 
 
 def test_unstable_item_aborts_the_check(monkeypatch):
-    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 4)
-    items = list(tagged_systems(6))
-    tag, dd = items[5]
-    items[5] = tag, oracle.DriftDiffusion(A=-dd.A, D=dd.D)
+    monkeypatch.setattr(oracle, "STACK_CHUNK", 4)
+    (gamma, kappa, G, n_th), N, M, _ = random_systems(6)
+    kappa[5] = -kappa[5]  # a growing cavity mode
+    unit = (gamma, kappa, G, n_th)
+    chunks = oracle.covariance_chunks(unit, unit, N, M)
+    assert len(next(chunks)) == 4  # the first chunk is solved on its own
     with pytest.raises(oracle.UnstableDrift, match="at stack index 1"):
-        list(selfcheck._covariances(items))
+        next(chunks)
 
 
 def dense_lyapunov(dd):
@@ -79,7 +75,7 @@ def scalar_separability_totals(samples, seed):
 
 @pytest.mark.parametrize("seed", [1, 20240817])
 def test_separability_matches_scalar_loop(monkeypatch, seed):
-    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 16)
+    monkeypatch.setattr(oracle, "STACK_CHUNK", 16)
     reference = scalar_separability_totals(50, seed)
     closed, lyap = selfcheck._separability_totals(50, seed)
     assert len(closed) == len(lyap) == len(reference)
@@ -95,7 +91,7 @@ def test_separability_matches_scalar_loop(monkeypatch, seed):
 def test_array_route_equals_per_point_solves(monkeypatch):
     # the grid's oracle totals, built over arrays and solved in chunks,
     # equal one build_rwa_drift_diffusion + solve_lyapunov per point
-    monkeypatch.setattr(selfcheck, "STACK_CHUNK", 50)
+    monkeypatch.setattr(oracle, "STACK_CHUNK", 50)
     grid = selfcheck._grid()
     totals = selfcheck._mirror_totals(*grid)
     assert totals.shape == (192,)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from squeezelink import cli, closedform, config, selfcheck, sweep
+from squeezelink import cli, closedform, config, oracle, sweep
 from squeezelink.model import NonConvergence, UnknownPath
 from squeezelink.oracle import UnstableDrift
 from squeezelink.sweep import (
@@ -234,28 +234,47 @@ class TestArraySweep:
 
     @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
     @pytest.mark.parametrize("axis, start, stop", [
-        ("bath.r", -1.0, 1000.0), ("unit1.power", -1e-3, 1e-2), ("temperature", -1.0, 1.0),
+        ("bath.r", 0.0, 2.0), ("temperature", 1e-5, 1e-2),
     ])
-    def test_only_failing_points_take_the_per_point_route(self, base, monkeypatch, quantity,
-                                                         axis, start, stop):
+    def test_a_valid_grid_never_takes_the_per_point_route(self, base, monkeypatch, quantity,
+                                                          axis, start, stop):
+        monkeypatch.setattr(oracle, "STACK_CHUNK", 4)  # 11 points span three chunks
+        spec = SweepSpec(base, axis, start, stop, 11, quantity=quantity)
+        expected = scalar_sweep_rows(spec)
+        assert all(row.error is None for row in expected)
+
+        def point_row(spec, x):
+            raise AssertionError(f"per-point route at {x!r}")
+
+        monkeypatch.setattr(sweep, "_point_row", point_row)
+        assert run_sweep(spec) == expected
+
+    @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
+    def test_one_failing_point_sends_every_point_the_per_point_route(self, base, monkeypatch,
+                                                                     quantity):
         calls = []
-        build = sweep.set_param  # the per-point route's first step
-        monkeypatch.setattr(sweep, "set_param", lambda *args: calls.append(args) or build(*args))
-        rows = run_sweep(SweepSpec(base, axis, start, stop, 9, quantity=quantity))
-        errors = sum(row.error is not None for row in rows)
-        assert errors > 0 and len(calls) == errors
+        point_row = sweep._point_row
+        monkeypatch.setattr(sweep, "_point_row",
+                            lambda spec, x: calls.append(x) or point_row(spec, x))
+        spec = SweepSpec(base, "bath.r", -0.25, 2.0, 10, quantity=quantity)  # r < 0 first
+        rows = run_sweep(spec)
+        assert [row.error is not None for row in rows] == [True] + [False] * 9
+        assert calls == spec.grid().tolist()
 
     def test_oracle_chunks_equal_the_per_point_loop(self, base, monkeypatch):
-        monkeypatch.setattr(selfcheck, "STACK_CHUNK", 4)
-        spec = SweepSpec(base, "bath.r", -0.5, 2.0, 11, quantity="oracle-duan")
-        assert run_sweep(spec) == scalar_sweep_rows(spec)
+        monkeypatch.setattr(oracle, "STACK_CHUNK", 4)
+        # a valid grid, so that the rows come from the chunks; asymmetric units
+        spec = SweepSpec(base, "unit2.power", 1e-3, 3e-2, 11, quantity="oracle-duan")
+        rows = run_sweep(spec)
+        assert rows == scalar_sweep_rows(spec)
+        assert all(row.error is None for row in rows)
 
     def test_a_grid_the_array_core_raises_for_goes_point_by_point(self, base):
-        # hbar omega_M underflows to 0: the occupation divides by zero
+        # hbar omega_M underflows to 0: the occupation diverges
         spec = SweepSpec(base, "unit2.mirror.omega_M", 1e-320, 1e6, 3)
         rows = run_sweep(spec)
         assert rows == scalar_sweep_rows(spec)
-        assert rows[0].error.startswith("ZeroDivisionError")
+        assert rows[0].error.startswith("OverflowError: thermal occupation diverges")
 
 
 class TestEvaluateQuantity:
