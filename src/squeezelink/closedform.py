@@ -18,7 +18,6 @@ from .model import (
     KB,
     OptomechanicalUnit,
     SqueezedBath,
-    SteadyState,
     mean_fields_from_effective_detuning,
     per_distinct,
     raise_for_first,
@@ -91,27 +90,6 @@ class AdiabaticRates:
                     f"unit {j}: need 0 <= Gamma_a <= Gamma and Gamma > 0, "
                     f"got Gamma_a={ga!r}, Gamma={g_tot!r}"
                 )
-
-    @property
-    def gamma1(self) -> float:
-        return self.Gamma_1 - self.Gamma_a1
-
-    @property
-    def gamma2(self) -> float:
-        return self.Gamma_2 - self.Gamma_a2
-
-    @classmethod
-    def from_steady_states(
-        cls, ss1: SteadyState, ss2: SteadyState
-    ) -> "AdiabaticRates":
-        return cls(
-            Gamma_a1=ss1.Gamma_a,
-            Gamma_a2=ss2.Gamma_a,
-            Gamma_1=ss1.Gamma,
-            Gamma_2=ss2.Gamma,
-            n_th1=ss1.n_th,
-            n_th2=ss2.n_th,
-        )
 
 
 def _rates_out_of_bounds(Gamma_a, Gamma):
@@ -288,27 +266,11 @@ def minimum_power(unit: OptomechanicalUnit, r: float, temperature: float) -> flo
     return c_min / cooperativity_power_slope(unit)
 
 
-def power_threshold_prefactor(unit: OptomechanicalUnit) -> float:
-    """Diagnostic prefactor gamma w_L M L^2 w_M [(kappa/2)^2 + w_M^2] / (2 w_r^2).
-
-    Used only by :func:`diagnostic_minimum_power`; see that function.
-    """
-    res, mir = unit.resonator, unit.mirror
-    return (
-        mir.gamma
-        * res.omega_L
-        * mir.mass
-        * res.length**2
-        * mir.omega_M
-        * ((res.kappa / 2.0) ** 2 + mir.omega_M**2)
-        / (2.0 * res.omega_r**2)
-    )
-
-
 def diagnostic_minimum_power(
     unit: OptomechanicalUnit, r: float, temperature: float
 ) -> float:
-    """Alternative power threshold built from the textbook-style prefactor.
+    """Alternative power threshold built from the textbook-style prefactor
+    gamma w_L M L^2 w_M [(kappa/2)^2 + w_M^2] / (2 w_r^2).
 
     Differs from :func:`minimum_power` by a constant factor (close to 2 for
     these systems); both are reported by the CLI so the discrepancy is
@@ -318,7 +280,9 @@ def diagnostic_minimum_power(
         raise DegenerateSqueeze("power threshold diverges at r = 0")
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    alpha = power_threshold_prefactor(unit)
+    res, mir = unit.resonator, unit.mirror
+    alpha = (mir.gamma * res.omega_L * mir.mass * res.length**2 * mir.omega_M
+             * ((res.kappa / 2.0) ** 2 + mir.omega_M**2) / (2.0 * res.omega_r**2))
     x = HBAR * unit.mirror.omega_M / (KB * temperature)
     p_min = alpha / ((-math.expm1(-2.0 * r)) * math.expm1(x))
     return _finite_threshold(p_min, "diagnostic P_min", r)

@@ -3,7 +3,7 @@
 Config files are INI-style with sections ``[unit1]``, ``[unit2]`` and
 ``[bath]``. Every physical key carries an explicit unit suffix; values
 are converted to SI (and angular frequencies in rad/s) at parse time.
-Unknown keys are rejected, missing keys fall back to the default preset.
+Unknown keys are rejected, missing keys fall back to the chosen preset.
 
 Recognized keys (either suffix form works)::
 
@@ -20,8 +20,9 @@ Recognized keys (either suffix form works)::
     [bath]
       r                               squeeze parameter (dimensionless)
 
-Presets: ``fig2-text`` (the default), ``fig2-caption`` and ``fig3``.
-Extra presets are read from ``$SQUEEZELINK_PRESET_DIR/<name>.ini``.
+Presets: ``fig2-text`` (the default), ``fig2-caption`` and ``fig3``; each
+is :data:`model.REFERENCE_DEVICE` plus an operating point. Extra presets are
+read from ``$SQUEEZELINK_PRESET_DIR/<name>.ini``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 from typing import Optional
 
 from .model import (
+    REFERENCE_DEVICE,
     MirrorParams,
     OptomechanicalUnit,
     ResonatorParams,
@@ -75,26 +77,16 @@ _UNIT_KEYS = {
 _RESONATOR_FIELDS = ("omega_r", "omega_L", "kappa", "length", "power")
 _MIRROR_FIELDS = ("omega_M", "gamma", "mass", "temperature")
 
-# the widely used experimental parameter set; temperature defaults to the
-# 50 uK operating point used in the power-threshold study
-_FIG2_TEXT = {
-    "omega_r": TWO_PI * 5.64e14,
-    "omega_L": TWO_PI * 2.82e14,
-    "kappa": TWO_PI * 215e3,
-    "length": 25e-3,
-    "power": 10e-3,
-    "omega_M": TWO_PI * 947e3,
-    "gamma": TWO_PI * 140.0,
-    "mass": 145e-12,
-    "temperature": 50e-6,
-}
+# the reference device at 10 mW; temperature defaults to the 50 uK
+# operating point used in the power-threshold study
+_FIG2_TEXT = REFERENCE_DEVICE | {"power": 10e-3, "temperature": 50e-6}
 
 # variant quoted alongside the first temperature study: longer cavity and a
 # lower cavity frequency; shipped as an explicit alternative, never silent
 _FIG2_CAPTION = _FIG2_TEXT | {"omega_r": TWO_PI * 5.26e14, "length": 125e-3}
 
 # resonant-cavity variant used for the power-threshold study
-_FIG3 = _FIG2_TEXT | {"omega_r": TWO_PI * 2.82e14}
+_FIG3 = _FIG2_TEXT | {"omega_r": _FIG2_TEXT["omega_L"]}
 
 _BUILTIN_PRESETS = {
     "fig2-text": _FIG2_TEXT,
@@ -139,12 +131,12 @@ def default_system() -> SystemParams:
     return preset_system("fig2-text")
 
 
-def fig3_system() -> SystemParams:
-    return preset_system("fig3")
-
-
 def load_config(path: str, preset: str = "fig2-text") -> SystemParams:
-    """Parse a config file; missing keys fall back to the given preset."""
+    """Parse a config file; missing keys fall back to the given preset.
+
+    Any preset works, also one from the preset directory: each unit falls
+    back to that unit of the preset, and r to the preset's r.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -154,11 +146,10 @@ def load_config(path: str, preset: str = "fig2-text") -> SystemParams:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
-    if preset not in _BUILTIN_PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}")
-    base = _BUILTIN_PRESETS[preset]
-    values = {"unit1": dict(base), "unit2": dict(base)}
-    r = DEFAULT_BATH_R
+    base = preset_system(preset)
+    values = {name: vars(unit.resonator) | vars(unit.mirror)
+              for name, unit in (("unit1", base.unit1), ("unit2", base.unit2))}
+    r = base.bath.r
 
     for section in parser.sections():
         if section in ("unit1", "unit2"):

@@ -10,7 +10,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +21,19 @@ KB = 1.380649e-23  # J/K
 
 #: warn when omega_r/kappa or omega_L/kappa drops below this ratio
 _OPTICAL_RATIO_FLOOR = 1e3
+
+#: The reference device: the 145 ng, 2 pi 947 kHz mirror in a 25 mm cavity of
+#: Groeblacher et al., Nature 460, 724 (2009). Its fixed hardware only; a
+#: preset adds an operating point (drive power and bath temperature).
+REFERENCE_DEVICE = MappingProxyType({
+    "omega_r": 2.0 * math.pi * 5.64e14,
+    "omega_L": 2.0 * math.pi * 2.82e14,
+    "kappa": 2.0 * math.pi * 215e3,
+    "length": 25e-3,
+    "omega_M": 2.0 * math.pi * 947e3,
+    "gamma": 2.0 * math.pi * 140.0,
+    "mass": 145e-12,
+})
 
 
 class NonConvergence(RuntimeError):
@@ -286,10 +299,19 @@ def _sideband_rates(res, mir, delta_eff, sqrt):
     return g, eps, n_bar, G, 4.0 * (G * G) / res.kappa
 
 
-def _radiation_shift(unit: OptomechanicalUnit, g: float, n_bar: float) -> float:
-    """Static detuning shift -g (beta + beta*) from the displaced mirror."""
-    m = unit.mirror
-    return 2.0 * g * g * n_bar * m.omega_M / ((m.gamma / 2.0) ** 2 + m.omega_M**2)
+def _denominator_vanishes(mass, omega_M, omega_L, kappa, delta_eff):
+    """Whether M omega_M, hbar omega_L or (kappa/2)^2 + delta_eff^2 underflows to 0."""
+    half_kappa = kappa / 2.0
+    return ((mass * omega_M == 0.0) | (HBAR * omega_L == 0.0)
+            | (half_kappa * half_kappa + delta_eff * delta_eff == 0.0))
+
+
+def _require_rate_denominators(mass, omega_M, omega_L, kappa, delta_eff):
+    if _denominator_vanishes(mass, omega_M, omega_L, kappa, delta_eff):
+        raise OverflowError(
+            f"steady-state rates diverge at M = {mass!r} kg, omega_M = {omega_M!r} rad/s, "
+            f"omega_L = {omega_L!r} rad/s, kappa = {kappa!r} rad/s, delta_eff = {delta_eff!r} "
+            "rad/s: M omega_M, hbar omega_L or (kappa/2)^2 + delta_eff^2 underflows to 0")
 
 
 def mean_fields_from_effective_detuning(
@@ -305,6 +327,7 @@ def mean_fields_from_effective_detuning(
     res, mir = unit.resonator, unit.mirror
     # before the rates: where hbar omega_M underflows, this error names the cause
     n_th = thermal_occupation(mir.omega_M, mir.temperature)
+    _require_rate_denominators(mir.mass, mir.omega_M, res.omega_L, res.kappa, delta_eff)
     g, _, n_bar, G, Gamma_a = _sideband_rates(res, mir, delta_eff, math.sqrt)
     alpha = -1j * math.sqrt(n_bar)
     beta = -1j * g * n_bar / (mir.gamma / 2.0 + 1j * mir.omega_M)
@@ -378,11 +401,15 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
         _warn_optical_ratio()
 
     res, mir = SimpleNamespace(**res), SimpleNamespace(**mir)
+    # through the float formula: np.expm1 may differ from math.expm1 in the last bit
+    n_th = per_distinct(_occupation, mir.omega_M, mir.temperature)
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
         _, _, _, G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
         Gamma, C = Gamma_a + mir.gamma, Gamma_a / mir.gamma
-    # through the float formula: np.expm1 may differ from math.expm1 in the last bit
-    n_th = per_distinct(_occupation, mir.omega_M, mir.temperature)
+        if not np.isfinite(Gamma_a).all():  # only then look for a vanishing denominator
+            args = (mir.mass, mir.omega_M, res.omega_L, res.kappa, -mir.omega_M)
+            raise_for_first(np.asarray(_denominator_vanishes(*args)),
+                            _require_rate_denominators, *args)
     return SidebandArrays(G=G, Gamma_a=Gamma_a, Gamma=Gamma, C=C, n_th=n_th,
                           gamma=np.asarray(mir.gamma), kappa=np.asarray(res.kappa))
 
@@ -502,39 +529,28 @@ def stability_check(drift: np.ndarray) -> StabilityReport:
     )
 
 
-def unit_with_cooperativity(
-    C: float,
-    kappa: float,
-    gamma: float,
-    n_th: float,
-    omega_M: float = 2.0 * math.pi * 947e3,
-    omega_L: float = 2.0 * math.pi * 2.82e14,
-    omega_r: float = 2.0 * math.pi * 5.64e14,
-    length: float = 25e-3,
-    mass: float = 145e-12,
-) -> OptomechanicalUnit:
-    """Build a unit whose red-detuned operating point has the given cooperativity.
+def unit_with_cooperativity(C: float, kappa: float, gamma: float,
+                            n_th: float) -> OptomechanicalUnit:
+    """A unit of the reference device whose red-detuned operating point has cooperativity C.
 
-    The drive power is chosen so that C = 4 g^2 n_bar / (gamma kappa) at
+    omega_r, omega_L, the length, omega_M and the mass are those of
+    :data:`REFERENCE_DEVICE`; ``kappa`` and ``gamma`` replace its rates. The
+    drive power is chosen so that C = 4 g^2 n_bar / (gamma kappa) at
     delta_eff = -omega_M; the bath temperature realizes the requested n_th.
     Convenient for scans parameterized directly by (C, n_th, gamma/kappa).
     """
     if C < 0:
         raise ValueError("C must be >= 0")
-    g = single_photon_coupling(omega_r, length, mass, omega_M)
-    power = _cooperativity_power(C, gamma, kappa, g, omega_M, omega_L)
+    d = REFERENCE_DEVICE
+    g = single_photon_coupling(d["omega_r"], d["length"], d["mass"], d["omega_M"])
+    power = _cooperativity_power(C, gamma, kappa, g, d["omega_M"], d["omega_L"])
     if power == 0.0:
         power = 1e-300  # C = 0: keep the strictly-positive invariant
     return OptomechanicalUnit(
-        resonator=ResonatorParams(
-            omega_r=omega_r, omega_L=omega_L, kappa=kappa, length=length, power=power
-        ),
-        mirror=MirrorParams(
-            omega_M=omega_M,
-            gamma=gamma,
-            mass=mass,
-            temperature=temperature_for_occupation(omega_M, n_th),
-        ),
+        resonator=ResonatorParams(omega_r=d["omega_r"], omega_L=d["omega_L"], kappa=kappa,
+                                  length=d["length"], power=power),
+        mirror=MirrorParams(omega_M=d["omega_M"], gamma=gamma, mass=d["mass"],
+                            temperature=temperature_for_occupation(d["omega_M"], n_th)),
     )
 
 
@@ -555,7 +571,7 @@ def cooperativity_arrays(C, kappa: float, gamma, n_th) -> SidebandArrays:
     C, gamma, n_th = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (C, gamma, n_th)))
     if (C < 0).any():
         raise ValueError("C must be >= 0")
-    unit = unit_with_cooperativity(C=0.0, kappa=kappa, gamma=kappa, n_th=0.0)  # the defaults
+    unit = unit_with_cooperativity(C=0.0, kappa=kappa, gamma=kappa, n_th=0.0)
     res, mir = unit.resonator, unit.mirror
     g = single_photon_coupling(res.omega_r, res.length, mir.mass, mir.omega_M)
     with np.errstate(all="ignore"):  # the power check reports an overflow

@@ -51,6 +51,11 @@ IDX = {name: i for i, name in enumerate(QUADRATURES)}
 #: systems per stacked Lyapunov solve; bounds the stack's working memory
 STACK_CHUNK = 256
 
+#: spectral quadrature tolerances, per dimensionless variance integral
+QUAD_ABS_TOL = 1e-11
+QUAD_REL_TOL = 1e-11
+QUAD_LIMIT = 400  # subintervals the adaptive rule may use
+
 
 class UnstableDrift(RuntimeError):
     """The drift matrix has an eigenvalue with non-negative real part."""
@@ -81,9 +86,6 @@ class CovarianceMatrix:
     def variance(self, name: str) -> float:
         i = IDX[name]
         return float(self.V[i, i])
-
-    def covariance(self, a: str, b: str) -> float:
-        return float(self.V[IDX[a], IDX[b]])
 
 
 def build_rwa_drift_diffusion(
@@ -275,26 +277,17 @@ def _duan_variances(V: np.ndarray, pair: str):
             V[..., Y1, Y1] + V[..., Y2, Y2] + 2.0 * V[..., Y1, Y2])
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the spectral-density integration."""
-
-    abs_tol: float = 1e-11  # per dimensionless variance integral
-    rel_tol: float = 1e-11
-    subdivision_limit: int = 400
-
-
 def spectral_duan_sum(
     system: SystemParams,
     steady: tuple[SteadyState, SteadyState],
     pair: str = "mirror",
-    config: QuadratureConfig = QuadratureConfig(),
 ) -> float:
     """Joint-quadrature variance sum by direct frequency-domain integration.
 
     The rotating-frame fluctuation equations are solved in Fourier space;
     the symmetrized spectra are integrated over the whole real line after
-    compactifying with omega = scale * tan(theta).
+    compactifying with omega = scale * tan(theta), to the tolerances
+    ``QUAD_ABS_TOL`` and ``QUAD_REL_TOL`` in at most ``QUAD_LIMIT`` subintervals.
     """
     if pair not in ("mirror", "field"):
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
@@ -371,9 +364,9 @@ def spectral_duan_sum(
             -math.pi / 2.0,
             math.pi / 2.0,
             points=points,
-            epsabs=config.abs_tol,
-            epsrel=config.rel_tol,
-            limit=config.subdivision_limit,
+            epsabs=QUAD_ABS_TOL,
+            epsrel=QUAD_REL_TOL,
+            limit=QUAD_LIMIT,
         )
     except ValueError as exc:
         # quadpack rejects tolerances below machine resolution or a
@@ -381,10 +374,10 @@ def spectral_duan_sum(
         raise QuadratureFailure(f"spectral integration rejected: {exc}") from exc
     var_X /= 2.0 * math.pi
     err /= 2.0 * math.pi
-    if err > max(config.abs_tol, config.rel_tol * abs(var_X)) * 10.0:
+    if err > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(var_X)) * 10.0:
         raise QuadratureFailure(
             f"spectral integral error estimate {err:g} exceeds tolerance "
-            f"(abs={config.abs_tol:g}, rel={config.rel_tol:g})"
+            f"(abs={QUAD_ABS_TOL:g}, rel={QUAD_REL_TOL:g})"
         )
     # the Y integrand is identical term by term (cross term flips sign twice)
     return 2.0 * var_X

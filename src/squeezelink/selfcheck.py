@@ -17,12 +17,17 @@ import numpy as np
 from . import closedform, config, model, oracle, sweep
 from .oracle import IDX
 
-KAPPA_REF = 2.0 * math.pi * 215e3
+KAPPA_REF = model.REFERENCE_DEVICE["kappa"]
 
 GRID_C = (0.5, 2.0, 15.0, 90.0)
 GRID_R = (0.0, 0.5, 1.0, 2.0)
 GRID_NTH = (0.0, 1.0, 5.0, 10.0)
 GRID_RATIO = (6.5e-4, 0.01, 0.05)
+
+SEPARABILITY_SAMPLES = 10_000  # random r = 0 parameter sets, drawn from this seed:
+SEPARABILITY_SEED = 20240817
+LYAPUNOV_TRIALS = 50  # random constructed systems, drawn from this seed:
+LYAPUNOV_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,10 @@ class CheckResult:
         return line
 
 
-def _symmetric_system(C, r, n_th, ratio, kappa=KAPPA_REF):
+def _symmetric_system(C, r, n_th, ratio):
     """One identical-unit system and its steady states, for the spectral route."""
-    unit = model.unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
+    unit = model.unit_with_cooperativity(C=C, kappa=KAPPA_REF, gamma=ratio * KAPPA_REF,
+                                         n_th=n_th)
     system = model.SystemParams(unit1=unit, unit2=unit, bath=model.SqueezedBath(r=r))
     ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
     return system, (ss, ss)
@@ -116,22 +122,21 @@ def check_threshold(tolerance: float = 1e-10) -> CheckResult:
                        "boundary exactness")
 
 
-def check_separability_floor(
-    tolerance: float = 1e-9, samples: int = 10_000, seed: int = 20240817
-) -> CheckResult:
+def check_separability_floor(tolerance: float = 1e-9) -> CheckResult:
     """Without squeezing no parameter set drops below the vacuum bound 2."""
-    closed, lyap = _separability_totals(samples, seed)
+    closed, lyap = _separability_totals()
     # largest dip below 2; negative while every total is above
     worst = float(np.max(2.0 - np.concatenate([closed, lyap]), initial=-math.inf))
     return CheckResult("separability", worst <= tolerance, max(worst, 0.0), tolerance,
-                       f"{samples} random r=0 parameter sets, closed form and oracle, "
-                       f"min total {2.0 - worst:.12f}")
+                       f"{SEPARABILITY_SAMPLES} random r=0 parameter sets, closed form and "
+                       f"oracle, min total {2.0 - worst:.12f}")
 
 
-def _separability_totals(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _separability_totals() -> tuple[np.ndarray, np.ndarray]:
     """(closed-form, Lyapunov) totals at random r = 0 parameter sets, in draw order."""
     # row k holds sample k's (log10 C, n_th, log10 gamma/kappa), drawn in that order
-    u = np.random.default_rng(seed).uniform([-2, 0, -6], [3, 50, 0], size=(samples, 3))
+    samples, rng = SEPARABILITY_SAMPLES, np.random.default_rng(SEPARABILITY_SEED)
+    u = rng.uniform([-2, 0, -6], [3, 50, 0], size=(samples, 3))
     closed, lyap = [], []
     for start in range(0, samples, oracle.STACK_CHUNK):  # few Python floats alive at a time
         log_C, n_th, log_ratio = u[start:start + oracle.STACK_CHUNK].T
@@ -179,10 +184,10 @@ def check_weak_coupling(tolerance: float = 1e-12) -> CheckResult:
                        tolerance, "first-order defect identity + floor >= 2")
 
 
-def _constructed_systems(rng, trials):
+def _constructed_systems(rng):
     """Stacks (V0, A, D) of random stable A with V0 as the exact solution."""
     systems = []
-    for _ in range(trials):
+    for _ in range(LYAPUNOV_TRIALS):
         B = rng.standard_normal((8, 8))
         shift = max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0
         A = B - shift * np.eye(8)
@@ -192,12 +197,9 @@ def _constructed_systems(rng, trials):
     return tuple(np.array(stack) for stack in zip(*systems))
 
 
-def check_lyapunov_solver(
-    tolerance: float = 1e-9, trials: int = 50, seed: int = 7
-) -> CheckResult:
+def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
     """Constructed-solution recovery plus the uncertainty-principle floor."""
-    rng = np.random.default_rng(seed)
-    V0, A, D = _constructed_systems(rng, trials)
+    V0, A, D = _constructed_systems(np.random.default_rng(LYAPUNOV_SEED))
     worst = 0.0
     for v0, v in zip(V0, oracle.solve_lyapunov_stack(A, D)):
         worst = max(worst, np.linalg.norm(v - v0) / np.linalg.norm(v0))
@@ -258,7 +260,7 @@ def check_dissipation_ordering(tolerance: float = 0.0) -> CheckResult:
 
 def check_thermal_occupation(tolerance: float = 0.10) -> CheckResult:
     """Reference temperatures reproduce n_th = 1, 5, 10 within 10 percent."""
-    omega_M = 2.0 * math.pi * 947e3
+    omega_M = model.REFERENCE_DEVICE["omega_M"]
     worst = 0.0
     for temp, expected in ((62.2e-6, 1.0), (236e-6, 5.0), (452e-6, 10.0)):
         n = model.thermal_occupation(omega_M, temp)
@@ -269,8 +271,7 @@ def check_thermal_occupation(tolerance: float = 0.10) -> CheckResult:
 
 def check_power_threshold(tolerance: float = 1e-8) -> CheckResult:
     """Variance sum crosses 2 exactly at the returned minimum power."""
-    system = config.fig3_system()
-    unit = system.unit1
+    unit = config.preset_system("fig3").unit1
     temperature = 50e-6
     n_th = model.thermal_occupation(unit.mirror.omega_M, temperature)
     worst = 0.0
@@ -306,6 +307,7 @@ def check_determinism(tolerance: float = 0.0) -> CheckResult:
                        "fig2 CSV bytes")
 
 
+#: check name -> check; each takes only its ``tolerance``
 ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
     "triple": check_triple_agreement,
     "adiabatic-limit": check_adiabatic_limit,

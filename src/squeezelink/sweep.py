@@ -27,6 +27,9 @@ from .model import (
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: points each golden-section search scans for its starting bracket
+SCAN_POINTS = 33
+
 #: sweep quantity name -> (pair, route) key of EVALUATORS
 QUANTITIES = {
     "mirror-duan-adiabatic": ("mirror", "adiabatic"),
@@ -117,7 +120,9 @@ def _identical(unit1, unit2):
     """Whether two units' (gamma, kappa, C, n_th) agree to 1e-9, for floats or arrays."""
     same = np.True_
     for a, b in zip(unit1, unit2):
-        same = same & (abs(a - b) <= 1e-9 * np.maximum(np.maximum(abs(a), abs(b)), 1e-300))
+        diff = abs(a - b)  # not finite for inf against a finite value: never identical
+        scale = np.maximum(np.maximum(abs(a), abs(b)), 1e-300)
+        same = same & (diff < math.inf) & (diff <= 1e-9 * scale)
     return same
 
 
@@ -135,7 +140,8 @@ def _require_identical(system: SystemParams, ss1, ss2, pair: str):
 
 
 def _mirror_adiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
-    rates = AdiabaticRates.from_steady_states(ss1, ss2)
+    rates = AdiabaticRates(Gamma_a1=ss1.Gamma_a, Gamma_a2=ss2.Gamma_a, Gamma_1=ss1.Gamma,
+                           Gamma_2=ss2.Gamma, n_th1=ss1.n_th, n_th2=ss2.n_th)
     return closedform.duan_sum_adiabatic_general(rates, system.bath)
 
 
@@ -236,15 +242,12 @@ def _point_row(spec: SweepSpec, x: float) -> SweepRow:
     return SweepRow(x, result.total, result.var_X, result.var_Y, result.entangled, c1, c2)
 
 
-def minimize_scalar(
-    objective: Callable[[float], float],
-    spec: OptimizeSpec,
-    scan_points: int = 33,
-) -> tuple[float, float]:
+def minimize_scalar(objective: Callable[[float], float],
+                    spec: OptimizeSpec) -> tuple[float, float]:
     """(argmin, min) of a scalar objective over the bracket of ``spec``.
 
     This is the lockstep golden-section search of :func:`_golden_searches`
-    run as a batch of one: a scan of ``scan_points`` points finds a
+    run as a batch of one: a scan of ``SCAN_POINTS`` points finds a
     three-point bracket around the smallest value, and golden-section steps
     shrink it to ``tolerance * (hi - lo)``. The objective is called once
     per point, with a float. Raises :class:`BracketFailure` when the scan
@@ -254,18 +257,17 @@ def minimize_scalar(
         return np.array([objective(value) for value in x.ravel().tolist()],
                         dtype=float).reshape(x.shape)
 
-    x_min, y_min = _golden_searches(batch, [spec], scan_points)
+    x_min, y_min = _golden_searches(batch, [spec])
     return float(x_min[0]), float(y_min[0])
 
 
 def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     specs: Sequence[OptimizeSpec],
-                     scan_points: int = 33) -> tuple[np.ndarray, np.ndarray]:
+                     specs: Sequence[OptimizeSpec]) -> tuple[np.ndarray, np.ndarray]:
     """(argmins, minima) of one golden-section search per spec, run in lockstep.
 
     ``objective(x, search)`` gets points ``x`` of shape ``(len(search), k)``
     and returns the objective of search ``search[j]`` at each point of row
-    ``j``, in the same shape. Each search scans ``scan_points`` points of its
+    ``j``, in the same shape. Each search scans ``SCAN_POINTS`` points of its
     bracket for a three-point bracket around the smallest value, then
     shrinks that bracket by the golden ratio to ``tolerance * (hi - lo)``.
     All searches share one objective call per scan and per golden step; a
@@ -280,10 +282,10 @@ def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol = np.array([spec.tolerance for spec in specs]) * (hi - lo)
     every = np.arange(n)
 
-    xs = np.linspace(lo, hi, scan_points, axis=1)
+    xs = np.linspace(lo, hi, SCAN_POINTS, axis=1)
     ys = objective(xs, every)
     k = np.argmin(ys, axis=1)
-    edge = np.flatnonzero((k == 0) | (k == scan_points - 1))
+    edge = np.flatnonzero((k == 0) | (k == SCAN_POINTS - 1))
     if edge.size:
         i = edge[0]
         which = f"search {i} of {n}: " if n > 1 else ""

@@ -250,7 +250,7 @@ class TestThreshold:
 
 class TestMinimumPower:
     def setup_method(self):
-        self.unit = config.fig3_system().unit1
+        self.unit = config.preset_system("fig3").unit1
 
     def test_doubling_occupation_doubles_power(self):
         omega_M = self.unit.mirror.omega_M

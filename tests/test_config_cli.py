@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from squeezelink import cli, config
+from squeezelink import cli, config, model
 from squeezelink.config import ConfigError, load_config, preset_system, resolve_system
 
 
@@ -48,6 +48,28 @@ class TestPresets:
         assert system.unit1.resonator.power == pytest.approx(4e-3)
         with pytest.raises(ConfigError):
             preset_system("missing")
+
+    def test_config_layers_over_a_preset_dir_preset(self, tmp_path, monkeypatch):
+        (tmp_path / "lab.ini").write_text("[unit1]\npower_mw = 4\n[bath]\nr = 0.5\n")
+        (tmp_path / "over.ini").write_text("[unit2]\ntemperature_uk = 80\n")
+        monkeypatch.setenv(config.PRESET_DIR_ENV, str(tmp_path))
+        system = resolve_system(str(tmp_path / "over.ini"), preset="lab")
+        lab = preset_system("lab")
+        assert system.unit1 == lab.unit1  # unset keys fall back to the preset, per unit
+        assert system.unit2.resonator == lab.unit2.resonator
+        assert system.unit2.mirror.temperature == pytest.approx(80e-6)
+        assert system.bath.r == 0.5  # and r to the preset's r
+        code, text = run_cli("duan", "--preset", "lab", "--config", str(tmp_path / "over.ini"))
+        assert code == cli.EXIT_OK and "r = 0.5\n" in text
+
+    def test_presets_are_the_reference_device_bit_for_bit(self):
+        text, fig3 = preset_system("fig2-text"), preset_system("fig3")
+        device = model.REFERENCE_DEVICE
+        for unit in (text.unit1, text.unit2):
+            fields = vars(unit.resonator) | vars(unit.mirror)
+            assert {k: fields[k] for k in device} == dict(device)
+            assert (fields["power"], fields["temperature"]) == (10e-3, 50e-6)
+        assert fig3.unit1.resonator.omega_r == device["omega_L"]
 
 
 class TestLoadConfig:
@@ -151,17 +173,19 @@ class TestCliDuan:
         # the closed forms that assume identical units; the field pair's
         # adiabatic regime is its nonadiabatic closed form
         path = tmp_path / "c.ini"
-        path.write_text("[unit2]\npower_mw = 3\n")
-        for pair, regime in (("mirror", "nonadiabatic"), ("field", "nonadiabatic"),
-                             ("field", "adiabatic")):
-            code, text = run_cli("duan", "--pair", pair, "--regime", regime,
-                                 "--config", str(path))
-            assert code == cli.EXIT_CONFIG and text == "", (pair, regime)
-            err = capsys.readouterr().err
-            assert err.startswith("config error:") and err.count("\n") == 1, (pair, regime)
-            # right for duan and for sweep alike: no sweep quantity names
-            assert err.endswith("use the adiabatic mirror form or the oracle route\n")
-            assert "mirror-duan-adiabatic" not in err and "oracle-duan" not in err
+        # C2 = inf at power_w = 1e300, never identical to a finite C1
+        for body in ("[unit2]\npower_mw = 3\n", "[unit2]\npower_w = 1e300\n"):
+            path.write_text(body)
+            for pair, regime in (("mirror", "nonadiabatic"), ("field", "nonadiabatic"),
+                                 ("field", "adiabatic")):
+                code, text = run_cli("duan", "--pair", pair, "--regime", regime,
+                                     "--config", str(path))
+                assert code == cli.EXIT_CONFIG and text == "", (body, pair, regime)
+                err = capsys.readouterr().err
+                assert err.startswith("config error:") and err.count("\n") == 1, (pair, regime)
+                # right for duan and for sweep alike: no sweep quantity names
+                assert err.endswith("use the adiabatic mirror form or the oracle route\n")
+                assert "mirror-duan-adiabatic" not in err and "oracle-duan" not in err
 
 
 class TestCliSweep:
@@ -284,6 +308,17 @@ class TestCliBadNumbers:
         assert code == cli.EXIT_UNSTABLE
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_underflowing_rate_denominator_exits_3_naming_it(self, tmp_path, capsys):
+        # at T = 0 the occupation is 0, so the rates' own check names the cause
+        path = tmp_path / "c.ini"
+        path.write_text("[unit1]\nomega_m_rad_s = 1e-320\n[unit2]\nomega_m_rad_s = 1e-320\n")
+        code, text = run_cli("duan", "--config", str(path), "--temperature-uk", "0")
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: steady-state rates diverge at M = 1.45e-10 kg, "
+                              "omega_M = 1e-320 rad/s") and err.count("\n") == 1
+        assert "M omega_M, hbar omega_L or (kappa/2)^2 + delta_eff^2 underflows to 0" in err
 
     def test_nan_total_exits_3_without_a_verdict(self, tmp_path, capsys):
         path = tmp_path / "huge.ini"

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -336,6 +337,18 @@ def test_unit_with_cooperativity_round_trip():
     ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
     assert ss.C == pytest.approx(15.0, rel=1e-10)
     assert ss.n_th == pytest.approx(5.0, rel=1e-10)
+
+
+def test_unit_with_cooperativity_is_the_reference_device():
+    assert list(inspect.signature(model.unit_with_cooperativity).parameters) == [
+        "C", "kappa", "gamma", "n_th"]
+    unit = model.unit_with_cooperativity(C=15.0, kappa=1.35e6, gamma=880.0, n_th=5.0)
+    res, mir = unit.resonator, unit.mirror
+    device = model.REFERENCE_DEVICE
+    assert (res.omega_r, res.omega_L, res.length, mir.omega_M, mir.mass) == (
+        device["omega_r"], device["omega_L"], device["length"], device["omega_M"],
+        device["mass"])
+    assert (res.kappa, mir.gamma) == (1.35e6, 880.0)
 
 
 PARTS = (("resonator", ResonatorParams), ("mirror", MirrorParams))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from squeezelink.oracle import (
     IDX,
     QUADRATURES,
     DriftDiffusion,
-    QuadratureConfig,
     RwaViolation,
     UnstableDrift,
     build_rwa_drift_diffusion,
@@ -284,13 +284,17 @@ class TestSpectralIntegration:
         ).total
         assert total == pytest.approx(expected, rel=1e-6)
 
-    def test_overtight_tolerance_raises(self):
+    def test_tolerances_are_module_constants(self):
+        assert list(inspect.signature(spectral_duan_sum).parameters) == [
+            "system", "steady", "pair"]
+
+    def test_overtight_tolerance_raises(self, monkeypatch):
         system, steady = make_system(15.0, 1.0, 5.0, 0.01)
+        monkeypatch.setattr(oracle, "QUAD_ABS_TOL", 1e-30)
+        monkeypatch.setattr(oracle, "QUAD_REL_TOL", 1e-30)
+        monkeypatch.setattr(oracle, "QUAD_LIMIT", 3)
         with pytest.raises(oracle.QuadratureFailure):
-            spectral_duan_sum(
-                system, steady, "mirror",
-                QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, subdivision_limit=3),
-            )
+            spectral_duan_sum(system, steady, "mirror")
 
 
 class TestStructuralProperties:
@@ -435,7 +439,7 @@ class TestBlockCache:
         assert oracle._blocks(A2[None], D2[None]) is not first
 
 
-def reference_spectral_duan_sum(system, steady, pair="mirror", config=QuadratureConfig()):
+def reference_spectral_duan_sum(system, steady, pair="mirror"):
     """The spectral route as it was before its integrand was hoisted, kept verbatim."""
     from scipy import integrate
 
@@ -490,9 +494,9 @@ def reference_spectral_duan_sum(system, steady, pair="mirror", config=Quadrature
         -math.pi / 2.0,
         math.pi / 2.0,
         points=points,
-        epsabs=config.abs_tol,
-        epsrel=config.rel_tol,
-        limit=config.subdivision_limit,
+        epsabs=oracle.QUAD_ABS_TOL,
+        epsrel=oracle.QUAD_REL_TOL,
+        limit=oracle.QUAD_LIMIT,
     )
     var_X /= 2.0 * math.pi
     return 2.0 * var_X

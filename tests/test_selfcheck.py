@@ -1,5 +1,7 @@
 """Chunked, stacked Lyapunov solves in the selfcheck grids."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -76,14 +78,16 @@ def scalar_separability_totals(samples, seed):
 @pytest.mark.parametrize("seed", [1, 20240817])
 def test_separability_matches_scalar_loop(monkeypatch, seed):
     monkeypatch.setattr(oracle, "STACK_CHUNK", 16)
+    monkeypatch.setattr(selfcheck, "SEPARABILITY_SAMPLES", 50)
+    monkeypatch.setattr(selfcheck, "SEPARABILITY_SEED", seed)
     reference = scalar_separability_totals(50, seed)
-    closed, lyap = selfcheck._separability_totals(50, seed)
+    closed, lyap = selfcheck._separability_totals()
     assert len(closed) == len(lyap) == len(reference)
     for c, total, (ref_closed, ref_lyap) in zip(closed.tolist(), lyap.tolist(), reference):
         assert c == ref_closed  # same draws, same order
         assert total == pytest.approx(ref_lyap, rel=1e-12)
     dip = max(0.0, *(2.0 - total for pair in reference for total in pair))
-    result = selfcheck.check_separability_floor(samples=50, seed=seed)
+    result = selfcheck.check_separability_floor()
     assert result.passed
     assert result.max_err == pytest.approx(dip, abs=1e-14)
 
@@ -108,3 +112,8 @@ def test_array_route_rejects_what_the_per_point_route_rejects():
         selfcheck._mirror_totals(1.0, 0.0, np.array([1.0, -1.0]), 0.01)
     with pytest.raises(ValueError, match="squeeze parameter r"):
         selfcheck._mirror_totals(1.0, np.array([0.5, np.nan]), 1.0, 0.01)
+
+
+def test_every_check_takes_only_its_tolerance():
+    for name, check in selfcheck.ALL_CHECKS.items():
+        assert list(inspect.signature(check).parameters) == ["tolerance"], name

@@ -276,6 +276,15 @@ class TestArraySweep:
         assert rows == scalar_sweep_rows(spec)
         assert rows[0].error.startswith("OverflowError: thermal occupation diverges")
 
+    def test_an_underflowing_rate_denominator_is_a_named_error_row(self, base):
+        # at T = 0 the occupation is 0; M omega_M underflows to 0
+        base = set_param(base, "temperature", 0.0)
+        spec = SweepSpec(base, "unit2.mirror.omega_M", 1e-320, 1e6, 2)
+        rows = run_sweep(spec)
+        assert rows == scalar_sweep_rows(spec)
+        assert rows[0].error.startswith("OverflowError: steady-state rates diverge at ")
+        assert rows[1].error is None
+
 
 class TestEvaluateQuantity:
     def test_reports_both_cooperativities(self, base):
@@ -441,6 +450,16 @@ class TestArrayCore:
         with pytest.raises(error) as array:
             sweep.adiabatic_totals(base, {path: np.array([valid, bad, valid])})
         assert str(array.value) == str(per_point.value)
+
+    def test_underflowing_rate_denominator_raises_like_the_point(self, base):
+        base = set_param(base, "temperature", 0.0)
+        with pytest.raises(OverflowError) as per_point:
+            evaluate_quantity(set_param(base, "unit2.mirror.omega_M", 1e-320),
+                              "mirror-duan-adiabatic")
+        with pytest.raises(OverflowError) as array:
+            sweep.adiabatic_totals(base, {"unit2.mirror.omega_M": np.array([OMEGA_M, 1e-320])})
+        assert str(array.value) == str(per_point.value)
+        assert "underflows to 0" in str(array.value)
 
     def test_non_finite_total_raises_like_the_point(self, base):
         huge = {"unit1.power": 1e300, "unit2.power": 1e300}
