@@ -46,19 +46,16 @@ class DuanResult:
 
     var_X: float
     var_Y: float
+    total: float | None = None  # var_X + var_Y unless given, as a closed form gives it
 
     def __post_init__(self):
-        total = self.var_X + self.var_Y
+        if self.total is None:
+            object.__setattr__(self, "total", self.var_X + self.var_Y)
         # a non-finite or negative total comes from an overflow or a
         # cancellation upstream, such as (2N + 1) - 2M at large r; never a verdict
-        if not 0.0 <= total < math.inf:
+        if not 0.0 <= self.total < math.inf:
             raise FloatingPointError(
-                f"total variance is {'NaN' if math.isnan(total) else total}"
-            )
-
-    @property
-    def total(self) -> float:
-        return self.var_X + self.var_Y
+                f"total variance is {'NaN' if math.isnan(self.total) else self.total}")
 
     @property
     def entangled(self) -> bool:
@@ -66,8 +63,8 @@ class DuanResult:
 
     @classmethod
     def from_total(cls, total: float) -> "DuanResult":
-        # all closed forms here are X/Y symmetric
-        return cls(var_X=total / 2.0, var_Y=total / 2.0)
+        # all closed forms here are X/Y symmetric; the halves are for display
+        return cls(var_X=total / 2.0, var_Y=total / 2.0, total=total)
 
 
 @dataclass(frozen=True)

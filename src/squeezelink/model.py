@@ -264,6 +264,9 @@ def single_photon_coupling(
 ) -> float:
     """Single-photon optomechanical coupling (omega_r/L) sqrt(hbar/(M omega_M))."""
     _require_positive(omega_r=omega_r, length=length, mass=mass, omega_M=omega_M)
+    if mass * omega_M == 0.0:
+        raise OverflowError(f"single-photon coupling diverges at M = {mass!r} kg, "
+                            f"omega_M = {omega_M!r} rad/s: M omega_M underflows to 0")
     return _coupling(omega_r, length, mass, omega_M, math.sqrt)
 
 
@@ -272,6 +275,9 @@ def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
     _require_positive(kappa=kappa, omega_L=omega_L)
     if power < 0:
         raise ValueError("power must be >= 0")
+    if HBAR * omega_L == 0.0:
+        raise OverflowError(f"drive amplitude diverges at omega_L = {omega_L!r} rad/s: "
+                            "hbar omega_L underflows to 0")
     return _drive(power, kappa, omega_L, math.sqrt)
 
 

@@ -5,7 +5,7 @@ eight-dimensional linear stochastic model, solves its steady-state
 covariance from the Lyapunov equation, and (separately) integrates the
 symmetrized noise spectra over frequency. Both routes are independent of
 the closed-form expressions in :mod:`squeezelink.closedform` and are used
-to validate them.
+to validate them, and both run on numpy alone.
 
 The quadrature ordering is fixed everywhere:
 ``(X1, Y1, x1, y1, X2, Y2, x2, y2)`` -- mirror then field quadratures of
@@ -24,6 +24,8 @@ takes per-unit arrays (gamma, kappa, G, n_th) and the bath's N and M, and
 :func:`build_rwa_drift_diffusion` calls it on one system's floats. Chunking
 lives here too: :func:`covariance_chunks` assembles and solves many systems
 ``STACK_CHUNK`` at a time, for the sweeps and the selfcheck grids alike.
+:func:`spectral_duan_sum_stack` takes the same arguments and integrates the
+spectra of a whole stack with one panel-adaptive Gauss-Legendre rule.
 
 Noise normalization (derivation note in ``docs/noise_conventions.md``):
 with symmetrized white-noise correlators ``<n_i(t) n_j(t')>_sym = D_ij
@@ -54,7 +56,12 @@ STACK_CHUNK = 256
 #: spectral quadrature tolerances, per dimensionless variance integral
 QUAD_ABS_TOL = 1e-11
 QUAD_REL_TOL = 1e-11
-QUAD_LIMIT = 400  # subintervals the adaptive rule may use
+QUAD_LIMIT = 400  # panels the adaptive rule may use per integral
+#: a panel whose halves agree with it to this relative round-off is accepted
+_ROUNDOFF = 50.0 * math.ulp(1.0)
+#: a panel reaching past this multiple of its least distance to a pole of the
+#: integrand is split at their geometric mean, never accepted
+_PANEL_RATIO = 4.0
 
 
 class UnstableDrift(RuntimeError):
@@ -277,107 +284,106 @@ def _duan_variances(V: np.ndarray, pair: str):
             V[..., Y1, Y1] + V[..., Y2, Y2] + 2.0 * V[..., Y1, Y2])
 
 
-def spectral_duan_sum(
-    system: SystemParams,
-    steady: tuple[SteadyState, SteadyState],
-    pair: str = "mirror",
-) -> float:
-    """Joint-quadrature variance sum by direct frequency-domain integration.
+def spectral_duan_sum(system: SystemParams, steady: tuple[SteadyState, SteadyState],
+                      pair: str = "mirror") -> float:
+    """Joint-quadrature variance sum by frequency-domain integration (a stack of one)."""
+    units = [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
+             for u, ss in zip((system.unit1, system.unit2), steady)]
+    return float(spectral_duan_sum_stack(*units, system.bath.N, system.bath.M_corr, pair))
 
-    The rotating-frame fluctuation equations are solved in Fourier space;
-    the symmetrized spectra are integrated over the whole real line after
-    compactifying with omega = scale * tan(theta), to the tolerances
-    ``QUAD_ABS_TOL`` and ``QUAD_REL_TOL`` in at most ``QUAD_LIMIT`` subintervals.
+
+def spectral_duan_sum_stack(unit1, unit2, N, M, pair: str = "mirror") -> np.ndarray:
+    """Joint-quadrature variance sums by frequency-domain integration, over parameter arrays.
+
+    Takes the arguments of :func:`build_rwa_drift_diffusion_stack`; the result
+    has their broadcast shape. With ``d_j = G_j^2 + (gamma_j/2 + iw)(kappa_j/2 + iw)``
+    the total is 1/pi times the integral over all w of the non-negative
+    ``sum_j (2 n_th_j + 1) |b_j|^2 / 2 + (e^{2r} |a1 - a2|^2 + e^{-2r} |a1 + a2|^2) / 4``,
+    where ``e^{2r} = 2N + 1 + 2M`` and, for the mirrors (the fields),
+    ``a_j = G_j sqrt(kappa_j) / d_j`` (``sqrt(kappa_j) (gamma_j/2 + iw) / d_j``) and
+    ``b_j = sqrt(gamma_j) (kappa_j/2 + iw) / d_j`` (``G_j sqrt(gamma_j) / d_j``).
+
+    The integrand is even in w. Over w = scale tan(theta), 0 <= theta < pi/2,
+    15-point Gauss-Legendre panels are cut at the linewidth features. A panel
+    is accepted when it and its two halves agree to its share of
+    ``QUAD_ABS_TOL`` or ``QUAD_REL_TOL``, or to round-off; the other panels of
+    every system are bisected together. Near theta = 0 a pole of the integrand
+    can sit close to a wide panel and fool that test, so a panel reaching past
+    ``_PANEL_RATIO`` times its least distance to a pole is split at their
+    geometric mean instead. A system that needs more than ``QUAD_LIMIT``
+    panels raises :class:`QuadratureFailure`.
     """
-    if pair not in ("mirror", "field"):
+    if pair not in _PAIR_INDICES:
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
-    # imported here: scipy.integrate is the package's only scipy import and
-    # dominates its import time, and only this route needs it
-    from scipy import integrate
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (*unit1, *unit2, N, M)))
+    *flat, N, M = (x.ravel() for x in args)
+    units = (flat[:4], flat[4:])
+    rates = np.array([(g, k, G, g / 2.0 + 2.0 * G * G / k) for g, k, G, _ in units])
+    scale = rates.max(axis=(0, 1)) / 2.0
+    # cuts at gamma/2, kappa/2, G and gamma/2 + 2 G^2/kappa of each unit; a
+    # zero one makes a zero-width panel, which is dropped
+    cuts = np.arctan(np.fmax(rates * np.array([0.5, 0.5, 1.0, 1.0])[:, None], 0.0) / scale)
+    edges = np.sort(np.vstack([np.zeros_like(scale), cuts.reshape(8, -1),
+                               np.full_like(scale, math.pi / 2.0)]), axis=0).T
+    keep = edges[:, 1:] > edges[:, :-1]
+    owner, lo, hi = np.nonzero(keep)[0], edges[:, :-1][keep], edges[:, 1:][keep]
+    # every pole of the integrand lies at |w| >= min(gamma, kappa)/2 of a unit
+    pole = np.arctan(np.min([np.fmin(g, k) for g, k, _, _ in units], axis=0) / 2.0 / scale)
+    e2r = 2.0 * N + 1.0 + 2.0 * M
+    nodes, weights = _gauss_legendre()
 
-    units = (system.unit1, system.unit2)
-    p = [
-        (u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
-        for u, ss in zip(units, steady)
-    ]
-    N, M = system.bath.N, system.bath.M_corr
+    def integrate(lo, hi, p):
+        """The rule's value on each panel [lo, hi] of system p."""
+        t = np.tan(lo[:, None] + (hi - lo)[:, None] * nodes)
+        w = scale[p, None] * t
+        spectrum, a = 0.0, []
+        for g, k, G, n_th in units:
+            g, k, G, n_th = g[p, None], k[p, None], G[p, None], n_th[p, None]
+            gw, kw = g / 2.0 + 1j * w, k / 2.0 + 1j * w
+            d = G * G + gw * kw
+            a_j, b_j = (G * np.sqrt(k), np.sqrt(g) * kw) if pair == "mirror" else (
+                np.sqrt(k) * gw, G * np.sqrt(g))
+            a.append(a_j / d)
+            spectrum = spectrum + (2.0 * n_th + 1.0) * np.abs(b_j / d) ** 2 / 2.0
+        e = e2r[p, None]
+        spectrum = spectrum + (e * np.abs(a[0] - a[1]) ** 2 + np.abs(a[0] + a[1]) ** 2 / e) / 4.0
+        # dw = scale (1 + t^2) dtheta, and the total is 2/pi times the w >= 0 half;
+        # a row sum, not a matrix product, keeps each panel's bits off the batch
+        dw = scale[p, None] * (1.0 + t * t) * (2.0 / math.pi)
+        return (hi - lo) * (spectrum * dw * weights).sum(axis=1)
 
-    scale = max(max(kappa, gamma, G, gamma / 2.0 + 2.0 * G**2 / kappa)
-                for gamma, kappa, G, _ in p) / 2.0
+    panels = np.bincount(owner, minlength=scale.size)
+    total, whole = np.zeros_like(scale), integrate(lo, hi, owner)
+    while owner.size:
+        near = np.maximum(lo, pole[owner])
+        wide = hi > _PANEL_RATIO * near
+        mid = np.where(wide, np.sqrt(near * hi), (lo + hi) / 2.0)
+        left, right = integrate(lo, mid, owner), integrate(mid, hi, owner)
+        halves = left + right
+        err = np.abs(whole - halves)
+        estimate = total + np.bincount(owner, halves, minlength=total.size)
+        tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(estimate))[owner]
+        done = ~wide & (err <= np.maximum(tol * (hi - lo) / (math.pi / 2.0),
+                                          _ROUNDOFF * np.abs(halves)))
+        total += np.bincount(owner[done], halves[done], minlength=total.size)
+        owner, lo, mid, hi, left, right, err = (
+            x[~done] for x in (owner, lo, mid, hi, left, right, err))
+        panels += np.bincount(owner, minlength=total.size)  # a bisection adds one
+        if panels.max() > QUAD_LIMIT:  # the first pass counts the breakpoints' panels
+            k = int(np.argmax(panels))
+            raise QuadratureFailure(
+                f"spectral integration at stack index {k} needs more than QUAD_LIMIT = "
+                f"{QUAD_LIMIT} panels (error estimate {err[owner == k].sum():g}, tolerance "
+                f"abs={QUAD_ABS_TOL:g}, rel={QUAD_REL_TOL:g})")
+        owner = np.concatenate([owner, owner])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        whole = np.concatenate([left, right])
+    return total.reshape(args[0].shape)
 
-    # The integrand in real arithmetic, with every w-independent factor
-    # hoisted. Each unit's denominator is d = G^2 + (gamma/2 + iw)(kappa/2 + iw),
-    # and its term is (u (v + w^2) x + c) / (2 |d|^2): for the mirrors
-    # u = gamma, v = (kappa/2)^2, x = 2 n_th + 1, c = G^2 kappa (2N + 1); for
-    # the fields u = kappa, v = (gamma/2)^2, x = 2N + 1, c = G^2 gamma (2 n_th + 1).
-    # Sums and products appear in the order of the complex formulas (w**2
-    # where they square, w * w inside complex products), and the cross term
-    # divides num by d1 conj(d2) the way numpy's complex division does, so
-    # the integrand keeps its bits.
-    (g1, k1, G1, n1), (g2, k2, G2, n2) = p
-    a1, b1, a2, b2 = g1 / 2.0, k1 / 2.0, g2 / 2.0, k2 / 2.0
-    ab1, ab2, a12, GG1, GG2 = a1 * b1, a2 * b2, a1 * a2, G1**2, G2**2
-    t1, t2, tN = 2.0 * n1 + 1.0, 2.0 * n2 + 1.0, 2.0 * N + 1.0
-    sk = math.sqrt(k1 * k2)
-    field = pair == "field"
-    if field:
-        u1, v1, x1, c1 = k1, a1**2, tN, GG1 * g1 * t1
-        u2, v2, x2, c2 = k2, a2**2, tN, GG2 * g2 * t2
-    else:
-        u1, v1, x1, c1 = g1, b1**2, t1, GG1 * k1 * tN
-        u2, v2, x2, c2 = g2, b2**2, t2, GG2 * k2 * tN
-    mirror_num = G1 * G2 * sk
 
-    def integrand(theta: float) -> float:
-        w = scale * math.tan(theta)
-        w2, ww = w**2, w * w
-        d1r, d1i = GG1 + (ab1 - ww), a1 * w + w * b1
-        d2r, d2i = GG2 + (ab2 - ww), a2 * w + w * b2
-        s = (u1 * (v1 + w2) * x1 + c1) / (2.0 * abs(complex(d1r, d1i)) ** 2) + (
-            u2 * (v2 + w2) * x2 + c2) / (2.0 * abs(complex(d2r, d2i)) ** 2)
-        if field:  # sqrt(k1 k2) (a1 + iw)(a2 - iw)
-            nr, ni = sk * (a12 - w * -w), sk * (a1 * -w + w * a2)
-        else:
-            nr, ni = mirror_num, 0.0
-        br, bi = d1r * d2r - d1i * -d2i, d1r * -d2i + d1i * d2r  # d1 conj(d2)
-        if abs(br) >= abs(bi):  # numpy's division (Smith's method), real part
-            rat = bi / br
-            re = (nr + ni * rat) * (1.0 / (br + bi * rat))
-        else:
-            rat = br / bi
-            re = (nr * rat + ni) * (1.0 / (bi + br * rat))
-        return (s - 2.0 * (M * re)) * scale / math.cos(theta) ** 2
-
-    # place breakpoints at the characteristic linewidths and at the
-    # hybridized-mode splitting so the adaptive rule finds narrow features
-    features = set()
-    for gamma, kappa, G, _ in p:
-        for w in (gamma / 2.0, kappa / 2.0, G, gamma / 2.0 + 2.0 * G**2 / kappa):
-            if w > 0:
-                features.add(math.atan(w / scale))
-                features.add(-math.atan(w / scale))
-    points = sorted(features)
-
-    try:
-        var_X, err = integrate.quad(
-            integrand,
-            -math.pi / 2.0,
-            math.pi / 2.0,
-            points=points,
-            epsabs=QUAD_ABS_TOL,
-            epsrel=QUAD_REL_TOL,
-            limit=QUAD_LIMIT,
-        )
-    except ValueError as exc:
-        # quadpack rejects tolerances below machine resolution or a
-        # subdivision budget smaller than the breakpoint list
-        raise QuadratureFailure(f"spectral integration rejected: {exc}") from exc
-    var_X /= 2.0 * math.pi
-    err /= 2.0 * math.pi
-    if err > max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(var_X)) * 10.0:
-        raise QuadratureFailure(
-            f"spectral integral error estimate {err:g} exceeds tolerance "
-            f"(abs={QUAD_ABS_TOL:g}, rel={QUAD_REL_TOL:g})"
-        )
-    # the Y integrand is identical term by term (cross term flips sign twice)
-    return 2.0 * var_X
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """15-point Gauss-Legendre nodes on [0, 1] and weights, made on first use
+    (``numpy.polynomial`` loads then, not at import)."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    return (nodes + 1.0) / 2.0, weights / 2.0

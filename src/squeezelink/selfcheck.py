@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -46,37 +46,26 @@ class CheckResult:
         return line
 
 
-def _symmetric_system(C, r, n_th, ratio):
-    """One identical-unit system and its steady states, for the spectral route."""
-    unit = model.unit_with_cooperativity(C=C, kappa=KAPPA_REF, gamma=ratio * KAPPA_REF,
-                                         n_th=n_th)
-    system = model.SystemParams(unit1=unit, unit2=unit, bath=model.SqueezedBath(r=r))
-    ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-    return system, (ss, ss)
-
-
 def _grid():
     """(C, r, n_th, gamma/kappa) arrays over the acceptance grid, in product order."""
     return np.array(list(itertools.product(GRID_C, GRID_R, GRID_NTH, GRID_RATIO))).T
 
 
-def _symmetric_covariances(C, r, n_th, ratio) -> Iterator[np.ndarray]:
-    """Covariance stacks of the :func:`_symmetric_system` points over arrays.
-
-    The oracle inputs are built over the whole arrays; the systems are
-    assembled and solved in chunks (see :func:`oracle.covariance_chunks`).
-    """
+def _symmetric_units(C, r, n_th, ratio):
+    """Oracle inputs ``(unit, unit, N, M)`` over arrays, each unit that of
+    ``unit_with_cooperativity(C, KAPPA_REF, ratio * KAPPA_REF, n_th)``."""
     C, r, n_th, ratio = np.broadcast_arrays(C, r, n_th, ratio)
     gamma = ratio * KAPPA_REF
     rates = model.cooperativity_arrays(C, KAPPA_REF, gamma, n_th)
     unit = (gamma, KAPPA_REF, rates.G, rates.n_th)
-    return oracle.covariance_chunks(unit, unit, *model.squeeze_arrays(r))
+    return (unit, unit, *model.squeeze_arrays(r))
 
 
 def _mirror_totals(C, r, n_th, ratio) -> np.ndarray:
-    """Lyapunov mirror totals of the :func:`_symmetric_system` points over arrays."""
+    """Lyapunov mirror totals of the :func:`_symmetric_units` systems over arrays."""
+    chunks = oracle.covariance_chunks(*_symmetric_units(C, r, n_th, ratio))
     return np.concatenate([np.add(*oracle.duan_from_covariance_stack(V, "mirror"))
-                           for V in _symmetric_covariances(C, r, n_th, ratio)])
+                           for V in chunks])
 
 
 def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:
@@ -85,8 +74,7 @@ def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:
     C, r, n_th, ratio = grid
     exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, ratio * KAPPA_REF, KAPPA_REF)
     lyap = _mirror_totals(*grid)
-    spec = np.array([oracle.spectral_duan_sum(*_symmetric_system(*point), "mirror")
-                     for point in grid.T.tolist()])
+    spec = oracle.spectral_duan_sum_stack(*_symmetric_units(*grid))
     worst = float(np.max(np.abs(np.stack([lyap, spec]) - exact) / exact, initial=0.0))
     return CheckResult("triple", worst <= tolerance, worst, tolerance,
                        "relative, closed-form vs Lyapunov vs spectral")
@@ -151,7 +139,7 @@ def _separability_totals() -> tuple[np.ndarray, np.ndarray]:
 def check_xy_symmetry(tolerance: float = 1e-10) -> CheckResult:
     """Oracle covariance gives equal X and Y joint variances for identical units."""
     worst = 0.0
-    for V in _symmetric_covariances(*_grid()):
+    for V in oracle.covariance_chunks(*_symmetric_units(*_grid())):
         var_X, var_Y = oracle.duan_from_covariance_stack(V, "mirror")
         worst = max(worst, float(np.max(np.abs(var_X - var_Y))))
     return CheckResult("xy-symmetry", worst <= tolerance, worst, tolerance)
@@ -208,7 +196,7 @@ def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
 
     # uncertainty products on physical solutions
     uncert_worst = 0.0
-    for V in _symmetric_covariances(*_grid()):
+    for V in oracle.covariance_chunks(*_symmetric_units(*_grid())):
         for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
             product = V[:, IDX[x], IDX[x]] * V[:, IDX[y], IDX[y]]
             uncert_worst = max(uncert_worst, float(np.max(0.25 - product)))

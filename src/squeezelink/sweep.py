@@ -219,15 +219,17 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
             raise ValueError("units differ")  # the per-point route words the error
         closed = (closedform.duan_sum_nonadiabatic_arrays if pair == "mirror"
                   else closedform.field_sum_nonadiabatic_arrays)
-        var_X = var_Y = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa) / 2.0
+        total = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa)
+        var_X = var_Y = total / 2.0  # as DuanResult.from_total
     elif route == "adiabatic":
-        var_X = var_Y = closedform.duan_sum_adiabatic_arrays(u1, u2, *squeeze_arrays(r)) / 2.0
+        total = closedform.duan_sum_adiabatic_arrays(u1, u2, *squeeze_arrays(r))
+        var_X = var_Y = total / 2.0
     else:
         units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
         var_X, var_Y = map(np.concatenate, zip(*(
             oracle.duan_from_covariance_stack(V, pair)
             for V in oracle.covariance_chunks(*units, *squeeze_arrays(r)))))
-    total = var_X + var_Y  # as DuanResult.total adds them
+        total = var_X + var_Y
     return np.broadcast_arrays(grid, total, var_X, var_Y,
                                total < closedform.SEPARABILITY_BOUND, u1.C, u2.C)
 

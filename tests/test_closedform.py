@@ -309,6 +309,14 @@ class TestVerdict:
         with pytest.raises(FloatingPointError, match="total variance is -"):
             DuanResult(var_X=-2.0, var_Y=1.0)
 
+    def test_closed_form_total_is_kept_as_given(self):
+        # halving a subnormal total and adding the halves back drops its last bit
+        total = 1.191933759602653e-308
+        assert DuanResult.from_total(total).total == total
+        result = field_sum_nonadiabatic(2.225073858507203e-309, 355.0, 0.0, 2.0, 1.0)
+        assert result.total == total
+        assert result.var_X == result.var_Y == total / 2.0
+
     def test_result_exposes_xy_symmetry(self):
         result = duan_sum_adiabatic_identical(15.0, 1.0, 5.0)
         assert result.var_X == result.var_Y

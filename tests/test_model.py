@@ -122,6 +122,10 @@ class TestSingleSinglePhotonCoupling:
         g2 = single_photon_coupling(1e15, 0.01, 4e-10, 1e6)
         assert g2 == pytest.approx(g1 / 2, rel=1e-12)
 
+    def test_underflowing_m_omega_is_a_named_overflow(self):
+        with pytest.raises(OverflowError, match="M omega_M underflows to 0"):
+            single_photon_coupling(1.0, 1.0, 1e-320, 1e-10)
+
 
 class TestDriveAmplitude:
     def test_zero_power(self):
@@ -135,6 +139,10 @@ class TestDriveAmplitude:
     def test_reference_value(self):
         eps = model.drive_amplitude(10e-3, 2 * math.pi * 215e3, 2 * math.pi * 2.82e14)
         assert eps**2 == pytest.approx(1.445916409347265e23, rel=1e-12)
+
+    def test_underflowing_photon_energy_is_a_named_overflow(self):
+        with pytest.raises(OverflowError, match="hbar omega_L underflows to 0"):
+            model.drive_amplitude(1.0, 1.0, 1e-300)
 
 
 class TestSqueezedBath:

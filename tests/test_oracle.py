@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squeezelink import closedform, model, oracle
+from squeezelink import closedform, model, oracle, selfcheck
 from squeezelink.model import SqueezedBath, SystemParams, unit_with_cooperativity
 from squeezelink.oracle import (
     IDX,
@@ -293,8 +293,17 @@ class TestSpectralIntegration:
         monkeypatch.setattr(oracle, "QUAD_ABS_TOL", 1e-30)
         monkeypatch.setattr(oracle, "QUAD_REL_TOL", 1e-30)
         monkeypatch.setattr(oracle, "QUAD_LIMIT", 3)
-        with pytest.raises(oracle.QuadratureFailure):
+        with pytest.raises(oracle.QuadratureFailure, match="needs more than QUAD_LIMIT = 3"):
             spectral_duan_sum(system, steady, "mirror")
+
+    def test_exhausted_panel_budget_reports_its_error_estimate(self):
+        # a NaN integrand never converges; its panels run into the budget
+        system, steady = make_system(15.0, 1.0, 5.0, 0.01)
+        unit = (system.unit1.mirror.gamma, system.unit1.resonator.kappa, steady[0].G,
+                np.array([5.0, math.nan]))
+        with pytest.raises(oracle.QuadratureFailure,
+                           match=r"at stack index 1 .*\(error estimate nan"):
+            oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0)
 
 
 class TestStructuralProperties:
@@ -439,79 +448,127 @@ class TestBlockCache:
         assert oracle._blocks(A2[None], D2[None]) is not first
 
 
-def reference_spectral_duan_sum(system, steady, pair="mirror"):
-    """The spectral route as it was before its integrand was hoisted, kept verbatim."""
-    from scipy import integrate
-
-    units = (system.unit1, system.unit2)
-    p = [
-        (u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
-        for u, ss in zip(units, steady)
-    ]
-    N, M = system.bath.N, system.bath.M_corr
-
-    scale = max(max(kappa, gamma, G, gamma / 2.0 + 2.0 * G**2 / kappa)
-                for gamma, kappa, G, _ in p) / 2.0
-
-    def kernel(w: float) -> float:
-        d = [G**2 + (gamma / 2.0 + 1j * w) * (kappa / 2.0 + 1j * w)
-             for gamma, kappa, G, _ in p]
-        s = 0.0
-        for (gamma, kappa, G, n_th), dj in zip(p, d):
-            dd = abs(dj) ** 2
-            if pair == "mirror":
-                s += (
-                    gamma * ((kappa / 2.0) ** 2 + w**2) * (2.0 * n_th + 1.0)
-                    + G**2 * kappa * (2.0 * N + 1.0)
-                ) / (2.0 * dd)
-            else:
-                s += (
-                    G**2 * gamma * (2.0 * n_th + 1.0)
-                    + ((gamma / 2.0) ** 2 + w**2) * kappa * (2.0 * N + 1.0)
-                ) / (2.0 * dd)
-        (g1, k1, G1, _), (g2, k2, G2, _) = p
-        if pair == "mirror":
-            num = G1 * G2 * math.sqrt(k1 * k2)
-        else:
-            num = math.sqrt(k1 * k2) * ((g1 / 2.0 + 1j * w) * (g2 / 2.0 - 1j * w))
-        cross = M * (num / (d[0] * np.conj(d[1]))).real
-        return s - 2.0 * cross
-
-    def integrand(theta: float) -> float:
-        w = scale * math.tan(theta)
-        return kernel(w) * scale / math.cos(theta) ** 2
-
-    features = set()
-    for gamma, kappa, G, _ in p:
-        for w in (gamma / 2.0, kappa / 2.0, G, gamma / 2.0 + 2.0 * G**2 / kappa):
-            if w > 0:
-                features.add(math.atan(w / scale))
-                features.add(-math.atan(w / scale))
-    points = sorted(features)
-
-    var_X, err = integrate.quad(
-        integrand,
-        -math.pi / 2.0,
-        math.pi / 2.0,
-        points=points,
-        epsabs=oracle.QUAD_ABS_TOL,
-        epsrel=oracle.QUAD_REL_TOL,
-        limit=oracle.QUAD_LIMIT,
-    )
-    var_X /= 2.0 * math.pi
-    return 2.0 * var_X
-
-
-@pytest.mark.parametrize("pair", ["mirror", "field"])
-@pytest.mark.parametrize("args", [
+SPECTRAL_CASES = [
     (0.0, 0.0, 0.01, 0.01, 1.0, 3.0, 3.0, 0.0),  # decoupled thermal mirrors
     (15.0, 15.0, 1e-6, 1e-6, 1.0, 5.0, 5.0, 1.0),  # adiabatic, identical
     (90.0, 90.0, 0.05, 0.05, 1.0, 10.0, 10.0, 2.0),
     (15.0, 40.0, 0.01, 0.02, 1.7, 5.0, 2.0, 1.0),  # asymmetric units
     (0.5, 300.0, 0.3, 1e-4, 0.2, 0.0, 30.0, 2.5),
     (900.0, 2.0, 1.0, 0.05, 6.0, 40.0, 0.5, 0.3),
-])
-def test_spectral_route_keeps_its_bits(args, pair):
+]
+
+
+def lyapunov_total(system, steady, pair):
+    return duan_from_covariance(
+        solve_lyapunov(build_rwa_drift_diffusion(system, steady)), pair).total
+
+
+def unit_rates(system, steady):
+    return [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
+            for u, ss in zip((system.unit1, system.unit2), steady)]
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+@pytest.mark.parametrize("args", SPECTRAL_CASES)
+def test_spectral_route_matches_lyapunov(args, pair):
     system, steady = asymmetric_system(*args)
-    assert spectral_duan_sum(system, steady, pair) == reference_spectral_duan_sum(
-        system, steady, pair)
+    assert spectral_duan_sum(system, steady, pair) == pytest.approx(
+        lyapunov_total(system, steady, pair), rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=SYSTEM_ARGS)
+def test_spectral_route_matches_lyapunov_over_systems(args):
+    system, steady = asymmetric_system(*args)
+    for pair in ("mirror", "field"):
+        assert spectral_duan_sum(system, steady, pair) == pytest.approx(
+            lyapunov_total(system, steady, pair), rel=1e-10)
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+def test_spectral_route_matches_a_20_digit_integral(pair):
+    # the unrotated complex integrand s - 2 M Re(num / (d1 conj d2)), whose
+    # integral over w is pi times the total
+    import mpmath
+
+    system, steady = asymmetric_system(15.0, 40.0, 0.01, 0.02, 1.7, 5.0, 2.0, 1.0)
+    with mpmath.workdps(20):
+        p = [tuple(map(mpmath.mpf, rates)) for rates in unit_rates(system, steady)]
+        N, M = mpmath.mpf(system.bath.N), mpmath.mpf(system.bath.M_corr)
+        (g1, k1, G1, _), (g2, k2, G2, _) = p
+
+        def integrand(w):
+            d = [G**2 + (g / 2 + 1j * w) * (k / 2 + 1j * w) for g, k, G, _ in p]
+            s = 0
+            for (g, k, G, n_th), dj in zip(p, d):
+                if pair == "mirror":
+                    s += (g * ((k / 2) ** 2 + w**2) * (2 * n_th + 1)
+                          + G**2 * k * (2 * N + 1)) / (2 * abs(dj) ** 2)
+                else:
+                    s += (G**2 * g * (2 * n_th + 1)
+                          + ((g / 2) ** 2 + w**2) * k * (2 * N + 1)) / (2 * abs(dj) ** 2)
+            if pair == "mirror":
+                num = G1 * G2 * mpmath.sqrt(k1 * k2)
+            else:
+                num = mpmath.sqrt(k1 * k2) * (g1 / 2 + 1j * w) * (g2 / 2 - 1j * w)
+            return s - 2 * M * mpmath.re(num / (d[0] * mpmath.conj(d[1])))
+
+        features = sorted({w for g, k, G, _ in p for w in (g / 2, k / 2, G, g / 2 + 2 * G**2 / k)})
+        points = [-mpmath.inf, *(-w for w in reversed(features)), 0, *features, mpmath.inf]
+        expected = float(mpmath.quad(integrand, points) / mpmath.pi)
+    assert spectral_duan_sum(system, steady, pair) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [4.0, 8.0, 12.0, 16.0])
+def test_spectral_stack_matches_closed_form_at_large_squeezing(r):
+    # the selfcheck's triple grid, squeezed far past where a cancelling
+    # integrand loses every digit to e^{2r}
+    C, _, n_th, ratio = selfcheck._grid()
+    kappa = selfcheck.KAPPA_REF
+    gamma = ratio * kappa
+    rates = model.cooperativity_arrays(C, kappa, gamma, n_th)
+    unit = (gamma, kappa, rates.G, rates.n_th)
+    N, M = model.squeeze_arrays(np.full_like(C, r))
+    spec = oracle.spectral_duan_sum_stack(unit, unit, N, M)
+    exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa)
+    assert np.max(np.abs(spec / exact - 1.0)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(points=st.lists(SYSTEM_ARGS, min_size=1, max_size=4),
+       pair=st.sampled_from(["mirror", "field"]))
+def test_spectral_stack_equals_one_system_calls(points, pair):
+    systems = [asymmetric_system(*point) for point in points]
+    rates = [unit_rates(*s) for s in systems]
+    unit1, unit2 = (tuple(np.array(column) for column in zip(*(r[j] for r in rates)))
+                    for j in (0, 1))
+    N = np.array([s.bath.N for s, _ in systems])
+    M = np.array([s.bath.M_corr for s, _ in systems])
+    totals = oracle.spectral_duan_sum_stack(unit1, unit2, N, M, pair)
+    assert totals.tolist() == [spectral_duan_sum(*s, pair) for s in systems]
+
+
+def test_spectral_stack_broadcasts_and_checks_its_pair():
+    unit = (0.1, 1.0, np.array([[0.2], [0.5]]), np.array([0.0, 1.0, 2.0]))
+    assert oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0).shape == (2, 3)
+    assert oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0, "field").shape == (2, 3)
+    with pytest.raises(ValueError, match="pair must be"):
+        oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0, "bogus")
+
+
+def test_spectral_route_needs_no_scipy_and_makes_its_nodes_on_first_use():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import squeezelink.cli\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+        "from squeezelink import selfcheck\n"
+        "assert all(result.passed for result in selfcheck.run_checks())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

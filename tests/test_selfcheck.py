@@ -8,6 +8,15 @@ import pytest
 from squeezelink import model, oracle, selfcheck
 
 
+def symmetric_system(C, r, n_th, ratio):
+    """One system of two :func:`selfcheck._symmetric_units` units, and its steady states."""
+    kappa = selfcheck.KAPPA_REF
+    unit = model.unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
+    system = model.SystemParams(unit1=unit, unit2=unit, bath=model.SqueezedBath(r=r))
+    ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
+    return system, (ss, ss)
+
+
 def random_systems(count):
     """((gamma, kappa, G, n_th), N, M) arrays of random identical-unit systems,
     and each system's drift and diffusion built on its own."""
@@ -16,7 +25,7 @@ def random_systems(count):
     for _ in range(count):
         C = float(10.0 ** rng.uniform(-1, 2))
         r = float(rng.uniform(0.0, 2.0))
-        system, (ss, _) = selfcheck._symmetric_system(C, r, 2.0, 0.01)
+        system, (ss, _) = symmetric_system(C, r, 2.0, 0.01)
         unit = system.unit1
         units.append((unit.mirror.gamma, unit.resonator.kappa, ss.G, ss.n_th))
         baths.append((system.bath.N, system.bath.M_corr))
@@ -68,7 +77,7 @@ def scalar_separability_totals(samples, seed):
         closed = selfcheck.closedform.duan_sum_nonadiabatic(
             C, 0.0, n_th, ratio * kappa, kappa
         ).total
-        system, steady = selfcheck._symmetric_system(C, 0.0, n_th, ratio)
+        system, steady = symmetric_system(C, 0.0, n_th, ratio)
         system = model.SystemParams(system.unit1, system.unit2, bath)
         V = dense_lyapunov(oracle.build_rwa_drift_diffusion(system, steady))
         totals.append((closed, oracle.duan_from_covariance(V, "mirror").total))
@@ -100,7 +109,7 @@ def test_array_route_equals_per_point_solves(monkeypatch):
     totals = selfcheck._mirror_totals(*grid)
     assert totals.shape == (192,)
     for point, total in zip(grid.T.tolist(), totals.tolist()):
-        system, steady = selfcheck._symmetric_system(*point)
+        system, steady = symmetric_system(*point)
         V = oracle.solve_lyapunov(oracle.build_rwa_drift_diffusion(system, steady))
         assert total == oracle.duan_from_covariance(V, "mirror").total
 
