@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .model import (
     HBAR,
     KB,
@@ -23,6 +22,8 @@ from .model import (
     raise_for_first,
     thermal_occupation,
 )
+
+np = lazy_import("numpy")
 
 SEPARABILITY_BOUND = 2.0
 
@@ -260,7 +261,13 @@ def minimum_power(unit: OptomechanicalUnit, r: float, temperature: float) -> flo
         raise ValueError("temperature must be > 0 for a finite power threshold")
     n_th = thermal_occupation(unit.mirror.omega_M, temperature)
     c_min = threshold_cooperativity(r, n_th)
-    return c_min / cooperativity_power_slope(unit)
+    slope = cooperativity_power_slope(unit)
+    if not 0.0 < slope < math.inf:
+        raise OverflowError(
+            f"power threshold degenerates at gamma = {unit.mirror.gamma!r} rad/s, "
+            f"P = {unit.resonator.power!r} W: the cooperativity slope C/P is {slope!r} /W, "
+            "as C = Gamma_a / gamma overflows or underflows to 0")
+    return c_min / slope
 
 
 def diagnostic_minimum_power(

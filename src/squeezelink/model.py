@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 # CODATA 2018, pinned for reproducibility.
 HBAR = 1.054571817e-34  # J s

@@ -42,10 +42,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .closedform import DuanResult, require_totals
 from .model import SteadyState, SystemParams, stability_check
+
+np = lazy_import("numpy")
 
 QUADRATURES = ("X1", "Y1", "x1", "y1", "X2", "Y2", "x2", "y2")
 IDX = {name: i for i, name in enumerate(QUADRATURES)}

@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from . import closedform, config, model, oracle, sweep
+from ._lazy import lazy_import
 from .oracle import IDX
+
+np = lazy_import("numpy")
 
 KAPPA_REF = model.REFERENCE_DEVICE["kappa"]
 

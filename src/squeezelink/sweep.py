@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from . import closedform, config, oracle
+from ._lazy import lazy_import
 from .closedform import AdiabaticRates, DuanResult
 from .model import (
     SystemParams,
@@ -24,6 +23,8 @@ from .model import (
     squeeze_arrays,
     unit_targets,
 )
+
+np = lazy_import("numpy")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -116,12 +117,15 @@ def _steady_states(system: SystemParams):
     return ss1, ss2
 
 
-def _identical(unit1, unit2):
-    """Whether two units' (gamma, kappa, C, n_th) agree to 1e-9, for floats or arrays."""
-    same = np.True_
+def _identical(unit1, unit2, maximum):
+    """Whether two units' (gamma, kappa, C, n_th) agree to 1e-9.
+
+    ``maximum`` is ``max`` for floats and ``np.maximum`` for arrays.
+    """
+    same = True
     for a, b in zip(unit1, unit2):
         diff = abs(a - b)  # not finite for inf against a finite value: never identical
-        scale = np.maximum(np.maximum(abs(a), abs(b)), 1e-300)
+        scale = maximum(maximum(abs(a), abs(b)), 1e-300)
         same = same & (diff < math.inf) & (diff <= 1e-9 * scale)
     return same
 
@@ -130,7 +134,7 @@ def _require_identical(system: SystemParams, ss1, ss2, pair: str):
     """(C, r, n_th, gamma, kappa) shared by two identical units; else ValueError."""
     u1, u2 = system.unit1, system.unit2
     if not _identical((u1.mirror.gamma, u1.resonator.kappa, ss1.C, ss1.n_th),
-                      (u2.mirror.gamma, u2.resonator.kappa, ss2.C, ss2.n_th)):
+                      (u2.mirror.gamma, u2.resonator.kappa, ss2.C, ss2.n_th), max):
         raise ValueError(
             f"the nonadiabatic {pair} closed form assumes identical units; "
             "for asymmetric units use the adiabatic mirror form or the oracle route"
@@ -215,7 +219,7 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
     (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid})
     if route == "nonadiabatic":
         if not np.all(_identical((u1.gamma, u1.kappa, u1.C, u1.n_th),
-                                 (u2.gamma, u2.kappa, u2.C, u2.n_th))):
+                                 (u2.gamma, u2.kappa, u2.C, u2.n_th), np.maximum)):
             raise ValueError("units differ")  # the per-point route words the error
         closed = (closedform.duan_sum_nonadiabatic_arrays if pair == "mirror"
                   else closedform.field_sum_nonadiabatic_arrays)

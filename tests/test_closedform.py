@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -265,8 +266,6 @@ class TestMinimumPower:
         assert powers[0] > powers[1] > powers[2]
 
     def test_boundary_root(self):
-        import dataclasses
-
         for r in (0.5, 1.0, 2.0):
             p_min = minimum_power(self.unit, r, 50e-6)
             unit = dataclasses.replace(
@@ -281,6 +280,14 @@ class TestMinimumPower:
         p_min = minimum_power(self.unit, 1.0, 50e-6)
         p_diag = closedform.diagnostic_minimum_power(self.unit, 1.0, 50e-6)
         assert p_diag / p_min == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma, power, slope", [(1e-300, 0.01, "inf"), (1e307, 1e-300, "0.0")])
+    def test_degenerate_cooperativity_slope_is_a_named_error(self, gamma, power, slope):
+        unit = dataclasses.replace(
+            self.unit, mirror=dataclasses.replace(self.unit.mirror, gamma=gamma),
+            resonator=dataclasses.replace(self.unit.resonator, power=power))
+        with pytest.raises(OverflowError, match=f"C/P is {slope} /W, as C = Gamma_a / gamma"):
+            minimum_power(unit, 1.0, 50e-6)
 
 
 class TestVerdict:

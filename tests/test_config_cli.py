@@ -1,6 +1,10 @@
 import io
+import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +324,17 @@ class TestCliBadNumbers:
                               "omega_M = 1e-320 rad/s") and err.count("\n") == 1
         assert "M omega_M, hbar omega_L or (kappa/2)^2 + delta_eff^2 underflows to 0" in err
 
+    def test_overflowing_cooperativity_slope_exits_3_naming_it(self, tmp_path, capsys):
+        # C = Gamma_a / gamma overflows, so P_min would be 0 W and the ratio 1/0
+        path = tmp_path / "c.ini"
+        path.write_text("[unit1]\ngamma_hz = 1e-300\n[unit2]\ngamma_hz = 1e-300\n")
+        code, text = run_cli("threshold", "--config", str(path))
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        assert capsys.readouterr().err == (
+            "error: power threshold degenerates at gamma = 6.283185307179586e-300 rad/s, "
+            "P = 0.01 W: the cooperativity slope C/P is inf /W, "
+            "as C = Gamma_a / gamma overflows or underflows to 0\n")
+
     def test_nan_total_exits_3_without_a_verdict(self, tmp_path, capsys):
         path = tmp_path / "huge.ini"
         path.write_text("[unit1]\npower_w = 1e300\n[unit2]\npower_w = 1e300\n")
@@ -431,3 +446,43 @@ class TestCsvRendering:
         assert "0.333333333333,true" in text
         assert "# k = 1.5" in text
         assert text.endswith("\n") and "\r" not in text
+
+
+CLOSED_FORM_CALLS = [["duan"], ["duan", "--regime", "nonadiabatic"], ["duan", "--pair", "field"],
+                     ["threshold"]]
+
+
+def test_closed_form_routes_load_no_numpy():
+    # numpy is bound lazily, so its key sits in sys.modules from import on;
+    # a loaded numpy shows as its submodules
+    calls = [*CLOSED_FORM_CALLS, ["duan", "--regime", "oracle"]]
+    code = (
+        "import io, json, sys\n"
+        "import squeezelink\n"
+        "from squeezelink import cli\n"
+        "def numpy_modules():\n"
+        "    return [m for m in sys.modules if m.startswith('numpy.')]\n"
+        "runs = [numpy_modules()]\n"
+        f"for argv in {calls!r}:\n"
+        "    out = io.StringIO()\n"
+        "    runs.append([cli.main(argv, out=out), out.getvalue(), numpy_modules()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, *runs = json.loads(proc.stdout)
+    assert at_import == []
+    for argv, (exit_code, text, numpy_modules) in zip(calls, runs):
+        assert [exit_code, text] == list(run_cli(*argv)), argv
+        assert bool(numpy_modules) == (argv not in CLOSED_FORM_CALLS), argv
+
+
+def test_missing_numpy_fails_at_import():
+    # -S leaves site-packages, and so numpy, off the path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import squeezelink"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("ModuleNotFoundError: No module named 'numpy'\n"), proc.stderr

@@ -420,8 +420,35 @@ ARRAY_POINT = st.tuples(
     st.floats(0.0, 3.0),  # squeeze parameter
 )
 
+# inf against finite, NaN, 0 against 0 (the 1e-300 floor), subnormals, and
+# near-equal partners that sit on either side of the 1e-9 tolerance
+_EDGE = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+     math.inf, -math.inf, math.nan])
+_NEAR = st.floats(1 - 3e-9, 1 + 3e-9)
+
+
+@st.composite
+def _value_pairs(draw):
+    a = draw(_EDGE)
+    partner = draw(st.integers(0, 4))  # mostly equal, so that whole rows often agree
+    return a, (a if partner < 3 else a * draw(_NEAR) if partner == 3 else draw(_EDGE))
+
 
 class TestArrayCore:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(*[_value_pairs()] * 4), min_size=1, max_size=6))
+    def test_identical_floats_with_max_equal_arrays_with_np_maximum(self, rows):
+        per_point = []
+        for row in rows:
+            same = sweep._identical(*zip(*row), max)
+            assert type(same) is bool
+            per_point.append(same)
+        units = [tuple(np.array(column) for column in zip(*unit))
+                 for unit in zip(*(zip(*row) for row in rows))]
+        with np.errstate(all="ignore"):
+            assert sweep._identical(*units, np.maximum).tolist() == per_point
+
     @settings(max_examples=80, deadline=None)
     @given(points=st.lists(ARRAY_POINT, min_size=1, max_size=8))
     def test_array_total_equals_per_point_route_bit_for_bit(self, base, points):
