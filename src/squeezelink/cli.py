@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure or an
 unwritable ``--out`` path, 3 unstable/non-convergent/degenerate operating
-point or float overflow, 4 too many failed sweep points.
+point, float overflow or an optimized figure whose optimum lies at the edge
+of its search bracket, 4 too many failed sweep points.
 """
 
 from __future__ import annotations
@@ -279,7 +280,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnstableDrift, NonConvergence, DegenerateSqueeze, ArithmeticError) as exc:
+    except (UnstableDrift, NonConvergence, DegenerateSqueeze, sweep.BracketFailure,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 

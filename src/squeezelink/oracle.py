@@ -11,14 +11,14 @@ The quadrature ordering is fixed everywhere:
 ``(X1, Y1, x1, y1, X2, Y2, x2, y2)`` -- mirror then field quadratures of
 unit 1, then unit 2. Uppercase denotes mirror, lowercase field.
 
-In the rotating-wave model the X quadratures ``(X1, x1, X2, x2)`` and the
-Y quadratures ``(Y1, y1, Y2, y2)`` never couple: every entry of A and D
-between the two sets is exactly zero. The Lyapunov equation therefore
-splits into two decoupled 4x4 blocks of 16 unknowns each, in place of one
-8x8 system of 64. :func:`solve_lyapunov_stack` finds the blocks from the
-nonzero pattern, solves each on its own (Y is never derived from X) and
-solves a whole stack of systems per call; a generic drift matrix forms a
-single block and gets the full solve; the split is cached by pattern.
+In the rotating-wave model the X quadratures ``QUADRATURES[::2]`` never
+couple with the Y quadratures ``QUADRATURES[1::2]``, and the units couple
+only through the bath's x1-x2 and y1-y2 terms of D; so A is block diagonal
+in the 2x2 drift blocks (X1, x1), (X2, x2), (Y1, y1), (Y2, y2). The model
+fixes this split: :func:`solve_lyapunov_stack` solves one 4-unknown
+Sylvester equation per pair of blocks within X and within Y (Y is never
+derived from X) for a whole stack in one call, in place of one system of 64
+unknowns per item, so a system's bits do not depend on its stack.
 :func:`build_rwa_drift_diffusion_stack` is the one assembly of A and D: it
 takes per-unit arrays (gamma, kappa, G, n_th) and the bath's N and M, and
 :func:`build_rwa_drift_diffusion` calls it on one system's floats. Chunking
@@ -63,6 +63,13 @@ _ROUNDOFF = 50.0 * math.ulp(1.0)
 #: a panel reaching past this multiple of its least distance to a pole of the
 #: integrand is split at their geometric mean, never accepted
 _PANEL_RATIO = 4.0
+
+
+#: index slices of QUADRATURES: the X and Y quadratures, each unit's, the 2x2
+#: drift blocks, and the pairs of them whose covariance blocks the split solves
+_X, _Y, _UNIT1, _UNIT2 = slice(0, 8, 2), slice(1, 8, 2), slice(0, 4), slice(4, 8)
+_X1, _X2, _Y1, _Y2 = slice(0, 4, 2), slice(4, 8, 2), slice(1, 4, 2), slice(5, 8, 2)
+_SPLIT_PAIRS = ((_X1, _X1), (_X1, _X2), (_X2, _X2), (_Y1, _Y1), (_Y1, _Y2), (_Y2, _Y2))
 
 
 class UnstableDrift(RuntimeError):
@@ -173,13 +180,14 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Steady-state covariances ``V[b]`` from ``A[b] V + V A[b]^T + D[b] = 0``.
 
     ``A`` and ``D`` are stacks of shape ``(B, n, n)``. Every drift matrix
-    must be stable. The indices split into the connected components of the
-    joint nonzero pattern of all ``A`` and ``D`` in the stack; each
-    component's Kronecker system (m^2 unknowns for m indices) is solved for
-    the whole stack in one LU call. Each item must then satisfy the full
-    n x n equation to ``1e-10 * ||D[b]||``, checked on V and D divided by
-    ``max |D[b]|`` so that the norms cannot overflow. A non-finite A, D or
-    V raises ``FloatingPointError``. Errors name the stack index.
+    must be stable. An 8 x 8 stack whose ``A`` is zero outside the model's
+    drift blocks and whose ``D`` is zero between X and Y takes the split:
+    ``A_p V_pq + V_pq A_q^T + D_pq = 0`` for each pair of blocks, all in one
+    LU call; any other stack gets the full n^2-unknown solve. Each item must
+    then satisfy the full equation to ``1e-10 * ||D[b]||``, checked on V and
+    D divided by ``max |D[b]|`` so that the norms cannot overflow. A
+    non-finite A, D or V raises ``FloatingPointError``. Errors name the
+    stack index.
     """
     A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
     if A.ndim != 3 or A.shape != D.shape:
@@ -193,10 +201,18 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
             f"drift matrix is not stable (max Re eigenvalue = "
             f"{report.max_real_part:g} at stack index {report.worst_index[0]})"
         )
-    V = np.zeros_like(D)
-    for block in _blocks(A, D):
-        rows = block[:, None]
-        V[:, rows, block] = _kronecker_solve(A[:, rows, block], D[:, rows, block])
+    if A.shape[1] == 8 and not any(M[:, rows, cols].any() for M, rows, cols in (
+            (A, _X, _Y), (A, _Y, _X), (A, _UNIT1, _UNIT2), (A, _UNIT2, _UNIT1),
+            (D, _X, _Y), (D, _Y, _X))):
+        W = _kronecker_solve(np.concatenate([A[:, p, p] for p, _ in _SPLIT_PAIRS]),
+                             np.concatenate([A[:, q, q] for _, q in _SPLIT_PAIRS]),
+                             np.concatenate([D[:, p, q] for p, q in _SPLIT_PAIRS]))
+        V = np.zeros_like(D)
+        for W_pq, (p, q) in zip(np.split(W, len(_SPLIT_PAIRS)), _SPLIT_PAIRS):
+            V[:, q, p] = W_pq.transpose(0, 2, 1)
+            V[:, p, q] = W_pq  # after its transpose, which p == q would overwrite
+    else:
+        V = _kronecker_solve(A, A, D)
     V = 0.5 * V + 0.5 * V.transpose(0, 2, 1)  # halved first, so the sum cannot overflow
     _require_finite("Lyapunov solution", V)
     scale = np.abs(D).max(axis=(1, 2), keepdims=True)
@@ -220,36 +236,15 @@ def _require_finite(what: str, *stacks: np.ndarray):
             raise FloatingPointError(f"{what} is not finite at stack index {index}")
 
 
-def _blocks(A: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index sets of the connected components of the stack's nonzero pattern."""
-    linked = ((A != 0) | (D != 0)).any(axis=0)
-    return _pattern_blocks(linked.tobytes(), linked.shape[0])
-
-
-@functools.lru_cache(maxsize=64)
-def _pattern_blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
-    """:func:`_blocks` of one n x n boolean pattern; cached, as few patterns recur."""
-    linked = np.frombuffer(pattern, dtype=bool).reshape(n, n)
-    reach = linked | linked.T | np.eye(n, dtype=bool)
-    for _ in range(max(n - 1, 1).bit_length()):  # paths of length up to n - 1
-        reach = reach @ reach
-    blocks: dict[int, list[int]] = {}
-    for i, first in enumerate(reach.argmax(axis=1).tolist()):  # by smallest member
-        blocks.setdefault(first, []).append(i)
-    found = tuple(np.array(block) for block in blocks.values())
-    for block in found:
-        block.flags.writeable = False  # shared by every later call
-    return found
-
-
-def _kronecker_solve(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve ``(I (x) A + A (x) I) vec V = -vec D`` for a stack of m x m blocks."""
+def _kronecker_solve(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Solve ``A V + V C^T + D = 0`` as ``(A (x) I + I (x) C) vec V = -vec D``
+    for a stack of m x m blocks."""
     B, m, _ = A.shape
-    # K[b, (i, k), (j, l)] = delta_ij A[b, k, l] + A[b, i, j] delta_kl, filled
+    # K[b, (i, k), (j, l)] = delta_ij C[b, k, l] + A[b, i, j] delta_kl, filled
     # in place so that no temporary of K's size is made
     K = np.zeros((B, m, m, m, m))
     diag = np.arange(m)
-    K[:, diag, :, diag, :] = A
+    K[:, diag, :, diag, :] = C
     K[:, :, diag, :, diag] += A
     rhs = -D.reshape(B, m * m, 1)
     return np.linalg.solve(K.reshape(B, m * m, m * m), rhs).reshape(B, m, m)

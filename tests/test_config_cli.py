@@ -324,6 +324,15 @@ class TestCliBadNumbers:
                               "omega_M = 1e-320 rad/s") and err.count("\n") == 1
         assert "M omega_M, hbar omega_L or (kappa/2)^2 + delta_eff^2 underflows to 0" in err
 
+    def test_optimum_at_a_bracket_edge_exits_3_naming_the_search(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[unit1]\ngamma_hz = 1e6\n[unit2]\ngamma_hz = 1e6\n")
+        code, text = run_cli("sweep", "--figure", "fig5b", "--config", str(path))
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: search 1 of 177: no interior minimum ")
+        assert err.count("\n") == 1
+
     def test_overflowing_cooperativity_slope_exits_3_naming_it(self, tmp_path, capsys):
         # C = Gamma_a / gamma overflows, so P_min would be 0 W and the ratio 1/0
         path = tmp_path / "c.ini"

@@ -132,6 +132,16 @@ def physical_stack():
     return np.stack([dd.A for dd in dds]), np.stack([dd.D for dd in dds])
 
 
+def spy_on_kronecker_solve(monkeypatch):
+    """Record the stack shape of every Kronecker solve; returns the record."""
+    shapes, solve = [], oracle._kronecker_solve
+    def spy(A, C, D):
+        shapes.append(A.shape)
+        return solve(A, C, D)
+    monkeypatch.setattr(oracle, "_kronecker_solve", spy)
+    return shapes
+
+
 class TestStackedLyapunov:
     @pytest.mark.parametrize("kind", ["rwa", "generic"])
     def test_stack_equals_per_item_solves(self, kind):
@@ -143,16 +153,26 @@ class TestStackedLyapunov:
         V = solve_lyapunov_stack(A, D)
         for a, d, v in zip(A, D, V):
             single = solve_lyapunov(DriftDiffusion(A=a, D=d)).V
-            assert np.allclose(v, single, rtol=1e-12, atol=1e-12)
+            if kind == "rwa":  # the model's split does not depend on the stack
+                assert np.array_equal(v, single)
+            else:
+                assert np.allclose(v, single, rtol=1e-12, atol=1e-12)
 
-    def test_rwa_model_splits_into_x_and_y_blocks(self):
+    def test_split_is_the_even_and_odd_quadratures(self):
+        assert QUADRATURES[::2] == ("X1", "x1", "X2", "x2")
+        assert QUADRATURES[1::2] == ("Y1", "y1", "Y2", "y2")
+
+    def test_rwa_stack_is_solved_on_its_drift_blocks_in_one_call(self, monkeypatch):
+        # three pairs of 2x2 drift blocks within X and three within Y
+        shapes = spy_on_kronecker_solve(monkeypatch)
         A, D = physical_stack()
-        blocks = [[QUADRATURES[i] for i in block] for block in oracle._blocks(A, D)]
-        assert sorted(blocks) == [["X1", "x1", "X2", "x2"], ["Y1", "y1", "Y2", "y2"]]
-        xs = [IDX[name] for name in ("X1", "x1", "X2", "x2")]
-        ys = [IDX[name] for name in ("Y1", "y1", "Y2", "y2")]
-        for M in (A, D, solve_lyapunov_stack(A, D)):
-            assert np.all(M[:, xs][:, :, ys] == 0) and np.all(M[:, ys][:, :, xs] == 0)
+        V = solve_lyapunov_stack(A, D)
+        assert shapes == [(6 * len(A), 2, 2)]
+        for M in (A, D, V):
+            assert not M[:, ::2, 1::2].any() and not M[:, 1::2, ::2].any()
+        assert not A[:, :4, 4:].any() and not A[:, 4:, :4].any()
+        # the bath correlates the fields of items 1 and 2 (r > 0), and V stays symmetric
+        assert V[1:, IDX["x1"], IDX["x2"]].all() and np.array_equal(V, V.transpose(0, 2, 1))
 
     def test_y_block_is_solved_not_copied(self):
         # flipping the y1-y2 bath correlation moves var(Y1 + Y2) and leaves
@@ -166,23 +186,29 @@ class TestStackedLyapunov:
         assert after.var_X == before.var_X
         assert after.var_Y > before.var_Y + 1.0
 
-    def test_generic_drift_is_one_block(self):
-        rng = np.random.default_rng(11)
-        A, D = random_stable_system(rng)
-        assert [block.tolist() for block in oracle._blocks(A[None], D[None])] == [
-            list(range(8))
-        ]
+    @pytest.mark.parametrize("which, i, j", [("A", "X1", "Y1"), ("D", "X1", "Y1"),
+                                              ("A", "x1", "x2")])
+    def test_one_entry_off_the_split_sends_the_whole_stack_to_the_full_solve(
+            self, which, i, j, monkeypatch):
+        shapes = spy_on_kronecker_solve(monkeypatch)
+        A, D = physical_stack()
+        M = A if which == "A" else D
+        M[1, IDX[i], IDX[j]] = M[1, IDX[j], IDX[i]] = 1e-3 * np.abs(M[1]).max()
+        V = solve_lyapunov_stack(A, D)
+        assert shapes == [(len(A), 8, 8)]
+        single = solve_lyapunov(DriftDiffusion(A=A[0], D=D[0])).V  # by the split
+        assert np.allclose(V[0], single, rtol=1e-12, atol=1e-12)
 
-    def test_pattern_is_the_union_over_the_stack(self):
+    def test_a_stack_of_another_size_gets_the_full_solve(self, monkeypatch):
+        shapes = spy_on_kronecker_solve(monkeypatch)
         # each item alone is diagonal except for one different link
         A = np.stack([-np.eye(4), -np.eye(4)])
         A[0, 0, 1] = 0.3
         A[1, 2, 3] = 0.3
         D = np.stack([np.eye(4), np.eye(4)])
-        assert [b.tolist() for b in oracle._blocks(A, D)] == [[0, 1], [2, 3]]
         D[1, 1, 2] = D[1, 2, 1] = 0.1
-        assert [b.tolist() for b in oracle._blocks(A, D)] == [[0, 1, 2, 3]]
         V = solve_lyapunov_stack(A, D)
+        assert shapes == [(2, 4, 4)]
         residual = A @ V + V @ A.transpose(0, 2, 1) + D
         assert np.abs(residual).max() <= 1e-14
 
@@ -435,17 +461,6 @@ class TestStackedDuan:
             duan_from_covariance_stack(V)
         with pytest.raises(ValueError, match="pair must be"):
             duan_from_covariance_stack(V, "bogus")
-
-
-class TestBlockCache:
-    def test_split_is_cached_by_pattern(self):
-        A, D = physical_stack()
-        first = oracle._blocks(A, D)
-        assert oracle._blocks(2.0 * A, D) is first  # same pattern, other values
-        assert all(not block.flags.writeable for block in first)
-        rng = np.random.default_rng(2)
-        A2, D2 = random_stable_system(rng)
-        assert oracle._blocks(A2[None], D2[None]) is not first
 
 
 SPECTRAL_CASES = [

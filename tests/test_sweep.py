@@ -269,6 +269,15 @@ class TestArraySweep:
         assert rows == scalar_sweep_rows(spec)
         assert all(row.error is None for row in rows)
 
+    def test_a_system_keeps_its_oracle_bits_beside_others_in_its_chunk(self, base):
+        # at r = 0 the bath has no x1-x2 term; the point is still solved as
+        # it is beside the r = 1 point, so its row keeps the per-point bits
+        for path in ("temperature", "unit1.power", "unit2.power"):
+            value = 0.0043632957857657586 if path == "temperature" else 0.001917496255055943
+            base = set_param(base, path, value)
+        spec = SweepSpec(base, "bath.r", 0.0, 1.0, 2, quantity="oracle-duan")
+        assert run_sweep(spec)[0] == sweep._point_row(spec, 0.0)
+
     def test_a_grid_the_array_core_raises_for_goes_point_by_point(self, base):
         # hbar omega_M underflows to 0: the occupation diverges
         spec = SweepSpec(base, "unit2.mirror.omega_M", 1e-320, 1e6, 3)
