@@ -34,6 +34,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_lines(rows) -> list[str]:
+    """Each row as a CSV line, every cell as :func:`_fmt` writes it.
+
+    The rows share the cell types of the first, so one '%'-template writes them all:
+    '%.12g' per float cell, which is format(x, '.12g') for every double, '%s' per other.
+    """
+    first = rows[0] if rows else ()
+    template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first)
+    flags = [isinstance(v, bool) for v in first]
+    if any(flags):  # a bool cell goes in as its true/false text
+        rows = [tuple([_fmt(v) if flag else v for v, flag in zip(row, flags)]) for row in rows]
+    return [template % row for row in rows]
+
+
 def _metadata_lines(meta: dict) -> list[str]:
     lines = [f"# squeezelink {__version__}"]
     for key in sorted(meta):
@@ -45,8 +59,7 @@ def render_rows_csv(header: Sequence[str], rows, meta: dict) -> str:
     """Deterministic CSV: '#' metadata, one header row, 12 significant digits."""
     out = _metadata_lines(meta)
     out.append(",".join(header))
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row))
+    out += _csv_lines(rows)
     return "\n".join(out) + "\n"
 
 
@@ -125,8 +138,12 @@ def _parse_range(text: str):
 def cmd_sweep(args, out) -> int:
     if (args.figure is None) == (args.axis is None):
         raise ConfigError("sweep needs exactly one of --figure or --axis")
+    if args.max_errors < 0:
+        raise ConfigError(f"--max-errors must be >= 0, got {args.max_errors}")
 
     if args.figure is not None:
+        if args.range is not None:
+            raise ConfigError("--range applies to --axis sweeps, not to --figure")
         try:
             text = render_figure_csv(args.figure, base=_resolve(args), preset=args.preset)
         except sweep.UnknownFigure as exc:
@@ -136,8 +153,6 @@ def cmd_sweep(args, out) -> int:
 
     if args.range is None:
         raise ConfigError("--axis sweeps need --range MIN:MAX:COUNT[:log]")
-    if args.max_errors < 0:
-        raise ConfigError(f"--max-errors must be >= 0, got {args.max_errors}")
     lo, hi, count, scale = _parse_range(args.range)
     base = _resolve(args)
     try:
@@ -157,14 +172,9 @@ def cmd_sweep(args, out) -> int:
     }
     lines = _metadata_lines(meta)
     lines.append(f"{args.axis},total,var_X,var_Y,entangled,C1,C2")
-    for row in rows:
-        if row.error is not None:
-            lines.append(f"# error at {args.axis}={_fmt(row.axis_value)}: {row.error}")
-        else:
-            lines.append(",".join(_fmt(v) for v in (
-                row.axis_value, row.total, row.var_X, row.var_Y,
-                row.entangled, row.C1, row.C2,
-            )))
+    lines += [line if row.error is None
+              else f"# error at {args.axis}={_fmt(row.axis_value)}: {row.error}"
+              for row, line in zip(rows, _csv_lines([row[:-1] for row in rows]))]
     _emit("\n".join(lines) + "\n", args.out, out)
     if len(failures) > args.max_errors:
         print(

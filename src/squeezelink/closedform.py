@@ -144,11 +144,21 @@ def require_totals(total) -> np.ndarray:
     return total
 
 
+def _adiabatic_identical_sum(C, r, n_th, exp):
+    """The adiabatic total of identical units in + - * / and ``exp``, for floats or arrays."""
+    return (2.0 * C * exp(-2.0 * r) + 2.0 * (1.0 + 2.0 * n_th)) / (C + 1.0)
+
+
 def duan_sum_adiabatic_identical(C: float, r: float, n_th: float) -> DuanResult:
     """Mirror-mirror variance sum for identical units, adiabatic regime."""
     _check_nonnegative(C=C, r=r, n_th=n_th)
-    total = (2.0 * C * math.exp(-2.0 * r) + 2.0 * (1.0 + 2.0 * n_th)) / (C + 1.0)
-    return DuanResult.from_total(total)
+    return DuanResult.from_total(_adiabatic_identical_sum(C, r, n_th, math.exp))
+
+
+def duan_sum_adiabatic_identical_arrays(C, r, n_th) -> np.ndarray:
+    """:func:`duan_sum_adiabatic_identical` as :func:`duan_sum_nonadiabatic_arrays`."""
+    return _identical_units_arrays(_adiabatic_identical_sum, duan_sum_adiabatic_identical,
+                                   (C, r, n_th))
 
 
 def duan_sum_strong_coupling_approx(C: float, r: float, n_th: float) -> float:
@@ -214,14 +224,13 @@ def field_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
 
 
 def _identical_units_arrays(total, per_point, args) -> np.ndarray:
-    """``total`` over the broadcast ``args`` with the checks of ``per_point``."""
-    C, r, n_th, gamma, kappa = args = np.broadcast_arrays(
+    """``total`` over the broadcast (C, r, n_th, *rates) with the checks of ``per_point``."""
+    C, r, n_th, *rates = args = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in args))
-    bad = (C < 0) | (r < 0) | (n_th < 0) | ~(gamma > 0) | ~(kappa > 0)
+    bad = np.any([C < 0, r < 0, n_th < 0, *(~(rate > 0) for rate in rates)], axis=0)
     raise_for_first(bad, per_point, *args)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(total(
-            C, r, n_th, gamma, kappa, lambda x: per_distinct(math.exp, x)))
+        return require_totals(total(*args, lambda x: per_distinct(math.exp, x)))
 
 
 def field_sum_strong_coupling_limit(

@@ -10,7 +10,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import closedform, config, oracle
 from ._lazy import lazy_import
@@ -86,8 +86,9 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One grid point; a failing point has NaN values and its exception in ``error``."""
+
     axis_value: float
     total: float
     var_X: float
@@ -214,7 +215,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
-    """The :class:`SweepRow` fields over the grid; a failing point raises."""
+    """The :class:`SweepRow` fields but ``error`` over the grid; a failing point raises."""
     pair, route = QUANTITIES[spec.quantity]
     (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid})
     if route == "nonadiabatic":
@@ -444,13 +445,8 @@ def _fig3(base: SystemParams) -> FigureDataset:
 def _fig4(base: SystemParams) -> FigureDataset:
     cs = np.linspace(0.0, 20.0, 241)
     n_values = (1.0, 5.0, 10.0)
-    rows = [
-        (float(c), *[
-            closedform.duan_sum_adiabatic_identical(float(c), 1.0, n).total
-            for n in n_values
-        ])
-        for c in cs
-    ]
+    totals = closedform.duan_sum_adiabatic_identical_arrays(cs[:, None], 1.0, n_values)
+    rows = [(c, *row) for c, row in zip(cs.tolist(), totals.tolist())]
     return FigureDataset(
         axis_name="cooperativity", axis_unit="1",
         columns=[f"total_nth_{n:g}" for n in n_values], rows=rows,
@@ -538,9 +534,9 @@ def _fig8(base: SystemParams) -> FigureDataset:
     cs = np.linspace(1.0, 100.0, 241)
     r, n_th = 2.0, 5.0
     ratios = (0.01, 0.05)
+    adiabatic = closedform.duan_sum_adiabatic_identical_arrays(cs, r, n_th)
     nonad = closedform.duan_sum_nonadiabatic_arrays(cs[:, None], r, n_th, ratios, 1.0)
-    rows = [(c, closedform.duan_sum_adiabatic_identical(c, r, n_th).total, *totals)
-            for c, totals in zip(cs.tolist(), nonad.tolist())]
+    rows = [(c, a, *t) for c, a, t in zip(cs.tolist(), adiabatic.tolist(), nonad.tolist())]
     return FigureDataset(
         axis_name="cooperativity", axis_unit="1",
         columns=["total_adiabatic"] + [f"total_gk_{q:g}" for q in ratios], rows=rows,

@@ -112,6 +112,26 @@ class TestAdiabaticIdentical:
         hi = duan_sum_adiabatic_identical(c1 * factor, r, n_th).total
         assert hi < lo
 
+    @given(st.lists(st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 400.0),
+                              st.floats(0.0, 1e300)), min_size=1, max_size=8))
+    def test_arrays_equal_per_point_totals(self, points):
+        C, r, n_th = (np.array(column) for column in zip(*points))
+        totals = closedform.duan_sum_adiabatic_identical_arrays(C, r, n_th)
+        assert totals.tolist() == [duan_sum_adiabatic_identical(*p).total for p in points]
+
+    @pytest.mark.parametrize("args", [
+        (np.array([1.0, -1.0]), 1.0, 1.0),
+        (1.0, np.array([0.0, -800.0]), 1.0),
+        (1.0, 1.0, np.array([1.0, -0.5])),
+        (1.0, 1.0, np.array([1.0, math.inf])),
+        (np.array([1.0, math.nan]), 1.0, 1.0),
+    ])
+    def test_arrays_reject_what_a_point_rejects(self, args):
+        with pytest.raises((ValueError, FloatingPointError)) as expected:
+            duan_sum_adiabatic_identical(*(float(np.ravel(a)[-1]) for a in args))
+        with pytest.raises(type(expected.value), match=str(expected.value)):
+            closedform.duan_sum_adiabatic_identical_arrays(*args)
+
 
 class TestApproximations:
     def test_strong_coupling_limit(self):

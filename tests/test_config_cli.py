@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from squeezelink import cli, config, model
 from squeezelink.config import ConfigError, load_config, preset_system, resolve_system
@@ -261,11 +263,26 @@ class TestCliSweep:
             ("selfcheck", "--only", "nope"),
             ("sweep", "--figure", "fig2", "--out", "/nonexistent/dir/x.csv"),
             ("sweep", "--axis", "bath.r", "--range", "0:1:3", "--out", "/nonexistent/dir/x.csv"),
+            ("sweep", "--figure", "fig4", "--max-errors", "-1"),
+            ("sweep", "--figure", "fig2", "--range", "0:1:3"),
         ],
     )
     def test_config_errors_exit_2(self, argv):
         code, _ = run_cli(*argv)
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--axis", "temperature", "--range", "1e-5:1:40:log"),
+         "45e5f4125c5d2c82ce87701f14688c2b90766ddcbda6dd50281e5b9237ec0d41"),
+        (("--axis", "bath.r", "--range=-1:1000:50", "--max-errors", "50"),  # 34 error rows
+         "517c8678c7e2192483066b7b1b47da79086592cee05ba1b9604797c6fa6664f6"),
+        (("--axis", "unit2.power", "--range", "1e-3:3e-2:12", "--quantity", "oracle-duan"),
+         "6eeec22ec6d073fed5f4314f53c86ac3c7d1a7bebcc8646e2ec79de83eda4163"),
+    ])
+    def test_axis_sweep_bytes_are_pinned(self, argv, sha256):
+        code, text = run_cli("sweep", *argv)
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
     def test_out_path_that_is_a_directory_is_one_line_naming_it(self, tmp_path, capsys):
         code, text = run_cli("sweep", "--figure", "fig4", "--out", str(tmp_path))
@@ -455,6 +472,24 @@ class TestCsvRendering:
         assert "0.333333333333,true" in text
         assert "# k = 1.5" in text
         assert text.endswith("\n") and "\r" not in text
+
+
+#: float cells, with NaN, infinities, signed zeros and subnormals drawn often
+CELLS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-310, sys.float_info.max])
+
+
+@st.composite
+def csv_tables(draw):
+    """Rows that share their cell types: floats, and bools in some columns."""
+    kinds = draw(st.lists(st.sampled_from([CELLS, CELLS, st.booleans()]),
+                          min_size=1, max_size=8))
+    return draw(st.lists(st.tuples(*kinds), min_size=1, max_size=5))
+
+
+@given(rows=csv_tables())
+def test_row_template_writes_each_cell_as_fmt(rows):
+    assert cli._csv_lines(rows) == [",".join(map(cli._fmt, row)) for row in rows]
 
 
 CLOSED_FORM_CALLS = [["duan"], ["duan", "--regime", "nonadiabatic"], ["duan", "--pair", "field"],

@@ -221,7 +221,10 @@ class TestArraySweep:
     def test_rows_equal_the_per_point_loop(self, spec):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the optical-ratio warning
-            assert run_sweep(spec) == scalar_sweep_rows(spec)
+            rows = run_sweep(spec)
+            assert rows == scalar_sweep_rows(spec)
+        # a named tuple equals a plain tuple of its values, so check the type too
+        assert all(type(row) is SweepRow for row in rows)
 
     @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
     @pytest.mark.parametrize("axis, start, stop", [
@@ -260,6 +263,16 @@ class TestArraySweep:
         rows = run_sweep(spec)
         assert [row.error is not None for row in rows] == [True] + [False] * 9
         assert calls == spec.grid().tolist()
+
+    @pytest.mark.parametrize("axis, start, stop, errors", [
+        ("temperature", 1e-5, 1e-2, [False] * 3),  # the array core
+        ("bath.r", -0.25, 2.0, [True, False, False]),  # one failing point: per point
+        ("unit2.mirror.omega_M", 1e-320, 1e6, [True, False, False]),  # the whole-grid fallback
+    ])
+    def test_every_route_returns_sweep_rows(self, base, axis, start, stop, errors):
+        rows = run_sweep(SweepSpec(base, axis, start, stop, 3))
+        assert [row.error is not None for row in rows] == errors
+        assert all(type(row) is SweepRow for row in rows)
 
     def test_oracle_chunks_equal_the_per_point_loop(self, base, monkeypatch):
         monkeypatch.setattr(oracle, "STACK_CHUNK", 4)
