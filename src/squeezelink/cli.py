@@ -142,8 +142,9 @@ def cmd_sweep(args, out) -> int:
         raise ConfigError(f"--max-errors must be >= 0, got {args.max_errors}")
 
     if args.figure is not None:
-        if args.range is not None:
-            raise ConfigError("--range applies to --axis sweeps, not to --figure")
+        for flag, value in (("--range", args.range), ("--quantity", args.quantity)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies to --axis sweeps, not to --figure")
         try:
             text = render_figure_csv(args.figure, base=_resolve(args), preset=args.preset)
         except sweep.UnknownFigure as exc:
@@ -154,11 +155,12 @@ def cmd_sweep(args, out) -> int:
     if args.range is None:
         raise ConfigError("--axis sweeps need --range MIN:MAX:COUNT[:log]")
     lo, hi, count, scale = _parse_range(args.range)
+    quantity = args.quantity or "mirror-duan-adiabatic"
     base = _resolve(args)
     try:
         spec = sweep.SweepSpec(
             base=base, axis=args.axis,
-            start=lo, stop=hi, count=count, scale=scale, quantity=args.quantity,
+            start=lo, stop=hi, count=count, scale=scale, quantity=quantity,
         )
         rows = sweep.run_sweep(spec)  # raises only for a bad grid; points fail as rows
     except model.UnknownPath as exc:
@@ -167,7 +169,7 @@ def cmd_sweep(args, out) -> int:
         raise ConfigError(f"bad --range {args.range!r}: {exc}") from exc
     failures = [row for row in rows if row.error is not None]
     meta = {
-        "preset": args.preset, "axis": args.axis, "quantity": args.quantity,
+        "preset": args.preset, "axis": args.axis, "quantity": quantity,
         "range": args.range,
     }
     lines = _metadata_lines(meta)
@@ -260,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", default=None,
                          help="parameter path, e.g. unit2.power or bath.r")
     p_sweep.add_argument("--range", default=None, help="MIN:MAX:COUNT[:log]")
-    p_sweep.add_argument("--quantity", choices=sweep.QUANTITIES,
-                         default="mirror-duan-adiabatic")
+    p_sweep.add_argument("--quantity", choices=sweep.QUANTITIES, default=None,
+                         help="--axis sweeps only (default mirror-duan-adiabatic)")
     p_sweep.add_argument("--out", default=None, help="write CSV to file instead of stdout")
     p_sweep.add_argument("--max-errors", type=int, default=0)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -15,10 +15,12 @@ In the rotating-wave model the X quadratures ``QUADRATURES[::2]`` never
 couple with the Y quadratures ``QUADRATURES[1::2]``, and the units couple
 only through the bath's x1-x2 and y1-y2 terms of D; so A is block diagonal
 in the 2x2 drift blocks (X1, x1), (X2, x2), (Y1, y1), (Y2, y2). The model
-fixes this split: :func:`solve_lyapunov_stack` solves one 4-unknown
-Sylvester equation per pair of blocks within X and within Y (Y is never
-derived from X) for a whole stack in one call, in place of one system of 64
-unknowns per item, so a system's bits do not depend on its stack.
+fixes this split: :func:`solve_lyapunov_stack` decides stability from each
+block's trace and determinant, and solves the 2x2 Sylvester equation of
+each pair of blocks within X and within Y (Y is never derived from X) in
+closed form, elementwise over the whole stack, with no LAPACK call. Each
+block pair is scaled by powers of two so that no product overflows, and a
+system's bits do not depend on its stack.
 :func:`build_rwa_drift_diffusion_stack` is the one assembly of A and D: it
 takes per-unit arrays (gamma, kappa, G, n_th) and the bath's N and M, and
 :func:`build_rwa_drift_diffusion` calls it on one system's floats. Chunking
@@ -44,7 +46,7 @@ from typing import Iterator
 
 from ._lazy import lazy_import
 from .closedform import DuanResult, require_totals
-from .model import SteadyState, SystemParams, stability_check
+from .model import StabilityReport, SteadyState, SystemParams, stability_check
 
 np = lazy_import("numpy")
 
@@ -70,6 +72,7 @@ _PANEL_RATIO = 4.0
 _X, _Y, _UNIT1, _UNIT2 = slice(0, 8, 2), slice(1, 8, 2), slice(0, 4), slice(4, 8)
 _X1, _X2, _Y1, _Y2 = slice(0, 4, 2), slice(4, 8, 2), slice(1, 4, 2), slice(5, 8, 2)
 _SPLIT_PAIRS = ((_X1, _X1), (_X1, _X2), (_X2, _X2), (_Y1, _Y1), (_Y1, _Y2), (_Y2, _Y2))
+_BLOCKS = (_X1, _X2, _Y1, _Y2)
 
 
 class UnstableDrift(RuntimeError):
@@ -182,12 +185,14 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     ``A`` and ``D`` are stacks of shape ``(B, n, n)``. Every drift matrix
     must be stable. An 8 x 8 stack whose ``A`` is zero outside the model's
     drift blocks and whose ``D`` is zero between X and Y takes the split:
-    ``A_p V_pq + V_pq A_q^T + D_pq = 0`` for each pair of blocks, all in one
-    LU call; any other stack gets the full n^2-unknown solve. Each item must
-    then satisfy the full equation to ``1e-10 * ||D[b]||``, checked on V and
-    D divided by ``max |D[b]|`` so that the norms cannot overflow. A
-    non-finite A, D or V raises ``FloatingPointError``. Errors name the
-    stack index.
+    each drift block is stable when its trace is negative and its
+    determinant positive, and ``A_p V_pq + V_pq A_q^T + D_pq = 0`` is solved
+    in closed form for every pair of blocks by :func:`_sylvester_2x2`, with
+    no LAPACK call. Any other stack gets :func:`stability_check` and the
+    full n^2-unknown LU solve. Each item must then satisfy the full equation
+    to ``1e-10 * ||D[b]||``, checked on V and D divided by ``max |D[b]|`` so
+    that the norms cannot overflow. A non-finite A, D or V raises
+    ``FloatingPointError``. Errors name the stack index.
     """
     A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
     if A.ndim != 3 or A.shape != D.shape:
@@ -195,18 +200,19 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
             f"need stacks A and D of equal shape (B, n, n), got {A.shape} and {D.shape}"
         )
     _require_finite("drift or diffusion matrix", A, D)
-    report = stability_check(A)
+    split = A.shape[1] == 8 and not any(M[:, rows, cols].any() for M, rows, cols in (
+        (A, _X, _Y), (A, _Y, _X), (A, _UNIT1, _UNIT2), (A, _UNIT2, _UNIT1),
+        (D, _X, _Y), (D, _Y, _X)))
+    report = _split_stability(A) if split else stability_check(A)
     if not report.stable:
         raise UnstableDrift(
             f"drift matrix is not stable (max Re eigenvalue = "
             f"{report.max_real_part:g} at stack index {report.worst_index[0]})"
         )
-    if A.shape[1] == 8 and not any(M[:, rows, cols].any() for M, rows, cols in (
-            (A, _X, _Y), (A, _Y, _X), (A, _UNIT1, _UNIT2), (A, _UNIT2, _UNIT1),
-            (D, _X, _Y), (D, _Y, _X))):
-        W = _kronecker_solve(np.concatenate([A[:, p, p] for p, _ in _SPLIT_PAIRS]),
-                             np.concatenate([A[:, q, q] for _, q in _SPLIT_PAIRS]),
-                             np.concatenate([D[:, p, q] for p, q in _SPLIT_PAIRS]))
+    if split:
+        W = _sylvester_2x2(np.concatenate([A[:, p, p] for p, _ in _SPLIT_PAIRS]),
+                           np.concatenate([A[:, q, q] for _, q in _SPLIT_PAIRS]),
+                           np.concatenate([D[:, p, q] for p, q in _SPLIT_PAIRS]))
         V = np.zeros_like(D)
         for W_pq, (p, q) in zip(np.split(W, len(_SPLIT_PAIRS)), _SPLIT_PAIRS):
             V[:, q, p] = W_pq.transpose(0, 2, 1)
@@ -234,6 +240,60 @@ def _require_finite(what: str, *stacks: np.ndarray):
         if not np.isfinite(x).all():
             index = int(np.argmin(np.isfinite(x).all(axis=(1, 2))))
             raise FloatingPointError(f"{what} is not finite at stack index {index}")
+
+
+def _entries(*stacks: np.ndarray):
+    """Each ``(m, 2, 2)`` stack as its rows of entries 00, 01, 10, 11, each
+    scaled by ``2**-e`` with ``e`` the exponent of the item's largest entry
+    over all the stacks; returns the rows and ``e``."""
+    rows = [x.reshape(-1, 4).T.copy() for x in stacks]
+    e = np.frexp(np.max([np.abs(x).max(axis=0) for x in rows], axis=0))[1]
+    return [np.ldexp(x, -e) for x in rows], e
+
+
+def _split_stability(A: np.ndarray) -> StabilityReport:
+    """:func:`stability_check`'s report on a split stack, from its drift blocks.
+
+    A 2x2 block is stable when its trace is negative and its determinant
+    positive. With ``h = tr/2``, a real pair of eigenvalues is
+    ``q = h + sign(h) sqrt(disc)`` and ``det / q``, which unlike
+    ``h - sign(h) sqrt(disc)`` does not cancel when the block is overdamped.
+    Each block is scaled by a power of two first, so that no product
+    overflows.
+    """
+    ((a, b, c, d),), e = _entries(np.concatenate([A[:, p, p] for p in _BLOCKS]))
+    h, det = (a + d) / 2.0, a * d - b * c
+    disc = ((a - d) / 2.0) ** 2 + b * c
+    q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
+    real = np.fmax(q, np.divide(det, q, out=np.zeros_like(q), where=q != 0.0))
+    max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(len(_BLOCKS), -1).max(axis=0)
+    worst = int(np.argmax(max_re))
+    return StabilityReport(stable=bool(((h < 0.0) & (det > 0.0)).all()),
+                           max_real_part=float(max_re[worst]), worst_index=(worst,))
+
+
+def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Solve ``A W + W C^T + D = 0`` in closed form for a stack of 2 x 2 blocks.
+
+    With ``B = C^T`` and ``Q = -D``, Cayley-Hamilton for B gives
+    ``(A^2 + tr(B) A + det(B) I) W = A Q - Q B + tr(B) Q``, and for A turns
+    the left matrix into ``(tr A + tr B) A + (det B - det A) I``, whose
+    explicit inverse gives W. A and C of each item are scaled by one power of
+    two and D by another, so that no product overflows; both scalings are
+    exact and are undone on W. A non-finite W is left to the caller.
+    """
+    ((a, b, c, d), (e, g, f, h)), eA = _entries(A, C)  # B = [[e, f], [g, h]]
+    ((q11, q12, q21, q22),), eD = _entries(-D)
+    t, k = a + d + e + h, (e * h - f * g) - (a * d - b * c)
+    r11 = (a + h) * q11 + b * q21 - g * q12
+    r12 = (a + e) * q12 + b * q22 - f * q11
+    r21 = (d + h) * q21 + c * q11 - g * q22
+    r22 = (d + e) * q22 + c * q12 - f * q21
+    m11, m12, m21, m22 = t * a + k, t * b, t * c, t * d + k
+    W = np.array([m22 * r11 - m12 * r21, m22 * r12 - m12 * r22,
+                  m11 * r21 - m21 * r11, m11 * r22 - m21 * r12])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.ldexp(W / (m11 * m22 - m12 * m21), eD - eA).T.reshape(-1, 2, 2)
 
 
 def _kronecker_solve(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:

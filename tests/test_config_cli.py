@@ -265,6 +265,7 @@ class TestCliSweep:
             ("sweep", "--axis", "bath.r", "--range", "0:1:3", "--out", "/nonexistent/dir/x.csv"),
             ("sweep", "--figure", "fig4", "--max-errors", "-1"),
             ("sweep", "--figure", "fig2", "--range", "0:1:3"),
+            ("sweep", "--figure", "fig4", "--quantity", "oracle-duan"),
         ],
     )
     def test_config_errors_exit_2(self, argv):
@@ -283,6 +284,13 @@ class TestCliSweep:
         code, text = run_cli("sweep", *argv)
         assert code == cli.EXIT_OK
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    def test_quantity_with_a_figure_is_one_line_naming_it(self, capsys):
+        # a figure fixes its own quantities, so --quantity would be ignored
+        code, text = run_cli("sweep", "--figure", "fig4", "--quantity", "oracle-duan")
+        assert code == cli.EXIT_CONFIG and text == ""
+        assert capsys.readouterr().err == (
+            "config error: --quantity applies to --axis sweeps, not to --figure\n")
 
     def test_out_path_that_is_a_directory_is_one_line_naming_it(self, tmp_path, capsys):
         code, text = run_cli("sweep", "--figure", "fig4", "--out", str(tmp_path))

@@ -132,14 +132,35 @@ def physical_stack():
     return np.stack([dd.A for dd in dds]), np.stack([dd.D for dd in dds])
 
 
-def spy_on_kronecker_solve(monkeypatch):
-    """Record the stack shape of every Kronecker solve; returns the record."""
-    shapes, solve = [], oracle._kronecker_solve
-    def spy(A, C, D):
+def spy_on(monkeypatch, name="_kronecker_solve"):
+    """Record the shape of the first argument of every call of ``oracle.<name>``;
+    returns the record."""
+    shapes, fn = [], getattr(oracle, name)
+    def spy(A, *rest):
         shapes.append(A.shape)
-        return solve(A, C, D)
-    monkeypatch.setattr(oracle, "_kronecker_solve", spy)
+        return fn(A, *rest)
+    monkeypatch.setattr(oracle, name, spy)
     return shapes
+
+
+def drift_block(gamma, kappa, G):
+    """One unit's 2x2 drift block of the model, (X, x) or (Y, y)."""
+    return np.array([[-gamma / 2.0, G], [-G, -kappa / 2.0]])
+
+
+def random_stable_blocks(rng, count):
+    """Stable 2x2 drift blocks: overdamped model blocks at gamma/kappa = 1e-6
+    (real eigenvalue pairs), underdamped ones (complex pairs) and generic ones."""
+    blocks = []
+    for k in range(count):
+        if k % 3 == 0:
+            blocks.append(drift_block(1e-6, 1.0, rng.uniform(0.0, 0.2)))
+        elif k % 3 == 1:
+            blocks.append(drift_block(rng.uniform(1e-3, 1.0), 1.0, rng.uniform(1.0, 10.0)))
+        else:
+            M = rng.standard_normal((2, 2))
+            blocks.append(M - (max(np.linalg.eigvals(M).real.max(), 0.0) + 0.1) * np.eye(2))
+    return np.array(blocks)
 
 
 class TestStackedLyapunov:
@@ -163,11 +184,13 @@ class TestStackedLyapunov:
         assert QUADRATURES[1::2] == ("Y1", "y1", "Y2", "y2")
 
     def test_rwa_stack_is_solved_on_its_drift_blocks_in_one_call(self, monkeypatch):
-        # three pairs of 2x2 drift blocks within X and three within Y
-        shapes = spy_on_kronecker_solve(monkeypatch)
+        # three pairs of 2x2 drift blocks within X and three within Y, in
+        # closed form: neither the eigenvalues nor the LU solve are called
+        shapes, kronecker, eigen = (spy_on(monkeypatch, name) for name in (
+            "_sylvester_2x2", "_kronecker_solve", "stability_check"))
         A, D = physical_stack()
         V = solve_lyapunov_stack(A, D)
-        assert shapes == [(6 * len(A), 2, 2)]
+        assert shapes == [(6 * len(A), 2, 2)] and kronecker == eigen == []
         for M in (A, D, V):
             assert not M[:, ::2, 1::2].any() and not M[:, 1::2, ::2].any()
         assert not A[:, :4, 4:].any() and not A[:, 4:, :4].any()
@@ -190,7 +213,7 @@ class TestStackedLyapunov:
                                               ("A", "x1", "x2")])
     def test_one_entry_off_the_split_sends_the_whole_stack_to_the_full_solve(
             self, which, i, j, monkeypatch):
-        shapes = spy_on_kronecker_solve(monkeypatch)
+        shapes = spy_on(monkeypatch)
         A, D = physical_stack()
         M = A if which == "A" else D
         M[1, IDX[i], IDX[j]] = M[1, IDX[j], IDX[i]] = 1e-3 * np.abs(M[1]).max()
@@ -200,7 +223,7 @@ class TestStackedLyapunov:
         assert np.allclose(V[0], single, rtol=1e-12, atol=1e-12)
 
     def test_a_stack_of_another_size_gets_the_full_solve(self, monkeypatch):
-        shapes = spy_on_kronecker_solve(monkeypatch)
+        shapes = spy_on(monkeypatch)
         # each item alone is diagonal except for one different link
         A = np.stack([-np.eye(4), -np.eye(4)])
         A[0, 0, 1] = 0.3
@@ -211,6 +234,62 @@ class TestStackedLyapunov:
         assert shapes == [(2, 4, 4)]
         residual = A @ V + V @ A.transpose(0, 2, 1) + D
         assert np.abs(residual).max() <= 1e-14
+
+    def test_closed_form_blocks_agree_with_the_kronecker_solve(self):
+        # entries scaled by 2**500 or 2**-500 would overflow or underflow
+        # the closed form's products unscaled; RuntimeWarnings are errors
+        rng = np.random.default_rng(11)
+        count = 600
+        A, C = random_stable_blocks(rng, count), random_stable_blocks(rng, count)[::-1]
+        L = rng.standard_normal((count, 2, 2))
+        D = L @ L.transpose(0, 2, 1) + rng.standard_normal((count, 2, 2))
+        scale_A, scale_D = (np.ldexp(1.0, rng.choice([-500, 0, 500], count))[:, None, None]
+                            for _ in range(2))
+        for A_k, C_k, D_k in ((A, C, D), (scale_A * A, scale_A * C, scale_D * D)):
+            W, ref = oracle._sylvester_2x2(A_k, C_k, D_k), oracle._kronecker_solve(A_k, C_k, D_k)
+            error = np.abs(W - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+            assert error.max() <= 1e-12
+        # the scalings are powers of two, so they move no bit
+        assert np.array_equal(oracle._sylvester_2x2(scale_A * A, scale_A * C, scale_D * D),
+                              scale_D / scale_A * oracle._sylvester_2x2(A, C, D))
+
+    @pytest.mark.parametrize("case", ["unstable", "zero-trace", "overdamped"])
+    def test_block_stability_report_is_that_of_the_eigenvalues(self, case):
+        gamma = KAPPA * np.array([1e-3, 0.01, 0.05, 0.2])
+        G = KAPPA * np.array([0.01, 0.05, 0.1, 2.0])
+        if case == "overdamped":  # tr/2 + sqrt(disc) loses 2 to 3 digits
+            G = KAPPA * np.array([0.01, 0.02, 0.03, 0.05])
+        if case == "zero-trace":  # unit 1 of item 2 has no damping at all
+            gamma[2] = 0.0
+        kappa1 = np.where(gamma == 0.0, 0.0, KAPPA)
+        A, _ = build_rwa_drift_diffusion_stack((gamma, kappa1, G, 1.0),
+                                               (gamma[::-1], KAPPA, G[::-1], 2.0), 0.0, 0.0)
+        if case == "unstable":
+            A[1] = -A[1]
+        report, ref = oracle._split_stability(A), model.stability_check(A)
+        assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
+        assert report.stable == (case == "overdamped")
+        assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-12)
+
+    def test_overdamped_block_real_part_does_not_cancel(self):
+        # at gamma/kappa = 1e-6 the slow rate is ~1e-6 of the trace: LAPACK's
+        # eigenvalues keep ~5 fewer digits of it than the closed form
+        rng = np.random.default_rng(3)
+        G = KAPPA * 10.0 ** rng.uniform(-4.0, -0.7, 8)
+        A, _ = build_rwa_drift_diffusion_stack((1e-6 * KAPPA, KAPPA, G, 1.0),
+                                               (1e-6 * KAPPA, KAPPA, G[::-1], 1.0), 0.0, 0.0)
+        assert oracle._split_stability(A).worst_index == model.stability_check(A).worst_index
+        import mpmath
+        with mpmath.workdps(40):
+            for a in A:
+                exact = max(
+                    mpmath.re(h + mpmath.sqrt(h * h - det))
+                    for block in (a[p, p] for p in (oracle._X1, oracle._X2))
+                    for h, det in [(mpmath.mpf(block[0, 0]) / 2 + mpmath.mpf(block[1, 1]) / 2,
+                                    mpmath.mpf(block[0, 0]) * block[1, 1]
+                                    - mpmath.mpf(block[0, 1]) * block[1, 0])])
+                report = oracle._split_stability(a[None])
+                assert report.max_real_part == pytest.approx(float(exact), rel=1e-14)
 
     def test_unstable_item_is_named(self):
         A, D = physical_stack()
