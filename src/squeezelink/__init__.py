@@ -40,7 +40,6 @@ from .model import (
     thermal_occupation,
 )
 from .oracle import (
-    CovarianceMatrix,
     DriftDiffusion,
     QuadratureFailure,
     UnstableDrift,
@@ -55,7 +54,6 @@ from .sweep import (
     SweepSpec,
     UnknownFigure,
     figure_dataset,
-    minimize_scalar,
     run_sweep,
 )
 

@@ -1,9 +1,10 @@
 """Command-line front end: duan, sweep, threshold and selfcheck subcommands.
 
-Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure or an
-unwritable ``--out`` path, 3 unstable/non-convergent/degenerate operating
-point, float overflow or an optimized figure whose optimum lies at the edge
-of its search bracket, 4 too many failed sweep points.
+Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure, an
+unwritable ``--out`` path or ``threshold`` on units that differ, 3
+unstable/non-convergent/degenerate operating point, float overflow or an
+optimized figure whose optimum lies at the edge of its search bracket, 4 too
+many failed sweep points.
 """
 
 from __future__ import annotations
@@ -200,6 +201,10 @@ def _emit(text: str, path: Optional[str], out):
 
 def cmd_threshold(args, out) -> int:
     system = _resolve(args)
+    inputs = [(*vars(u.resonator).values(), *vars(u.mirror).values())
+              for u in (system.unit1, system.unit2)]
+    if not sweep._identical(*inputs, max):
+        raise ConfigError("the thresholds assume identical units; unit 2 differs from unit 1")
     unit = system.unit1
     r = system.bath.r
     temperature = unit.mirror.temperature

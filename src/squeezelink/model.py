@@ -252,8 +252,7 @@ def _occupation(omega_M: float, temperature: float) -> float:
 
 def temperature_for_occupation(omega_M: float, n_th: float) -> float:
     """Inverse of :func:`thermal_occupation`; n_th = 0 maps to T = 0."""
-    if not 0.0 < omega_M < math.inf:  # inline, as this runs once per array element
-        raise ValueError(f"omega_M must be positive and finite, got {omega_M!r}")
+    _require_positive(omega_M=omega_M)
     if not 0.0 <= n_th < math.inf:  # also rejects NaN
         raise ValueError(f"n_th must be >= 0 and finite, got {n_th!r}")
     if n_th == 0.0:
@@ -551,7 +550,8 @@ def unit_with_cooperativity(C: float, kappa: float, gamma: float,
         raise ValueError("C must be >= 0")
     d = REFERENCE_DEVICE
     g = single_photon_coupling(d["omega_r"], d["length"], d["mass"], d["omega_M"])
-    power = _cooperativity_power(C, gamma, kappa, g, d["omega_M"], d["omega_L"])
+    n_bar = C * gamma * kappa / (4.0 * g**2)
+    power = n_bar * ((kappa / 2.0) ** 2 + d["omega_M"] ** 2) * HBAR * d["omega_L"] / (2.0 * kappa)
     if power == 0.0:
         power = 1e-300  # C = 0: keep the strictly-positive invariant
     return OptomechanicalUnit(
@@ -560,31 +560,3 @@ def unit_with_cooperativity(C: float, kappa: float, gamma: float,
         mirror=MirrorParams(omega_M=d["omega_M"], gamma=gamma, mass=d["mass"],
                             temperature=temperature_for_occupation(d["omega_M"], n_th)),
     )
-
-
-def _cooperativity_power(C, gamma, kappa, g, omega_M, omega_L):
-    """Drive power of cooperativity C at delta_eff = -omega_M, for floats or arrays."""
-    n_bar = C * gamma * kappa / (4.0 * g**2)
-    eps_sq = n_bar * ((kappa / 2.0) ** 2 + omega_M**2)
-    return eps_sq * HBAR * omega_L / (2.0 * kappa)
-
-
-def cooperativity_arrays(C, kappa: float, gamma, n_th) -> SidebandArrays:
-    """:func:`red_sideband_arrays` of ``unit_with_cooperativity(C, kappa, gamma, n_th)``.
-
-    ``C``, ``gamma`` and ``n_th`` broadcast together. Element by element the
-    rates have the bits of that unit's steady state, and every element
-    passes the checks that building the unit runs, or an error it raises.
-    """
-    C, gamma, n_th = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (C, gamma, n_th)))
-    if (C < 0).any():
-        raise ValueError("C must be >= 0")
-    unit = unit_with_cooperativity(C=0.0, kappa=kappa, gamma=kappa, n_th=0.0)
-    res, mir = unit.resonator, unit.mirror
-    g = single_photon_coupling(res.omega_r, res.length, mir.mass, mir.omega_M)
-    with np.errstate(all="ignore"):  # the power check reports an overflow
-        power = _cooperativity_power(C, gamma, kappa, g, mir.omega_M, res.omega_L)
-    power = np.where(power == 0.0, 1e-300, power)  # as unit_with_cooperativity does at C = 0
-    temperature = [temperature_for_occupation(mir.omega_M, n) for n in n_th.ravel().tolist()]
-    return red_sideband_arrays(unit, power=power, gamma=gamma,
-                               temperature=np.reshape(temperature, n_th.shape))

@@ -23,7 +23,9 @@ block pair is scaled by powers of two so that no product overflows, and a
 system's bits do not depend on its stack.
 :func:`build_rwa_drift_diffusion_stack` is the one assembly of A and D: it
 takes per-unit arrays (gamma, kappa, G, n_th) and the bath's N and M, and
-:func:`build_rwa_drift_diffusion` calls it on one system's floats. Chunking
+:func:`build_rwa_drift_diffusion` calls it on one system's floats.
+:func:`solve_lyapunov` returns one system's 8x8 covariance V as a plain
+array, which :func:`duan_from_covariance` reads. Chunking
 lives here too: :func:`covariance_chunks` assembles and solves many systems
 ``STACK_CHUNK`` at a time, for the sweeps and the selfcheck grids alike.
 :func:`spectral_duan_sum_stack` takes the same arguments and integrates the
@@ -95,17 +97,6 @@ class DriftDiffusion:
     D: np.ndarray
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Symmetrized steady-state quadrature covariance V_ij = <u_i u_j>_sym."""
-
-    V: np.ndarray
-
-    def variance(self, name: str) -> float:
-        i = IDX[name]
-        return float(self.V[i, i])
-
-
 def build_rwa_drift_diffusion(
     system: SystemParams, steady: tuple[SteadyState, SteadyState]
 ) -> DriftDiffusion:
@@ -173,10 +164,10 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
             *build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
 
 
-def solve_lyapunov(dd: DriftDiffusion) -> CovarianceMatrix:
-    """Steady-state covariance from A V + V A^T + D = 0 (a stack of one)."""
+def solve_lyapunov(dd: DriftDiffusion) -> np.ndarray:
+    """The 8x8 steady-state covariance V from A V + V A^T + D = 0 (a stack of one)."""
     A, D = np.asarray(dd.A, dtype=float), np.asarray(dd.D, dtype=float)
-    return CovarianceMatrix(V=solve_lyapunov_stack(A[None], D[None])[0])
+    return solve_lyapunov_stack(A[None], D[None])[0]
 
 
 def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -310,9 +301,9 @@ def _kronecker_solve(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K.reshape(B, m * m, m * m), rhs).reshape(B, m, m)
 
 
-def duan_from_covariance(V: CovarianceMatrix, pair: str = "mirror") -> DuanResult:
-    """Variances of the joint EPR quadratures (u1 - u2, v1 + v2) from V."""
-    var_X, var_Y = _duan_variances(V.V, pair)
+def duan_from_covariance(V: np.ndarray, pair: str = "mirror") -> DuanResult:
+    """Variances of the joint EPR quadratures (u1 - u2, v1 + v2) from the 8x8 V."""
+    var_X, var_Y = _duan_variances(V, pair)
     return DuanResult(var_X=float(var_X), var_Y=float(var_Y))
 
 

@@ -3,6 +3,8 @@
 Each check returns a :class:`CheckResult` with the measured worst residual
 and the tolerance it was held to, so the CLI can print one machine-readable
 line per check and the test suite can assert on the same numbers.
+The oracle checks hand the grid's C and n_th to the oracles as given, with
+no drive power or bath temperature in between (see :func:`_symmetric_units`).
 """
 
 from __future__ import annotations
@@ -53,12 +55,14 @@ def _grid():
 
 
 def _symmetric_units(C, r, n_th, ratio):
-    """Oracle inputs ``(unit, unit, N, M)`` over arrays, each unit that of
-    ``unit_with_cooperativity(C, KAPPA_REF, ratio * KAPPA_REF, n_th)``."""
+    """Oracle inputs ``(unit, unit, N, M)`` over arrays, each unit ``(gamma, kappa, G, n_th)``
+    with gamma = ratio * KAPPA_REF, kappa = KAPPA_REF and C = 4 G^2 / (gamma kappa)."""
     C, r, n_th, ratio = np.broadcast_arrays(C, r, n_th, ratio)
+    for name, x in (("C", C), ("n_th", n_th)):
+        if not ((0.0 <= x) & (x < math.inf)).all():  # also rejects NaN
+            raise ValueError(f"{name} must be >= 0 and finite")
     gamma = ratio * KAPPA_REF
-    rates = model.cooperativity_arrays(C, KAPPA_REF, gamma, n_th)
-    unit = (gamma, KAPPA_REF, rates.G, rates.n_th)
+    unit = (gamma, KAPPA_REF, np.sqrt(C * gamma * KAPPA_REF) / 2.0, n_th)
     return (unit, unit, *model.squeeze_arrays(r))
 
 
@@ -121,16 +125,22 @@ def check_separability_floor(tolerance: float = 1e-9) -> CheckResult:
                        f"oracle, min total {2.0 - worst:.12f}")
 
 
-def _separability_totals() -> tuple[np.ndarray, np.ndarray]:
-    """(closed-form, Lyapunov) totals at random r = 0 parameter sets, in draw order."""
+def _separability_chunks():
+    """(C, n_th, gamma/kappa) arrays of the random r = 0 parameter sets, in draw order,
+    ``STACK_CHUNK`` sets at a time."""
     # row k holds sample k's (log10 C, n_th, log10 gamma/kappa), drawn in that order
     samples, rng = SEPARABILITY_SAMPLES, np.random.default_rng(SEPARABILITY_SEED)
     u = rng.uniform([-2, 0, -6], [3, 50, 0], size=(samples, 3))
-    closed, lyap = [], []
     for start in range(0, samples, oracle.STACK_CHUNK):  # few Python floats alive at a time
         log_C, n_th, log_ratio = u[start:start + oracle.STACK_CHUNK].T
-        C = np.array([10.0 ** x for x in log_C.tolist()])
-        ratio = np.array([10.0 ** x for x in log_ratio.tolist()])
+        yield (np.array([10.0 ** x for x in log_C.tolist()]), n_th,
+               np.array([10.0 ** x for x in log_ratio.tolist()]))
+
+
+def _separability_totals() -> tuple[np.ndarray, np.ndarray]:
+    """(closed-form, Lyapunov) totals at the random r = 0 parameter sets, in draw order."""
+    closed, lyap = [], []
+    for C, n_th, ratio in _separability_chunks():
         closed.append(closedform.duan_sum_nonadiabatic_arrays(
             C, 0.0, n_th, ratio * KAPPA_REF, KAPPA_REF))
         lyap.append(_mirror_totals(C, 0.0, n_th, ratio))

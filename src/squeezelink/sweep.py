@@ -119,7 +119,7 @@ def _steady_states(system: SystemParams):
 
 
 def _identical(unit1, unit2, maximum):
-    """Whether two units' (gamma, kappa, C, n_th) agree to 1e-9.
+    """Whether two units' parameter tuples, such as (gamma, kappa, C, n_th), agree to 1e-9.
 
     ``maximum`` is ``max`` for floats and ``np.maximum`` for arrays.
     """
@@ -247,25 +247,6 @@ def _point_row(spec: SweepSpec, x: float) -> SweepRow:
         return SweepRow(x, math.nan, math.nan, math.nan, False, math.nan, math.nan,
                         error=f"{type(exc).__name__}: {exc}")
     return SweepRow(x, result.total, result.var_X, result.var_Y, result.entangled, c1, c2)
-
-
-def minimize_scalar(objective: Callable[[float], float],
-                    spec: OptimizeSpec) -> tuple[float, float]:
-    """(argmin, min) of a scalar objective over the bracket of ``spec``.
-
-    This is the lockstep golden-section search of :func:`_golden_searches`
-    run as a batch of one: a scan of ``SCAN_POINTS`` points finds a
-    three-point bracket around the smallest value, and golden-section steps
-    shrink it to ``tolerance * (hi - lo)``. The objective is called once
-    per point, with a float. Raises :class:`BracketFailure` when the scan
-    is smallest at a bracket edge.
-    """
-    def batch(x, _search):
-        return np.array([objective(value) for value in x.ravel().tolist()],
-                        dtype=float).reshape(x.shape)
-
-    x_min, y_min = _golden_searches(batch, [spec])
-    return float(x_min[0]), float(y_min[0])
 
 
 def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -436,6 +436,23 @@ class TestCliThreshold:
         assert float(values["diagnostic_ratio"]) == pytest.approx(2.0, rel=1e-9)
         assert float(values["P_min_W"]) > 0
 
+    def test_asymmetric_units_are_a_config_error(self, tmp_path, capsys):
+        # the thresholds are those of identical units; unit 1's would be printed
+        path = tmp_path / "asym.ini"
+        path.write_text("[unit2]\ntemperature_uk = 500\npower_mw = 3\n")
+        code, text = run_cli("threshold", "--config", str(path))
+        assert code == cli.EXIT_CONFIG and text == ""
+        assert capsys.readouterr().err == (
+            "config error: the thresholds assume identical units; unit 2 differs from unit 1\n")
+
+    # the preset's 50 uK and 10 mW restated; 50 uK parses one ulp below the preset's 5e-05 K
+    @pytest.mark.parametrize("restated", ["temperature_mk = 0.05\npower_w = 0.01\n",
+                                          "temperature_uk = 50\n"])
+    def test_unit_restated_in_other_suffixes_is_identical(self, tmp_path, restated):
+        path = tmp_path / "same.ini"
+        path.write_text("[unit2]\n" + restated)
+        assert run_cli("threshold", "--config", str(path)) == run_cli("threshold")
+
 
 class TestCliSelfcheck:
     def test_single_check(self):

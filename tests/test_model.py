@@ -170,27 +170,6 @@ class TestSqueezedBath:
 
 
 class TestArrayHelpers:
-    @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(1e-6, 1.0), st.floats(0.0, 50.0)),
-                    min_size=1, max_size=6))
-    def test_cooperativity_arrays_equal_per_unit_steady_states(self, points):
-        kappa = 2 * math.pi * 215e3
-        C, ratio, n_th = (np.array(column) for column in zip(*points))
-        rates = model.cooperativity_arrays(C, kappa, ratio * kappa, n_th)
-        for k, (c, q, n) in enumerate(points):
-            unit = model.unit_with_cooperativity(C=c, kappa=kappa, gamma=q * kappa, n_th=n)
-            ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-            assert (rates.G[k], rates.n_th[k], rates.Gamma[k]) == (ss.G, ss.n_th, ss.Gamma)
-
-    @pytest.mark.parametrize("bad", [(-1.0, 1e3, 1.0), (1.0, -1e3, 1.0), (1.0, 1e3, -1.0),
-                                     (math.nan, 1e3, 1.0), (1e300, 1e3, 1.0)])
-    def test_cooperativity_arrays_reject_what_a_unit_rejects(self, bad):
-        with pytest.raises(ValueError) as expected:
-            model.unit_with_cooperativity(bad[0], 1e6, bad[1], bad[2])
-        C, gamma, n_th = (np.array([good, value]) for good, value in zip((1.0, 1e3, 1.0), bad))
-        with pytest.raises(ValueError) as got:
-            model.cooperativity_arrays(C, 1e6, gamma, n_th)
-        assert str(got.value) == str(expected.value)
-
     def test_squeeze_arrays_equal_the_bath_bit_for_bit(self):
         r = np.array([[0.0, 1.3, 0.25], [1.3, 7.0, 0.0]])  # repeated values
         N, M = model.squeeze_arrays(r)

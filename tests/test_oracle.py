@@ -35,12 +35,12 @@ def make_system(C, r, n_th, ratio, kappa=KAPPA):
 class TestDriftDiffusion:
     def test_vacuum_covariance_is_half_identity(self):
         system, steady = make_system(0.0, 0.0, 0.0, 0.01)
-        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady)).V
+        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
         assert np.allclose(V, np.eye(8) / 2, atol=1e-12)
 
     def test_decoupled_thermal_and_squeezed_baths(self):
         system, steady = make_system(0.0, 1.3, 3.0, 0.01)
-        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady)).V
+        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
         N = system.bath.N
         for name in ("X1", "Y1", "X2", "Y2"):
             assert V[IDX[name], IDX[name]] == pytest.approx(3.5, rel=1e-10)
@@ -51,7 +51,7 @@ class TestDriftDiffusion:
         # two decoupled fields: cross covariance solves
         # (kappa1 + kappa2)/2 * V12 = sqrt(kappa1 kappa2) * M
         system, steady = make_system(0.0, 0.8, 0.0, 0.01)
-        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady)).V
+        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
         M = system.bath.M_corr
         assert V[IDX["x1"], IDX["x2"]] == pytest.approx(M, rel=1e-10)
         assert V[IDX["y1"], IDX["y2"]] == pytest.approx(-M, rel=1e-10)
@@ -85,7 +85,7 @@ class TestLyapunovSolver:
     def test_scalar_ornstein_uhlenbeck(self):
         rates = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
         D = np.diag(np.arange(1.0, 9.0))
-        V = solve_lyapunov(DriftDiffusion(A=-np.diag(rates), D=D)).V
+        V = solve_lyapunov(DriftDiffusion(A=-np.diag(rates), D=D))
         assert np.allclose(np.diag(V), np.diag(D) / (2 * rates), rtol=1e-12)
 
     def test_constructed_solutions(self):
@@ -96,7 +96,7 @@ class TestLyapunovSolver:
             L = rng.standard_normal((8, 8))
             V0 = L @ L.T
             D = -(A @ V0 + V0 @ A.T)
-            V = solve_lyapunov(DriftDiffusion(A=A, D=D)).V
+            V = solve_lyapunov(DriftDiffusion(A=A, D=D))
             assert np.linalg.norm(V - V0) <= 1e-9 * np.linalg.norm(V0)
 
     def test_unstable_drift_rejected(self):
@@ -107,7 +107,7 @@ class TestLyapunovSolver:
     def test_residual_and_psd(self):
         system, steady = make_system(15.0, 1.0, 5.0, 0.01)
         dd = build_rwa_drift_diffusion(system, steady)
-        V = solve_lyapunov(dd).V
+        V = solve_lyapunov(dd)
         residual = np.linalg.norm(dd.A @ V + V @ dd.A.T + dd.D)
         assert residual <= 1e-10 * np.linalg.norm(dd.D)
         assert np.linalg.eigvalsh(V).min() >= -1e-12
@@ -173,7 +173,7 @@ class TestStackedLyapunov:
             A, D = (np.stack(m) for m in zip(*(random_stable_system(rng) for _ in range(6))))
         V = solve_lyapunov_stack(A, D)
         for a, d, v in zip(A, D, V):
-            single = solve_lyapunov(DriftDiffusion(A=a, D=d)).V
+            single = solve_lyapunov(DriftDiffusion(A=a, D=d))
             if kind == "rwa":  # the model's split does not depend on the stack
                 assert np.array_equal(v, single)
             else:
@@ -204,8 +204,8 @@ class TestStackedLyapunov:
         D2 = D.copy()
         for i, j in (("y1", "y2"), ("y2", "y1")):
             D2[:, IDX[i], IDX[j]] *= -1.0
-        before = duan_from_covariance(oracle.CovarianceMatrix(V=solve_lyapunov_stack(A, D)[2]))
-        after = duan_from_covariance(oracle.CovarianceMatrix(V=solve_lyapunov_stack(A, D2)[2]))
+        before = duan_from_covariance(solve_lyapunov_stack(A, D)[2])
+        after = duan_from_covariance(solve_lyapunov_stack(A, D2)[2])
         assert after.var_X == before.var_X
         assert after.var_Y > before.var_Y + 1.0
 
@@ -219,7 +219,7 @@ class TestStackedLyapunov:
         M[1, IDX[i], IDX[j]] = M[1, IDX[j], IDX[i]] = 1e-3 * np.abs(M[1]).max()
         V = solve_lyapunov_stack(A, D)
         assert shapes == [(len(A), 8, 8)]
-        single = solve_lyapunov(DriftDiffusion(A=A[0], D=D[0])).V  # by the split
+        single = solve_lyapunov(DriftDiffusion(A=A[0], D=D[0]))  # by the split
         assert np.allclose(V[0], single, rtol=1e-12, atol=1e-12)
 
     def test_a_stack_of_another_size_gets_the_full_solve(self, monkeypatch):
@@ -328,7 +328,7 @@ class TestStackedLyapunov:
 
 class TestDuanFromCovariance:
     def test_two_mode_vacuum_sits_on_boundary(self):
-        V = oracle.CovarianceMatrix(V=np.eye(8) / 2)
+        V = np.eye(8) / 2
         result = duan_from_covariance(V, "mirror")
         assert result.total == pytest.approx(2.0)
         assert not result.entangled
@@ -356,7 +356,7 @@ class TestDuanFromCovariance:
 
     def test_unknown_pair(self):
         with pytest.raises(ValueError):
-            duan_from_covariance(oracle.CovarianceMatrix(V=np.eye(8) / 2), "bogus")
+            duan_from_covariance(np.eye(8) / 2, "bogus")
 
 
 class TestSpectralIntegration:
@@ -449,7 +449,7 @@ class TestStructuralProperties:
             system, steady = make_system(C, r, n_th, ratio)
             V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
             for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
-                assert V.variance(x) * V.variance(y) >= 0.25 - 1e-10
+                assert V[IDX[x], IDX[x]] * V[IDX[y], IDX[y]] >= 0.25 - 1e-10
 
 
 def asymmetric_system(C1, C2, ratio1, ratio2, kappa_ratio, n1, n2, r):
@@ -530,7 +530,7 @@ class TestStackedDuan:
         for pair in ("mirror", "field"):
             var_X, var_Y = duan_from_covariance_stack(V, pair)
             for k, v in enumerate(V):
-                single = duan_from_covariance(oracle.CovarianceMatrix(V=v), pair)
+                single = duan_from_covariance(v, pair)
                 assert (var_X[k], var_Y[k]) == (single.var_X, single.var_Y)
 
     def test_first_bad_total_raises_the_per_point_error(self):
@@ -619,12 +619,8 @@ def test_spectral_stack_matches_closed_form_at_large_squeezing(r):
     # integrand loses every digit to e^{2r}
     C, _, n_th, ratio = selfcheck._grid()
     kappa = selfcheck.KAPPA_REF
-    gamma = ratio * kappa
-    rates = model.cooperativity_arrays(C, kappa, gamma, n_th)
-    unit = (gamma, kappa, rates.G, rates.n_th)
-    N, M = model.squeeze_arrays(np.full_like(C, r))
-    spec = oracle.spectral_duan_sum_stack(unit, unit, N, M)
-    exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa)
+    spec = oracle.spectral_duan_sum_stack(*selfcheck._symmetric_units(C, r, n_th, ratio))
+    exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, ratio * kappa, kappa)
     assert np.max(np.abs(spec / exact - 1.0)) <= 1e-12
 
 

@@ -1,6 +1,7 @@
 """Chunked, stacked Lyapunov solves in the selfcheck grids."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_chunked_solves_match_single_solves(monkeypatch, count):
     chunks = list(oracle.covariance_chunks(unit, unit, N, M))
     assert [len(V) for V in chunks] == [7] * (count // 7) + [count % 7] * (count % 7 > 0)
     for V, dd in zip(np.concatenate(chunks), dds, strict=True):
-        assert np.array_equal(V, oracle.solve_lyapunov(dd).V)
+        assert np.array_equal(V, oracle.solve_lyapunov(dd))
 
 
 def test_unstable_item_aborts_the_check(monkeypatch):
@@ -61,7 +62,7 @@ def dense_lyapunov(dd):
     n = dd.A.shape[0]
     K = np.kron(np.eye(n), dd.A) + np.kron(dd.A, np.eye(n))
     V = np.linalg.solve(K, -dd.D.reshape(n * n)).reshape(n, n)
-    return oracle.CovarianceMatrix(V=0.5 * (V + V.T))
+    return 0.5 * (V + V.T)
 
 
 def scalar_separability_totals(samples, seed):
@@ -102,16 +103,32 @@ def test_separability_matches_scalar_loop(monkeypatch, seed):
 
 
 def test_array_route_equals_per_point_solves(monkeypatch):
-    # the grid's oracle totals, built over arrays and solved in chunks,
-    # equal one build_rwa_drift_diffusion + solve_lyapunov per point
+    # the grid's oracle totals, built over arrays and solved in chunks, equal
+    # one build_rwa_drift_diffusion_stack + solve_lyapunov per point on the
+    # same (gamma, kappa, G, n_th) floats
     monkeypatch.setattr(oracle, "STACK_CHUNK", 50)
     grid = selfcheck._grid()
     totals = selfcheck._mirror_totals(*grid)
     assert totals.shape == (192,)
-    for point, total in zip(grid.T.tolist(), totals.tolist()):
-        system, steady = symmetric_system(*point)
-        V = oracle.solve_lyapunov(oracle.build_rwa_drift_diffusion(system, steady))
+    kappa = selfcheck.KAPPA_REF
+    for (C, r, n_th, ratio), total in zip(grid.T.tolist(), totals.tolist()):
+        gamma = ratio * kappa
+        unit = (gamma, kappa, math.sqrt(C * gamma * kappa) / 2.0, n_th)
+        bath = model.SqueezedBath(r=r)
+        A, D = oracle.build_rwa_drift_diffusion_stack(unit, unit, bath.N, bath.M_corr)
+        V = oracle.solve_lyapunov(oracle.DriftDiffusion(A=A, D=D))
         assert total == oracle.duan_from_covariance(V, "mirror").total
+
+
+def test_symmetric_units_take_the_grids_n_th_and_c_as_given():
+    # the first separability chunk: n_th reaches the oracle bit for bit, and
+    # the coupling G gives back C = 4 G^2 / (gamma kappa) to rounding
+    C, n_th, ratio = next(selfcheck._separability_chunks())
+    assert len(C) == oracle.STACK_CHUNK
+    (gamma, kappa, G, unit_n_th), _, N, M = selfcheck._symmetric_units(C, 0.0, n_th, ratio)
+    assert np.array_equal(unit_n_th, n_th)
+    assert np.all(np.abs(4.0 * G * G / (gamma * kappa) - C) <= 4 * np.spacing(C))
+    assert not N.any() and not M.any()
 
 
 def test_array_route_rejects_what_the_per_point_route_rejects():

@@ -19,7 +19,6 @@ from squeezelink.sweep import (
     UnknownFigure,
     evaluate_quantity,
     figure_dataset,
-    minimize_scalar,
     run_sweep,
     set_param,
 )
@@ -350,21 +349,21 @@ class TestEvaluateQuantity:
 
 class TestMinimizeScalar:
     def test_quadratic_minimum(self):
-        x, y = minimize_scalar(lambda x: (x - 3.0) ** 2 + 1.0, OptimizeSpec(0.0, 10.0))
+        (x,), (y,) = sweep._golden_searches(lambda x, _: (x - 3.0) ** 2 + 1.0,
+                                            [OptimizeSpec(0.0, 10.0)])
         assert x == pytest.approx(3.0, abs=1e-4)
         assert y == pytest.approx(1.0, abs=1e-8)
 
     def test_tight_tolerance(self):
-        x, _ = minimize_scalar(
-            lambda x: math.cosh(x - 0.7), OptimizeSpec(-2.0, 2.0, tolerance=1e-10)
-        )
+        (x,), _ = sweep._golden_searches(lambda x, _: np.cosh(x - 0.7),
+                                         [OptimizeSpec(-2.0, 2.0, tolerance=1e-10)])
         assert x == pytest.approx(0.7, abs=1e-7)
 
     def test_monotone_objective_raises(self):
         with pytest.raises(BracketFailure):
-            minimize_scalar(lambda x: x, OptimizeSpec(0.0, 1.0))
+            sweep._golden_searches(lambda x, _: x, [OptimizeSpec(0.0, 1.0)])
         with pytest.raises(BracketFailure):
-            minimize_scalar(lambda x: -x, OptimizeSpec(0.0, 1.0))
+            sweep._golden_searches(lambda x, _: -x, [OptimizeSpec(0.0, 1.0)])
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
@@ -382,13 +381,13 @@ class TestMinimizeScalar:
 
 
 def _quadratic_family(shifts, widths):
-    """(vectorized objective, scalar objective of search k) of shifted quartic bowls."""
+    """(objective of every search, objective of search k alone) of shifted quartic bowls."""
     def batch(x, search):
         u = (x - shifts[search, None]) / widths[search, None]
         return u * u + 0.25 * u * u * u * u
 
     def one(k):
-        def objective(x):
+        def objective(x, _search):
             u = (x - shifts[k]) / widths[k]
             return u * u + 0.25 * u * u * u * u
         return objective
@@ -409,7 +408,8 @@ class TestLockstepSearch:
         batch, one = _quadratic_family(shifts, widths)
         x_min, y_min = sweep._golden_searches(batch, specs)
         for k, spec in enumerate(specs):
-            assert (x_min[k], y_min[k]) == minimize_scalar(one(k), spec)
+            (x,), (y,) = sweep._golden_searches(one(k), [spec])
+            assert (x_min[k], y_min[k]) == (x, y)
 
     def test_partner_batch_equals_partner_searches_of_one(self, base):
         base = set_param(base, "bath.r", 2.0)
