@@ -61,6 +61,8 @@ def _symmetric_units(C, r, n_th, ratio):
     for name, x in (("C", C), ("n_th", n_th)):
         if not ((0.0 <= x) & (x < math.inf)).all():  # also rejects NaN
             raise ValueError(f"{name} must be >= 0 and finite")
+    if not ((0.0 < ratio) & (ratio < math.inf)).all():
+        raise ValueError("gamma/kappa must be positive and finite")
     gamma = ratio * KAPPA_REF
     unit = (gamma, KAPPA_REF, np.sqrt(C * gamma * KAPPA_REF) / 2.0, n_th)
     return (unit, unit, *model.squeeze_arrays(r))

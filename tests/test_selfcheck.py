@@ -131,6 +131,21 @@ def test_symmetric_units_take_the_grids_n_th_and_c_as_given():
     assert not N.any() and not M.any()
 
 
+@pytest.mark.parametrize("C, n_th, ratio, name", [
+    (-1.0, 1.0, 1e-3, "C"), (math.nan, 1.0, 1e-3, "C"), (math.inf, 1.0, 1e-3, "C"),
+    (1.0, -1.0, 1e-3, "n_th"), (1.0, math.inf, 1e-3, "n_th"),
+    (1.0, 1.0, -1e-3, "gamma/kappa"), (1.0, 1.0, math.nan, "gamma/kappa"),
+])
+def test_symmetric_units_reject_what_a_unit_rejects(C, n_th, ratio, name):
+    kappa = selfcheck.KAPPA_REF
+    with pytest.raises(ValueError):
+        model.unit_with_cooperativity(C, kappa, ratio * kappa, n_th)
+    good = (1.0, 1.0, 1e-3)
+    C, n_th, ratio = (np.array([g, x]) for g, x in zip(good, (C, n_th, ratio)))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        selfcheck._symmetric_units(C, 0.0, n_th, ratio)
+
+
 def test_array_route_rejects_what_the_per_point_route_rejects():
     with pytest.raises(ValueError, match="C must be >= 0"):
         selfcheck._mirror_totals(np.array([1.0, -1.0]), 0.0, 1.0, 0.01)
