@@ -8,7 +8,6 @@ independent steady-state covariance oracle.
 __version__ = "0.1.0"
 
 from .closedform import (
-    AdiabaticRates,
     DegenerateSqueeze,
     DuanResult,
     duan_sum_adiabatic_general,

@@ -97,11 +97,8 @@ def _add_config_args(parser):
 
 def cmd_duan(args, out) -> int:
     system = _resolve(args)
-    route = args.regime
-    if (args.pair, route) == ("field", "adiabatic"):
-        route = "nonadiabatic"  # the field pair's only closed form
     try:
-        result, c1, c2 = sweep.evaluate(system, args.pair, route)
+        result, c1, c2 = sweep.evaluate(system, args.pair, args.regime)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

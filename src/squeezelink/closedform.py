@@ -4,6 +4,10 @@ Every function here evaluates an analytic expression for the sum of the
 variances of the joint EPR quadratures (relative position and total
 momentum) of either the two mirrors or the two cavity fields. A sum below
 2 certifies entanglement; the boundary value 2 counts as separable.
+
+A form evaluated over grids has an array twin (``*_arrays``) that takes its
+arguments as arrays, or records of arrays, and gives the same bits; the first
+failing element raises what the per-point form raises.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from .model import (
     HBAR,
     KB,
     OptomechanicalUnit,
-    SqueezedBath,
     mean_fields_from_effective_detuning,
     per_distinct,
     raise_for_first,
@@ -36,8 +39,8 @@ def is_entangled(total: float) -> bool:
     """Strict inequality: a total variance of exactly 2 is separable."""
     if total < 0:
         raise ValueError(f"total variance must be >= 0, got {total!r}")
-    if math.isnan(total):  # an overflow upstream, not a verdict of "separable"
-        raise FloatingPointError("total variance is NaN")
+    if not total < math.inf:  # NaN or +inf: an overflow upstream, not a verdict of "separable"
+        raise FloatingPointError(f"total variance is {'NaN' if math.isnan(total) else total}")
     return total < SEPARABILITY_BOUND
 
 
@@ -68,51 +71,41 @@ class DuanResult:
         return cls(var_X=total / 2.0, var_Y=total / 2.0, total=total)
 
 
-@dataclass(frozen=True)
-class AdiabaticRates:
-    """Effective mirror rates after the cavity fields are eliminated."""
-
-    Gamma_a1: float
-    Gamma_a2: float
-    Gamma_1: float
-    Gamma_2: float
-    n_th1: float
-    n_th2: float
-
-    def __post_init__(self):
-        for j, (ga, g_tot) in enumerate(
-            [(self.Gamma_a1, self.Gamma_1), (self.Gamma_a2, self.Gamma_2)], start=1
-        ):
-            if _rates_out_of_bounds(ga, g_tot):
-                raise ValueError(
-                    f"unit {j}: need 0 <= Gamma_a <= Gamma and Gamma > 0, "
-                    f"got Gamma_a={ga!r}, Gamma={g_tot!r}"
-                )
-
-
 def _rates_out_of_bounds(Gamma_a, Gamma):
     # bitwise | so that the same expression serves floats and arrays
     return (Gamma_a < 0) | (Gamma <= 0) | (Gamma < Gamma_a)
 
 
-def _adiabatic_sum(Ga1, Ga2, G1, G2, n_th1, n_th2, N, M, sqrt):
+def _require_rates(Gamma_a1, Gamma_1, Gamma_a2, Gamma_2):
+    """ValueError unless each unit has 0 <= Gamma_a <= Gamma and Gamma > 0."""
+    for j, (ga, g_tot) in enumerate([(Gamma_a1, Gamma_1), (Gamma_a2, Gamma_2)], start=1):
+        if _rates_out_of_bounds(ga, g_tot):
+            raise ValueError(
+                f"unit {j}: need 0 <= Gamma_a <= Gamma and Gamma > 0, "
+                f"got Gamma_a={ga!r}, Gamma={g_tot!r}"
+            )
+
+
+def _adiabatic_sum(unit1, unit2, N, M, sqrt):
     """The adiabatic mirror total in + - * / and the given ``sqrt``, for floats or arrays."""
+    Ga1, Ga2, G1, G2 = unit1.Gamma_a, unit2.Gamma_a, unit1.Gamma, unit2.Gamma
     return (
         (2.0 * N + 1.0) * (Ga1 / G1 + Ga2 / G2)
         - 8.0 * sqrt(Ga1 * Ga2) * M / (G1 + G2)
-        + ((G1 - Ga1) / G1) * (2.0 * n_th1 + 1.0)
-        + ((G2 - Ga2) / G2) * (2.0 * n_th2 + 1.0)
+        + ((G1 - Ga1) / G1) * (2.0 * unit1.n_th + 1.0)
+        + ((G2 - Ga2) / G2) * (2.0 * unit2.n_th + 1.0)
     )
 
 
-def duan_sum_adiabatic_general(
-    rates: AdiabaticRates, bath: SqueezedBath
-) -> DuanResult:
-    """Mirror-mirror variance sum in the adiabatic regime, arbitrary asymmetry."""
-    return DuanResult.from_total(_adiabatic_sum(
-        rates.Gamma_a1, rates.Gamma_a2, rates.Gamma_1, rates.Gamma_2,
-        rates.n_th1, rates.n_th2, bath.N, bath.M_corr, math.sqrt,
-    ))
+def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
+    """Mirror-mirror variance sum in the adiabatic regime, arbitrary asymmetry.
+
+    ``unit1`` and ``unit2`` carry the rates after the cavity fields are eliminated,
+    ``Gamma_a``, ``Gamma`` and ``n_th`` (a :class:`model.SteadyState` does);
+    ``N`` and ``M`` are the bath's ``SqueezedBath.N`` and ``SqueezedBath.M_corr``.
+    """
+    _require_rates(unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
+    return DuanResult.from_total(_adiabatic_sum(unit1, unit2, N, M, math.sqrt))
 
 
 def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
@@ -122,15 +115,15 @@ def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     (see :func:`model.red_sideband_arrays`); ``N`` and ``M`` are the bath's
     terms (see :func:`model.squeeze_arrays`). All broadcast together. The
     totals equal the per-point ones bit for bit. Every element passes the
-    :class:`AdiabaticRates` bounds and the finite, non-negative total check
-    of :class:`DuanResult`, or the first failing element raises what the
+    per-point rate bounds and the finite, non-negative total check of
+    :class:`DuanResult`, or the first failing element raises what the
     per-point route raises.
     """
-    terms = (unit1.Gamma_a, unit2.Gamma_a, unit1.Gamma, unit2.Gamma, unit1.n_th, unit2.n_th)
-    bad = _rates_out_of_bounds(terms[0], terms[2]) | _rates_out_of_bounds(terms[1], terms[3])
-    raise_for_first(bad, AdiabaticRates, *terms)
+    rates = (unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
+    raise_for_first(_rates_out_of_bounds(*rates[:2]) | _rates_out_of_bounds(*rates[2:]),
+                    _require_rates, *rates)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(_adiabatic_sum(*terms, N, M, np.sqrt))
+        return require_totals(_adiabatic_sum(unit1, unit2, N, M, np.sqrt))
 
 
 def require_totals(total) -> np.ndarray:

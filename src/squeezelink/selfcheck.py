@@ -89,14 +89,10 @@ def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:
 
 def check_adiabatic_limit(tolerance: float = 1e-4) -> CheckResult:
     """The full expression reduces to the adiabatic one for gamma << kappa."""
-    ratio = 1e-6
-    worst = 0.0
-    for C in GRID_C:
-        for r in GRID_R:
-            for n_th in GRID_NTH:
-                full = closedform.duan_sum_nonadiabatic(C, r, n_th, ratio, 1.0).total
-                adiab = closedform.duan_sum_adiabatic_identical(C, r, n_th).total
-                worst = max(worst, abs(full - adiab))
+    C, r, n_th = np.ix_(GRID_C, GRID_R, GRID_NTH)
+    full = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, 1e-6, 1.0)
+    adiab = closedform.duan_sum_adiabatic_identical_arrays(C, r, n_th)
+    worst = float(np.max(np.abs(full - adiab)))
     return CheckResult("adiabatic-limit", worst <= tolerance, worst, tolerance,
                        "absolute, gamma/kappa = 1e-6")
 
@@ -249,12 +245,10 @@ def check_field_insensitivity(tolerance: float = 2e-3) -> CheckResult:
 def check_dissipation_ordering(tolerance: float = 0.0) -> CheckResult:
     """Stronger mechanical dissipation never improves the transfer."""
     n_th, r = 5.0, 2.0
-    worst = 0.0
-    for C in np.linspace(1.0, 100.0, 397):
-        adiab = closedform.duan_sum_adiabatic_identical(float(C), r, n_th).total
-        n1 = closedform.duan_sum_nonadiabatic(float(C), r, n_th, 0.01, 1.0).total
-        n5 = closedform.duan_sum_nonadiabatic(float(C), r, n_th, 0.05, 1.0).total
-        worst = max(worst, adiab - n1, n1 - n5)
+    C = np.linspace(1.0, 100.0, 397)
+    adiab = closedform.duan_sum_adiabatic_identical_arrays(C, r, n_th)
+    n1, n5 = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, [[0.01], [0.05]], 1.0)
+    worst = float(np.max([adiab - n1, n1 - n5], initial=0.0))
     return CheckResult("dissipation-ordering", worst <= tolerance, max(worst, 0.0),
                        tolerance, "adiabatic <= gk 0.01 <= gk 0.05 over C in [1, 100]")
 

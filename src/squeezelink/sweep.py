@@ -2,19 +2,20 @@
 
 Grid points are independent pure evaluations; rows come back in axis
 order and are identical regardless of how the evaluation is scheduled.
+A point goes through :func:`evaluate` and a grid through the array core
+:func:`_sweep_columns`; the two branch alike, the core on the array twins.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import closedform, config, oracle
 from ._lazy import lazy_import
-from .closedform import AdiabaticRates, DuanResult
+from .closedform import DuanResult
 from .model import (
     SystemParams,
     mean_fields_from_effective_detuning,
@@ -31,7 +32,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: points each golden-section search scans for its starting bracket
 SCAN_POINTS = 33
 
-#: sweep quantity name -> (pair, route) key of EVALUATORS
+#: sweep quantity name -> (pair, route) of :func:`evaluate`
 QUANTITIES = {
     "mirror-duan-adiabatic": ("mirror", "adiabatic"),
     "mirror-duan-nonadiabatic": ("mirror", "nonadiabatic"),
@@ -112,12 +113,6 @@ class OptimizeSpec:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
 
 
-def _steady_states(system: SystemParams):
-    ss1 = mean_fields_from_effective_detuning(system.unit1, -system.unit1.mirror.omega_M)
-    ss2 = mean_fields_from_effective_detuning(system.unit2, -system.unit2.mirror.omega_M)
-    return ss1, ss2
-
-
 def _identical(unit1, unit2, maximum):
     """Whether two units' parameter tuples, such as (gamma, kappa, C, n_th), agree to 1e-9.
 
@@ -144,48 +139,30 @@ def _require_identical(system: SystemParams, ss1, ss2, pair: str):
             system.unit1.mirror.gamma, system.unit1.resonator.kappa)
 
 
-def _mirror_adiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
-    rates = AdiabaticRates(Gamma_a1=ss1.Gamma_a, Gamma_a2=ss2.Gamma_a, Gamma_1=ss1.Gamma,
-                           Gamma_2=ss2.Gamma, n_th1=ss1.n_th, n_th2=ss2.n_th)
-    return closedform.duan_sum_adiabatic_general(rates, system.bath)
-
-
-def _mirror_nonadiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
-    args = _require_identical(system, ss1, ss2, "mirror")
-    return closedform.duan_sum_nonadiabatic(*args)
-
-
-def _field_nonadiabatic(system: SystemParams, ss1, ss2) -> DuanResult:
-    args = _require_identical(system, ss1, ss2, "field")
-    return closedform.field_sum_nonadiabatic(*args)
-
-
-def _oracle_duan(pair: str, system: SystemParams, ss1, ss2) -> DuanResult:
-    dd = oracle.build_rwa_drift_diffusion(system, (ss1, ss2))
-    return oracle.duan_from_covariance(oracle.solve_lyapunov(dd), pair)
-
-
-#: (pair, route) -> evaluator(system, ss1, ss2) at the red-detuned steady
-#: states. The field pair has no adiabatic closed form. The evaluators look
-#: up closedform and oracle functions at call time, so that wrappers put on
-#: those modules (such as the benchmark's per-layer tracer) see every call.
-EVALUATORS: dict[tuple[str, str], Callable[..., DuanResult]] = {
-    ("mirror", "adiabatic"): _mirror_adiabatic,
-    ("mirror", "nonadiabatic"): _mirror_nonadiabatic,
-    ("field", "nonadiabatic"): _field_nonadiabatic,
-    ("mirror", "oracle"): functools.partial(_oracle_duan, "mirror"),
-    ("field", "oracle"): functools.partial(_oracle_duan, "field"),
-}
-
-
 def evaluate(system: SystemParams, pair: str, route: str) -> tuple[DuanResult, float, float]:
     """Duan sum of one pair by one route at the red-detuned operating point.
 
     Returns the result together with the cooperativities of both units.
+    The field pair's adiabatic route gives its only closed form, the
+    nonadiabatic one. Branches as :func:`_sweep_columns`, and looks up
+    closedform and oracle functions at call time, so that wrappers put on
+    those modules (such as the benchmark's per-layer tracer) see every call.
     """
-    evaluator = EVALUATORS[(pair, route)]
-    ss1, ss2 = _steady_states(system)
-    return evaluator(system, ss1, ss2), ss1.C, ss2.C
+    if pair not in ("mirror", "field") or route not in ("adiabatic", "nonadiabatic", "oracle"):
+        raise ValueError(f"unknown pair {pair!r} or route {route!r}")
+    ss1, ss2 = (mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
+                for unit in (system.unit1, system.unit2))
+    if route == "oracle":
+        dd = oracle.build_rwa_drift_diffusion(system, (ss1, ss2))
+        result = oracle.duan_from_covariance(oracle.solve_lyapunov(dd), pair)
+    elif (pair, route) == ("mirror", "adiabatic"):
+        result = closedform.duan_sum_adiabatic_general(ss1, ss2, system.bath.N,
+                                                       system.bath.M_corr)
+    else:
+        closed = (closedform.duan_sum_nonadiabatic if pair == "mirror"
+                  else closedform.field_sum_nonadiabatic)
+        result = closed(*_require_identical(system, ss1, ss2, pair))
+    return result, ss1.C, ss2.C
 
 
 def evaluate_quantity(system: SystemParams, quantity: str) -> tuple[DuanResult, float, float]:
@@ -218,23 +195,23 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
     """The :class:`SweepRow` fields but ``error`` over the grid; a failing point raises."""
     pair, route = QUANTITIES[spec.quantity]
     (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid})
-    if route == "nonadiabatic":
+    if route == "oracle":
+        units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
+        var_X, var_Y = map(np.concatenate, zip(*(
+            oracle.duan_from_covariance_stack(V, pair)
+            for V in oracle.covariance_chunks(*units, *squeeze_arrays(r)))))
+        total = var_X + var_Y
+    elif (pair, route) == ("mirror", "adiabatic"):
+        total = closedform.duan_sum_adiabatic_arrays(u1, u2, *squeeze_arrays(r))
+        var_X = var_Y = total / 2.0  # as DuanResult.from_total
+    else:
         if not np.all(_identical((u1.gamma, u1.kappa, u1.C, u1.n_th),
                                  (u2.gamma, u2.kappa, u2.C, u2.n_th), np.maximum)):
             raise ValueError("units differ")  # the per-point route words the error
         closed = (closedform.duan_sum_nonadiabatic_arrays if pair == "mirror"
                   else closedform.field_sum_nonadiabatic_arrays)
         total = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa)
-        var_X = var_Y = total / 2.0  # as DuanResult.from_total
-    elif route == "adiabatic":
-        total = closedform.duan_sum_adiabatic_arrays(u1, u2, *squeeze_arrays(r))
         var_X = var_Y = total / 2.0
-    else:
-        units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
-        var_X, var_Y = map(np.concatenate, zip(*(
-            oracle.duan_from_covariance_stack(V, pair)
-            for V in oracle.covariance_chunks(*units, *squeeze_arrays(r)))))
-        total = var_X + var_Y
     return np.broadcast_arrays(grid, total, var_X, var_Y,
                                total < closedform.SEPARABILITY_BOUND, u1.C, u2.C)
 

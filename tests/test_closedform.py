@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from squeezelink import closedform, config, model
 from squeezelink.closedform import (
-    AdiabaticRates,
     DegenerateSqueeze,
     DuanResult,
     duan_sum_adiabatic_general,
@@ -24,27 +25,35 @@ from squeezelink.closedform import (
 from squeezelink.model import SqueezedBath
 
 
-def symmetric_rates(Gamma_a, gamma, n_th):
-    return AdiabaticRates(
-        Gamma_a1=Gamma_a, Gamma_a2=Gamma_a,
-        Gamma_1=Gamma_a + gamma, Gamma_2=Gamma_a + gamma,
-        n_th1=n_th, n_th2=n_th,
-    )
+class Rates(NamedTuple):
+    """One unit's effective rates after the cavity field is eliminated."""
+
+    Gamma_a: float
+    Gamma: float
+    n_th: float
+
+
+def unit_rates(Gamma_a, gamma, n_th):
+    return Rates(Gamma_a=Gamma_a, Gamma=Gamma_a + gamma, n_th=n_th)
+
+
+def general(unit1, unit2, bath):
+    return duan_sum_adiabatic_general(unit1, unit2, bath.N, bath.M_corr)
 
 
 class TestAdiabaticGeneral:
     def test_vacuum_inputs_reproduce_vacuum_variance(self):
-        rates = symmetric_rates(Gamma_a=1e4, gamma=100.0, n_th=0.0)
-        result = duan_sum_adiabatic_general(rates, SqueezedBath(r=0.0))
+        unit = unit_rates(Gamma_a=1e4, gamma=100.0, n_th=0.0)
+        result = general(unit, unit, SqueezedBath(r=0.0))
         assert result.total == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_case_reduces_to_identical_formula(self):
         gamma, n_th, r = 880.0, 5.0, 1.3
         for C in (0.5, 3.0, 40.0):
-            rates = symmetric_rates(Gamma_a=C * gamma, gamma=gamma, n_th=n_th)
-            general = duan_sum_adiabatic_general(rates, SqueezedBath(r=r)).total
+            unit = unit_rates(Gamma_a=C * gamma, gamma=gamma, n_th=n_th)
+            total = general(unit, unit, SqueezedBath(r=r)).total
             identical = duan_sum_adiabatic_identical(C, r, n_th).total
-            assert general == pytest.approx(identical, abs=1e-12)
+            assert total == pytest.approx(identical, abs=1e-12)
 
     def test_separability_floor_for_random_asymmetric_rates(self):
         # without squeezing, no pair of units reaches below the vacuum bound 2
@@ -55,12 +64,8 @@ class TestAdiabaticGeneral:
             gamma = 10.0 ** rng.uniform(1.0, 4.0)
             ga1, ga2 = gamma * 10.0 ** rng.uniform(-2.0, 3.0, size=2)
             n1, n2 = rng.uniform(0.0, 30.0, size=2)
-            rates = AdiabaticRates(
-                Gamma_a1=ga1, Gamma_a2=ga2,
-                Gamma_1=ga1 + gamma, Gamma_2=ga2 + gamma,
-                n_th1=n1, n_th2=n2,
-            )
-            lowest = min(lowest, duan_sum_adiabatic_general(rates, bath).total)
+            total = general(unit_rates(ga1, gamma, n1), unit_rates(ga2, gamma, n2), bath).total
+            lowest = min(lowest, total)
         assert lowest >= 2.0 - 1e-12
 
     def test_asymmetric_drive_is_worse_than_symmetric(self):
@@ -69,18 +74,29 @@ class TestAdiabaticGeneral:
         gamma, r, n_th = 1.0, 2.0, 0.0
         bath = SqueezedBath(r=r)
         mean_ga = 1e4
-        symmetric = duan_sum_adiabatic_general(
-            symmetric_rates(mean_ga, gamma, n_th), bath
-        ).total
+        unit = unit_rates(mean_ga, gamma, n_th)
+        symmetric = general(unit, unit, bath).total
         for split in (0.25, 0.4, 2.0 / 3.0):
             ga1 = 2 * mean_ga * split
             ga2 = 2 * mean_ga - ga1
-            rates = AdiabaticRates(
-                Gamma_a1=ga1, Gamma_a2=ga2,
-                Gamma_1=ga1 + gamma, Gamma_2=ga2 + gamma,
-                n_th1=n_th, n_th2=n_th,
-            )
-            assert duan_sum_adiabatic_general(rates, bath).total > symmetric
+            result = general(unit_rates(ga1, gamma, n_th), unit_rates(ga2, gamma, n_th), bath)
+            assert result.total > symmetric
+
+    @pytest.mark.parametrize("unit2, message", [
+        (Rates(Gamma_a=2.0, Gamma=1.0, n_th=0.0), "Gamma_a=2.0, Gamma=1.0"),
+        (Rates(Gamma_a=0.0, Gamma=0.0, n_th=0.0), "Gamma_a=0.0, Gamma=0.0"),
+        (Rates(Gamma_a=-1.0, Gamma=-0.5, n_th=0.0), "Gamma_a=-1.0, Gamma=-0.5"),
+        (Rates(Gamma_a=-1.0, Gamma=1.0, n_th=0.0), "Gamma_a=-1.0, Gamma=1.0"),
+    ])
+    def test_rate_bounds_on_both_routes(self, unit2, message):
+        unit1 = unit_rates(Gamma_a=1e4, gamma=100.0, n_th=1.0)
+        text = re.escape(f"unit 2: need 0 <= Gamma_a <= Gamma and Gamma > 0, got {message}")
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            duan_sum_adiabatic_general(unit1, unit2, 1.0, 1.0)
+        # the array twin, with the bad element between good ones
+        arrays = [Rates(*map(np.array, zip(unit1, unit, unit1))) for unit in (unit1, unit2)]
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            closedform.duan_sum_adiabatic_arrays(*arrays, 1.0, 1.0)
 
 
 class TestAdiabaticIdentical:
@@ -324,6 +340,11 @@ class TestVerdict:
     def test_nan_total_rejected(self):
         with pytest.raises(FloatingPointError):
             is_entangled(math.nan)
+
+    def test_infinite_total_rejected(self):
+        # an overflow upstream, as DuanResult rejects it; never "separable"
+        with pytest.raises(FloatingPointError, match="total variance is inf"):
+            is_entangled(math.inf)
 
     def test_non_finite_result_rejected(self):
         # sqrt(Gamma_a1 * Gamma_a2) overflows first at huge asymmetric drives

@@ -321,11 +321,21 @@ class TestEvaluateQuantity:
         assert list(sweep.QUANTITIES) == [
             "mirror-duan-adiabatic", "mirror-duan-nonadiabatic", "field-duan", "oracle-duan",
         ]
-        assert set(sweep.QUANTITIES.values()) <= set(sweep.EVALUATORS)
+
+    def test_field_adiabatic_is_the_field_nonadiabatic_form(self, base):
+        system = set_param(base, "bath.r", 1.7)
+        assert (sweep.evaluate(system, "field", "adiabatic")
+                == sweep.evaluate(system, "field", "nonadiabatic"))
+
+    @pytest.mark.parametrize("pair, route", [("bogus", "adiabatic"), ("mirror", "bogus")])
+    def test_unknown_pair_or_route(self, base, pair, route):
+        with pytest.raises(ValueError, match="unknown pair"):
+            sweep.evaluate(base, pair, route)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        key=st.sampled_from(sorted(sweep.EVALUATORS)),
+        key=st.sampled_from([(pair, route) for pair in ("field", "mirror")
+                             for route in ("adiabatic", "nonadiabatic", "oracle")]),
         r=POSITIVE, temperature=POSITIVE, power=POSITIVE,
         unit2=st.none() | st.tuples(POSITIVE, POSITIVE),
     )
