@@ -14,22 +14,33 @@ unit 1, then unit 2. Uppercase denotes mirror, lowercase field.
 In the rotating-wave model the X quadratures ``QUADRATURES[::2]`` never
 couple with the Y quadratures ``QUADRATURES[1::2]``, and the units couple
 only through the bath's x1-x2 and y1-y2 terms of D; so A is block diagonal
-in the 2x2 drift blocks (X1, x1), (X2, x2), (Y1, y1), (Y2, y2). The model
-fixes this split: :func:`solve_lyapunov_stack` decides stability from each
-block's trace and determinant, and solves the 2x2 Sylvester equation of
-each pair of blocks within X and within Y (Y is never derived from X) in
-closed form, elementwise over the whole stack, with no LAPACK call. Each
-block pair is scaled by powers of two so that no product overflows, and a
-system's bits do not depend on its stack.
-:func:`build_rwa_drift_diffusion_stack` is the one assembly of A and D: it
-takes per-unit arrays (gamma, kappa, G, n_th) and the bath's N and M, and
-:func:`build_rwa_drift_diffusion` calls it on one system's floats.
+in the 2x2 drift blocks (X1, x1), (X2, x2), (Y1, y1), (Y2, y2), and V and D
+live on the pairs of blocks within X and within Y. The model fixes this
+split, and the solver works on it as rows of entries 00, 01, 10, 11 of the
+four drift blocks and of D's six block pairs; with the transposes of the
+cross pairs, these are every entry of A and D that the model can make
+nonzero. :func:`_model_rows` writes those rows straight
+from each unit's (gamma, kappa, G, n_th) and the bath's N and M;
+:func:`build_rwa_drift_diffusion_stack` scatters the same rows into 8x8 A
+and D, and :func:`build_rwa_drift_diffusion` calls it on one system's floats.
+One kernel, :func:`_solve_split`, solves the rows elementwise over a stack,
+with no LAPACK call: stability from each block's trace and determinant, the
+2x2 Sylvester equation of each pair (Y is never derived from X) in closed
+form, ``0.5 V + 0.5 V^T``, and a residual gate that holds each pair to its
+own bound and the whole to the 8x8 bound ``1e-10 ||D||``. Each block pair is
+scaled by powers of two so that no product overflows, and a system's bits
+do not depend on its stack. :func:`covariance_chunks` runs the kernel on the
+rows of parameter arrays, ``STACK_CHUNK`` systems at a time, for the sweeps
+and the selfcheck grids alike, and forms no 8x8 A or D;
+:func:`solve_lyapunov_stack` gathers the rows of an explicit 8x8 split stack
+and runs the same kernel, so both routes give the same bits. Only generic
+stacks take the eigenvalues and a Kronecker LU solve.
 :func:`solve_lyapunov` returns one system's 8x8 covariance V as a plain
-array, which :func:`duan_from_covariance` reads. Chunking
-lives here too: :func:`covariance_chunks` assembles and solves many systems
-``STACK_CHUNK`` at a time, for the sweeps and the selfcheck grids alike.
-:func:`spectral_duan_sum_stack` takes the same arguments and integrates the
-spectra of a whole stack with one panel-adaptive Gauss-Legendre rule.
+array, which :func:`duan_from_covariance` reads; a Duan variance whose
+terms cancel past ``_CANCELLATION_TOL`` of relative error raises instead.
+:func:`spectral_duan_sum_stack` takes the same arguments as the builder and
+integrates the spectra of a whole stack with one panel-adaptive
+Gauss-Legendre rule.
 
 Noise normalization (derivation note in ``docs/noise_conventions.md``):
 with symmetrized white-noise correlators ``<n_i(t) n_j(t')>_sym = D_ij
@@ -48,7 +59,8 @@ from typing import Iterator
 
 from ._lazy import lazy_import
 from .closedform import DuanResult, require_totals
-from .model import StabilityReport, SteadyState, SystemParams, stability_check
+from .model import (StabilityReport, SteadyState, SystemParams, raise_for_first,
+                    stability_check)
 
 np = lazy_import("numpy")
 
@@ -57,6 +69,9 @@ IDX = {name: i for i, name in enumerate(QUADRATURES)}
 
 #: systems per stacked Lyapunov solve; bounds the stack's working memory
 STACK_CHUNK = 256
+#: the largest relative rounding error a Duan variance may carry: the three
+#: routes' agreement tolerance
+_CANCELLATION_TOL = 1e-6
 
 #: spectral quadrature tolerances, per dimensionless variance integral
 QUAD_ABS_TOL = 1e-11
@@ -69,12 +84,33 @@ _ROUNDOFF = 50.0 * math.ulp(1.0)
 _PANEL_RATIO = 4.0
 
 
-#: index slices of QUADRATURES: the X and Y quadratures, each unit's, the 2x2
-#: drift blocks, and the pairs of them whose covariance blocks the split solves
-_X, _Y, _UNIT1, _UNIT2 = slice(0, 8, 2), slice(1, 8, 2), slice(0, 4), slice(4, 8)
-_X1, _X2, _Y1, _Y2 = slice(0, 4, 2), slice(4, 8, 2), slice(1, 4, 2), slice(5, 8, 2)
-_SPLIT_PAIRS = ((_X1, _X1), (_X1, _X2), (_X2, _X2), (_Y1, _Y1), (_Y1, _Y2), (_Y2, _Y2))
-_BLOCKS = (_X1, _X2, _Y1, _Y2)
+#: the model's 2x2 drift blocks (X1, x1), (X2, x2), (Y1, y1), (Y2, y2) as indices
+#: into QUADRATURES, and the pairs (p, q) of blocks, within X and within Y, whose
+#: covariance blocks the split solves
+_BLOCKS = ((0, 2), (4, 6), (1, 3), (5, 7))
+_PAIRS = ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3))
+
+
+def _at(pairs, transposed=False):
+    """Flat 8x8 positions of entries 00, 01, 10, 11 of each pair of blocks (or
+    of its transpose), entry by entry, as the rows ``(4, k)`` flatten."""
+    return [8 * _BLOCKS[q][j] + _BLOCKS[p][i] if transposed else
+            8 * _BLOCKS[p][i] + _BLOCKS[q][j]
+            for i in (0, 1) for j in (0, 1) for p, q in pairs]
+
+
+#: where the rows of the drift blocks and of the pairs sit in the 8x8 matrices
+#: (D and V, being symmetric, also hold each pair's transpose), and the
+#: positions that a split stack holds at zero
+_DRIFT_AT = _at([(p, p) for p in range(len(_BLOCKS))])
+_PAIR_AT = _at(_PAIRS)
+_SYMMETRIC_AT = _PAIR_AT + _at(_PAIRS, transposed=True)
+_OFF_DRIFT = sorted(set(range(64)).difference(_DRIFT_AT))
+_OFF_PAIRS = sorted(set(range(64)).difference(_SYMMETRIC_AT))
+#: 0.5 V + 0.5 V^T on the pair rows: entry 01 meets 10 on the diagonal pairs,
+#: and every entry itself on the cross pairs
+_TRANSPOSED = [len(_PAIRS) * (e if p != q else (0, 2, 1, 3)[e]) + k
+               for e in range(4) for k, (p, q) in enumerate(_PAIRS)]
 
 
 class UnstableDrift(RuntimeError):
@@ -123,45 +159,69 @@ def build_rwa_drift_diffusion_stack(unit1, unit2, N, M) -> tuple[np.ndarray, np.
 
     ``unit1`` and ``unit2`` are each unit's ``(gamma, kappa, G, n_th)``; these
     and the bath's ``N`` and ``M`` (``M_corr``) broadcast together, and their
-    shape is the stack's. Floats give one 8x8 pair. Entry by entry the result
-    does not depend on the route: floats and arrays go through the same ops.
+    shape is the stack's. Floats give one 8x8 pair. The entries are those of
+    :func:`_model_rows`, so they do not depend on the route.
+    """
+    drift, diffusion = _model_rows(unit1, unit2, N, M)
+    return _matrices(drift, _DRIFT_AT), _matrices(np.concatenate([diffusion, diffusion]),
+                                                  _SYMMETRIC_AT)
+
+
+def _model_rows(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
+    """The model's drift blocks ``_BLOCKS`` and diffusion pairs ``_PAIRS`` as rows.
+
+    Takes the arguments of :func:`build_rwa_drift_diffusion_stack` and returns
+    arrays ``(4, 4, ...)`` and ``(4, 6, ...)`` over their broadcast shape: entry
+    00, 01, 10 or 11, then block or pair. These are the only entries of A and D
+    that the model does not hold at zero.
     """
     shape = np.broadcast(*unit1, *unit2, N, M).shape
-    A = np.zeros(shape + (8, 8))
-    D = np.zeros(shape + (8, 8))
+    drift, diffusion = np.zeros((4, len(_BLOCKS)) + shape), np.zeros((4, len(_PAIRS)) + shape)
     for j, (gamma, kappa, G, n_th) in enumerate((unit1, unit2)):
-        o = 4 * j
-        # X' = -gamma/2 X + G x ; x' = -kappa/2 x - G X (same for Y, y)
-        for q in (0, 1):  # X/Y then x/y rows
-            A[..., o + q, o + q] = -gamma / 2.0
-            A[..., o + q, o + q + 2] = G
-            A[..., o + q + 2, o + q + 2] = -kappa / 2.0
-            A[..., o + q + 2, o + q] = -G
-        D[..., o + 0, o + 0] = D[..., o + 1, o + 1] = gamma * (2.0 * n_th + 1.0) / 2.0
-        D[..., o + 2, o + 2] = D[..., o + 3, o + 3] = kappa * (2.0 * N + 1.0) / 2.0
+        # X' = -gamma/2 X + G x ; x' = -kappa/2 x - G X (same for Y, y); unit
+        # j's blocks are j (X) and j + 2 (Y), and its own pairs 2j and 2j + 3
+        block, own = drift[:, j::2], diffusion[:, 2 * j::3]
+        block[0], block[1], block[2], block[3] = -gamma / 2.0, G, -G, -kappa / 2.0
+        own[0], own[3] = gamma * (2.0 * n_th + 1.0) / 2.0, kappa * (2.0 * N + 1.0) / 2.0
 
     # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-); an
     # overflow shows as a non-finite entry, which the solve reports
     with np.errstate(over="ignore"):
         kgm = np.sqrt(unit1[1] * unit2[1]) * M
-    D[..., IDX["x1"], IDX["x2"]] = D[..., IDX["x2"], IDX["x1"]] = kgm
-    D[..., IDX["y1"], IDX["y2"]] = D[..., IDX["y2"], IDX["y1"]] = -kgm
-    return A, D
+    diffusion[3, 1], diffusion[3, 4] = kgm, -kgm
+    return drift, diffusion
+
+
+def _matrices(rows: np.ndarray, at) -> np.ndarray:
+    """8x8 matrices ``(..., 8, 8)`` holding the rows ``(m, k, ...)`` at the flat
+    positions ``at`` and zero elsewhere, in one scatter."""
+    shape = rows.shape[2:]
+    M = np.zeros((64,) + shape)
+    M[at] = rows.reshape((-1,) + shape)
+    return np.ascontiguousarray(M.reshape(64, -1).T).reshape(shape + (8, 8))
+
+
+def _rows(M: np.ndarray, at) -> np.ndarray:
+    """The entries ``(4, k, B)`` of the 8x8 stack ``M`` at the flat positions ``at``."""
+    return M.reshape(len(M), 64)[:, at].T.reshape(4, -1, len(M))
 
 
 def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     """Covariance stacks of the model over parameter arrays, ``STACK_CHUNK`` systems each.
 
     The arguments are those of :func:`build_rwa_drift_diffusion_stack`; they
-    broadcast together and the systems come in flat order. Each chunk is
-    assembled and solved by one :func:`solve_lyapunov_stack` call, whose
+    broadcast together and the systems come in flat order. No 8x8 A or D is
+    formed: each chunk's drift blocks and diffusion pairs are written as rows
+    by :func:`_model_rows` and solved by :func:`_solve_split`, the kernel that
+    :func:`solve_lyapunov_stack` runs on a split stack, which holds each block
+    pair's residual to its own bound and the whole to the 8x8 bound
+    ``1e-10 ||D||``. So a system's V is the same bits by either route, and
     errors name the stack index within the chunk.
     """
     inputs = [x.ravel() for x in np.broadcast_arrays(*unit1, *unit2, N, M)]
     for start in range(0, inputs[0].size, STACK_CHUNK):
         c = [x[start:start + STACK_CHUNK] for x in inputs]
-        yield solve_lyapunov_stack(
-            *build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
+        yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9]))
 
 
 def solve_lyapunov(dd: DriftDiffusion) -> np.ndarray:
@@ -175,14 +235,15 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 
     ``A`` and ``D`` are stacks of shape ``(B, n, n)``. Every drift matrix
     must be stable. An 8 x 8 stack whose ``A`` is zero outside the model's
-    drift blocks and whose ``D`` is zero between X and Y takes the split:
-    each drift block is stable when its trace is negative and its
-    determinant positive, and ``A_p V_pq + V_pq A_q^T + D_pq = 0`` is solved
-    in closed form for every pair of blocks by :func:`_sylvester_2x2`, with
-    no LAPACK call. Any other stack gets :func:`stability_check` and the
-    full n^2-unknown LU solve. Each item must then satisfy the full equation
-    to ``1e-10 * ||D[b]||``, checked on V and D divided by ``max |D[b]|`` so
-    that the norms cannot overflow. A non-finite A, D or V raises
+    drift blocks and whose symmetric ``D`` is zero between X and Y takes the
+    split: its block entries are gathered as rows and solved by
+    :func:`_solve_split`, the kernel of :func:`covariance_chunks`, whose
+    residual gate holds each block pair to its own bound (see
+    :func:`_split_residual`) as well as the whole to the 8x8 one. Any other
+    stack gets :func:`stability_check`, the full n^2-unknown LU solve and
+    ``0.5 V + 0.5 V^T``, and each item must then satisfy the full equation to
+    ``1e-10 * ||D[b]||``, checked on V and D divided by ``max |D[b]|`` so that
+    the norms cannot overflow. A non-finite A, D or V raises
     ``FloatingPointError``. Errors name the stack index.
     """
     A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
@@ -190,60 +251,119 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"need stacks A and D of equal shape (B, n, n), got {A.shape} and {D.shape}"
         )
-    _require_finite("drift or diffusion matrix", A, D)
-    split = A.shape[1] == 8 and not any(M[:, rows, cols].any() for M, rows, cols in (
-        (A, _X, _Y), (A, _Y, _X), (A, _UNIT1, _UNIT2), (A, _UNIT2, _UNIT1),
-        (D, _X, _Y), (D, _Y, _X)))
-    report = _split_stability(A) if split else stability_check(A)
+    if A.shape[1:] == (8, 8) and not (
+            A.reshape(-1, 64)[:, _OFF_DRIFT].any() or D.reshape(-1, 64)[:, _OFF_PAIRS].any()
+            or (D != D.transpose(0, 2, 1)).any()):
+        return _solve_split(_rows(A, _DRIFT_AT), _rows(D, _PAIR_AT))
+    _require_finite("drift or diffusion matrix", A.T, D.T)  # items on the last axis
+    _require_stable(stability_check(A))
+    V = _kronecker_solve(A, A, D)
+    V = 0.5 * V + 0.5 * V.transpose(0, 2, 1)  # halved first, so the sum cannot overflow
+    _require_finite("Lyapunov solution", V.T)
+    scale = np.abs(D).max(axis=(1, 2), keepdims=True)
+    scale[scale == 0.0] = 1.0
+    Vs, Ds = V / scale, D / scale
+    residual = np.linalg.norm(A @ Vs + Vs @ A.transpose(0, 2, 1) + Ds, axis=(1, 2))
+    _require_residual(residual[None], _bound(np.linalg.norm(Ds, axis=(1, 2)))[None])
+    return V
+
+
+def _solve_split(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
+    """The covariance stack ``(B, 8, 8)`` of a split system from its rows.
+
+    ``drift`` holds the rows ``(4, 4, B)`` of the drift blocks ``_BLOCKS`` and
+    ``diffusion`` those ``(4, 6, B)`` of D's pairs ``_PAIRS``. The kernel checks
+    that they are finite and that every block is stable
+    (:func:`_split_stability`), solves ``A_p W_pq + W_pq A_q^T + D_pq = 0`` for
+    every pair by :func:`_sylvester_2x2`, with no LAPACK call, and forms
+    ``0.5 V + 0.5 V^T`` on the rows. The residual gate (:func:`_split_residual`)
+    then holds each pair to its own bound and the whole to the 8x8 one. Only
+    the result is assembled into 8x8 matrices.
+    """
+    _require_finite("drift or diffusion matrix", drift, diffusion)
+    _require_stable(_split_stability(drift))
+    p, q = zip(*_PAIRS)
+    A, C = drift[:, p], drift[:, q]  # the rows of A_p and A_q, pair by pair
+    W = _sylvester_2x2(A.reshape(4, -1), C.reshape(4, -1), diffusion.reshape(4, -1))
+    half = 0.5 * W.reshape(4 * len(_PAIRS), -1)  # halved first, so the sum cannot overflow
+    V = (half + half[_TRANSPOSED]).reshape(diffusion.shape)
+    _require_finite("Lyapunov solution", V)
+    _require_residual(*_split_residual(A, C, diffusion, V))
+    return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT)
+
+
+def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
+    """Residual norms ``(7, B)`` of the split and their bounds, from the rows
+    ``(4, 6, B)`` of each pair's ``A_p``, ``A_q``, ``D_pq`` and ``V_pq``.
+
+    Rows 0 to 5 are the pairs: ``||A_p V_pq + V_pq A_q^T + D_pq||`` against
+    ``1e-10 (||D_pq|| + ||A_p|| ||V_pq|| + ||V_pq|| ||A_q||)``, raised by
+    ``1e-310 (1 + ||A_p|| + ||A_q||)``, the reach of the subnormal spacing in
+    a pair that is nothing beside its system. Row 6 is the 8x8 residual
+    against ``1e-10 ||D||``, each cross pair counted twice, as the 8x8
+    matrix holds it and its transpose. V and D are divided by ``max |D|`` of
+    their system first, so that the norms cannot overflow. Norms are
+    Frobenius, and the products are 2x2 ones.
+    """
+    scale = np.abs(D).max(axis=(0, 1))
+    scale[scale == 0.0] = 1.0
+    A, C, V, D = (x.reshape(2, 2, -1) for x in (A, C, V / scale, D / scale))
+    R = np.einsum("ikm,kjm->ijm", A, V) + np.einsum("ikm,jkm->ijm", V, C) + D
+    R2, D2, V2, A2, C2 = (np.einsum("ijm,ijm->m", x, x).reshape(len(_PAIRS), -1)
+                          for x in (R, D, V, A, C))
+    A_pq = np.sqrt(A2) + np.sqrt(C2)
+    twice = np.array([1.0 + (i != j) for i, j in _PAIRS])
+    residual = np.vstack([np.sqrt(R2), np.sqrt(twice @ R2)])
+    bound = np.vstack([1e-10 * (np.sqrt(D2) + A_pq * np.sqrt(V2) + 1e-300 * (1.0 + A_pq)),
+                       _bound(np.sqrt(twice @ D2))])
+    return residual, bound
+
+
+def _bound(D_norm: np.ndarray) -> np.ndarray:
+    """The 8x8 gate's bound ``1e-10 ||D||`` on D divided by ``max |D|``."""
+    return 1e-10 * np.maximum(D_norm, 1e-300)
+
+
+def _require_residual(residual: np.ndarray, bound: np.ndarray):
+    """Raise unless every residual is within its bound; both are ``(k, B)``, and
+    the error names the item that exceeds a bound by the largest factor."""
+    ratio = residual / bound
+    worst = int(np.argmax(ratio.max(axis=0)))
+    if not (residual[:, worst] <= bound[:, worst]).all():
+        k = int(np.argmax(ratio[:, worst]))
+        raise UnstableDrift(
+            f"Lyapunov residual {residual[k, worst]:g} at stack index {worst} exceeds "
+            "tolerance; system nearly singular"
+        )
+
+
+def _require_stable(report: StabilityReport):
     if not report.stable:
         raise UnstableDrift(
             f"drift matrix is not stable (max Re eigenvalue = "
             f"{report.max_real_part:g} at stack index {report.worst_index[0]})"
         )
-    if split:
-        W = _sylvester_2x2(np.concatenate([A[:, p, p] for p, _ in _SPLIT_PAIRS]),
-                           np.concatenate([A[:, q, q] for _, q in _SPLIT_PAIRS]),
-                           np.concatenate([D[:, p, q] for p, q in _SPLIT_PAIRS]))
-        V = np.zeros_like(D)
-        for W_pq, (p, q) in zip(np.split(W, len(_SPLIT_PAIRS)), _SPLIT_PAIRS):
-            V[:, q, p] = W_pq.transpose(0, 2, 1)
-            V[:, p, q] = W_pq  # after its transpose, which p == q would overwrite
-    else:
-        V = _kronecker_solve(A, A, D)
-    V = 0.5 * V + 0.5 * V.transpose(0, 2, 1)  # halved first, so the sum cannot overflow
-    _require_finite("Lyapunov solution", V)
-    scale = np.abs(D).max(axis=(1, 2), keepdims=True)
-    scale[scale == 0.0] = 1.0
-    Vs, Ds = V / scale, D / scale
-    residual = np.linalg.norm(A @ Vs + Vs @ A.transpose(0, 2, 1) + Ds, axis=(1, 2))
-    bound = 1e-10 * np.maximum(np.linalg.norm(Ds, axis=(1, 2)), 1e-300)
-    worst = int(np.argmax(residual / bound))
-    if not residual[worst] <= bound[worst]:
-        raise UnstableDrift(
-            f"Lyapunov residual {residual[worst]:g} at stack index {worst} exceeds "
-            "tolerance; system nearly singular"
-        )
-    return V
 
 
 def _require_finite(what: str, *stacks: np.ndarray):
+    """Raise for the first item (along the last axis) with a non-finite entry."""
     for x in stacks:
-        if not np.isfinite(x).all():
-            index = int(np.argmin(np.isfinite(x).all(axis=(1, 2))))
-            raise FloatingPointError(f"{what} is not finite at stack index {index}")
+        finite = np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
+        if not finite.all():
+            raise FloatingPointError(
+                f"{what} is not finite at stack index {int(np.argmin(finite))}")
 
 
-def _entries(*stacks: np.ndarray):
-    """Each ``(m, 2, 2)`` stack as its rows of entries 00, 01, 10, 11, each
-    scaled by ``2**-e`` with ``e`` the exponent of the item's largest entry
-    over all the stacks; returns the rows and ``e``."""
-    rows = [x.reshape(-1, 4).T.copy() for x in stacks]
-    e = np.frexp(np.max([np.abs(x).max(axis=0) for x in rows], axis=0))[1]
+def _entries(*rows: np.ndarray):
+    """The rows ``(4, m)`` of entries 00, 01, 10, 11 of 2x2 blocks, each item
+    scaled by ``2**-e`` with ``e`` the exponent of its largest entry over all
+    the stacks; returns the rows and ``e``."""
+    e = np.frexp(functools.reduce(np.maximum, [np.abs(x).max(axis=0) for x in rows]))[1]
     return [np.ldexp(x, -e) for x in rows], e
 
 
-def _split_stability(A: np.ndarray) -> StabilityReport:
-    """:func:`stability_check`'s report on a split stack, from its drift blocks.
+def _split_stability(drift: np.ndarray) -> StabilityReport:
+    """:func:`stability_check`'s report on a split stack, from its drift block rows.
 
     A 2x2 block is stable when its trace is negative and its determinant
     positive. With ``h = tr/2``, a real pair of eigenvalues is
@@ -252,23 +372,24 @@ def _split_stability(A: np.ndarray) -> StabilityReport:
     Each block is scaled by a power of two first, so that no product
     overflows.
     """
-    ((a, b, c, d),), e = _entries(np.concatenate([A[:, p, p] for p in _BLOCKS]))
+    ((a, b, c, d),), e = _entries(drift.reshape(4, -1))
     h, det = (a + d) / 2.0, a * d - b * c
     disc = ((a - d) / 2.0) ** 2 + b * c
     q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
     real = np.fmax(q, np.divide(det, q, out=np.zeros_like(q), where=q != 0.0))
-    max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(len(_BLOCKS), -1).max(axis=0)
+    max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(drift.shape[1], -1).max(axis=0)
     worst = int(np.argmax(max_re))
     return StabilityReport(stable=bool(((h < 0.0) & (det > 0.0)).all()),
                            max_real_part=float(max_re[worst]), worst_index=(worst,))
 
 
 def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve ``A W + W C^T + D = 0`` in closed form for a stack of 2 x 2 blocks.
+    """Solve ``A W + W C^T + D = 0`` in closed form for 2 x 2 blocks given as rows.
 
-    With ``B = C^T`` and ``Q = -D``, Cayley-Hamilton for B gives
-    ``(A^2 + tr(B) A + det(B) I) W = A Q - Q B + tr(B) Q``, and for A turns
-    the left matrix into ``(tr A + tr B) A + (det B - det A) I``, whose
+    Each argument and the result hold the rows ``(4, m)`` of entries 00, 01,
+    10, 11 of m blocks. With ``B = C^T`` and ``Q = -D``, Cayley-Hamilton for B
+    gives ``(A^2 + tr(B) A + det(B) I) W = A Q - Q B + tr(B) Q``, and for A
+    turns the left matrix into ``(tr A + tr B) A + (det B - det A) I``, whose
     explicit inverse gives W. A and C of each item are scaled by one power of
     two and D by another, so that no product overflows; both scalings are
     exact and are undone on W. A non-finite W is left to the caller.
@@ -284,7 +405,7 @@ def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     W = np.array([m22 * r11 - m12 * r21, m22 * r12 - m12 * r22,
                   m11 * r21 - m21 * r11, m11 * r22 - m21 * r12])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.ldexp(W / (m11 * m22 - m12 * m21), eD - eA).T.reshape(-1, 2, 2)
+        return np.ldexp(W / (m11 * m22 - m12 * m21), eD - eA)
 
 
 def _kronecker_solve(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -324,11 +445,32 @@ _PAIR_INDICES = {pair: tuple(IDX[q] for q in names) for pair, names in
 
 
 def _duan_variances(V: np.ndarray, pair: str):
+    """``(var_X, var_Y)`` of the pair from V (one matrix or a stack).
+
+    Each variance sums three covariances, which cancel as the squeezing
+    grows. Its relative rounding error is estimated as ``ulp(1) (|V_11| +
+    |V_22| + 2 |V_12|) / |var|``; where that exceeds ``_CANCELLATION_TOL``
+    the first such item raises ``FloatingPointError`` naming the estimate,
+    rather than letting cancelled digits decide a verdict.
+    """
     if pair not in _PAIR_INDICES:
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
     X1, Y1, X2, Y2 = _PAIR_INDICES[pair]
-    return (V[..., X1, X1] + V[..., X2, X2] - 2.0 * V[..., X1, X2],
-            V[..., Y1, Y1] + V[..., Y2, Y2] + 2.0 * V[..., Y1, Y2])
+    var_X = V[..., X1, X1] + V[..., X2, X2] - 2.0 * V[..., X1, X2]
+    var_Y = V[..., Y1, Y1] + V[..., Y2, Y2] + 2.0 * V[..., Y1, Y2]
+    with np.errstate(all="ignore"):  # 0/0 is no estimate; a NaN V fails the total check
+        lost = np.fmax(*(math.ulp(1.0) * (abs(V[..., a, a]) + abs(V[..., b, b])
+                                          + 2.0 * abs(V[..., a, b])) / abs(var)
+                         for a, b, var in ((X1, X2, var_X), (Y1, Y2, var_Y))))
+    raise_for_first(np.asarray(lost > _CANCELLATION_TOL), _require_digits, lost)
+    return var_X, var_Y
+
+
+def _require_digits(lost: float):
+    if lost > _CANCELLATION_TOL:
+        raise FloatingPointError(
+            f"Duan variance lost its digits to cancellation: relative rounding error "
+            f"estimate {lost:.2g} exceeds {_CANCELLATION_TOL:g}")
 
 
 def spectral_duan_sum(system: SystemParams, steady: tuple[SteadyState, SteadyState],

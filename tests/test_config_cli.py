@@ -338,6 +338,17 @@ class TestCliBadNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("r", ["18", "19"])
+    def test_oracle_verdict_from_cancelled_digits_exits_3(self, r, capsys):
+        # the Duan variances cancel terms of order e^{2r}: at r = 18 the
+        # printed total was 0 and the verdict "entangled"
+        code, text = run_cli("duan", "--regime", "oracle", "--r", r)
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: Duan variance lost its digits to cancellation")
+        assert err.count("\n") == 1
+        assert run_cli("duan", "--regime", "oracle", "--r", "2")[0] == 0
+
     def test_underflowing_rate_denominator_exits_3_naming_it(self, tmp_path, capsys):
         # at T = 0 the occupation is 0, so the rates' own check names the cause
         path = tmp_path / "c.ini"

@@ -143,6 +143,11 @@ def spy_on(monkeypatch, name="_kronecker_solve"):
     return shapes
 
 
+def drift_rows(A):
+    """The rows (4, 4, B) of the model's drift blocks of the 8x8 stack A."""
+    return oracle._rows(A, oracle._DRIFT_AT)
+
+
 def drift_block(gamma, kappa, G):
     """One unit's 2x2 drift block of the model, (X, x) or (Y, y)."""
     return np.array([[-gamma / 2.0, G], [-G, -kappa / 2.0]])
@@ -190,7 +195,7 @@ class TestStackedLyapunov:
             "_sylvester_2x2", "_kronecker_solve", "stability_check"))
         A, D = physical_stack()
         V = solve_lyapunov_stack(A, D)
-        assert shapes == [(6 * len(A), 2, 2)] and kronecker == eigen == []
+        assert shapes == [(4, 6 * len(A))] and kronecker == eigen == []
         for M in (A, D, V):
             assert not M[:, ::2, 1::2].any() and not M[:, 1::2, ::2].any()
         assert not A[:, :4, 4:].any() and not A[:, 4:, :4].any()
@@ -245,13 +250,17 @@ class TestStackedLyapunov:
         D = L @ L.transpose(0, 2, 1) + rng.standard_normal((count, 2, 2))
         scale_A, scale_D = (np.ldexp(1.0, rng.choice([-500, 0, 500], count))[:, None, None]
                             for _ in range(2))
+        def sylvester(A, C, D):  # on the rows of entries 00, 01, 10, 11
+            W = oracle._sylvester_2x2(*(x.reshape(-1, 4).T for x in (A, C, D)))
+            return W.T.reshape(-1, 2, 2)
+
         for A_k, C_k, D_k in ((A, C, D), (scale_A * A, scale_A * C, scale_D * D)):
-            W, ref = oracle._sylvester_2x2(A_k, C_k, D_k), oracle._kronecker_solve(A_k, C_k, D_k)
+            W, ref = sylvester(A_k, C_k, D_k), oracle._kronecker_solve(A_k, C_k, D_k)
             error = np.abs(W - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
             assert error.max() <= 1e-12
         # the scalings are powers of two, so they move no bit
-        assert np.array_equal(oracle._sylvester_2x2(scale_A * A, scale_A * C, scale_D * D),
-                              scale_D / scale_A * oracle._sylvester_2x2(A, C, D))
+        assert np.array_equal(sylvester(scale_A * A, scale_A * C, scale_D * D),
+                              scale_D / scale_A * sylvester(A, C, D))
 
     @pytest.mark.parametrize("case", ["unstable", "zero-trace", "overdamped"])
     def test_block_stability_report_is_that_of_the_eigenvalues(self, case):
@@ -266,7 +275,7 @@ class TestStackedLyapunov:
                                                (gamma[::-1], KAPPA, G[::-1], 2.0), 0.0, 0.0)
         if case == "unstable":
             A[1] = -A[1]
-        report, ref = oracle._split_stability(A), model.stability_check(A)
+        report, ref = oracle._split_stability(drift_rows(A)), model.stability_check(A)
         assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
         assert report.stable == (case == "overdamped")
         assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-12)
@@ -278,17 +287,18 @@ class TestStackedLyapunov:
         G = KAPPA * 10.0 ** rng.uniform(-4.0, -0.7, 8)
         A, _ = build_rwa_drift_diffusion_stack((1e-6 * KAPPA, KAPPA, G, 1.0),
                                                (1e-6 * KAPPA, KAPPA, G[::-1], 1.0), 0.0, 0.0)
-        assert oracle._split_stability(A).worst_index == model.stability_check(A).worst_index
+        report = oracle._split_stability(drift_rows(A))
+        assert report.worst_index == model.stability_check(A).worst_index
         import mpmath
         with mpmath.workdps(40):
             for a in A:
                 exact = max(
                     mpmath.re(h + mpmath.sqrt(h * h - det))
-                    for block in (a[p, p] for p in (oracle._X1, oracle._X2))
+                    for block in (a[np.ix_(p, p)] for p in oracle._BLOCKS[:2])
                     for h, det in [(mpmath.mpf(block[0, 0]) / 2 + mpmath.mpf(block[1, 1]) / 2,
                                     mpmath.mpf(block[0, 0]) * block[1, 1]
                                     - mpmath.mpf(block[0, 1]) * block[1, 0])])
-                report = oracle._split_stability(a[None])
+                report = oracle._split_stability(drift_rows(a[None]))
                 assert report.max_real_part == pytest.approx(float(exact), rel=1e-14)
 
     def test_unstable_item_is_named(self):
@@ -541,6 +551,27 @@ class TestStackedDuan:
         with pytest.raises(ValueError, match="pair must be"):
             duan_from_covariance_stack(V, "bogus")
 
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    def test_cancelled_digits_raise_on_both_routes(self, pair):
+        # V11 = V22 = 1e6 + 1/2 and V12 = 1e6 for each variance: the estimate
+        # ulp(1) (4e6 + 1) / 1 is 8.9e-10, under 1e-6; at 1e10 it is 8.9e-6
+        def cancelling(size):
+            V = np.eye(8) / 2
+            for u1, u2, sign in (("X1", "X2", 1.0), ("Y1", "Y2", -1.0), ("x1", "x2", 1.0),
+                                 ("y1", "y2", -1.0)):
+                V[IDX[u1], IDX[u1]] = V[IDX[u2], IDX[u2]] = size + 0.5
+                V[IDX[u1], IDX[u2]] = V[IDX[u2], IDX[u1]] = sign * size
+            return V
+
+        assert duan_from_covariance(cancelling(1e6), pair).total == 2.0
+        message = r"lost its digits to cancellation: .* estimate 8\.9e-06 exceeds 1e-06"
+        with pytest.raises(FloatingPointError, match=message):
+            duan_from_covariance(cancelling(1e10), pair)
+        V = np.stack([cancelling(1e6), cancelling(1e10), cancelling(1e11), np.eye(8) / 2])
+        V[2, 0, 0] = math.nan  # a NaN total after the first cancelled one
+        with pytest.raises(FloatingPointError, match=message):
+            duan_from_covariance_stack(V, pair)
+
 
 SPECTRAL_CASES = [
     (0.0, 0.0, 0.01, 0.01, 1.0, 3.0, 3.0, 0.0),  # decoupled thermal mirrors
@@ -662,3 +693,119 @@ def test_spectral_route_needs_no_scipy_and_makes_its_nodes_on_first_use():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def split_pair_rows(A, D, V):
+    """The rows (4, 6, B) of A_p, A_q, D_pq and V_pq of a split 8x8 stack, pair by pair."""
+    p, q = zip(*oracle._PAIRS)
+    drift = drift_rows(A)
+    D_rows, V_rows = (oracle._rows(M, oracle._PAIR_AT) for M in (D, V))
+    return drift[:, p], drift[:, q], D_rows, V_rows
+
+
+def matmul_gate(A, D, V):
+    """The 8x8 residual norm and bound of the gate on V and D divided by max |D|."""
+    scale = np.abs(D).max(axis=(1, 2), keepdims=True)
+    Vs, Ds = V / scale, D / scale
+    residual = np.linalg.norm(A @ Vs + Vs @ A.transpose(0, 2, 1) + Ds, axis=(1, 2))
+    return residual, 1e-10 * np.linalg.norm(Ds, axis=(1, 2))
+
+
+class TestSplitResidualGate:
+    def test_six_pair_norm_is_the_8x8_norm(self):
+        # a symmetric error on every pair, so that the residual is not round-off
+        A, D = physical_stack()
+        V = solve_lyapunov_stack(A, D)
+        support = np.zeros(64, dtype=bool)
+        support[oracle._SYMMETRIC_AT] = True
+        E = np.random.default_rng(8).standard_normal(V.shape)
+        E = (E + E.transpose(0, 2, 1)) * support.reshape(8, 8)
+        V_bad = V + 1e-3 * np.abs(V).max(axis=(1, 2), keepdims=True) * E
+        residual, bound = oracle._split_residual(*split_pair_rows(A, D, V_bad))
+        ref_residual, ref_bound = matmul_gate(A, D, V_bad)
+        assert residual.shape == bound.shape == (7, len(A))
+        assert residual[6] == pytest.approx(ref_residual, rel=1e-12)
+        assert bound[6] == pytest.approx(ref_bound, rel=1e-14)
+        # and the solution itself passes both
+        residual, bound = oracle._split_residual(*split_pair_rows(A, D, V))
+        assert (residual <= bound).all()
+
+    def test_an_error_in_a_small_pair_fails_its_own_bound_only(self, monkeypatch):
+        # at r = 1e-3 the x1-x2 covariance is ~1e-3 of D; an error of 1e-8 of
+        # it is far inside the 8x8 bound, but not inside the pair's
+        A, D = physical_stack()
+        dd = build_rwa_drift_diffusion(*make_system(15.0, 1e-3, 5.0, 0.01))
+        A, D = np.concatenate([A, dd.A[None]]), np.concatenate([D, dd.D[None]])
+        V = solve_lyapunov_stack(A, D)
+        error = np.ones_like(V)
+        error[3, ::2, ::2][:2, 2:] = error[3, ::2, ::2][2:, :2] = 1.0 + 1e-8  # X1-X2, X2-X1
+        residual, bound = oracle._split_residual(*split_pair_rows(A, D, V * error))
+        assert residual[1, 3] > bound[1, 3] and residual[6, 3] <= bound[6, 3]
+        assert (np.delete(residual <= bound, 3, axis=1)).all()
+        ref_residual, ref_bound = matmul_gate(A, D, V * error)
+        assert (ref_residual <= ref_bound).all()  # the 8x8 gate alone lets it through
+
+        sylvester = oracle._sylvester_2x2
+        def planted(A_rows, C_rows, D_rows):
+            W = sylvester(A_rows, C_rows, D_rows).reshape(4, 6, -1)
+            W[:, 1, 3] *= 1.0 + 1e-8
+            return W.reshape(4, -1)
+        monkeypatch.setattr(oracle, "_sylvester_2x2", planted)
+        with pytest.raises(UnstableDrift, match="Lyapunov residual .* at stack index 3 exceeds"):
+            solve_lyapunov_stack(A, D)
+
+    def test_an_asymmetric_diffusion_is_not_taken_for_a_split(self):
+        # the split reads each cross pair once, so a D that differs from its
+        # transpose goes to the full solve, whose 8x8 gate rejects it
+        A, D = physical_stack()
+        D[1, IDX["x2"], IDX["x1"]] *= 2.0
+        with pytest.raises(UnstableDrift, match="at stack index 1"):
+            solve_lyapunov_stack(A, D)
+
+
+STACK_UNITS = st.lists(SYSTEM_ARGS, min_size=1, max_size=6)
+
+
+def model_arrays(points, size):
+    """Oracle arguments (unit1, unit2, N, M) of ``size`` systems that cycle
+    through the mismatched ``points``."""
+    systems = [asymmetric_system(*point) for point in points]
+    rates = np.resize(np.array([[*np.ravel(unit_rates(*s)), s[0].bath.N, s[0].bath.M_corr]
+                                for s in systems]), (size, 10)).T
+    return tuple(rates[:4]), tuple(rates[4:8]), rates[8], rates[9]
+
+
+class TestRowAndMatrixRoutes:
+    @settings(max_examples=25, deadline=None)
+    @given(points=STACK_UNITS, size=st.sampled_from([1, 255, 256, 257, 513]))
+    def test_chunks_equal_the_8x8_stack_solve(self, points, size):
+        args = model_arrays(points, size)
+        chunks = list(oracle.covariance_chunks(*args))
+        assert [len(V) for V in chunks] == [min(256, size - k) for k in range(0, size, 256)]
+        V = solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(*args))
+        assert np.concatenate(chunks).tobytes() == V.tobytes()
+
+    @pytest.mark.parametrize("entry, value, error", [
+        (2, math.nan, FloatingPointError),  # G of unit 1
+        (1, math.inf, FloatingPointError),  # kappa of unit 1
+        (0, -2.0, UnstableDrift),  # gamma = -2 kappa: the drift grows
+    ])
+    def test_a_bad_system_raises_alike_on_both_routes(self, entry, value, error):
+        unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 513)
+        unit1 = [np.array(x) for x in unit1]
+        unit1[entry][300] = value * (unit1[1][300] if entry == 0 else 1.0)
+        with pytest.raises(error, match="at stack index 44") as by_rows:
+            list(oracle.covariance_chunks(unit1, unit2, N, M))
+        c = [np.asarray(x)[256:512] for x in (*unit1, *unit2, N, M)]
+        with pytest.raises(error) as by_matrices:
+            solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
+        assert str(by_rows.value) == str(by_matrices.value)
+
+    def test_chunks_form_no_8x8_drift_or_diffusion(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("8x8 route taken")
+        for name in ("build_rwa_drift_diffusion_stack", "solve_lyapunov_stack",
+                     "_kronecker_solve"):
+            monkeypatch.setattr(oracle, name, forbidden)
+        chunks = list(oracle.covariance_chunks(*model_arrays([SPECTRAL_CASES[3]], 3)))
+        assert [V.shape for V in chunks] == [(3, 8, 8)]

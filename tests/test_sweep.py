@@ -290,6 +290,14 @@ class TestArraySweep:
         spec = SweepSpec(base, "bath.r", 0.0, 1.0, 2, quantity="oracle-duan")
         assert run_sweep(spec)[0] == sweep._point_row(spec, 0.0)
 
+    def test_cancelled_oracle_digits_are_error_rows(self, base):
+        spec = SweepSpec(base, "bath.r", 2.0, 18.0, 3, quantity="oracle-duan")
+        rows = run_sweep(spec)
+        assert rows == scalar_sweep_rows(spec)
+        assert rows[0].error is None
+        assert rows[2].error.startswith(
+            "FloatingPointError: Duan variance lost its digits to cancellation")
+
     def test_a_grid_the_array_core_raises_for_goes_point_by_point(self, base):
         # hbar omega_M underflows to 0: the occupation diverges
         spec = SweepSpec(base, "unit2.mirror.omega_M", 1e-320, 1e6, 3)
