@@ -206,14 +206,13 @@ def cmd_threshold(args, out) -> int:
     r = system.bath.r
     temperature = unit.mirror.temperature
     n_th = model.thermal_occupation(unit.mirror.omega_M, temperature)
+    # exits 3 at r = 0, in a cold bath too: without squeezing the total is 2 at every C
+    c_min = closedform.threshold_cooperativity(r, n_th)
     lines = {"r": r, "n_th": n_th, "temperature_K": temperature}
     if args.quantity in ("cooperativity", "both"):
-        if r == 0 and n_th == 0:
-            lines["C_min"] = 0.0
-        else:
-            lines["C_min"] = closedform.threshold_cooperativity(r, n_th)
+        lines["C_min"] = c_min
     if args.quantity in ("power", "both"):
-        if n_th == 0:
+        if n_th == 0:  # so r > 0, and C_min = 0 needs no drive
             lines["P_min_W"] = 0.0
         else:
             p_min = closedform.minimum_power(unit, r, temperature)

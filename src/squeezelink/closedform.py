@@ -29,6 +29,9 @@ from .model import (
 np = lazy_import("numpy")
 
 SEPARABILITY_BOUND = 2.0
+#: the largest relative rounding error a Duan variance or total may carry: the
+#: three routes' agreement tolerance
+_CANCELLATION_TOL = 1e-6
 
 
 class DegenerateSqueeze(ValueError):
@@ -87,14 +90,17 @@ def _require_rates(Gamma_a1, Gamma_1, Gamma_a2, Gamma_2):
 
 
 def _adiabatic_sum(unit1, unit2, N, M, sqrt):
-    """The adiabatic mirror total in + - * / and the given ``sqrt``, for floats or arrays."""
+    """The adiabatic mirror total in + - * / and the given ``sqrt``, for floats or arrays,
+    and the sum ``a + b`` of its two squeezed terms, which cancel as r grows."""
     Ga1, Ga2, G1, G2 = unit1.Gamma_a, unit2.Gamma_a, unit1.Gamma, unit2.Gamma
-    return (
-        (2.0 * N + 1.0) * (Ga1 / G1 + Ga2 / G2)
-        - 8.0 * sqrt(Ga1 * Ga2) * M / (G1 + G2)
+    a = (2.0 * N + 1.0) * (Ga1 / G1 + Ga2 / G2)
+    b = 8.0 * sqrt(Ga1 * Ga2) * M / (G1 + G2)
+    total = (
+        a - b
         + ((G1 - Ga1) / G1) * (2.0 * unit1.n_th + 1.0)
         + ((G2 - Ga2) / G2) * (2.0 * unit2.n_th + 1.0)
     )
+    return total, a + b
 
 
 def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
@@ -103,9 +109,17 @@ def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
     ``unit1`` and ``unit2`` carry the rates after the cavity fields are eliminated,
     ``Gamma_a``, ``Gamma`` and ``n_th`` (a :class:`model.SteadyState` does);
     ``N`` and ``M`` are the bath's ``SqueezedBath.N`` and ``SqueezedBath.M_corr``.
+    The squeezed terms ``a = (2N + 1)(Gamma_a1/Gamma_1 + Gamma_a2/Gamma_2)`` and
+    ``b = 8 sqrt(Gamma_a1 Gamma_a2) M / (Gamma_1 + Gamma_2)`` both grow like
+    e^{2r} and cancel in ``a - b``. Once the total passes :class:`DuanResult`'s
+    check, a relative rounding error estimated as ``ulp(1) (a + b) / total``
+    beyond ``_CANCELLATION_TOL`` raises ``FloatingPointError`` instead of a verdict.
     """
     _require_rates(unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
-    return DuanResult.from_total(_adiabatic_sum(unit1, unit2, N, M, math.sqrt))
+    total, size = _adiabatic_sum(unit1, unit2, N, M, math.sqrt)
+    result = DuanResult.from_total(total)
+    _require_digits(math.ulp(1.0) * size / total if total else math.inf)
+    return result
 
 
 def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
@@ -115,15 +129,19 @@ def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     (see :func:`model.red_sideband_arrays`); ``N`` and ``M`` are the bath's
     terms (see :func:`model.squeeze_arrays`). All broadcast together. The
     totals equal the per-point ones bit for bit. Every element passes the
-    per-point rate bounds and the finite, non-negative total check of
-    :class:`DuanResult`, or the first failing element raises what the
-    per-point route raises.
+    per-point rate bounds, the finite, non-negative total check of
+    :class:`DuanResult` and the rounding-error estimate, in that order, or
+    the first failing element raises what the per-point route raises.
     """
     rates = (unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
-    raise_for_first(_rates_out_of_bounds(*rates[:2]) | _rates_out_of_bounds(*rates[2:]),
-                    _require_rates, *rates)
+    bad = np.asarray(_rates_out_of_bounds(*rates[:2]) | _rates_out_of_bounds(*rates[2:]))
+    raise_for_first(bad, _require_rates, *rates)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(_adiabatic_sum(unit1, unit2, N, M, np.sqrt))
+        total, size = _adiabatic_sum(unit1, unit2, N, M, np.sqrt)
+        total = require_totals(total)
+        lost = math.ulp(1.0) * size / total  # a zero total gives inf, as per point
+    raise_for_first(lost > _CANCELLATION_TOL, _require_digits, lost)
+    return total
 
 
 def require_totals(total) -> np.ndarray:
@@ -135,6 +153,15 @@ def require_totals(total) -> np.ndarray:
     total = np.asarray(total)
     raise_for_first(~((0.0 <= total) & (total < math.inf)), DuanResult.from_total, total)
     return total
+
+
+def _require_digits(lost: float):
+    """Raise unless the relative rounding error estimate ``lost`` of a Duan
+    variance or total is within ``_CANCELLATION_TOL``."""
+    if lost > _CANCELLATION_TOL:
+        raise FloatingPointError(
+            f"Duan variance lost its digits to cancellation: relative rounding error "
+            f"estimate {lost:.2g} exceeds {_CANCELLATION_TOL:g}")
 
 
 def _adiabatic_identical_sum(C, r, n_th, exp):

@@ -443,15 +443,12 @@ def per_distinct(fn, *arrays) -> np.ndarray:
 def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
     """(N, M_corr) of :class:`SqueezedBath` for every element of ``r``.
 
-    Each distinct r goes through the bath itself, so its checks and its
-    overflow errors apply and raise, and the values are its bits.
+    Each distinct r goes through the bath itself (:func:`per_distinct`), so
+    its checks and its overflow errors apply and raise, and the values are
+    its bits.
     """
-    r = np.asarray(r, dtype=float)
-    values, inverse = np.unique(r.ravel(), return_inverse=True)
-    terms = np.array([(bath.N, bath.M_corr)
-                      for bath in map(SqueezedBath, values.tolist())]).reshape(-1, 2)
-    N, M = terms.T
-    return N[inverse].reshape(r.shape), M[inverse].reshape(r.shape)
+    return (per_distinct(lambda x: SqueezedBath(x).N, r),
+            per_distinct(lambda x: SqueezedBath(x).M_corr, r))
 
 
 def mean_fields_from_bare_detuning(

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ._lazy import lazy_import
-from .closedform import DuanResult, require_totals
+from .closedform import _CANCELLATION_TOL, DuanResult, _require_digits, require_totals
 from .model import (StabilityReport, SteadyState, SystemParams, raise_for_first,
                     stability_check)
 
@@ -69,9 +69,6 @@ IDX = {name: i for i, name in enumerate(QUADRATURES)}
 
 #: systems per stacked Lyapunov solve; bounds the stack's working memory
 STACK_CHUNK = 256
-#: the largest relative rounding error a Duan variance may carry: the three
-#: routes' agreement tolerance
-_CANCELLATION_TOL = 1e-6
 
 #: spectral quadrature tolerances, per dimensionless variance integral
 QUAD_ABS_TOL = 1e-11
@@ -464,13 +461,6 @@ def _duan_variances(V: np.ndarray, pair: str):
                          for a, b, var in ((X1, X2, var_X), (Y1, Y2, var_Y))))
     raise_for_first(np.asarray(lost > _CANCELLATION_TOL), _require_digits, lost)
     return var_X, var_Y
-
-
-def _require_digits(lost: float):
-    if lost > _CANCELLATION_TOL:
-        raise FloatingPointError(
-            f"Duan variance lost its digits to cancellation: relative rounding error "
-            f"estimate {lost:.2g} exceeds {_CANCELLATION_TOL:g}")
 
 
 def spectral_duan_sum(system: SystemParams, steady: tuple[SteadyState, SteadyState],

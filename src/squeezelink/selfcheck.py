@@ -4,7 +4,8 @@ Each check returns a :class:`CheckResult` with the measured worst residual
 and the tolerance it was held to, so the CLI can print one machine-readable
 line per check and the test suite can assert on the same numbers.
 The oracle checks hand the grid's C and n_th to the oracles as given, with
-no drive power or bath temperature in between (see :func:`_symmetric_units`).
+no drive power or bath temperature in between (see :func:`_symmetric_units`),
+and each grid whole: only :func:`oracle.covariance_chunks` chunks a stack.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Callable, Iterable, Optional
 
 from . import closedform, config, model, oracle, sweep
 from ._lazy import lazy_import
-from .oracle import IDX
 
 np = lazy_import("numpy")
 
@@ -68,11 +68,12 @@ def _symmetric_units(C, r, n_th, ratio):
     return (unit, unit, *model.squeeze_arrays(r))
 
 
-def _mirror_totals(C, r, n_th, ratio) -> np.ndarray:
-    """Lyapunov mirror totals of the :func:`_symmetric_units` systems over arrays."""
+def _mirror_variances(C, r, n_th, ratio) -> tuple[np.ndarray, np.ndarray]:
+    """Lyapunov mirror ``(var_X, var_Y)`` of the :func:`_symmetric_units` systems over
+    arrays, in flat order."""
     chunks = oracle.covariance_chunks(*_symmetric_units(C, r, n_th, ratio))
-    return np.concatenate([np.add(*oracle.duan_from_covariance_stack(V, "mirror"))
-                           for V in chunks])
+    var_X, var_Y = zip(*(oracle.duan_from_covariance_stack(V, "mirror") for V in chunks))
+    return np.concatenate(var_X), np.concatenate(var_Y)
 
 
 def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:
@@ -80,7 +81,7 @@ def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:
     grid = _grid()
     C, r, n_th, ratio = grid
     exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, ratio * KAPPA_REF, KAPPA_REF)
-    lyap = _mirror_totals(*grid)
+    lyap = np.add(*_mirror_variances(*grid))
     spec = oracle.spectral_duan_sum_stack(*_symmetric_units(*grid))
     worst = float(np.max(np.abs(np.stack([lyap, spec]) - exact) / exact, initial=0.0))
     return CheckResult("triple", worst <= tolerance, worst, tolerance,
@@ -123,34 +124,21 @@ def check_separability_floor(tolerance: float = 1e-9) -> CheckResult:
                        f"oracle, min total {2.0 - worst:.12f}")
 
 
-def _separability_chunks():
-    """(C, n_th, gamma/kappa) arrays of the random r = 0 parameter sets, in draw order,
-    ``STACK_CHUNK`` sets at a time."""
-    # row k holds sample k's (log10 C, n_th, log10 gamma/kappa), drawn in that order
-    samples, rng = SEPARABILITY_SAMPLES, np.random.default_rng(SEPARABILITY_SEED)
-    u = rng.uniform([-2, 0, -6], [3, 50, 0], size=(samples, 3))
-    for start in range(0, samples, oracle.STACK_CHUNK):  # few Python floats alive at a time
-        log_C, n_th, log_ratio = u[start:start + oracle.STACK_CHUNK].T
-        yield (np.array([10.0 ** x for x in log_C.tolist()]), n_th,
-               np.array([10.0 ** x for x in log_ratio.tolist()]))
-
-
 def _separability_totals() -> tuple[np.ndarray, np.ndarray]:
     """(closed-form, Lyapunov) totals at the random r = 0 parameter sets, in draw order."""
-    closed, lyap = [], []
-    for C, n_th, ratio in _separability_chunks():
-        closed.append(closedform.duan_sum_nonadiabatic_arrays(
-            C, 0.0, n_th, ratio * KAPPA_REF, KAPPA_REF))
-        lyap.append(_mirror_totals(C, 0.0, n_th, ratio))
-    return np.concatenate(closed), np.concatenate(lyap)
+    # row k holds sample k's (log10 C, n_th, log10 gamma/kappa), drawn in that order
+    rng = np.random.default_rng(SEPARABILITY_SEED)
+    log_C, n_th, log_ratio = rng.uniform([-2, 0, -6], [3, 50, 0],
+                                         size=(SEPARABILITY_SAMPLES, 3)).T
+    C, ratio = (np.array([10.0 ** x for x in u.tolist()]) for u in (log_C, log_ratio))
+    closed = closedform.duan_sum_nonadiabatic_arrays(C, 0.0, n_th, ratio * KAPPA_REF, KAPPA_REF)
+    return closed, np.add(*_mirror_variances(C, 0.0, n_th, ratio))
 
 
 def check_xy_symmetry(tolerance: float = 1e-10) -> CheckResult:
     """Oracle covariance gives equal X and Y joint variances for identical units."""
-    worst = 0.0
-    for V in oracle.covariance_chunks(*_symmetric_units(*_grid())):
-        var_X, var_Y = oracle.duan_from_covariance_stack(V, "mirror")
-        worst = max(worst, float(np.max(np.abs(var_X - var_Y))))
+    var_X, var_Y = _mirror_variances(*_grid())
+    worst = float(np.max(np.abs(var_X - var_Y)))
     return CheckResult("xy-symmetry", worst <= tolerance, worst, tolerance)
 
 
@@ -183,32 +171,26 @@ def check_weak_coupling(tolerance: float = 1e-12) -> CheckResult:
 
 def _constructed_systems(rng):
     """Stacks (V0, A, D) of random stable A with V0 as the exact solution."""
-    systems = []
-    for _ in range(LYAPUNOV_TRIALS):
-        B = rng.standard_normal((8, 8))
-        shift = max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0
-        A = B - shift * np.eye(8)
-        L = rng.standard_normal((8, 8))
-        V0 = L @ L.T
-        systems.append((V0, A, -(A @ V0 + V0 @ A.T)))
-    return tuple(np.array(stack) for stack in zip(*systems))
+    # trial k draws its B, then its L, as rows k of one draw
+    B, L = np.moveaxis(rng.standard_normal((LYAPUNOV_TRIALS, 2, 8, 8)), 1, 0)
+    shift = np.fmax(np.linalg.eigvals(B).real.max(axis=1), 0.0) + 1.0
+    A = B - shift[:, None, None] * np.eye(8)
+    V0 = L @ L.transpose(0, 2, 1)
+    return V0, A, -(A @ V0 + V0 @ A.transpose(0, 2, 1))
 
 
 def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
     """Constructed-solution recovery plus the uncertainty-principle floor."""
     V0, A, D = _constructed_systems(np.random.default_rng(LYAPUNOV_SEED))
-    worst = 0.0
-    for v0, v in zip(V0, oracle.solve_lyapunov_stack(A, D)):
-        worst = max(worst, np.linalg.norm(v - v0) / np.linalg.norm(v0))
+    error = oracle.solve_lyapunov_stack(A, D) - V0
+    worst = float(np.max(np.linalg.norm(error, axis=(1, 2)) / np.linalg.norm(V0, axis=(1, 2))))
     if worst > tolerance:
         return CheckResult("lyapunov", False, worst, tolerance, "constructed solutions")
 
-    # uncertainty products on physical solutions
-    uncert_worst = 0.0
-    for V in oracle.covariance_chunks(*_symmetric_units(*_grid())):
-        for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
-            product = V[:, IDX[x], IDX[x]] * V[:, IDX[y], IDX[y]]
-            uncert_worst = max(uncert_worst, float(np.max(0.25 - product)))
+    # uncertainty products X1 Y1, x1 y1, X2 Y2 and x2 y2 on physical solutions
+    V = np.concatenate(list(oracle.covariance_chunks(*_symmetric_units(*_grid()))))
+    variance = V.diagonal(axis1=1, axis2=2)  # in QUADRATURES order, each X before its Y
+    uncert_worst = float(np.max(0.25 - variance[:, ::2] * variance[:, 1::2], initial=0.0))
     ok = uncert_worst <= 1e-10
     return CheckResult("lyapunov", ok, worst if ok else uncert_worst, tolerance,
                        "constructed solutions + uncertainty floor")

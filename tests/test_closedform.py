@@ -98,6 +98,60 @@ class TestAdiabaticGeneral:
         with pytest.raises(ValueError, match=f"^{text}$"):
             closedform.duan_sum_adiabatic_arrays(*arrays, 1.0, 1.0)
 
+    def test_cancelled_digits_raise_alike_on_both_routes(self):
+        # at the default preset r = 2 keeps its digits and r = 10 is the first to lose them
+        ss1, ss2 = default_steady_states()
+        general(ss1, ss2, SqueezedBath(r=2.0))
+        with pytest.raises(FloatingPointError, match="lost its digits") as expected:
+            general(ss1, ss2, SqueezedBath(r=10.0))
+        N, M = model.squeeze_arrays([2.0, 10.0, 12.0])
+        with pytest.raises(FloatingPointError) as got:
+            closedform.duan_sum_adiabatic_arrays(ss1, ss2, N, M)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("units", [
+        "default",
+        (unit_rates(3e5, 100.0, 5.0), unit_rates(1e6, 300.0, 1.0)),
+        (unit_rates(10.0, 1.0, 0.0), unit_rates(1e4, 50.0, 20.0)),
+    ])
+    def test_returned_totals_match_a_50_digit_evaluation(self, units):
+        # every total the form returns up to r = 25 holds its digits; the rest raise
+        unit1, unit2 = default_steady_states() if units == "default" else units
+        r = np.linspace(0.0, 25.0, 101)
+        returned = []
+        for x in r.tolist():
+            try:
+                returned.append((x, general(unit1, unit2, SqueezedBath(r=x)).total))
+            except FloatingPointError:
+                pass
+        assert len(returned) >= 20  # r <= 5 at least
+        for x, total in returned:
+            assert total == pytest.approx(adiabatic_reference(unit1, unit2, x), rel=1e-5)
+        kept, totals = np.array(returned).T
+        assert np.array_equal(closedform.duan_sum_adiabatic_arrays(
+            unit1, unit2, *model.squeeze_arrays(kept)), totals)
+
+
+def default_steady_states():
+    system = config.default_system()
+    return tuple(model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
+                 for unit in (system.unit1, system.unit2))
+
+
+def adiabatic_reference(unit1, unit2, r):
+    """The adiabatic mirror total in 50 digits, from the units' float rates and r."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        N, M = mpmath.sinh(r) ** 2, mpmath.sinh(r) * mpmath.cosh(r)
+        (Ga1, G1, n1), (Ga2, G2, n2) = ((mpmath.mpf(u.Gamma_a), mpmath.mpf(u.Gamma),
+                                         mpmath.mpf(u.n_th)) for u in (unit1, unit2))
+        total = ((2 * N + 1) * (Ga1 / G1 + Ga2 / G2)
+                 - 8 * mpmath.sqrt(Ga1 * Ga2) * M / (G1 + G2)
+                 + (G1 - Ga1) / G1 * (2 * n1 + 1) + (G2 - Ga2) / G2 * (2 * n2 + 1))
+        return float(total)
+
 
 class TestAdiabaticIdentical:
     def test_no_squeezing_floor(self):

@@ -275,8 +275,8 @@ class TestCliSweep:
     @pytest.mark.parametrize("argv, sha256", [
         (("--axis", "temperature", "--range", "1e-5:1:40:log"),
          "45e5f4125c5d2c82ce87701f14688c2b90766ddcbda6dd50281e5b9237ec0d41"),
-        (("--axis", "bath.r", "--range=-1:1000:50", "--max-errors", "50"),  # 34 error rows
-         "517c8678c7e2192483066b7b1b47da79086592cee05ba1b9604797c6fa6664f6"),
+        (("--axis", "bath.r", "--range=-1:1000:50", "--max-errors", "50"),  # 50 error rows
+         "864549a630e6c07ff5dfa0e27ce8bc8edf124f9051cb7ba67ddfb71d89f7ad43"),
         (("--axis", "unit2.power", "--range", "1e-3:3e-2:12", "--quantity", "oracle-duan"),
          "6eeec22ec6d073fed5f4314f53c86ac3c7d1a7bebcc8646e2ec79de83eda4163"),
     ])
@@ -428,13 +428,20 @@ class TestCliThreshold:
         values = self.parse(text)
         assert float(values["n_th"]) == pytest.approx(1.0, rel=0.10)
 
-    def test_zero_r_zero_nth_threshold_is_zero(self):
-        code, text = run_cli(
-            "threshold", "--r", "0", "--temperature-uk", "0",
-            "--quantity", "cooperativity",
-        )
+    @pytest.mark.parametrize("quantity", ["cooperativity", "power", "both"])
+    def test_zero_r_cold_bath_is_degenerate(self, quantity, capsys):
+        # without squeezing the total is exactly 2 at every C, even with no thermal noise
+        code, text = run_cli("threshold", "--r", "0", "--temperature-uk", "0",
+                             "--quantity", quantity)
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        assert capsys.readouterr().err.startswith(
+            "error: threshold cooperativity diverges at r = 0")
+
+    def test_squeezed_cold_bath_threshold_is_zero(self):
+        code, text = run_cli("threshold", "--r", "0.5", "--temperature-uk", "0")
         assert code == 0
-        assert float(self.parse(text)["C_min"]) == 0.0
+        values = self.parse(text)
+        assert float(values["C_min"]) == 0.0 and float(values["P_min_W"]) == 0.0
 
     def test_zero_r_warm_bath_is_degenerate(self):
         code, _ = run_cli("threshold", "--r", "0", "--quantity", "cooperativity")

@@ -102,13 +102,24 @@ def test_separability_matches_scalar_loop(monkeypatch, seed):
     assert result.max_err == pytest.approx(dip, abs=1e-14)
 
 
+def test_separability_bits_do_not_depend_on_the_oracle_chunk(monkeypatch):
+    # the selfcheck hands all its draws to the oracle at once; only the oracle chunks
+    assert oracle.STACK_CHUNK == 256
+    closed, lyap = selfcheck._separability_totals()
+    monkeypatch.setattr(oracle, "STACK_CHUNK", 7)
+    small_closed, small_lyap = selfcheck._separability_totals()
+    assert len(lyap) == selfcheck.SEPARABILITY_SAMPLES
+    assert np.array_equal(small_closed, closed)
+    assert np.array_equal(small_lyap, lyap)
+
+
 def test_array_route_equals_per_point_solves(monkeypatch):
     # the grid's oracle totals, built over arrays and solved in chunks, equal
     # one build_rwa_drift_diffusion_stack + solve_lyapunov per point on the
     # same (gamma, kappa, G, n_th) floats
     monkeypatch.setattr(oracle, "STACK_CHUNK", 50)
     grid = selfcheck._grid()
-    totals = selfcheck._mirror_totals(*grid)
+    totals = np.add(*selfcheck._mirror_variances(*grid))
     assert totals.shape == (192,)
     kappa = selfcheck.KAPPA_REF
     for (C, r, n_th, ratio), total in zip(grid.T.tolist(), totals.tolist()):
@@ -121,10 +132,11 @@ def test_array_route_equals_per_point_solves(monkeypatch):
 
 
 def test_symmetric_units_take_the_grids_n_th_and_c_as_given():
-    # the first separability chunk: n_th reaches the oracle bit for bit, and
+    # the first separability draws: n_th reaches the oracle bit for bit, and
     # the coupling G gives back C = 4 G^2 / (gamma kappa) to rounding
-    C, n_th, ratio = next(selfcheck._separability_chunks())
-    assert len(C) == oracle.STACK_CHUNK
+    rng = np.random.default_rng(selfcheck.SEPARABILITY_SEED)
+    log_C, n_th, log_ratio = rng.uniform([-2, 0, -6], [3, 50, 0], size=(256, 3)).T
+    C, ratio = 10.0 ** log_C, 10.0 ** log_ratio
     (gamma, kappa, G, unit_n_th), _, N, M = selfcheck._symmetric_units(C, 0.0, n_th, ratio)
     assert np.array_equal(unit_n_th, n_th)
     assert np.all(np.abs(4.0 * G * G / (gamma * kappa) - C) <= 4 * np.spacing(C))
@@ -148,11 +160,26 @@ def test_symmetric_units_reject_what_a_unit_rejects(C, n_th, ratio, name):
 
 def test_array_route_rejects_what_the_per_point_route_rejects():
     with pytest.raises(ValueError, match="C must be >= 0"):
-        selfcheck._mirror_totals(np.array([1.0, -1.0]), 0.0, 1.0, 0.01)
+        selfcheck._mirror_variances(np.array([1.0, -1.0]), 0.0, 1.0, 0.01)
     with pytest.raises(ValueError, match="n_th must be >= 0"):
-        selfcheck._mirror_totals(1.0, 0.0, np.array([1.0, -1.0]), 0.01)
+        selfcheck._mirror_variances(1.0, 0.0, np.array([1.0, -1.0]), 0.01)
     with pytest.raises(ValueError, match="squeeze parameter r"):
-        selfcheck._mirror_totals(1.0, np.array([0.5, np.nan]), 1.0, 0.01)
+        selfcheck._mirror_variances(1.0, np.array([0.5, np.nan]), 1.0, 0.01)
+
+
+def test_constructed_systems_equal_one_trial_at_a_time():
+    # the per-trial loop that one stacked draw replaced, as the reference
+    rng = np.random.default_rng(selfcheck.LYAPUNOV_SEED)
+    systems = []
+    for _ in range(selfcheck.LYAPUNOV_TRIALS):
+        B = rng.standard_normal((8, 8))
+        A = B - (max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0) * np.eye(8)
+        L = rng.standard_normal((8, 8))
+        V0 = L @ L.T
+        systems.append((V0, A, -(A @ V0 + V0 @ A.T)))
+    stacks = selfcheck._constructed_systems(np.random.default_rng(selfcheck.LYAPUNOV_SEED))
+    for stack, reference in zip(stacks, zip(*systems), strict=True):
+        assert np.array_equal(stack, np.array(reference))
 
 
 def test_every_check_takes_only_its_tolerance():
