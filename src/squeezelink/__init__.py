@@ -7,6 +7,7 @@ independent steady-state covariance oracle.
 
 __version__ = "0.1.0"
 
+from ._lazy import lazy_import as _lazy_import
 from .closedform import (
     DegenerateSqueeze,
     DuanResult,
@@ -27,10 +28,12 @@ from .model import (
     MirrorParams,
     NonConvergence,
     OptomechanicalUnit,
+    QuadratureFailure,
     ResonatorParams,
     SqueezedBath,
     SteadyState,
     SystemParams,
+    UnstableDrift,
     drive_amplitude,
     mean_fields_from_bare_detuning,
     mean_fields_from_effective_detuning,
@@ -38,16 +41,13 @@ from .model import (
     stability_check,
     thermal_occupation,
 )
-from .oracle import (
-    DriftDiffusion,
-    QuadratureFailure,
-    UnstableDrift,
-    build_rwa_drift_diffusion,
-    duan_from_covariance,
-    solve_lyapunov,
-    spectral_duan_sum,
-)
-from .sweep import (
+
+# Bound before sweep's ``from . import oracle`` reads them, so that neither runs
+# until first use: a closed-form command needs neither (see squeezelink._lazy).
+oracle = _lazy_import(__name__ + ".oracle")
+selfcheck = _lazy_import(__name__ + ".selfcheck")
+
+from .sweep import (  # noqa: E402
     BracketFailure,
     OptimizeSpec,
     SweepSpec,
@@ -56,4 +56,17 @@ from .sweep import (
     run_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the oracle's public names, resolved by :func:`__getattr__` on first access
+_ORACLE_NAMES = frozenset({"DriftDiffusion", "build_rwa_drift_diffusion",
+                           "duan_from_covariance", "solve_lyapunov", "spectral_duan_sum"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# selfcheck is bound only for the lazy load; it has never been exported
+__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"selfcheck"}
+                 | _ORACLE_NAMES)

@@ -3,7 +3,11 @@
 The closed-form routes (``duan`` by the adiabatic and nonadiabatic forms,
 ``threshold``) need only :mod:`math`, while importing numpy costs most of
 a CLI call's start-up. So the package binds numpy through
-:func:`lazy_import` and loads it where an array is first made.
+:func:`lazy_import` and loads it where an array is first made. The package
+binds its ``oracle`` and ``selfcheck`` modules the same way, in its
+``__init__`` before any module that uses them is imported, so that they
+run at their first attribute access: ``duan --regime oracle`` runs the
+oracle, ``selfcheck`` both, and a closed-form call neither.
 """
 
 from __future__ import annotations
@@ -29,7 +33,11 @@ def lazy_import(name: str) -> types.ModuleType:
       is single-threaded);
     - no module of the package may ``import numpy`` directly: the import
       statement reads the lazy module's ``__spec__``, and that read executes
-      it, so every command would load numpy again.
+      it, so every command would load numpy again;
+    - for the same reason, no module that a closed-form call loads may
+      ``from .oracle import ...`` or ``from .selfcheck import ...`` (that
+      statement also reads the names from the lazy module). ``from . import
+      oracle`` only reads the package's attribute, and is fine.
     """
     if name in sys.modules:
         return sys.modules[name]

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure, an
 unwritable ``--out`` path or ``threshold`` on units that differ, 3
-unstable/non-convergent/degenerate operating point, float overflow or an
-optimized figure whose optimum lies at the edge of its search bracket, 4 too
-many failed sweep points.
+unstable/non-convergent/degenerate operating point, float overflow, a
+spectral integral that misses its tolerance or an optimized figure whose
+optimum lies at the edge of its search bracket, 4 too many failed sweep
+points.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from typing import Optional, Sequence
 from . import __version__, closedform, config, model, selfcheck, sweep
 from .closedform import DegenerateSqueeze
 from .config import ConfigError
-from .model import NonConvergence
-from .oracle import UnstableDrift
+from .model import NonConvergence, QuadratureFailure, UnstableDrift
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -294,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnstableDrift, NonConvergence, DegenerateSqueeze, sweep.BracketFailure,
-            ArithmeticError) as exc:
+            QuadratureFailure, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 

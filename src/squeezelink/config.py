@@ -27,7 +27,6 @@ read from ``$SQUEEZELINK_PRESET_DIR/<name>.ini``.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from typing import Optional
@@ -137,6 +136,8 @@ def load_config(path: str, preset: str = "fig2-text") -> SystemParams:
     Any preset works, also one from the preset directory: each unit falls
     back to that unit of the preset, and r to the preset's r.
     """
+    import configparser  # here, so that a call without a config file never loads it
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:

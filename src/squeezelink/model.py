@@ -42,6 +42,16 @@ class NonConvergence(RuntimeError):
     """Fixed-point iteration for the bare-detuning map failed to converge."""
 
 
+# The oracle raises these two and re-exports them; they live here so that the
+# CLI catches them without loading the oracle (see squeezelink._lazy).
+class UnstableDrift(RuntimeError):
+    """The drift matrix has an eigenvalue with non-negative real part."""
+
+
+class QuadratureFailure(RuntimeError):
+    """Adaptive spectral integration could not reach the requested tolerance."""
+
+
 class UnknownPath(ValueError):
     """Parameter path that names no parameter (see :func:`set_param`)."""
 

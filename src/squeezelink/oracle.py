@@ -59,8 +59,8 @@ from typing import Iterator
 
 from ._lazy import lazy_import
 from .closedform import _CANCELLATION_TOL, DuanResult, _require_digits, require_totals
-from .model import (StabilityReport, SteadyState, SystemParams, raise_for_first,
-                    stability_check)
+from .model import (QuadratureFailure, StabilityReport, SteadyState, SystemParams,
+                    UnstableDrift, raise_for_first, stability_check)
 
 np = lazy_import("numpy")
 
@@ -110,16 +110,8 @@ _TRANSPOSED = [len(_PAIRS) * (e if p != q else (0, 2, 1, 3)[e]) + k
                for e in range(4) for k, (p, q) in enumerate(_PAIRS)]
 
 
-class UnstableDrift(RuntimeError):
-    """The drift matrix has an eigenvalue with non-negative real part."""
-
-
 class RwaViolation(UserWarning):
     """Operating point is not at the red sideband delta_eff = -omega_M."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Adaptive spectral integration could not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -213,12 +205,31 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     :func:`solve_lyapunov_stack` runs on a split stack, which holds each block
     pair's residual to its own bound and the whole to the 8x8 bound
     ``1e-10 ||D||``. So a system's V is the same bits by either route, and
-    errors name the stack index within the chunk.
+    errors name the stack index within the chunk. Each input is sliced chunk
+    by chunk, so no broadcast input, such as a scalar kappa, is copied out to
+    the stack's size.
     """
-    inputs = [x.ravel() for x in np.broadcast_arrays(*unit1, *unit2, N, M)]
-    for start in range(0, inputs[0].size, STACK_CHUNK):
+    inputs = np.broadcast_arrays(*unit1, *unit2, N, M)
+    size = inputs[0].size
+    if inputs[0].ndim != 1:  # a 1-D view slices as a view; .flat copies the chunk alone
+        inputs = [x.flat for x in inputs]
+    for start in range(0, size, STACK_CHUNK):
         c = [x[start:start + STACK_CHUNK] for x in inputs]
         yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9]))
+
+
+def duan_variance_arrays(unit1, unit2, N, M, pair: str = "mirror"
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """``(var_X, var_Y)`` of the pair's Lyapunov covariances over parameter arrays.
+
+    Takes the arguments of :func:`build_rwa_drift_diffusion_stack`; the
+    variances come in flat order, each chunk of :func:`covariance_chunks` read
+    by :func:`duan_from_covariance_stack`, whose errors name the stack index
+    within the chunk.
+    """
+    var_X, var_Y = zip(*(duan_from_covariance_stack(V, pair)
+                         for V in covariance_chunks(unit1, unit2, N, M)))
+    return np.concatenate(var_X), np.concatenate(var_Y)
 
 
 def solve_lyapunov(dd: DriftDiffusion) -> np.ndarray:

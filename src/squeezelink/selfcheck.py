@@ -57,7 +57,7 @@ def _grid():
 def _symmetric_units(C, r, n_th, ratio):
     """Oracle inputs ``(unit, unit, N, M)`` over arrays, each unit ``(gamma, kappa, G, n_th)``
     with gamma = ratio * KAPPA_REF, kappa = KAPPA_REF and C = 4 G^2 / (gamma kappa)."""
-    C, r, n_th, ratio = np.broadcast_arrays(C, r, n_th, ratio)
+    C, n_th, ratio = np.broadcast_arrays(C, n_th, ratio)  # r may stay one value, so N and M do
     for name, x in (("C", C), ("n_th", n_th)):
         if not ((0.0 <= x) & (x < math.inf)).all():  # also rejects NaN
             raise ValueError(f"{name} must be >= 0 and finite")
@@ -71,9 +71,7 @@ def _symmetric_units(C, r, n_th, ratio):
 def _mirror_variances(C, r, n_th, ratio) -> tuple[np.ndarray, np.ndarray]:
     """Lyapunov mirror ``(var_X, var_Y)`` of the :func:`_symmetric_units` systems over
     arrays, in flat order."""
-    chunks = oracle.covariance_chunks(*_symmetric_units(C, r, n_th, ratio))
-    var_X, var_Y = zip(*(oracle.duan_from_covariance_stack(V, "mirror") for V in chunks))
-    return np.concatenate(var_X), np.concatenate(var_Y)
+    return oracle.duan_variance_arrays(*_symmetric_units(C, r, n_th, ratio), "mirror")
 
 
 def check_triple_agreement(tolerance: float = 1e-6) -> CheckResult:

@@ -197,9 +197,7 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
     (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid})
     if route == "oracle":
         units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
-        var_X, var_Y = map(np.concatenate, zip(*(
-            oracle.duan_from_covariance_stack(V, pair)
-            for V in oracle.covariance_chunks(*units, *squeeze_arrays(r)))))
+        var_X, var_Y = oracle.duan_variance_arrays(*units, *squeeze_arrays(r), pair)
         total = var_X + var_Y
     elif (pair, route) == ("mirror", "adiabatic"):
         total = closedform.duan_sum_adiabatic_arrays(u1, u2, *squeeze_arrays(r))

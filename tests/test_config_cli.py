@@ -498,6 +498,21 @@ class TestCliSelfcheck:
         code, text = run_cli("selfcheck", "--only", "dissipation-ordering", "--tolerance", "0")
         assert code == 0 and text.startswith("PASS dissipation-ordering")
 
+    def test_quadrature_failure_exits_3_naming_it(self, monkeypatch, capsys):
+        # a typed error of the spectral oracle, not a traceback with the
+        # failed-selfcheck code 1
+        from squeezelink import oracle
+
+        message = "spectral integration at stack index 5 needs more than QUAD_LIMIT = 400 panels"
+
+        def fail(*args, **kwargs):
+            raise oracle.QuadratureFailure(message)
+
+        monkeypatch.setattr(oracle, "spectral_duan_sum_stack", fail)
+        code, text = run_cli("selfcheck", "--only", "triple")
+        assert (code, text) == (cli.EXIT_UNSTABLE, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_impossible_tolerance_fails(self):
         code, text = run_cli(
             "selfcheck", "--only", "adiabatic-limit", "--tolerance", "1e-30"
@@ -540,29 +555,36 @@ CLOSED_FORM_CALLS = [["duan"], ["duan", "--regime", "nonadiabatic"], ["duan", "-
 
 
 def test_closed_form_routes_load_no_numpy():
-    # numpy is bound lazily, so its key sits in sys.modules from import on;
-    # a loaded numpy shows as its submodules
+    # numpy, the oracle and the selfcheck are bound lazily, so their keys sit in
+    # sys.modules from import on: a loaded numpy shows as its submodules, and a
+    # lazy module that has run holds __builtins__, which reading its namespace
+    # through object.__getattribute__ finds without running it
     calls = [*CLOSED_FORM_CALLS, ["duan", "--regime", "oracle"]]
     code = (
         "import io, json, sys\n"
         "import squeezelink\n"
         "from squeezelink import cli\n"
-        "def numpy_modules():\n"
-        "    return [m for m in sys.modules if m.startswith('numpy.')]\n"
-        "runs = [numpy_modules()]\n"
+        "def loaded():\n"
+        "    ran = [name for name in ('oracle', 'selfcheck') if '__builtins__' in\n"
+        "           object.__getattribute__(sys.modules['squeezelink.' + name], '__dict__')]\n"
+        "    numpy = [m for m in sys.modules if m.startswith('numpy.')]\n"
+        "    return {'numpy': numpy, 'ran': ran, 'configparser': 'configparser' in sys.modules}\n"
+        "runs = [loaded()]\n"
         f"for argv in {calls!r}:\n"
         "    out = io.StringIO()\n"
-        "    runs.append([cli.main(argv, out=out), out.getvalue(), numpy_modules()])\n"
+        "    runs.append([cli.main(argv, out=out), out.getvalue(), loaded()])\n"
         "print(json.dumps(runs))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     at_import, *runs = json.loads(proc.stdout)
-    assert at_import == []
-    for argv, (exit_code, text, numpy_modules) in zip(calls, runs):
+    assert at_import == {"numpy": [], "ran": [], "configparser": False}
+    for argv, (exit_code, text, state) in zip(calls, runs):
         assert [exit_code, text] == list(run_cli(*argv)), argv
-        assert bool(numpy_modules) == (argv not in CLOSED_FORM_CALLS), argv
+        closed_form = argv in CLOSED_FORM_CALLS
+        assert bool(state.pop("numpy")) != closed_form, argv
+        assert state == {"ran": [] if closed_form else ["oracle"], "configparser": False}, argv
 
 
 def test_missing_numpy_fails_at_import():

@@ -785,6 +785,25 @@ class TestRowAndMatrixRoutes:
         V = solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(*args))
         assert np.concatenate(chunks).tobytes() == V.tobytes()
 
+    @pytest.mark.parametrize("shape", [(), (3, 5), (2, 1, 7)])
+    def test_broadcast_inputs_give_the_bits_of_raveled_ones(self, monkeypatch, shape):
+        # scalars stay scalars and an N-D grid is sliced through .flat, chunk by
+        # chunk; the systems come in flat order with the bits of 1-D inputs
+        monkeypatch.setattr(oracle, "STACK_CHUNK", 4)  # chunks that cut across rows
+        unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 1)
+        (gamma, kappa, G, n_th), unit2 = ([float(x[0]) for x in u] for u in (unit1, unit2))
+        rows = cols = 1.0  # gamma varies along the first axis and G along the last
+        if shape:
+            rows = np.linspace(0.5, 1.5, shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
+            cols = np.linspace(0.9, 1.1, shape[-1])
+        args = ((gamma * rows, kappa, G * cols, n_th), unit2, float(N[0]), float(M[0]))
+        flat = [np.ravel(x) for x in np.broadcast_arrays(*args[0], *unit2, *args[2:])]
+        expected = np.concatenate(list(oracle.covariance_chunks(flat[:4], flat[4:8], *flat[8:])))
+        chunks = list(oracle.covariance_chunks(*args))
+        assert [len(V) for V in chunks] == [min(4, flat[0].size - k)
+                                            for k in range(0, flat[0].size, 4)]
+        assert np.concatenate(chunks).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("entry, value, error", [
         (2, math.nan, FloatingPointError),  # G of unit 1
         (1, math.inf, FloatingPointError),  # kappa of unit 1
