@@ -57,7 +57,7 @@ def _grid():
 def _symmetric_units(C, r, n_th, ratio):
     """Oracle inputs ``(unit, unit, N, M)`` over arrays, each unit ``(gamma, kappa, G, n_th)``
     with gamma = ratio * KAPPA_REF, kappa = KAPPA_REF and C = 4 G^2 / (gamma kappa)."""
-    C, n_th, ratio = np.broadcast_arrays(C, n_th, ratio)  # r may stay one value, so N and M do
+    C, n_th, ratio = np.broadcast_arrays(C, n_th, ratio)  # r as given: one r, one N and M
     for name, x in (("C", C), ("n_th", n_th)):
         if not ((0.0 <= x) & (x < math.inf)).all():  # also rejects NaN
             raise ValueError(f"{name} must be >= 0 and finite")

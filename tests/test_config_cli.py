@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from squeezelink import cli, config, model
+from squeezelink import cli, config, model, oracle
 from squeezelink.config import ConfigError, load_config, preset_system, resolve_system
 
 
@@ -501,8 +501,6 @@ class TestCliSelfcheck:
     def test_quadrature_failure_exits_3_naming_it(self, monkeypatch, capsys):
         # a typed error of the spectral oracle, not a traceback with the
         # failed-selfcheck code 1
-        from squeezelink import oracle
-
         message = "spectral integration at stack index 5 needs more than QUAD_LIMIT = 400 panels"
 
         def fail(*args, **kwargs):
