@@ -8,6 +8,12 @@ independent steady-state covariance oracle.
 __version__ = "0.1.0"
 
 from ._lazy import lazy_import as _lazy_import
+
+# Bound before sweep's ``from . import oracle`` reads them, so that neither runs
+# until first use: a closed-form command needs neither (see squeezelink._lazy).
+oracle = _lazy_import(__name__ + ".oracle")
+selfcheck = _lazy_import(__name__ + ".selfcheck")
+
 from .closedform import (
     DegenerateSqueeze,
     DuanResult,
@@ -42,12 +48,7 @@ from .model import (
     thermal_occupation,
 )
 
-# Bound before sweep's ``from . import oracle`` reads them, so that neither runs
-# until first use: a closed-form command needs neither (see squeezelink._lazy).
-oracle = _lazy_import(__name__ + ".oracle")
-selfcheck = _lazy_import(__name__ + ".selfcheck")
-
-from .sweep import (  # noqa: E402
+from .sweep import (
     BracketFailure,
     OptimizeSpec,
     SweepSpec,
@@ -65,6 +66,10 @@ def __getattr__(name):
     if name in _ORACLE_NAMES:
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)
 
 
 # selfcheck is bound only for the lazy load; it has never been exported

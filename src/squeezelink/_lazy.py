@@ -26,15 +26,15 @@ def lazy_import(name: str) -> types.ModuleType:
     :class:`ModuleNotFoundError` here, at import time, as a plain ``import``
     would; a module that fails while executing raises at first use instead.
 
-    Two conditions must hold:
+    Three conditions must hold:
 
-    - the first attribute access must not race between threads, since the
+    - The first attribute access must not race between threads, since the
       lazy module executes in whichever thread touches it first (the package
-      is single-threaded);
-    - no module of the package may ``import numpy`` directly: the import
+      is single-threaded).
+    - No module of the package may ``import numpy`` directly: the import
       statement reads the lazy module's ``__spec__``, and that read executes
-      it, so every command would load numpy again;
-    - for the same reason, no module that a closed-form call loads may
+      it, so every command would load numpy again.
+    - For the same reason, no module that a closed-form call loads may
       ``from .oracle import ...`` or ``from .selfcheck import ...`` (that
       statement also reads the names from the lazy module). ``from . import
       oracle`` only reads the package's attribute, and is fine.

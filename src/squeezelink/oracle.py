@@ -211,8 +211,7 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     """
     inputs = np.broadcast_arrays(*unit1, *unit2, N, M)
     size = inputs[0].size
-    if inputs[0].ndim != 1:  # a 1-D view slices as a view; .flat copies the chunk alone
-        inputs = [x.flat for x in inputs]
+    inputs = [x.flat for x in inputs]  # a .flat slice copies its chunk alone
     for start in range(0, size, STACK_CHUNK):
         c = [x[start:start + STACK_CHUNK] for x in inputs]
         yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9]))

@@ -787,8 +787,8 @@ class TestRowAndMatrixRoutes:
 
     @pytest.mark.parametrize("shape", [(), (3, 5), (2, 1, 7)])
     def test_broadcast_inputs_give_the_bits_of_raveled_ones(self, monkeypatch, shape):
-        # scalars stay scalars and an N-D grid is sliced through .flat, chunk by
-        # chunk; the systems come in flat order with the bits of 1-D inputs
+        # every input is sliced through .flat, chunk by chunk, so scalars are not
+        # copied out; the systems come in flat order with the bits of 1-D inputs
         monkeypatch.setattr(oracle, "STACK_CHUNK", 4)  # chunks that cut across rows
         unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 1)
         (gamma, kappa, G, n_th), unit2 = ([float(x[0]) for x in u] for u in (unit1, unit2))

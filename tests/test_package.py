@@ -35,12 +35,18 @@ def fresh(code: str):
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    names, missing = fresh(
+    # dir() lists the oracle's names, as help() and inspect.getmembers need,
+    # without running the oracle (a run module holds __builtins__)
+    names, undir, oracle_ran, missing = fresh(
         "import json, squeezelink\n"
+        "undir = sorted(set(squeezelink.__all__) - set(dir(squeezelink)))\n"
+        "ran = '__builtins__' in object.__getattribute__(squeezelink.oracle, '__dict__')\n"
         "missing = [n for n in squeezelink.__all__ if not hasattr(squeezelink, n)]\n"
-        "print(json.dumps([sorted(squeezelink.__all__), missing]))\n"
+        "print(json.dumps([sorted(squeezelink.__all__), undir, ran, missing]))\n"
     )
     assert names == PUBLIC_API
+    assert undir == []
+    assert oracle_ran is False
     assert missing == []
 
 
