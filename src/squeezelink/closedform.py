@@ -13,13 +13,13 @@ failing element raises what the per-point form raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .model import (
     HBAR,
     KB,
     OptomechanicalUnit,
+    Record,
     mean_fields_from_effective_detuning,
     per_distinct,
     raise_for_first,
@@ -47,8 +47,7 @@ def is_entangled(total: float) -> bool:
     return total < SEPARABILITY_BOUND
 
 
-@dataclass(frozen=True)
-class DuanResult:
+class DuanResult(Record):
     """Joint-quadrature variances and the resulting verdict."""
 
     var_X: float

@@ -6,10 +6,8 @@ happen at config ingestion (see :mod:`squeezelink.config`), never here.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
 from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
@@ -60,6 +58,94 @@ class MultipleBranches(UserWarning):
     """The bare-detuning map has more than one self-consistent solution."""
 
 
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass's fields are its annotations, in order (``_fields``), and a
+    class attribute of a field's name is its default. A record is built by
+    position or keyword; the subclass's ``__post_init__`` then validates it,
+    and may set a field with ``object.__setattr__``. After that, assigning or
+    deleting an attribute raises :class:`AttributeError`. Two records are
+    equal, and hash equal, when they have one type and equal field values,
+    so a record never equals a tuple. ``vars()`` maps the fields to their
+    values, in field order. Records are not dataclasses because a
+    dataclass's class creation compiles each generated method and imports
+    :mod:`inspect`, most of a closed-form call's start-up.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        # object.__setattr__, as a frozen dataclass sets its fields: writing to
+        # the instance __dict__ instead makes every later read of a field slower
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):
+            for field, value in zip(fields, args):
+                _setattr(self, field, value)
+        else:
+            values = kwargs
+            if args:
+                given = dict(zip(fields, args))
+                if len(args) > len(fields) or given.keys() & kwargs.keys():
+                    raise self._call_error(args, kwargs)
+                values = given | kwargs
+            if len(values) < len(fields):
+                values = self._defaults | values
+            if len(values) != len(fields):
+                raise self._call_error(args, kwargs)
+            try:
+                for field in fields:
+                    _setattr(self, field, values[field])
+            except KeyError:  # a field missing, and an unknown keyword in its place
+                raise self._call_error(args, kwargs) from None
+        self.__post_init__()
+
+    @classmethod
+    def _call_error(cls, args: tuple, kwargs: dict) -> TypeError:
+        return TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}; got "
+                         f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword")
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{f}={v!r}' for f, v in pairs)})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built (and so validated) by the constructor."""
+        values = [changes.pop(field, getattr(self, field)) for field in self._fields]
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {', '.join(changes)}")
+        return type(self)(*values)
+
+
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
         if not 0.0 < value < math.inf:  # also rejects NaN
@@ -85,8 +171,7 @@ def _warn_optical_ratio():
     )
 
 
-@dataclass(frozen=True)
-class ResonatorParams:
+class ResonatorParams(Record):
     """One driven optical cavity: frequency, drive, loss and geometry."""
 
     omega_r: float  # cavity angular frequency (rad/s)
@@ -107,8 +192,7 @@ class ResonatorParams:
             _warn_optical_ratio()
 
 
-@dataclass(frozen=True)
-class MirrorParams:
+class MirrorParams(Record):
     """One mechanical oscillator (movable mirror) and its thermal bath."""
 
     omega_M: float  # mechanical angular frequency (rad/s)
@@ -121,8 +205,7 @@ class MirrorParams:
         _require_temperature(self.temperature)
 
 
-@dataclass(frozen=True)
-class SqueezedBath:
+class SqueezedBath(Record):
     """Broadband two-mode squeezed vacuum shared by the two cavities.
 
     The occupation ``N = sinh^2 r`` and the cross-correlation
@@ -133,40 +216,55 @@ class SqueezedBath:
     r: float
 
     def __post_init__(self):
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError(f"squeeze parameter r must be >= 0 and finite, got {self.r!r}")
+        _require_squeeze(self.r)
 
     @property
     def N(self) -> float:
-        try:
-            return math.sinh(self.r) ** 2
-        except OverflowError:
-            raise self._overflow("N = sinh^2 r") from None
+        return _squeezed_occupation(self.r)
 
     @property
     def M_corr(self) -> float:
-        try:
-            value = math.sinh(self.r) * math.cosh(self.r)
-        except OverflowError:
-            value = math.inf
-        if value == math.inf:
-            raise self._overflow("M_corr = sinh r cosh r")
-        return value
-
-    def _overflow(self, what: str) -> OverflowError:
-        return OverflowError(f"squeezed-bath {what} overflows a float at r = {self.r!r}")
+        return _squeezed_correlation(self.r)
 
 
-@dataclass(frozen=True)
-class OptomechanicalUnit:
+# The bath's check and terms as functions of r, which squeeze_arrays calls per
+# distinct r without building a bath for each.
+
+
+def _require_squeeze(r):
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"squeeze parameter r must be >= 0 and finite, got {r!r}")
+
+
+def _squeezed_occupation(r):
+    try:
+        return math.sinh(r) ** 2
+    except OverflowError:
+        raise _bath_overflow("N = sinh^2 r", r) from None
+
+
+def _squeezed_correlation(r):
+    try:
+        value = math.sinh(r) * math.cosh(r)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise _bath_overflow("M_corr = sinh r cosh r", r)
+    return value
+
+
+def _bath_overflow(what: str, r: float) -> OverflowError:
+    return OverflowError(f"squeezed-bath {what} overflows a float at r = {r!r}")
+
+
+class OptomechanicalUnit(Record):
     """One nanoresonator: a driven cavity with a movable mirror."""
 
     resonator: ResonatorParams
     mirror: MirrorParams
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Record):
     """The full two-unit system sharing one squeezed bath."""
 
     unit1: OptomechanicalUnit
@@ -185,9 +283,9 @@ def _unit_paths() -> dict[str, tuple[tuple[str, str, str], ...]]:
     paths = {}
     for unit in ("unit1", "unit2"):
         for part, params in (("resonator", ResonatorParams), ("mirror", MirrorParams)):
-            for field in dataclasses.fields(params):
-                key = ((unit, part, field.name),)
-                paths[f"{unit}.{part}.{field.name}"] = paths[f"{unit}.{field.name}"] = key
+            for field in params._fields:
+                key = ((unit, part, field),)
+                paths[f"{unit}.{part}.{field}"] = paths[f"{unit}.{field}"] = key
     paths["temperature"] = paths["unit1.temperature"] + paths["unit2.temperature"]
     return paths
 
@@ -207,23 +305,21 @@ def unit_targets(path: str) -> tuple[tuple[str, str, str], ...]:
 def set_param(system: SystemParams, path: str, value: float) -> SystemParams:
     """Return a copy of the system with one parameter replaced.
 
-    Paths address dataclass fields, e.g. ``unit2.resonator.power``,
+    Paths address record fields, e.g. ``unit2.resonator.power``,
     ``unit1.mirror.omega_M`` or ``bath.r``. The intermediate level may be
     omitted (``unit2.power``), and the bare path ``temperature`` sets both
     mirror baths at once.
     """
     if path == "bath.r":
-        return dataclasses.replace(system, bath=SqueezedBath(r=value))
+        return system.replace(bath=SqueezedBath(r=value))
     for unit_name, part_name, field in unit_targets(path):
         unit = getattr(system, unit_name)
-        part = dataclasses.replace(getattr(unit, part_name), **{field: value})
-        system = dataclasses.replace(
-            system, **{unit_name: dataclasses.replace(unit, **{part_name: part})})
+        part = getattr(unit, part_name).replace(**{field: value})
+        system = system.replace(**{unit_name: unit.replace(**{part_name: part})})
     return system
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(Record):
     """Steady-state mean fields and every rate derived from them."""
 
     alpha: complex  # optical amplitude
@@ -453,12 +549,15 @@ def per_distinct(fn, *arrays) -> np.ndarray:
 def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
     """(N, M_corr) of :class:`SqueezedBath` for every element of ``r``.
 
-    Each distinct r goes through the bath itself (:func:`per_distinct`), so
-    its checks and its overflow errors apply and raise, and the values are
+    Each distinct r goes through the bath's own check and terms
+    (:func:`per_distinct`), so its errors apply and raise, and the values are
     its bits.
     """
-    return (per_distinct(lambda x: SqueezedBath(x).N, r),
-            per_distinct(lambda x: SqueezedBath(x).M_corr, r))
+    def occupation(x):
+        _require_squeeze(x)  # the first term checks r for both
+        return _squeezed_occupation(x)
+
+    return per_distinct(occupation, r), per_distinct(_squeezed_correlation, r)
 
 
 def mean_fields_from_bare_detuning(
@@ -517,8 +616,7 @@ def mean_fields_from_bare_detuning(
     return mean_fields_from_effective_detuning(unit, best)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     stable: bool
     max_real_part: float
     worst_index: tuple[int, ...] = ()  # stack index of the least stable matrix

@@ -54,12 +54,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterator
 
 from ._lazy import lazy_import
 from .closedform import _CANCELLATION_TOL, DuanResult, _require_digits, require_totals
-from .model import (QuadratureFailure, StabilityReport, SteadyState, SystemParams,
+from .model import (QuadratureFailure, Record, StabilityReport, SteadyState, SystemParams,
                     UnstableDrift, raise_for_first, stability_check)
 
 np = lazy_import("numpy")
@@ -114,8 +113,7 @@ class RwaViolation(UserWarning):
     """Operating point is not at the red sideband delta_eff = -omega_M."""
 
 
-@dataclass(frozen=True)
-class DriftDiffusion:
+class DriftDiffusion(Record):
     """Drift matrix A and symmetrized diffusion matrix D (both 8x8, 1/s)."""
 
     A: np.ndarray

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import closedform, config, model, oracle, sweep
@@ -33,8 +32,7 @@ LYAPUNOV_TRIALS = 50  # random constructed systems, drawn from this seed:
 LYAPUNOV_SEED = 7
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(model.Record):
     name: str
     passed: bool
     max_err: float

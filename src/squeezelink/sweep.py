@@ -8,15 +8,14 @@ A point goes through :func:`evaluate` and a grid through the array core
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import closedform, config, oracle
 from ._lazy import lazy_import
 from .closedform import DuanResult
 from .model import (
+    Record,
     SystemParams,
     mean_fields_from_effective_detuning,
     red_sideband_arrays,
@@ -53,8 +52,7 @@ class UnknownFigure(KeyError):
 MAX_SWEEP_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     base: SystemParams
     axis: str
     start: float
@@ -100,8 +98,7 @@ class SweepRow(NamedTuple):
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OptimizeSpec:
+class OptimizeSpec(Record):
     lo: float
     hi: float
     tolerance: float = 1e-6  # relative bracket width
@@ -285,8 +282,7 @@ def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # figure datasets
 
 
-@dataclass(frozen=True)
-class FigureDataset:
+class FigureDataset(Record):
     axis_name: str
     axis_unit: str
     columns: Sequence[str]  # one per curve, axis excluded
@@ -524,7 +520,7 @@ def _system_metadata(system: SystemParams) -> dict:
         unit = getattr(system, name)
         for sub in ("resonator", "mirror"):
             obj = getattr(unit, sub)
-            for f in dataclasses.fields(obj):
-                md[f"{name}.{sub}.{f.name}"] = getattr(obj, f.name)
+            for field in obj._fields:
+                md[f"{name}.{sub}.{field}"] = getattr(obj, field)
     md["bath.r"] = system.bath.r
     return md

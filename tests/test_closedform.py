@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from typing import NamedTuple
@@ -358,9 +357,7 @@ class TestMinimumPower:
     def test_boundary_root(self):
         for r in (0.5, 1.0, 2.0):
             p_min = minimum_power(self.unit, r, 50e-6)
-            unit = dataclasses.replace(
-                self.unit, resonator=dataclasses.replace(self.unit.resonator, power=p_min)
-            )
+            unit = self.unit.replace(resonator=self.unit.resonator.replace(power=p_min))
             ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
             n_th = model.thermal_occupation(unit.mirror.omega_M, 50e-6)
             total = duan_sum_adiabatic_identical(ss.C, r, n_th).total
@@ -373,9 +370,8 @@ class TestMinimumPower:
 
     @pytest.mark.parametrize("gamma, power, slope", [(1e-300, 0.01, "inf"), (1e307, 1e-300, "0.0")])
     def test_degenerate_cooperativity_slope_is_a_named_error(self, gamma, power, slope):
-        unit = dataclasses.replace(
-            self.unit, mirror=dataclasses.replace(self.unit.mirror, gamma=gamma),
-            resonator=dataclasses.replace(self.unit.resonator, power=power))
+        unit = self.unit.replace(mirror=self.unit.mirror.replace(gamma=gamma),
+                                 resonator=self.unit.resonator.replace(power=power))
         with pytest.raises(OverflowError, match=f"C/P is {slope} /W, as C = Gamma_a / gamma"):
             minimum_power(unit, 1.0, 50e-6)
 

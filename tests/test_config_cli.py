@@ -556,7 +556,9 @@ def test_closed_form_routes_load_no_numpy():
     # numpy, the oracle and the selfcheck are bound lazily, so their keys sit in
     # sys.modules from import on: a loaded numpy shows as its submodules, and a
     # lazy module that has run holds __builtins__, which reading its namespace
-    # through object.__getattribute__ finds without running it
+    # through object.__getattribute__ finds without running it. The records are
+    # no dataclasses, so no call loads dataclasses, nor a closed-form call the
+    # inspect that dataclasses imports (numpy imports inspect itself)
     calls = [*CLOSED_FORM_CALLS, ["duan", "--regime", "oracle"]]
     code = (
         "import io, json, sys\n"
@@ -566,7 +568,9 @@ def test_closed_form_routes_load_no_numpy():
         "    ran = [name for name in ('oracle', 'selfcheck') if '__builtins__' in\n"
         "           object.__getattribute__(sys.modules['squeezelink.' + name], '__dict__')]\n"
         "    numpy = [m for m in sys.modules if m.startswith('numpy.')]\n"
-        "    return {'numpy': numpy, 'ran': ran, 'configparser': 'configparser' in sys.modules}\n"
+        "    return {'numpy': numpy, 'ran': ran,\n"
+        "            **{name: name in sys.modules for name in ('configparser', 'dataclasses',\n"
+        "                                                      'inspect')}}\n"
         "runs = [loaded()]\n"
         f"for argv in {calls!r}:\n"
         "    out = io.StringIO()\n"
@@ -577,12 +581,14 @@ def test_closed_form_routes_load_no_numpy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     at_import, *runs = json.loads(proc.stdout)
-    assert at_import == {"numpy": [], "ran": [], "configparser": False}
+    unloaded = {"configparser": False, "dataclasses": False}
+    assert at_import == {"numpy": [], "ran": [], "inspect": False, **unloaded}
     for argv, (exit_code, text, state) in zip(calls, runs):
         assert [exit_code, text] == list(run_cli(*argv)), argv
         closed_form = argv in CLOSED_FORM_CALLS
         assert bool(state.pop("numpy")) != closed_form, argv
-        assert state == {"ran": [] if closed_form else ["oracle"], "configparser": False}, argv
+        assert not state.pop("inspect") or not closed_form, argv
+        assert state == {"ran": [] if closed_form else ["oracle"], **unloaded}, argv
 
 
 def test_missing_numpy_fails_at_import():

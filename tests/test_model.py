@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 
@@ -344,9 +343,9 @@ PARTS = (("resonator", ResonatorParams), ("mirror", MirrorParams))
 class TestSetParam:
     @staticmethod
     def values(system):
-        return {(unit, part, f.name): getattr(getattr(getattr(system, unit), part), f.name)
+        return {(unit, part, field): getattr(getattr(getattr(system, unit), part), field)
                 for unit in ("unit1", "unit2")
-                for part, params in PARTS for f in dataclasses.fields(params)}
+                for part, params in PARTS for field in params._fields}
 
     def test_every_field_of_both_units_by_full_and_short_path(self):
         system = SystemParams(default_unit(), default_unit(), SqueezedBath(r=1.0))
@@ -360,5 +359,87 @@ class TestSetParam:
 
     def test_part_field_names_are_disjoint(self):
         # what makes the short path unitN.field unambiguous
-        names = [{f.name for f in dataclasses.fields(params)} for _, params in PARTS]
+        names = [set(params._fields) for _, params in PARTS]
         assert all(names) and not names[0] & names[1]
+
+
+def _records():
+    """(class, its fields in order, the values of one valid record, the values
+    its defaults take, a change the constructor rejects and the error it raises)."""
+    from squeezelink import oracle, selfcheck, sweep
+    from squeezelink.closedform import DuanResult
+
+    unit = default_unit()
+    system = SystemParams(unit, unit, SqueezedBath(r=1.0))
+    steady = mean_fields_from_effective_detuning(unit, -OMEGA_M)
+    matrix = np.eye(8)
+    return [
+        (ResonatorParams, ("omega_r", "omega_L", "kappa", "length", "power"),
+         dict(vars(unit.resonator)), {}, {"power": -1.0}, ValueError),
+        (MirrorParams, ("omega_M", "gamma", "mass", "temperature"),
+         dict(vars(unit.mirror)), {}, {"gamma": -1.0}, ValueError),
+        (SqueezedBath, ("r",), {"r": 1.0}, {}, {"r": -1.0}, ValueError),
+        (OptomechanicalUnit, ("resonator", "mirror"), dict(vars(unit)), {}, None, None),
+        (SystemParams, ("unit1", "unit2", "bath"), dict(vars(system)), {}, None, None),
+        (model.SteadyState, ("alpha", "beta", "n_bar", "delta_eff", "delta_bare", "phi", "g",
+                             "G", "Gamma_a", "Gamma", "C", "n_th"),
+         dict(vars(steady)), {}, None, None),
+        (model.StabilityReport, ("stable", "max_real_part", "worst_index"),
+         {"stable": True, "max_real_part": -1.0}, {"worst_index": ()}, None, None),
+        (DuanResult, ("var_X", "var_Y", "total"), {"var_X": 0.5, "var_Y": 0.75},
+         {"total": 1.25}, {"total": math.nan}, FloatingPointError),
+        (sweep.SweepSpec, ("base", "axis", "start", "stop", "count", "scale", "quantity"),
+         {"base": system, "axis": "bath.r", "start": 0.0, "stop": 1.0, "count": 3},
+         {"scale": "linear", "quantity": "mirror-duan-adiabatic"}, {"count": 1}, ValueError),
+        (sweep.OptimizeSpec, ("lo", "hi", "tolerance"), {"lo": 0.0, "hi": 1.0},
+         {"tolerance": 1e-6}, {"hi": -1.0}, ValueError),
+        (sweep.FigureDataset, ("axis_name", "axis_unit", "columns", "rows", "metadata"),
+         {"axis_name": "r", "axis_unit": "1", "columns": ["total"], "rows": [(0.0, 1.0)],
+          "metadata": {}}, {}, None, None),
+        (oracle.DriftDiffusion, ("A", "D"), {"A": matrix, "D": matrix}, {}, None, None),
+        (selfcheck.CheckResult, ("name", "passed", "max_err", "tolerance", "detail"),
+         {"name": "triple", "passed": True, "max_err": 0.0, "tolerance": 1e-6},
+         {"detail": ""}, None, None),
+    ]
+
+
+@pytest.mark.parametrize("case", _records(), ids=lambda case: case[0].__name__)
+def test_record_semantics(case):
+    cls, fields, given, defaults, invalid, error = case
+    record = cls(**given)
+    values = given | defaults
+    assert cls._fields == fields and vars(record) == values and list(vars(record)) == list(fields)
+    assert cls(*(values[field] for field in fields)) == record  # by position too
+    # frozen
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[fields[0]])
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    # equal by type and value: a copy (holding the same objects, as arrays
+    # compare only by identity), never another record type or a tuple
+    copy = cls(**given)
+    assert copy == record and not copy != record
+    other = SqueezedBath(r=1.0) if cls is not SqueezedBath else MirrorParams(1.0, 1.0, 1.0, 0.0)
+    assert record != other and record != tuple(values[field] for field in fields)
+    if cls.__name__ in ("FigureDataset", "DriftDiffusion"):
+        with pytest.raises(TypeError):  # a list, a dict or an array is unhashable
+            hash(record)
+    else:
+        assert hash(copy) == hash(record)
+    assert repr(record) == (f"{cls.__name__}("
+                            + ", ".join(f"{field}={values[field]!r}" for field in fields) + ")")
+    # a missing, unknown or repeated field
+    with pytest.raises(TypeError):
+        cls(**{field: value for field, value in given.items() if field != fields[0]})
+    with pytest.raises(TypeError):
+        cls(**given, unknown=1.0)
+    with pytest.raises(TypeError):
+        cls(given[fields[0]], **given)
+    # replace builds through the constructor, so it validates
+    assert record.replace() == record
+    if invalid is not None:
+        with pytest.raises(error):
+            record.replace(**invalid)
+        with pytest.raises(error):
+            cls(**(given | invalid))
+
