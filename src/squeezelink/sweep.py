@@ -16,6 +16,7 @@ from ._lazy import lazy_import
 from .closedform import DuanResult
 from .model import (
     Record,
+    SidebandArrays,
     SystemParams,
     mean_fields_from_effective_detuning,
     red_sideband_arrays,
@@ -323,14 +324,20 @@ def adiabatic_totals(system: SystemParams, overrides: dict) -> np.ndarray:
 
 def _unit_arrays(system: SystemParams, overrides: dict):
     """Each unit's :func:`red_sideband_arrays` and the bath's r, with ``overrides`` set."""
+    fields = _unit_fields(overrides)
+    units = tuple(red_sideband_arrays(getattr(system, unit), **fields[unit])
+                  for unit in fields)
+    return units, overrides.get("bath.r", system.bath.r)
+
+
+def _unit_fields(overrides: dict) -> dict[str, dict]:
+    """Each unit's fields set by the paths of ``overrides``; a later path wins."""
     fields = {"unit1": {}, "unit2": {}}
     for path, values in overrides.items():
         if path != "bath.r":
             for unit, _, field in unit_targets(path):
                 fields[unit][field] = values
-    units = tuple(red_sideband_arrays(getattr(system, unit), **fields[unit])
-                  for unit in fields)
-    return units, overrides.get("bath.r", system.bath.r)
+    return fields
 
 
 def _curve_rows(base: SystemParams, axis_paths: Sequence[str], axis_values,
@@ -355,18 +362,44 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
     the bracket of ``specs[k]``. ``field`` is a unit path without its unit,
     such as ``power`` or ``mirror.omega_M``. All searches run in lockstep
     (see :func:`_golden_searches`), each with the result it has alone.
+
+    Unit 1's rates and the bath's terms do not depend on unit 2's field, so
+    each is built once per batch, as a column over its searches; every
+    scan and golden step builds unit 2's rates alone. The totals are those
+    of :func:`adiabatic_totals` at each search's values, bit for bit, and
+    an invalid value raises what the first :func:`adiabatic_totals` call of
+    the batch would raise: unit 1's before unit 2's, and unit 2's before
+    the bath's.
     """
     values1 = np.asarray(values1, dtype=float)
-    overrides = {path: np.asarray(values, dtype=float)
-                 for path, values in (overrides or {}).items()}
+    every = np.arange(len(specs))
+    # per-search values as columns, so that they broadcast along each row; the
+    # merge gives the searched field's own values precedence, as in adiabatic_totals,
+    # and None stands for unit 2's points
+    columns = {path: np.asarray(values, dtype=float)[every, None]
+               for path, values in (overrides or {}).items()}
+    fields = _unit_fields(columns | {f"unit1.{field}": values1[every, None],
+                                     f"unit2.{field}": None})
+    unit1 = red_sideband_arrays(base.unit1, **fields["unit1"])
+    bath = []
 
     def objective(x, search):
-        # per-search values as columns, so that they broadcast along each row
-        fixed = {path: values[search, None] for path, values in overrides.items()}
-        return adiabatic_totals(base, fixed | {f"unit1.{field}": values1[search, None],
-                                               f"unit2.{field}": x})
+        unit2 = red_sideband_arrays(base.unit2, **{
+            name: x if values is None else values[search]
+            for name, values in fields["unit2"].items()})
+        if not bath:  # after unit 2's first build, where adiabatic_totals checks r
+            bath.extend(squeeze_arrays(columns["bath.r"]) if "bath.r" in columns
+                        else (base.bath.N, base.bath.M_corr))
+        return closedform.duan_sum_adiabatic_arrays(
+            SidebandArrays._make(_rows(a, search) for a in unit1), unit2,
+            *(_rows(a, search) for a in bath))
 
     return _golden_searches(objective, specs)
+
+
+def _rows(column, search):
+    """The rows ``search`` of a column; a scalar, the same for every search, as it is."""
+    return column[search] if np.ndim(column) else column
 
 
 _FIG23_R = (0.5, 1.0, 2.0)

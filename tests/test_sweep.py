@@ -24,6 +24,7 @@ from squeezelink.sweep import (
 )
 
 POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+OMEGA_M = config.default_system().unit2.mirror.omega_M
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +442,82 @@ class TestLockstepSearch:
                                             [v1], [specs[k]])
             assert (x_min[k], y_min[k]) == (alone[0][0], alone[1][0])
 
+    @pytest.mark.parametrize("field, scale", [("power", 1e-3), ("mirror.omega_M", OMEGA_M)])
+    def test_partner_batch_equals_adiabatic_totals_bit_for_bit(self, base, field, scale):
+        # unit 1's rates and the bath's terms are built once per batch; the
+        # searches see the totals that adiabatic_totals gives at every step
+        values1 = np.array([2.0, 7.0, 19.0]) * scale if field == "power" else \
+            np.array([0.6, 1.0, 1.7]) * scale
+        overrides = {"temperature": np.array([0.25e-3, 0.5e-3, 0.4e-3]),
+                     "bath.r": np.array([1.0, 2.5, 2.0])}
+        specs = [OptimizeSpec(0.2 * v, 3.0 * v) for v in values1.tolist()]
+        x_min, y_min = sweep.optimize_partners(base, field, values1, specs, overrides)
+
+        def objective(x, search):
+            return sweep.adiabatic_totals(
+                base, {path: values[search, None] for path, values in overrides.items()}
+                | {f"unit1.{field}": values1[search, None], f"unit2.{field}": x})
+
+        reference = sweep._golden_searches(objective, specs)
+        assert x_min.tolist() == reference[0].tolist()
+        assert y_min.tolist() == reference[1].tolist()
+        for k, (x, y) in enumerate(zip(x_min.tolist(), y_min.tolist())):
+            at_argmin = {path: values[k] for path, values in overrides.items()}
+            at_argmin |= {f"unit1.{field}": values1[k], f"unit2.{field}": x}
+            assert sweep.adiabatic_totals(base, at_argmin).item() == y
+
+    @pytest.mark.parametrize("values1, overrides, message", [
+        ([2e-3, -1.0, 7e-3], {}, "power must be positive and finite, got -1.0"),
+        ([2e-3, 7e-3, 19e-3], {"temperature": [2.5e-4, 4e-4, -1.0]},
+         "temperature must be >= 0 and finite, got -1.0"),
+        ([2e-3, 7e-3, 19e-3], {"bath.r": [1.0, 2.0, -0.5]},
+         "squeeze parameter r must be >= 0 and finite, got -0.5"),
+        # unit 1 is checked before unit 2's points, and they before the bath
+        ([2e-3, -2.0, 7e-3], {"unit2.temperature": [2.5e-4, 4e-4, -1.0]},
+         "power must be positive and finite, got -2.0"),
+        ([2e-3, 7e-3, 19e-3], {"unit2.temperature": [2.5e-4, 4e-4, -1.0],
+                               "bath.r": [1.0, 2.0, -0.5]},
+         "temperature must be >= 0 and finite, got -1.0"),
+    ])
+    def test_partner_batch_raises_the_first_invalid_value(self, base, values1, overrides,
+                                                          message):
+        base = set_param(base, "bath.r", 2.0)
+        specs = [OptimizeSpec(1e-4, 3e-2)] * 3
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep.optimize_partners(base, "power", values1, specs, overrides)
+
+    def test_partner_batch_keeps_the_searched_fields_precedence(self, base):
+        # an override of the searched field yields to unit 1's values and unit 2's points
+        values1 = np.array([5e-3, 10e-3])
+        specs = [OptimizeSpec(0.2 * v, 3.0 * v, tolerance=1e-7) for v in values1.tolist()]
+        plain = sweep.optimize_partners(base, "power", values1, specs)
+        shadowed = sweep.optimize_partners(base, "power", values1, specs,
+                                           {"unit1.resonator.power": [1.0, 1.0],
+                                            "unit2.power": [2.0, 2.0]})
+        assert [a.tolist() for a in shadowed] == [a.tolist() for a in plain]
+
+    @pytest.mark.parametrize("fig", ["fig5b", "fig6b"])
+    def test_optimized_figure_builds_unit_1_once(self, monkeypatch, fig):
+        builds, totals = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sweep, "red_sideband_arrays",
+                            counted(builds, sweep.red_sideband_arrays))
+        monkeypatch.setattr(closedform, "duan_sum_adiabatic_arrays",
+                            counted(totals, closedform.duan_sum_adiabatic_arrays))
+        dataset = figure_dataset(fig)
+        # the scan, the first (c, d) pair and 23 golden steps
+        assert len(totals) == 25
+        assert len(builds) == len(totals) + 1 <= 26
+        base = dataset.metadata
+        assert builds[0][0].mirror.gamma == base["unit1.mirror.gamma"]
+        assert [args[0].mirror.gamma for args in builds[1:]] == [base["unit2.mirror.gamma"]] * 25
+
     @pytest.mark.parametrize("bad", [0, 3, 6])
     def test_edge_minimum_names_its_search(self, bad):
         shifts = np.zeros(7)
@@ -451,7 +528,6 @@ class TestLockstepSearch:
             sweep._golden_searches(batch, specs)
 
 
-OMEGA_M = config.default_system().unit2.mirror.omega_M
 ARRAY_PATHS = ("unit1.power", "unit2.power", "unit2.mirror.omega_M", "temperature", "bath.r")
 ARRAY_POINT = st.tuples(
     st.floats(1e-12, 10.0), st.floats(1e-12, 10.0),  # drive powers, W
