@@ -21,7 +21,7 @@ from .model import (
     OptomechanicalUnit,
     Record,
     mean_fields_from_effective_detuning,
-    per_distinct,
+    map_math,
     raise_for_first,
     thermal_occupation,
 )
@@ -213,7 +213,9 @@ def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
     """:func:`duan_sum_nonadiabatic` totals over arrays that broadcast together.
 
     The totals equal the per-point ones bit for bit (``exp`` is
-    ``math.exp``, once per distinct r). Every element passes the per-point
+    ``math.exp``, mapped over the elements: ``np.exp(-2r)`` differs from it in
+    the last bit at 9,265 of 200,001 r in [0, 20] with numpy 2.4 on an
+    AVX-512 Xeon). Every element passes the per-point
     checks, or the first failing element raises what they raise.
     """
     return _identical_units_arrays(_nonadiabatic_sum, duan_sum_nonadiabatic,
@@ -249,7 +251,7 @@ def _identical_units_arrays(total, per_point, args) -> np.ndarray:
     bad = np.any([C < 0, r < 0, n_th < 0, *(~(rate > 0) for rate in rates)], axis=0)
     raise_for_first(bad, per_point, *args)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(total(*args, lambda x: per_distinct(math.exp, x)))
+        return require_totals(total(*args, lambda x: map_math(math.exp, x)))
 
 
 def field_sum_strong_coupling_limit(

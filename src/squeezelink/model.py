@@ -227,8 +227,8 @@ class SqueezedBath(Record):
         return _squeezed_correlation(self.r)
 
 
-# The bath's check and terms as functions of r, which squeeze_arrays calls per
-# distinct r without building a bath for each.
+# The bath's check and terms as functions of r. squeeze_arrays raises their
+# errors but maps only the math calls per element: see its docstring.
 
 
 def _require_squeeze(r):
@@ -514,10 +514,11 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
         _warn_optical_ratio()
 
     res, mir = SimpleNamespace(**res), SimpleNamespace(**mir)
-    # through the float formula, not np.expm1: with numpy 2.4 on an AVX-512 Xeon,
-    # np.expm1 differs from math.expm1 in the last bit at 5,058 of 200,001
-    # log-spaced points from 1e-12 to 700, which would move the figures' bits
-    n_th = per_distinct(_occupation, mir.omega_M, mir.temperature)
+    # only math.expm1 (or math.exp) runs per element, through map_math, not
+    # np.expm1: with numpy 2.4 on an AVX-512 Xeon, np.expm1 differs from
+    # math.expm1 in the last bit at 5,103 of 200,001 log-spaced x from 1e-12 to
+    # 630, which would move the figures' bits
+    n_th = _occupation_arrays(mir.omega_M, mir.temperature)
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
         _, _, _, G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
         Gamma, C = Gamma_a + mir.gamma, Gamma_a / mir.gamma
@@ -529,37 +530,56 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
                           gamma=np.asarray(mir.gamma), kappa=np.asarray(res.kappa))
 
 
-def per_distinct(fn, *arrays) -> np.ndarray:
-    """``fn`` over the elements of arrays that broadcast together, with its own bits.
+def map_math(fn, *arrays) -> np.ndarray:
+    """``fn``, a :mod:`math` function, over the elements of arrays that broadcast together.
 
-    When one array alone has more than one element, ``fn`` runs once per
-    distinct value of it. Otherwise it runs once per element: sorting
-    tuples of several arrays costs more than the calls it saves.
+    One ``map`` over the arrays' floats, so that per element only ``fn`` runs
+    and the values are its own bits; every other operation belongs in numpy,
+    whose ``+ - * /`` are the same IEEE operations as Python's.
     """
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    varying = [a for a in arrays if a.size > 1]
-    if len(varying) != 1:
-        arrays = np.broadcast_arrays(*arrays)
-        return np.array(list(map(fn, *(a.ravel().tolist() for a in arrays))),
-                        dtype=float).reshape(arrays[0].shape)
-    distinct, inverse = np.unique(varying[0], return_inverse=True)
-    args = [distinct.tolist() if a.size > 1 else [a.item()] * distinct.size for a in arrays]
-    values = np.array(list(map(fn, *args)), dtype=float)
-    return values[inverse].reshape(np.broadcast_shapes(*(a.shape for a in arrays)))
+    arrays = np.broadcast_arrays(*arrays)
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _occupation_arrays(omega_M, temperature) -> np.ndarray:
+    """:func:`_occupation` over arrays that broadcast together: its branches, bits and error."""
+    k_T, hw = KB * np.asarray(temperature), HBAR * np.asarray(omega_M)
+    # where k_B T = 0, x is not formed (it may be 0 / 0) but set to inf, and
+    # the occupation is exp(-inf) = 0 as per point
+    x = np.divide(hw, k_T, out=np.full(np.broadcast(hw, k_T).shape, math.inf),
+                  where=k_T != 0.0)
+    raise_for_first(x == 0.0, _occupation, omega_M, temperature)
+    flat = x.ravel()
+    n = 1.0 / map_math(math.expm1, np.minimum(flat, 700.0))
+    far = flat > 700.0  # math.expm1 raises above x ~ 709.78: exp(-x) as per point
+    if far.any():
+        n[far] = map_math(math.exp, -flat[far])
+    return n.reshape(x.shape)
 
 
 def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M_corr) of :class:`SqueezedBath` for every element of ``r``.
+    """(N, M_corr) of :class:`SqueezedBath` for every element of ``r``, with its bits.
 
-    Each distinct r goes through the bath's own check and terms
-    (:func:`per_distinct`), so its errors apply and raise, and the values are
-    its bits.
+    Only ``math.sinh``, ``math.cosh`` and ``math.pow`` run per element
+    (:func:`map_math`): N = ``math.pow(sinh, 2.0)``, as ``sinh(r) ** 2`` per
+    point; with numpy 2.4 on an AVX-512 Xeon, ``np.square`` differs from it in
+    the last bit at 424 of 500,001 r in [0, 355], r = 5.017925 among them. The
+    first element that fails the bath's check or overflows raises its error.
     """
-    def occupation(x):
-        _require_squeeze(x)  # the first term checks r for both
-        return _squeezed_occupation(x)
-
-    return per_distinct(occupation, r), per_distinct(_squeezed_correlation, r)
+    r = np.asarray(r, dtype=float)
+    raise_for_first(~((0.0 <= r) & (r < math.inf)), _require_squeeze, r)
+    try:
+        sinh = map_math(math.sinh, r)
+        N = map_math(math.pow, sinh, 2.0)
+    except OverflowError:  # math's bare "math range error": raise the bath's instead
+        for x in r.ravel().tolist():
+            _squeezed_occupation(x)
+        raise
+    with np.errstate(over="ignore"):
+        M = sinh * map_math(math.cosh, r)
+    raise_for_first(M == math.inf, _squeezed_correlation, r)
+    return N, M
 
 
 def mean_fields_from_bare_detuning(

@@ -9,6 +9,8 @@ A point goes through :func:`evaluate` and a grid through the array core
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import closedform, config, oracle
@@ -186,7 +188,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             columns = _sweep_columns(spec, grid)
     except (ValueError, RuntimeError, ArithmeticError):
         return [_point_row(spec, x) for x in grid.tolist()]
-    return [SweepRow(*values) for values in zip(*(c.tolist() for c in columns))]
+    # one pass; tuple.__new__ builds each row without the named tuple's arity check
+    return list(map(partial(tuple.__new__, SweepRow),
+                    zip(*(c.tolist() for c in columns), repeat(None))))
 
 
 def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:

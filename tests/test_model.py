@@ -169,8 +169,12 @@ class TestSqueezedBath:
 
 
 class TestArrayHelpers:
-    def test_squeeze_arrays_equal_the_bath_bit_for_bit(self):
-        r = np.array([[0.0, 1.3, 0.25], [1.3, 7.0, 0.0]])  # repeated values
+    @pytest.mark.parametrize("r", [
+        np.array([[0.0, 1.3, 0.25], [1.3, 7.0, 0.0]]),  # repeated values
+        # every last bit up to the overflow; at 5.017925 np.square(sinh r) differs
+        np.append(np.linspace(0.0, 355.0, 20001), 5.017925),
+    ])
+    def test_squeeze_arrays_equal_the_bath_bit_for_bit(self, r):
         N, M = model.squeeze_arrays(r)
         assert N.shape == M.shape == r.shape
         baths = [SqueezedBath(r=x) for x in r.ravel().tolist()]
@@ -181,34 +185,57 @@ class TestArrayHelpers:
 
     @pytest.mark.parametrize("bad, error", [
         (-0.5, ValueError), (math.nan, ValueError), (400.0, OverflowError),
+        (355.6, OverflowError),  # just past the overflow of N and M_corr
+        # two failing elements: the first in flat order names the error
+        pytest.param([-0.5, -2.0], ValueError, id="first-of-two-negative"),
+        pytest.param([400.0, 360.0], OverflowError, id="first-of-two-overflowing"),
     ])
     def test_squeeze_arrays_raise_what_the_bath_raises(self, bad, error):
+        bad = bad if isinstance(bad, list) else [bad]
         with pytest.raises(error) as expected:
-            bath = SqueezedBath(r=bad)
+            bath = SqueezedBath(r=bad[0])
             bath.N, bath.M_corr
         with pytest.raises(error) as got:
-            model.squeeze_arrays(np.array([0.5, bad, 0.5]))
+            model.squeeze_arrays(np.array([0.5, *bad, 0.5]))
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("a, b", [
         (2.0, 3.0),
-        (np.array([[1.0], [2.0], [1.0]]), 3.0),  # one array varies: once per distinct value
-        (np.array([1.0, 2.0, 1.0]), np.array([[3.0], [4.0]])),  # both vary: once per element
+        (np.array([[1.0], [2.0], [1.0]]), 3.0),
+        (np.array([1.0, 2.0, 1.0]), np.array([[3.0], [4.0]])),
         (np.zeros((0, 2)), 1.0),
     ])
-    def test_per_distinct_equals_per_element_calls(self, a, b):
+    def test_map_math_equals_per_element_calls(self, a, b):
         calls = []
 
         def fn(x, y):
             calls.append((x, y))
             return x / y
 
-        out = model.per_distinct(fn, a, b)
+        out = model.map_math(fn, a, b)
         A, B = np.broadcast_arrays(a, b)
         assert out.shape == A.shape
         assert out.tolist() == (A / B).tolist()
-        if np.size(b) == 1:
-            assert len(calls) == len(set(calls))
+        assert calls == list(zip(A.ravel().tolist(), B.ravel().tolist()))
+
+    def test_occupation_arrays_equal_the_point_bit_for_bit(self):
+        # x = hbar omega_M / k_B T log-spaced across the x > 700 branch, where
+        # the occupation is exp(-x); T = 0, and a T where k_B T underflows to 0
+        x = np.geomspace(1e-12, 750.0, 2001)
+        temperature = np.append(HBAR * OMEGA_M / (KB * x), [0.0, 2.2250738585e-313])
+        n_th = model.red_sideband_arrays(default_unit(), temperature=temperature).n_th
+        assert [v.hex() for v in n_th.tolist()] == [
+            thermal_occupation(OMEGA_M, t).hex() for t in temperature.tolist()]
+        # an (n, 1) x (1, m) broadcast
+        omega_M = OMEGA_M * np.geomspace(1e-3, 1e3, 7)[:, None]
+        temperature = np.array([[0.0, 1e-9, 50e-6, 1.0, 300.0]])
+        n_th = model.red_sideband_arrays(default_unit(), omega_M=omega_M,
+                                         temperature=temperature).n_th
+        assert n_th.shape == (7, 5)
+        assert [v.hex() for v in n_th.ravel().tolist()] == [
+            thermal_occupation(w, t).hex()
+            for w, t in zip(*(a.ravel().tolist()
+                              for a in np.broadcast_arrays(omega_M, temperature)))]
 
 
 class TestMeanFields:

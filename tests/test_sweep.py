@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from squeezelink import cli, closedform, config, oracle, sweep
+from squeezelink import cli, closedform, config, model, oracle, sweep
 from squeezelink.model import NonConvergence, UnknownPath
 from squeezelink.oracle import UnstableDrift
 from squeezelink.sweep import (
@@ -251,6 +251,29 @@ class TestArraySweep:
 
         monkeypatch.setattr(sweep, "_point_row", point_row)
         assert run_sweep(spec) == expected
+
+    @pytest.mark.parametrize("axis, start, stop, quantity", [
+        *(("temperature", 1e-5, 1e-2, quantity) for quantity in sorted(sweep.QUANTITIES)),
+        *(("bath.r", 0.0, 2.0, quantity) for quantity in sorted(sweep.QUANTITIES)),
+        # unit 2 alone varies: the identical-unit closed forms take the per-point route
+        ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "mirror-duan-adiabatic"),
+        ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "oracle-duan"),
+    ])
+    def test_a_valid_grid_runs_no_per_point_function(self, base, monkeypatch, axis, start,
+                                                     stop, quantity):
+        calls = []
+        for name in ("_occupation", "_squeezed_occupation", "_squeezed_correlation"):
+            function = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *args, name=name, function=function:
+                                calls.append(name) or function(*args))
+
+        def point_row(spec, x):
+            raise AssertionError(f"per-point route at {x!r}")
+
+        monkeypatch.setattr(sweep, "_point_row", point_row)
+        rows = run_sweep(SweepSpec(base, axis, start, stop, 300, quantity=quantity))
+        assert len(rows) == 300 and all(row.error is None for row in rows)
+        assert calls == []
 
     @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
     def test_one_failing_point_sends_every_point_the_per_point_route(self, base, monkeypatch,
@@ -585,13 +608,20 @@ class TestArrayCore:
         ("bath.r", 1.0, 400.0, OverflowError),
         ("bath.r", 1.0, -0.5, ValueError),
         ("unit1.bogus", 1.0, 1.0, ValueError),
+        # two failing elements: the first in flat order names the error
+        pytest.param("temperature", 1e-3, [-1.0, -2.0], ValueError,
+                     id="temperature-first-of-two-negative"),
+        pytest.param("bath.r", 1.0, [-0.5, -2.0], ValueError, id="bath.r-first-of-two-negative"),
+        pytest.param("bath.r", 1.0, [400.0, 360.0], OverflowError,
+                     id="bath.r-first-of-two-overflowing"),
     ])
     def test_invalid_element_raises_what_the_point_raises(self, base, path, valid, bad,
                                                           error):
+        bad = bad if isinstance(bad, list) else [bad]
         with pytest.raises(error) as per_point:
-            evaluate_quantity(set_param(base, path, bad), "mirror-duan-adiabatic")
+            evaluate_quantity(set_param(base, path, bad[0]), "mirror-duan-adiabatic")
         with pytest.raises(error) as array:
-            sweep.adiabatic_totals(base, {path: np.array([valid, bad, valid])})
+            sweep.adiabatic_totals(base, {path: np.array([valid, *bad, valid])})
         assert str(array.value) == str(per_point.value)
 
     def test_underflowing_rate_denominator_raises_like_the_point(self, base):
