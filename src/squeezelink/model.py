@@ -537,9 +537,12 @@ def map_math(fn, *arrays) -> np.ndarray:
     and the values are its own bits; every other operation belongs in numpy,
     whose ``+ - * /`` are the same IEEE operations as Python's.
     """
-    arrays = np.broadcast_arrays(*arrays)
-    values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+    shape = np.broadcast(*arrays).shape
+    columns = [np.empty(shape) for _ in arrays]
+    for column, array in zip(columns, arrays):
+        np.copyto(column, array)  # faster than np.broadcast_arrays on small arrays
+    values = map(fn, *(column.ravel().tolist() for column in columns))
+    return np.fromiter(values, float, columns[0].size).reshape(shape)
 
 
 def _occupation_arrays(omega_M, temperature) -> np.ndarray:
