@@ -23,7 +23,6 @@ from .closedform import (
     duan_sum_strong_coupling_approx,
     duan_sum_weak_coupling_approx,
     field_sum_nonadiabatic,
-    field_sum_strong_coupling_limit,
     is_entangled,
     minimum_power,
     threshold_cooperativity,
@@ -32,7 +31,6 @@ from .model import (
     HBAR,
     KB,
     MirrorParams,
-    NonConvergence,
     OptomechanicalUnit,
     QuadratureFailure,
     ResonatorParams,
@@ -40,10 +38,7 @@ from .model import (
     SteadyState,
     SystemParams,
     UnstableDrift,
-    drive_amplitude,
-    mean_fields_from_bare_detuning,
     mean_fields_from_effective_detuning,
-    single_photon_coupling,
     stability_check,
     thermal_occupation,
 )

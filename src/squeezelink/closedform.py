@@ -254,16 +254,6 @@ def _identical_units_arrays(total, per_point, args) -> np.ndarray:
         return require_totals(total(*args, lambda x: map_math(math.exp, x)))
 
 
-def field_sum_strong_coupling_limit(
-    r: float, n_th: float, gamma: float, kappa: float
-) -> float:
-    """Large-C limit of the field-field sum: 2(2n_th+1) gamma/(gamma+kappa) + 2e^{-2r}."""
-    _check_nonnegative(r=r, n_th=n_th)
-    if gamma < 0 or kappa <= 0:
-        raise ValueError("need gamma >= 0 and kappa > 0")
-    return 2.0 * (2.0 * n_th + 1.0) * gamma / (gamma + kappa) + 2.0 * math.exp(-2.0 * r)
-
-
 def threshold_cooperativity(r: float, n_th: float) -> float:
     """Cooperativity above which the mirrors become entangled."""
     if r <= 0:

@@ -3,7 +3,9 @@
 Config files are INI-style with sections ``[unit1]``, ``[unit2]`` and
 ``[bath]``. Every physical key carries an explicit unit suffix; values
 are converted to SI (and angular frequencies in rad/s) at parse time.
-Unknown keys are rejected, missing keys fall back to the chosen preset.
+Unknown keys are rejected, and so are keys under ``[DEFAULT]``, which
+configparser copies into every section; missing keys fall back to the
+chosen preset.
 
 Recognized keys (either suffix form works)::
 
@@ -146,6 +148,9 @@ def load_config(path: str, preset: str = "fig2-text") -> SystemParams:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"keys under [DEFAULT] in {path!r} would apply to every section; "
+                          "set them under [unit1], [unit2] or [bath]")
 
     base = preset_system(preset)
     values = {name: vars(unit.resonator) | vars(unit.mirror)

@@ -1,4 +1,4 @@
-"""Physical parameters, derived quantities and steady-state mean fields.
+"""Physical parameters, derived quantities and steady-state rates.
 
 All frequencies are angular frequencies in rad/s. Conversions from Hz
 happen at config ingestion (see :mod:`squeezelink.config`), never here.
@@ -36,10 +36,6 @@ REFERENCE_DEVICE = MappingProxyType({
 })
 
 
-class NonConvergence(RuntimeError):
-    """Fixed-point iteration for the bare-detuning map failed to converge."""
-
-
 # The oracle raises these two and re-exports them; they live here so that the
 # CLI catches them without loading the oracle (see squeezelink._lazy).
 class UnstableDrift(RuntimeError):
@@ -52,10 +48,6 @@ class QuadratureFailure(RuntimeError):
 
 class UnknownPath(ValueError):
     """Parameter path that names no parameter (see :func:`set_param`)."""
-
-
-class MultipleBranches(UserWarning):
-    """The bare-detuning map has more than one self-consistent solution."""
 
 
 _setattr = object.__setattr__
@@ -320,15 +312,9 @@ def set_param(system: SystemParams, path: str, value: float) -> SystemParams:
 
 
 class SteadyState(Record):
-    """Steady-state mean fields and every rate derived from them."""
+    """The rates of one unit's steady state at an effective detuning."""
 
-    alpha: complex  # optical amplitude
-    beta: complex  # mechanical amplitude
-    n_bar: float  # mean cavity photon number |alpha|^2
     delta_eff: float  # effective detuning (rad/s)
-    delta_bare: float  # bare laser detuning (rad/s)
-    phi: float  # drive phase (rad)
-    g: float  # single-photon coupling (rad/s)
     G: float  # many-photon coupling g*sqrt(n_bar) (rad/s)
     Gamma_a: float  # radiation-pressure damping 4 G^2 / kappa (rad/s)
     Gamma: float  # total effective damping Gamma_a + gamma (rad/s)
@@ -356,38 +342,6 @@ def _occupation(omega_M: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def temperature_for_occupation(omega_M: float, n_th: float) -> float:
-    """Inverse of :func:`thermal_occupation`; n_th = 0 maps to T = 0."""
-    _require_positive(omega_M=omega_M)
-    if not 0.0 <= n_th < math.inf:  # also rejects NaN
-        raise ValueError(f"n_th must be >= 0 and finite, got {n_th!r}")
-    if n_th == 0.0:
-        return 0.0
-    return HBAR * omega_M / (KB * math.log1p(1.0 / n_th))
-
-
-def single_photon_coupling(
-    omega_r: float, length: float, mass: float, omega_M: float
-) -> float:
-    """Single-photon optomechanical coupling (omega_r/L) sqrt(hbar/(M omega_M))."""
-    _require_positive(omega_r=omega_r, length=length, mass=mass, omega_M=omega_M)
-    if mass * omega_M == 0.0:
-        raise OverflowError(f"single-photon coupling diverges at M = {mass!r} kg, "
-                            f"omega_M = {omega_M!r} rad/s: M omega_M underflows to 0")
-    return _coupling(omega_r, length, mass, omega_M, math.sqrt)
-
-
-def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
-    """Coherent drive amplitude sqrt(2 kappa P / (hbar omega_L))."""
-    _require_positive(kappa=kappa, omega_L=omega_L)
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    if HBAR * omega_L == 0.0:
-        raise OverflowError(f"drive amplitude diverges at omega_L = {omega_L!r} rad/s: "
-                            "hbar omega_L underflows to 0")
-    return _drive(power, kappa, omega_L, math.sqrt)
-
-
 # The rate formulas below use only + - * / and the ``sqrt`` they are given,
 # and write squares as x * x, so that math.sqrt on floats and np.sqrt on
 # arrays give the same bits: the per-point steady state and the array core
@@ -403,13 +357,13 @@ def _drive(power, kappa, omega_L, sqrt):
 
 
 def _sideband_rates(res, mir, delta_eff, sqrt):
-    """(g, eps, n_bar, G, Gamma_a) of one unit; ``res``/``mir`` hold its fields."""
+    """(G, Gamma_a) of one unit; ``res``/``mir`` hold its fields."""
     g = _coupling(res.omega_r, res.length, mir.mass, mir.omega_M, sqrt)
     eps = _drive(res.power, res.kappa, res.omega_L, sqrt)
     half_kappa = res.kappa / 2.0
     n_bar = eps * eps / (half_kappa * half_kappa + delta_eff * delta_eff)
     G = g * sqrt(n_bar)
-    return g, eps, n_bar, G, 4.0 * (G * G) / res.kappa
+    return G, 4.0 * (G * G) / res.kappa
 
 
 def _denominator_vanishes(mass, omega_M, omega_L, kappa, delta_eff):
@@ -430,30 +384,16 @@ def _require_rate_denominators(mass, omega_M, omega_L, kappa, delta_eff):
 def mean_fields_from_effective_detuning(
     unit: OptomechanicalUnit, delta_eff: float
 ) -> SteadyState:
-    """Closed-form steady state for a prescribed effective detuning.
-
-    The drive phase is fixed to ``phi = -arctan(2 delta_eff / kappa)`` so the
-    cavity amplitude comes out purely imaginary, ``alpha = -i |alpha|``.
-    """
+    """Closed-form steady-state rates for a prescribed effective detuning."""
     if not math.isfinite(delta_eff):
         raise ValueError("delta_eff must be finite")
     res, mir = unit.resonator, unit.mirror
     # before the rates: where hbar omega_M underflows, this error names the cause
     n_th = thermal_occupation(mir.omega_M, mir.temperature)
     _require_rate_denominators(mir.mass, mir.omega_M, res.omega_L, res.kappa, delta_eff)
-    g, _, n_bar, G, Gamma_a = _sideband_rates(res, mir, delta_eff, math.sqrt)
-    alpha = -1j * math.sqrt(n_bar)
-    beta = -1j * g * n_bar / (mir.gamma / 2.0 + 1j * mir.omega_M)
-    delta_bare = delta_eff + g * (2.0 * beta.real)
-    phi = -math.atan(2.0 * delta_eff / res.kappa)
+    G, Gamma_a = _sideband_rates(res, mir, delta_eff, math.sqrt)
     return SteadyState(
-        alpha=alpha,
-        beta=beta,
-        n_bar=n_bar,
         delta_eff=delta_eff,
-        delta_bare=delta_bare,
-        phi=phi,
-        g=g,
         G=G,
         Gamma_a=Gamma_a,
         Gamma=Gamma_a + mir.gamma,
@@ -520,7 +460,7 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
     # 630, which would move the figures' bits
     n_th = _occupation_arrays(mir.omega_M, mir.temperature)
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
-        _, _, _, G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
+        G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
         Gamma, C = Gamma_a + mir.gamma, Gamma_a / mir.gamma
         if not np.isfinite(Gamma_a).all():  # only then look for a vanishing denominator
             args = (mir.mass, mir.omega_M, res.omega_L, res.kappa, -mir.omega_M)
@@ -585,62 +525,6 @@ def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
     return N, M
 
 
-def mean_fields_from_bare_detuning(
-    unit: OptomechanicalUnit, delta_bare: float
-) -> SteadyState:
-    """Solve the radiation-pressure self-consistency for the bare detuning.
-
-    The effective detuning satisfies ``d' = delta_bare + shift(d')`` where
-    the static shift is a Lorentzian in d', so the self-consistency is
-    exactly a cubic in d'. All real branches are found by polynomial root
-    finding; when the operating point is bistable a
-    :class:`MultipleBranches` warning is emitted and the branch closest to
-    the red mechanical sideband ``-omega_M`` is returned. Raises
-    :class:`NonConvergence` if no branch meets the residual tolerance.
-    """
-    if not math.isfinite(delta_bare):
-        raise ValueError("delta_bare must be finite")
-    res, mir = unit.resonator, unit.mirror
-    g = single_photon_coupling(res.omega_r, res.length, mir.mass, mir.omega_M)
-    eps = drive_amplitude(res.power, res.kappa, res.omega_L)
-    q = (res.kappa / 2.0) ** 2
-    K = 2.0 * g**2 * eps**2 * mir.omega_M / ((mir.gamma / 2.0) ** 2 + mir.omega_M**2)
-
-    # (x - delta_bare) (q + x^2) = K, with x the effective detuning
-    roots = np.roots([1.0, -delta_bare, q, -(delta_bare * q + K)])
-    scale = max(abs(delta_bare), res.kappa, mir.omega_M)
-    candidates = []
-    for root in roots:
-        if abs(root.imag) > 1e-9 * max(abs(root), scale):
-            continue
-        x = float(root.real)
-        # polish with Newton on f(x) = (x - delta)(q + x^2) - K
-        for _ in range(5):
-            f = (x - delta_bare) * (q + x * x) - K
-            fp = q + x * x + 2.0 * x * (x - delta_bare)
-            if fp != 0.0:
-                x -= f / fp
-        shift = K / (q + x * x)
-        if abs(x - (delta_bare + shift)) <= 1e-9 * max(abs(x), res.kappa):
-            candidates.append(x)
-
-    if not candidates:
-        raise NonConvergence(
-            f"bare-detuning self-consistency has no real branch within "
-            f"tolerance (delta_bare={delta_bare:g})"
-        )
-    if len(candidates) > 1:
-        warnings.warn(
-            f"bare-detuning self-consistency has {len(candidates)} branches; "
-            "the operating point is bistable, returning the branch nearest "
-            "the red sideband",
-            MultipleBranches,
-            stacklevel=2,
-        )
-    best = min(candidates, key=lambda x: abs(x + mir.omega_M))
-    return mean_fields_from_effective_detuning(unit, best)
-
-
 class StabilityReport(Record):
     stable: bool
     max_real_part: float
@@ -663,30 +547,4 @@ def stability_check(drift: np.ndarray) -> StabilityReport:
         stable=worst_re < 0.0,
         max_real_part=worst_re,
         worst_index=tuple(int(i) for i in worst),
-    )
-
-
-def unit_with_cooperativity(C: float, kappa: float, gamma: float,
-                            n_th: float) -> OptomechanicalUnit:
-    """A unit of the reference device whose red-detuned operating point has cooperativity C.
-
-    omega_r, omega_L, the length, omega_M and the mass are those of
-    :data:`REFERENCE_DEVICE`; ``kappa`` and ``gamma`` replace its rates. The
-    drive power is chosen so that C = 4 g^2 n_bar / (gamma kappa) at
-    delta_eff = -omega_M; the bath temperature realizes the requested n_th.
-    Convenient for scans parameterized directly by (C, n_th, gamma/kappa).
-    """
-    if C < 0:
-        raise ValueError("C must be >= 0")
-    d = REFERENCE_DEVICE
-    g = single_photon_coupling(d["omega_r"], d["length"], d["mass"], d["omega_M"])
-    n_bar = C * gamma * kappa / (4.0 * g**2)
-    power = n_bar * ((kappa / 2.0) ** 2 + d["omega_M"] ** 2) * HBAR * d["omega_L"] / (2.0 * kappa)
-    if power == 0.0:
-        power = 1e-300  # C = 0: keep the strictly-positive invariant
-    return OptomechanicalUnit(
-        resonator=ResonatorParams(omega_r=d["omega_r"], omega_L=d["omega_L"], kappa=kappa,
-                                  length=d["length"], power=power),
-        mirror=MirrorParams(omega_M=d["omega_M"], gamma=gamma, mass=d["mass"],
-                            temperature=temperature_for_occupation(d["omega_M"], n_th)),
     )

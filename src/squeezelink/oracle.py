@@ -319,7 +319,9 @@ def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
     A_pq = np.sqrt(A2) + np.sqrt(C2)
     twice = np.array([1.0 + (i != j) for i, j in _PAIRS])
     residual = np.vstack([np.sqrt(R2), np.sqrt(twice @ R2)])
-    bound = np.vstack([1e-10 * (np.sqrt(D2) + A_pq * np.sqrt(V2) + 1e-300 * (1.0 + A_pq)),
+    # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf
+    AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
+    bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
                        _bound(np.sqrt(twice @ D2))])
     return residual, bound
 

@@ -16,12 +16,12 @@ from squeezelink.closedform import (
     duan_sum_strong_coupling_approx,
     duan_sum_weak_coupling_approx,
     field_sum_nonadiabatic,
-    field_sum_strong_coupling_limit,
     is_entangled,
     minimum_power,
     threshold_cooperativity,
 )
 from squeezelink.model import SqueezedBath
+from units import temperature_for_occupation
 
 
 class Rates(NamedTuple):
@@ -298,23 +298,6 @@ class TestFieldSum:
         t90 = field_sum_nonadiabatic(90.0, 1.0, 5.0, 6.5e-4, 1.0).total
         assert abs(t90 - t15) <= 1e-3
 
-    def test_strong_coupling_limit_form(self):
-        limit = field_sum_strong_coupling_limit(1.0, 5.0, 6.5e-4, 1.0)
-        assert limit == pytest.approx(0.2849612775110508, rel=1e-12)
-        # the limit drops terms of order gamma/kappa, so the residual at
-        # large C is set by the dissipation ratio, not by 1/C
-        full = field_sum_nonadiabatic(1e6, 1.0, 5.0, 6.5e-4, 1.0).total
-        assert full == pytest.approx(limit, abs=2 * math.exp(-2.0) * 6.5e-4)
-        tight = field_sum_nonadiabatic(1e6, 1.0, 5.0, 1e-6, 1.0).total
-        assert tight == pytest.approx(
-            field_sum_strong_coupling_limit(1.0, 5.0, 1e-6, 1.0), abs=1e-5
-        )
-
-    def test_gamma_zero_in_limit_form(self):
-        assert field_sum_strong_coupling_limit(0.7, 9.0, 0.0, 1.0) == pytest.approx(
-            2.0 * math.exp(-1.4), rel=1e-12
-        )
-
 
 class TestThreshold:
     def test_reference_value(self):
@@ -344,8 +327,8 @@ class TestMinimumPower:
 
     def test_doubling_occupation_doubles_power(self):
         omega_M = self.unit.mirror.omega_M
-        t1 = model.temperature_for_occupation(omega_M, 2.0)
-        t2 = model.temperature_for_occupation(omega_M, 4.0)
+        t1 = temperature_for_occupation(omega_M, 2.0)
+        t2 = temperature_for_occupation(omega_M, 4.0)
         p1 = minimum_power(self.unit, 1.0, t1)
         p2 = minimum_power(self.unit, 1.0, t2)
         assert p2 == pytest.approx(2.0 * p1, rel=1e-9)

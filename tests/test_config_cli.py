@@ -120,6 +120,10 @@ class TestLoadConfig:
             "[unit1]\npower_mw = fast\n",
             "[unit1]\npower_mw = 1\npower_w = 1\n",  # duplicate quantity
             "[unit1]\npower_mw = -1\n",  # invalid physical value
+            # configparser copies [DEFAULT] keys into every section
+            "[DEFAULT]\npower_mw = 4\n",
+            "[DEFAULT]\nbogus = 1\n",
+            "[DEFAULT]\ngamma_hz = 280\n[unit1]\n[unit2]\n",
         ],
     )
     def test_rejected_configs(self, tmp_path, body):
@@ -192,6 +196,15 @@ class TestCliDuan:
                 # right for duan and for sweep alike: no sweep quantity names
                 assert err.endswith("use the adiabatic mirror form or the oracle route\n")
                 assert "mirror-duan-adiabatic" not in err and "oracle-duan" not in err
+
+    def test_default_section_is_a_config_error_naming_it(self, tmp_path, capsys):
+        # its keys would land in [bath] too, where they read as unknown bath keys
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\npower_mw = 4\n[bath]\nr = 1.5\n")
+        code, text = run_cli("duan", "--config", str(path))
+        assert code == cli.EXIT_CONFIG and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error: keys under [DEFAULT] in ") and err.count("\n") == 1
 
 
 class TestCliSweep:

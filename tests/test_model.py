@@ -14,13 +14,12 @@ from squeezelink.model import (
     ResonatorParams,
     SqueezedBath,
     SystemParams,
-    mean_fields_from_bare_detuning,
     mean_fields_from_effective_detuning,
-    single_photon_coupling,
     set_param,
     stability_check,
     thermal_occupation,
 )
+from units import temperature_for_occupation, unit_with_cooperativity
 
 OMEGA_M = 2 * math.pi * 947e3
 
@@ -88,7 +87,7 @@ class TestThermalOccupation:
 
     def test_inverse(self):
         for n in (0.0, 0.3, 1.0, 5.0, 100.0):
-            T = model.temperature_for_occupation(OMEGA_M, n)
+            T = temperature_for_occupation(OMEGA_M, n)
             assert thermal_occupation(OMEGA_M, T) == pytest.approx(n, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("omega_M, temperature", [
@@ -103,45 +102,7 @@ class TestThermalOccupation:
     ])
     def test_inverse_rejects_non_finite_input(self, omega_M, n_th):
         with pytest.raises(ValueError, match="finite"):
-            model.temperature_for_occupation(omega_M, n_th)
-
-
-class TestSingleSinglePhotonCoupling:
-    def test_reference_value(self):
-        g = single_photon_coupling(2 * math.pi * 5.64e14, 25e-3, 145e-12, OMEGA_M)
-        assert g == pytest.approx(49.55735503830434, rel=1e-12)
-
-    def test_doubling_length_halves_g(self):
-        g1 = single_photon_coupling(1e15, 0.01, 1e-10, 1e6)
-        g2 = single_photon_coupling(1e15, 0.02, 1e-10, 1e6)
-        assert g2 == pytest.approx(g1 / 2, rel=1e-12)
-
-    def test_quadrupling_mass_halves_g(self):
-        g1 = single_photon_coupling(1e15, 0.01, 1e-10, 1e6)
-        g2 = single_photon_coupling(1e15, 0.01, 4e-10, 1e6)
-        assert g2 == pytest.approx(g1 / 2, rel=1e-12)
-
-    def test_underflowing_m_omega_is_a_named_overflow(self):
-        with pytest.raises(OverflowError, match="M omega_M underflows to 0"):
-            single_photon_coupling(1.0, 1.0, 1e-320, 1e-10)
-
-
-class TestDriveAmplitude:
-    def test_zero_power(self):
-        assert model.drive_amplitude(0.0, 1e6, 1e15) == 0.0
-
-    def test_square_root_law(self):
-        e1 = model.drive_amplitude(1e-3, 1e6, 1e15)
-        e4 = model.drive_amplitude(4e-3, 1e6, 1e15)
-        assert e4 == pytest.approx(2 * e1, rel=1e-12)
-
-    def test_reference_value(self):
-        eps = model.drive_amplitude(10e-3, 2 * math.pi * 215e3, 2 * math.pi * 2.82e14)
-        assert eps**2 == pytest.approx(1.445916409347265e23, rel=1e-12)
-
-    def test_underflowing_photon_energy_is_a_named_overflow(self):
-        with pytest.raises(OverflowError, match="hbar omega_L underflows to 0"):
-            model.drive_amplitude(1.0, 1.0, 1e-300)
+            temperature_for_occupation(omega_M, n_th)
 
 
 class TestSqueezedBath:
@@ -237,56 +198,59 @@ class TestArrayHelpers:
             for w, t in zip(*(a.ravel().tolist()
                               for a in np.broadcast_arrays(omega_M, temperature)))]
 
+    def test_sideband_arrays_equal_the_steady_state_bit_for_bit(self):
+        # every rate over a broadcast grid of five fields; T = 0, and T = 1e-9 K,
+        # where x = hbar omega_M / k_B T > 700 at every omega_M
+        fields = {
+            "power": np.array([1e-6, 10e-3, 30e-3])[:, None, None, None, None],
+            "omega_M": OMEGA_M * np.array([0.5, 1.0, 2.0])[:, None, None, None],
+            "kappa": 2 * math.pi * np.array([50e3, 215e3, 1e6])[:, None, None],
+            "gamma": 2 * math.pi * np.array([1.0, 140.0])[:, None],
+            "temperature": np.array([0.0, 1e-9, 50e-6, 1.0, 300.0]),
+        }
+        arrays = model.red_sideband_arrays(default_unit(), **fields)
+        grid = np.broadcast_arrays(*fields.values())
+        unit, states = default_unit(), []
+        for values in zip(*(a.ravel().tolist() for a in grid)):
+            point = dict(zip(fields, values))
+            res = {name: point.pop(name) for name in ("power", "kappa")}
+            states.append(mean_fields_from_effective_detuning(
+                unit.replace(resonator=unit.resonator.replace(**res),
+                             mirror=unit.mirror.replace(**point)), -point["omega_M"]))
+        for rate in ("G", "Gamma_a", "Gamma", "C", "n_th"):
+            got = np.broadcast_to(getattr(arrays, rate), grid[0].shape).ravel().tolist()
+            assert [v.hex() for v in got] == [getattr(ss, rate).hex() for ss in states], rate
+
 
 class TestMeanFields:
-    def test_reference_photon_number_at_red_sideband(self):
+    def test_reference_rates_at_red_sideband(self):
+        # G = g sqrt(n_bar) with g = 49.557 rad/s and n_bar = 4.032e9 photons
         ss = mean_fields_from_effective_detuning(default_unit(), -OMEGA_M)
-        assert ss.n_bar == pytest.approx(4032022417.2749853, rel=1e-12)
+        assert (ss.G.hex(), ss.C.hex()) == ("0x1.802199e630243p+21", "0x1.0469c65ce3638p+15")
+
+    @pytest.mark.parametrize("part, field, factor, G_factor", [
+        ("resonator", "length", 2.0, 0.5),  # g ~ 1 / L
+        ("mirror", "mass", 4.0, 0.5),  # g ~ 1 / sqrt(M)
+        ("resonator", "power", 4.0, 2.0),  # n_bar ~ P
+    ])
+    def test_G_scales_with_length_mass_and_power(self, part, field, factor, G_factor):
+        unit = default_unit()
+        params = getattr(unit, part)
+        scaled = unit.replace(**{part: params.replace(**{field: factor * getattr(params, field)})})
+        G = mean_fields_from_effective_detuning(unit, -OMEGA_M).G
+        assert mean_fields_from_effective_detuning(scaled, -OMEGA_M).G == pytest.approx(
+            G_factor * G, rel=1e-12)
 
     def test_steady_state_invariants(self):
         ss = mean_fields_from_effective_detuning(default_unit(), -OMEGA_M)
-        assert ss.n_bar == pytest.approx(abs(ss.alpha) ** 2, rel=1e-12)
-        assert ss.G == pytest.approx(ss.g * math.sqrt(ss.n_bar), rel=1e-12)
         assert ss.Gamma_a == pytest.approx(4 * ss.G**2 / default_unit().resonator.kappa, rel=1e-12)
         assert ss.Gamma == ss.Gamma_a + default_unit().mirror.gamma
         assert ss.C == pytest.approx(ss.Gamma_a / default_unit().mirror.gamma, rel=1e-12)
 
-    def test_phase_convention_makes_alpha_negative_imaginary(self):
-        for d in (-OMEGA_M, -0.3 * OMEGA_M, 0.7 * OMEGA_M):
-            ss = mean_fields_from_effective_detuning(default_unit(), d)
-            assert abs(ss.alpha.real) <= 1e-12 * abs(ss.alpha)
-            assert ss.alpha.imag < 0
-
     def test_undriven_cavity(self):
         ss = mean_fields_from_effective_detuning(default_unit(power=1e-300), -OMEGA_M)
-        assert ss.n_bar < 1e-200
         assert ss.G < 1e-90
         assert ss.C < 1e-180
-
-    def test_round_trip_effective_to_bare(self):
-        # at full power the operating point is bistable: three real branches
-        # exist and the solver must pick the red-sideband one
-        ss = mean_fields_from_effective_detuning(default_unit(), -OMEGA_M)
-        with pytest.warns(model.MultipleBranches):
-            back = mean_fields_from_bare_detuning(default_unit(), ss.delta_bare)
-        assert back.delta_eff == pytest.approx(-OMEGA_M, rel=1e-9)
-
-    def test_round_trip_at_weak_drive_is_single_branch(self):
-        import warnings as _warnings
-
-        unit = default_unit(power=1e-9)
-        for d in (-OMEGA_M, -0.4 * OMEGA_M, 0.6 * OMEGA_M):
-            ss = mean_fields_from_effective_detuning(unit, d)
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")
-                back = mean_fields_from_bare_detuning(unit, ss.delta_bare)
-            assert back.delta_eff == pytest.approx(d, rel=1e-9)
-
-    def test_bare_equals_effective_when_undriven(self):
-        unit = default_unit(power=1e-300)
-        for delta in (-OMEGA_M, 0.0, 2.5e6):
-            ss = mean_fields_from_bare_detuning(unit, delta)
-            assert ss.delta_eff == pytest.approx(delta, rel=1e-9, abs=1e-3)
 
 
 class TestValidation:
@@ -346,16 +310,16 @@ class TestStability:
 
 
 def test_unit_with_cooperativity_round_trip():
-    unit = model.unit_with_cooperativity(C=15.0, kappa=1.35e6, gamma=880.0, n_th=5.0)
+    unit = unit_with_cooperativity(C=15.0, kappa=1.35e6, gamma=880.0, n_th=5.0)
     ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
     assert ss.C == pytest.approx(15.0, rel=1e-10)
     assert ss.n_th == pytest.approx(5.0, rel=1e-10)
 
 
 def test_unit_with_cooperativity_is_the_reference_device():
-    assert list(inspect.signature(model.unit_with_cooperativity).parameters) == [
+    assert list(inspect.signature(unit_with_cooperativity).parameters) == [
         "C", "kappa", "gamma", "n_th"]
-    unit = model.unit_with_cooperativity(C=15.0, kappa=1.35e6, gamma=880.0, n_th=5.0)
+    unit = unit_with_cooperativity(C=15.0, kappa=1.35e6, gamma=880.0, n_th=5.0)
     res, mir = unit.resonator, unit.mirror
     device = model.REFERENCE_DEVICE
     assert (res.omega_r, res.omega_L, res.length, mir.omega_M, mir.mass) == (
@@ -408,8 +372,7 @@ def _records():
         (SqueezedBath, ("r",), {"r": 1.0}, {}, {"r": -1.0}, ValueError),
         (OptomechanicalUnit, ("resonator", "mirror"), dict(vars(unit)), {}, None, None),
         (SystemParams, ("unit1", "unit2", "bath"), dict(vars(system)), {}, None, None),
-        (model.SteadyState, ("alpha", "beta", "n_bar", "delta_eff", "delta_bare", "phi", "g",
-                             "G", "Gamma_a", "Gamma", "C", "n_th"),
+        (model.SteadyState, ("delta_eff", "G", "Gamma_a", "Gamma", "C", "n_th"),
          dict(vars(steady)), {}, None, None),
         (model.StabilityReport, ("stable", "max_real_part", "worst_index"),
          {"stable": True, "max_real_part": -1.0}, {"worst_index": ()}, None, None),

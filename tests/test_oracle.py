@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squeezelink import closedform, model, oracle, selfcheck
-from squeezelink.model import SqueezedBath, SystemParams, unit_with_cooperativity
+from squeezelink.model import SqueezedBath, SystemParams
 from squeezelink.oracle import (
     IDX,
     QUADRATURES,
@@ -21,6 +21,7 @@ from squeezelink.oracle import (
     solve_lyapunov_stack,
     spectral_duan_sum,
 )
+from units import unit_with_cooperativity
 
 KAPPA = 2 * math.pi * 215e3
 

@@ -12,17 +12,15 @@ import pytest
 
 PUBLIC_API = [
     "BracketFailure", "DegenerateSqueeze", "DriftDiffusion", "DuanResult", "HBAR", "KB",
-    "MirrorParams", "NonConvergence", "OptimizeSpec", "OptomechanicalUnit",
-    "QuadratureFailure", "ResonatorParams", "SqueezedBath", "SteadyState", "SweepSpec",
-    "SystemParams", "UnknownFigure", "UnstableDrift", "build_rwa_drift_diffusion",
-    "closedform", "config", "drive_amplitude", "duan_from_covariance",
-    "duan_sum_adiabatic_general", "duan_sum_adiabatic_identical", "duan_sum_nonadiabatic",
-    "duan_sum_strong_coupling_approx", "duan_sum_weak_coupling_approx",
-    "field_sum_nonadiabatic", "field_sum_strong_coupling_limit", "figure_dataset",
-    "is_entangled", "mean_fields_from_bare_detuning", "mean_fields_from_effective_detuning",
-    "minimum_power", "model", "oracle", "run_sweep", "single_photon_coupling",
-    "solve_lyapunov", "spectral_duan_sum", "stability_check", "sweep", "thermal_occupation",
-    "threshold_cooperativity",
+    "MirrorParams", "OptimizeSpec", "OptomechanicalUnit", "QuadratureFailure",
+    "ResonatorParams", "SqueezedBath", "SteadyState", "SweepSpec", "SystemParams",
+    "UnknownFigure", "UnstableDrift", "build_rwa_drift_diffusion", "closedform", "config",
+    "duan_from_covariance", "duan_sum_adiabatic_general", "duan_sum_adiabatic_identical",
+    "duan_sum_nonadiabatic", "duan_sum_strong_coupling_approx",
+    "duan_sum_weak_coupling_approx", "field_sum_nonadiabatic", "figure_dataset",
+    "is_entangled", "mean_fields_from_effective_detuning", "minimum_power", "model",
+    "oracle", "run_sweep", "solve_lyapunov", "spectral_duan_sum", "stability_check", "sweep",
+    "thermal_occupation", "threshold_cooperativity",
 ]
 
 

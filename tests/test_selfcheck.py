@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from squeezelink import model, oracle, selfcheck
+from units import unit_with_cooperativity
 
 
 def symmetric_system(C, r, n_th, ratio):
     """One system of two :func:`selfcheck._symmetric_units` units, and its steady states."""
     kappa = selfcheck.KAPPA_REF
-    unit = model.unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
+    unit = unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
     system = model.SystemParams(unit1=unit, unit2=unit, bath=model.SqueezedBath(r=r))
     ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
     return system, (ss, ss)
@@ -151,7 +152,7 @@ def test_symmetric_units_take_the_grids_n_th_and_c_as_given():
 def test_symmetric_units_reject_what_a_unit_rejects(C, n_th, ratio, name):
     kappa = selfcheck.KAPPA_REF
     with pytest.raises(ValueError):
-        model.unit_with_cooperativity(C, kappa, ratio * kappa, n_th)
+        unit_with_cooperativity(C, kappa, ratio * kappa, n_th)
     good = (1.0, 1.0, 1e-3)
     C, n_th, ratio = (np.array([g, x]) for g, x in zip(good, (C, n_th, ratio)))
     with pytest.raises(ValueError, match=f"^{name} must be"):
