@@ -298,6 +298,19 @@ class TestFieldSum:
         t90 = field_sum_nonadiabatic(90.0, 1.0, 5.0, 6.5e-4, 1.0).total
         assert abs(t90 - t15) <= 1e-3
 
+    def test_strong_coupling_limit_form(self):
+        # large C: 2 (2 n_th + 1) gamma / (gamma + kappa) + 2 exp(-2 r)
+        def limit(r, n_th, gamma, kappa):
+            return 2.0 * (2.0 * n_th + 1.0) * gamma / (gamma + kappa) + 2.0 * math.exp(-2.0 * r)
+
+        assert limit(1.0, 5.0, 6.5e-4, 1.0) == pytest.approx(0.2849612775110508, rel=1e-12)
+        # the limit drops terms of order gamma/kappa, so the residual at
+        # large C is set by the dissipation ratio, not by 1/C
+        full = field_sum_nonadiabatic(1e6, 1.0, 5.0, 6.5e-4, 1.0).total
+        assert full == pytest.approx(limit(1.0, 5.0, 6.5e-4, 1.0), abs=2 * math.exp(-2.0) * 6.5e-4)
+        tight = field_sum_nonadiabatic(1e6, 1.0, 5.0, 1e-6, 1.0).total
+        assert tight == pytest.approx(limit(1.0, 5.0, 1e-6, 1.0), abs=1e-5)
+
 
 class TestThreshold:
     def test_reference_value(self):

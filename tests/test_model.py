@@ -252,6 +252,23 @@ class TestMeanFields:
         assert ss.G < 1e-90
         assert ss.C < 1e-180
 
+    @pytest.mark.parametrize("part, fields, delta_eff", [
+        ("mirror", {"mass": 1e-320, "omega_M": 1e-10}, -1e-10),  # M omega_M
+        ("resonator", {"omega_L": 1e-300, "kappa": 1e-304}, -OMEGA_M),  # hbar omega_L
+        ("resonator", {"kappa": 1e-170}, 0.0),  # (kappa/2)^2 + delta_eff^2
+    ])
+    def test_underflowing_rate_denominator_is_a_named_overflow(self, part, fields, delta_eff):
+        unit = default_unit(temperature=0.0)
+        unit = unit.replace(**{part: getattr(unit, part).replace(**fields)})
+        with pytest.raises(OverflowError, match=r"steady-state rates diverge at .*"
+                           r"underflows to 0"):
+            mean_fields_from_effective_detuning(unit, delta_eff)
+
+    @pytest.mark.parametrize("delta_eff", [math.inf, math.nan])
+    def test_non_finite_detuning_rejected(self, delta_eff):
+        with pytest.raises(ValueError, match="delta_eff must be finite"):
+            mean_fields_from_effective_detuning(default_unit(), delta_eff)
+
 
 class TestValidation:
     def test_nonpositive_parameters_rejected(self):
