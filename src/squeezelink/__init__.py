@@ -32,7 +32,6 @@ from .model import (
     KB,
     MirrorParams,
     OptomechanicalUnit,
-    QuadratureFailure,
     ResonatorParams,
     SqueezedBath,
     SteadyState,

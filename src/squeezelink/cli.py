@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 failed selfcheck, 2 config parse failure, an
 unwritable ``--out`` path or ``threshold`` on units that differ, 3
-unstable/degenerate operating point, float overflow, a spectral integral
-that misses its tolerance or an optimized figure whose optimum lies at
-the edge of its search bracket, 4 too many failed sweep points.
+unstable/degenerate operating point, float overflow or an optimized
+figure whose optimum lies at the edge of its search bracket, 4 too many
+failed sweep points.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import __version__, closedform, config, model, selfcheck, sweep
 from .closedform import DegenerateSqueeze
 from .config import ConfigError
-from .model import QuadratureFailure, UnstableDrift
+from .model import UnstableDrift
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -292,8 +292,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnstableDrift, DegenerateSqueeze, sweep.BracketFailure, QuadratureFailure,
-            ArithmeticError) as exc:
+    except (UnstableDrift, DegenerateSqueeze, sweep.BracketFailure, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 

@@ -36,14 +36,10 @@ REFERENCE_DEVICE = MappingProxyType({
 })
 
 
-# The oracle raises these two and re-exports them; they live here so that the
-# CLI catches them without loading the oracle (see squeezelink._lazy).
+# The oracle raises this and re-exports it; it lives here so that the CLI
+# catches it without loading the oracle (see squeezelink._lazy).
 class UnstableDrift(RuntimeError):
     """The drift matrix has an eigenvalue with non-negative real part."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Adaptive spectral integration could not reach the requested tolerance."""
 
 
 class UnknownPath(ValueError):

@@ -39,8 +39,10 @@ stacks take the eigenvalues and a Kronecker LU solve.
 array, which :func:`duan_from_covariance` reads; a Duan variance whose
 terms cancel past ``_CANCELLATION_TOL`` of relative error raises instead.
 :func:`spectral_duan_sum_stack` takes the same arguments as the builder and
-integrates the spectra of a whole stack with one panel-adaptive
-Gauss-Legendre rule.
+integrates the spectra of a whole stack in closed form: each term is
+``|B/A|^2`` of a Hurwitz A, whose integral over frequency is the table's
+I_2 or I_4 (James, Nichols & Phillips 1947; Astrom 1970, ch. 5), written in
+sums of non-negative terms of the rates.
 
 Noise normalization (derivation note in ``docs/noise_conventions.md``):
 with symmetrized white-noise correlators ``<n_i(t) n_j(t')>_sym = D_ij
@@ -58,8 +60,8 @@ from typing import Iterator
 
 from ._lazy import lazy_import
 from .closedform import _CANCELLATION_TOL, DuanResult, _require_digits, require_totals
-from .model import (QuadratureFailure, Record, StabilityReport, SteadyState, SystemParams,
-                    UnstableDrift, raise_for_first, stability_check)
+from .model import (Record, StabilityReport, SteadyState, SystemParams, UnstableDrift,
+                    raise_for_first, stability_check)
 
 np = lazy_import("numpy")
 
@@ -68,17 +70,6 @@ IDX = {name: i for i, name in enumerate(QUADRATURES)}
 
 #: systems per stacked Lyapunov solve; bounds the stack's working memory
 STACK_CHUNK = 256
-
-#: spectral quadrature tolerances, per dimensionless variance integral
-QUAD_ABS_TOL = 1e-11
-QUAD_REL_TOL = 1e-11
-QUAD_LIMIT = 400  # panels the adaptive rule may use per integral
-#: a panel whose halves agree with it to this relative round-off is accepted
-_ROUNDOFF = 50.0 * math.ulp(1.0)
-#: a panel reaching past this multiple of its least distance to a pole of the
-#: integrand is split at their geometric mean, never accepted
-_PANEL_RATIO = 4.0
-
 
 #: the model's 2x2 drift blocks (X1, x1), (X2, x2), (Y1, y1), (Y2, y2) as indices
 #: into QUADRATURES, and the pairs (p, q) of blocks, within X and within Y, whose
@@ -492,87 +483,60 @@ def spectral_duan_sum_stack(unit1, unit2, N, M, pair: str = "mirror") -> np.ndar
     ``a_j = G_j sqrt(kappa_j) / d_j`` (``sqrt(kappa_j) (gamma_j/2 + iw) / d_j``) and
     ``b_j = sqrt(gamma_j) (kappa_j/2 + iw) / d_j`` (``G_j sqrt(gamma_j) / d_j``).
 
-    The integrand is even in w. Over w = scale tan(theta), 0 <= theta < pi/2,
-    15-point Gauss-Legendre panels are cut at the linewidth features. A panel
-    is accepted when it and its two halves agree to its share of
-    ``QUAD_ABS_TOL`` or ``QUAD_REL_TOL``, or to round-off; the other panels of
-    every system are bisected together. Near theta = 0 a pole of the integrand
-    can sit close to a wide panel and fool that test, so a panel reaching past
-    ``_PANEL_RATIO`` times its least distance to a pole is split at their
-    geometric mean instead. A system that needs more than ``QUAD_LIMIT``
-    panels raises :class:`QuadratureFailure`.
+    In ``s = iw`` each term is ``|B(s) / A(s)|^2`` with Hurwitz ``A = d_j`` or
+    ``d_1 d_2``, whose integral is the table's I_2 (:func:`_i2`) or I_4
+    (:func:`_i4`) in closed form. The arithmetic is elementwise, so a system's
+    bits do not depend on its stack. A non-finite or negative total, as a NaN
+    or negative rate gives, raises what :func:`duan_from_covariance_stack` raises.
     """
     if pair not in _PAIR_INDICES:
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
-    args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (*unit1, *unit2, N, M)))
-    *flat, N, M = (x.ravel() for x in args)
-    units = (flat[:4], flat[4:])
-    rates = np.array([(g, k, G, g / 2.0 + 2.0 * G * G / k) for g, k, G, _ in units])
-    scale = rates.max(axis=(0, 1)) / 2.0
-    # cuts at gamma/2, kappa/2, G and gamma/2 + 2 G^2/kappa of each unit; a
-    # zero one makes a zero-width panel, which is dropped
-    cuts = np.arctan(np.fmax(rates * np.array([0.5, 0.5, 1.0, 1.0])[:, None], 0.0) / scale)
-    edges = np.sort(np.vstack([np.zeros_like(scale), cuts.reshape(8, -1),
-                               np.full_like(scale, math.pi / 2.0)]), axis=0).T
-    keep = edges[:, 1:] > edges[:, :-1]
-    owner, lo, hi = np.nonzero(keep)[0], edges[:, :-1][keep], edges[:, 1:][keep]
-    # every pole of the integrand lies at |w| >= min(gamma, kappa)/2 of a unit
-    pole = np.arctan(np.min([np.fmin(g, k) for g, k, _, _ in units], axis=0) / 2.0 / scale)
-    e2r = 2.0 * N + 1.0 + 2.0 * M
-    nodes, weights = _gauss_legendre()
-
-    def integrate(lo, hi, p):
-        """The rule's value on each panel [lo, hi] of system p."""
-        t = np.tan(lo[:, None] + (hi - lo)[:, None] * nodes)
-        w = scale[p, None] * t
-        spectrum, a = 0.0, []
-        for g, k, G, n_th in units:
-            g, k, G, n_th = g[p, None], k[p, None], G[p, None], n_th[p, None]
-            gw, kw = g / 2.0 + 1j * w, k / 2.0 + 1j * w
-            d = G * G + gw * kw
-            a_j, b_j = (G * np.sqrt(k), np.sqrt(g) * kw) if pair == "mirror" else (
-                np.sqrt(k) * gw, G * np.sqrt(g))
-            a.append(a_j / d)
-            spectrum = spectrum + (2.0 * n_th + 1.0) * np.abs(b_j / d) ** 2 / 2.0
-        e = e2r[p, None]
-        spectrum = spectrum + (e * np.abs(a[0] - a[1]) ** 2 + np.abs(a[0] + a[1]) ** 2 / e) / 4.0
-        # dw = scale (1 + t^2) dtheta, and the total is 2/pi times the w >= 0 half;
-        # a row sum, not a matrix product, keeps each panel's bits off the batch
-        dw = scale[p, None] * (1.0 + t * t) * (2.0 / math.pi)
-        return (hi - lo) * (spectrum * dw * weights).sum(axis=1)
-
-    panels = np.bincount(owner, minlength=scale.size)
-    total, whole = np.zeros_like(scale), integrate(lo, hi, owner)
-    while owner.size:
-        near = np.maximum(lo, pole[owner])
-        wide = hi > _PANEL_RATIO * near
-        mid = np.where(wide, np.sqrt(near * hi), (lo + hi) / 2.0)
-        left, right = integrate(lo, mid, owner), integrate(mid, hi, owner)
-        halves = left + right
-        err = np.abs(whole - halves)
-        estimate = total + np.bincount(owner, halves, minlength=total.size)
-        tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(estimate))[owner]
-        done = ~wide & (err <= np.maximum(tol * (hi - lo) / (math.pi / 2.0),
-                                          _ROUNDOFF * np.abs(halves)))
-        total += np.bincount(owner[done], halves[done], minlength=total.size)
-        owner, lo, mid, hi, left, right, err = (
-            x[~done] for x in (owner, lo, mid, hi, left, right, err))
-        panels += np.bincount(owner, minlength=total.size)  # a bisection adds one
-        if panels.max() > QUAD_LIMIT:  # the first pass counts the breakpoints' panels
-            k = int(np.argmax(panels))
-            raise QuadratureFailure(
-                f"spectral integration at stack index {k} needs more than QUAD_LIMIT = "
-                f"{QUAD_LIMIT} panels (error estimate {err[owner == k].sum():g}, tolerance "
-                f"abs={QUAD_ABS_TOL:g}, rel={QUAD_REL_TOL:g})")
-        owner = np.concatenate([owner, owner])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        whole = np.concatenate([left, right])
-    return total.reshape(args[0].shape)
+    with np.errstate(all="ignore"):  # a NaN or negative rate shows in the total
+        total, squeezed = 0.0, []
+        for g, k, G, n_th in (unit1, unit2):
+            g, k, G, n_th = (np.asarray(x, dtype=float) for x in (g, k, G, n_th))
+            # d_j = s^2 + p s + q, and the numerators (s, 1 coefficients) of a_j and b_j
+            p, q, sg, sk = (g + k) / 2.0, G * G + g * k / 4.0, np.sqrt(g), np.sqrt(k)
+            a, b = ((0.0, G * sk), (sg, sg * k / 2.0)) if pair == "mirror" else (
+                (sk, sk * g / 2.0), (0.0, G * sg))
+            total = total + (2.0 * n_th + 1.0) * _i2(b, p, q) / 2.0
+            squeezed.append((a, p, q))
+        e2r = 2.0 * np.asarray(N, dtype=float) + 1.0 + 2.0 * np.asarray(M, dtype=float)
+        total = total + (e2r * _i4(*squeezed, -1.0) + _i4(*squeezed, 1.0) / e2r) / 4.0
+    return require_totals(total)
 
 
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """15-point Gauss-Legendre nodes on [0, 1] and weights, made on first use
-    (``numpy.polynomial`` loads then, not at import)."""
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+def _i2(n, p, q):
+    """1/pi times the integral over all w of ``|(n1 s + n0) / (s^2 + p s + q)|^2``
+    at ``s = iw``, with ``n = (n1, n0)``: the table's I_2."""
+    n1, n0 = n
+    return (n1 * n1 + n0 * n0 / q) / p
+
+
+def _i4(unit1, unit2, sign):
+    """1/pi times the integral over all w of ``|a_1 + sign a_2|^2``: the table's I_4.
+
+    Each unit is ``(n, p, q)`` with ``a_j = (n1 s + n0) / d_j`` and ``d_j = s^2
+    + p s + q`` at ``s = iw``. Then ``a_1 + sign a_2 = B / A`` with ``A = d_1
+    d_2 = s^4 + A3 s^3 + A2 s^2 + A1 s + A0`` and ``B = n_1 d_2 + sign n_2 d_1 =
+    c3 s^3 + c2 s^2 + c1 s + c0``, and the integral is ``(c3^2 (A1 A2 - A0 A3)
+    + (c2^2 - 2 c1 c3) A1 + (c1^2 - 2 c0 c2) A3 + c0^2 (A2 A3 - A1) / A0) / H``
+    with the Hurwitz determinant ``H = A1 A2 A3 - A0 A3^2 - A1^2``. In p and q,
+    H and both coefficient sums are sums of non-negative terms, and the
+    numerator regroups as the squares below: only the differences inside the
+    squares cancel, not the sum (``docs/noise_conventions.md``).
+    """
+    (n_1, p1, q1), (n_2, p2, q2) = unit1, unit2
+    c3, c2, c1, c0 = (x + sign * y for x, y in zip(_times(n_1, p2, q2), _times(n_2, p1, q1)))
+    sq = np.square
+    hurwitz = p1 * p2 * (sq(q1 - q2) + (p1 + p2) * (p1 * q2 + p2 * q1))
+    num = (p1 * sq(c3 * q2 - c1) + p2 * sq(c3 * q1 - c1)
+           + p1 * sq(c2 * q2 - c0) / q2 + p2 * sq(c2 * q1 - c0) / q1
+           + p1 * p2 * (sq(c3) * (p1 * q2 + p2 * q1) + sq(c0) * (p1 + p2) / (q1 * q2)))
+    return num / hurwitz
+
+
+def _times(n, p, q):
+    """The coefficients of ``s^3, s^2, s, 1`` in ``(n1 s + n0)(s^2 + p s + q)``."""
+    n1, n0 = n
+    return n1, n1 * p + n0, n1 * q + n0 * p, n0 * q

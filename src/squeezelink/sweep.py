@@ -122,7 +122,8 @@ def _identical(unit1, unit2, maximum):
     for a, b in zip(unit1, unit2):
         diff = abs(a - b)  # not finite for inf against a finite value: never identical
         scale = maximum(maximum(abs(a), abs(b)), 1e-300)
-        same = same & (diff < math.inf) & (diff <= 1e-9 * scale)
+        # equal values agree also where their difference is inf - inf = NaN
+        same = same & ((a == b) | ((diff < math.inf) & (diff <= 1e-9 * scale)))
     return same
 
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,26 +401,35 @@ class TestSpectralIntegration:
         ).total
         assert total == pytest.approx(expected, rel=1e-6)
 
-    def test_tolerances_are_module_constants(self):
+    def test_spectral_route_takes_no_options(self):
         assert list(inspect.signature(spectral_duan_sum).parameters) == [
             "system", "steady", "pair"]
 
-    def test_overtight_tolerance_raises(self, monkeypatch):
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    def test_bad_rates_raise_typed_errors(self, pair):
         system, steady = make_system(15.0, 1.0, 5.0, 0.01)
-        monkeypatch.setattr(oracle, "QUAD_ABS_TOL", 1e-30)
-        monkeypatch.setattr(oracle, "QUAD_REL_TOL", 1e-30)
-        monkeypatch.setattr(oracle, "QUAD_LIMIT", 3)
-        with pytest.raises(oracle.QuadratureFailure, match="needs more than QUAD_LIMIT = 3"):
-            spectral_duan_sum(system, steady, "mirror")
+        gamma, kappa, G = system.unit1.mirror.gamma, system.unit1.resonator.kappa, steady[0].G
+        unit = (gamma, kappa, G, np.array([5.0, math.nan]))
+        with pytest.raises(FloatingPointError, match="total variance is NaN"):
+            oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0, pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            with pytest.raises(FloatingPointError, match="total variance is NaN"):
+                oracle.spectral_duan_sum_stack((gamma, -kappa, G, 5.0), (gamma, kappa, G, 5.0),
+                                               0.0, 0.0, pair)
 
-    def test_exhausted_panel_budget_reports_its_error_estimate(self):
-        # a NaN integrand never converges; its panels run into the budget
-        system, steady = make_system(15.0, 1.0, 5.0, 0.01)
-        unit = (system.unit1.mirror.gamma, system.unit1.resonator.kappa, steady[0].G,
-                np.array([5.0, math.nan]))
-        with pytest.raises(oracle.QuadratureFailure,
-                           match=r"at stack index 1 .*\(error estimate nan"):
-            oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0)
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    @pytest.mark.parametrize("mismatch", [0.0, 1e-4])
+    def test_strong_coupling_on_a_narrow_mirror_matches_lyapunov(self, mismatch, pair):
+        # gamma/2 and G, the spectrum's narrowest and widest features, lie 11 decades apart
+        unit1 = (1e-8 * KAPPA, KAPPA, 1e3 * KAPPA, 5.0)
+        unit2 = tuple(x * (1.0 + mismatch) for x in unit1)
+        bath = SqueezedBath(r=1.0)
+        N, M = bath.N, bath.M_corr
+        total = oracle.spectral_duan_sum_stack(unit1, unit2, N, M, pair)
+        var_X, var_Y = oracle.duan_variance_arrays(unit1, unit2, N, M, pair)
+        assert math.isfinite(total)
+        assert total == pytest.approx((var_X + var_Y)[0], rel=1e-8)
 
 
 class TestStructuralProperties:
@@ -678,7 +688,7 @@ def test_spectral_stack_broadcasts_and_checks_its_pair():
         oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0, "bogus")
 
 
-def test_spectral_route_needs_no_scipy_and_makes_its_nodes_on_first_use():
+def test_selfcheck_loads_neither_scipy_nor_numpy_polynomial():
     import subprocess
     import sys
 
@@ -688,6 +698,7 @@ def test_spectral_route_needs_no_scipy_and_makes_its_nodes_on_first_use():
         "assert 'numpy.polynomial' not in sys.modules\n"
         "from squeezelink import selfcheck\n"
         "assert all(result.passed for result in selfcheck.run_checks())\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

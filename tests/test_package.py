@@ -12,9 +12,9 @@ import pytest
 
 PUBLIC_API = [
     "BracketFailure", "DegenerateSqueeze", "DriftDiffusion", "DuanResult", "HBAR", "KB",
-    "MirrorParams", "OptimizeSpec", "OptomechanicalUnit", "QuadratureFailure",
-    "ResonatorParams", "SqueezedBath", "SteadyState", "SweepSpec", "SystemParams",
-    "UnknownFigure", "UnstableDrift", "build_rwa_drift_diffusion", "closedform", "config",
+    "MirrorParams", "OptimizeSpec", "OptomechanicalUnit", "ResonatorParams", "SqueezedBath",
+    "SteadyState", "SweepSpec", "SystemParams", "UnknownFigure", "UnstableDrift",
+    "build_rwa_drift_diffusion", "closedform", "config",
     "duan_from_covariance", "duan_sum_adiabatic_general", "duan_sum_adiabatic_identical",
     "duan_sum_nonadiabatic", "duan_sum_strong_coupling_approx",
     "duan_sum_weak_coupling_approx", "field_sum_nonadiabatic", "figure_dataset",
@@ -59,7 +59,7 @@ def test_star_import_and_oracle_names_are_the_oracles():
     ) == [True, True, True]
 
 
-@pytest.mark.parametrize("name", ["UnstableDrift", "QuadratureFailure"])
+@pytest.mark.parametrize("name", ["UnstableDrift"])
 def test_typed_errors_are_one_object(name):
     assert fresh(
         "import json, squeezelink\n"
