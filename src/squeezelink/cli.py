@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
 
 from . import __version__, closedform, config, model, selfcheck, sweep
 from .closedform import DegenerateSqueeze
@@ -119,7 +118,7 @@ def cmd_duan(args, out) -> int:
 def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) not in (3, 4):
-        raise ConfigError(f"--range must be MIN:MAX:COUNT[:log], got {text!r}")
+        raise ConfigError(f"--range must be MIN:MAX:COUNT[:linear|:log], got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
@@ -127,7 +126,7 @@ def _parse_range(text: str):
     scale = "linear"
     if len(parts) == 4:
         if parts[3] not in ("linear", "log"):
-            raise ConfigError(f"bad --range scale {parts[3]!r}")
+            raise ConfigError(f"bad --range scale {parts[3]!r}: use linear or log")
         scale = parts[3]
     return lo, hi, count, scale
 
@@ -150,7 +149,7 @@ def cmd_sweep(args, out) -> int:
         return EXIT_OK
 
     if args.range is None:
-        raise ConfigError("--axis sweeps need --range MIN:MAX:COUNT[:log]")
+        raise ConfigError("--axis sweeps need --range MIN:MAX:COUNT[:linear|:log]")
     lo, hi, count, scale = _parse_range(args.range)
     quantity = args.quantity or "mirror-duan-adiabatic"
     base = _resolve(args)
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "fig6a, fig6b, fig8, fig9)")
     p_sweep.add_argument("--axis", default=None,
                          help="parameter path, e.g. unit2.power or bath.r")
-    p_sweep.add_argument("--range", default=None, help="MIN:MAX:COUNT[:log]")
+    p_sweep.add_argument("--range", default=None, help="MIN:MAX:COUNT[:linear|:log]")
     p_sweep.add_argument("--quantity", choices=sweep.QUANTITIES, default=None,
                          help="--axis sweeps only (default mirror-duan-adiabatic)")
     p_sweep.add_argument("--out", default=None, help="write CSV to file instead of stdout")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Optional
 
 from .model import (
     REFERENCE_DEVICE,

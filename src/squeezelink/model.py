@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from types import MappingProxyType, SimpleNamespace
-from typing import NamedTuple
 
 from ._lazy import lazy_import
 
@@ -398,16 +398,14 @@ def mean_fields_from_effective_detuning(
     )
 
 
-class SidebandArrays(NamedTuple):
-    """Red-sideband rates of one unit, elementwise over parameter arrays."""
+# a collections.namedtuple, as typing.NamedTuple would import typing on the closed-form path
+SidebandArrays = namedtuple("SidebandArrays", "G Gamma_a Gamma C n_th gamma kappa")
+SidebandArrays.__doc__ = """Red-sideband rates of one unit, elementwise over parameter arrays.
 
-    G: np.ndarray
-    Gamma_a: np.ndarray
-    Gamma: np.ndarray
-    C: np.ndarray
-    n_th: np.ndarray
-    gamma: np.ndarray  # the mirror's and the cavity's own rates
-    kappa: np.ndarray
+The steady state's ``G``, ``Gamma_a``, ``Gamma``, ``C`` and ``n_th``, then
+``gamma`` and ``kappa``, the mirror's and the cavity's own rates. A unit
+that a sweep holds fixed carries floats instead of arrays.
+"""
 
 
 def raise_for_first(bad, check, *arrays):
@@ -422,7 +420,7 @@ def raise_for_first(bad, check, *arrays):
         check(*(float(a.flat[k]) for a in arrays))
 
 
-def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
+def red_sideband_arrays(unit: OptomechanicalUnit, *, _n_th=None, **fields) -> SidebandArrays:
     """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
 
     Each keyword replaces the field of that name in ``unit`` (``power``,
@@ -432,7 +430,9 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
     fields. Every element passes the checks that building that unit runs,
     or the first failing element raises what they raise. When ``omega_r``,
     ``omega_L`` or ``kappa`` is given, the optical-ratio warning fires if
-    any element would fire it.
+    any element would fire it. ``_n_th``, private to the partner search, is
+    the occupation that an earlier call built from the same ``omega_M`` and
+    ``temperature``; the occupation is then not built again.
     """
     res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
     for name, values in fields.items():
@@ -454,7 +454,7 @@ def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
     # np.expm1: with numpy 2.4 on an AVX-512 Xeon, np.expm1 differs from
     # math.expm1 in the last bit at 5,103 of 200,001 log-spaced x from 1e-12 to
     # 630, which would move the figures' bits
-    n_th = _occupation_arrays(mir.omega_M, mir.temperature)
+    n_th = _occupation_arrays(mir.omega_M, mir.temperature) if _n_th is None else _n_th
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
         G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
         Gamma, C = Gamma_a + mir.gamma, Gamma_a / mir.gamma

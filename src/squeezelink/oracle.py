@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import Iterator
 
 from ._lazy import lazy_import
 from .closedform import _CANCELLATION_TOL, DuanResult, _require_digits, require_totals

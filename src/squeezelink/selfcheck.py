@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Optional
 
 from . import closedform, config, model, oracle, sweep
 from ._lazy import lazy_import
@@ -126,7 +125,7 @@ def _separability_totals() -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(SEPARABILITY_SEED)
     log_C, n_th, log_ratio = rng.uniform([-2, 0, -6], [3, 50, 0],
                                          size=(SEPARABILITY_SAMPLES, 3)).T
-    C, ratio = (np.array([10.0 ** x for x in u.tolist()]) for u in (log_C, log_ratio))
+    C, ratio = (model.map_math(math.pow, 10.0, u) for u in (log_C, log_ratio))
     closed = closedform.duan_sum_nonadiabatic_arrays(C, 0.0, n_th, ratio * KAPPA_REF, KAPPA_REF)
     return closed, np.add(*_mirror_variances(C, 0.0, n_th, ratio))
 

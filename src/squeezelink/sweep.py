@@ -9,9 +9,9 @@ A point goes through :func:`evaluate` and a grid through the array core
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import partial
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import closedform, config, oracle
 from ._lazy import lazy_import
@@ -88,17 +88,9 @@ class SweepSpec(Record):
         return np.linspace(self.start, self.stop, self.count)
 
 
-class SweepRow(NamedTuple):
-    """One grid point; a failing point has NaN values and its exception in ``error``."""
-
-    axis_value: float
-    total: float
-    var_X: float
-    var_Y: float
-    entangled: bool
-    C1: float
-    C2: float
-    error: Optional[str] = None
+SweepRow = namedtuple("SweepRow", "axis_value total var_X var_Y entangled C1 C2 error",
+                      defaults=(None,))
+SweepRow.__doc__ = """One grid point; a failing point has NaN values and its exception in ``error``."""
 
 
 class OptimizeSpec(Record):
@@ -195,15 +187,22 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
-    """The :class:`SweepRow` fields but ``error`` over the grid; a failing point raises."""
+    """The :class:`SweepRow` fields but ``error`` over the grid; a failing point raises.
+
+    Only what the axis sets runs through the array twins: a unit or bath that
+    the grid holds fixed is evaluated once, as a point (see :func:`_unit_arrays`
+    and :func:`_bath_terms`). The nonadiabatic routes read r and no bath terms.
+    """
     pair, route = QUANTITIES[spec.quantity]
-    (u1, u2), r = _unit_arrays(spec.base, {spec.axis: grid})
+    overrides = {spec.axis: grid}
+    (u1, u2), r = _unit_arrays(spec.base, overrides)
     if route == "oracle":
         units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
-        var_X, var_Y = oracle.duan_variance_arrays(*units, *squeeze_arrays(r), pair)
+        var_X, var_Y = oracle.duan_variance_arrays(*units, *_bath_terms(spec.base, overrides),
+                                                   pair)
         total = var_X + var_Y
     elif (pair, route) == ("mirror", "adiabatic"):
-        total = closedform.duan_sum_adiabatic_arrays(u1, u2, *squeeze_arrays(r))
+        total = closedform.duan_sum_adiabatic_arrays(u1, u2, *_bath_terms(spec.base, overrides))
         var_X = var_Y = total / 2.0  # as DuanResult.from_total
     else:
         if not np.all(_identical((u1.gamma, u1.kappa, u1.C, u1.n_th),
@@ -320,19 +319,40 @@ def adiabatic_totals(system: SystemParams, overrides: dict) -> np.ndarray:
     together. Element by element the totals equal, bit for bit, the total
     of ``evaluate(s, "mirror", "adiabatic")`` where ``s`` is ``system``
     with those values set, and an invalid element raises what building and
-    evaluating ``s`` would raise.
+    evaluating ``s`` would raise. A unit or bath that no path sets is
+    evaluated once, as a point (see :func:`_unit_arrays` and :func:`_bath_terms`).
     """
-    (u1, u2), r = _unit_arrays(system, overrides)
-    N, M = squeeze_arrays(r) if "bath.r" in overrides else (system.bath.N, system.bath.M_corr)
-    return closedform.duan_sum_adiabatic_arrays(u1, u2, N, M)
+    (u1, u2), _ = _unit_arrays(system, overrides)
+    return closedform.duan_sum_adiabatic_arrays(u1, u2, *_bath_terms(system, overrides))
 
 
 def _unit_arrays(system: SystemParams, overrides: dict):
-    """Each unit's :func:`red_sideband_arrays` and the bath's r, with ``overrides`` set."""
+    """Each unit's :class:`SidebandArrays` and the bath's r, with ``overrides`` set.
+
+    A unit that some path sets gets :func:`red_sideband_arrays`. A unit that
+    none sets is evaluated once, as a point: its per-point steady state, as
+    floats. The per-point and array rates share one op sequence, so both give
+    the same bits, and the per-point steady state raises what the twin raises.
+    """
     fields = _unit_fields(overrides)
-    units = tuple(red_sideband_arrays(getattr(system, unit), **fields[unit])
-                  for unit in fields)
+    units = tuple(red_sideband_arrays(getattr(system, unit), **fields[unit]) if fields[unit]
+                  else _point_sideband(getattr(system, unit)) for unit in fields)
     return units, overrides.get("bath.r", system.bath.r)
+
+
+def _point_sideband(unit) -> SidebandArrays:
+    """:func:`red_sideband_arrays` of a unit with no field set, as floats."""
+    ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
+    return SidebandArrays(ss.G, ss.Gamma_a, ss.Gamma, ss.C, ss.n_th,
+                          unit.mirror.gamma, unit.resonator.kappa)
+
+
+def _bath_terms(system: SystemParams, overrides: dict):
+    """The bath's (N, M): :func:`squeeze_arrays` where ``overrides`` sets ``bath.r``,
+    else, as a point, the bath's own ``N`` and ``M_corr``."""
+    if "bath.r" in overrides:
+        return squeeze_arrays(overrides["bath.r"])
+    return system.bath.N, system.bath.M_corr
 
 
 def _unit_fields(overrides: dict) -> dict[str, dict]:
@@ -370,11 +390,13 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
 
     Unit 1's rates and the bath's terms do not depend on unit 2's field, so
     each is built once per batch, as a column over its searches; every
-    scan and golden step builds unit 2's rates alone. The totals are those
-    of :func:`adiabatic_totals` at each search's values, bit for bit, and
-    an invalid value raises what the first :func:`adiabatic_totals` call of
-    the batch would raise: unit 1's before unit 2's, and unit 2's before
-    the bath's.
+    scan and golden step builds unit 2's rates alone. Unless ``field`` is
+    ``omega_M`` or ``temperature``, unit 2's thermal occupation does not
+    depend on it either: the scan builds it, and the golden steps take its
+    rows. The totals are those of :func:`adiabatic_totals` at each search's
+    values, bit for bit, and an invalid value raises what the first
+    :func:`adiabatic_totals` call of the batch would raise: unit 1's before
+    unit 2's, and unit 2's before the bath's.
     """
     values1 = np.asarray(values1, dtype=float)
     every = np.arange(len(specs))
@@ -386,15 +408,18 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
     fields = _unit_fields(columns | {f"unit1.{field}": values1[every, None],
                                      f"unit2.{field}": None})
     unit1 = red_sideband_arrays(base.unit1, **fields["unit1"])
-    bath = []
+    keeps_occupation = field.rpartition(".")[2] not in ("omega_M", "temperature")
+    bath, occupation = [], []
 
     def objective(x, search):
-        unit2 = red_sideband_arrays(base.unit2, **{
-            name: x if values is None else values[search]
-            for name, values in fields["unit2"].items()})
+        unit2 = red_sideband_arrays(
+            base.unit2, _n_th=_rows(occupation[0], search) if occupation else None,
+            **{name: x if values is None else values[search]
+               for name, values in fields["unit2"].items()})
         if not bath:  # after unit 2's first build, where adiabatic_totals checks r
-            bath.extend(squeeze_arrays(columns["bath.r"]) if "bath.r" in columns
-                        else (base.bath.N, base.bath.M_corr))
+            bath.extend(_bath_terms(base, columns))
+            if keeps_occupation:  # the scan's build is a column over every search
+                occupation.append(unit2.n_th)
         return closedform.duan_sum_adiabatic_arrays(
             SidebandArrays._make(_rows(a, search) for a in unit1), unit2,
             *(_rows(a, search) for a in bath))

@@ -298,6 +298,22 @@ class TestCliSweep:
         assert code == cli.EXIT_OK
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("scale, values", [
+        ("linear", [1.0, 1.5, 2.0]), ("log", [1.0, math.sqrt(2.0), 2.0]),
+    ])
+    def test_range_takes_a_linear_or_log_scale(self, scale, values):
+        code, text = run_cli("sweep", "--axis", "bath.r", "--range", f"1:2:3:{scale}")
+        assert code == cli.EXIT_OK
+        header, *rows = [line for line in text.splitlines() if not line.startswith("#")]
+        assert header.startswith("bath.r,")
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx(values, rel=1e-11)
+
+    def test_unknown_range_scale_is_one_line_naming_both(self, capsys):
+        code, text = run_cli("sweep", "--axis", "bath.r", "--range", "0:1:5:cubic")
+        assert code == cli.EXIT_CONFIG and text == ""
+        assert capsys.readouterr().err == (
+            "config error: bad --range scale 'cubic': use linear or log\n")
+
     def test_quantity_with_a_figure_is_one_line_naming_it(self, capsys):
         # a figure fixes its own quantities, so --quantity would be ignored
         code, text = run_cli("sweep", "--figure", "fig4", "--quantity", "oracle-duan")

@@ -4,9 +4,12 @@ The oracle and the selfcheck load on first use (``squeezelink._lazy``), so
 what a name resolves to must not depend on what an earlier test imported.
 """
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +94,21 @@ def test_lazy_modules_load_by_every_import_form(access, name, attr):
         f"{access}\n"
         f"print(json.dumps([m is sys.modules['squeezelink.{name}'], callable(m.{attr})]))\n"
     ) == [True, True]
+
+
+def test_closed_form_commands_import_no_typing():
+    # python -S skips site, whose .pth files may import typing at every start-up;
+    # the package and numpy are then found through PYTHONPATH alone
+    import squeezelink
+
+    path = os.pathsep.join(str(Path(origin).parents[1]) for origin in (
+        squeezelink.__file__, importlib.util.find_spec("numpy").origin))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import io, json, sys\n"
+         "from squeezelink import cli\n"
+         "codes = [cli.main(args, out=io.StringIO()) for args in (['duan'], ['threshold'])]\n"
+         "print(json.dumps([codes, 'typing' in sys.modules]))\n"],
+        capture_output=True, text=True, timeout=120, env=os.environ | {"PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], False]

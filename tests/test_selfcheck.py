@@ -103,6 +103,17 @@ def test_separability_matches_scalar_loop(monkeypatch, seed):
     assert result.max_err == pytest.approx(dip, abs=1e-14)
 
 
+def test_separability_powers_equal_float_powers_bit_for_bit():
+    # the draws' 10 ** x by math.pow over the array, against Python's float power
+    rng = np.random.default_rng(selfcheck.SEPARABILITY_SEED)
+    log_C, _, log_ratio = rng.uniform([-2, 0, -6], [3, 50, 0],
+                                      size=(selfcheck.SEPARABILITY_SAMPLES, 3)).T
+    for u in (log_C, log_ratio):
+        mapped = model.map_math(math.pow, 10.0, u).tolist()
+        assert len(mapped) == 10_000
+        assert list(map(float.hex, mapped)) == [float.hex(10.0 ** x) for x in u.tolist()]
+
+
 def test_separability_bits_do_not_depend_on_the_oracle_chunk(monkeypatch):
     # the selfcheck hands all its draws to the oracle at once; only the oracle chunks
     assert oracle.STACK_CHUNK == 256

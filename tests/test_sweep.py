@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from squeezelink import cli, closedform, config, model, oracle, sweep
+from squeezelink import cli, closedform, config, model, oracle, selfcheck, sweep
 from squeezelink.model import UnknownPath
 from squeezelink.oracle import UnstableDrift
 from squeezelink.sweep import (
@@ -259,8 +259,8 @@ class TestArraySweep:
         ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "mirror-duan-adiabatic"),
         ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "oracle-duan"),
     ])
-    def test_a_valid_grid_runs_no_per_point_function(self, base, monkeypatch, axis, start,
-                                                     stop, quantity):
+    def test_a_valid_grid_runs_per_point_functions_once_per_fixed_record(
+            self, base, monkeypatch, axis, start, stop, quantity):
         calls = []
         for name in ("_occupation", "_squeezed_occupation", "_squeezed_correlation"):
             function = getattr(model, name)
@@ -271,9 +271,20 @@ class TestArraySweep:
             raise AssertionError(f"per-point route at {x!r}")
 
         monkeypatch.setattr(sweep, "_point_row", point_row)
-        rows = run_sweep(SweepSpec(base, axis, start, stop, 300, quantity=quantity))
-        assert len(rows) == 300 and all(row.error is None for row in rows)
-        assert calls == []
+        per_grid = []
+        for count in (3, 300):
+            calls.clear()
+            rows = run_sweep(SweepSpec(base, axis, start, stop, count, quantity=quantity))
+            assert len(rows) == count and all(row.error is None for row in rows)
+            per_grid.append(list(calls))
+        # the per-point functions run for the records the grid holds fixed, not per point
+        assert per_grid[0] == per_grid[1]
+        swept = (set() if axis == "bath.r"
+                 else {unit for unit, _, _ in model.unit_targets(axis)})
+        fixed_units, fixed_baths = 2 - len(swept), int(axis != "bath.r")
+        assert calls.count("_occupation") <= fixed_units
+        assert calls.count("_squeezed_occupation") <= fixed_baths
+        assert calls.count("_squeezed_correlation") <= fixed_baths
 
     @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
     def test_one_failing_point_sends_every_point_the_per_point_route(self, base, monkeypatch,
@@ -549,6 +560,24 @@ class TestLockstepSearch:
         assert len(builds) == len(totals) + 1 <= 26
         # unit 1 first, once, as columns over every search
         assert {np.shape(values) for values in builds[0].values()} == {(searches, 1)}
+
+    @pytest.mark.parametrize("check, builds, elements", [
+        # unit 1's column and the scan's column of unit 2, 177 searches each
+        (lambda: figure_dataset("fig5b"), 2, 2 * 3 * 59),
+        (lambda: selfcheck.run_checks(["symmetric-drive"]), 2, 2),
+        # an omega_M search moves unit 2's occupation: the scan and every step build it
+        (lambda: figure_dataset("fig6b"), 26, None),
+    ], ids=["fig5b", "symmetric-drive", "fig6b"])
+    def test_partner_batch_builds_unit_2_occupation_once(self, monkeypatch, check, builds,
+                                                          elements):
+        sizes = []
+        occupation = model._occupation_arrays
+        monkeypatch.setattr(model, "_occupation_arrays", lambda omega_M, temperature: (
+            sizes.append(np.broadcast(omega_M, temperature).size)
+            or occupation(omega_M, temperature)))
+        check()
+        assert len(sizes) == builds
+        assert elements is None or sum(sizes) == elements
 
     @pytest.mark.parametrize("bad", [0, 3, 6])
     def test_edge_minimum_names_its_search(self, bad):
