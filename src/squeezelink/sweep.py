@@ -190,12 +190,12 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
     """The :class:`SweepRow` fields but ``error`` over the grid; a failing point raises.
 
     Only what the axis sets runs through the array twins: a unit or bath that
-    the grid holds fixed is evaluated once, as a point (see :func:`_unit_arrays`
+    the grid holds fixed is evaluated once, as a point (see :func:`_sideband`
     and :func:`_bath_terms`). The nonadiabatic routes read r and no bath terms.
     """
     pair, route = QUANTITIES[spec.quantity]
     overrides = {spec.axis: grid}
-    (u1, u2), r = _unit_arrays(spec.base, overrides)
+    u1, u2 = _unit_arrays(spec.base, overrides)
     if route == "oracle":
         units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
         var_X, var_Y = oracle.duan_variance_arrays(*units, *_bath_terms(spec.base, overrides),
@@ -210,6 +210,7 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
             raise ValueError("units differ")  # the per-point route words the error
         closed = (closedform.duan_sum_nonadiabatic_arrays if pair == "mirror"
                   else closedform.field_sum_nonadiabatic_arrays)
+        r = overrides.get("bath.r", spec.base.bath.r)
         total = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa)
         var_X = var_Y = total / 2.0
     return np.broadcast_arrays(grid, total, var_X, var_Y,
@@ -320,28 +321,37 @@ def adiabatic_totals(system: SystemParams, overrides: dict) -> np.ndarray:
     of ``evaluate(s, "mirror", "adiabatic")`` where ``s`` is ``system``
     with those values set, and an invalid element raises what building and
     evaluating ``s`` would raise. A unit or bath that no path sets is
-    evaluated once, as a point (see :func:`_unit_arrays` and :func:`_bath_terms`).
+    evaluated once, as a point (see :func:`_sideband` and :func:`_bath_terms`).
     """
-    (u1, u2), _ = _unit_arrays(system, overrides)
+    u1, u2 = _unit_arrays(system, overrides)
     return closedform.duan_sum_adiabatic_arrays(u1, u2, *_bath_terms(system, overrides))
 
 
 def _unit_arrays(system: SystemParams, overrides: dict):
-    """Each unit's :class:`SidebandArrays` and the bath's r, with ``overrides`` set.
+    """Each unit's :class:`SidebandArrays` with ``overrides`` set.
 
-    A unit that some path sets gets :func:`red_sideband_arrays`. A unit that
-    none sets is evaluated once, as a point: its per-point steady state, as
-    floats. The per-point and array rates share one op sequence, so both give
-    the same bits, and the per-point steady state raises what the twin raises.
+    Two equal units given the same arrays, as in a ``temperature`` sweep of
+    identical units, share unit 1's rates.
     """
     fields = _unit_fields(overrides)
-    units = tuple(red_sideband_arrays(getattr(system, unit), **fields[unit]) if fields[unit]
-                  else _point_sideband(getattr(system, unit)) for unit in fields)
-    return units, overrides.get("bath.r", system.bath.r)
+    unit1 = _sideband(system.unit1, fields["unit1"])
+    shared = (fields["unit1"].keys() == fields["unit2"].keys()
+              and all(fields["unit2"][name] is values for name, values in fields["unit1"].items())
+              and system.unit1 == system.unit2)
+    unit2 = unit1 if shared else _sideband(system.unit2, fields["unit2"])
+    return unit1, unit2
 
 
-def _point_sideband(unit) -> SidebandArrays:
-    """:func:`red_sideband_arrays` of a unit with no field set, as floats."""
+def _sideband(unit, fields: dict) -> SidebandArrays:
+    """:func:`red_sideband_arrays` of ``unit`` with ``fields`` set.
+
+    A unit with no field set is evaluated once, as a point: its per-point
+    steady state, as floats. The per-point and array rates share one op
+    sequence, so both give the same bits, and the per-point steady state
+    raises what the array twin raises.
+    """
+    if fields:
+        return red_sideband_arrays(unit, **fields)
     ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
     return SidebandArrays(ss.G, ss.Gamma_a, ss.Gamma, ss.C, ss.n_th,
                           unit.mirror.gamma, unit.resonator.kappa)
@@ -373,7 +383,8 @@ def _curve_rows(base: SystemParams, axis_paths: Sequence[str], axis_values,
     sets ``curve_path`` to its own value.
     """
     axis = np.asarray(axis_values, dtype=float)
-    totals = adiabatic_totals(base, {path: axis[:, None] for path in axis_paths}
+    column = axis[:, None]  # one object for every path, so that equal units share it
+    totals = adiabatic_totals(base, dict.fromkeys(axis_paths, column)
                               | {curve_path: np.asarray(curve_values, dtype=float)})
     return [(x, *row) for x, row in zip(axis.tolist(), totals.tolist())]
 

@@ -286,6 +286,23 @@ class TestArraySweep:
         assert calls.count("_squeezed_occupation") <= fixed_baths
         assert calls.count("_squeezed_correlation") <= fixed_baths
 
+    @pytest.mark.parametrize("make, builds", [
+        (lambda base: run_sweep(SweepSpec(base, "temperature", 1e-5, 1e-2, 20,
+                                          quantity="oracle-duan")), 1),
+        (lambda base: run_sweep(SweepSpec(set_param(base, "unit2.power", 3e-3), "temperature",
+                                          1e-5, 1e-2, 20, quantity="oracle-duan")), 2),
+        (lambda base: figure_dataset("fig2", base), 1),  # both mirror baths
+        (lambda base: figure_dataset("fig3", base), 1),  # both drive powers
+    ], ids=["identical", "asymmetric", "fig2", "fig3"])
+    def test_equal_units_given_the_same_arrays_share_one_build(self, base, monkeypatch, make,
+                                                               builds):
+        calls = []
+        build = sweep.red_sideband_arrays
+        monkeypatch.setattr(sweep, "red_sideband_arrays",
+                            lambda unit, **fields: calls.append(fields) or build(unit, **fields))
+        make(base)
+        assert len(calls) == builds
+
     @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
     def test_one_failing_point_sends_every_point_the_per_point_route(self, base, monkeypatch,
                                                                      quantity):
