@@ -90,7 +90,8 @@ class SweepSpec(Record):
 
 SweepRow = namedtuple("SweepRow", "axis_value total var_X var_Y entangled C1 C2 error",
                       defaults=(None,))
-SweepRow.__doc__ = """One grid point; a failing point has NaN values and its exception in ``error``."""
+SweepRow.__doc__ = (
+    """One grid point; a failing point has NaN values and its exception in ``error``.""")
 
 
 class OptimizeSpec(Record):
