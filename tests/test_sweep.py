@@ -259,8 +259,10 @@ class TestArraySweep:
         ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "mirror-duan-adiabatic"),
         ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "oracle-duan"),
     ])
-    def test_a_valid_grid_runs_per_point_functions_once_per_fixed_record(
-            self, base, monkeypatch, axis, start, stop, quantity):
+    def test_a_valid_grid_runs_no_per_point_function(self, base, monkeypatch, axis, start,
+                                                     stop, quantity):
+        # none per grid point: only the records that the grid holds fixed are
+        # evaluated, once each, as points
         calls = []
         for name in ("_occupation", "_squeezed_occupation", "_squeezed_correlation"):
             function = getattr(model, name)
@@ -277,7 +279,6 @@ class TestArraySweep:
             rows = run_sweep(SweepSpec(base, axis, start, stop, count, quantity=quantity))
             assert len(rows) == count and all(row.error is None for row in rows)
             per_grid.append(list(calls))
-        # the per-point functions run for the records the grid holds fixed, not per point
         assert per_grid[0] == per_grid[1]
         swept = (set() if axis == "bath.r"
                  else {unit for unit, _, _ in model.unit_targets(axis)})
