@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 
 from . import __version__, closedform, config, model, selfcheck, sweep
 from .closedform import DegenerateSqueeze
@@ -183,7 +184,7 @@ def cmd_sweep(args, out) -> int:
     return EXIT_OK
 
 
-def _emit(text: str, path: Optional[str], out):
+def _emit(text: str, path: str | None, out):
     if path is None:
         out.write(text)
         return
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -192,10 +192,10 @@ def _parse_float(section: str, key: str, raw: str) -> float:
 
 
 def resolve_system(
-    config_path: Optional[str] = None,
+    config_path: str | None = None,
     preset: str = "fig2-text",
-    r_override: Optional[float] = None,
-    temperature_override: Optional[float] = None,
+    r_override: float | None = None,
+    temperature_override: float | None = None,
 ) -> SystemParams:
     """Config file (if any) over preset, with optional CLI-level overrides."""
     if config_path is not None:

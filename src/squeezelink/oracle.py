@@ -29,15 +29,15 @@ with no LAPACK call: stability from each block's trace and determinant, the
 form, ``0.5 V + 0.5 V^T``, and a residual gate that holds each pair to its
 own bound and the whole to the 8x8 bound ``1e-10 ||D||``. Each block pair is
 scaled by powers of two so that no product overflows, and a system's bits
-do not depend on its stack. :func:`covariance_chunks` runs the kernel on the
-rows of parameter arrays, ``STACK_CHUNK`` systems at a time, for the sweeps
-and the selfcheck grids alike, and forms no 8x8 A or D;
-:func:`solve_lyapunov_stack` gathers the rows of an explicit 8x8 split stack
-and runs the same kernel, so both routes give the same bits. Only generic
-stacks take the eigenvalues and a Kronecker LU solve.
-:func:`solve_lyapunov` returns one system's 8x8 covariance V as a plain
-array, which :func:`duan_from_covariance` reads; a Duan variance whose
-terms cancel past ``_CANCELLATION_TOL`` of relative error raises instead.
+do not depend on its stack. It returns V as its pairs' rows ``(4, 6, B)``,
+which :func:`covariance_chunks` yields from parameter arrays, ``STACK_CHUNK``
+systems at a time, forming no 8x8 A, D or V. :func:`solve_lyapunov_stack`
+gathers the rows of an explicit 8x8 split stack and, alone, scatters V into
+8x8 matrices, so both routes give the same bits; only generic stacks take
+the eigenvalues and a Kronecker LU solve. One reader, :func:`_duan_variances`,
+reads pair rows for :func:`duan_variance_arrays` and :func:`duan_from_covariance`
+alike; a Duan variance whose terms cancel past ``_CANCELLATION_TOL`` of
+relative error raises instead.
 :func:`spectral_duan_sum_stack` takes the same arguments as the builder and
 integrates the spectra of a whole stack in closed form: each term is
 ``|B/A|^2`` of a Hurwitz A, whose integral over frequency is the table's
@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Iterator
 
 from ._lazy import lazy_import
 from .closedform import _CANCELLATION_TOL, DuanResult, _require_digits, require_totals
@@ -65,7 +66,6 @@ from .model import (Record, StabilityReport, SteadyState, SystemParams, Unstable
 np = lazy_import("numpy")
 
 QUADRATURES = ("X1", "Y1", "x1", "y1", "X2", "Y2", "x2", "y2")
-IDX = {name: i for i, name in enumerate(QUADRATURES)}
 
 #: systems per stacked Lyapunov solve; bounds the stack's working memory
 STACK_CHUNK = 256
@@ -184,18 +184,19 @@ def _rows(M: np.ndarray, at) -> np.ndarray:
 
 
 def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
-    """Covariance stacks of the model over parameter arrays, ``STACK_CHUNK`` systems each.
+    """The model's covariances V over parameter arrays as pair rows ``(4, 6, B)``,
+    ``STACK_CHUNK`` systems each.
 
     The arguments are those of :func:`build_rwa_drift_diffusion_stack`; they
-    broadcast together and the systems come in flat order. No 8x8 A or D is
-    formed: each chunk's drift blocks and diffusion pairs are written as rows
-    by :func:`_model_rows` and solved by :func:`_solve_split`, the kernel that
-    :func:`solve_lyapunov_stack` runs on a split stack, which holds each block
-    pair's residual to its own bound and the whole to the 8x8 bound
-    ``1e-10 ||D||``. So a system's V is the same bits by either route, and
-    errors name the stack index within the chunk. Each input is sliced chunk
-    by chunk, so no broadcast input, such as a scalar kappa, is copied out to
-    the stack's size.
+    broadcast together and the systems come in flat order. No 8x8 A, D or V
+    is formed: each chunk's drift blocks and diffusion pairs are written as
+    rows by :func:`_model_rows` and solved by :func:`_solve_split`, the kernel
+    that :func:`solve_lyapunov_stack` runs on a split stack, which holds each
+    block pair's residual to its own bound and the whole to the 8x8 bound
+    ``1e-10 ||D||``. So the rows are the entries ``_PAIR_AT`` of the 8x8 V by
+    that route, bit for bit, and errors name the stack index within the
+    chunk. Each input is sliced chunk by chunk, so no broadcast input, such
+    as a scalar kappa, is copied out to the stack's size.
     """
     inputs = np.broadcast_arrays(*unit1, *unit2, N, M)
     size = inputs[0].size
@@ -211,11 +212,11 @@ def duan_variance_arrays(unit1, unit2, N, M, pair: str = "mirror"
 
     Takes the arguments of :func:`build_rwa_drift_diffusion_stack`; the
     variances come in flat order, each chunk of :func:`covariance_chunks` read
-    by :func:`duan_from_covariance_stack`, whose errors name the stack index
-    within the chunk.
+    by :func:`_duan_variances`.
     """
-    var_X, var_Y = zip(*(duan_from_covariance_stack(V, pair)
-                         for V in covariance_chunks(unit1, unit2, N, M)))
+    # reading no systems first checks the pair, and is the result when there are none
+    var_X, var_Y = zip(_duan_variances(np.empty((4, len(_PAIRS), 0)), pair),
+                       *(_duan_variances(V, pair) for V in covariance_chunks(unit1, unit2, N, M)))
     return np.concatenate(var_X), np.concatenate(var_Y)
 
 
@@ -234,7 +235,8 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     split: its block entries are gathered as rows and solved by
     :func:`_solve_split`, the kernel of :func:`covariance_chunks`, whose
     residual gate holds each block pair to its own bound (see
-    :func:`_split_residual`) as well as the whole to the 8x8 one. Any other
+    :func:`_split_residual`) as well as the whole to the 8x8 one; the pair
+    rows it returns are scattered into 8x8 matrices here alone. Any other
     stack gets :func:`stability_check`, the full n^2-unknown LU solve and
     ``0.5 V + 0.5 V^T``, and each item must then satisfy the full equation to
     ``1e-10 * ||D[b]||``, checked on V and D divided by ``max |D[b]|`` so that
@@ -246,10 +248,13 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"need stacks A and D of equal shape (B, n, n), got {A.shape} and {D.shape}"
         )
+    if not len(A):
+        return np.zeros(A.shape)
     if A.shape[1:] == (8, 8) and not (
             A.reshape(-1, 64)[:, _OFF_DRIFT].any() or D.reshape(-1, 64)[:, _OFF_PAIRS].any()
             or (D != D.transpose(0, 2, 1)).any()):
-        return _solve_split(_rows(A, _DRIFT_AT), _rows(D, _PAIR_AT))
+        V = _solve_split(_rows(A, _DRIFT_AT), _rows(D, _PAIR_AT))
+        return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT)
     _require_finite("drift or diffusion matrix", A.T, D.T)  # items on the last axis
     _require_stable(stability_check(A))
     V = _kronecker_solve(A, A, D)
@@ -264,7 +269,7 @@ def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _solve_split(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
-    """The covariance stack ``(B, 8, 8)`` of a split system from its rows.
+    """The covariance rows ``(4, 6, B)`` of a split system's pairs from its rows.
 
     ``drift`` holds the rows ``(4, 4, B)`` of the drift blocks ``_BLOCKS`` and
     ``diffusion`` those ``(4, 6, B)`` of D's pairs ``_PAIRS``. The kernel checks
@@ -272,8 +277,7 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     (:func:`_split_stability`), solves ``A_p W_pq + W_pq A_q^T + D_pq = 0`` for
     every pair by :func:`_sylvester_2x2`, with no LAPACK call, and forms
     ``0.5 V + 0.5 V^T`` on the rows. The residual gate (:func:`_split_residual`)
-    then holds each pair to its own bound and the whole to the 8x8 one. Only
-    the result is assembled into 8x8 matrices.
+    then holds each pair to its own bound and the whole to the 8x8 one.
     """
     _require_finite("drift or diffusion matrix", drift, diffusion)
     _require_stable(_split_stability(drift))
@@ -284,7 +288,7 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     V = (half + half[_TRANSPOSED]).reshape(diffusion.shape)
     _require_finite("Lyapunov solution", V)
     _require_residual(*_split_residual(A, C, diffusion, V))
-    return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT)
+    return V
 
 
 def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
@@ -421,45 +425,35 @@ def _kronecker_solve(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def duan_from_covariance(V: np.ndarray, pair: str = "mirror") -> DuanResult:
     """Variances of the joint EPR quadratures (u1 - u2, v1 + v2) from the 8x8 V."""
-    var_X, var_Y = _duan_variances(V, pair)
+    (var_X,), (var_Y,) = _duan_variances(_rows(np.asarray(V)[None], _PAIR_AT), pair)
     return DuanResult(var_X=float(var_X), var_Y=float(var_Y))
 
 
-def duan_from_covariance_stack(
-    V: np.ndarray, pair: str = "mirror"
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(var_X, var_Y)`` of :func:`duan_from_covariance` over a stack ``(..., 8, 8)``.
-
-    Every total passes :class:`DuanResult`'s check, or the first that fails raises.
-    """
-    var_X, var_Y = _duan_variances(V, pair)
-    require_totals(var_X + var_Y)
-    return var_X, var_Y
+#: the entry of the pair rows that holds each pair's quadratures: 00 mirror, 11 field
+_PAIR_ENTRY = {"mirror": 0, "field": 3}
 
 
-_PAIR_INDICES = {pair: tuple(IDX[q] for q in names) for pair, names in
-                 (("mirror", ("X1", "Y1", "X2", "Y2")), ("field", ("x1", "y1", "x2", "y2")))}
-
-
-def _duan_variances(V: np.ndarray, pair: str):
-    """``(var_X, var_Y)`` of the pair from V (one matrix or a stack).
+def _duan_variances(rows: np.ndarray, pair: str):
+    """``(var_X, var_Y)`` of the pair from V's pair rows ``(4, 6, B)``.
 
     Each variance sums three covariances, which cancel as the squeezing
     grows. Its relative rounding error is estimated as ``ulp(1) (|V_11| +
     |V_22| + 2 |V_12|) / |var|``; where that exceeds ``_CANCELLATION_TOL``
     the first such item raises ``FloatingPointError`` naming the estimate,
-    rather than letting cancelled digits decide a verdict.
+    rather than letting cancelled digits decide a verdict. Then every total
+    passes :class:`DuanResult`'s check, or the first that fails raises.
     """
-    if pair not in _PAIR_INDICES:
+    if pair not in _PAIR_ENTRY:
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
-    X1, Y1, X2, Y2 = _PAIR_INDICES[pair]
-    var_X = V[..., X1, X1] + V[..., X2, X2] - 2.0 * V[..., X1, X2]
-    var_Y = V[..., Y1, Y1] + V[..., Y2, Y2] + 2.0 * V[..., Y1, Y2]
+    x11, x12, x22, y11, y12, y22 = rows[_PAIR_ENTRY[pair]]  # in _PAIRS order
+    var_X = x11 + x22 - 2.0 * x12
+    var_Y = y11 + y22 + 2.0 * y12
     with np.errstate(all="ignore"):  # 0/0 is no estimate; a NaN V fails the total check
-        lost = np.fmax(*(math.ulp(1.0) * (abs(V[..., a, a]) + abs(V[..., b, b])
-                                          + 2.0 * abs(V[..., a, b])) / abs(var)
-                         for a, b, var in ((X1, X2, var_X), (Y1, Y2, var_Y))))
-    raise_for_first(np.asarray(lost > _CANCELLATION_TOL), _require_digits, lost)
+        lost = np.fmax(*(math.ulp(1.0) * (abs(v11) + abs(v22) + 2.0 * abs(v12)) / abs(var)
+                         for v11, v12, v22, var in ((x11, x12, x22, var_X),
+                                                    (y11, y12, y22, var_Y))))
+    raise_for_first(lost > _CANCELLATION_TOL, _require_digits, lost)
+    require_totals(var_X + var_Y)
     return var_X, var_Y
 
 
@@ -486,9 +480,9 @@ def spectral_duan_sum_stack(unit1, unit2, N, M, pair: str = "mirror") -> np.ndar
     ``d_1 d_2``, whose integral is the table's I_2 (:func:`_i2`) or I_4
     (:func:`_i4`) in closed form. The arithmetic is elementwise, so a system's
     bits do not depend on its stack. A non-finite or negative total, as a NaN
-    or negative rate gives, raises what :func:`duan_from_covariance_stack` raises.
+    or negative rate gives, raises what :func:`duan_variance_arrays` raises.
     """
-    if pair not in _PAIR_INDICES:
+    if pair not in _PAIR_ENTRY:
         raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
     with np.errstate(all="ignore"):  # a NaN or negative rate shows in the total
         total, squeezed = 0.0, []

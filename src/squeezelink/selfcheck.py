@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable
 
 from . import closedform, config, model, oracle, sweep
 from ._lazy import lazy_import
@@ -182,10 +183,11 @@ def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
     if worst > tolerance:
         return CheckResult("lyapunov", False, worst, tolerance, "constructed solutions")
 
-    # uncertainty products X1 Y1, x1 y1, X2 Y2 and x2 y2 on physical solutions
-    V = np.concatenate(list(oracle.covariance_chunks(*_symmetric_units(*_grid()))))
-    variance = V.diagonal(axis1=1, axis2=2)  # in QUADRATURES order, each X before its Y
-    uncert_worst = float(np.max(0.25 - variance[:, ::2] * variance[:, 1::2], initial=0.0))
+    # uncertainty products X1 Y1, x1 y1, X2 Y2 and x2 y2 on physical solutions: the
+    # variances are entries 00 (mirror) and 11 (field) of V's diagonal pairs, which
+    # come at 0 and 2 within X and at 3 and 5 within Y in the pair rows
+    V = np.concatenate(list(oracle.covariance_chunks(*_symmetric_units(*_grid()))), axis=-1)
+    uncert_worst = float(np.max(0.25 - V[::3, [0, 2]] * V[::3, [3, 5]], initial=0.0))
     ok = uncert_worst <= 1e-10
     return CheckResult("lyapunov", ok, worst if ok else uncert_worst, tolerance,
                        "constructed solutions + uncertainty floor")
@@ -298,10 +300,8 @@ ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
-def run_checks(
-    only: Optional[Iterable[str]] = None,
-    tolerance: Optional[float] = None,
-) -> list[CheckResult]:
+def run_checks(only: Iterable[str] | None = None,
+               tolerance: float | None = None) -> list[CheckResult]:
     names = list(ALL_CHECKS) if only is None else list(only)
     for name in names:  # before any check runs
         if name not in ALL_CHECKS:

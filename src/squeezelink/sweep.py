@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import repeat
 
@@ -297,7 +298,7 @@ class FigureDataset(Record):
     metadata: dict
 
 
-def figure_dataset(fig_id: str, base: Optional[SystemParams] = None) -> FigureDataset:
+def figure_dataset(fig_id: str, base: SystemParams | None = None) -> FigureDataset:
     """Dataset behind one of the reference figures (fig2..fig9).
 
     ``base`` (the default preset if omitted) supplies every parameter that
@@ -391,7 +392,7 @@ def _curve_rows(base: SystemParams, axis_paths: Sequence[str], axis_values,
 
 
 def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[OptimizeSpec],
-                      overrides: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+                      overrides: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(argmins, minima) of the adiabatic total over unit 2's ``field``.
 
     Search k holds unit 1's ``field`` at ``values1[k]`` and each path of

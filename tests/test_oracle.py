@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from squeezelink import closedform, model, oracle, selfcheck
 from squeezelink.model import SqueezedBath, SystemParams
 from squeezelink.oracle import (
-    IDX,
     QUADRATURES,
     DriftDiffusion,
     RwaViolation,
@@ -17,7 +16,6 @@ from squeezelink.oracle import (
     build_rwa_drift_diffusion,
     build_rwa_drift_diffusion_stack,
     duan_from_covariance,
-    duan_from_covariance_stack,
     solve_lyapunov,
     solve_lyapunov_stack,
     spectral_duan_sum,
@@ -25,6 +23,7 @@ from squeezelink.oracle import (
 from units import unit_with_cooperativity
 
 KAPPA = 2 * math.pi * 215e3
+IDX = {name: i for i, name in enumerate(QUADRATURES)}
 
 
 def make_system(C, r, n_th, ratio, kappa=KAPPA):
@@ -330,6 +329,11 @@ class TestStackedLyapunov:
         huge = solve_lyapunov_stack(A, 1e200 * D)
         assert np.abs(huge / 1e200 - V).max() <= 1e-14 * np.abs(V).max()
 
+    @pytest.mark.parametrize("n", [8, 3])  # the split's size and a generic one
+    def test_a_stack_of_no_systems_gives_an_empty_stack(self, n):
+        V = solve_lyapunov_stack(np.zeros((0, n, n)), np.zeros((0, n, n)))
+        assert V.shape == (0, n, n) and V.dtype == np.float64
+
     def test_shape_mismatch_rejected(self):
         A, D = physical_stack()
         with pytest.raises(ValueError):
@@ -544,26 +548,48 @@ class TestArrayBuilder:
         assert np.all(D[:, IDX["x1"], IDX["x2"]] == 1.5)
 
 
+def chunks_of(V, monkeypatch):
+    """Make ``oracle.covariance_chunks`` hand out the pair rows of the 8x8 stack V as
+    one chunk, whatever it is given; returns arguments to pass it."""
+    rows = oracle._rows(V, oracle._PAIR_AT)
+    monkeypatch.setattr(oracle, "covariance_chunks", lambda *args: iter([rows]))
+    return model_arrays([SPECTRAL_CASES[0]], len(V))
+
+
 class TestStackedDuan:
     def test_equals_per_item_results(self):
-        A, D = physical_stack()
-        V = solve_lyapunov_stack(A, D)
+        # the row reader on one chunk, and over the arrays, reads what the
+        # one-system reader reads from each 8x8 V
+        args = model_arrays(SPECTRAL_CASES, len(SPECTRAL_CASES))
+        V = solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(*args))
         for pair in ("mirror", "field"):
-            var_X, var_Y = duan_from_covariance_stack(V, pair)
+            by_rows = oracle._duan_variances(oracle._rows(V, oracle._PAIR_AT), pair)
+            by_arrays = oracle.duan_variance_arrays(*args, pair)
             for k, v in enumerate(V):
                 single = duan_from_covariance(v, pair)
-                assert (var_X[k], var_Y[k]) == (single.var_X, single.var_Y)
+                assert ((by_rows[0][k], by_rows[1][k]) == (by_arrays[0][k], by_arrays[1][k])
+                        == (single.var_X, single.var_Y))
 
-    def test_first_bad_total_raises_the_per_point_error(self):
+    def test_first_bad_total_raises_the_per_point_error(self, monkeypatch):
         V = np.stack([np.eye(8) / 2] * 3)
         V[1, IDX["X1"], IDX["X1"]] = math.nan
+        args = chunks_of(V, monkeypatch)
         with pytest.raises(FloatingPointError, match="total variance is NaN"):
-            duan_from_covariance_stack(V)
+            oracle.duan_variance_arrays(*args)
         with pytest.raises(ValueError, match="pair must be"):
-            duan_from_covariance_stack(V, "bogus")
+            oracle.duan_variance_arrays(*args, "bogus")
+        with pytest.raises(ValueError, match="pair must be"):
+            oracle._duan_variances(oracle._rows(V, oracle._PAIR_AT), "bogus")
 
     @pytest.mark.parametrize("pair", ["mirror", "field"])
-    def test_cancelled_digits_raise_on_both_routes(self, pair):
+    def test_no_systems_give_empty_variances(self, pair):
+        unit = (np.empty(0),) * 4
+        var_X, var_Y = oracle.duan_variance_arrays(unit, unit, np.empty(0), np.empty(0), pair)
+        assert var_X.shape == var_Y.shape == (0,)
+        assert var_X.dtype == var_Y.dtype == np.float64
+
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    def test_cancelled_digits_raise_on_both_routes(self, pair, monkeypatch):
         # V11 = V22 = 1e6 + 1/2 and V12 = 1e6 for each variance: the estimate
         # ulp(1) (4e6 + 1) / 1 is 8.9e-10, under 1e-6; at 1e10 it is 8.9e-6
         def cancelling(size):
@@ -581,7 +607,7 @@ class TestStackedDuan:
         V = np.stack([cancelling(1e6), cancelling(1e10), cancelling(1e11), np.eye(8) / 2])
         V[2, 0, 0] = math.nan  # a NaN total after the first cancelled one
         with pytest.raises(FloatingPointError, match=message):
-            duan_from_covariance_stack(V, pair)
+            oracle.duan_variance_arrays(*chunks_of(V, monkeypatch), pair)
 
 
 SPECTRAL_CASES = [
@@ -793,9 +819,11 @@ class TestRowAndMatrixRoutes:
     def test_chunks_equal_the_8x8_stack_solve(self, points, size):
         args = model_arrays(points, size)
         chunks = list(oracle.covariance_chunks(*args))
-        assert [len(V) for V in chunks] == [min(256, size - k) for k in range(0, size, 256)]
+        assert [V.shape for V in chunks] == [(4, 6, min(256, size - k))
+                                             for k in range(0, size, 256)]
         V = solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(*args))
-        assert np.concatenate(chunks).tobytes() == V.tobytes()
+        rows = np.concatenate(chunks, axis=-1)
+        assert rows.tobytes() == oracle._rows(V, oracle._PAIR_AT).tobytes()
 
     @pytest.mark.parametrize("shape", [(), (3, 5), (2, 1, 7)])
     def test_broadcast_inputs_give_the_bits_of_raveled_ones(self, monkeypatch, shape):
@@ -810,11 +838,12 @@ class TestRowAndMatrixRoutes:
             cols = np.linspace(0.9, 1.1, shape[-1])
         args = ((gamma * rows, kappa, G * cols, n_th), unit2, float(N[0]), float(M[0]))
         flat = [np.ravel(x) for x in np.broadcast_arrays(*args[0], *unit2, *args[2:])]
-        expected = np.concatenate(list(oracle.covariance_chunks(flat[:4], flat[4:8], *flat[8:])))
+        expected = np.concatenate(
+            list(oracle.covariance_chunks(flat[:4], flat[4:8], *flat[8:])), axis=-1)
         chunks = list(oracle.covariance_chunks(*args))
-        assert [len(V) for V in chunks] == [min(4, flat[0].size - k)
-                                            for k in range(0, flat[0].size, 4)]
-        assert np.concatenate(chunks).tobytes() == expected.tobytes()
+        assert [V.shape[-1] for V in chunks] == [min(4, flat[0].size - k)
+                                                 for k in range(0, flat[0].size, 4)]
+        assert np.concatenate(chunks, axis=-1).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("entry, value, error", [
         (2, math.nan, FloatingPointError),  # G of unit 1
@@ -835,8 +864,17 @@ class TestRowAndMatrixRoutes:
     def test_chunks_form_no_8x8_drift_or_diffusion(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("8x8 route taken")
+        # no stacked read scatters V into 8x8 matrices: the Duan variances over
+        # more than one chunk, and the selfcheck's oracle checks
+        monkeypatch.setattr(oracle, "_matrices", forbidden)
+        args = model_arrays(SPECTRAL_CASES, 2 * oracle.STACK_CHUNK + 1)
+        for pair in ("mirror", "field"):
+            var_X, var_Y = oracle.duan_variance_arrays(*args, pair)
+            assert var_X.shape == var_Y.shape == (2 * oracle.STACK_CHUNK + 1,)
+        results = selfcheck.run_checks(only=["triple", "separability", "xy-symmetry", "lyapunov"])
+        assert [result.passed for result in results] == [True] * 4
         for name in ("build_rwa_drift_diffusion_stack", "solve_lyapunov_stack",
                      "_kronecker_solve"):
             monkeypatch.setattr(oracle, name, forbidden)
         chunks = list(oracle.covariance_chunks(*model_arrays([SPECTRAL_CASES[3]], 3)))
-        assert [V.shape for V in chunks] == [(3, 8, 8)]
+        assert [V.shape for V in chunks] == [(4, 6, 3)]

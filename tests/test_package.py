@@ -112,3 +112,23 @@ def test_closed_form_commands_import_no_typing():
         capture_output=True, text=True, timeout=120, env=os.environ | {"PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0], False]
+
+
+def test_every_annotation_resolves():
+    # each name an annotation uses is imported where it is used, so that
+    # typing.get_type_hints, as documentation tools call it, resolves them all
+    assert fresh(
+        "import importlib, inspect, json, pkgutil, typing, squeezelink\n"
+        "failed = []\n"
+        "for info in pkgutil.iter_modules(squeezelink.__path__):\n"
+        "    module = importlib.import_module('squeezelink.' + info.name)\n"
+        "    objects = [module] + [obj for obj in vars(module).values()\n"
+        "                          if (inspect.isfunction(obj) or inspect.isclass(obj))\n"
+        "                          and obj.__module__ == module.__name__]\n"
+        "    for obj in objects:\n"
+        "        try:\n"
+        "            typing.get_type_hints(obj)\n"
+        "        except NameError as exc:\n"
+        "            failed.append(f'{module.__name__}.{getattr(obj, \"__qualname__\", \"\")}: {exc}')\n"
+        "print(json.dumps(failed))\n"
+    ) == []
