@@ -195,11 +195,16 @@ def _emit(text: str, path: str | None, out):
         raise ConfigError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
+def _identical(unit1, unit2) -> bool:
+    """Whether two units' parameter tuples agree, entry by entry, to 1e-9 relative."""
+    return all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-309) for a, b in zip(unit1, unit2))
+
+
 def cmd_threshold(args, out) -> int:
     system = _resolve(args)
     inputs = [(*vars(u.resonator).values(), *vars(u.mirror).values())
               for u in (system.unit1, system.unit2)]
-    if not sweep._identical(*inputs, max):
+    if not _identical(*inputs):
         raise ConfigError("the thresholds assume identical units; unit 2 differs from unit 1")
     unit = system.unit1
     r = system.bath.r

@@ -3,7 +3,8 @@
 Every function here evaluates an analytic expression for the sum of the
 variances of the joint EPR quadratures (relative position and total
 momentum) of either the two mirrors or the two cavity fields. A sum below
-2 certifies entanglement; the boundary value 2 counts as separable.
+2 certifies entanglement; the boundary value 2 counts as separable. The
+nonadiabatic form of any two units integrates the noise spectra in closed form.
 
 A form evaluated over grids has an array twin (``*_arrays``) that takes its
 arguments as arrays, or records of arrays, and gives the same bits; the first
@@ -163,15 +164,15 @@ def _require_digits(lost: float):
             f"estimate {lost:.2g} exceeds {_CANCELLATION_TOL:g}")
 
 
-def _adiabatic_identical_sum(C, r, n_th, exp):
-    """The adiabatic total of identical units in + - * / and ``exp``, for floats or arrays."""
-    return (2.0 * C * exp(-2.0 * r) + 2.0 * (1.0 + 2.0 * n_th)) / (C + 1.0)
+def _adiabatic_identical_sum(C, e, n_th):
+    """The adiabatic total of identical units, ``e = exp(-2r)``, for floats or arrays."""
+    return (2.0 * C * e + 2.0 * (1.0 + 2.0 * n_th)) / (C + 1.0)
 
 
 def duan_sum_adiabatic_identical(C: float, r: float, n_th: float) -> DuanResult:
     """Mirror-mirror variance sum for identical units, adiabatic regime."""
     _check_nonnegative(C=C, r=r, n_th=n_th)
-    return DuanResult.from_total(_adiabatic_identical_sum(C, r, n_th, math.exp))
+    return DuanResult.from_total(_adiabatic_identical_sum(C, math.exp(-2.0 * r), n_th))
 
 
 def duan_sum_adiabatic_identical_arrays(C, r, n_th) -> np.ndarray:
@@ -193,9 +194,9 @@ def duan_sum_weak_coupling_approx(C: float, r: float, n_th: float) -> float:
     return 2.0 + 2.0 * C * math.exp(-2.0 * r) + 4.0 * n_th
 
 
-def _nonadiabatic_sum(C, r, n_th, gamma, kappa, exp):
-    """The nonadiabatic mirror total in + - * / and the given ``exp``, for floats or arrays."""
-    return (2.0 * C / (C + 1.0)) * kappa * exp(-2.0 * r) / (kappa + gamma) + (
+def _nonadiabatic_sum(C, e, n_th, gamma, kappa):
+    """The nonadiabatic mirror total of identical units, ``e = exp(-2r)``, for floats or arrays."""
+    return (2.0 * C / (C + 1.0)) * kappa * e / (kappa + gamma) + (
         2.0 * (2.0 * n_th + 1.0) / (C + 1.0)
     ) * (1.0 + C * gamma / (kappa + gamma))
 
@@ -206,15 +207,15 @@ def duan_sum_nonadiabatic(
     """Mirror-mirror variance sum for identical units, no adiabatic elimination."""
     _check_nonnegative(C=C, r=r, n_th=n_th)
     _check_positive(gamma=gamma, kappa=kappa)
-    return DuanResult.from_total(_nonadiabatic_sum(C, r, n_th, gamma, kappa, math.exp))
+    return DuanResult.from_total(_nonadiabatic_sum(C, math.exp(-2.0 * r), n_th, gamma, kappa))
 
 
 def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
     """:func:`duan_sum_nonadiabatic` totals over arrays that broadcast together.
 
-    The totals equal the per-point ones bit for bit (``exp`` is
-    ``math.exp``, mapped over the elements: ``np.exp(-2r)`` differs from it in
-    the last bit at 9,265 of 200,001 r in [0, 20] with numpy 2.4 on an
+    The totals equal the per-point ones bit for bit (``exp(-2r)`` is
+    ``math.exp``, mapped over the elements of r: ``np.exp(-2r)`` differs from it
+    in the last bit at 9,265 of 200,001 r in [0, 20] with numpy 2.4 on an
     AVX-512 Xeon). Every element passes the per-point
     checks, or the first failing element raises what they raise.
     """
@@ -222,11 +223,11 @@ def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
                                    (C, r, n_th, gamma, kappa))
 
 
-def _field_sum(C, r, n_th, gamma, kappa, exp):
-    """The field total in + - * / and the given ``exp``, for floats or arrays."""
+def _field_sum(C, e, n_th, gamma, kappa):
+    """The field total of identical units, ``e = exp(-2r)``, for floats or arrays."""
     return (2.0 * C * (2.0 * n_th + 1.0) / (C + 1.0)) * gamma / (gamma + kappa) + 2.0 * (
         kappa / (kappa + gamma) + gamma / ((1.0 + C) * (gamma + kappa))
-    ) * exp(-2.0 * r)
+    ) * e
 
 
 def field_sum_nonadiabatic(
@@ -235,7 +236,7 @@ def field_sum_nonadiabatic(
     """Field-field variance sum for identical units."""
     _check_nonnegative(C=C, r=r, n_th=n_th)
     _check_positive(gamma=gamma, kappa=kappa)
-    return DuanResult.from_total(_field_sum(C, r, n_th, gamma, kappa, math.exp))
+    return DuanResult.from_total(_field_sum(C, math.exp(-2.0 * r), n_th, gamma, kappa))
 
 
 def field_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
@@ -245,13 +246,107 @@ def field_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
 
 
 def _identical_units_arrays(total, per_point, args) -> np.ndarray:
-    """``total`` over the broadcast (C, r, n_th, *rates) with the checks of ``per_point``."""
-    C, r, n_th, *rates = args = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in args))
-    bad = np.any([C < 0, r < 0, n_th < 0, *(~(rate > 0) for rate in rates)], axis=0)
+    """``total`` over (C, exp(-2r), n_th, *rates), broadcast together, with the checks of
+    ``per_point``; ``math.exp`` maps over r's own elements, once the checks pass."""
+    C, r, n_th, *rates = args = [np.asarray(x, dtype=float) for x in args]
+    bad = np.any(np.broadcast_arrays(C < 0, r < 0, n_th < 0,
+                                     *(~(rate > 0) for rate in rates)), axis=0)
     raise_for_first(bad, per_point, *args)
+    e = map_math(math.exp, -2.0 * r)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return require_totals(total(*args, lambda x: map_math(math.exp, x)))
+        return require_totals(total(C, e, n_th, *rates))
+
+
+def _require_pair(pair: str):
+    if pair not in ("mirror", "field"):
+        raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
+
+
+def duan_sum_nonadiabatic_general(unit1, unit2, N: float, M: float,
+                                  pair: str = "mirror") -> DuanResult:
+    """Variance sum of either pair for any two units, no adiabatic elimination.
+
+    Each unit is ``(gamma, kappa, G, n_th)``; ``N`` and ``M`` are the bath's ``N`` and
+    ``M_corr``. A division by zero, a NaN (or, at subnormal rates, inf) total in the
+    array twin, raises the ``FloatingPointError`` of a NaN total."""
+    _require_pair(pair)
+    try:
+        total = _general_sum(unit1, unit2, N, M, pair == "mirror", _sqrt)
+    except ZeroDivisionError:
+        total = math.nan
+    return DuanResult.from_total(total)
+
+
+def _sqrt(x: float) -> float:
+    """``math.sqrt``, but NaN for a negative ``x``, as ``np.sqrt`` gives."""
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+def duan_sum_nonadiabatic_general_arrays(unit1, unit2, N, M, pair: str = "mirror"
+                                         ) -> np.ndarray:
+    """:func:`duan_sum_nonadiabatic_general` totals over arrays that broadcast together,
+    bit for bit; the first non-finite or negative total raises what it raises."""
+    _require_pair(pair)
+    unit1, unit2, (N, M) = ([np.asarray(x, dtype=float) for x in args]
+                            for args in (unit1, unit2, (N, M)))
+    with np.errstate(all="ignore"):  # a NaN or negative rate, or x / 0, shows in the total
+        return require_totals(_general_sum(unit1, unit2, N, M, pair == "mirror", np.sqrt))
+
+
+def _general_sum(unit1, unit2, N, M, mirror: bool, sqrt):
+    """The nonadiabatic total in + - * / and the given ``sqrt``, for floats or arrays.
+
+    The noise spectra integrated over frequency in the EPR basis, ``sum_j (2 n_th_j
+    + 1) I_2(b_j) / 2 + (e^{2r} I_4(a_1 - a_2) + e^{-2r} I_4(a_1 + a_2)) / 4`` with
+    ``e^{2r} = 2N + 1 + 2M``, ``a_j`` unit j's response to its squeezed input and
+    ``b_j`` to its mirror's bath (``docs/noise_conventions.md``). ``a_1 - a_2`` is
+    built from the inputs' differences, exact for close inputs (Sterbenz): it is 0
+    for identical units and keeps its digits for nearly identical ones.
+    """
+    (g1, k1, G1, n1), (g2, k2, G2, n2) = unit1, unit2
+    sg1, sk1, sg2, sk2 = sqrt(g1), sqrt(k1), sqrt(g2), sqrt(k2)
+    dg, dk, dG = g1 - g2, k1 - k2, G1 - G2
+    dsk = dk / (sk1 + sk2)
+    # d_j = s^2 + p_j s + q_j, and the differences p1 - p2 and q1 - q2
+    pq = ((g1 + k1) / 2.0, G1 * G1 + g1 * k1 / 4.0, (g2 + k2) / 2.0, G2 * G2 + g2 * k2 / 4.0,
+          (dg + dk) / 2.0, dG * (G1 + G2) + (dg * k1 + g2 * dk) / 4.0)
+    # the numerators (s, 1 coefficients) over d_j of a_j, of a_1 - a_2 and of b_j
+    if mirror:
+        a1, a2, da = (0.0, G1 * sk1), (0.0, G2 * sk2), (0.0, dG * sk1 + G2 * dsk)
+        b1, b2 = (sg1, sg1 * k1 / 2.0), (sg2, sg2 * k2 / 2.0)
+    else:
+        a1, a2 = (sk1, sk1 * g1 / 2.0), (sk2, sk2 * g2 / 2.0)
+        da = (dsk, (dsk * g1 + sk2 * dg) / 2.0)
+        b1, b2 = (0.0, G1 * sg1), (0.0, G2 * sg2)
+    e2r = 2.0 * N + 1.0 + 2.0 * M
+    thermal = ((2.0 * n1 + 1.0) * _i2(b1, *pq[:2]) + (2.0 * n2 + 1.0) * _i2(b2, *pq[2:4])) / 2.0
+    both = (a1[0] + a2[0], a1[1] + a2[1])
+    return thermal + (e2r * _i4(da, a2, -1.0, *pq) + _i4(both, a2, 1.0, *pq) / e2r) / 4.0
+
+
+def _i2(n, p, q):
+    """The table's I_2 of ``(n1 s + n0) / (s^2 + p s + q)``, with ``n = (n1, n0)``."""
+    n1, n0 = n
+    return (n1 * n1 + n0 * n0 / q) / p
+
+
+def _i4(m, n, sign, p1, q1, p2, q2, dp, dq):
+    """The table's I_4: 1/pi times the integral over all w of ``|a_1 + sign a_2|^2``.
+
+    ``a_j = (n1 s + n0) / (s^2 + p_j s + q_j)`` at ``s = iw``, ``n`` is unit 2's
+    numerator, ``m = n_1 + sign n_2``, ``dp = p1 - p2`` and ``dq = q1 - q2``: a sum of
+    non-negative terms and squares, whose differences ``c_k q_j - c_l`` of the
+    coefficients of ``n_1 d_2 + sign n_2 d_1`` are written in m, dp and dq."""
+    (m1, m0), (n1, n0) = m, n
+    sn1, sn0 = sign * n1, sign * n0
+    c3, c2, c0 = m1, m1 * p2 + sn1 * dp + m0, m0 * q2 + sn0 * dq
+    u = -(sn1 * dq + m0 * p2 + sn0 * dp)  # c3 q2 - c1
+    v = (m1 * p2 + sn1 * dp) * q2 - sn0 * dq  # c2 q2 - c0
+    w, x = u + c3 * dq, v + c2 * dq  # c3 q1 - c1 and c2 q1 - c0
+    hurwitz = p1 * p2 * (dq * dq + (p1 + p2) * (p1 * q2 + p2 * q1))
+    num = (p1 * u * u + p2 * w * w + p1 * v * v / q2 + p2 * x * x / q1
+           + p1 * p2 * (c3 * c3 * (p1 * q2 + p2 * q1) + c0 * c0 * (p1 + p2) / (q1 * q2)))
+    return num / hurwitz
 
 
 def threshold_cooperativity(r: float, n_th: float) -> float:

@@ -1,11 +1,10 @@
 """Independent numerical ground truth for the entanglement measures.
 
 Builds the linearized red-detuned rotating-frame system as an
-eight-dimensional linear stochastic model, solves its steady-state
-covariance from the Lyapunov equation, and (separately) integrates the
-symmetrized noise spectra over frequency. Both routes are independent of
-the closed-form expressions in :mod:`squeezelink.closedform` and are used
-to validate them, and both run on numpy alone.
+eight-dimensional linear stochastic model and solves its steady-state
+covariance from the Lyapunov equation, on numpy alone. The route shares
+no formula with the closed-form expressions in :mod:`squeezelink.closedform`
+and is used to validate them.
 
 The quadrature ordering is fixed everywhere:
 ``(X1, Y1, x1, y1, X2, Y2, x2, y2)`` -- mirror then field quadratures of
@@ -38,11 +37,11 @@ the eigenvalues and a Kronecker LU solve. One reader, :func:`_duan_variances`,
 reads pair rows for :func:`duan_variance_arrays` and :func:`duan_from_covariance`
 alike; a Duan variance whose terms cancel past ``_CANCELLATION_TOL`` of
 relative error raises instead.
-:func:`spectral_duan_sum_stack` takes the same arguments as the builder and
-integrates the spectra of a whole stack in closed form: each term is
-``|B/A|^2`` of a Hurwitz A, whose integral over frequency is the table's
-I_2 or I_4 (James, Nichols & Phillips 1947; Astrom 1970, ch. 5), written in
-sums of non-negative terms of the rates.
+:func:`spectral_duan_sum` integrates one system's noise spectra over
+frequency. The integrals have a closed form, the table's I_2 and I_4
+(James, Nichols & Phillips 1947; Astrom 1970, ch. 5), which is the
+nonadiabatic closed form of any two units: it lives in
+:mod:`squeezelink.closedform`, and this function is its stack of one.
 
 Noise normalization (derivation note in ``docs/noise_conventions.md``):
 with symmetrized white-noise correlators ``<n_i(t) n_j(t')>_sym = D_ij
@@ -59,7 +58,8 @@ import warnings
 from collections.abc import Iterator
 
 from ._lazy import lazy_import
-from .closedform import _CANCELLATION_TOL, DuanResult, _require_digits, require_totals
+from .closedform import (_CANCELLATION_TOL, DuanResult, _require_digits, _require_pair,
+                         duan_sum_nonadiabatic_general, require_totals)
 from .model import (Record, StabilityReport, SteadyState, SystemParams, UnstableDrift,
                     raise_for_first, stability_check)
 
@@ -443,8 +443,7 @@ def _duan_variances(rows: np.ndarray, pair: str):
     rather than letting cancelled digits decide a verdict. Then every total
     passes :class:`DuanResult`'s check, or the first that fails raises.
     """
-    if pair not in _PAIR_ENTRY:
-        raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
+    _require_pair(pair)
     x11, x12, x22, y11, y12, y22 = rows[_PAIR_ENTRY[pair]]  # in _PAIRS order
     var_X = x11 + x22 - 2.0 * x12
     var_Y = y11 + y22 + 2.0 * y12
@@ -459,77 +458,9 @@ def _duan_variances(rows: np.ndarray, pair: str):
 
 def spectral_duan_sum(system: SystemParams, steady: tuple[SteadyState, SteadyState],
                       pair: str = "mirror") -> float:
-    """Joint-quadrature variance sum by frequency-domain integration (a stack of one)."""
-    units = [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
-             for u, ss in zip((system.unit1, system.unit2), steady)]
-    return float(spectral_duan_sum_stack(*units, system.bath.N, system.bath.M_corr, pair))
-
-
-def spectral_duan_sum_stack(unit1, unit2, N, M, pair: str = "mirror") -> np.ndarray:
-    """Joint-quadrature variance sums by frequency-domain integration, over parameter arrays.
-
-    Takes the arguments of :func:`build_rwa_drift_diffusion_stack`; the result
-    has their broadcast shape. With ``d_j = G_j^2 + (gamma_j/2 + iw)(kappa_j/2 + iw)``
-    the total is 1/pi times the integral over all w of the non-negative
-    ``sum_j (2 n_th_j + 1) |b_j|^2 / 2 + (e^{2r} |a1 - a2|^2 + e^{-2r} |a1 + a2|^2) / 4``,
-    where ``e^{2r} = 2N + 1 + 2M`` and, for the mirrors (the fields),
-    ``a_j = G_j sqrt(kappa_j) / d_j`` (``sqrt(kappa_j) (gamma_j/2 + iw) / d_j``) and
-    ``b_j = sqrt(gamma_j) (kappa_j/2 + iw) / d_j`` (``G_j sqrt(gamma_j) / d_j``).
-
-    In ``s = iw`` each term is ``|B(s) / A(s)|^2`` with Hurwitz ``A = d_j`` or
-    ``d_1 d_2``, whose integral is the table's I_2 (:func:`_i2`) or I_4
-    (:func:`_i4`) in closed form. The arithmetic is elementwise, so a system's
-    bits do not depend on its stack. A non-finite or negative total, as a NaN
-    or negative rate gives, raises what :func:`duan_variance_arrays` raises.
-    """
-    if pair not in _PAIR_ENTRY:
-        raise ValueError(f"pair must be 'mirror' or 'field', got {pair!r}")
-    with np.errstate(all="ignore"):  # a NaN or negative rate shows in the total
-        total, squeezed = 0.0, []
-        for g, k, G, n_th in (unit1, unit2):
-            g, k, G, n_th = (np.asarray(x, dtype=float) for x in (g, k, G, n_th))
-            # d_j = s^2 + p s + q, and the numerators (s, 1 coefficients) of a_j and b_j
-            p, q, sg, sk = (g + k) / 2.0, G * G + g * k / 4.0, np.sqrt(g), np.sqrt(k)
-            a, b = ((0.0, G * sk), (sg, sg * k / 2.0)) if pair == "mirror" else (
-                (sk, sk * g / 2.0), (0.0, G * sg))
-            total = total + (2.0 * n_th + 1.0) * _i2(b, p, q) / 2.0
-            squeezed.append((a, p, q))
-        e2r = 2.0 * np.asarray(N, dtype=float) + 1.0 + 2.0 * np.asarray(M, dtype=float)
-        total = total + (e2r * _i4(*squeezed, -1.0) + _i4(*squeezed, 1.0) / e2r) / 4.0
-    return require_totals(total)
-
-
-def _i2(n, p, q):
-    """1/pi times the integral over all w of ``|(n1 s + n0) / (s^2 + p s + q)|^2``
-    at ``s = iw``, with ``n = (n1, n0)``: the table's I_2."""
-    n1, n0 = n
-    return (n1 * n1 + n0 * n0 / q) / p
-
-
-def _i4(unit1, unit2, sign):
-    """1/pi times the integral over all w of ``|a_1 + sign a_2|^2``: the table's I_4.
-
-    Each unit is ``(n, p, q)`` with ``a_j = (n1 s + n0) / d_j`` and ``d_j = s^2
-    + p s + q`` at ``s = iw``. Then ``a_1 + sign a_2 = B / A`` with ``A = d_1
-    d_2 = s^4 + A3 s^3 + A2 s^2 + A1 s + A0`` and ``B = n_1 d_2 + sign n_2 d_1 =
-    c3 s^3 + c2 s^2 + c1 s + c0``, and the integral is ``(c3^2 (A1 A2 - A0 A3)
-    + (c2^2 - 2 c1 c3) A1 + (c1^2 - 2 c0 c2) A3 + c0^2 (A2 A3 - A1) / A0) / H``
-    with the Hurwitz determinant ``H = A1 A2 A3 - A0 A3^2 - A1^2``. In p and q,
-    H and both coefficient sums are sums of non-negative terms, and the
-    numerator regroups as the squares below: only the differences inside the
-    squares cancel, not the sum (``docs/noise_conventions.md``).
-    """
-    (n_1, p1, q1), (n_2, p2, q2) = unit1, unit2
-    c3, c2, c1, c0 = (x + sign * y for x, y in zip(_times(n_1, p2, q2), _times(n_2, p1, q1)))
-    sq = np.square
-    hurwitz = p1 * p2 * (sq(q1 - q2) + (p1 + p2) * (p1 * q2 + p2 * q1))
-    num = (p1 * sq(c3 * q2 - c1) + p2 * sq(c3 * q1 - c1)
-           + p1 * sq(c2 * q2 - c0) / q2 + p2 * sq(c2 * q1 - c0) / q1
-           + p1 * p2 * (sq(c3) * (p1 * q2 + p2 * q1) + sq(c0) * (p1 + p2) / (q1 * q2)))
-    return num / hurwitz
-
-
-def _times(n, p, q):
-    """The coefficients of ``s^3, s^2, s, 1`` in ``(n1 s + n0)(s^2 + p s + q)``."""
-    n1, n0 = n
-    return n1, n1 * p + n0, n1 * q + n0 * p, n0 * q
+    """Joint-quadrature variance sum by frequency-domain integration: the integral of
+    the noise spectra in closed form, :func:`closedform.duan_sum_nonadiabatic_general`."""
+    return duan_sum_nonadiabatic_general(
+        *((u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
+          for u, ss in zip((system.unit1, system.unit2), steady)),
+        system.bath.N, system.bath.M_corr, pair).total

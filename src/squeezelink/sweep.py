@@ -3,7 +3,8 @@
 Grid points are independent pure evaluations; rows come back in axis
 order and are identical regardless of how the evaluation is scheduled.
 A point goes through :func:`evaluate` and a grid through the array core
-:func:`_sweep_columns`; the two branch alike, the core on the array twins.
+:func:`_sweep_columns`; the two branch alike, the core on the array twins,
+and every (pair, route) takes any two units.
 """
 
 from __future__ import annotations
@@ -107,33 +108,6 @@ class OptimizeSpec(Record):
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
 
 
-def _identical(unit1, unit2, maximum):
-    """Whether two units' parameter tuples, such as (gamma, kappa, C, n_th), agree to 1e-9.
-
-    ``maximum`` is ``max`` for floats and ``np.maximum`` for arrays.
-    """
-    same = True
-    for a, b in zip(unit1, unit2):
-        diff = abs(a - b)  # not finite for inf against a finite value: never identical
-        scale = maximum(maximum(abs(a), abs(b)), 1e-300)
-        # equal values agree also where their difference is inf - inf = NaN
-        same = same & ((a == b) | ((diff < math.inf) & (diff <= 1e-9 * scale)))
-    return same
-
-
-def _require_identical(system: SystemParams, ss1, ss2, pair: str):
-    """(C, r, n_th, gamma, kappa) shared by two identical units; else ValueError."""
-    u1, u2 = system.unit1, system.unit2
-    if not _identical((u1.mirror.gamma, u1.resonator.kappa, ss1.C, ss1.n_th),
-                      (u2.mirror.gamma, u2.resonator.kappa, ss2.C, ss2.n_th), max):
-        raise ValueError(
-            f"the nonadiabatic {pair} closed form assumes identical units; "
-            "for asymmetric units use the adiabatic mirror form or the oracle route"
-        )
-    return (ss1.C, system.bath.r, ss1.n_th,
-            system.unit1.mirror.gamma, system.unit1.resonator.kappa)
-
-
 def evaluate(system: SystemParams, pair: str, route: str) -> tuple[DuanResult, float, float]:
     """Duan sum of one pair by one route at the red-detuned operating point.
 
@@ -154,9 +128,10 @@ def evaluate(system: SystemParams, pair: str, route: str) -> tuple[DuanResult, f
         result = closedform.duan_sum_adiabatic_general(ss1, ss2, system.bath.N,
                                                        system.bath.M_corr)
     else:
-        closed = (closedform.duan_sum_nonadiabatic if pair == "mirror"
-                  else closedform.field_sum_nonadiabatic)
-        result = closed(*_require_identical(system, ss1, ss2, pair))
+        units = [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
+                 for u, ss in ((system.unit1, ss1), (system.unit2, ss2))]
+        result = closedform.duan_sum_nonadiabatic_general(*units, system.bath.N,
+                                                          system.bath.M_corr, pair)
     return result, ss1.C, ss2.C
 
 
@@ -193,28 +168,21 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
 
     Only what the axis sets runs through the array twins: a unit or bath that
     the grid holds fixed is evaluated once, as a point (see :func:`_sideband`
-    and :func:`_bath_terms`). The nonadiabatic routes read r and no bath terms.
+    and :func:`_bath_terms`).
     """
     pair, route = QUANTITIES[spec.quantity]
     overrides = {spec.axis: grid}
     u1, u2 = _unit_arrays(spec.base, overrides)
+    bath = _bath_terms(spec.base, overrides)
+    units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
     if route == "oracle":
-        units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
-        var_X, var_Y = oracle.duan_variance_arrays(*units, *_bath_terms(spec.base, overrides),
-                                                   pair)
+        var_X, var_Y = oracle.duan_variance_arrays(*units, *bath, pair)
         total = var_X + var_Y
-    elif (pair, route) == ("mirror", "adiabatic"):
-        total = closedform.duan_sum_adiabatic_arrays(u1, u2, *_bath_terms(spec.base, overrides))
-        var_X = var_Y = total / 2.0  # as DuanResult.from_total
     else:
-        if not np.all(_identical((u1.gamma, u1.kappa, u1.C, u1.n_th),
-                                 (u2.gamma, u2.kappa, u2.C, u2.n_th), np.maximum)):
-            raise ValueError("units differ")  # the per-point route words the error
-        closed = (closedform.duan_sum_nonadiabatic_arrays if pair == "mirror"
-                  else closedform.field_sum_nonadiabatic_arrays)
-        r = overrides.get("bath.r", spec.base.bath.r)
-        total = closed(u1.C, r, u1.n_th, u1.gamma, u1.kappa)
-        var_X = var_Y = total / 2.0
+        total = (closedform.duan_sum_adiabatic_arrays(u1, u2, *bath)
+                 if (pair, route) == ("mirror", "adiabatic")
+                 else closedform.duan_sum_nonadiabatic_general_arrays(*units, *bath, pair))
+        var_X = var_Y = total / 2.0  # as DuanResult.from_total
     return np.broadcast_arrays(grid, total, var_X, var_Y,
                                total < closedform.SEPARABILITY_BOUND, u1.C, u2.C)
 

@@ -1,18 +1,23 @@
+import itertools
 import math
 import re
+import warnings
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from squeezelink import closedform, config, model
+from squeezelink import closedform, config, model, oracle, selfcheck, sweep
 from squeezelink.closedform import (
     DegenerateSqueeze,
     DuanResult,
     duan_sum_adiabatic_general,
     duan_sum_adiabatic_identical,
     duan_sum_nonadiabatic,
+    duan_sum_nonadiabatic_general,
+    duan_sum_nonadiabatic_general_arrays,
     duan_sum_strong_coupling_approx,
     duan_sum_weak_coupling_approx,
     field_sum_nonadiabatic,
@@ -21,7 +26,9 @@ from squeezelink.closedform import (
     threshold_cooperativity,
 )
 from squeezelink.model import SqueezedBath
-from units import temperature_for_occupation
+from exact import exact_total
+from units import (KAPPA, SPECTRAL_CASES, SYSTEM_ARGS, asymmetric_system, make_system,
+                   system_units, temperature_for_occupation)
 
 
 class Rates(NamedTuple):
@@ -415,3 +422,224 @@ class TestVerdict:
         result = duan_sum_adiabatic_identical(15.0, 1.0, 5.0)
         assert result.var_X == result.var_Y
         assert result.total == result.var_X + result.var_Y
+
+
+# ---------------------------------------------------------------------------
+# the nonadiabatic closed form of any two units: the frequency integral of the
+# noise spectra, the table's I_2 and I_4
+
+
+def spectral_total(system, steady, pair):
+    """The nonadiabatic total of any two units at one system's floats."""
+    return duan_sum_nonadiabatic_general(*system_units(system, steady), system.bath.N,
+                                         system.bath.M_corr, pair).total
+
+
+def lyapunov_total(system, steady, pair):
+    return oracle.duan_from_covariance(
+        oracle.solve_lyapunov(oracle.build_rwa_drift_diffusion(system, steady)), pair).total
+
+
+class TestSpectralIntegration:
+    def test_thermal_only_variances(self):
+        system, steady = make_system(0.0, 0.0, 3.0, 0.01)
+        total = spectral_total(system, steady, "mirror")
+        # two uncorrelated thermal mirrors, each variance n_th + 1/2
+        assert total == pytest.approx(2 * (2 * 3.0 + 1.0), rel=1e-8)
+
+    def test_adiabatic_regime_matches_closed_form(self):
+        system, steady = make_system(15.0, 1.0, 5.0, 1e-6)
+        total = spectral_total(system, steady, "mirror")
+        expected = duan_sum_adiabatic_identical(15.0, 1.0, 5.0).total
+        assert total == pytest.approx(expected, abs=1e-4)
+
+    def test_nonadiabatic_matches_closed_form(self):
+        for C, r, n_th, ratio in [(15.0, 2.0, 5.0, 0.05), (0.5, 0.5, 1.0, 0.01)]:
+            system, steady = make_system(C, r, n_th, ratio)
+            total = spectral_total(system, steady, "mirror")
+            expected = duan_sum_nonadiabatic(
+                C, r, n_th, ratio * KAPPA, KAPPA
+            ).total
+            assert total == pytest.approx(expected, rel=1e-6)
+
+    def test_field_pair_matches_closed_form(self):
+        system, steady = make_system(15.0, 1.0, 5.0, 6.5e-4)
+        total = spectral_total(system, steady, "field")
+        expected = field_sum_nonadiabatic(
+            15.0, 1.0, 5.0, 6.5e-4 * KAPPA, KAPPA
+        ).total
+        assert total == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    def test_bad_rates_raise_typed_errors(self, pair):
+        system, steady = make_system(15.0, 1.0, 5.0, 0.01)
+        gamma, kappa, G = system.unit1.mirror.gamma, system.unit1.resonator.kappa, steady[0].G
+        unit = (gamma, kappa, G, np.array([5.0, math.nan]))
+        with pytest.raises(FloatingPointError, match="total variance is NaN"):
+            duan_sum_nonadiabatic_general_arrays(unit, unit, 0.0, 0.0, pair)
+        bad = ((gamma, -kappa, G, 5.0), (gamma, kappa, G, 5.0), 0.0, 0.0, pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            with pytest.raises(FloatingPointError, match="total variance is NaN"):
+                duan_sum_nonadiabatic_general_arrays(*bad)
+        with pytest.raises(FloatingPointError, match="total variance is NaN"):
+            duan_sum_nonadiabatic_general(*bad)
+
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    @pytest.mark.parametrize("mismatch", [0.0, 1e-4])
+    def test_strong_coupling_on_a_narrow_mirror_matches_lyapunov(self, mismatch, pair):
+        # gamma/2 and G, the spectrum's narrowest and widest features, lie 11 decades apart
+        unit1 = (1e-8 * KAPPA, KAPPA, 1e3 * KAPPA, 5.0)
+        unit2 = tuple(x * (1.0 + mismatch) for x in unit1)
+        bath = SqueezedBath(r=1.0)
+        N, M = bath.N, bath.M_corr
+        total = duan_sum_nonadiabatic_general_arrays(unit1, unit2, N, M, pair)
+        var_X, var_Y = oracle.duan_variance_arrays(unit1, unit2, N, M, pair)
+        assert math.isfinite(total)
+        assert total == pytest.approx((var_X + var_Y)[0], rel=1e-8)
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+@pytest.mark.parametrize("args", SPECTRAL_CASES)
+def test_spectral_route_matches_lyapunov(args, pair):
+    system, steady = asymmetric_system(*args)
+    assert spectral_total(system, steady, pair) == pytest.approx(
+        lyapunov_total(system, steady, pair), rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=SYSTEM_ARGS)
+def test_spectral_route_matches_lyapunov_over_systems(args):
+    system, steady = asymmetric_system(*args)
+    for pair in ("mirror", "field"):
+        assert spectral_total(system, steady, pair) == pytest.approx(
+            lyapunov_total(system, steady, pair), rel=1e-10)
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+def test_spectral_route_matches_a_20_digit_integral(pair):
+    # the unrotated complex integrand s - 2 M Re(num / (d1 conj d2)), whose
+    # integral over w is pi times the total
+    import mpmath
+
+    system, steady = asymmetric_system(15.0, 40.0, 0.01, 0.02, 1.7, 5.0, 2.0, 1.0)
+    with mpmath.workdps(20):
+        p = [tuple(map(mpmath.mpf, rates)) for rates in system_units(system, steady)]
+        N, M = mpmath.mpf(system.bath.N), mpmath.mpf(system.bath.M_corr)
+        (g1, k1, G1, _), (g2, k2, G2, _) = p
+
+        def integrand(w):
+            d = [G**2 + (g / 2 + 1j * w) * (k / 2 + 1j * w) for g, k, G, _ in p]
+            s = 0
+            for (g, k, G, n_th), dj in zip(p, d):
+                if pair == "mirror":
+                    s += (g * ((k / 2) ** 2 + w**2) * (2 * n_th + 1)
+                          + G**2 * k * (2 * N + 1)) / (2 * abs(dj) ** 2)
+                else:
+                    s += (G**2 * g * (2 * n_th + 1)
+                          + ((g / 2) ** 2 + w**2) * k * (2 * N + 1)) / (2 * abs(dj) ** 2)
+            if pair == "mirror":
+                num = G1 * G2 * mpmath.sqrt(k1 * k2)
+            else:
+                num = mpmath.sqrt(k1 * k2) * (g1 / 2 + 1j * w) * (g2 / 2 - 1j * w)
+            return s - 2 * M * mpmath.re(num / (d[0] * mpmath.conj(d[1])))
+
+        features = sorted({w for g, k, G, _ in p for w in (g / 2, k / 2, G, g / 2 + 2 * G**2 / k)})
+        points = [-mpmath.inf, *(-w for w in reversed(features)), 0, *features, mpmath.inf]
+        expected = float(mpmath.quad(integrand, points) / mpmath.pi)
+    assert spectral_total(system, steady, pair) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [4.0, 8.0, 12.0, 16.0])
+def test_spectral_stack_matches_closed_form_at_large_squeezing(r):
+    # the selfcheck's triple grid, squeezed far past where a cancelling
+    # integrand loses every digit to e^{2r}
+    C, _, n_th, ratio = selfcheck._grid()
+    kappa = selfcheck.KAPPA_REF
+    spec = duan_sum_nonadiabatic_general_arrays(*selfcheck._symmetric_units(C, r, n_th, ratio))
+    exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, ratio * kappa, kappa)
+    assert np.max(np.abs(spec / exact - 1.0)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(points=st.lists(SYSTEM_ARGS, min_size=1, max_size=4),
+       pair=st.sampled_from(["mirror", "field"]))
+def test_spectral_stack_equals_one_system_calls(points, pair):
+    systems = [asymmetric_system(*point) for point in points]
+    rates = [system_units(*s) for s in systems]
+    unit1, unit2 = (tuple(np.array(column) for column in zip(*(r[j] for r in rates)))
+                    for j in (0, 1))
+    N = np.array([s.bath.N for s, _ in systems])
+    M = np.array([s.bath.M_corr for s, _ in systems])
+    totals = duan_sum_nonadiabatic_general_arrays(unit1, unit2, N, M, pair)
+    assert totals.tolist() == [spectral_total(*s, pair) for s in systems]
+
+
+def test_spectral_stack_broadcasts_and_checks_its_pair():
+    unit = (0.1, 1.0, np.array([[0.2], [0.5]]), np.array([0.0, 1.0, 2.0]))
+    assert duan_sum_nonadiabatic_general_arrays(unit, unit, 0.0, 0.0).shape == (2, 3)
+    assert duan_sum_nonadiabatic_general_arrays(unit, unit, 0.0, 0.0, "field").shape == (2, 3)
+    with pytest.raises(ValueError, match="pair must be"):
+        duan_sum_nonadiabatic_general_arrays(unit, unit, 0.0, 0.0, "bogus")
+    point = (0.1, 1.0, 0.2, 0.0)
+    with pytest.raises(ValueError, match="^pair must be 'mirror' or 'field', got 'bogus'$"):
+        duan_sum_nonadiabatic_general(point, point, 0.0, 0.0, "bogus")
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+def test_float_and_array_routes_agree_over_zero_and_inf_rates(pair):
+    bath = SqueezedBath(r=1.0)
+    for rates in itertools.product((0.0, 1.0, math.inf), repeat=6):
+        args = ((*rates[:3], 1.5), (*rates[3:], 0.5), bath.N, bath.M_corr, pair)
+        try:
+            total = duan_sum_nonadiabatic_general(*args).total
+        except FloatingPointError as exc:
+            with pytest.raises(FloatingPointError, match=f"^{re.escape(str(exc))}$"):
+                duan_sum_nonadiabatic_general_arrays(*args)
+        else:
+            assert duan_sum_nonadiabatic_general_arrays(*args).item() == total, rates
+
+
+def dyadic_root(x):
+    """``sqrt(x)`` rounded to 26 significant bits: its square is a float whose
+    ``math.sqrt`` is exact."""
+    m, e = math.frexp(math.sqrt(x))
+    return math.ldexp(round(m * 2**26) / 2**26, e)
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+@pytest.mark.parametrize("r", [2.0, 8.0, 14.0, 20.0])
+def test_both_routes_match_the_exact_total(r, pair):
+    # gamma and kappa squares of floats of 26 significant bits; unit 2 differs
+    # from unit 1 by delta in one of gamma, kappa and G in turn, down to 1e-12,
+    # where e^{2r} ~ 2e17 multiplies the cancelling difference a_1 - a_2
+    unit = (dyadic_root(1e-6 * KAPPA) ** 2, dyadic_root(KAPPA) ** 2, 2.0 * KAPPA, 5.0)
+    assert math.sqrt(unit[0]) ** 2 == unit[0] and math.sqrt(unit[1]) ** 2 == unit[1]
+    bath = SqueezedBath(r=r)
+    for which in range(3):
+        for delta in (0.0, 1e-12, 1e-9, 1e-6, 1e-2):
+            unit2 = list(unit)
+            unit2[which] *= 1.0 + delta
+            args = (unit, tuple(unit2), bath.N, bath.M_corr, pair)
+            exact = exact_total(*args)
+            for total in (duan_sum_nonadiabatic_general(*args).total,
+                          duan_sum_nonadiabatic_general_arrays(*args).item()):
+                assert abs(Fraction(total) / exact - 1) <= 1e-12, (which, delta, total)
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (selfcheck._separability_totals, [1]),  # r = 0 at 10,000 parameter sets
+    (lambda: sweep.figure_dataset("fig4"), [1]),
+    (lambda: sweep.figure_dataset("fig8"), [1, 1]),
+], ids=["separability", "fig4", "fig8"])
+def test_identical_unit_forms_map_exp_over_r_alone(monkeypatch, make, sizes):
+    mapped = []
+
+    def counting(fn, *arrays):
+        values = model.map_math(fn, *arrays)
+        mapped.append(values.size)
+        return values
+
+    monkeypatch.setattr(closedform, "map_math", counting)
+    make()
+    assert mapped == sizes

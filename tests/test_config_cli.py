@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from squeezelink import cli, config, model
 from squeezelink.config import ConfigError, load_config, preset_system, resolve_system
@@ -179,23 +179,30 @@ class TestCliDuan:
         numeric = float(self.parse(t_oracle)["total"])
         assert numeric == pytest.approx(closed, rel=1e-6)
 
-    def test_nonadiabatic_on_asymmetric_config_fails_cleanly(self, tmp_path, capsys):
-        # the closed forms that assume identical units; the field pair's
-        # adiabatic regime is its nonadiabatic closed form
+    def test_nonadiabatic_on_asymmetric_config_matches_the_oracle(self, tmp_path, capsys):
+        # the nonadiabatic closed form of either pair takes any two units; the
+        # field pair's adiabatic regime is its nonadiabatic closed form
         path = tmp_path / "c.ini"
-        # C2 = inf at power_w = 1e300, never identical to a finite C1
-        for body in ("[unit2]\npower_mw = 3\n", "[unit2]\npower_w = 1e300\n"):
-            path.write_text(body)
-            for pair, regime in (("mirror", "nonadiabatic"), ("field", "nonadiabatic"),
-                                 ("field", "adiabatic")):
-                code, text = run_cli("duan", "--pair", pair, "--regime", regime,
+        path.write_text("[unit2]\npower_mw = 3\n")
+        for pair, regime in (("mirror", "nonadiabatic"), ("field", "nonadiabatic"),
+                             ("field", "adiabatic")):
+            code, text = run_cli("duan", "--pair", pair, "--regime", regime,
+                                 "--config", str(path))
+            _, oracle_text = run_cli("duan", "--pair", pair, "--regime", "oracle",
                                      "--config", str(path))
-                assert code == cli.EXIT_CONFIG and text == "", (body, pair, regime)
-                err = capsys.readouterr().err
-                assert err.startswith("config error:") and err.count("\n") == 1, (pair, regime)
-                # right for duan and for sweep alike: no sweep quantity names
-                assert err.endswith("use the adiabatic mirror form or the oracle route\n")
-                assert "mirror-duan-adiabatic" not in err and "oracle-duan" not in err
+            assert code == cli.EXIT_OK and capsys.readouterr().err == "", (pair, regime)
+            values, oracle_values = self.parse(text), self.parse(oracle_text)
+            assert values["C1"] != values["C2"]
+            assert float(values["total"]) == pytest.approx(float(oracle_values["total"]),
+                                                           rel=1e-10), (pair, regime)
+        # C2 = inf at power_w = 1e300: the total is NaN, as for two such units
+        path.write_text("[unit2]\npower_w = 1e300\n")
+        for pair, regime in (("mirror", "nonadiabatic"), ("field", "nonadiabatic"),
+                             ("field", "adiabatic")):
+            code, text = run_cli("duan", "--pair", pair, "--regime", regime,
+                                 "--config", str(path))
+            assert code == cli.EXIT_UNSTABLE and text == "", (pair, regime)
+            assert capsys.readouterr().err == "error: total variance is NaN\n", (pair, regime)
 
     def test_default_section_is_a_config_error_naming_it(self, tmp_path, capsys):
         # its keys would land in [bath] too, where they read as unknown bath keys
@@ -416,7 +423,7 @@ class TestCliBadNumbers:
         (("--regime", "oracle"), "drift or diffusion matrix is not finite at stack index 0"),
     ], ids=["default", "nonadiabatic", "field", "oracle"])
     def test_nan_total_exits_3_without_a_verdict(self, argv, message, tmp_path, capsys):
-        # both cooperativities overflow to inf: identical units, not differing ones
+        # both cooperativities overflow to inf
         path = tmp_path / "huge.ini"
         path.write_text("[unit1]\npower_w = 1e300\n[unit2]\npower_w = 1e300\n")
         code, text = run_cli("duan", *argv, "--config", str(path))
@@ -441,6 +448,39 @@ class TestCliBadNumbers:
             code, text = run_cli("duan", "--regime", "oracle", "--temperature-uk", "1e300")
         assert code == cli.EXIT_OK and "total = 5.9910805625e+295\n" in text
         assert capsys.readouterr().err == ""
+
+
+_EDGE = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+     math.inf, -math.inf, math.nan])
+_NEAR = st.floats(1 - 3e-9, 1 + 3e-9)
+
+
+@st.composite
+def _value_pairs(draw):
+    a = draw(_EDGE)
+    partner = draw(st.integers(0, 4))  # mostly equal, so that whole rows often agree
+    return a, (a if partner < 3 else a * draw(_NEAR) if partner == 3 else draw(_EDGE))
+
+
+def identical_reference(unit1, unit2):
+    """The 1e-9 rule as an explicit loop over the entries."""
+    same = True
+    for a, b in zip(unit1, unit2):
+        diff = abs(a - b)  # not finite for inf against a finite value: never identical
+        scale = max(max(abs(a), abs(b)), 1e-300)
+        # equal values agree also where their difference is inf - inf = NaN
+        same = same & ((a == b) | ((diff < math.inf) & (diff <= 1e-9 * scale)))
+    return same
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(*[_value_pairs()] * 4), min_size=1, max_size=6))
+def test_identical_floats_follow_the_1e_9_rule(rows):
+    for row in rows:
+        same = cli._identical(*zip(*row))
+        assert type(same) is bool
+        assert same == identical_reference(*zip(*row)), row
 
 
 class TestCliThreshold:

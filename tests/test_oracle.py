@@ -1,6 +1,5 @@
 import inspect
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,17 +19,10 @@ from squeezelink.oracle import (
     solve_lyapunov_stack,
     spectral_duan_sum,
 )
-from units import unit_with_cooperativity
+from units import (KAPPA, SPECTRAL_CASES, SYSTEM_ARGS, asymmetric_system, make_system,
+                   system_units, unit_with_cooperativity)
 
-KAPPA = 2 * math.pi * 215e3
 IDX = {name: i for i, name in enumerate(QUADRATURES)}
-
-
-def make_system(C, r, n_th, ratio, kappa=KAPPA):
-    unit = unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
-    system = SystemParams(unit1=unit, unit2=unit, bath=SqueezedBath(r=r))
-    ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-    return system, (ss, ss)
 
 
 class TestDriftDiffusion:
@@ -375,65 +367,14 @@ class TestDuanFromCovariance:
             duan_from_covariance(np.eye(8) / 2, "bogus")
 
 
-class TestSpectralIntegration:
-    def test_thermal_only_variances(self):
-        system, steady = make_system(0.0, 0.0, 3.0, 0.01)
-        total = spectral_duan_sum(system, steady, "mirror")
-        # two uncorrelated thermal mirrors, each variance n_th + 1/2
-        assert total == pytest.approx(2 * (2 * 3.0 + 1.0), rel=1e-8)
-
-    def test_adiabatic_regime_matches_closed_form(self):
-        system, steady = make_system(15.0, 1.0, 5.0, 1e-6)
-        total = spectral_duan_sum(system, steady, "mirror")
-        expected = closedform.duan_sum_adiabatic_identical(15.0, 1.0, 5.0).total
-        assert total == pytest.approx(expected, abs=1e-4)
-
-    def test_nonadiabatic_matches_closed_form(self):
-        for C, r, n_th, ratio in [(15.0, 2.0, 5.0, 0.05), (0.5, 0.5, 1.0, 0.01)]:
-            system, steady = make_system(C, r, n_th, ratio)
-            total = spectral_duan_sum(system, steady, "mirror")
-            expected = closedform.duan_sum_nonadiabatic(
-                C, r, n_th, ratio * KAPPA, KAPPA
-            ).total
-            assert total == pytest.approx(expected, rel=1e-6)
-
-    def test_field_pair_matches_closed_form(self):
-        system, steady = make_system(15.0, 1.0, 5.0, 6.5e-4)
-        total = spectral_duan_sum(system, steady, "field")
-        expected = closedform.field_sum_nonadiabatic(
-            15.0, 1.0, 5.0, 6.5e-4 * KAPPA, KAPPA
-        ).total
-        assert total == pytest.approx(expected, rel=1e-6)
-
-    def test_spectral_route_takes_no_options(self):
-        assert list(inspect.signature(spectral_duan_sum).parameters) == [
-            "system", "steady", "pair"]
-
-    @pytest.mark.parametrize("pair", ["mirror", "field"])
-    def test_bad_rates_raise_typed_errors(self, pair):
-        system, steady = make_system(15.0, 1.0, 5.0, 0.01)
-        gamma, kappa, G = system.unit1.mirror.gamma, system.unit1.resonator.kappa, steady[0].G
-        unit = (gamma, kappa, G, np.array([5.0, math.nan]))
-        with pytest.raises(FloatingPointError, match="total variance is NaN"):
-            oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0, pair)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
-            with pytest.raises(FloatingPointError, match="total variance is NaN"):
-                oracle.spectral_duan_sum_stack((gamma, -kappa, G, 5.0), (gamma, kappa, G, 5.0),
-                                               0.0, 0.0, pair)
-
-    @pytest.mark.parametrize("pair", ["mirror", "field"])
-    @pytest.mark.parametrize("mismatch", [0.0, 1e-4])
-    def test_strong_coupling_on_a_narrow_mirror_matches_lyapunov(self, mismatch, pair):
-        # gamma/2 and G, the spectrum's narrowest and widest features, lie 11 decades apart
-        unit1 = (1e-8 * KAPPA, KAPPA, 1e3 * KAPPA, 5.0)
-        unit2 = tuple(x * (1.0 + mismatch) for x in unit1)
-        bath = SqueezedBath(r=1.0)
-        N, M = bath.N, bath.M_corr
-        total = oracle.spectral_duan_sum_stack(unit1, unit2, N, M, pair)
-        var_X, var_Y = oracle.duan_variance_arrays(unit1, unit2, N, M, pair)
-        assert math.isfinite(total)
-        assert total == pytest.approx((var_X + var_Y)[0], rel=1e-8)
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+def test_spectral_route_is_the_nonadiabatic_closed_form_of_one_system(pair):
+    assert list(inspect.signature(spectral_duan_sum).parameters) == ["system", "steady", "pair"]
+    for args in SPECTRAL_CASES:
+        system, steady = asymmetric_system(*args)
+        closed = closedform.duan_sum_nonadiabatic_general(
+            *system_units(system, steady), system.bath.N, system.bath.M_corr, pair)
+        assert spectral_duan_sum(system, steady, pair) == closed.total
 
 
 class TestStructuralProperties:
@@ -475,24 +416,6 @@ class TestStructuralProperties:
             V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
             for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
                 assert V[IDX[x], IDX[x]] * V[IDX[y], IDX[y]] >= 0.25 - 1e-10
-
-
-def asymmetric_system(C1, C2, ratio1, ratio2, kappa_ratio, n1, n2, r):
-    u1 = unit_with_cooperativity(C=C1, kappa=KAPPA, gamma=ratio1 * KAPPA, n_th=n1)
-    kappa2 = kappa_ratio * KAPPA
-    u2 = unit_with_cooperativity(C=C2, kappa=kappa2, gamma=ratio2 * kappa2, n_th=n2)
-    steady = tuple(model.mean_fields_from_effective_detuning(u, -u.mirror.omega_M)
-                   for u in (u1, u2))
-    return SystemParams(u1, u2, SqueezedBath(r=r)), steady
-
-
-SYSTEM_ARGS = st.tuples(
-    st.floats(0.0, 1e3), st.floats(0.0, 1e3),  # C1, C2
-    st.floats(1e-6, 1.0), st.floats(1e-6, 1.0),  # gamma/kappa of each unit
-    st.floats(0.1, 10.0),  # kappa2/kappa1
-    st.floats(0.0, 50.0), st.floats(0.0, 50.0),  # n_th of each unit
-    st.floats(0.0, 3.0),  # r
-)
 
 
 def reference_drift_diffusion(system, steady):
@@ -610,110 +533,6 @@ class TestStackedDuan:
             oracle.duan_variance_arrays(*chunks_of(V, monkeypatch), pair)
 
 
-SPECTRAL_CASES = [
-    (0.0, 0.0, 0.01, 0.01, 1.0, 3.0, 3.0, 0.0),  # decoupled thermal mirrors
-    (15.0, 15.0, 1e-6, 1e-6, 1.0, 5.0, 5.0, 1.0),  # adiabatic, identical
-    (90.0, 90.0, 0.05, 0.05, 1.0, 10.0, 10.0, 2.0),
-    (15.0, 40.0, 0.01, 0.02, 1.7, 5.0, 2.0, 1.0),  # asymmetric units
-    (0.5, 300.0, 0.3, 1e-4, 0.2, 0.0, 30.0, 2.5),
-    (900.0, 2.0, 1.0, 0.05, 6.0, 40.0, 0.5, 0.3),
-]
-
-
-def lyapunov_total(system, steady, pair):
-    return duan_from_covariance(
-        solve_lyapunov(build_rwa_drift_diffusion(system, steady)), pair).total
-
-
-def unit_rates(system, steady):
-    return [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
-            for u, ss in zip((system.unit1, system.unit2), steady)]
-
-
-@pytest.mark.parametrize("pair", ["mirror", "field"])
-@pytest.mark.parametrize("args", SPECTRAL_CASES)
-def test_spectral_route_matches_lyapunov(args, pair):
-    system, steady = asymmetric_system(*args)
-    assert spectral_duan_sum(system, steady, pair) == pytest.approx(
-        lyapunov_total(system, steady, pair), rel=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(args=SYSTEM_ARGS)
-def test_spectral_route_matches_lyapunov_over_systems(args):
-    system, steady = asymmetric_system(*args)
-    for pair in ("mirror", "field"):
-        assert spectral_duan_sum(system, steady, pair) == pytest.approx(
-            lyapunov_total(system, steady, pair), rel=1e-10)
-
-
-@pytest.mark.parametrize("pair", ["mirror", "field"])
-def test_spectral_route_matches_a_20_digit_integral(pair):
-    # the unrotated complex integrand s - 2 M Re(num / (d1 conj d2)), whose
-    # integral over w is pi times the total
-    import mpmath
-
-    system, steady = asymmetric_system(15.0, 40.0, 0.01, 0.02, 1.7, 5.0, 2.0, 1.0)
-    with mpmath.workdps(20):
-        p = [tuple(map(mpmath.mpf, rates)) for rates in unit_rates(system, steady)]
-        N, M = mpmath.mpf(system.bath.N), mpmath.mpf(system.bath.M_corr)
-        (g1, k1, G1, _), (g2, k2, G2, _) = p
-
-        def integrand(w):
-            d = [G**2 + (g / 2 + 1j * w) * (k / 2 + 1j * w) for g, k, G, _ in p]
-            s = 0
-            for (g, k, G, n_th), dj in zip(p, d):
-                if pair == "mirror":
-                    s += (g * ((k / 2) ** 2 + w**2) * (2 * n_th + 1)
-                          + G**2 * k * (2 * N + 1)) / (2 * abs(dj) ** 2)
-                else:
-                    s += (G**2 * g * (2 * n_th + 1)
-                          + ((g / 2) ** 2 + w**2) * k * (2 * N + 1)) / (2 * abs(dj) ** 2)
-            if pair == "mirror":
-                num = G1 * G2 * mpmath.sqrt(k1 * k2)
-            else:
-                num = mpmath.sqrt(k1 * k2) * (g1 / 2 + 1j * w) * (g2 / 2 - 1j * w)
-            return s - 2 * M * mpmath.re(num / (d[0] * mpmath.conj(d[1])))
-
-        features = sorted({w for g, k, G, _ in p for w in (g / 2, k / 2, G, g / 2 + 2 * G**2 / k)})
-        points = [-mpmath.inf, *(-w for w in reversed(features)), 0, *features, mpmath.inf]
-        expected = float(mpmath.quad(integrand, points) / mpmath.pi)
-    assert spectral_duan_sum(system, steady, pair) == pytest.approx(expected, rel=1e-13)
-
-
-@pytest.mark.parametrize("r", [4.0, 8.0, 12.0, 16.0])
-def test_spectral_stack_matches_closed_form_at_large_squeezing(r):
-    # the selfcheck's triple grid, squeezed far past where a cancelling
-    # integrand loses every digit to e^{2r}
-    C, _, n_th, ratio = selfcheck._grid()
-    kappa = selfcheck.KAPPA_REF
-    spec = oracle.spectral_duan_sum_stack(*selfcheck._symmetric_units(C, r, n_th, ratio))
-    exact = closedform.duan_sum_nonadiabatic_arrays(C, r, n_th, ratio * kappa, kappa)
-    assert np.max(np.abs(spec / exact - 1.0)) <= 1e-12
-
-
-@settings(max_examples=20, deadline=None)
-@given(points=st.lists(SYSTEM_ARGS, min_size=1, max_size=4),
-       pair=st.sampled_from(["mirror", "field"]))
-def test_spectral_stack_equals_one_system_calls(points, pair):
-    systems = [asymmetric_system(*point) for point in points]
-    rates = [unit_rates(*s) for s in systems]
-    unit1, unit2 = (tuple(np.array(column) for column in zip(*(r[j] for r in rates)))
-                    for j in (0, 1))
-    N = np.array([s.bath.N for s, _ in systems])
-    M = np.array([s.bath.M_corr for s, _ in systems])
-    totals = oracle.spectral_duan_sum_stack(unit1, unit2, N, M, pair)
-    assert totals.tolist() == [spectral_duan_sum(*s, pair) for s in systems]
-
-
-def test_spectral_stack_broadcasts_and_checks_its_pair():
-    unit = (0.1, 1.0, np.array([[0.2], [0.5]]), np.array([0.0, 1.0, 2.0]))
-    assert oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0).shape == (2, 3)
-    assert oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0, "field").shape == (2, 3)
-    with pytest.raises(ValueError, match="pair must be"):
-        oracle.spectral_duan_sum_stack(unit, unit, 0.0, 0.0, "bogus")
-
-
 def test_selfcheck_loads_neither_scipy_nor_numpy_polynomial():
     import subprocess
     import sys
@@ -808,7 +627,7 @@ def model_arrays(points, size):
     """Oracle arguments (unit1, unit2, N, M) of ``size`` systems that cycle
     through the mismatched ``points``."""
     systems = [asymmetric_system(*point) for point in points]
-    rates = np.resize(np.array([[*np.ravel(unit_rates(*s)), s[0].bath.N, s[0].bath.M_corr]
+    rates = np.resize(np.array([[*np.ravel(system_units(*s)), s[0].bath.N, s[0].bath.M_corr]
                                 for s in systems]), (size, 10)).T
     return tuple(rates[:4]), tuple(rates[4:8]), rates[8], rates[9]
 

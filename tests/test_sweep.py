@@ -135,12 +135,17 @@ class TestRunSweep:
         assert [row.error is not None for row in rows] == [False, True, True]
         assert rows[1].error.startswith("OverflowError")
 
-    def test_identical_only_quantity_rejects_asymmetric_grid(self, base):
-        spec = SweepSpec(
-            base, "unit2.power", 1e-3, 5e-3, 3, quantity="mirror-duan-nonadiabatic"
-        )
+    @pytest.mark.parametrize("quantity", ["mirror-duan-nonadiabatic", "field-duan"])
+    def test_nonadiabatic_quantity_takes_an_asymmetric_grid(self, base, quantity):
+        spec = SweepSpec(base, "unit2.power", 1e-3, 5e-3, 3, quantity=quantity)
         rows = run_sweep(spec)
-        assert all(row.error is not None and "identical" in row.error for row in rows)
+        assert all(row.error is None and row.C1 != row.C2 for row in rows)
+        assert rows == [sweep._point_row(spec, x) for x in spec.grid().tolist()]
+        pair = sweep.QUANTITIES[quantity][0]
+        for row in rows:
+            system = set_param(base, "unit2.power", row.axis_value)
+            oracle_total = sweep.evaluate(system, pair, "oracle")[0].total
+            assert row.total == pytest.approx(oracle_total, rel=1e-10)
 
     def test_oracle_matches_nonadiabatic_quantity(self, base):
         spec_c = SweepSpec(
@@ -237,7 +242,7 @@ class TestArraySweep:
 
     @pytest.mark.parametrize("quantity", sorted(sweep.QUANTITIES))
     @pytest.mark.parametrize("axis, start, stop", [
-        ("bath.r", 0.0, 2.0), ("temperature", 1e-5, 1e-2),
+        ("bath.r", 0.0, 2.0), ("temperature", 1e-5, 1e-2), ("unit2.power", 1e-3, 1e-2),
     ])
     def test_a_valid_grid_never_takes_the_per_point_route(self, base, monkeypatch, quantity,
                                                           axis, start, stop):
@@ -255,9 +260,9 @@ class TestArraySweep:
     @pytest.mark.parametrize("axis, start, stop, quantity", [
         *(("temperature", 1e-5, 1e-2, quantity) for quantity in sorted(sweep.QUANTITIES)),
         *(("bath.r", 0.0, 2.0, quantity) for quantity in sorted(sweep.QUANTITIES)),
-        # unit 2 alone varies: the identical-unit closed forms take the per-point route
-        ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "mirror-duan-adiabatic"),
-        ("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, "oracle-duan"),
+        # unit 2 alone varies, so the units differ
+        *(("unit2.mirror.omega_M", OMEGA_M / 2.0, 2.0 * OMEGA_M, quantity)
+          for quantity in sorted(sweep.QUANTITIES)),
     ])
     def test_a_valid_grid_runs_no_per_point_function(self, base, monkeypatch, axis, start,
                                                      stop, quantity):
@@ -617,33 +622,7 @@ ARRAY_POINT = st.tuples(
 
 # inf against finite, NaN, 0 against 0 (the 1e-300 floor), subnormals, and
 # near-equal partners that sit on either side of the 1e-9 tolerance
-_EDGE = st.floats() | st.sampled_from(
-    [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
-     math.inf, -math.inf, math.nan])
-_NEAR = st.floats(1 - 3e-9, 1 + 3e-9)
-
-
-@st.composite
-def _value_pairs(draw):
-    a = draw(_EDGE)
-    partner = draw(st.integers(0, 4))  # mostly equal, so that whole rows often agree
-    return a, (a if partner < 3 else a * draw(_NEAR) if partner == 3 else draw(_EDGE))
-
-
 class TestArrayCore:
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.tuples(*[_value_pairs()] * 4), min_size=1, max_size=6))
-    def test_identical_floats_with_max_equal_arrays_with_np_maximum(self, rows):
-        per_point = []
-        for row in rows:
-            same = sweep._identical(*zip(*row), max)
-            assert type(same) is bool
-            per_point.append(same)
-        units = [tuple(np.array(column) for column in zip(*unit))
-                 for unit in zip(*(zip(*row) for row in rows))]
-        with np.errstate(all="ignore"):
-            assert sweep._identical(*units, np.maximum).tolist() == per_point
-
     @settings(max_examples=80, deadline=None)
     @given(points=st.lists(ARRAY_POINT, min_size=1, max_size=8))
     def test_array_total_equals_per_point_route_bit_for_bit(self, base, points):

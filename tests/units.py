@@ -1,6 +1,9 @@
-"""Units of the reference device built from their rates, for the tests."""
+"""Units of the reference device built from their rates, and systems of two such
+units, for the tests."""
 
 import math
+
+from hypothesis import strategies as st
 
 from squeezelink import model
 from squeezelink.model import (
@@ -10,7 +13,11 @@ from squeezelink.model import (
     MirrorParams,
     OptomechanicalUnit,
     ResonatorParams,
+    SqueezedBath,
+    SystemParams,
 )
+
+KAPPA = 2 * math.pi * 215e3
 
 
 def temperature_for_occupation(omega_M: float, n_th: float) -> float:
@@ -46,3 +53,48 @@ def unit_with_cooperativity(C: float, kappa: float, gamma: float,
         mirror=MirrorParams(omega_M=d["omega_M"], gamma=gamma, mass=d["mass"],
                             temperature=temperature_for_occupation(d["omega_M"], n_th)),
     )
+
+
+def make_system(C, r, n_th, ratio, kappa=KAPPA):
+    """Two identical units of cooperativity C and gamma = ratio * kappa, and their
+    steady states."""
+    unit = unit_with_cooperativity(C=C, kappa=kappa, gamma=ratio * kappa, n_th=n_th)
+    system = SystemParams(unit1=unit, unit2=unit, bath=SqueezedBath(r=r))
+    ss = model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
+    return system, (ss, ss)
+
+
+def asymmetric_system(C1, C2, ratio1, ratio2, kappa_ratio, n1, n2, r):
+    """Two units of their own C, gamma/kappa and n_th, unit 2 at kappa_ratio * KAPPA,
+    and their steady states."""
+    u1 = unit_with_cooperativity(C=C1, kappa=KAPPA, gamma=ratio1 * KAPPA, n_th=n1)
+    kappa2 = kappa_ratio * KAPPA
+    u2 = unit_with_cooperativity(C=C2, kappa=kappa2, gamma=ratio2 * kappa2, n_th=n2)
+    steady = tuple(model.mean_fields_from_effective_detuning(u, -u.mirror.omega_M)
+                   for u in (u1, u2))
+    return SystemParams(u1, u2, SqueezedBath(r=r)), steady
+
+
+def system_units(system, steady):
+    """Each unit's (gamma, kappa, G, n_th), as the oracle and the nonadiabatic route take it."""
+    return [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
+            for u, ss in zip((system.unit1, system.unit2), steady)]
+
+
+SYSTEM_ARGS = st.tuples(
+    st.floats(0.0, 1e3), st.floats(0.0, 1e3),  # C1, C2
+    st.floats(1e-6, 1.0), st.floats(1e-6, 1.0),  # gamma/kappa of each unit
+    st.floats(0.1, 10.0),  # kappa2/kappa1
+    st.floats(0.0, 50.0), st.floats(0.0, 50.0),  # n_th of each unit
+    st.floats(0.0, 3.0),  # r
+)
+
+#: arguments of :func:`asymmetric_system`
+SPECTRAL_CASES = [
+    (0.0, 0.0, 0.01, 0.01, 1.0, 3.0, 3.0, 0.0),  # decoupled thermal mirrors
+    (15.0, 15.0, 1e-6, 1e-6, 1.0, 5.0, 5.0, 1.0),  # adiabatic, identical
+    (90.0, 90.0, 0.05, 0.05, 1.0, 10.0, 10.0, 2.0),
+    (15.0, 40.0, 0.01, 0.02, 1.7, 5.0, 2.0, 1.0),  # asymmetric units
+    (0.5, 300.0, 0.3, 1e-4, 0.2, 0.0, 30.0, 2.5),
+    (900.0, 2.0, 1.0, 0.05, 6.0, 40.0, 0.5, 0.3),
+]
