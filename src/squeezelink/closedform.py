@@ -89,18 +89,25 @@ def _require_rates(Gamma_a1, Gamma_1, Gamma_a2, Gamma_2):
             )
 
 
-def _adiabatic_sum(unit1, unit2, N, M, sqrt):
+def _adiabatic_share(unit):
+    """A unit's terms of the adiabatic mirror total, for floats or arrays:
+    ``(Gamma_a, Gamma, Gamma_a / Gamma, ((Gamma - Gamma_a) / Gamma)(2 n_th + 1))``."""
+    Ga, G = unit.Gamma_a, unit.Gamma
+    return Ga, G, Ga / G, ((G - Ga) / G) * (2.0 * unit.n_th + 1.0)
+
+
+def _adiabatic_sum(share1, share2, squeezed, M, sqrt):
     """The adiabatic mirror total in + - * / and the given ``sqrt``, for floats or arrays,
-    and the sum ``a + b`` of its two squeezed terms, which cancel as r grows."""
-    Ga1, Ga2, G1, G2 = unit1.Gamma_a, unit2.Gamma_a, unit1.Gamma, unit2.Gamma
-    a = (2.0 * N + 1.0) * (Ga1 / G1 + Ga2 / G2)
+    and the sum ``a + b`` of its two squeezed terms, which cancel as r grows.
+
+    ``share1`` and ``share2`` are the units' :func:`_adiabatic_share` and
+    ``squeezed`` is the bath's ``2N + 1``. The point, array and partner-step
+    routes all form the total here, so all give the same bits.
+    """
+    (Ga1, G1, pumped1, thermal1), (Ga2, G2, pumped2, thermal2) = share1, share2
+    a = squeezed * (pumped1 + pumped2)
     b = 8.0 * sqrt(Ga1 * Ga2) * M / (G1 + G2)
-    total = (
-        a - b
-        + ((G1 - Ga1) / G1) * (2.0 * unit1.n_th + 1.0)
-        + ((G2 - Ga2) / G2) * (2.0 * unit2.n_th + 1.0)
-    )
-    return total, a + b
+    return a - b + thermal1 + thermal2, a + b
 
 
 def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
@@ -116,7 +123,8 @@ def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
     beyond ``_CANCELLATION_TOL`` raises ``FloatingPointError`` instead of a verdict.
     """
     _require_rates(unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
-    total, size = _adiabatic_sum(unit1, unit2, N, M, math.sqrt)
+    total, size = _adiabatic_sum(_adiabatic_share(unit1), _adiabatic_share(unit2),
+                                 2.0 * N + 1.0, M, math.sqrt)
     result = DuanResult.from_total(total)
     _require_digits(math.ulp(1.0) * size / total if total else math.inf)
     return result
@@ -136,8 +144,37 @@ def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     rates = (unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
     bad = np.asarray(_rates_out_of_bounds(*rates[:2]) | _rates_out_of_bounds(*rates[2:]))
     raise_for_first(bad, _require_rates, *rates)
+    return _adiabatic_totals(adiabatic_held(unit1, N, M), unit2)
+
+
+def adiabatic_held(unit1, N, M) -> tuple:
+    """What a partner search holds over its steps: unit 1's :func:`_adiabatic_share`
+    and the bath's ``2N + 1`` and ``M``, one flat tuple (see
+    :func:`duan_sum_adiabatic_steps`)."""
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        total, size = _adiabatic_sum(unit1, unit2, N, M, np.sqrt)
+        return (*_adiabatic_share(unit1), 2.0 * N + 1.0, M)
+
+
+def duan_sum_adiabatic_steps(held, unit2) -> np.ndarray:
+    """:func:`duan_sum_adiabatic_arrays` totals of a partner search's step.
+
+    Unit 1 and the bath passed their checks in an earlier
+    :func:`duan_sum_adiabatic_arrays` call, and ``held`` is their
+    :func:`adiabatic_held`, or rows of it. Only unit 2's rate bounds are
+    checked; then the total and its rounding-error estimate, as there. The
+    totals and errors are those of :func:`duan_sum_adiabatic_arrays`.
+    """
+    Ga1, G1 = held[:2]
+    bad = np.asarray(_rates_out_of_bounds(unit2.Gamma_a, unit2.Gamma))
+    raise_for_first(bad, _require_rates, Ga1, G1, unit2.Gamma_a, unit2.Gamma)
+    return _adiabatic_totals(held, unit2)
+
+
+def _adiabatic_totals(held, unit2) -> np.ndarray:
+    """The array totals from :func:`adiabatic_held` and unit 2's rates, which passed
+    their bounds: the total check and the rounding-error estimate, in that order."""
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
+        total, size = _adiabatic_sum(held[:4], _adiabatic_share(unit2), *held[4:], np.sqrt)
         total = require_totals(total)
         lost = math.ulp(1.0) * size / total  # a zero total gives inf, as per point
     raise_for_first(lost > _CANCELLATION_TOL, _require_digits, lost)
@@ -271,7 +308,7 @@ def duan_sum_nonadiabatic_general(unit1, unit2, N: float, M: float,
     array twin, raises the ``FloatingPointError`` of a NaN total."""
     _require_pair(pair)
     try:
-        total = _general_sum(unit1, unit2, N, M, pair == "mirror", _sqrt)
+        total = _general_sum(unit1, unit2, N, M, pair == "mirror", _sqrt, _scale)
     except ZeroDivisionError:
         total = math.nan
     return DuanResult.from_total(total)
@@ -282,6 +319,17 @@ def _sqrt(x: float) -> float:
     return math.sqrt(x) if x >= 0.0 else math.nan
 
 
+def _scale(s: float, i: float) -> float:
+    """``s * i`` for a positive ``s``, but ``i`` itself where ``i`` is 0: the bits of
+    ``s * i`` wherever that is finite, and 0, not NaN, where ``s`` is inf."""
+    return s * i if i != 0.0 else i
+
+
+def _scale_arrays(s, i):
+    """:func:`_scale` over arrays."""
+    return np.where(i == 0.0, i, s * i)
+
+
 def duan_sum_nonadiabatic_general_arrays(unit1, unit2, N, M, pair: str = "mirror"
                                          ) -> np.ndarray:
     """:func:`duan_sum_nonadiabatic_general` totals over arrays that broadcast together,
@@ -290,18 +338,22 @@ def duan_sum_nonadiabatic_general_arrays(unit1, unit2, N, M, pair: str = "mirror
     unit1, unit2, (N, M) = ([np.asarray(x, dtype=float) for x in args]
                             for args in (unit1, unit2, (N, M)))
     with np.errstate(all="ignore"):  # a NaN or negative rate, or x / 0, shows in the total
-        return require_totals(_general_sum(unit1, unit2, N, M, pair == "mirror", np.sqrt))
+        return require_totals(_general_sum(unit1, unit2, N, M, pair == "mirror", np.sqrt,
+                                           _scale_arrays))
 
 
-def _general_sum(unit1, unit2, N, M, mirror: bool, sqrt):
-    """The nonadiabatic total in + - * / and the given ``sqrt``, for floats or arrays.
+def _general_sum(unit1, unit2, N, M, mirror: bool, sqrt, scale):
+    """The nonadiabatic total in + - * / and the given ``sqrt`` and ``scale``, for floats
+    or arrays.
 
     The noise spectra integrated over frequency in the EPR basis, ``sum_j (2 n_th_j
     + 1) I_2(b_j) / 2 + (e^{2r} I_4(a_1 - a_2) + e^{-2r} I_4(a_1 + a_2)) / 4`` with
     ``e^{2r} = 2N + 1 + 2M``, ``a_j`` unit j's response to its squeezed input and
     ``b_j`` to its mirror's bath (``docs/noise_conventions.md``). ``a_1 - a_2`` is
     built from the inputs' differences, exact for close inputs (Sterbenz): it is 0
-    for identical units and keeps its digits for nearly identical ones.
+    for identical units and keeps its digits for nearly identical ones. Its I_4 is then
+    0, and ``scale`` (:func:`_scale`) keeps the anti-squeezed term at 0 where e^{2r}
+    overflows to inf before N and M do, at r above about 354.9.
     """
     (g1, k1, G1, n1), (g2, k2, G2, n2) = unit1, unit2
     sg1, sk1, sg2, sk2 = sqrt(g1), sqrt(k1), sqrt(g2), sqrt(k2)
@@ -321,7 +373,7 @@ def _general_sum(unit1, unit2, N, M, mirror: bool, sqrt):
     e2r = 2.0 * N + 1.0 + 2.0 * M
     thermal = ((2.0 * n1 + 1.0) * _i2(b1, *pq[:2]) + (2.0 * n2 + 1.0) * _i2(b2, *pq[2:4])) / 2.0
     both = (a1[0] + a2[0], a1[1] + a2[1])
-    return thermal + (e2r * _i4(da, a2, -1.0, *pq) + _i4(both, a2, 1.0, *pq) / e2r) / 4.0
+    return thermal + (scale(e2r, _i4(da, a2, -1.0, *pq)) + _i4(both, a2, 1.0, *pq) / e2r) / 4.0
 
 
 def _i2(n, p, q):

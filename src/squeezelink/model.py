@@ -420,7 +420,7 @@ def raise_for_first(bad, check, *arrays):
         check(*(float(a.flat[k]) for a in arrays))
 
 
-def red_sideband_arrays(unit: OptomechanicalUnit, *, _n_th=None, **fields) -> SidebandArrays:
+def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
     """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
 
     Each keyword replaces the field of that name in ``unit`` (``power``,
@@ -430,13 +430,26 @@ def red_sideband_arrays(unit: OptomechanicalUnit, *, _n_th=None, **fields) -> Si
     fields. Every element passes the checks that building that unit runs,
     or the first failing element raises what they raise. When ``omega_r``,
     ``omega_L`` or ``kappa`` is given, the optical-ratio warning fires if
-    any element would fire it. ``_n_th``, private to the partner search, is
-    the occupation that an earlier call built from the same ``omega_M`` and
-    ``temperature``; the occupation is then not built again.
+    any element would fire it. It is the field check
+    :func:`set_field_arrays` followed by the rate core
+    :func:`sideband_rate_arrays`.
     """
     res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
+    set_field_arrays(res, mir, fields)
+    return sideband_rate_arrays(res, mir)
+
+
+def set_field_arrays(res: dict, mir: dict, fields: dict) -> None:
+    """Set each of ``fields`` in a unit's resonator fields ``res`` or mirror fields ``mir``.
+
+    Each value becomes a float array once every element passes the check
+    that building the unit runs; the first failing element raises what that
+    check raises. When ``fields`` holds ``omega_r``, ``omega_L`` or ``kappa``,
+    the optical-ratio warning fires if any element of ``res`` would fire it.
+    """
     for name, values in fields.items():
-        part = res if name in res else mir if name in mir else None
+        part = (res if name in ResonatorParams._fields
+                else mir if name in MirrorParams._fields else None)
         if part is None:
             raise ValueError(f"unknown unit field {name!r}")
         values = np.asarray(values, dtype=float)
@@ -449,12 +462,23 @@ def red_sideband_arrays(unit: OptomechanicalUnit, *, _n_th=None, **fields) -> Si
             and np.any(_optical_ratio_low(res["omega_r"], res["omega_L"], res["kappa"]))):
         _warn_optical_ratio()
 
+
+def sideband_rate_arrays(res: dict, mir: dict, n_th=None) -> SidebandArrays:
+    """The rate core of :func:`red_sideband_arrays`, on fields that passed their check.
+
+    ``res`` and ``mir`` map each resonator and mirror field to a float or an
+    array (see :func:`set_field_arrays`). ``n_th`` is the thermal occupation
+    of these ``omega_M`` and ``temperature`` where a caller holds it already;
+    otherwise it is built here. An element whose rate denominator underflows
+    to 0 raises what the per-point steady state raises.
+    """
     res, mir = SimpleNamespace(**res), SimpleNamespace(**mir)
     # only math.expm1 (or math.exp) runs per element, through map_math, not
     # np.expm1: with numpy 2.4 on an AVX-512 Xeon, np.expm1 differs from
     # math.expm1 in the last bit at 5,103 of 200,001 log-spaced x from 1e-12 to
     # 630, which would move the figures' bits
-    n_th = _occupation_arrays(mir.omega_M, mir.temperature) if _n_th is None else _n_th
+    if n_th is None:
+        n_th = _occupation_arrays(mir.omega_M, mir.temperature)
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
         G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
         Gamma, C = Gamma_a + mir.gamma, Gamma_a / mir.gamma
@@ -462,8 +486,8 @@ def red_sideband_arrays(unit: OptomechanicalUnit, *, _n_th=None, **fields) -> Si
             args = (mir.mass, mir.omega_M, res.omega_L, res.kappa, -mir.omega_M)
             raise_for_first(np.asarray(_denominator_vanishes(*args)),
                             _require_rate_denominators, *args)
-    return SidebandArrays(G=G, Gamma_a=Gamma_a, Gamma=Gamma, C=C, n_th=n_th,
-                          gamma=np.asarray(mir.gamma), kappa=np.asarray(res.kappa))
+    return SidebandArrays(G, Gamma_a, Gamma, C, n_th, np.asarray(mir.gamma),
+                          np.asarray(res.kappa))
 
 
 def map_math(fn, *arrays) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from functools import partial
 from itertools import repeat
 
 from . import closedform, config, oracle
@@ -24,14 +23,20 @@ from .model import (
     SystemParams,
     mean_fields_from_effective_detuning,
     red_sideband_arrays,
+    set_field_arrays,
     set_param,
+    sideband_rate_arrays,
     squeeze_arrays,
+    thermal_occupation,
     unit_targets,
 )
 
 np = lazy_import("numpy")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: the unit fields that a unit's thermal occupation depends on
+_OCCUPATION_FIELDS = frozenset({"omega_M", "temperature"})
 
 #: points each golden-section search scans for its starting bracket
 SCAN_POINTS = 33
@@ -159,12 +164,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     except (ValueError, RuntimeError, ArithmeticError):
         return [_point_row(spec, x) for x in grid.tolist()]
     # one pass; tuple.__new__ builds each row without the named tuple's arity check
-    return list(map(partial(tuple.__new__, SweepRow),
-                    zip(*(c.tolist() for c in columns), repeat(None))))
+    return list(map(tuple.__new__, repeat(SweepRow), zip(*columns, repeat(None))))
 
 
-def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
-    """The :class:`SweepRow` fields but ``error`` over the grid; a failing point raises.
+def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> list[list]:
+    """The :class:`SweepRow` fields but ``error`` over the grid, as lists; a failing
+    point raises.
 
     Only what the axis sets runs through the array twins: a unit or bath that
     the grid holds fixed is evaluated once, as a point (see :func:`_sideband`
@@ -182,9 +187,11 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> Sequence[np.ndarray]:
         total = (closedform.duan_sum_adiabatic_arrays(u1, u2, *bath)
                  if (pair, route) == ("mirror", "adiabatic")
                  else closedform.duan_sum_nonadiabatic_general_arrays(*units, *bath, pair))
-        var_X = var_Y = total / 2.0  # as DuanResult.from_total
-    return np.broadcast_arrays(grid, total, var_X, var_Y,
-                               total < closedform.SEPARABILITY_BOUND, u1.C, u2.C)
+        var_X = var_Y = total / 2.0  # as DuanResult.from_total, so one list serves both
+    axis, total, var_X, entangled, C1, C2, *var_Y = (c.tolist() for c in np.broadcast_arrays(
+        grid, total, var_X, total < closedform.SEPARABILITY_BOUND, u1.C, u2.C,
+        *([] if var_Y is var_X else [var_Y])))
+    return [axis, total, var_X, var_Y[0] if var_Y else var_X, entangled, C1, C2]
 
 
 def _point_row(spec: SweepSpec, x: float) -> SweepRow:
@@ -206,11 +213,15 @@ def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``j``, in the same shape. Each search scans ``SCAN_POINTS`` points of its
     bracket for a three-point bracket around the smallest value, then
     shrinks that bracket by the golden ratio to ``tolerance * (hi - lo)``.
-    All searches share one objective call per scan and per golden step; a
-    search drops out of the calls once its bracket is small enough, so
-    every search sees the same points, and returns the same bits, as it
-    would alone. Raises :class:`BracketFailure` for the first search whose
-    scan is smallest at a bracket edge.
+    All searches share one objective call per scan and per golden step. The
+    scan and the first pair of interior points get every search; a search
+    drops out of the golden steps once its bracket is small enough, so every
+    search takes the same points, and returns the same bits, as it would
+    alone. The brackets of the running searches are kept compacted, and
+    ``search`` is one array object from call to call until a search drops
+    out, so an objective may keep what it gathered for it. Raises
+    :class:`BracketFailure` for the first search whose scan is smallest at a
+    bracket edge.
     """
     n = len(specs)
     lo = np.array([spec.lo for spec in specs])
@@ -235,23 +246,26 @@ def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     f = objective(np.stack([c, d], axis=1), every)
     fc, fd = f[:, 0], f[:, 1]
 
-    active = every[b - a > tol]
+    argmins, minima = np.empty(n), np.empty(n)
+    active = every
     while active.size:
-        a0, b0, c0, d0 = a[active], b[active], c[active], d[active]
-        fc0, fd0 = fc[active], fd[active]
+        running = b - a > tol
+        if not running.all():  # write out the searches that finished, compact the rest
+            done = ~running
+            argmins[active[done]] = np.where(fc[done] < fd[done], c[done], d[done])
+            minima[active[done]] = np.where(fd[done] < fc[done], fd[done], fc[done])
+            active = active[running]
+            a, b, c, d, fc, fd, tol = (v[running] for v in (a, b, c, d, fc, fd, tol))
+            continue
         # left: the minimum lies in [a, d], and c moves in; right: in [c, b], d moves in
-        left = fc0 < fd0
-        a1 = np.where(left, a0, c0)
-        b1 = np.where(left, d0, b0)
-        x = np.where(left, b1 - _GOLDEN * (b1 - a1), a1 + _GOLDEN * (b1 - a1))
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = _GOLDEN * (b - a)
+        x = np.where(left, b - step, a + step)
         fx = objective(x[:, None], active)[:, 0]
-        a[active], b[active] = a1, b1
-        c[active] = np.where(left, x, d0)
-        d[active] = np.where(left, c0, x)
-        fc[active] = np.where(left, fx, fd0)
-        fd[active] = np.where(left, fc0, fx)
-        active = active[b1 - a1 > tol[active]]
-    return np.where(fc < fd, c, d), np.where(fd < fc, fd, fc)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return argmins, minima
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +332,19 @@ def _sideband(unit, fields: dict) -> SidebandArrays:
     A unit with no field set is evaluated once, as a point: its per-point
     steady state, as floats. The per-point and array rates share one op
     sequence, so both give the same bits, and the per-point steady state
-    raises what the array twin raises.
+    raises what the array twin raises. Where no field moves the thermal
+    occupation, it too is the point value, built once the fields pass their
+    check, so that an invalid field raises first.
     """
-    if fields:
-        return red_sideband_arrays(unit, **fields)
-    ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-    return SidebandArrays(ss.G, ss.Gamma_a, ss.Gamma, ss.C, ss.n_th,
-                          unit.mirror.gamma, unit.resonator.kappa)
+    if not fields:
+        ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
+        return SidebandArrays(ss.G, ss.Gamma_a, ss.Gamma, ss.C, ss.n_th,
+                              unit.mirror.gamma, unit.resonator.kappa)
+    res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
+    set_field_arrays(res, mir, fields)
+    n_th = (None if fields.keys() & _OCCUPATION_FIELDS
+            else thermal_occupation(unit.mirror.omega_M, unit.mirror.temperature))
+    return sideband_rate_arrays(res, mir, n_th)
 
 
 def _bath_terms(system: SystemParams, overrides: dict):
@@ -370,14 +390,20 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
     (see :func:`_golden_searches`), each with the result it has alone.
 
     Unit 1's rates and the bath's terms do not depend on unit 2's field, so
-    each is built once per batch, as a column over its searches; every
-    scan and golden step builds unit 2's rates alone. Unless ``field`` is
-    ``omega_M`` or ``temperature``, unit 2's thermal occupation does not
-    depend on it either: the scan builds it, and the golden steps take its
-    rows. The totals are those of :func:`adiabatic_totals` at each search's
-    values, bit for bit, and an invalid value raises what the first
-    :func:`adiabatic_totals` call of the batch would raise: unit 1's before
-    unit 2's, and unit 2's before the bath's.
+    each is built once per batch, as a column over its searches. The scan
+    builds unit 2 and the total with every check of :func:`adiabatic_totals`,
+    in its order. A golden step evaluates only what its points move: it
+    checks the points as unit 2's ``field``, builds unit 2's rates from them
+    and the fields the scan checked, checks unit 2's rate bounds, and forms
+    the total from unit 1's share of it and the bath's terms
+    (:func:`closedform.duan_sum_adiabatic_steps`), then checks the total and
+    its rounding error. Unless ``field`` is ``omega_M`` or ``temperature``,
+    unit 2's thermal occupation does not move either: the steps take the
+    scan's. The steps keep the rows of the running searches, gathered again
+    only when a search finishes. The totals are those of
+    :func:`adiabatic_totals` at each search's values, bit for bit, and an
+    invalid value raises what the first :func:`adiabatic_totals` call of the
+    batch would raise: unit 1's before unit 2's, and unit 2's before the bath's.
     """
     values1 = np.asarray(values1, dtype=float)
     every = np.arange(len(specs))
@@ -389,21 +415,31 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
     fields = _unit_fields(columns | {f"unit1.{field}": values1[every, None],
                                      f"unit2.{field}": None})
     unit1 = red_sideband_arrays(base.unit1, **fields["unit1"])
-    keeps_occupation = field.rpartition(".")[2] not in ("omega_M", "temperature")
-    bath, occupation = [], []
+    name = field.rpartition(".")[2]
+    # what the steps hold, as columns over every search: unit 2's fields, its
+    # occupation and closedform.adiabatic_held; then the rows of the running searches
+    batch, rows = [], []
 
     def objective(x, search):
-        unit2 = red_sideband_arrays(
-            base.unit2, _n_th=_rows(occupation[0], search) if occupation else None,
-            **{name: x if values is None else values[search]
-               for name, values in fields["unit2"].items()})
-        if not bath:  # after unit 2's first build, where adiabatic_totals checks r
-            bath.extend(_bath_terms(base, columns))
-            if keeps_occupation:  # the scan's build is a column over every search
-                occupation.append(unit2.n_th)
-        return closedform.duan_sum_adiabatic_arrays(
-            SidebandArrays._make(_rows(a, search) for a in unit1), unit2,
-            *(_rows(a, search) for a in bath))
+        if not batch:  # the scan, with every search
+            res, mir = dict(vars(base.unit2.resonator)), dict(vars(base.unit2.mirror))
+            set_field_arrays(res, mir, {n: x if values is None else values
+                                        for n, values in fields["unit2"].items()})
+            unit2 = sideband_rate_arrays(res, mir)
+            bath = _bath_terms(base, columns)  # after unit 2, as adiabatic_totals checks r
+            totals = closedform.duan_sum_adiabatic_arrays(unit1, unit2, *bath)
+            batch.extend((res, mir, None if name in _OCCUPATION_FIELDS else unit2.n_th,
+                          closedform.adiabatic_held(unit1, *bath)))
+            rows.extend((search, *batch))
+            return totals
+        if search is not rows[0]:  # a search finished: gather the rows of the rest
+            res, mir, n_th, held = batch
+            rows[:] = (search, {k: _rows(v, search) for k, v in res.items() if k != name},
+                       {k: _rows(v, search) for k, v in mir.items() if k != name},
+                       _rows(n_th, search), [_rows(v, search) for v in held])
+        _, res, mir, n_th, held = rows
+        set_field_arrays(res, mir, {name: x})
+        return closedform.duan_sum_adiabatic_steps(held, sideband_rate_arrays(res, mir, n_th))
 
     return _golden_searches(objective, specs)
 
@@ -466,7 +502,8 @@ def _optimized_rows(base: SystemParams, field: str, values1, lo: float,
     """
     values1 = np.asarray(values1, dtype=float).tolist()
     temps = len(_OPT_TEMPERATURES)
-    specs = [OptimizeSpec(lo=lo * v1, hi=hi * v1) for v1 in values1 for _ in range(temps)]
+    # by position, and one spec for every temperature of a value
+    specs = [spec for v1 in values1 for spec in [OptimizeSpec(lo * v1, hi * v1)] * temps]
     _, minima = optimize_partners(
         base, field, np.repeat(values1, temps), specs,
         {"temperature": np.tile(_OPT_TEMPERATURES, len(values1))})

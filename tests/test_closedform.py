@@ -643,3 +643,23 @@ def test_identical_unit_forms_map_exp_over_r_alone(monkeypatch, make, sizes):
     monkeypatch.setattr(closedform, "map_math", counting)
     make()
     assert mapped == sizes
+
+
+@pytest.mark.parametrize("pair", ["mirror", "field"])
+def test_identical_units_stay_finite_where_e2r_overflows(pair):
+    # at r = 355, e^{2r} = 2N + 1 + 2M is inf while N and M are finite; the
+    # anti-squeezed term is inf times a zero I_4 for identical units, which is 0
+    system = config.default_system()
+    ss = model.mean_fields_from_effective_detuning(system.unit1, -system.unit1.mirror.omega_M)
+    unit = (system.unit1.mirror.gamma, system.unit1.resonator.kappa, ss.G, ss.n_th)
+    totals = []
+    for r in (354.0, 355.0):
+        bath = SqueezedBath(r=r)
+        assert math.isfinite(bath.N) and math.isfinite(bath.M_corr)
+        args = (unit, unit, bath.N, bath.M_corr, pair)
+        total = duan_sum_nonadiabatic_general(*args).total
+        assert duan_sum_nonadiabatic_general_arrays(*args).item() == total
+        totals.append(total)
+    bath = SqueezedBath(r=355.0)
+    assert 2.0 * bath.N + 1.0 + 2.0 * bath.M_corr == math.inf
+    assert 0.0 < totals[1] == pytest.approx(totals[0], rel=1e-12)

@@ -302,10 +302,11 @@ class TestArraySweep:
     ], ids=["identical", "asymmetric", "fig2", "fig3"])
     def test_equal_units_given_the_same_arrays_share_one_build(self, base, monkeypatch, make,
                                                                builds):
+        # a build is a call of the rate core, which every unit that a grid sets takes
         calls = []
-        build = sweep.red_sideband_arrays
-        monkeypatch.setattr(sweep, "red_sideband_arrays",
-                            lambda unit, **fields: calls.append(fields) or build(unit, **fields))
+        build = sweep.sideband_rate_arrays
+        monkeypatch.setattr(sweep, "sideband_rate_arrays",
+                            lambda *args: calls.append(args) or build(*args))
         make(base)
         assert len(calls) == builds
 
@@ -565,7 +566,7 @@ class TestLockstepSearch:
 
     @pytest.mark.parametrize("fig", ["fig5b", "fig6b"])
     def test_optimized_figure_builds_unit_1_once(self, monkeypatch, fig):
-        builds, totals = [], []
+        builds, scans, steps = [], [], []
 
         def counted(calls, fn):
             def wrapper(*args, **kwargs):
@@ -576,13 +577,44 @@ class TestLockstepSearch:
         monkeypatch.setattr(sweep, "red_sideband_arrays",
                             counted(builds, sweep.red_sideband_arrays))
         monkeypatch.setattr(closedform, "duan_sum_adiabatic_arrays",
-                            counted(totals, closedform.duan_sum_adiabatic_arrays))
+                            counted(scans, closedform.duan_sum_adiabatic_arrays))
+        monkeypatch.setattr(closedform, "duan_sum_adiabatic_steps",
+                            counted(steps, closedform.duan_sum_adiabatic_steps))
         searches = 3 * len(figure_dataset(fig).rows)
-        # the scan, the first (c, d) pair and 23 golden steps
-        assert len(totals) == 25
-        assert len(builds) == len(totals) + 1 <= 26
+        # 25 evaluations: the scan, then the first (c, d) pair and 23 golden steps
+        assert (len(scans), len(steps)) == (1, 24)
         # unit 1 first, once, as columns over every search
+        assert len(builds) == 1
         assert {np.shape(values) for values in builds[0].values()} == {(searches, 1)}
+
+    @pytest.mark.parametrize("field, scale", [("power", 1e-2), ("mirror.omega_M", OMEGA_M)])
+    def test_partner_searches_that_finish_apart_equal_adiabatic_totals(self, base, monkeypatch,
+                                                                       field, scale):
+        # tolerances from 1e-9 to 1e-3: the searches leave the batch at different
+        # steps, and the steps hold the rows of the rest
+        rng = np.random.default_rng(5)
+        n = 12
+        values1 = scale * rng.uniform(0.5, 1.5, n)
+        overrides = {"temperature": rng.uniform(0.2e-3, 0.6e-3, n),
+                     "bath.r": rng.uniform(1.0, 2.5, n)}
+        tolerances = rng.permutation(np.geomspace(1e-9, 1e-3, n))
+        specs = [OptimizeSpec(0.2 * v, 3.0 * v, t)
+                 for v, t in zip(values1.tolist(), tolerances.tolist())]
+        running = []
+        steps = closedform.duan_sum_adiabatic_steps
+        monkeypatch.setattr(closedform, "duan_sum_adiabatic_steps",
+                            lambda held, unit2: running.append(len(held[0])) or steps(held, unit2))
+        x_min, y_min = sweep.optimize_partners(base, field, values1, specs, overrides)
+
+        def objective(x, search):
+            return sweep.adiabatic_totals(
+                base, {path: values[search, None] for path, values in overrides.items()}
+                | {f"unit1.{field}": values1[search, None], f"unit2.{field}": x})
+
+        reference = sweep._golden_searches(objective, specs)
+        assert x_min.tolist() == reference[0].tolist()
+        assert y_min.tolist() == reference[1].tolist()
+        assert running[0] == n and len(set(running)) > n // 2
 
     @pytest.mark.parametrize("check, builds, elements", [
         # unit 1's column and the scan's column of unit 2, 177 searches each
