@@ -134,17 +134,19 @@ def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     """:func:`duan_sum_adiabatic_general` totals over arrays.
 
     ``unit1`` and ``unit2`` carry ``Gamma_a``, ``Gamma`` and ``n_th`` arrays
-    (see :func:`model.red_sideband_arrays`); ``N`` and ``M`` are the bath's
+    (see :func:`model.sideband_rate_arrays`); ``N`` and ``M`` are the bath's
     terms (see :func:`model.squeeze_arrays`). All broadcast together. The
     totals equal the per-point ones bit for bit. Every element passes the
     per-point rate bounds, the finite, non-negative total check of
     :class:`DuanResult` and the rounding-error estimate, in that order, or
-    the first failing element raises what the per-point route raises.
+    the first failing element raises what the per-point route raises. Both
+    units' rate bounds are checked here, jointly, as per point; the rest is
+    :func:`duan_sum_adiabatic_steps`.
     """
     rates = (unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
     bad = np.asarray(_rates_out_of_bounds(*rates[:2]) | _rates_out_of_bounds(*rates[2:]))
     raise_for_first(bad, _require_rates, *rates)
-    return _adiabatic_totals(adiabatic_held(unit1, N, M), unit2)
+    return duan_sum_adiabatic_steps(adiabatic_held(unit1, N, M), unit2)
 
 
 def adiabatic_held(unit1, N, M) -> tuple:
@@ -156,23 +158,19 @@ def adiabatic_held(unit1, N, M) -> tuple:
 
 
 def duan_sum_adiabatic_steps(held, unit2) -> np.ndarray:
-    """:func:`duan_sum_adiabatic_arrays` totals of a partner search's step.
+    """:func:`duan_sum_adiabatic_arrays` totals from unit 1's and the bath's ``held``
+    terms (:func:`adiabatic_held`) and unit 2's rates, as a partner search's step
+    forms them.
 
-    Unit 1 and the bath passed their checks in an earlier
-    :func:`duan_sum_adiabatic_arrays` call, and ``held`` is their
-    :func:`adiabatic_held`, or rows of it. Only unit 2's rate bounds are
-    checked; then the total and its rounding-error estimate, as there. The
-    totals and errors are those of :func:`duan_sum_adiabatic_arrays`.
+    Unit 1's rates passed their bounds already, as in an earlier
+    :func:`duan_sum_adiabatic_arrays` call. Every element passes unit 2's
+    rate bounds, the finite, non-negative total check of :class:`DuanResult`
+    and the rounding-error estimate, in that order, or the first failing
+    element raises what the per-point route raises.
     """
     Ga1, G1 = held[:2]
     bad = np.asarray(_rates_out_of_bounds(unit2.Gamma_a, unit2.Gamma))
     raise_for_first(bad, _require_rates, Ga1, G1, unit2.Gamma_a, unit2.Gamma)
-    return _adiabatic_totals(held, unit2)
-
-
-def _adiabatic_totals(held, unit2) -> np.ndarray:
-    """The array totals from :func:`adiabatic_held` and unit 2's rates, which passed
-    their bounds: the total check and the rounding-error estimate, in that order."""
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
         total, size = _adiabatic_sum(held[:4], _adiabatic_share(unit2), *held[4:], np.sqrt)
         total = require_totals(total)

@@ -74,9 +74,6 @@ _UNIT_KEYS = {
     "temperature_k": ("temperature", 1.0),
 }
 
-_RESONATOR_FIELDS = ("omega_r", "omega_L", "kappa", "length", "power")
-_MIRROR_FIELDS = ("omega_M", "gamma", "mass", "temperature")
-
 # the reference device at 10 mW; temperature defaults to the 50 uK
 # operating point used in the power-threshold study
 _FIG2_TEXT = REFERENCE_DEVICE | {"power": 10e-3, "temperature": 50e-6}
@@ -100,8 +97,8 @@ DEFAULT_BATH_R = 1.0
 def _system_from_values(values: dict, r: float) -> SystemParams:
     def build(unit_values: dict) -> OptomechanicalUnit:
         return OptomechanicalUnit(
-            resonator=ResonatorParams(**{k: unit_values[k] for k in _RESONATOR_FIELDS}),
-            mirror=MirrorParams(**{k: unit_values[k] for k in _MIRROR_FIELDS}),
+            resonator=ResonatorParams(**{k: unit_values[k] for k in ResonatorParams._fields}),
+            mirror=MirrorParams(**{k: unit_values[k] for k in MirrorParams._fields}),
         )
 
     return SystemParams(

@@ -420,25 +420,6 @@ def raise_for_first(bad, check, *arrays):
         check(*(float(a.flat[k]) for a in arrays))
 
 
-def red_sideband_arrays(unit: OptomechanicalUnit, **fields) -> SidebandArrays:
-    """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
-
-    Each keyword replaces the field of that name in ``unit`` (``power``,
-    ``omega_M``, ``temperature``, ...) by an array; the arrays broadcast
-    together. Element by element the rates equal, bit for bit, those of
-    :func:`mean_fields_from_effective_detuning` on the unit with those
-    fields. Every element passes the checks that building that unit runs,
-    or the first failing element raises what they raise. When ``omega_r``,
-    ``omega_L`` or ``kappa`` is given, the optical-ratio warning fires if
-    any element would fire it. It is the field check
-    :func:`set_field_arrays` followed by the rate core
-    :func:`sideband_rate_arrays`.
-    """
-    res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
-    set_field_arrays(res, mir, fields)
-    return sideband_rate_arrays(res, mir)
-
-
 def set_field_arrays(res: dict, mir: dict, fields: dict) -> None:
     """Set each of ``fields`` in a unit's resonator fields ``res`` or mirror fields ``mir``.
 
@@ -464,13 +445,16 @@ def set_field_arrays(res: dict, mir: dict, fields: dict) -> None:
 
 
 def sideband_rate_arrays(res: dict, mir: dict, n_th=None) -> SidebandArrays:
-    """The rate core of :func:`red_sideband_arrays`, on fields that passed their check.
+    """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
 
     ``res`` and ``mir`` map each resonator and mirror field to a float or an
-    array (see :func:`set_field_arrays`). ``n_th`` is the thermal occupation
-    of these ``omega_M`` and ``temperature`` where a caller holds it already;
-    otherwise it is built here. An element whose rate denominator underflows
-    to 0 raises what the per-point steady state raises.
+    array that passed its check (see :func:`set_field_arrays`); the arrays
+    broadcast together. Element by element the rates equal, bit for bit,
+    those of :func:`mean_fields_from_effective_detuning` on the unit with
+    those fields. ``n_th`` is the thermal occupation of these ``omega_M`` and
+    ``temperature`` where a caller holds it already; otherwise it is built
+    here. An element whose rate denominator underflows to 0 raises what the
+    per-point steady state raises.
     """
     res, mir = SimpleNamespace(**res), SimpleNamespace(**mir)
     # only math.expm1 (or math.exp) runs per element, through map_math, not

@@ -22,7 +22,6 @@ from .model import (
     SidebandArrays,
     SystemParams,
     mean_fields_from_effective_detuning,
-    red_sideband_arrays,
     set_field_arrays,
     set_param,
     sideband_rate_arrays,
@@ -109,6 +108,8 @@ class OptimizeSpec(Record):
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError("optimize bracket needs finite lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("optimize bracket needs a finite width hi - lo")
         if not 0.0 < self.tolerance < 1.0:  # also rejects NaN
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
 
@@ -204,24 +205,21 @@ def _point_row(spec: SweepSpec, x: float) -> SweepRow:
     return SweepRow(x, result.total, result.var_X, result.var_Y, result.entangled, c1, c2)
 
 
-def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _golden_searches(objective: Callable[[np.ndarray], np.ndarray],
                      specs: Sequence[OptimizeSpec]) -> tuple[np.ndarray, np.ndarray]:
     """(argmins, minima) of one golden-section search per spec, run in lockstep.
 
-    ``objective(x, search)`` gets points ``x`` of shape ``(len(search), k)``
-    and returns the objective of search ``search[j]`` at each point of row
-    ``j``, in the same shape. Each search scans ``SCAN_POINTS`` points of its
-    bracket for a three-point bracket around the smallest value, then
-    shrinks that bracket by the golden ratio to ``tolerance * (hi - lo)``.
-    All searches share one objective call per scan and per golden step. The
-    scan and the first pair of interior points get every search; a search
-    drops out of the golden steps once its bracket is small enough, so every
-    search takes the same points, and returns the same bits, as it would
-    alone. The brackets of the running searches are kept compacted, and
-    ``search`` is one array object from call to call until a search drops
-    out, so an objective may keep what it gathered for it. Raises
-    :class:`BracketFailure` for the first search whose scan is smallest at a
-    bracket edge.
+    ``objective(x)`` gets points ``x`` of shape ``(len(specs), k)`` and
+    returns the objective of search ``j`` at each point of row ``j``, in the
+    same shape. Each search scans ``SCAN_POINTS`` points of its bracket for a
+    three-point bracket around the smallest value, then shrinks that bracket
+    by the golden ratio to ``tolerance * (hi - lo)``. All searches share one
+    objective call per scan and per golden step, and every search steps
+    until every bracket is small enough. So in a batch that shares one
+    tolerance every search takes the points, and returns the bits, that it
+    takes alone; in a batch of mixed tolerances a search that is done early
+    keeps narrowing. Raises :class:`BracketFailure` for the first search
+    whose scan is smallest at a bracket edge.
     """
     n = len(specs)
     lo = np.array([spec.lo for spec in specs])
@@ -230,8 +228,7 @@ def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     every = np.arange(n)
 
     xs = np.linspace(lo, hi, SCAN_POINTS, axis=1)
-    ys = objective(xs, every)
-    k = np.argmin(ys, axis=1)
+    k = np.argmin(objective(xs), axis=1)
     edge = np.flatnonzero((k == 0) | (k == SCAN_POINTS - 1))
     if edge.size:
         i = edge[0]
@@ -243,29 +240,18 @@ def _golden_searches(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a, b = xs[every, k - 1], xs[every, k + 1]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    f = objective(np.stack([c, d], axis=1), every)
+    f = objective(np.stack([c, d], axis=1))
     fc, fd = f[:, 0], f[:, 1]
-
-    argmins, minima = np.empty(n), np.empty(n)
-    active = every
-    while active.size:
-        running = b - a > tol
-        if not running.all():  # write out the searches that finished, compact the rest
-            done = ~running
-            argmins[active[done]] = np.where(fc[done] < fd[done], c[done], d[done])
-            minima[active[done]] = np.where(fd[done] < fc[done], fd[done], fc[done])
-            active = active[running]
-            a, b, c, d, fc, fd, tol = (v[running] for v in (a, b, c, d, fc, fd, tol))
-            continue
+    while (b - a > tol).any():
         # left: the minimum lies in [a, d], and c moves in; right: in [c, b], d moves in
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         step = _GOLDEN * (b - a)
         x = np.where(left, b - step, a + step)
-        fx = objective(x[:, None], active)[:, 0]
+        fx = objective(x[:, None])[:, 0]
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return argmins, minima
+    return np.where(fc < fd, c, d), np.where(fd < fc, fd, fc)
 
 
 # ---------------------------------------------------------------------------
@@ -318,33 +304,35 @@ def _unit_arrays(system: SystemParams, overrides: dict):
     identical units, share unit 1's rates.
     """
     fields = _unit_fields(overrides)
-    unit1 = _sideband(system.unit1, fields["unit1"])
+    unit1 = _sideband(system.unit1, fields["unit1"])[0]
     shared = (fields["unit1"].keys() == fields["unit2"].keys()
               and all(fields["unit2"][name] is values for name, values in fields["unit1"].items())
               and system.unit1 == system.unit2)
-    unit2 = unit1 if shared else _sideband(system.unit2, fields["unit2"])
+    unit2 = unit1 if shared else _sideband(system.unit2, fields["unit2"])[0]
     return unit1, unit2
 
 
-def _sideband(unit, fields: dict) -> SidebandArrays:
-    """:func:`red_sideband_arrays` of ``unit`` with ``fields`` set.
+def _sideband(unit, fields: dict) -> tuple[SidebandArrays, dict, dict]:
+    """The red-sideband rates of ``unit`` with ``fields`` set, and its checked
+    resonator and mirror fields (see :func:`set_field_arrays`).
 
-    A unit with no field set is evaluated once, as a point: its per-point
-    steady state, as floats. The per-point and array rates share one op
-    sequence, so both give the same bits, and the per-point steady state
-    raises what the array twin raises. Where no field moves the thermal
+    Element by element the rates equal, bit for bit, those of
+    :func:`mean_fields_from_effective_detuning` on the unit with those
+    fields, and the first invalid element raises what building that unit
+    raises. A unit with no field set is evaluated once, as a point: its
+    per-point steady state, as floats. Where no field moves the thermal
     occupation, it too is the point value, built once the fields pass their
     check, so that an invalid field raises first.
     """
+    res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
     if not fields:
         ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-        return SidebandArrays(ss.G, ss.Gamma_a, ss.Gamma, ss.C, ss.n_th,
-                              unit.mirror.gamma, unit.resonator.kappa)
-    res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
+        return (SidebandArrays(ss.G, ss.Gamma_a, ss.Gamma, ss.C, ss.n_th, mir["gamma"],
+                               res["kappa"]), res, mir)
     set_field_arrays(res, mir, fields)
     n_th = (None if fields.keys() & _OCCUPATION_FIELDS
             else thermal_occupation(unit.mirror.omega_M, unit.mirror.temperature))
-    return sideband_rate_arrays(res, mir, n_th)
+    return sideband_rate_arrays(res, mir, n_th), res, mir
 
 
 def _bath_terms(system: SystemParams, overrides: dict):
@@ -387,23 +375,23 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
     ``overrides`` at its k-th value, and searches unit 2's ``field`` over
     the bracket of ``specs[k]``. ``field`` is a unit path without its unit,
     such as ``power`` or ``mirror.omega_M``. All searches run in lockstep
-    (see :func:`_golden_searches`), each with the result it has alone.
+    (see :func:`_golden_searches`); a batch whose specs share one tolerance
+    gives each search the result it has alone.
 
     Unit 1's rates and the bath's terms do not depend on unit 2's field, so
     each is built once per batch, as a column over its searches. The scan
-    builds unit 2 and the total with every check of :func:`adiabatic_totals`,
-    in its order. A golden step evaluates only what its points move: it
-    checks the points as unit 2's ``field``, builds unit 2's rates from them
-    and the fields the scan checked, checks unit 2's rate bounds, and forms
-    the total from unit 1's share of it and the bath's terms
-    (:func:`closedform.duan_sum_adiabatic_steps`), then checks the total and
-    its rounding error. Unless ``field`` is ``omega_M`` or ``temperature``,
-    unit 2's thermal occupation does not move either: the steps take the
-    scan's. The steps keep the rows of the running searches, gathered again
-    only when a search finishes. The totals are those of
-    :func:`adiabatic_totals` at each search's values, bit for bit, and an
-    invalid value raises what the first :func:`adiabatic_totals` call of the
-    batch would raise: unit 1's before unit 2's, and unit 2's before the bath's.
+    builds unit 2 (:func:`_sideband`) and the total with every check of
+    :func:`adiabatic_totals`, in its order. A golden step evaluates only what
+    its points move: it checks the points as unit 2's ``field``, builds unit
+    2's rates from them and the fields the scan checked, and forms the total
+    from unit 1's share of it and the bath's terms
+    (:func:`closedform.duan_sum_adiabatic_steps`), which checks unit 2's rate
+    bounds, the total and its rounding error. Unless ``field`` is ``omega_M``
+    or ``temperature``, unit 2's thermal occupation does not move either: the
+    steps take the scan's. The totals are those of :func:`adiabatic_totals`
+    at each search's values, bit for bit, and an invalid value raises what
+    the first :func:`adiabatic_totals` call of the batch would raise: unit
+    1's before unit 2's, and unit 2's before the bath's.
     """
     values1 = np.asarray(values1, dtype=float)
     every = np.arange(len(specs))
@@ -414,39 +402,26 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
                for path, values in (overrides or {}).items()}
     fields = _unit_fields(columns | {f"unit1.{field}": values1[every, None],
                                      f"unit2.{field}": None})
-    unit1 = red_sideband_arrays(base.unit1, **fields["unit1"])
+    unit1 = _sideband(base.unit1, fields["unit1"])[0]
     name = field.rpartition(".")[2]
-    # what the steps hold, as columns over every search: unit 2's fields, its
-    # occupation and closedform.adiabatic_held; then the rows of the running searches
-    batch, rows = [], []
+    # what the steps hold after the scan: unit 2's checked fields, its
+    # occupation and closedform.adiabatic_held
+    held = []
 
-    def objective(x, search):
-        if not batch:  # the scan, with every search
-            res, mir = dict(vars(base.unit2.resonator)), dict(vars(base.unit2.mirror))
-            set_field_arrays(res, mir, {n: x if values is None else values
-                                        for n, values in fields["unit2"].items()})
-            unit2 = sideband_rate_arrays(res, mir)
-            bath = _bath_terms(base, columns)  # after unit 2, as adiabatic_totals checks r
-            totals = closedform.duan_sum_adiabatic_arrays(unit1, unit2, *bath)
-            batch.extend((res, mir, None if name in _OCCUPATION_FIELDS else unit2.n_th,
-                          closedform.adiabatic_held(unit1, *bath)))
-            rows.extend((search, *batch))
-            return totals
-        if search is not rows[0]:  # a search finished: gather the rows of the rest
-            res, mir, n_th, held = batch
-            rows[:] = (search, {k: _rows(v, search) for k, v in res.items() if k != name},
-                       {k: _rows(v, search) for k, v in mir.items() if k != name},
-                       _rows(n_th, search), [_rows(v, search) for v in held])
-        _, res, mir, n_th, held = rows
-        set_field_arrays(res, mir, {name: x})
-        return closedform.duan_sum_adiabatic_steps(held, sideband_rate_arrays(res, mir, n_th))
+    def objective(x):
+        if held:
+            res, mir, n_th, terms = held
+            set_field_arrays(res, mir, {name: x})
+            return closedform.duan_sum_adiabatic_steps(terms, sideband_rate_arrays(res, mir, n_th))
+        unit2, res, mir = _sideband(base.unit2, {n: x if values is None else values
+                                                 for n, values in fields["unit2"].items()})
+        bath = _bath_terms(base, columns)  # after unit 2, as adiabatic_totals checks r
+        totals = closedform.duan_sum_adiabatic_arrays(unit1, unit2, *bath)
+        held.extend((res, mir, None if name in _OCCUPATION_FIELDS else unit2.n_th,
+                     closedform.adiabatic_held(unit1, *bath)))
+        return totals
 
     return _golden_searches(objective, specs)
-
-
-def _rows(column, search):
-    """The rows ``search`` of a column; a scalar, the same for every search, as it is."""
-    return column[search] if np.ndim(column) else column
 
 
 _FIG23_R = (0.5, 1.0, 2.0)

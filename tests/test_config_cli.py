@@ -132,6 +132,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_every_unit_field_has_a_key(self):
+        targets = {field for field, _ in config._UNIT_KEYS.values()}
+        assert set(model.ResonatorParams._fields + model.MirrorParams._fields) <= targets
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/squeezelink.ini")

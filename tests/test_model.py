@@ -40,6 +40,13 @@ def default_unit(power=10e-3, temperature=50e-6):
     )
 
 
+def sideband_arrays(unit, **fields):
+    """``unit``'s rates with ``fields`` set to arrays: the field check, then the rate core."""
+    res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
+    model.set_field_arrays(res, mir, fields)
+    return model.sideband_rate_arrays(res, mir)
+
+
 class TestThermalOccupation:
     def test_zero_temperature_is_exactly_zero(self):
         assert thermal_occupation(OMEGA_M, 0.0) == 0.0
@@ -184,14 +191,14 @@ class TestArrayHelpers:
         # the occupation is exp(-x); T = 0, and a T where k_B T underflows to 0
         x = np.geomspace(1e-12, 750.0, 2001)
         temperature = np.append(HBAR * OMEGA_M / (KB * x), [0.0, 2.2250738585e-313])
-        n_th = model.red_sideband_arrays(default_unit(), temperature=temperature).n_th
+        n_th = sideband_arrays(default_unit(), temperature=temperature).n_th
         assert [v.hex() for v in n_th.tolist()] == [
             thermal_occupation(OMEGA_M, t).hex() for t in temperature.tolist()]
         # an (n, 1) x (1, m) broadcast
         omega_M = OMEGA_M * np.geomspace(1e-3, 1e3, 7)[:, None]
         temperature = np.array([[0.0, 1e-9, 50e-6, 1.0, 300.0]])
-        n_th = model.red_sideband_arrays(default_unit(), omega_M=omega_M,
-                                         temperature=temperature).n_th
+        n_th = sideband_arrays(default_unit(), omega_M=omega_M,
+                           temperature=temperature).n_th
         assert n_th.shape == (7, 5)
         assert [v.hex() for v in n_th.ravel().tolist()] == [
             thermal_occupation(w, t).hex()
@@ -208,7 +215,7 @@ class TestArrayHelpers:
             "gamma": 2 * math.pi * np.array([1.0, 140.0])[:, None],
             "temperature": np.array([0.0, 1e-9, 50e-6, 1.0, 300.0]),
         }
-        arrays = model.red_sideband_arrays(default_unit(), **fields)
+        arrays = sideband_arrays(default_unit(), **fields)
         grid = np.broadcast_arrays(*fields.values())
         unit, states = default_unit(), []
         for values in zip(*(a.ravel().tolist() for a in grid)):

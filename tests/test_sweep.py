@@ -435,21 +435,21 @@ class TestEvaluateQuantity:
 
 class TestMinimizeScalar:
     def test_quadratic_minimum(self):
-        (x,), (y,) = sweep._golden_searches(lambda x, _: (x - 3.0) ** 2 + 1.0,
+        (x,), (y,) = sweep._golden_searches(lambda x: (x - 3.0) ** 2 + 1.0,
                                             [OptimizeSpec(0.0, 10.0)])
         assert x == pytest.approx(3.0, abs=1e-4)
         assert y == pytest.approx(1.0, abs=1e-8)
 
     def test_tight_tolerance(self):
-        (x,), _ = sweep._golden_searches(lambda x, _: np.cosh(x - 0.7),
+        (x,), _ = sweep._golden_searches(lambda x: np.cosh(x - 0.7),
                                          [OptimizeSpec(-2.0, 2.0, tolerance=1e-10)])
         assert x == pytest.approx(0.7, abs=1e-7)
 
     def test_monotone_objective_raises(self):
         with pytest.raises(BracketFailure):
-            sweep._golden_searches(lambda x, _: x, [OptimizeSpec(0.0, 1.0)])
+            sweep._golden_searches(lambda x: x, [OptimizeSpec(0.0, 1.0)])
         with pytest.raises(BracketFailure):
-            sweep._golden_searches(lambda x, _: -x, [OptimizeSpec(0.0, 1.0)])
+            sweep._golden_searches(lambda x: -x, [OptimizeSpec(0.0, 1.0)])
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
@@ -460,6 +460,7 @@ class TestMinimizeScalar:
     @pytest.mark.parametrize("lo, hi, tolerance", [
         (0.0, 10.0, math.nan), (0.0, 10.0, math.inf), (0.0, 10.0, 1.0), (0.0, 10.0, -1e-6),
         (0.0, math.inf, 1e-6), (-math.inf, 0.0, 1e-6), (math.nan, 1.0, 1e-6),
+        (-1e308, 1e308, 1e-6),  # the width hi - lo overflows
     ])
     def test_non_finite_or_out_of_range_spec_rejected(self, lo, hi, tolerance):
         with pytest.raises(ValueError):
@@ -468,12 +469,12 @@ class TestMinimizeScalar:
 
 def _quadratic_family(shifts, widths):
     """(objective of every search, objective of search k alone) of shifted quartic bowls."""
-    def batch(x, search):
-        u = (x - shifts[search, None]) / widths[search, None]
+    def batch(x):
+        u = (x - shifts[:, None]) / widths[:, None]
         return u * u + 0.25 * u * u * u * u
 
     def one(k):
-        def objective(x, _search):
+        def objective(x):
             u = (x - shifts[k]) / widths[k]
             return u * u + 0.25 * u * u * u * u
         return objective
@@ -481,21 +482,38 @@ def _quadratic_family(shifts, widths):
     return batch, one
 
 
+def _random_bowls(seed, tolerance):
+    """(batch objective, lone objective of k, specs) of 40 bowls in random brackets;
+    ``tolerance()`` gives each spec's tolerance."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    shifts = rng.uniform(-3.0, 3.0, n)
+    widths = 10.0 ** rng.uniform(-2.0, 1.0, n)
+    specs = [OptimizeSpec(s - w * rng.uniform(1.0, 4.0), s + w * rng.uniform(1.0, 4.0),
+                          tolerance=tolerance(rng))
+             for s, w in zip(shifts, widths)]
+    return (*_quadratic_family(shifts, widths), specs)
+
+
 class TestLockstepSearch:
-    def test_batch_equals_searches_of_one_bit_for_bit(self):
-        rng = np.random.default_rng(11)
-        n = 40
-        shifts = rng.uniform(-3.0, 3.0, n)
-        widths = 10.0 ** rng.uniform(-2.0, 1.0, n)
-        # different tolerances make the searches finish at different steps
-        specs = [OptimizeSpec(s - w * rng.uniform(1.0, 4.0), s + w * rng.uniform(1.0, 4.0),
-                              tolerance=10.0 ** rng.uniform(-12.0, -3.0))
-                 for s, w in zip(shifts, widths)]
-        batch, one = _quadratic_family(shifts, widths)
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-7, 1e-3])
+    def test_batch_equals_searches_of_one_bit_for_bit(self, tolerance):
+        # one tolerance for the batch: every search takes the steps it takes alone
+        batch, one, specs = _random_bowls(11, lambda rng: tolerance)
         x_min, y_min = sweep._golden_searches(batch, specs)
         for k, spec in enumerate(specs):
             (x,), (y,) = sweep._golden_searches(one(k), [spec])
             assert (x_min[k], y_min[k]) == (x, y)
+
+    def test_mixed_tolerances_narrow_each_search_at_least_as_far_as_alone(self):
+        # a search whose bracket is small enough keeps stepping with the rest:
+        # its argmin moves by less than its tolerance, and its minimum only falls
+        batch, one, specs = _random_bowls(11, lambda rng: 10.0 ** rng.uniform(-12.0, -3.0))
+        x_min, y_min = sweep._golden_searches(batch, specs)
+        for k, spec in enumerate(specs):
+            (x,), (y,) = sweep._golden_searches(one(k), [spec])
+            assert abs(x_min[k] - x) <= spec.tolerance * (spec.hi - spec.lo)
+            assert y_min[k] <= y
 
     def test_partner_batch_equals_partner_searches_of_one(self, base):
         base = set_param(base, "bath.r", 2.0)
@@ -521,10 +539,10 @@ class TestLockstepSearch:
         specs = [OptimizeSpec(0.2 * v, 3.0 * v) for v in values1.tolist()]
         x_min, y_min = sweep.optimize_partners(base, field, values1, specs, overrides)
 
-        def objective(x, search):
+        def objective(x):
             return sweep.adiabatic_totals(
-                base, {path: values[search, None] for path, values in overrides.items()}
-                | {f"unit1.{field}": values1[search, None], f"unit2.{field}": x})
+                base, {path: values[:, None] for path, values in overrides.items()}
+                | {f"unit1.{field}": values1[:, None], f"unit2.{field}": x})
 
         reference = sweep._golden_searches(objective, specs)
         assert x_min.tolist() == reference[0].tolist()
@@ -569,29 +587,32 @@ class TestLockstepSearch:
         builds, scans, steps = [], [], []
 
         def counted(calls, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(kwargs)
-                return fn(*args, **kwargs)
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(sweep, "red_sideband_arrays",
-                            counted(builds, sweep.red_sideband_arrays))
+        monkeypatch.setattr(sweep, "_sideband", counted(builds, sweep._sideband))
         monkeypatch.setattr(closedform, "duan_sum_adiabatic_arrays",
                             counted(scans, closedform.duan_sum_adiabatic_arrays))
         monkeypatch.setattr(closedform, "duan_sum_adiabatic_steps",
                             counted(steps, closedform.duan_sum_adiabatic_steps))
         searches = 3 * len(figure_dataset(fig).rows)
-        # 25 evaluations: the scan, then the first (c, d) pair and 23 golden steps
-        assert (len(scans), len(steps)) == (1, 24)
-        # unit 1 first, once, as columns over every search
-        assert len(builds) == 1
-        assert {np.shape(values) for values in builds[0].values()} == {(searches, 1)}
+        # 25 evaluations: the scan, then the first (c, d) pair and 23 golden
+        # steps; the scan's total is formed by the steps' function too
+        assert (len(scans), len(steps)) == (1, 25)
+        # unit 1 first, once, as columns over every search; then the scan's unit 2
+        assert len(builds) == 2
+        (_, fields1), (_, fields2) = builds
+        assert {np.shape(values) for values in fields1.values()} == {(searches, 1)}
+        assert {np.shape(values) for values in fields2.values()} == {
+            (searches, 1), (searches, sweep.SCAN_POINTS)}
 
     @pytest.mark.parametrize("field, scale", [("power", 1e-2), ("mirror.omega_M", OMEGA_M)])
     def test_partner_searches_that_finish_apart_equal_adiabatic_totals(self, base, monkeypatch,
                                                                        field, scale):
-        # tolerances from 1e-9 to 1e-3: the searches leave the batch at different
-        # steps, and the steps hold the rows of the rest
+        # tolerances from 1e-9 to 1e-3: the searches are done at different steps,
+        # and every step still evaluates every search
         rng = np.random.default_rng(5)
         n = 12
         values1 = scale * rng.uniform(0.5, 1.5, n)
@@ -606,20 +627,21 @@ class TestLockstepSearch:
                             lambda held, unit2: running.append(len(held[0])) or steps(held, unit2))
         x_min, y_min = sweep.optimize_partners(base, field, values1, specs, overrides)
 
-        def objective(x, search):
+        def objective(x):
             return sweep.adiabatic_totals(
-                base, {path: values[search, None] for path, values in overrides.items()}
-                | {f"unit1.{field}": values1[search, None], f"unit2.{field}": x})
+                base, {path: values[:, None] for path, values in overrides.items()}
+                | {f"unit1.{field}": values1[:, None], f"unit2.{field}": x})
 
         reference = sweep._golden_searches(objective, specs)
         assert x_min.tolist() == reference[0].tolist()
         assert y_min.tolist() == reference[1].tolist()
-        assert running[0] == n and len(set(running)) > n // 2
+        assert running and set(running) == {n}
 
     @pytest.mark.parametrize("check, builds, elements", [
         # unit 1's column and the scan's column of unit 2, 177 searches each
         (lambda: figure_dataset("fig5b"), 2, 2 * 3 * 59),
-        (lambda: selfcheck.run_checks(["symmetric-drive"]), 2, 2),
+        # a power search of units at one temperature: the occupation is a point
+        (lambda: selfcheck.run_checks(["symmetric-drive"]), 0, 0),
         # an omega_M search moves unit 2's occupation: the scan and every step build it
         (lambda: figure_dataset("fig6b"), 26, None),
     ], ids=["fig5b", "symmetric-drive", "fig6b"])
@@ -633,6 +655,30 @@ class TestLockstepSearch:
         check()
         assert len(sizes) == builds
         assert elements is None or sum(sizes) == elements
+
+    @pytest.mark.parametrize("check", [
+        lambda: figure_dataset("fig5b"), lambda: figure_dataset("fig6b"),
+        lambda: selfcheck.run_checks(["symmetric-drive"]),
+    ], ids=["fig5b", "fig6b", "symmetric-drive"])
+    def test_figure_batch_searches_equal_searches_run_alone(self, monkeypatch, check):
+        # each batch shares one tolerance, so its searches step as they do alone
+        batches = []
+        optimize = sweep.optimize_partners
+
+        def recorded(base, field, values1, specs, overrides=None):
+            found = optimize(base, field, values1, specs, overrides)
+            batches.append((base, field, np.asarray(values1, dtype=float), specs,
+                            overrides or {}, found))
+            return found
+
+        monkeypatch.setattr(sweep, "optimize_partners", recorded)
+        check()
+        (base, field, values1, specs, overrides, (x_min, y_min)), = batches
+        for k in sorted(set(np.linspace(0, len(specs) - 1, 5).astype(int).tolist())):
+            (x,), (y,) = optimize(base, field, values1[k:k + 1], specs[k:k + 1],
+                                  {path: np.asarray(values)[k:k + 1]
+                                   for path, values in overrides.items()})
+            assert (x_min[k], y_min[k]) == (x, y)
 
     @pytest.mark.parametrize("bad", [0, 3, 6])
     def test_edge_minimum_names_its_search(self, bad):
