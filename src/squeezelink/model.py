@@ -76,6 +76,13 @@ class Record:
         # object.__setattr__, as a frozen dataclass sets its fields: writing to
         # the instance __dict__ instead makes every later read of a field slower
         fields = self._fields
+        if not kwargs and len(args) < len(fields):
+            # a positional prefix: the defaults fill the rest, without the dict path
+            defaults, prefix = self._defaults, args
+            for field in fields[len(prefix):]:
+                if field not in defaults:
+                    raise self._call_error(prefix, kwargs)
+                args += (defaults[field],)
         if not kwargs and len(args) == len(fields):
             for field, value in zip(fields, args):
                 _setattr(self, field, value)

@@ -90,7 +90,11 @@ class SweepSpec(Record):
         if self.scale == "log":
             if self.start <= 0:
                 raise ValueError("log scale needs a positive start")
-            return np.geomspace(self.start, self.stop, self.count)
+            # np.geomspace's own steps and ends, without its dtype, sign and copy handling
+            grid = np.power(10.0, np.linspace(np.log10(self.start), np.log10(self.stop),
+                                              self.count))
+            grid[0], grid[-1] = self.start, self.stop
+            return grid
         return np.linspace(self.start, self.stop, self.count)
 
 
@@ -184,15 +188,22 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> list[list]:
     if route == "oracle":
         var_X, var_Y = oracle.duan_variance_arrays(*units, *bath, pair)
         total = var_X + var_Y
+        var_X, var_Y = var_X.tolist(), var_Y.tolist()
     else:
         total = (closedform.duan_sum_adiabatic_arrays(u1, u2, *bath)
                  if (pair, route) == ("mirror", "adiabatic")
                  else closedform.duan_sum_nonadiabatic_general_arrays(*units, *bath, pair))
-        var_X = var_Y = total / 2.0  # as DuanResult.from_total, so one list serves both
-    axis, total, var_X, entangled, C1, C2, *var_Y = (c.tolist() for c in np.broadcast_arrays(
-        grid, total, var_X, total < closedform.SEPARABILITY_BOUND, u1.C, u2.C,
-        *([] if var_Y is var_X else [var_Y])))
-    return [axis, total, var_X, var_Y[0] if var_Y else var_X, entangled, C1, C2]
+        var_X = var_Y = (total / 2.0).tolist()  # as DuanResult.from_total, so one list serves both
+    count = len(grid)
+    return [grid.tolist(), total.tolist(), var_X, var_Y,
+            (total < closedform.SEPARABILITY_BOUND).tolist(), _column(u1.C, count),
+            _column(u2.C, count)]
+
+
+def _column(value, count: int) -> list:
+    """``value`` as a row column: an array over the grid as its list, and a point
+    value, such as the cooperativity of a unit that the axis does not move, repeated."""
+    return value.tolist() if isinstance(value, np.ndarray) else [float(value)] * count
 
 
 def _point_row(spec: SweepSpec, x: float) -> SweepRow:
@@ -213,13 +224,15 @@ def _golden_searches(objective: Callable[[np.ndarray], np.ndarray],
     returns the objective of search ``j`` at each point of row ``j``, in the
     same shape. Each search scans ``SCAN_POINTS`` points of its bracket for a
     three-point bracket around the smallest value, then shrinks that bracket
-    by the golden ratio to ``tolerance * (hi - lo)``. All searches share one
+    by the golden ratio to ``tolerance * (hi - lo)``, or until a step leaves
+    it no narrower, as it does a few ulps wide. All searches share one
     objective call per scan and per golden step, and every search steps
-    until every bracket is small enough. So in a batch that shares one
-    tolerance every search takes the points, and returns the bits, that it
-    takes alone; in a batch of mixed tolerances a search that is done early
-    keeps narrowing. Raises :class:`BracketFailure` for the first search
-    whose scan is smallest at a bracket edge.
+    until every search is done. So in a batch that shares one tolerance,
+    above its brackets' float spacing, every search takes the points, and
+    returns the bits, that it takes alone; in a batch of mixed tolerances a
+    search that is done early keeps narrowing. Raises
+    :class:`BracketFailure` for the first search whose scan is smallest at a
+    bracket edge.
     """
     n = len(specs)
     lo = np.array([spec.lo for spec in specs])
@@ -238,15 +251,21 @@ def _golden_searches(objective: Callable[[np.ndarray], np.ndarray],
             f"objective is smallest at the bracket edge"
         )
     a, b = xs[every, k - 1], xs[every, k + 1]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    width = b - a
+    c = b - _GOLDEN * width
+    d = a + _GOLDEN * width
     f = objective(np.stack([c, d], axis=1))
     fc, fd = f[:, 0], f[:, 1]
-    while (b - a > tol).any():
+    narrowing = width > tol
+    while narrowing.any():
         # left: the minimum lies in [a, d], and c moves in; right: in [c, b], d moves in
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
-        step = _GOLDEN * (b - a)
+        # a bracket a few ulps wide may stop shrinking above its tolerance: done too
+        narrower = b - a
+        narrowing = (narrower > tol) & (narrower < width)
+        width = narrower
+        step = _GOLDEN * width
         x = np.where(left, b - step, a + step)
         fx = objective(x[:, None])[:, 0]
         c, d = np.where(left, x, d), np.where(left, c, x)

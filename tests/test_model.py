@@ -59,6 +59,13 @@ class TestThermalOccupation:
         # quoted label is n_th = 5; direct evaluation lands ~5% below
         assert thermal_occupation(OMEGA_M, 236e-6) == pytest.approx(5.0, rel=0.10)
 
+    @pytest.mark.parametrize("label, n_th", [(62.2e-6, 1.0), (236e-6, 5.0), (452e-6, 10.0)])
+    def test_temperature_labels_assume_hbar_of_1e_minus_34(self, label, n_th):
+        # n_th at the label with hbar = 1e-34 J s is n_th at label * HBAR / 1e-34 with
+        # CODATA hbar; the three-digit labels then hold to their rounding, where
+        # CODATA hbar itself misses them by 5 to 7 percent
+        assert thermal_occupation(OMEGA_M, label * HBAR / 1e-34) == pytest.approx(n_th, rel=3e-3)
+
     # domains keep hbar*omega/(kB*T) well below ~700 so the occupation
     # stays above float underflow and strict ordering is meaningful
     @given(
@@ -457,3 +464,21 @@ def test_record_semantics(case):
         with pytest.raises(error):
             cls(**(given | invalid))
 
+
+
+@pytest.mark.parametrize("case", [case for case in _records() if case[3]],
+                         ids=lambda case: case[0].__name__)
+def test_record_from_a_positional_prefix_equals_the_record_by_keyword(case):
+    cls, fields, given, defaults, _, _ = case
+    values = given | defaults
+    required = [field for field in fields if field not in defaults]
+    assert fields[:len(required)] == tuple(required)  # the defaults trail
+    for k in range(len(required), len(fields)):
+        prefix = fields[:k]
+        assert cls(*(values[field] for field in prefix)) == cls(**{f: values[f] for f in prefix})
+    # a required field missing by position keeps the constructor's message
+    short = [values[field] for field in required[:-1]]
+    with pytest.raises(TypeError) as raised:
+        cls(*short)
+    assert str(raised.value) == (f"{cls.__name__}() takes the fields {', '.join(fields)}; "
+                                 f"got {len(short)} by position and none by keyword")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from squeezelink import cli, closedform, config, model, oracle, selfcheck, sweep
 from squeezelink.model import UnknownPath
@@ -83,6 +83,18 @@ class TestSweepSpec:
         assert grid[-1] == pytest.approx(1e-2)
         ratios = grid[1:] / grid[:-1]
         assert ratios == pytest.approx([10.0] * 4, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(POSITIVE, min_size=2, max_size=2, unique=True),
+           count=st.integers(2, 1000))
+    @example(ends=[1e-300, 1e300], count=2)
+    @example(ends=[1e-300, 1e300], count=77)
+    @example(ends=[1e299, 1e300], count=1000)
+    @example(ends=[5e-324, 1e-300], count=3)
+    def test_log_grid_equals_geomspace_bit_for_bit(self, base, ends, count):
+        start, stop = sorted(ends)
+        grid = SweepSpec(base, "unit1.power", start, stop, count, scale="log").grid()
+        assert grid.tobytes() == np.geomspace(start, stop, count).tobytes()
 
     def test_log_grid_needs_positive_start(self, base):
         spec = SweepSpec(base, "bath.r", 0.0, 1.0, 5, scale="log")
@@ -256,6 +268,34 @@ class TestArraySweep:
 
         monkeypatch.setattr(sweep, "_point_row", point_row)
         assert run_sweep(spec) == expected
+
+    @pytest.mark.parametrize("axis, quantity", [
+        ("unit2.power", "mirror-duan-adiabatic"),  # unit 1 fixed
+        ("unit1.power", "mirror-duan-nonadiabatic"),  # unit 2 fixed
+        ("unit1.power", "oracle-duan"),  # var_Y a list of its own
+        ("bath.r", "field-duan"),  # both units fixed
+    ])
+    def test_a_valid_grid_runs_no_numpy_wrapper(self, base, monkeypatch, axis, quantity):
+        # the log grid and the row columns come without np.geomspace and
+        # np.broadcast_arrays, whose Python-level set-up costs most of a small sweep
+        spec = SweepSpec(base, axis, 1e-3, 1e-1, 40, scale="log", quantity=quantity)
+        expected = scalar_sweep_rows(spec)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def geomspace(self, *args, **kwargs):
+                raise AssertionError("np.geomspace")
+
+            def broadcast_arrays(self, *args, **kwargs):
+                raise AssertionError("np.broadcast_arrays")
+
+        monkeypatch.setattr(sweep, "np", Numpy())
+        rows = run_sweep(spec)
+        assert rows == expected and all(row.error is None for row in rows)
+        # a fixed unit's cooperativity is repeated as a float, as an array's list holds
+        assert all(type(value) is float for row in rows for value in (row.C1, row.C2))
 
     @pytest.mark.parametrize("axis, start, stop, quantity", [
         *(("temperature", 1e-5, 1e-2, quantity) for quantity in sorted(sweep.QUANTITIES)),
@@ -444,6 +484,19 @@ class TestMinimizeScalar:
         (x,), _ = sweep._golden_searches(lambda x: np.cosh(x - 0.7),
                                          [OptimizeSpec(-2.0, 2.0, tolerance=1e-10)])
         assert x == pytest.approx(0.7, abs=1e-7)
+
+    def test_tolerance_below_the_float_spacing_stops(self):
+        # the bracket stops shrinking a few ulps wide, above 1e-17 * (hi - lo)
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            if len(calls) > 200:
+                raise AssertionError("the search does not stop")
+            return (x - 1.3) ** 2
+
+        (x,), _ = sweep._golden_searches(objective, [OptimizeSpec(1.0, 2.0, tolerance=1e-17)])
+        assert abs(x - 1.3) <= 4 * math.ulp(1.3)
 
     def test_monotone_objective_raises(self):
         with pytest.raises(BracketFailure):
