@@ -465,7 +465,6 @@ def test_record_semantics(case):
             cls(**(given | invalid))
 
 
-
 @pytest.mark.parametrize("case", [case for case in _records() if case[3]],
                          ids=lambda case: case[0].__name__)
 def test_record_from_a_positional_prefix_equals_the_record_by_keyword(case):
