@@ -89,11 +89,23 @@ def _require_rates(Gamma_a1, Gamma_1, Gamma_a2, Gamma_2):
             )
 
 
-def _adiabatic_share(unit):
-    """A unit's terms of the adiabatic mirror total, for floats or arrays:
-    ``(Gamma_a, Gamma, Gamma_a / Gamma, ((Gamma - Gamma_a) / Gamma)(2 n_th + 1))``."""
-    Ga, G = unit.Gamma_a, unit.Gamma
-    return Ga, G, Ga / G, ((G - Ga) / G) * (2.0 * unit.n_th + 1.0)
+def _divide(x: float, y: float) -> float:
+    """``x / y`` of floats, and where ``y`` is 0 the IEEE quotient, as arrays give it."""
+    if y:
+        return x / y
+    return math.copysign(math.inf, x) * math.copysign(1.0, y) if x and x == x else math.nan
+
+
+def _adiabatic_share(unit, divide):
+    """A unit's terms of the adiabatic mirror total, ``(Gamma_a, Gamma, Gamma_a / Gamma,
+    ((Gamma - Gamma_a) / Gamma)(2 n_th + 1))``, from its record ``(gamma, kappa, G, n_th)``:
+    ``Gamma_a = 4 G^2 / kappa`` by the ops of the steady state's C, and ``Gamma =
+    Gamma_a + gamma``. ``divide`` is :func:`_divide` for floats or ``np.divide``, so
+    that no division raises before the rates pass their bounds."""
+    gamma, kappa, G, n_th = unit
+    Ga = divide(4.0 * (G * G), kappa)
+    Gt = Ga + gamma
+    return Ga, Gt, divide(Ga, Gt), divide(Gt - Ga, Gt) * (2.0 * n_th + 1.0)
 
 
 def _adiabatic_sum(share1, share2, squeezed, M, sqrt):
@@ -113,18 +125,19 @@ def _adiabatic_sum(share1, share2, squeezed, M, sqrt):
 def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
     """Mirror-mirror variance sum in the adiabatic regime, arbitrary asymmetry.
 
-    ``unit1`` and ``unit2`` carry the rates after the cavity fields are eliminated,
-    ``Gamma_a``, ``Gamma`` and ``n_th`` (a :class:`model.SteadyState` does);
-    ``N`` and ``M`` are the bath's ``SqueezedBath.N`` and ``SqueezedBath.M_corr``.
-    The squeezed terms ``a = (2N + 1)(Gamma_a1/Gamma_1 + Gamma_a2/Gamma_2)`` and
+    Each unit is ``(gamma, kappa, G, n_th)`` (see :func:`model.unit_record`), and its
+    mirror's rates with the cavity eliminated, ``Gamma_a = 4 G^2 / kappa`` and ``Gamma =
+    Gamma_a + gamma``, pass their bounds before the total is formed; ``N`` and ``M``
+    are the bath's ``SqueezedBath.N`` and ``SqueezedBath.M_corr``. The squeezed terms
+    ``a = (2N + 1)(Gamma_a1/Gamma_1 + Gamma_a2/Gamma_2)`` and
     ``b = 8 sqrt(Gamma_a1 Gamma_a2) M / (Gamma_1 + Gamma_2)`` both grow like
     e^{2r} and cancel in ``a - b``. Once the total passes :class:`DuanResult`'s
     check, a relative rounding error estimated as ``ulp(1) (a + b) / total``
     beyond ``_CANCELLATION_TOL`` raises ``FloatingPointError`` instead of a verdict.
     """
-    _require_rates(unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
-    total, size = _adiabatic_sum(_adiabatic_share(unit1), _adiabatic_share(unit2),
-                                 2.0 * N + 1.0, M, math.sqrt)
+    share1, share2 = (_adiabatic_share(unit, _divide) for unit in (unit1, unit2))
+    _require_rates(*share1[:2], *share2[:2])
+    total, size = _adiabatic_sum(share1, share2, 2.0 * N + 1.0, M, math.sqrt)
     result = DuanResult.from_total(total)
     _require_digits(math.ulp(1.0) * size / total if total else math.inf)
     return result
@@ -133,46 +146,39 @@ def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
 def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     """:func:`duan_sum_adiabatic_general` totals over arrays.
 
-    ``unit1`` and ``unit2`` carry ``Gamma_a``, ``Gamma`` and ``n_th`` arrays
-    (see :func:`model.sideband_rate_arrays`); ``N`` and ``M`` are the bath's
+    ``unit1`` and ``unit2`` are unit records of arrays (see
+    :func:`model.sideband_rate_arrays`); ``N`` and ``M`` are the bath's
     terms (see :func:`model.squeeze_arrays`). All broadcast together. The
-    totals equal the per-point ones bit for bit. Every element passes the
-    per-point rate bounds, the finite, non-negative total check of
-    :class:`DuanResult` and the rounding-error estimate, in that order, or
-    the first failing element raises what the per-point route raises. Both
-    units' rate bounds are checked here, jointly, as per point; the rest is
-    :func:`duan_sum_adiabatic_steps`.
+    totals equal the per-point ones bit for bit, and every element passes
+    the checks of :func:`duan_sum_adiabatic_steps`.
     """
-    rates = (unit1.Gamma_a, unit1.Gamma, unit2.Gamma_a, unit2.Gamma)
-    bad = np.asarray(_rates_out_of_bounds(*rates[:2]) | _rates_out_of_bounds(*rates[2:]))
-    raise_for_first(bad, _require_rates, *rates)
     return duan_sum_adiabatic_steps(adiabatic_held(unit1, N, M), unit2)
 
 
 def adiabatic_held(unit1, N, M) -> tuple:
-    """What a partner search holds over its steps: unit 1's :func:`_adiabatic_share`
-    and the bath's ``2N + 1`` and ``M``, one flat tuple (see
-    :func:`duan_sum_adiabatic_steps`)."""
+    """What a partner search holds over its steps: unit 1's :func:`_adiabatic_share`,
+    the bath's ``2N + 1`` and ``M``, and where unit 1's rates fail their bounds, one
+    flat tuple (see :func:`duan_sum_adiabatic_steps`)."""
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        return (*_adiabatic_share(unit1), 2.0 * N + 1.0, M)
+        share = _adiabatic_share(unit1, np.divide)
+        return (*share, 2.0 * N + 1.0, M, _rates_out_of_bounds(*share[:2]))
 
 
 def duan_sum_adiabatic_steps(held, unit2) -> np.ndarray:
     """:func:`duan_sum_adiabatic_arrays` totals from unit 1's and the bath's ``held``
-    terms (:func:`adiabatic_held`) and unit 2's rates, as a partner search's step
+    terms (:func:`adiabatic_held`) and unit 2's record, as a partner search's step
     forms them.
 
-    Unit 1's rates passed their bounds already, as in an earlier
-    :func:`duan_sum_adiabatic_arrays` call. Every element passes unit 2's
-    rate bounds, the finite, non-negative total check of :class:`DuanResult`
-    and the rounding-error estimate, in that order, or the first failing
-    element raises what the per-point route raises.
+    Every element passes both units' rate bounds, jointly, the total check of
+    :class:`DuanResult` and the rounding-error estimate, in that order, or the
+    first failing element raises what the per-point route raises.
     """
-    Ga1, G1 = held[:2]
-    bad = np.asarray(_rates_out_of_bounds(unit2.Gamma_a, unit2.Gamma))
-    raise_for_first(bad, _require_rates, Ga1, G1, unit2.Gamma_a, unit2.Gamma)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        total, size = _adiabatic_sum(held[:4], _adiabatic_share(unit2), *held[4:], np.sqrt)
+        share2 = _adiabatic_share(unit2, np.divide)
+        rates = (*held[:2], *share2[:2])
+        raise_for_first(np.asarray(held[6] | _rates_out_of_bounds(*rates[2:])),
+                        _require_rates, *rates)
+        total, size = _adiabatic_sum(held[:4], share2, *held[4:6], np.sqrt)
         total = require_totals(total)
         lost = math.ulp(1.0) * size / total  # a zero total gives inf, as per point
     raise_for_first(lost > _CANCELLATION_TOL, _require_digits, lost)

@@ -319,8 +319,6 @@ class SteadyState(Record):
 
     delta_eff: float  # effective detuning (rad/s)
     G: float  # many-photon coupling g*sqrt(n_bar) (rad/s)
-    Gamma_a: float  # radiation-pressure damping 4 G^2 / kappa (rad/s)
-    Gamma: float  # total effective damping Gamma_a + gamma (rad/s)
     C: float  # cooperativity 4 G^2 / (gamma kappa)
     n_th: float  # thermal occupation of the mirror bath
 
@@ -359,14 +357,18 @@ def _drive(power, kappa, omega_L, sqrt):
     return sqrt(2.0 * kappa * power / (HBAR * omega_L))
 
 
-def _sideband_rates(res, mir, delta_eff, sqrt):
-    """(G, Gamma_a) of one unit; ``res``/``mir`` hold its fields."""
+def _sideband_coupling(res, mir, delta_eff, sqrt):
+    """G of one unit; ``res``/``mir`` hold its fields."""
     g = _coupling(res.omega_r, res.length, mir.mass, mir.omega_M, sqrt)
     eps = _drive(res.power, res.kappa, res.omega_L, sqrt)
     half_kappa = res.kappa / 2.0
     n_bar = eps * eps / (half_kappa * half_kappa + delta_eff * delta_eff)
-    G = g * sqrt(n_bar)
-    return G, 4.0 * (G * G) / res.kappa
+    return g * sqrt(n_bar)
+
+
+def _cooperativity(gamma, kappa, G):
+    """C = 4 G^2 / (gamma kappa), as Gamma_a / gamma with the adiabatic form's Gamma_a."""
+    return 4.0 * (G * G) / kappa / gamma
 
 
 def _denominator_vanishes(mass, omega_M, omega_L, kappa, delta_eff):
@@ -394,25 +396,23 @@ def mean_fields_from_effective_detuning(
     # before the rates: where hbar omega_M underflows, this error names the cause
     n_th = thermal_occupation(mir.omega_M, mir.temperature)
     _require_rate_denominators(mir.mass, mir.omega_M, res.omega_L, res.kappa, delta_eff)
-    G, Gamma_a = _sideband_rates(res, mir, delta_eff, math.sqrt)
-    return SteadyState(
-        delta_eff=delta_eff,
-        G=G,
-        Gamma_a=Gamma_a,
-        Gamma=Gamma_a + mir.gamma,
-        C=Gamma_a / mir.gamma,
-        n_th=n_th,
-    )
+    G = _sideband_coupling(res, mir, delta_eff, math.sqrt)
+    return SteadyState(delta_eff=delta_eff, G=G, C=_cooperativity(mir.gamma, res.kappa, G),
+                       n_th=n_th)
 
 
 # a collections.namedtuple, as typing.NamedTuple would import typing on the closed-form path
-SidebandArrays = namedtuple("SidebandArrays", "G Gamma_a Gamma C n_th gamma kappa")
-SidebandArrays.__doc__ = """Red-sideband rates of one unit, elementwise over parameter arrays.
+SidebandArrays = namedtuple("SidebandArrays", "gamma kappa G n_th")
+SidebandArrays.__doc__ = """One unit as every route takes it: ``(gamma, kappa, G, n_th)``.
 
-The steady state's ``G``, ``Gamma_a``, ``Gamma``, ``C`` and ``n_th``, then
-``gamma`` and ``kappa``, the mirror's and the cavity's own rates. A unit
-that a sweep holds fixed carries floats instead of arrays.
+The mirror's and the cavity's damping rates, and the red-detuned steady state's
+coupling and thermal occupation: floats, or arrays over a grid.
 """
+
+
+def unit_record(unit: OptomechanicalUnit, steady: SteadyState) -> SidebandArrays:
+    """The :class:`SidebandArrays` of ``unit`` at its steady state ``steady``, as floats."""
+    return SidebandArrays(unit.mirror.gamma, unit.resonator.kappa, steady.G, steady.n_th)
 
 
 def raise_for_first(bad, check, *arrays):
@@ -452,12 +452,12 @@ def set_field_arrays(res: dict, mir: dict, fields: dict) -> None:
 
 
 def sideband_rate_arrays(res: dict, mir: dict, n_th=None) -> SidebandArrays:
-    """The rates of the red-detuned steady state (delta_eff = -omega_M) over arrays.
+    """The unit record of the red-detuned steady state (delta_eff = -omega_M) over arrays.
 
     ``res`` and ``mir`` map each resonator and mirror field to a float or an
     array that passed its check (see :func:`set_field_arrays`); the arrays
-    broadcast together. Element by element the rates equal, bit for bit,
-    those of :func:`mean_fields_from_effective_detuning` on the unit with
+    broadcast together. Element by element ``G`` and ``n_th`` equal, bit for
+    bit, those of :func:`mean_fields_from_effective_detuning` on the unit with
     those fields. ``n_th`` is the thermal occupation of these ``omega_M`` and
     ``temperature`` where a caller holds it already; otherwise it is built
     here. An element whose rate denominator underflows to 0 raises what the
@@ -471,14 +471,13 @@ def sideband_rate_arrays(res: dict, mir: dict, n_th=None) -> SidebandArrays:
     if n_th is None:
         n_th = _occupation_arrays(mir.omega_M, mir.temperature)
     with np.errstate(all="ignore"):  # floats overflow silently too; the total check reports it
-        G, Gamma_a = _sideband_rates(res, mir, -mir.omega_M, np.sqrt)
-        Gamma, C = Gamma_a + mir.gamma, Gamma_a / mir.gamma
-        if not np.isfinite(Gamma_a).all():  # only then look for a vanishing denominator
+        G = _sideband_coupling(res, mir, -mir.omega_M, np.sqrt)
+        # a vanishing denominator makes G inf or NaN: only then look for one
+        if not np.isfinite(G).all():
             args = (mir.mass, mir.omega_M, res.omega_L, res.kappa, -mir.omega_M)
             raise_for_first(np.asarray(_denominator_vanishes(*args)),
                             _require_rate_denominators, *args)
-    return SidebandArrays(G, Gamma_a, Gamma, C, n_th, np.asarray(mir.gamma),
-                          np.asarray(res.kappa))
+    return SidebandArrays(mir.gamma, res.kappa, G, n_th)
 
 
 def map_math(fn, *arrays) -> np.ndarray:

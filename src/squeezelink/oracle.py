@@ -61,7 +61,7 @@ from ._lazy import lazy_import
 from .closedform import (_CANCELLATION_TOL, DuanResult, _require_digits, _require_pair,
                          duan_sum_nonadiabatic_general, require_totals)
 from .model import (Record, StabilityReport, SteadyState, SystemParams, UnstableDrift,
-                    raise_for_first, stability_check)
+                    raise_for_first, stability_check, unit_record)
 
 np = lazy_import("numpy")
 
@@ -124,10 +124,8 @@ def build_rwa_drift_diffusion(
                 RwaViolation,
                 stacklevel=2,
             )
-    A, D = build_rwa_drift_diffusion_stack(
-        *((u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th) for u, ss in zip(units, steady)),
-        system.bath.N, system.bath.M_corr,
-    )
+    A, D = build_rwa_drift_diffusion_stack(*map(unit_record, units, steady),
+                                           system.bath.N, system.bath.M_corr)
     return DriftDiffusion(A=A, D=D)
 
 
@@ -460,7 +458,5 @@ def spectral_duan_sum(system: SystemParams, steady: tuple[SteadyState, SteadySta
                       pair: str = "mirror") -> float:
     """Joint-quadrature variance sum by frequency-domain integration: the integral of
     the noise spectra in closed form, :func:`closedform.duan_sum_nonadiabatic_general`."""
-    return duan_sum_nonadiabatic_general(
-        *((u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
-          for u, ss in zip((system.unit1, system.unit2), steady)),
-        system.bath.N, system.bath.M_corr, pair).total
+    return duan_sum_nonadiabatic_general(*map(unit_record, (system.unit1, system.unit2), steady),
+                                         system.bath.N, system.bath.M_corr, pair).total

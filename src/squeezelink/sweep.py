@@ -21,12 +21,14 @@ from .model import (
     Record,
     SidebandArrays,
     SystemParams,
+    _cooperativity,
     mean_fields_from_effective_detuning,
     set_field_arrays,
     set_param,
     sideband_rate_arrays,
     squeeze_arrays,
     thermal_occupation,
+    unit_record,
     unit_targets,
 )
 
@@ -129,20 +131,19 @@ def evaluate(system: SystemParams, pair: str, route: str) -> tuple[DuanResult, f
     """
     if pair not in ("mirror", "field") or route not in ("adiabatic", "nonadiabatic", "oracle"):
         raise ValueError(f"unknown pair {pair!r} or route {route!r}")
-    ss1, ss2 = (mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-                for unit in (system.unit1, system.unit2))
-    if route == "oracle":
-        dd = oracle.build_rwa_drift_diffusion(system, (ss1, ss2))
+    steady = [mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
+              for unit in (system.unit1, system.unit2)]
+    units = [unit_record(u, ss) for u, ss in zip((system.unit1, system.unit2), steady)]
+    if route == "oracle":  # the oracle's own builder forms the same units
+        dd = oracle.build_rwa_drift_diffusion(system, steady)
         result = oracle.duan_from_covariance(oracle.solve_lyapunov(dd), pair)
     elif (pair, route) == ("mirror", "adiabatic"):
-        result = closedform.duan_sum_adiabatic_general(ss1, ss2, system.bath.N,
+        result = closedform.duan_sum_adiabatic_general(*units, system.bath.N,
                                                        system.bath.M_corr)
     else:
-        units = [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
-                 for u, ss in ((system.unit1, ss1), (system.unit2, ss2))]
         result = closedform.duan_sum_nonadiabatic_general(*units, system.bath.N,
                                                           system.bath.M_corr, pair)
-    return result, ss1.C, ss2.C
+    return result, steady[0].C, steady[1].C
 
 
 def evaluate_quantity(system: SystemParams, quantity: str) -> tuple[DuanResult, float, float]:
@@ -182,22 +183,21 @@ def _sweep_columns(spec: SweepSpec, grid: np.ndarray) -> list[list]:
     """
     pair, route = QUANTITIES[spec.quantity]
     overrides = {spec.axis: grid}
-    u1, u2 = _unit_arrays(spec.base, overrides)
+    units = _unit_arrays(spec.base, overrides)
     bath = _bath_terms(spec.base, overrides)
-    units = [(u.gamma, u.kappa, u.G, u.n_th) for u in (u1, u2)]
     if route == "oracle":
         var_X, var_Y = oracle.duan_variance_arrays(*units, *bath, pair)
         total = var_X + var_Y
         var_X, var_Y = var_X.tolist(), var_Y.tolist()
     else:
-        total = (closedform.duan_sum_adiabatic_arrays(u1, u2, *bath)
+        total = (closedform.duan_sum_adiabatic_arrays(*units, *bath)
                  if (pair, route) == ("mirror", "adiabatic")
                  else closedform.duan_sum_nonadiabatic_general_arrays(*units, *bath, pair))
         var_X = var_Y = (total / 2.0).tolist()  # as DuanResult.from_total, so one list serves both
     count = len(grid)
     return [grid.tolist(), total.tolist(), var_X, var_Y,
-            (total < closedform.SEPARABILITY_BOUND).tolist(), _column(u1.C, count),
-            _column(u2.C, count)]
+            (total < closedform.SEPARABILITY_BOUND).tolist(),
+            *(_column(_cooperativity(u.gamma, u.kappa, u.G), count) for u in units)]
 
 
 def _column(value, count: int) -> list:
@@ -312,8 +312,8 @@ def adiabatic_totals(system: SystemParams, overrides: dict) -> np.ndarray:
     evaluating ``s`` would raise. A unit or bath that no path sets is
     evaluated once, as a point (see :func:`_sideband` and :func:`_bath_terms`).
     """
-    u1, u2 = _unit_arrays(system, overrides)
-    return closedform.duan_sum_adiabatic_arrays(u1, u2, *_bath_terms(system, overrides))
+    return closedform.duan_sum_adiabatic_arrays(*_unit_arrays(system, overrides),
+                                                *_bath_terms(system, overrides))
 
 
 def _unit_arrays(system: SystemParams, overrides: dict):
@@ -332,22 +332,21 @@ def _unit_arrays(system: SystemParams, overrides: dict):
 
 
 def _sideband(unit, fields: dict) -> tuple[SidebandArrays, dict, dict]:
-    """The red-sideband rates of ``unit`` with ``fields`` set, and its checked
+    """The unit record of ``unit`` with ``fields`` set, and its checked
     resonator and mirror fields (see :func:`set_field_arrays`).
 
-    Element by element the rates equal, bit for bit, those of
+    Element by element the record equals, bit for bit, that of
     :func:`mean_fields_from_effective_detuning` on the unit with those
     fields, and the first invalid element raises what building that unit
-    raises. A unit with no field set is evaluated once, as a point: its
-    per-point steady state, as floats. Where no field moves the thermal
-    occupation, it too is the point value, built once the fields pass their
-    check, so that an invalid field raises first.
+    raises. A unit with no field set is evaluated once, as a point: the
+    record of its per-point steady state, as floats. Where no field moves
+    the thermal occupation, it too is the point value, built once the fields
+    pass their check, so that an invalid field raises first.
     """
     res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
     if not fields:
         ss = mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-        return (SidebandArrays(ss.G, ss.Gamma_a, ss.Gamma, ss.C, ss.n_th, mir["gamma"],
-                               res["kappa"]), res, mir)
+        return unit_record(unit, ss), res, mir
     set_field_arrays(res, mir, fields)
     n_th = (None if fields.keys() & _OCCUPATION_FIELDS
             else thermal_occupation(unit.mirror.omega_M, unit.mirror.temperature))

@@ -3,7 +3,6 @@ import math
 import re
 import warnings
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,16 +30,10 @@ from units import (KAPPA, SPECTRAL_CASES, SYSTEM_ARGS, asymmetric_system, make_s
                    system_units, temperature_for_occupation)
 
 
-class Rates(NamedTuple):
-    """One unit's effective rates after the cavity field is eliminated."""
-
-    Gamma_a: float
-    Gamma: float
-    n_th: float
-
-
 def unit_rates(Gamma_a, gamma, n_th):
-    return Rates(Gamma_a=Gamma_a, Gamma=Gamma_a + gamma, n_th=n_th)
+    """A unit record (gamma, kappa, G, n_th) whose Gamma_a = 4 G^2 / kappa is ``Gamma_a``
+    to an ulp: kappa = 4, so that Gamma_a = G * G."""
+    return model.SidebandArrays(gamma, 4.0, math.sqrt(Gamma_a), n_th)
 
 
 def general(unit1, unit2, bath):
@@ -89,24 +82,34 @@ class TestAdiabaticGeneral:
             assert result.total > symmetric
 
     @pytest.mark.parametrize("unit2, message", [
-        (Rates(Gamma_a=2.0, Gamma=1.0, n_th=0.0), "Gamma_a=2.0, Gamma=1.0"),
-        (Rates(Gamma_a=0.0, Gamma=0.0, n_th=0.0), "Gamma_a=0.0, Gamma=0.0"),
-        (Rates(Gamma_a=-1.0, Gamma=-0.5, n_th=0.0), "Gamma_a=-1.0, Gamma=-0.5"),
-        (Rates(Gamma_a=-1.0, Gamma=1.0, n_th=0.0), "Gamma_a=-1.0, Gamma=1.0"),
+        # unit 2's (gamma, kappa, G): Gamma_a = 4 G^2 / kappa and Gamma = Gamma_a + gamma
+        ((-1.0, 2.0, 1.0), "Gamma_a=2.0, Gamma=1.0"),
+        ((0.0, 1.0, 0.0), "Gamma_a=0.0, Gamma=0.0"),
+        ((0.5, -4.0, 1.0), "Gamma_a=-1.0, Gamma=-0.5"),
+        ((2.0, -4.0, 1.0), "Gamma_a=-1.0, Gamma=1.0"),
+        # kappa = 0 divides as arrays divide: Gamma_a = inf (or NaN at G = 0) passes the
+        # bounds and leaves a NaN total, and kappa = -0.0 gives Gamma_a = -inf
+        ((100.0, 0.0, 1.0), "total variance is NaN"),
+        ((100.0, 0.0, 0.0), "total variance is NaN"),
+        ((100.0, -0.0, 1.0), "Gamma_a=-inf, Gamma=-inf"),
     ])
     def test_rate_bounds_on_both_routes(self, unit2, message):
         unit1 = unit_rates(Gamma_a=1e4, gamma=100.0, n_th=1.0)
-        text = re.escape(f"unit 2: need 0 <= Gamma_a <= Gamma and Gamma > 0, got {message}")
-        with pytest.raises(ValueError, match=f"^{text}$"):
+        unit2 = model.SidebandArrays(*unit2, n_th=0.0)
+        error, text = ((ValueError, "unit 2: need 0 <= Gamma_a <= Gamma and Gamma > 0, got "
+                        + message) if message.startswith("Gamma_a")
+                       else (FloatingPointError, message))
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
             duan_sum_adiabatic_general(unit1, unit2, 1.0, 1.0)
         # the array twin, with the bad element between good ones
-        arrays = [Rates(*map(np.array, zip(unit1, unit, unit1))) for unit in (unit1, unit2)]
-        with pytest.raises(ValueError, match=f"^{text}$"):
+        arrays = [model.SidebandArrays(*map(np.array, zip(unit1, unit, unit1)))
+                  for unit in (unit1, unit2)]
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
             closedform.duan_sum_adiabatic_arrays(*arrays, 1.0, 1.0)
 
     def test_cancelled_digits_raise_alike_on_both_routes(self):
         # at the default preset r = 2 keeps its digits and r = 10 is the first to lose them
-        ss1, ss2 = default_steady_states()
+        ss1, ss2 = default_units()
         general(ss1, ss2, SqueezedBath(r=2.0))
         with pytest.raises(FloatingPointError, match="lost its digits") as expected:
             general(ss1, ss2, SqueezedBath(r=10.0))
@@ -122,7 +125,7 @@ class TestAdiabaticGeneral:
     ])
     def test_returned_totals_match_a_50_digit_evaluation(self, units):
         # every total the form returns up to r = 25 holds its digits; the rest raise
-        unit1, unit2 = default_steady_states() if units == "default" else units
+        unit1, unit2 = default_units() if units == "default" else units
         r = np.linspace(0.0, 25.0, 101)
         returned = []
         for x in r.tolist():
@@ -138,21 +141,40 @@ class TestAdiabaticGeneral:
             unit1, unit2, *model.squeeze_arrays(kept)), totals)
 
 
-def default_steady_states():
+@pytest.mark.parametrize("args", SPECTRAL_CASES[2:5])
+def test_every_general_route_takes_one_unit_record(args):
+    # the adiabatic and nonadiabatic forms, their array twins and the oracle's
+    # variances take the same (unit1, unit2, N, M) from model.unit_record
+    system, steady = asymmetric_system(*args)
+    units, bath = system_units(system, steady), (system.bath.N, system.bath.M_corr)
+    for point, twin in ((duan_sum_adiabatic_general, closedform.duan_sum_adiabatic_arrays),
+                        (duan_sum_nonadiabatic_general, duan_sum_nonadiabatic_general_arrays)):
+        assert twin(*units, *bath).tolist() == point(*units, *bath).total
+    var_X, var_Y = oracle.duan_variance_arrays(*units, *bath)
+    assert var_X + var_Y == pytest.approx(duan_sum_nonadiabatic_general(*units, *bath).total,
+                                          rel=1e-9)
+    assert sweep.evaluate(system, "mirror", "adiabatic")[0] == duan_sum_adiabatic_general(
+        *units, *bath)
+
+
+def default_units():
     system = config.default_system()
-    return tuple(model.mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
-                 for unit in (system.unit1, system.unit2))
+    return tuple(model.unit_record(unit, model.mean_fields_from_effective_detuning(
+        unit, -unit.mirror.omega_M)) for unit in (system.unit1, system.unit2))
 
 
 def adiabatic_reference(unit1, unit2, r):
-    """The adiabatic mirror total in 50 digits, from the units' float rates and r."""
+    """The adiabatic mirror total in 50 digits, from the units' float records and r."""
     import mpmath
 
     with mpmath.workdps(50):
         r = mpmath.mpf(r)
         N, M = mpmath.sinh(r) ** 2, mpmath.sinh(r) * mpmath.cosh(r)
-        (Ga1, G1, n1), (Ga2, G2, n2) = ((mpmath.mpf(u.Gamma_a), mpmath.mpf(u.Gamma),
-                                         mpmath.mpf(u.n_th)) for u in (unit1, unit2))
+        rates = []
+        for gamma, kappa, G, n_th in (map(mpmath.mpf, unit) for unit in (unit1, unit2)):
+            Ga = 4 * G * G / kappa  # Gamma_a, exact from the record's floats
+            rates.append((Ga, Ga + gamma, n_th))
+        (Ga1, G1, n1), (Ga2, G2, n2) = rates
         total = ((2 * N + 1) * (Ga1 / G1 + Ga2 / G2)
                  - 8 * mpmath.sqrt(Ga1 * Ga2) * M / (G1 + G2)
                  + (G1 - Ga1) / G1 * (2 * n1 + 1) + (G2 - Ga2) / G2 * (2 * n2 + 1))

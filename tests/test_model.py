@@ -41,7 +41,7 @@ def default_unit(power=10e-3, temperature=50e-6):
 
 
 def sideband_arrays(unit, **fields):
-    """``unit``'s rates with ``fields`` set to arrays: the field check, then the rate core."""
+    """``unit``'s record with ``fields`` set to arrays: the field check, then the rate core."""
     res, mir = dict(vars(unit.resonator)), dict(vars(unit.mirror))
     model.set_field_arrays(res, mir, fields)
     return model.sideband_rate_arrays(res, mir)
@@ -213,8 +213,8 @@ class TestArrayHelpers:
                               for a in np.broadcast_arrays(omega_M, temperature)))]
 
     def test_sideband_arrays_equal_the_steady_state_bit_for_bit(self):
-        # every rate over a broadcast grid of five fields; T = 0, and T = 1e-9 K,
-        # where x = hbar omega_M / k_B T > 700 at every omega_M
+        # every field of the record, and C, over a broadcast grid of five fields; T = 0,
+        # and T = 1e-9 K, where x = hbar omega_M / k_B T > 700 at every omega_M
         fields = {
             "power": np.array([1e-6, 10e-3, 30e-3])[:, None, None, None, None],
             "omega_M": OMEGA_M * np.array([0.5, 1.0, 2.0])[:, None, None, None],
@@ -224,16 +224,21 @@ class TestArrayHelpers:
         }
         arrays = sideband_arrays(default_unit(), **fields)
         grid = np.broadcast_arrays(*fields.values())
-        unit, states = default_unit(), []
+        unit, records, states = default_unit(), [], []
         for values in zip(*(a.ravel().tolist() for a in grid)):
             point = dict(zip(fields, values))
             res = {name: point.pop(name) for name in ("power", "kappa")}
-            states.append(mean_fields_from_effective_detuning(
-                unit.replace(resonator=unit.resonator.replace(**res),
-                             mirror=unit.mirror.replace(**point)), -point["omega_M"]))
-        for rate in ("G", "Gamma_a", "Gamma", "C", "n_th"):
-            got = np.broadcast_to(getattr(arrays, rate), grid[0].shape).ravel().tolist()
-            assert [v.hex() for v in got] == [getattr(ss, rate).hex() for ss in states], rate
+            moved = unit.replace(resonator=unit.resonator.replace(**res),
+                                 mirror=unit.mirror.replace(**point))
+            states.append(mean_fields_from_effective_detuning(moved, -point["omega_M"]))
+            records.append(model.unit_record(moved, states[-1]))
+        C = model._cooperativity(arrays.gamma, arrays.kappa, arrays.G)
+        for name, values, want in [*((name, getattr(arrays, name),
+                                      [getattr(rec, name) for rec in records])
+                                     for name in model.SidebandArrays._fields),
+                                   ("C", C, [ss.C for ss in states])]:
+            got = np.broadcast_to(values, grid[0].shape).ravel().tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want], name
 
 
 class TestMeanFields:
@@ -256,10 +261,13 @@ class TestMeanFields:
             G_factor * G, rel=1e-12)
 
     def test_steady_state_invariants(self):
-        ss = mean_fields_from_effective_detuning(default_unit(), -OMEGA_M)
-        assert ss.Gamma_a == pytest.approx(4 * ss.G**2 / default_unit().resonator.kappa, rel=1e-12)
-        assert ss.Gamma == ss.Gamma_a + default_unit().mirror.gamma
-        assert ss.C == pytest.approx(ss.Gamma_a / default_unit().mirror.gamma, rel=1e-12)
+        unit = default_unit()
+        ss = mean_fields_from_effective_detuning(unit, -OMEGA_M)
+        gamma, kappa = unit.mirror.gamma, unit.resonator.kappa
+        assert ss.C == pytest.approx(4 * ss.G**2 / (gamma * kappa), rel=1e-12)
+        # C = Gamma_a / gamma with the adiabatic form's Gamma_a = 4 G^2 / kappa, bit for bit
+        assert ss.C == 4.0 * (ss.G * ss.G) / kappa / gamma
+        assert model.unit_record(unit, ss) == (gamma, kappa, ss.G, ss.n_th)
 
     def test_undriven_cavity(self):
         ss = mean_fields_from_effective_detuning(default_unit(power=1e-300), -OMEGA_M)
@@ -403,7 +411,7 @@ def _records():
         (SqueezedBath, ("r",), {"r": 1.0}, {}, {"r": -1.0}, ValueError),
         (OptomechanicalUnit, ("resonator", "mirror"), dict(vars(unit)), {}, None, None),
         (SystemParams, ("unit1", "unit2", "bath"), dict(vars(system)), {}, None, None),
-        (model.SteadyState, ("delta_eff", "G", "Gamma_a", "Gamma", "C", "n_th"),
+        (model.SteadyState, ("delta_eff", "G", "C", "n_th"),
          dict(vars(steady)), {}, None, None),
         (model.StabilityReport, ("stable", "max_real_part", "worst_index"),
          {"stable": True, "max_real_part": -1.0}, {"worst_index": ()}, None, None),

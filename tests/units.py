@@ -76,9 +76,8 @@ def asymmetric_system(C1, C2, ratio1, ratio2, kappa_ratio, n1, n2, r):
 
 
 def system_units(system, steady):
-    """Each unit's (gamma, kappa, G, n_th), as the oracle and the nonadiabatic route take it."""
-    return [(u.mirror.gamma, u.resonator.kappa, ss.G, ss.n_th)
-            for u, ss in zip((system.unit1, system.unit2), steady)]
+    """Each unit's record (gamma, kappa, G, n_th), as every route takes it."""
+    return list(map(model.unit_record, (system.unit1, system.unit2), steady))
 
 
 SYSTEM_ARGS = st.tuples(
