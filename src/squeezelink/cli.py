@@ -288,10 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_range(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--range VALUE`` as ``--range=VALUE``, so that argparse
+    does not take a VALUE whose MIN is negative, such as ``-2:-1:3``, for an option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--range":
+            joined[-1] = f"--range={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_range(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, out)
     except ConfigError as exc:

@@ -28,9 +28,12 @@ with no LAPACK call: stability from each block's trace and determinant, the
 form, ``0.5 V + 0.5 V^T``, and a residual gate that holds each pair to its
 own bound and the whole to the 8x8 bound ``1e-10 ||D||``. Each block pair is
 scaled by powers of two so that no product overflows, and a system's bits
-do not depend on its stack. It returns V as its pairs' rows ``(4, 6, B)``,
-which :func:`covariance_chunks` yields from parameter arrays, ``STACK_CHUNK``
-systems at a time, forming no 8x8 A, D or V. :func:`solve_lyapunov_stack`
+do not depend on its stack. The Sylvester solves and the residual gate each
+work their rows in place in one array, so that a chunk of ``STACK_CHUNK``
+(1024) systems peaks at about 2.2 KB per system. The kernel returns V as its
+pairs' rows ``(4, 6, B)``, which :func:`covariance_chunks` yields from
+parameter arrays, ``STACK_CHUNK`` systems at a time, forming no 8x8 A, D or
+V and copying no input out to the stack's size. :func:`solve_lyapunov_stack`
 gathers the rows of an explicit 8x8 split stack and, alone, scatters V into
 8x8 matrices, so both routes give the same bits; only generic stacks take
 the eigenvalues and a Kronecker LU solve. One reader, :func:`_duan_variances`,
@@ -68,7 +71,7 @@ np = lazy_import("numpy")
 QUADRATURES = ("X1", "Y1", "x1", "y1", "X2", "Y2", "x2", "y2")
 
 #: systems per stacked Lyapunov solve; bounds the stack's working memory
-STACK_CHUNK = 256
+STACK_CHUNK = 1024
 
 #: the model's 2x2 drift blocks (X1, x1), (X2, x2), (Y1, y1), (Y2, y2) as indices
 #: into QUADRATURES, and the pairs (p, q) of blocks, within X and within Y, whose
@@ -113,7 +116,11 @@ class DriftDiffusion(Record):
 def build_rwa_drift_diffusion(
     system: SystemParams, steady: tuple[SteadyState, SteadyState]
 ) -> DriftDiffusion:
-    """Assemble drift and diffusion of the rotating-frame beam-splitter model."""
+    """Assemble drift and diffusion of the rotating-frame beam-splitter model.
+
+    Raises ``OverflowError``, naming r, where the bath's field terms in D
+    overflow a float although its N and M do not.
+    """
     units = (system.unit1, system.unit2)
     for j, (unit, ss) in enumerate(zip(units, steady), start=1):
         target = -unit.mirror.omega_M
@@ -126,6 +133,10 @@ def build_rwa_drift_diffusion(
             )
     A, D = build_rwa_drift_diffusion_stack(*map(unit_record, units, steady),
                                            system.bath.N, system.bath.M_corr)
+    # the bath's N and M are finite, but its field terms in D can still overflow
+    if np.isfinite(A).all() and not np.isfinite(D.reshape(2, 4, 2, 4)[:, 2:, :, 2:]).all():
+        raise OverflowError("squeezed-bath diffusion terms kappa (2N + 1)/2 and "
+                            f"sqrt(kappa1 kappa2) M overflow a float at r = {system.bath.r!r}")
     return DriftDiffusion(A=A, D=D)
 
 
@@ -193,14 +204,24 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     block pair's residual to its own bound and the whole to the 8x8 bound
     ``1e-10 ||D||``. So the rows are the entries ``_PAIR_AT`` of the 8x8 V by
     that route, bit for bit, and errors name the stack index within the
-    chunk. Each input is sliced chunk by chunk, so no broadcast input, such
-    as a scalar kappa, is copied out to the stack's size.
+    chunk. No input is copied out to the stack's size: a size-1 input, such
+    as a scalar kappa, stays a scalar, a full-size one is sliced as a view,
+    and only a partly broadcast one is copied, chunk by chunk, through ``.flat``.
     """
-    inputs = np.broadcast_arrays(*unit1, *unit2, N, M)
-    size = inputs[0].size
-    inputs = [x.flat for x in inputs]  # a .flat slice copies its chunk alone
+    inputs = [np.asarray(x) for x in (*unit1, *unit2, N, M)]
+    shape = np.broadcast_shapes(*(x.shape for x in inputs))
+    size = math.prod(shape)
+    sources = []  # (input, whether it holds one value for every system)
+    for x in inputs:
+        if x.size == 1 < size:
+            sources.append((x.reshape(()), True))
+        elif x.size == size and (x.ndim < 2 or x.flags.c_contiguous):  # a flat view
+            sources.append((x.reshape(-1), False))
+        else:  # a .flat slice copies its chunk alone
+            sources.append((np.broadcast_to(x, shape).flat, False))
     for start in range(0, size, STACK_CHUNK):
-        c = [x[start:start + STACK_CHUNK] for x in inputs]
+        part = slice(start, start + STACK_CHUNK)
+        c = [x if scalar else x[part] for x, scalar in sources]
         yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9]))
 
 
@@ -280,10 +301,12 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     _require_finite("drift or diffusion matrix", drift, diffusion)
     _require_stable(_split_stability(drift))
     p, q = zip(*_PAIRS)
-    A, C = drift[:, p], drift[:, q]  # the rows of A_p and A_q, pair by pair
+    A, C = np.take(drift, p, axis=1), np.take(drift, q, axis=1)  # A_p and A_q, pair by pair
     W = _sylvester_2x2(A.reshape(4, -1), C.reshape(4, -1), diffusion.reshape(4, -1))
-    half = 0.5 * W.reshape(4 * len(_PAIRS), -1)  # halved first, so the sum cannot overflow
-    V = (half + half[_TRANSPOSED]).reshape(diffusion.shape)
+    W = W.reshape(4 * len(_PAIRS), -1)
+    W *= 0.5  # halved first, so the sum cannot overflow
+    V = (W + W[_TRANSPOSED]).reshape(diffusion.shape)
+    del W  # so that the chunk's memory peak does not hold it through the gate
     _require_finite("Lyapunov solution", V)
     _require_residual(*_split_residual(A, C, diffusion, V))
     return V
@@ -300,14 +323,31 @@ def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
     against ``1e-10 ||D||``, each cross pair counted twice, as the 8x8
     matrix holds it and its transpose. V and D are divided by ``max |D|`` of
     their system first, so that the norms cannot overflow. Norms are
-    Frobenius, and the products are 2x2 ones.
+    Frobenius, and the products are 2x2 ones, worked in place in one array.
     """
-    scale = np.abs(D).max(axis=(0, 1))
+    Vs, Ds, R, T = np.empty((4,) + D.shape)
+    scale = np.abs(D, out=Ds).max(axis=(0, 1))
     scale[scale == 0.0] = 1.0
-    A, C, V, D = (x.reshape(2, 2, -1) for x in (A, C, V / scale, D / scale))
-    R = np.einsum("ikm,kjm->ijm", A, V) + np.einsum("ikm,jkm->ijm", V, C) + D
-    R2, D2, V2, A2, C2 = (np.einsum("ijm,ijm->m", x, x).reshape(len(_PAIRS), -1)
-                          for x in (R, D, V, A, C))
+    np.divide(V, scale, out=Vs)
+    np.divide(D, scale, out=Ds)
+    # entry ij of R = A_p V_pq + V_pq A_q^T + D_pq is
+    # (A_i0 V_0j + A_i1 V_1j) + (V_i0 C_j0 + V_i1 C_j1) + D_ij, two j at a time.
+    # A product, its two-term sum or a squared norm may overflow (as ||A_p||^2
+    # of a huge drift does): these run quietly, as in an einsum, and the gate
+    # reports what they give
+    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
+    for i in (0, 1):
+        r, s, t = R[2 * i:2 * i + 2], T[:2], T[2:]
+        with quiet():
+            np.multiply(A[2 * i], Vs[:2], out=r)
+            r += np.multiply(A[2 * i + 1], Vs[2:], out=s)
+            np.multiply(Vs[2 * i], C[::2], out=s)
+            s += np.multiply(Vs[2 * i + 1], C[1::2], out=t)
+        r += s
+    R += Ds
+    with quiet():  # the squares of entries 00, 01, 10 and 11, summed in that order
+        R2, D2, V2, A2, C2 = (np.square(x, out=out).sum(axis=0) for x, out in
+                              ((R, R), (Ds, Ds), (Vs, Vs), (A, T), (C, T)))
     A_pq = np.sqrt(A2) + np.sqrt(C2)
     twice = np.array([1.0 + (i != j) for i, j in _PAIRS])
     residual = np.vstack([np.sqrt(R2), np.sqrt(twice @ R2)])
@@ -353,12 +393,17 @@ def _require_finite(what: str, *stacks: np.ndarray):
                 f"{what} is not finite at stack index {int(np.argmin(finite))}")
 
 
-def _entries(*rows: np.ndarray):
-    """The rows ``(4, m)`` of entries 00, 01, 10, 11 of 2x2 blocks, each item
-    scaled by ``2**-e`` with ``e`` the exponent of its largest entry over all
-    the stacks; returns the rows and ``e``."""
-    e = np.frexp(functools.reduce(np.maximum, [np.abs(x).max(axis=0) for x in rows]))[1]
-    return [np.ldexp(x, -e) for x in rows], e
+def _scaled(out: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+    """Write the rows ``(4, m)`` of entries 00, 01, 10, 11 of 2x2 blocks into
+    consecutive rows of ``out``, each item scaled by ``2**-e`` with ``e`` the
+    exponent of its largest entry over all of them; returns ``e``."""
+    parts = np.split(out, len(rows))
+    for part, x in zip(parts, rows):
+        np.abs(x, out=part)
+    e = np.frexp(out.max(axis=0))[1]
+    for part, x in zip(parts, rows):
+        np.ldexp(x, -e, out=part)
+    return e
 
 
 def _split_stability(drift: np.ndarray) -> StabilityReport:
@@ -371,7 +416,10 @@ def _split_stability(drift: np.ndarray) -> StabilityReport:
     Each block is scaled by a power of two first, so that no product
     overflows.
     """
-    ((a, b, c, d),), e = _entries(drift.reshape(4, -1))
+    rows = drift.reshape(4, -1)
+    scaled = np.empty(rows.shape)
+    e = _scaled(scaled, rows)
+    a, b, c, d = scaled
     h, det = (a + d) / 2.0, a * d - b * c
     disc = ((a - d) / 2.0) ** 2 + b * c
     q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
@@ -391,20 +439,49 @@ def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     turns the left matrix into ``(tr A + tr B) A + (det B - det A) I``, whose
     explicit inverse gives W. A and C of each item are scaled by one power of
     two and D by another, so that no product overflows; both scalings are
-    exact and are undone on W. A non-finite W is left to the caller.
+    exact and are undone on W. A non-finite W is left to the caller. The
+    intermediate rows are written in place into one work array, each
+    operation in the order of the expression in its comment (``r11 = (a + h)
+    q11 + b q21 - g q12`` is ``((a + h) q11 + b q21) - g q12``), so W has the
+    bits of those expressions.
     """
-    ((a, b, c, d), (e, g, f, h)), eA = _entries(A, C)  # B = [[e, f], [g, h]]
-    ((q11, q12, q21, q22),), eD = _entries(-D)
-    t, k = a + d + e + h, (e * h - f * g) - (a * d - b * c)
-    r11 = (a + h) * q11 + b * q21 - g * q12
-    r12 = (a + e) * q12 + b * q22 - f * q11
-    r21 = (d + h) * q21 + c * q11 - g * q22
-    r22 = (d + e) * q22 + c * q12 - f * q21
-    m11, m12, m21, m22 = t * a + k, t * b, t * c, t * d + k
-    W = np.array([m22 * r11 - m12 * r21, m22 * r12 - m12 * r22,
-                  m11 * r21 - m21 * r11, m11 * r22 - m21 * r12])
+    work = np.empty((20, A.shape[-1]))  # every row below lives here
+    S, Q, R, (t, k, x, y) = work[:8], work[8:12], work[12:16], work[16:]
+    eA, eD = _scaled(S, A, C), _scaled(Q, D)
+    np.negative(Q, out=Q)  # Q = -D, scaled: the sign commutes with the exact scaling
+    (a, b, c, d, e, g, f, h), (q11, q12, q21, q22) = S, Q  # B = [[e, f], [g, h]]
+    np.add(a, d, out=t)
+    t += e
+    t += h  # tr A + tr B
+    np.multiply(e, h, out=k)
+    k -= np.multiply(f, g, out=x)
+    np.multiply(a, d, out=x)
+    x -= np.multiply(b, c, out=y)
+    k -= x  # det B - det A
+    # the right-hand side, row by row: r11 = (a + h) q11 + b q21 - g q12, ...
+    for r, (s1, s2, q1, u, q2, v, q3) in zip(R, ((a, h, q11, b, q21, g, q12),
+                                                 (a, e, q12, b, q22, f, q11),
+                                                 (d, h, q21, c, q11, g, q22),
+                                                 (d, e, q22, c, q12, f, q21))):
+        np.add(s1, s2, out=r)
+        r *= q1
+        r += np.multiply(u, q2, out=x)
+        r -= np.multiply(v, q3, out=x)
+    M = Q  # Q and B are read for the last time above
+    np.multiply(t, S[:4], out=M)
+    M[0] += k
+    M[3] += k  # m11 = t a + k, m12 = t b, m21 = t c, m22 = t d + k
+    m11, m12, m21, m22 = M
+    W, xy = S[:4], work[18:]  # and so is A
+    np.multiply(m22, R[:2], out=W[:2])
+    W[:2] -= np.multiply(m12, R[2:], out=xy)  # m22 r1j - m12 r2j
+    np.multiply(m11, R[2:], out=W[2:])
+    W[2:] -= np.multiply(m21, R[:2], out=xy)  # m11 r2j - m21 r1j
+    np.multiply(m11, m22, out=t)
+    t -= np.multiply(m12, m21, out=x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.ldexp(W / (m11 * m22 - m12 * m21), eD - eA)
+        W /= t
+        return np.ldexp(W, eD - eA)
 
 
 def _kronecker_solve(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -96,6 +96,8 @@ def argvs() -> list[list[str]]:
         ["duan", "--r", "30"],  # 3
         ["threshold", "--r", "0"],  # 3
         ["sweep", "--axis", "bath.r", "--range=-2:-1:3", "--max-errors", "2"],  # 4
+        # a --range whose MIN is negative, as its own argument
+        ["sweep", "--axis", "bath.r", "--range", "-2:-1:3", "--max-errors", "2"],  # 4
     ]
     return calls
 

@@ -261,6 +261,16 @@ class TestCliSweep:
         )
         assert code == 0
 
+    def test_a_negative_range_may_follow_as_its_own_argument(self, capsys):
+        # argparse alone takes "-1:1:5" for an option and exits 2 with its usage
+        separate = run_cli("sweep", "--axis", "bath.r", "--range", "-1:1:5", "--max-errors", "3")
+        assert separate == run_cli("sweep", "--axis", "bath.r", "--range=-1:1:5",
+                                   "--max-errors", "3")
+        assert separate[0] == 0 and "# error at bath.r=-1: " in separate[1]
+        assert run_cli("sweep", "--axis", "bath.r", "--range", "-1:1") == (cli.EXIT_CONFIG, "")
+        assert capsys.readouterr().err == (
+            "config error: --range must be MIN:MAX:COUNT[:linear|:log], got '-1:1'\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -433,6 +443,16 @@ class TestCliBadNumbers:
         code, text = run_cli("duan", *argv, "--config", str(path))
         assert code == cli.EXIT_UNSTABLE and text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    def test_overflowing_bath_diffusion_is_named_by_r(self, pair, capsys):
+        # N and M are finite at r = 355, but kappa (2N + 1)/2 is not; a one-point
+        # command names r, not a stack index
+        code, text = run_cli("duan", "--regime", "oracle", "--pair", pair, "--r", "355")
+        assert code == cli.EXIT_UNSTABLE and text == ""
+        assert capsys.readouterr().err == (
+            "error: squeezed-bath diffusion terms kappa (2N + 1)/2 and sqrt(kappa1 kappa2) M "
+            "overflow a float at r = 355.0\n")
 
     def test_cancelled_total_exits_3_without_a_verdict(self, tmp_path, capsys):
         # (2N + 1) - 2M cancels at r = 26 and leaves a negative total

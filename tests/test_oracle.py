@@ -1,5 +1,7 @@
+import functools
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -632,22 +634,26 @@ def model_arrays(points, size):
     return tuple(rates[:4]), tuple(rates[4:8]), rates[8], rates[9]
 
 
+CHUNK = oracle.STACK_CHUNK
+
+
 class TestRowAndMatrixRoutes:
     @settings(max_examples=25, deadline=None)
-    @given(points=STACK_UNITS, size=st.sampled_from([1, 255, 256, 257, 513]))
+    @given(points=STACK_UNITS,
+           size=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
     def test_chunks_equal_the_8x8_stack_solve(self, points, size):
         args = model_arrays(points, size)
         chunks = list(oracle.covariance_chunks(*args))
-        assert [V.shape for V in chunks] == [(4, 6, min(256, size - k))
-                                             for k in range(0, size, 256)]
+        assert [V.shape for V in chunks] == [(4, 6, min(CHUNK, size - k))
+                                             for k in range(0, size, CHUNK)]
         V = solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(*args))
         rows = np.concatenate(chunks, axis=-1)
         assert rows.tobytes() == oracle._rows(V, oracle._PAIR_AT).tobytes()
 
     @pytest.mark.parametrize("shape", [(), (3, 5), (2, 1, 7)])
     def test_broadcast_inputs_give_the_bits_of_raveled_ones(self, monkeypatch, shape):
-        # every input is sliced through .flat, chunk by chunk, so scalars are not
-        # copied out; the systems come in flat order with the bits of 1-D inputs
+        # scalars stay scalars and partly broadcast inputs go through .flat, chunk
+        # by chunk; the systems come in flat order with the bits of 1-D inputs
         monkeypatch.setattr(oracle, "STACK_CHUNK", 4)  # chunks that cut across rows
         unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 1)
         (gamma, kappa, G, n_th), unit2 = ([float(x[0]) for x in u] for u in (unit1, unit2))
@@ -670,12 +676,13 @@ class TestRowAndMatrixRoutes:
         (0, -2.0, UnstableDrift),  # gamma = -2 kappa: the drift grows
     ])
     def test_a_bad_system_raises_alike_on_both_routes(self, entry, value, error):
-        unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 513)
+        unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 2 * CHUNK + 1)
         unit1 = [np.array(x) for x in unit1]
-        unit1[entry][300] = value * (unit1[1][300] if entry == 0 else 1.0)
+        bad = CHUNK + 44  # item 44 of the second chunk
+        unit1[entry][bad] = value * (unit1[1][bad] if entry == 0 else 1.0)
         with pytest.raises(error, match="at stack index 44") as by_rows:
             list(oracle.covariance_chunks(unit1, unit2, N, M))
-        c = [np.asarray(x)[256:512] for x in (*unit1, *unit2, N, M)]
+        c = [np.asarray(x)[CHUNK:2 * CHUNK] for x in (*unit1, *unit2, N, M)]
         with pytest.raises(error) as by_matrices:
             solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
         assert str(by_rows.value) == str(by_matrices.value)
@@ -697,3 +704,95 @@ class TestRowAndMatrixRoutes:
             monkeypatch.setattr(oracle, name, forbidden)
         chunks = list(oracle.covariance_chunks(*model_arrays([SPECTRAL_CASES[3]], 3)))
         assert [V.shape for V in chunks] == [(4, 6, 3)]
+
+
+def expression_sylvester_2x2(A, C, D):
+    """The closed-form 2x2 Sylvester solve in expression form, one temporary per
+    operation, as it was before the kernel worked in place in one array."""
+    def entries(*rows):
+        e = np.frexp(functools.reduce(np.maximum, [np.abs(x).max(axis=0) for x in rows]))[1]
+        return [np.ldexp(x, -e) for x in rows], e
+
+    ((a, b, c, d), (e, g, f, h)), eA = entries(A, C)
+    ((q11, q12, q21, q22),), eD = entries(-D)
+    t, k = a + d + e + h, (e * h - f * g) - (a * d - b * c)
+    r11 = (a + h) * q11 + b * q21 - g * q12
+    r12 = (a + e) * q12 + b * q22 - f * q11
+    r21 = (d + h) * q21 + c * q11 - g * q22
+    r22 = (d + e) * q22 + c * q12 - f * q21
+    m11, m12, m21, m22 = t * a + k, t * b, t * c, t * d + k
+    W = np.array([m22 * r11 - m12 * r21, m22 * r12 - m12 * r22,
+                  m11 * r21 - m21 * r11, m11 * r22 - m21 * r12])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.ldexp(W / (m11 * m22 - m12 * m21), eD - eA)
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("case", ["random", "overdamped", "near-boundary", "1e300",
+                                      "-1e300"])
+    def test_sylvester_keeps_the_bits_of_the_expression_form(self, case):
+        rng = np.random.default_rng(17)
+        count = 900
+        if case == "overdamped":  # gamma/kappa = 1e-6: real eigenvalues far apart
+            A, C = (random_stable_blocks(rng, count)[::3] for _ in range(2))
+        elif case == "near-boundary":  # tr A + tr B and det B - det A near 0
+            A = random_stable_blocks(rng, count)
+            C = -A.transpose(0, 2, 1) * (1.0 + 1e-13 * rng.standard_normal((count, 1, 1)))
+        else:
+            A, C = rng.standard_normal((2, count, 2, 2))
+        D = rng.standard_normal((len(A), 2, 2))
+        if case.endswith("1e300"):  # A and C near the top of the float range, D near 1
+            sign = float(case[:-5] + "1")
+            A, C, D = sign * 1e300 * A, 1e300 * C, sign * 1e-1 * D
+        # rows of entries 00, 01, 10, 11, strided as the callers pass them
+        rows = [x.reshape(-1, 4).T for x in (A, C, D)]
+        given = [x.copy() for x in rows]
+        with np.errstate(all="ignore"):  # a singular item is left to the caller alike
+            want = expression_sylvester_2x2(*rows)
+            got = oracle._sylvester_2x2(*rows)
+        assert got.shape == (4, len(A)) and got.tobytes() == want.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(rows, given))  # inputs intact
+
+    def test_one_chunk_peaks_below_3_1_kb_per_system(self):
+        # the kernel's rows are worked in place; the expression form peaked at
+        # about 3.1 KB per system at 256 systems a chunk
+        args = model_arrays(SPECTRAL_CASES, CHUNK)
+        next(oracle.covariance_chunks(*args))  # imports and first-call caches
+        chunks = oracle.covariance_chunks(*args)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            V = next(chunks)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert V.shape == (4, 6, CHUNK)
+        assert peak <= 3100 * CHUNK
+
+    def test_scalar_and_full_size_inputs_reach_the_rows_uncopied(self, monkeypatch):
+        seen = []
+        model_rows = oracle._model_rows
+        def spy(unit1, unit2, N, M):
+            seen.append((*unit1, *unit2, N, M))
+            return model_rows(unit1, unit2, N, M)
+
+        monkeypatch.setattr(oracle, "_model_rows", spy)
+        monkeypatch.setattr(oracle, "STACK_CHUNK", 4)
+        unit1, unit2, N, M = model_arrays(SPECTRAL_CASES, 10)
+        strided = np.stack([unit1[2], unit1[2]], axis=1)[:, 0]  # full-size, not contiguous
+        scalars = [np.array(x[0]) for x in (unit2[1], N)] + [np.array([float(M[0])])]
+        inputs = [unit1[0], unit1[1], strided, unit1[3], unit2[0], scalars[0], *unit2[2:],
+                  scalars[1], scalars[2]]
+        chunks = list(oracle.covariance_chunks(inputs[:4], inputs[4:8], *inputs[8:]))
+        assert [V.shape[-1] for V in chunks] == [len(args[0]) for args in seen] == [4, 4, 2]
+        for start, args in zip((0, 4, 8), seen):
+            for given, got in zip(inputs, args):
+                assert np.shares_memory(given, got)
+                if given.size == 1:
+                    assert got.shape == ()
+                else:
+                    assert got.tobytes() == given[start:start + 4].tobytes()

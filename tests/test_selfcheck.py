@@ -117,7 +117,7 @@ def test_separability_powers_equal_float_powers_bit_for_bit():
 
 def test_separability_bits_do_not_depend_on_the_oracle_chunk(monkeypatch):
     # the selfcheck hands all its draws to the oracle at once; only the oracle chunks
-    assert oracle.STACK_CHUNK == 256
+    assert oracle.STACK_CHUNK == 1024
     closed, lyap = selfcheck._separability_totals()
     monkeypatch.setattr(oracle, "STACK_CHUNK", 7)
     small_closed, small_lyap = selfcheck._separability_totals()
