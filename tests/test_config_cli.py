@@ -444,16 +444,6 @@ class TestCliBadNumbers:
         assert code == cli.EXIT_UNSTABLE and text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("pair", ["mirror", "field"])
-    def test_overflowing_bath_diffusion_is_named_by_r(self, pair, capsys):
-        # N and M are finite at r = 355, but kappa (2N + 1)/2 is not; a one-point
-        # command names r, not a stack index
-        code, text = run_cli("duan", "--regime", "oracle", "--pair", pair, "--r", "355")
-        assert code == cli.EXIT_UNSTABLE and text == ""
-        assert capsys.readouterr().err == (
-            "error: squeezed-bath diffusion terms kappa (2N + 1)/2 and sqrt(kappa1 kappa2) M "
-            "overflow a float at r = 355.0\n")
-
     def test_cancelled_total_exits_3_without_a_verdict(self, tmp_path, capsys):
         # (2N + 1) - 2M cancels at r = 26 and leaves a negative total
         path = tmp_path / "c.ini"
