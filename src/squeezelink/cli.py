@@ -290,11 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _joined_range(argv: Sequence[str]) -> list[str]:
     """``argv`` with each ``--range VALUE`` as ``--range=VALUE``, so that argparse
-    does not take a VALUE whose MIN is negative, such as ``-2:-1:3``, for an option."""
+    does not take a VALUE whose MIN is negative, such as ``-2:-1:3``, for an option;
+    also where ``--range`` is abbreviated to ``--ra`` or longer, as argparse allows."""
     joined = []
     for arg in argv:
-        if joined and joined[-1] == "--range":
-            joined[-1] = f"--range={arg}"
+        if joined and len(joined[-1]) > 3 and "--range".startswith(joined[-1]):
+            joined[-1] = f"{joined[-1]}={arg}"
         else:
             joined.append(arg)
     return joined

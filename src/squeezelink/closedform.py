@@ -8,7 +8,8 @@ nonadiabatic form of any two units integrates the noise spectra in closed form.
 
 A form evaluated over grids has an array twin (``*_arrays``) that takes its
 arguments as arrays, or records of arrays, and gives the same bits; the first
-failing element raises what the per-point form raises.
+failing element raises what the per-point form raises. The forms for any two
+units reject an unphysical unit record at :mod:`squeezelink.model`'s unit gate.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 
 from ._lazy import lazy_import
 from .model import (
+    _require_unit,
     HBAR,
     KB,
     OptomechanicalUnit,
@@ -24,6 +26,7 @@ from .model import (
     mean_fields_from_effective_detuning,
     map_math,
     raise_for_first,
+    require_units,
     thermal_occupation,
 )
 
@@ -74,38 +77,14 @@ class DuanResult(Record):
         return cls(var_X=total / 2.0, var_Y=total / 2.0, total=total)
 
 
-def _rates_out_of_bounds(Gamma_a, Gamma):
-    # bitwise | so that the same expression serves floats and arrays
-    return (Gamma_a < 0) | (Gamma <= 0) | (Gamma < Gamma_a)
-
-
-def _require_rates(Gamma_a1, Gamma_1, Gamma_a2, Gamma_2):
-    """ValueError unless each unit has 0 <= Gamma_a <= Gamma and Gamma > 0."""
-    for j, (ga, g_tot) in enumerate([(Gamma_a1, Gamma_1), (Gamma_a2, Gamma_2)], start=1):
-        if _rates_out_of_bounds(ga, g_tot):
-            raise ValueError(
-                f"unit {j}: need 0 <= Gamma_a <= Gamma and Gamma > 0, "
-                f"got Gamma_a={ga!r}, Gamma={g_tot!r}"
-            )
-
-
-def _divide(x: float, y: float) -> float:
-    """``x / y`` of floats, and where ``y`` is 0 the IEEE quotient, as arrays give it."""
-    if y:
-        return x / y
-    return math.copysign(math.inf, x) * math.copysign(1.0, y) if x and x == x else math.nan
-
-
-def _adiabatic_share(unit, divide):
+def _adiabatic_share(unit):
     """A unit's terms of the adiabatic mirror total, ``(Gamma_a, Gamma, Gamma_a / Gamma,
-    ((Gamma - Gamma_a) / Gamma)(2 n_th + 1))``, from its record ``(gamma, kappa, G, n_th)``:
-    ``Gamma_a = 4 G^2 / kappa`` by the ops of the steady state's C, and ``Gamma =
-    Gamma_a + gamma``. ``divide`` is :func:`_divide` for floats or ``np.divide``, so
-    that no division raises before the rates pass their bounds."""
+    ((Gamma - Gamma_a) / Gamma)(2 n_th + 1))``, from its gated record, for floats or arrays:
+    ``Gamma_a = 4 G^2 / kappa`` by the ops of C, and ``Gamma = Gamma_a + gamma > 0``."""
     gamma, kappa, G, n_th = unit
-    Ga = divide(4.0 * (G * G), kappa)
+    Ga = 4.0 * (G * G) / kappa
     Gt = Ga + gamma
-    return Ga, Gt, divide(Ga, Gt), divide(Gt - Ga, Gt) * (2.0 * n_th + 1.0)
+    return Ga, Gt, Ga / Gt, (Gt - Ga) / Gt * (2.0 * n_th + 1.0)
 
 
 def _adiabatic_sum(share1, share2, squeezed, M, sqrt):
@@ -125,19 +104,20 @@ def _adiabatic_sum(share1, share2, squeezed, M, sqrt):
 def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
     """Mirror-mirror variance sum in the adiabatic regime, arbitrary asymmetry.
 
-    Each unit is ``(gamma, kappa, G, n_th)`` (see :func:`model.unit_record`), and its
-    mirror's rates with the cavity eliminated, ``Gamma_a = 4 G^2 / kappa`` and ``Gamma =
-    Gamma_a + gamma``, pass their bounds before the total is formed; ``N`` and ``M``
-    are the bath's ``SqueezedBath.N`` and ``SqueezedBath.M_corr``. The squeezed terms
+    Each unit is ``(gamma, kappa, G, n_th)`` (see :func:`model.unit_record`), and passes the
+    unit gate first; its mirror's rates with the cavity eliminated are ``Gamma_a = 4 G^2 /
+    kappa`` and ``Gamma = Gamma_a + gamma``. ``N`` and ``M`` are the bath's
+    ``SqueezedBath.N`` and ``SqueezedBath.M_corr``. The squeezed terms
     ``a = (2N + 1)(Gamma_a1/Gamma_1 + Gamma_a2/Gamma_2)`` and
     ``b = 8 sqrt(Gamma_a1 Gamma_a2) M / (Gamma_1 + Gamma_2)`` both grow like
     e^{2r} and cancel in ``a - b``. Once the total passes :class:`DuanResult`'s
     check, a relative rounding error estimated as ``ulp(1) (a + b) / total``
     beyond ``_CANCELLATION_TOL`` raises ``FloatingPointError`` instead of a verdict.
     """
-    share1, share2 = (_adiabatic_share(unit, _divide) for unit in (unit1, unit2))
-    _require_rates(*share1[:2], *share2[:2])
-    total, size = _adiabatic_sum(share1, share2, 2.0 * N + 1.0, M, math.sqrt)
+    _require_unit(1, *unit1)
+    _require_unit(2, *unit2)
+    total, size = _adiabatic_sum(_adiabatic_share(unit1), _adiabatic_share(unit2),
+                                 2.0 * N + 1.0, M, math.sqrt)
     result = DuanResult.from_total(total)
     _require_digits(math.ulp(1.0) * size / total if total else math.inf)
     return result
@@ -146,39 +126,29 @@ def duan_sum_adiabatic_general(unit1, unit2, N: float, M: float) -> DuanResult:
 def duan_sum_adiabatic_arrays(unit1, unit2, N, M) -> np.ndarray:
     """:func:`duan_sum_adiabatic_general` totals over arrays.
 
-    ``unit1`` and ``unit2`` are unit records of arrays (see
-    :func:`model.sideband_rate_arrays`); ``N`` and ``M`` are the bath's
-    terms (see :func:`model.squeeze_arrays`). All broadcast together. The
-    totals equal the per-point ones bit for bit, and every element passes
-    the checks of :func:`duan_sum_adiabatic_steps`.
-    """
+    ``unit1`` and ``unit2`` are unit records of arrays (see :func:`model.sideband_rate_arrays`);
+    ``N`` and ``M`` are the bath's terms (see :func:`model.squeeze_arrays`). All broadcast
+    together. The totals equal the per-point ones bit for bit: both units pass the unit gate
+    jointly, and then every element the checks of :func:`duan_sum_adiabatic_steps`."""
+    require_units({1: unit1, 2: unit2})
     return duan_sum_adiabatic_steps(adiabatic_held(unit1, N, M), unit2)
 
 
 def adiabatic_held(unit1, N, M) -> tuple:
-    """What a partner search holds over its steps: unit 1's :func:`_adiabatic_share`,
-    the bath's ``2N + 1`` and ``M``, and where unit 1's rates fail their bounds, one
-    flat tuple (see :func:`duan_sum_adiabatic_steps`)."""
+    """What a partner search holds over its steps (:func:`duan_sum_adiabatic_steps`): unit
+    1's :func:`_adiabatic_share` and the bath's ``2N + 1`` and ``M``, one flat tuple."""
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        share = _adiabatic_share(unit1, np.divide)
-        return (*share, 2.0 * N + 1.0, M, _rates_out_of_bounds(*share[:2]))
+        return (*_adiabatic_share(unit1), 2.0 * N + 1.0, M)
 
 
 def duan_sum_adiabatic_steps(held, unit2) -> np.ndarray:
     """:func:`duan_sum_adiabatic_arrays` totals from unit 1's and the bath's ``held``
-    terms (:func:`adiabatic_held`) and unit 2's record, as a partner search's step
-    forms them.
-
-    Every element passes both units' rate bounds, jointly, the total check of
-    :class:`DuanResult` and the rounding-error estimate, in that order, or the
-    first failing element raises what the per-point route raises.
-    """
+    terms (:func:`adiabatic_held`) and unit 2's record, both past the unit gate, as a
+    partner search's step forms them. Every element passes the total check of
+    :class:`DuanResult` and the rounding-error estimate, in that order, or the first
+    failing element raises what the per-point route raises."""
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
-        share2 = _adiabatic_share(unit2, np.divide)
-        rates = (*held[:2], *share2[:2])
-        raise_for_first(np.asarray(held[6] | _rates_out_of_bounds(*rates[2:])),
-                        _require_rates, *rates)
-        total, size = _adiabatic_sum(held[:4], share2, *held[4:6], np.sqrt)
+        total, size = _adiabatic_sum(held[:4], _adiabatic_share(unit2), *held[4:], np.sqrt)
         total = require_totals(total)
         lost = math.ulp(1.0) * size / total  # a zero total gives inf, as per point
     raise_for_first(lost > _CANCELLATION_TOL, _require_digits, lost)
@@ -308,19 +278,17 @@ def duan_sum_nonadiabatic_general(unit1, unit2, N: float, M: float,
     """Variance sum of either pair for any two units, no adiabatic elimination.
 
     Each unit is ``(gamma, kappa, G, n_th)``; ``N`` and ``M`` are the bath's ``N`` and
-    ``M_corr``. A division by zero, a NaN (or, at subnormal rates, inf) total in the
-    array twin, raises the ``FloatingPointError`` of a NaN total."""
+    ``M_corr``. Both units pass the unit gate first. A division by zero, where q or the
+    Hurwitz term underflows to 0, a NaN (or, at subnormal rates, inf) total in the array
+    twin, raises the ``FloatingPointError`` of a NaN total."""
     _require_pair(pair)
+    _require_unit(1, *unit1)
+    _require_unit(2, *unit2)
     try:
-        total = _general_sum(unit1, unit2, N, M, pair == "mirror", _sqrt, _scale)
+        total = _general_sum(unit1, unit2, N, M, pair == "mirror", math.sqrt, _scale)
     except ZeroDivisionError:
         total = math.nan
     return DuanResult.from_total(total)
-
-
-def _sqrt(x: float) -> float:
-    """``math.sqrt``, but NaN for a negative ``x``, as ``np.sqrt`` gives."""
-    return math.sqrt(x) if x >= 0.0 else math.nan
 
 
 def _scale(s: float, i: float) -> float:
@@ -337,11 +305,12 @@ def _scale_arrays(s, i):
 def duan_sum_nonadiabatic_general_arrays(unit1, unit2, N, M, pair: str = "mirror"
                                          ) -> np.ndarray:
     """:func:`duan_sum_nonadiabatic_general` totals over arrays that broadcast together,
-    bit for bit; the first non-finite or negative total raises what it raises."""
+    bit for bit, past the units' joint gate; the first bad total raises what it raises per point."""
     _require_pair(pair)
+    require_units({1: unit1, 2: unit2})
     unit1, unit2, (N, M) = ([np.asarray(x, dtype=float) for x in args]
                             for args in (unit1, unit2, (N, M)))
-    with np.errstate(all="ignore"):  # a NaN or negative rate, or x / 0, shows in the total
+    with np.errstate(all="ignore"):  # an overflow, or x / 0, shows in the total
         return require_totals(_general_sum(unit1, unit2, N, M, pair == "mirror", np.sqrt,
                                            _scale_arrays))
 

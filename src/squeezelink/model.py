@@ -415,6 +415,36 @@ def unit_record(unit: OptomechanicalUnit, steady: SteadyState) -> SidebandArrays
     return SidebandArrays(unit.mirror.gamma, unit.resonator.kappa, steady.G, steady.n_th)
 
 
+#: each field of a unit record and its bound; every field must also be finite
+_UNIT_BOUNDS = (("gamma", "> 0"), ("kappa", "> 0"), ("G", ">= 0"), ("n_th", ">= 0"))
+
+
+def _in_bounds(value, bound):
+    # bitwise & so that the same expression serves floats and arrays; NaN fails both sides
+    return ((0.0 < value) if bound == "> 0" else (0.0 <= value)) & (value < math.inf)
+
+
+def _require_unit(j, gamma, kappa, G, n_th):
+    """The gate of every general route: the first field of unit ``j``'s record that is not finite
+    or out of its ``_UNIT_BOUNDS`` raises, ``FloatingPointError`` if NaN or inf, else ValueError."""
+    for (name, bound), value in zip(_UNIT_BOUNDS, (gamma, kappa, G, n_th)):
+        if not _in_bounds(value, bound):
+            error = ValueError if math.isfinite(value) else FloatingPointError
+            raise error(f"unit {j}: {name} must be {bound} and finite, got {float(value)!r}")
+
+
+def require_units(units: dict):
+    """The unit gate over arrays: ``units`` maps numbers to records that broadcast together, and
+    the first element, in flat order, where one fails raises what :func:`_require_unit` does."""
+    fields = [x for unit in units.values() for x in unit]
+    passes = True
+    for value, (_, bound) in zip(fields, _UNIT_BOUNDS * len(units)):
+        passes = passes & _in_bounds(value, bound)
+    if passes is not True:  # not a float record that passes: numpy finds the first failure
+        raise_for_first(~np.asarray(passes), lambda *x: [
+            _require_unit(j, *x[4 * k:4 * k + 4]) for k, j in enumerate(units)], *fields)
+
+
 def raise_for_first(bad, check, *arrays):
     """Raise for the first element marked in the numpy bool array ``bad``, if any.
 
@@ -441,8 +471,7 @@ def set_field_arrays(res: dict, mir: dict, fields: dict) -> None:
         if part is None:
             raise ValueError(f"unknown unit field {name!r}")
         values = np.asarray(values, dtype=float)
-        low = 0.0 <= values if name == "temperature" else 0.0 < values
-        bad = ~(low & (values < math.inf))  # also flags NaN
+        bad = ~_in_bounds(values, ">= 0" if name == "temperature" else "> 0")
         raise_for_first(bad, _require_temperature if name == "temperature"
                         else lambda value: _require_positive(**{name: value}), values)
         part[name] = values

@@ -18,8 +18,8 @@ live on the pairs of blocks within X and within Y. The model fixes this
 split, and the solver works on it as rows of entries 00, 01, 10, 11 of the
 four drift blocks and of D's six block pairs; with the transposes of the
 cross pairs, these are every entry of A and D that the model can make
-nonzero. :func:`_model_rows` writes those rows straight
-from each unit's (gamma, kappa, G, n_th) and the bath's N and M;
+nonzero. :func:`_model_rows` writes those rows straight from each unit's
+(gamma, kappa, G, n_th), past the unit gate, and the bath's N and M;
 :func:`build_rwa_drift_diffusion_stack` scatters the same rows into 8x8 A
 and D, and :func:`build_rwa_drift_diffusion` calls it on one system's floats.
 One kernel, :func:`_solve_split`, solves the rows elementwise over a stack,
@@ -64,7 +64,7 @@ from ._lazy import lazy_import
 from .closedform import (_CANCELLATION_TOL, DuanResult, _require_digits, _require_pair,
                          duan_sum_nonadiabatic_general, require_totals)
 from .model import (Record, StabilityReport, SteadyState, SystemParams, UnstableDrift,
-                    raise_for_first, stability_check, unit_record)
+                    raise_for_first, require_units, stability_check, unit_record)
 
 np = lazy_import("numpy")
 
@@ -133,8 +133,8 @@ def build_rwa_drift_diffusion(
             )
     A, D = build_rwa_drift_diffusion_stack(*map(unit_record, units, steady),
                                            system.bath.N, system.bath.M_corr)
-    # the bath's N and M are finite, but its field terms in D can still overflow
-    if np.isfinite(A).all() and not np.isfinite(D.reshape(2, 4, 2, 4)[:, 2:, :, 2:]).all():
+    # the records passed the unit gate and N and M are finite; D's bath terms may overflow
+    if not np.isfinite(D.reshape(2, 4, 2, 4)[:, 2:, :, 2:]).all():
         raise OverflowError("squeezed-bath diffusion terms kappa (2N + 1)/2 and "
                             f"sqrt(kappa1 kappa2) M overflow a float at r = {system.bath.r!r}")
     return DriftDiffusion(A=A, D=D)
@@ -159,8 +159,8 @@ def _model_rows(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
     Takes the arguments of :func:`build_rwa_drift_diffusion_stack` and returns
     arrays ``(4, 4, ...)`` and ``(4, 6, ...)`` over their broadcast shape: entry
     00, 01, 10 or 11, then block or pair. These are the only entries of A and D
-    that the model does not hold at zero.
-    """
+    that the model does not hold at zero, once both units pass the unit gate."""
+    require_units({1: unit1, 2: unit2})
     shape = np.broadcast(*unit1, *unit2, N, M).shape
     drift, diffusion = np.zeros((4, len(_BLOCKS)) + shape), np.zeros((4, len(_PAIRS)) + shape)
     for j, (gamma, kappa, G, n_th) in enumerate((unit1, unit2)):

@@ -23,6 +23,7 @@ from .model import (
     SystemParams,
     _cooperativity,
     mean_fields_from_effective_detuning,
+    require_units,
     set_field_arrays,
     set_param,
     sideband_rate_arrays,
@@ -403,8 +404,8 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
     its points move: it checks the points as unit 2's ``field``, builds unit
     2's rates from them and the fields the scan checked, and forms the total
     from unit 1's share of it and the bath's terms
-    (:func:`closedform.duan_sum_adiabatic_steps`), which checks unit 2's rate
-    bounds, the total and its rounding error. Unless ``field`` is ``omega_M``
+    (:func:`closedform.duan_sum_adiabatic_steps`) once unit 2's record alone passes
+    the unit gate, and checks the total and its rounding error. Unless ``field`` is ``omega_M``
     or ``temperature``, unit 2's thermal occupation does not move either: the
     steps take the scan's. The totals are those of :func:`adiabatic_totals`
     at each search's values, bit for bit, and an invalid value raises what
@@ -430,7 +431,9 @@ def optimize_partners(base: SystemParams, field: str, values1, specs: Sequence[O
         if held:
             res, mir, n_th, terms = held
             set_field_arrays(res, mir, {name: x})
-            return closedform.duan_sum_adiabatic_steps(terms, sideband_rate_arrays(res, mir, n_th))
+            unit2 = sideband_rate_arrays(res, mir, n_th)
+            require_units({2: unit2})  # unit 1 passed at the scan
+            return closedform.duan_sum_adiabatic_steps(terms, unit2)
         unit2, res, mir = _sideband(base.unit2, {n: x if values is None else values
                                                  for n, values in fields["unit2"].items()})
         bath = _bath_terms(base, columns)  # after unit 2, as adiabatic_totals checks r

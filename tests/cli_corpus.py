@@ -33,6 +33,8 @@ CONFIGS = {
     # kappa, gamma and n_th through the bath temperature
     "mismatched.ini": ("[unit2]\ntemperature_uk = 500\npower_mw = 4\nkappa_hz = 300e3\n"
                        "gamma_hz = 200\n"),
+    # both couplings G overflow to inf, which every route rejects at the unit gate
+    "huge.ini": "[unit1]\npower_w = 1e300\n[unit2]\npower_w = 1e300\n",
 }
 
 PRESETS = ("fig2-text", "fig2-caption", "fig3")
@@ -69,6 +71,7 @@ def argvs() -> list[list[str]]:
                   ["threshold", "--preset", preset, "--r", "2", "--temperature-uk", "250"]]
     for r in ("1", "2.5"):
         calls += [["duan", "--config", "{mismatched.ini}", "--r", r, *route] for route in ROUTES]
+    calls += [["duan", "--config", "{huge.ini}", *route] for route in ROUTES]
     calls += [["duan", "--r", "0", *route] for route in ROUTES]
     calls += [["threshold", "--quantity", "cooperativity", "--temperature-uk", "0"],
               ["threshold", "--quantity", "power", "--r", "0.25"]]
@@ -96,8 +99,9 @@ def argvs() -> list[list[str]]:
         ["duan", "--r", "30"],  # 3
         ["threshold", "--r", "0"],  # 3
         ["sweep", "--axis", "bath.r", "--range=-2:-1:3", "--max-errors", "2"],  # 4
-        # a --range whose MIN is negative, as its own argument
+        # a --range whose MIN is negative, as its own argument, and after an abbreviation
         ["sweep", "--axis", "bath.r", "--range", "-2:-1:3", "--max-errors", "2"],  # 4
+        ["sweep", "--axis", "bath.r", "--rang", "-2:-1:3", "--max-errors", "2"],  # 4
     ]
     return calls
 

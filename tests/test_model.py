@@ -1,11 +1,14 @@
 import inspect
+import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from squeezelink import model
+from squeezelink import closedform, model, oracle
 from squeezelink.model import (
     HBAR,
     KB,
@@ -489,3 +492,103 @@ def test_record_from_a_positional_prefix_equals_the_record_by_keyword(case):
         cls(*short)
     assert str(raised.value) == (f"{cls.__name__}() takes the fields {', '.join(fields)}; "
                                  f"got {len(short)} by position and none by keyword")
+
+
+#: unit records (gamma, kappa, G, n_th) at zero, subnormal, huge and negative values of
+#: each field, and a negative G and n_th: all finite
+GATE_GRID = [*itertools.product((1e-3, 0.0, 5e-324, 1e300, -1.0), (1.0, 0.0, 1e300, 5e-324),
+                                (10.0, 0.0, 1e160, 1e300), (0.5, 0.0, 1e300)),
+             (1e-3, 1.0, -10.0, 0.5), (1e-3, 1.0, 10.0, -0.5)]
+#: records with a NaN or infinite field, as an overflow upstream leaves them
+NON_FINITE = [(math.nan, 1.0, 10.0, 0.5), (1e-3, math.inf, 10.0, 0.5), (1e-3, 1.0, math.inf, 0.5),
+              (1e-3, 1.0, 10.0, -math.inf), (1e-3, 1.0, -math.inf, math.nan)]
+#: the partner of every record
+NORMAL = (1e-3, 1.0, 10.0, 0.5)
+GATE_TEXT = re.compile(r"^unit [12]: (gamma|kappa|G|n_th) must be ")
+
+
+def gate_verdict(record, j):
+    """What :func:`model._require_unit` raises for ``record`` as unit ``j``, or None."""
+    try:
+        model._require_unit(j, *record)
+    except (ValueError, FloatingPointError) as exc:
+        return exc
+    return None
+
+
+def route_outcomes(record, j):
+    """The exception, or None, of every general route with ``record`` as unit ``j`` and
+    ``NORMAL`` as the other unit at r = 1: per point, and over arrays of three systems
+    with ``record`` in the middle."""
+    bath = SqueezedBath(r=1.0)
+    units = (record, NORMAL) if j == 1 else (NORMAL, record)
+    arrays = [tuple(np.array([n, x, n]) for n, x in zip(NORMAL, unit)) for unit in units]
+    args, array_args = (*units, bath.N, bath.M_corr), (*arrays, bath.N, bath.M_corr)
+    routes = {
+        "adiabatic": lambda: closedform.duan_sum_adiabatic_general(*args),
+        "mirror": lambda: closedform.duan_sum_nonadiabatic_general(*args, "mirror"),
+        "field": lambda: closedform.duan_sum_nonadiabatic_general(*args, "field"),
+        "drift": lambda: oracle.build_rwa_drift_diffusion_stack(*args),
+        "adiabatic arrays": lambda: closedform.duan_sum_adiabatic_arrays(*array_args),
+        "mirror arrays": lambda: closedform.duan_sum_nonadiabatic_general_arrays(
+            *array_args, "mirror"),
+        "field arrays": lambda: closedform.duan_sum_nonadiabatic_general_arrays(
+            *array_args, "field"),
+        "oracle arrays": lambda: oracle.duan_variance_arrays(*array_args),
+        "drift arrays": lambda: oracle.build_rwa_drift_diffusion_stack(*array_args),
+    }
+    outcomes = {}
+    for name, route in routes.items():
+        try:
+            route()
+            outcomes[name] = None
+        except Exception as exc:  # any outcome: the tests compare them
+            outcomes[name] = exc
+    return outcomes
+
+
+class TestUnitGate:
+    def test_the_grid_splits_as_the_bounds_say(self):
+        rejected = [r for r in GATE_GRID if gate_verdict(r, 1) is not None]
+        assert (len(GATE_GRID), len(rejected)) == (242, 134)
+        assert all(isinstance(gate_verdict(r, 2), ValueError) for r in rejected)
+        assert all(isinstance(gate_verdict(r, 1), FloatingPointError) for r in NON_FINITE)
+
+    def test_messages_name_the_unit_the_field_and_the_value(self):
+        with pytest.raises(FloatingPointError,
+                           match=r"^unit 2: G must be >= 0 and finite, got inf$"):
+            model._require_unit(2, 1e-3, 1.0, math.inf, 0.5)
+        with pytest.raises(ValueError, match=r"^unit 1: gamma must be > 0 and finite, got -1.0$"):
+            model._require_unit(1, -1.0, 1.0, -10.0, -0.5)  # the first field out of bounds
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_rejected_records_raise_one_error_on_every_route(self, j):
+        # the gate runs before any arithmetic, so no numpy warning comes first either
+        rejected = [r for r in GATE_GRID + NON_FINITE if gate_verdict(r, j) is not None]
+        for record in rejected:
+            expected = gate_verdict(record, j)
+            for name, exc in route_outcomes(record, j).items():
+                assert (type(exc), str(exc)) == (type(expected), str(expected)), (record, name)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_admitted_records_never_raise_the_gates_error(self, j):
+        admitted = [r for r in GATE_GRID if gate_verdict(r, j) is None]
+        assert len(admitted) == 108
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy overflows on the huge records
+            for record in admitted:
+                for name, exc in route_outcomes(record, j).items():
+                    assert exc is None or not GATE_TEXT.match(str(exc)), (record, name, exc)
+
+    def test_array_gate_raises_for_the_first_element_unit_1_before_unit_2(self):
+        bad1 = (np.array([1e-3, 1e-3, -1.0]), 1.0, 10.0, 0.5)
+        bad2 = (1e-3, 1.0, np.array([10.0, math.inf, -1.0]), 0.5)
+        with pytest.raises(FloatingPointError,
+                           match="^unit 2: G must be >= 0 and finite, got inf$"):
+            model.require_units({1: bad1, 2: bad2})  # element 1 before element 2
+        bad1[0][1] = -1.0
+        with pytest.raises(ValueError, match="^unit 1: gamma must be > 0 and finite, got -1.0$"):
+            model.require_units({1: bad1, 2: bad2})  # unit 1 before unit 2 at one element
+        with pytest.raises(FloatingPointError, match="^unit 2: G must be"):
+            model.require_units({2: bad2})
+        model.require_units({1: NORMAL, 2: tuple(np.full(3, x) for x in NORMAL)})

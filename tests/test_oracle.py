@@ -1,6 +1,7 @@
 import functools
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -263,13 +264,12 @@ class TestStackedLyapunov:
         G = KAPPA * np.array([0.01, 0.05, 0.1, 2.0])
         if case == "overdamped":  # tr/2 + sqrt(disc) loses 2 to 3 digits
             G = KAPPA * np.array([0.01, 0.02, 0.03, 0.05])
-        if case == "zero-trace":  # unit 1 of item 2 has no damping at all
-            gamma[2] = 0.0
-        kappa1 = np.where(gamma == 0.0, 0.0, KAPPA)
-        A, _ = build_rwa_drift_diffusion_stack((gamma, kappa1, G, 1.0),
+        A, _ = build_rwa_drift_diffusion_stack((gamma, KAPPA, G, 1.0),
                                                (gamma[::-1], KAPPA, G[::-1], 2.0), 0.0, 0.0)
         if case == "unstable":
             A[1] = -A[1]
+        if case == "zero-trace":  # unit 1 of item 2 has no damping at all
+            A[2, [0, 1, 2, 3], [0, 1, 2, 3]] = 0.0
         report, ref = oracle._split_stability(drift_rows(A)), model.stability_check(A)
         assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
         assert report.stable == (case == "overdamped")
@@ -670,19 +670,23 @@ class TestRowAndMatrixRoutes:
                                                  for k in range(0, flat[0].size, 4)]
         assert np.concatenate(chunks, axis=-1).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("entry, value, error", [
-        (2, math.nan, FloatingPointError),  # G of unit 1
-        (1, math.inf, FloatingPointError),  # kappa of unit 1
-        (0, -2.0, UnstableDrift),  # gamma = -2 kappa: the drift grows
+    @pytest.mark.parametrize("entry, value, error, text", [
+        # the bath's M: the records pass the unit gate, and the kernel names the item
+        (9, math.inf, FloatingPointError,
+         "drift or diffusion matrix is not finite at stack index 44"),
+        # a record out of bounds stops at the unit gate, in the same chunk
+        (2, math.nan, FloatingPointError, "unit 1: G must be >= 0 and finite, got nan"),
+        (1, math.inf, FloatingPointError, "unit 1: kappa must be > 0 and finite, got inf"),
+        (0, -2.0, ValueError, "unit 1: gamma must be > 0 and finite, got -2.0"),
     ])
-    def test_a_bad_system_raises_alike_on_both_routes(self, entry, value, error):
+    def test_a_bad_system_raises_alike_on_both_routes(self, entry, value, error, text):
         unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 2 * CHUNK + 1)
-        unit1 = [np.array(x) for x in unit1]
+        inputs = [np.array(x) for x in (*unit1, *unit2, N, M)]
         bad = CHUNK + 44  # item 44 of the second chunk
-        unit1[entry][bad] = value * (unit1[1][bad] if entry == 0 else 1.0)
-        with pytest.raises(error, match="at stack index 44") as by_rows:
-            list(oracle.covariance_chunks(unit1, unit2, N, M))
-        c = [np.asarray(x)[CHUNK:2 * CHUNK] for x in (*unit1, *unit2, N, M)]
+        inputs[entry][bad] = value
+        with pytest.raises(error, match=f"^{re.escape(text)}$") as by_rows:
+            list(oracle.covariance_chunks(inputs[:4], inputs[4:8], *inputs[8:]))
+        c = [x[CHUNK:2 * CHUNK] for x in inputs]
         with pytest.raises(error) as by_matrices:
             solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
         assert str(by_rows.value) == str(by_matrices.value)

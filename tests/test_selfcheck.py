@@ -2,11 +2,12 @@
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
-from squeezelink import model, oracle, selfcheck
+from squeezelink import closedform, model, oracle, selfcheck
 from units import unit_with_cooperativity
 
 
@@ -48,14 +49,15 @@ def test_chunked_solves_match_single_solves(monkeypatch, count):
     assert np.array_equal(np.concatenate(chunks, axis=-1), oracle._rows(singles, oracle._PAIR_AT))
 
 
-def test_unstable_item_aborts_the_check(monkeypatch):
+def test_bad_item_aborts_the_check(monkeypatch):
     monkeypatch.setattr(oracle, "STACK_CHUNK", 4)
     (gamma, kappa, G, n_th), N, M, _ = random_systems(6)
-    kappa[5] = -kappa[5]  # a growing cavity mode
+    kappa[5] = -kappa[5]  # a growing cavity mode, which the unit gate rejects
     unit = (gamma, kappa, G, n_th)
     chunks = oracle.covariance_chunks(unit, unit, N, M)
     assert next(chunks).shape[-1] == 4  # the first chunk is solved on its own
-    with pytest.raises(oracle.UnstableDrift, match="at stack index 1"):
+    with pytest.raises(ValueError, match=f"^unit 1: kappa must be > 0 and finite, got "
+                                         f"{float(kappa[5])!r}$"):
         next(chunks)
 
 
@@ -156,25 +158,32 @@ def test_symmetric_units_take_the_grids_n_th_and_c_as_given():
     assert not N.any() and not M.any()
 
 
-@pytest.mark.parametrize("C, n_th, ratio, name", [
-    (-1.0, 1.0, 1e-3, "C"), (math.nan, 1.0, 1e-3, "C"), (math.inf, 1.0, 1e-3, "C"),
+@pytest.mark.parametrize("C, n_th, ratio, field", [
+    (-1.0, 1.0, 1e-3, "G"), (math.nan, 1.0, 1e-3, "G"), (math.inf, 1.0, 1e-3, "G"),
     (1.0, -1.0, 1e-3, "n_th"), (1.0, math.inf, 1e-3, "n_th"),
-    (1.0, 1.0, -1e-3, "gamma/kappa"), (1.0, 1.0, math.nan, "gamma/kappa"),
+    (1.0, 1.0, -1e-3, "gamma"), (1.0, 1.0, math.nan, "gamma"),
 ])
-def test_symmetric_units_reject_what_a_unit_rejects(C, n_th, ratio, name):
+def test_symmetric_units_reject_what_a_unit_rejects(C, n_th, ratio, field):
+    # a negative or NaN C gives a NaN G: the routes' unit gate rejects the record
     kappa = selfcheck.KAPPA_REF
     with pytest.raises(ValueError):
         unit_with_cooperativity(C, kappa, ratio * kappa, n_th)
     good = (1.0, 1.0, 1e-3)
     C, n_th, ratio = (np.array([g, x]) for g, x in zip(good, (C, n_th, ratio)))
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        selfcheck._symmetric_units(C, 0.0, n_th, ratio)
+    args = selfcheck._symmetric_units(C, 0.0, n_th, ratio)
+    with pytest.raises((ValueError, FloatingPointError),
+                       match=f"^unit 1: {field} must be") as per_point:
+        model._require_unit(1, *(float(np.broadcast_to(x, (2,))[1]) for x in args[0]))
+    for route in (oracle.duan_variance_arrays, closedform.duan_sum_nonadiabatic_general_arrays):
+        with pytest.raises(type(per_point.value),
+                           match=f"^{re.escape(str(per_point.value))}$"):
+            route(*args)
 
 
 def test_array_route_rejects_what_the_per_point_route_rejects():
-    with pytest.raises(ValueError, match="C must be >= 0"):
+    with pytest.raises(FloatingPointError, match="^unit 1: G must be >= 0 and finite, got nan$"):
         selfcheck._mirror_variances(np.array([1.0, -1.0]), 0.0, 1.0, 0.01)
-    with pytest.raises(ValueError, match="n_th must be >= 0"):
+    with pytest.raises(ValueError, match="^unit 1: n_th must be >= 0 and finite, got -1.0$"):
         selfcheck._mirror_variances(1.0, 0.0, np.array([1.0, -1.0]), 0.01)
     with pytest.raises(ValueError, match="squeeze parameter r"):
         selfcheck._mirror_variances(1.0, np.array([0.5, np.nan]), 1.0, 0.01)
