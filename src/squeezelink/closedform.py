@@ -8,8 +8,9 @@ nonadiabatic form of any two units integrates the noise spectra in closed form.
 
 A form evaluated over grids has an array twin (``*_arrays``) that takes its
 arguments as arrays, or records of arrays, and gives the same bits; the first
-failing element raises what the per-point form raises. The forms for any two
-units reject an unphysical unit record at :mod:`squeezelink.model`'s unit gate.
+failing element raises what the per-point form raises. Every argument passes
+:mod:`squeezelink.model`'s range gate first: a unit record its unit gate, and
+the other arguments their rows of this module's tables.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .model import (
     mean_fields_from_effective_detuning,
     map_math,
     raise_for_first,
+    require_bounds,
+    require_bounds_arrays,
     require_units,
     thermal_occupation,
 )
@@ -36,6 +39,14 @@ SEPARABILITY_BOUND = 2.0
 #: the largest relative rounding error a Duan variance or total may carry: the
 #: three routes' agreement tolerance
 _CANCELLATION_TOL = 1e-6
+
+
+#: the range gate's tables (see :func:`model.require_bounds`) of the closed forms'
+#: arguments; a form checks the rows of the arguments it takes, such as C, r and n_th
+_IDENTICAL_BOUNDS = (("C", ">= 0"), ("r", ">= 0"), ("n_th", ">= 0"), ("gamma", "> 0"),
+                     ("kappa", "> 0"))
+_STRONG_BOUNDS = (("C", "> 0"),) + _IDENTICAL_BOUNDS[1:3]
+_POWER_BOUNDS = (("r", ">= 0"), ("temperature", "> 0"))
 
 
 class DegenerateSqueeze(ValueError):
@@ -182,26 +193,24 @@ def _adiabatic_identical_sum(C, e, n_th):
 
 def duan_sum_adiabatic_identical(C: float, r: float, n_th: float) -> DuanResult:
     """Mirror-mirror variance sum for identical units, adiabatic regime."""
-    _check_nonnegative(C=C, r=r, n_th=n_th)
+    require_bounds(_IDENTICAL_BOUNDS, (C, r, n_th))
     return DuanResult.from_total(_adiabatic_identical_sum(C, math.exp(-2.0 * r), n_th))
 
 
 def duan_sum_adiabatic_identical_arrays(C, r, n_th) -> np.ndarray:
     """:func:`duan_sum_adiabatic_identical` as :func:`duan_sum_nonadiabatic_arrays`."""
-    return _identical_units_arrays(_adiabatic_identical_sum, duan_sum_adiabatic_identical,
-                                   (C, r, n_th))
+    return _identical_units_arrays(_adiabatic_identical_sum, (C, r, n_th))
 
 
 def duan_sum_strong_coupling_approx(C: float, r: float, n_th: float) -> float:
     """Large-cooperativity approximation 2 e^{-2r} + 4 n_th / C."""
-    if C <= 0:
-        raise ValueError("C must be > 0 in the strong-coupling approximation")
+    require_bounds(_STRONG_BOUNDS, (C, r, n_th))
     return 2.0 * math.exp(-2.0 * r) + 4.0 * n_th / C
 
 
 def duan_sum_weak_coupling_approx(C: float, r: float, n_th: float) -> float:
     """Small-cooperativity approximation 2 + 2 C e^{-2r} + 4 n_th; never below 2."""
-    _check_nonnegative(C=C, r=r, n_th=n_th)
+    require_bounds(_IDENTICAL_BOUNDS, (C, r, n_th))
     return 2.0 + 2.0 * C * math.exp(-2.0 * r) + 4.0 * n_th
 
 
@@ -216,8 +225,7 @@ def duan_sum_nonadiabatic(
     C: float, r: float, n_th: float, gamma: float, kappa: float
 ) -> DuanResult:
     """Mirror-mirror variance sum for identical units, no adiabatic elimination."""
-    _check_nonnegative(C=C, r=r, n_th=n_th)
-    _check_positive(gamma=gamma, kappa=kappa)
+    require_bounds(_IDENTICAL_BOUNDS, (C, r, n_th, gamma, kappa))
     return DuanResult.from_total(_nonadiabatic_sum(C, math.exp(-2.0 * r), n_th, gamma, kappa))
 
 
@@ -228,10 +236,9 @@ def duan_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
     ``math.exp``, mapped over the elements of r: ``np.exp(-2r)`` differs from it
     in the last bit at 9,265 of 200,001 r in [0, 20] with numpy 2.4 on an
     AVX-512 Xeon). Every element passes the per-point
-    checks, or the first failing element raises what they raise.
+    gate and total check, or the first failing element raises what they raise.
     """
-    return _identical_units_arrays(_nonadiabatic_sum, duan_sum_nonadiabatic,
-                                   (C, r, n_th, gamma, kappa))
+    return _identical_units_arrays(_nonadiabatic_sum, (C, r, n_th, gamma, kappa))
 
 
 def _field_sum(C, e, n_th, gamma, kappa):
@@ -245,24 +252,20 @@ def field_sum_nonadiabatic(
     C: float, r: float, n_th: float, gamma: float, kappa: float
 ) -> DuanResult:
     """Field-field variance sum for identical units."""
-    _check_nonnegative(C=C, r=r, n_th=n_th)
-    _check_positive(gamma=gamma, kappa=kappa)
+    require_bounds(_IDENTICAL_BOUNDS, (C, r, n_th, gamma, kappa))
     return DuanResult.from_total(_field_sum(C, math.exp(-2.0 * r), n_th, gamma, kappa))
 
 
 def field_sum_nonadiabatic_arrays(C, r, n_th, gamma, kappa) -> np.ndarray:
     """:func:`field_sum_nonadiabatic` as :func:`duan_sum_nonadiabatic_arrays`."""
-    return _identical_units_arrays(_field_sum, field_sum_nonadiabatic,
-                                   (C, r, n_th, gamma, kappa))
+    return _identical_units_arrays(_field_sum, (C, r, n_th, gamma, kappa))
 
 
-def _identical_units_arrays(total, per_point, args) -> np.ndarray:
-    """``total`` over (C, exp(-2r), n_th, *rates), broadcast together, with the checks of
-    ``per_point``; ``math.exp`` maps over r's own elements, once the checks pass."""
+def _identical_units_arrays(total, args) -> np.ndarray:
+    """``total`` over (C, exp(-2r), n_th, *rates), broadcast together, past the gate of
+    ``_IDENTICAL_BOUNDS``; ``math.exp`` maps over r's own elements, once the gate passes."""
     C, r, n_th, *rates = args = [np.asarray(x, dtype=float) for x in args]
-    bad = np.any(np.broadcast_arrays(C < 0, r < 0, n_th < 0,
-                                     *(~(rate > 0) for rate in rates)), axis=0)
-    raise_for_first(bad, per_point, *args)
+    require_bounds_arrays(_IDENTICAL_BOUNDS, args)
     e = map_math(math.exp, -2.0 * r)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite total
         return require_totals(total(C, e, n_th, *rates))
@@ -376,11 +379,11 @@ def _i4(m, n, sign, p1, q1, p2, q2, dp, dq):
 
 def threshold_cooperativity(r: float, n_th: float) -> float:
     """Cooperativity above which the mirrors become entangled."""
-    if r <= 0:
+    require_bounds(_IDENTICAL_BOUNDS[1:3], (r, n_th))
+    if r == 0:
         raise DegenerateSqueeze(
             "threshold cooperativity diverges at r = 0: no entanglement without squeezing"
         )
-    _check_nonnegative(n_th=n_th)
     return _finite_threshold(2.0 * n_th / (-math.expm1(-2.0 * r)), "C_min", r)
 
 
@@ -397,8 +400,7 @@ def minimum_power(unit: OptomechanicalUnit, r: float, temperature: float) -> flo
     :func:`threshold_cooperativity`, so the variance sum evaluated at the
     returned power sits exactly on the boundary.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0 for a finite power threshold")
+    require_bounds(_POWER_BOUNDS, (r, temperature))
     n_th = thermal_occupation(unit.mirror.omega_M, temperature)
     c_min = threshold_cooperativity(r, n_th)
     slope = cooperativity_power_slope(unit)
@@ -420,10 +422,9 @@ def diagnostic_minimum_power(
     these systems); both are reported by the CLI so the discrepancy is
     visible rather than silently resolved.
     """
-    if r <= 0:
+    require_bounds(_POWER_BOUNDS, (r, temperature))
+    if r == 0:
         raise DegenerateSqueeze("power threshold diverges at r = 0")
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
     res, mir = unit.resonator, unit.mirror
     alpha = (mir.gamma * res.omega_L * mir.mass * res.length**2 * mir.omega_M
              * ((res.kappa / 2.0) ** 2 + mir.omega_M**2) / (2.0 * res.omega_r**2))
@@ -436,15 +437,3 @@ def _finite_threshold(value: float, name: str, r: float) -> float:
     if not math.isfinite(value):
         raise DegenerateSqueeze(f"{name} is not finite at r = {r!r}; the threshold diverges")
     return value
-
-
-def _check_nonnegative(**kwargs):
-    for name, value in kwargs.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
-def _check_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")

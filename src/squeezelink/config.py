@@ -177,7 +177,7 @@ def load_config(path: str, preset: str = "fig2-text") -> SystemParams:
 
     try:
         return _system_from_values(values, r)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:  # the range gate's two errors
         raise ConfigError(f"invalid parameter value: {exc}") from exc
 
 
@@ -204,6 +204,6 @@ def resolve_system(
             system = set_param(system, "bath.r", r_override)
         if temperature_override is not None:
             system = set_param(system, "temperature", temperature_override)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"invalid override: {exc}") from exc
     return system

@@ -141,15 +141,44 @@ class Record:
         return type(self)(*values)
 
 
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not 0.0 < value < math.inf:  # also rejects NaN
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+# The range gate: every input that the package takes in is checked against a
+# table of (name, bound) rows, by require_bounds per point and by
+# require_bounds_arrays over arrays.
+
+#: the gate's tables of the records, one row per field in field order
+RESONATOR_BOUNDS = (("omega_r", "> 0"), ("omega_L", "> 0"), ("kappa", "> 0"), ("length", "> 0"),
+                    ("power", "> 0"))
+MIRROR_BOUNDS = (("omega_M", "> 0"), ("gamma", "> 0"), ("mass", "> 0"), ("temperature", ">= 0"))
+BATH_BOUNDS = (("squeeze parameter r", ">= 0"),)
+#: the unit gate's table of unit j's record (gamma, kappa, G, n_th), by j
+UNIT_BOUNDS = {j: ((f"unit {j}: gamma", "> 0"), (f"unit {j}: kappa", "> 0"),
+                   (f"unit {j}: G", ">= 0"), (f"unit {j}: n_th", ">= 0")) for j in (1, 2)}
 
 
-def _require_temperature(value):
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"temperature must be >= 0 and finite, got {value!r}")
+def require_bounds(bounds, values):
+    """The gate per point, in :mod:`math` alone: the first of ``values`` that is not finite
+    or not within its row of ``bounds`` raises ``{name} must be {bound} and finite, got
+    {value!r}``, as ``FloatingPointError`` if NaN or inf, else as ``ValueError``."""
+    for (name, bound), value in zip(bounds, values):
+        # positive and finite, or 0 where the bound is ">= 0"; NaN fails both
+        if not 0.0 < value < math.inf and not (value == 0.0 and bound == ">= 0"):
+            error = ValueError if math.isfinite(value) else FloatingPointError
+            raise error(f"{name} must be {bound} and finite, got {float(value)!r}")
+
+
+def _in_bounds(value, bound):
+    # bitwise & so that the same expression serves floats and arrays; NaN fails both sides
+    return ((0.0 < value) if bound == "> 0" else (0.0 <= value)) & (value < math.inf)
+
+
+def require_bounds_arrays(bounds, values):
+    """The gate over arrays: ``values`` broadcast together, and the first element, in flat
+    order, where one fails raises what :func:`require_bounds` raises for that element."""
+    passes = True
+    for (_, bound), value in zip(bounds, values):
+        passes = passes & _in_bounds(value, bound)
+    if passes is not True:  # not floats that pass: numpy finds the first failure
+        raise_for_first(~np.asarray(passes), lambda *x: require_bounds(bounds, x), *values)
 
 
 def _optical_ratio_low(omega_r, omega_L, kappa):
@@ -176,13 +205,8 @@ class ResonatorParams(Record):
     power: float  # drive power (W)
 
     def __post_init__(self):
-        _require_positive(
-            omega_r=self.omega_r,
-            omega_L=self.omega_L,
-            kappa=self.kappa,
-            length=self.length,
-            power=self.power,
-        )
+        require_bounds(RESONATOR_BOUNDS,
+                       (self.omega_r, self.omega_L, self.kappa, self.length, self.power))
         if _optical_ratio_low(self.omega_r, self.omega_L, self.kappa):
             _warn_optical_ratio()
 
@@ -196,8 +220,7 @@ class MirrorParams(Record):
     temperature: float  # K
 
     def __post_init__(self):
-        _require_positive(omega_M=self.omega_M, gamma=self.gamma, mass=self.mass)
-        _require_temperature(self.temperature)
+        require_bounds(MIRROR_BOUNDS, (self.omega_M, self.gamma, self.mass, self.temperature))
 
 
 class SqueezedBath(Record):
@@ -211,7 +234,7 @@ class SqueezedBath(Record):
     r: float
 
     def __post_init__(self):
-        _require_squeeze(self.r)
+        require_bounds(BATH_BOUNDS, (self.r,))
 
     @property
     def N(self) -> float:
@@ -222,13 +245,8 @@ class SqueezedBath(Record):
         return _squeezed_correlation(self.r)
 
 
-# The bath's check and terms as functions of r. squeeze_arrays raises their
-# errors but maps only the math calls per element: see its docstring.
-
-
-def _require_squeeze(r):
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"squeeze parameter r must be >= 0 and finite, got {r!r}")
+# The bath's terms as functions of r. squeeze_arrays raises their errors but
+# maps only the math calls per element: see its docstring.
 
 
 def _squeezed_occupation(r):
@@ -323,10 +341,13 @@ class SteadyState(Record):
     n_th: float  # thermal occupation of the mirror bath
 
 
+#: the rows of :data:`MIRROR_BOUNDS` that the thermal occupation takes
+_OCCUPATION_BOUNDS = (MIRROR_BOUNDS[0], MIRROR_BOUNDS[3])
+
+
 def thermal_occupation(omega_M: float, temperature: float) -> float:
     """Bose-Einstein occupation of a mechanical bath at a given temperature."""
-    _require_positive(omega_M=omega_M)
-    _require_temperature(temperature)
+    require_bounds(_OCCUPATION_BOUNDS, (omega_M, temperature))
     return _occupation(omega_M, temperature)
 
 
@@ -415,34 +436,17 @@ def unit_record(unit: OptomechanicalUnit, steady: SteadyState) -> SidebandArrays
     return SidebandArrays(unit.mirror.gamma, unit.resonator.kappa, steady.G, steady.n_th)
 
 
-#: each field of a unit record and its bound; every field must also be finite
-_UNIT_BOUNDS = (("gamma", "> 0"), ("kappa", "> 0"), ("G", ">= 0"), ("n_th", ">= 0"))
-
-
-def _in_bounds(value, bound):
-    # bitwise & so that the same expression serves floats and arrays; NaN fails both sides
-    return ((0.0 < value) if bound == "> 0" else (0.0 <= value)) & (value < math.inf)
-
-
 def _require_unit(j, gamma, kappa, G, n_th):
-    """The gate of every general route: the first field of unit ``j``'s record that is not finite
-    or out of its ``_UNIT_BOUNDS`` raises, ``FloatingPointError`` if NaN or inf, else ValueError."""
-    for (name, bound), value in zip(_UNIT_BOUNDS, (gamma, kappa, G, n_th)):
-        if not _in_bounds(value, bound):
-            error = ValueError if math.isfinite(value) else FloatingPointError
-            raise error(f"unit {j}: {name} must be {bound} and finite, got {float(value)!r}")
+    """The gate of every general route: the first field of unit ``j``'s record that is not
+    finite or out of its ``UNIT_BOUNDS`` row raises (see :func:`require_bounds`)."""
+    require_bounds(UNIT_BOUNDS[j], (gamma, kappa, G, n_th))
 
 
 def require_units(units: dict):
     """The unit gate over arrays: ``units`` maps numbers to records that broadcast together, and
     the first element, in flat order, where one fails raises what :func:`_require_unit` does."""
-    fields = [x for unit in units.values() for x in unit]
-    passes = True
-    for value, (_, bound) in zip(fields, _UNIT_BOUNDS * len(units)):
-        passes = passes & _in_bounds(value, bound)
-    if passes is not True:  # not a float record that passes: numpy finds the first failure
-        raise_for_first(~np.asarray(passes), lambda *x: [
-            _require_unit(j, *x[4 * k:4 * k + 4]) for k, j in enumerate(units)], *fields)
+    require_bounds_arrays([row for j in units for row in UNIT_BOUNDS[j]],
+                          [x for unit in units.values() for x in unit])
 
 
 def raise_for_first(bad, check, *arrays):
@@ -457,24 +461,25 @@ def raise_for_first(bad, check, *arrays):
         check(*(float(a.flat[k]) for a in arrays))
 
 
+_FIELD_BOUNDS = dict(RESONATOR_BOUNDS + MIRROR_BOUNDS)
+
+
 def set_field_arrays(res: dict, mir: dict, fields: dict) -> None:
     """Set each of ``fields`` in a unit's resonator fields ``res`` or mirror fields ``mir``.
 
-    Each value becomes a float array once every element passes the check
-    that building the unit runs; the first failing element raises what that
-    check raises. When ``fields`` holds ``omega_r``, ``omega_L`` or ``kappa``,
-    the optical-ratio warning fires if any element of ``res`` would fire it.
+    Each value becomes a float array once every element passes the field's
+    row of :data:`RESONATOR_BOUNDS` or :data:`MIRROR_BOUNDS`; the first failing
+    element raises what building the unit raises. When ``fields`` holds
+    ``omega_r``, ``omega_L`` or ``kappa``, the optical-ratio warning fires if
+    any element of ``res`` would fire it.
     """
     for name, values in fields.items():
-        part = (res if name in ResonatorParams._fields
-                else mir if name in MirrorParams._fields else None)
-        if part is None:
+        bound = _FIELD_BOUNDS.get(name)
+        if bound is None:
             raise ValueError(f"unknown unit field {name!r}")
         values = np.asarray(values, dtype=float)
-        bad = ~_in_bounds(values, ">= 0" if name == "temperature" else "> 0")
-        raise_for_first(bad, _require_temperature if name == "temperature"
-                        else lambda value: _require_positive(**{name: value}), values)
-        part[name] = values
+        require_bounds_arrays(((name, bound),), (values,))
+        (res if name in ResonatorParams._fields else mir)[name] = values
     if (fields.keys() & {"omega_r", "omega_L", "kappa"}
             and np.any(_optical_ratio_low(res["omega_r"], res["omega_L"], res["kappa"]))):
         _warn_optical_ratio()
@@ -547,10 +552,10 @@ def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
     (:func:`map_math`): N = ``math.pow(sinh, 2.0)``, as ``sinh(r) ** 2`` per
     point; with numpy 2.4 on an AVX-512 Xeon, ``np.square`` differs from it in
     the last bit at 424 of 500,001 r in [0, 355], r = 5.017925 among them. The
-    first element that fails the bath's check or overflows raises its error.
+    first element that fails the bath's gate or overflows raises its error.
     """
     r = np.asarray(r, dtype=float)
-    raise_for_first(~((0.0 <= r) & (r < math.inf)), _require_squeeze, r)
+    require_bounds_arrays(BATH_BOUNDS, (r,))
     try:
         sinh = map_math(math.sinh, r)
         N = map_math(math.pow, sinh, 2.0)

@@ -163,16 +163,15 @@ def _model_rows(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
     require_units({1: unit1, 2: unit2})
     shape = np.broadcast(*unit1, *unit2, N, M).shape
     drift, diffusion = np.zeros((4, len(_BLOCKS)) + shape), np.zeros((4, len(_PAIRS)) + shape)
-    for j, (gamma, kappa, G, n_th) in enumerate((unit1, unit2)):
-        # X' = -gamma/2 X + G x ; x' = -kappa/2 x - G X (same for Y, y); unit
-        # j's blocks are j (X) and j + 2 (Y), and its own pairs 2j and 2j + 3
-        block, own = drift[:, j::2], diffusion[:, 2 * j::3]
-        block[0], block[1], block[2], block[3] = -gamma / 2.0, G, -G, -kappa / 2.0
-        own[0], own[3] = gamma * (2.0 * n_th + 1.0) / 2.0, kappa * (2.0 * N + 1.0) / 2.0
-
-    # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-); an
-    # overflow shows as a non-finite entry, which the solve reports
+    # an overflow in the diffusion shows as a non-finite entry, which the solve reports
     with np.errstate(over="ignore"):
+        for j, (gamma, kappa, G, n_th) in enumerate((unit1, unit2)):
+            # X' = -gamma/2 X + G x ; x' = -kappa/2 x - G X (same for Y, y); unit
+            # j's blocks are j (X) and j + 2 (Y), and its own pairs 2j and 2j + 3
+            block, own = drift[:, j::2], diffusion[:, 2 * j::3]
+            block[0], block[1], block[2], block[3] = -gamma / 2.0, G, -G, -kappa / 2.0
+            own[0], own[3] = gamma * (2.0 * n_th + 1.0) / 2.0, kappa * (2.0 * N + 1.0) / 2.0
+        # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-)
         kgm = np.sqrt(unit1[1] * unit2[1]) * M
     diffusion[3, 1], diffusion[3, 4] = kgm, -kgm
     return drift, diffusion

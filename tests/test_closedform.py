@@ -158,6 +158,34 @@ def test_every_general_route_takes_one_unit_record(args):
         *units, *bath)
 
 
+#: the scales 4^k, k = -3..3: powers of 2 whose square roots are too, so that every
+#: operation of a route scales exactly, with no new rounding
+SCALES = np.array([4.0 ** k for k in range(-3, 4)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=SYSTEM_ARGS)
+def test_every_general_route_is_invariant_under_scaling_the_rates(args):
+    # gamma, kappa and G of both units times 4^k leave every total bit for bit as it is,
+    # per point and over an array of the seven scales
+    system, steady = asymmetric_system(*args)
+    units, bath = system_units(system, steady), (system.bath.N, system.bath.M_corr)
+    scaled = [[(g * s, k * s, G * s, n) for g, k, G, n in units] for s in SCALES.tolist()]
+    arrays = [(g * SCALES, k * SCALES, G * SCALES, n) for g, k, G, n in units]
+    totals = {
+        "adiabatic": [duan_sum_adiabatic_general(*u, *bath).total for u in scaled],
+        "adiabatic arrays": closedform.duan_sum_adiabatic_arrays(*arrays, *bath).tolist(),
+    }
+    for pair in ("mirror", "field"):
+        totals[pair] = [duan_sum_nonadiabatic_general(*u, *bath, pair).total for u in scaled]
+        totals[f"{pair} arrays"] = duan_sum_nonadiabatic_general_arrays(*arrays, *bath,
+                                                                        pair).tolist()
+        var_X, var_Y = oracle.duan_variance_arrays(*arrays, *bath, pair)
+        totals[f"{pair} oracle"] = (var_X + var_Y).tolist()
+    for route, values in totals.items():
+        assert values == [values[3]] * len(SCALES), (route, values)
+
+
 def default_units():
     system = config.default_system()
     return tuple(model.unit_record(unit, model.mean_fields_from_effective_detuning(
@@ -287,7 +315,7 @@ class TestNonadiabatic:
         ((np.array([1.0, -1.0]), 1.0, 1.0, 0.1, 1.0), "C must be >= 0"),
         ((1.0, 1.0, 1.0, np.array([0.1, 0.0]), 1.0), "gamma must be > 0"),
         ((1.0, 1.0, 1.0, 0.1, np.array([1.0, math.nan])), "kappa must be > 0"),
-        ((np.array([1.0, math.nan]), 1.0, 1.0, 0.1, 1.0), "total variance is NaN"),
+        ((np.array([1.0, math.nan]), 1.0, 1.0, 0.1, 1.0), "C must be >= 0 and finite, got nan"),
         ((1.0, np.array([0.0, -800.0]), 1.0, 0.1, 1.0), "r must be >= 0"),
     ])
     def test_arrays_reject_what_a_point_rejects(self, args, message):
@@ -360,8 +388,13 @@ class TestThreshold:
                 assert duan_sum_adiabatic_identical(0.99 * c_min, r, n_th).total > 2.0
 
     def test_degenerate_squeeze(self):
-        with pytest.raises(DegenerateSqueeze):
+        # r = 0 passes the range gate and keeps its own error; a bad n_th fails the gate first
+        with pytest.raises(DegenerateSqueeze, match="diverges at r = 0"):
             threshold_cooperativity(0.0, 1.0)
+        with pytest.raises(DegenerateSqueeze, match="diverges at r = 0"):
+            closedform.diagnostic_minimum_power(config.default_system().unit1, 0.0, 1e-3)
+        with pytest.raises(FloatingPointError, match="^n_th must be >= 0 and finite, got nan$"):
+            threshold_cooperativity(0.0, math.nan)
 
 
 class TestMinimumPower:

@@ -120,6 +120,10 @@ class TestLoadConfig:
             "[unit1]\npower_mw = fast\n",
             "[unit1]\npower_mw = 1\npower_w = 1\n",  # duplicate quantity
             "[unit1]\npower_mw = -1\n",  # invalid physical value
+            # the range gate's FloatingPointError, wrapped too
+            "[unit1]\npower_mw = nan\n",
+            "[unit2]\ntemperature_k = inf\n",
+            "[bath]\nr = nan\n",
             # configparser copies [DEFAULT] keys into every section
             "[DEFAULT]\npower_mw = 4\n",
             "[DEFAULT]\nbogus = 1\n",
@@ -373,6 +377,18 @@ class TestCliBadNumbers:
         assert code == cli.EXIT_CONFIG and text == ""
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body, message", [
+        ("[unit1]\npower_mw = nan\n", "power must be > 0 and finite, got nan"),
+        ("[unit2]\ngamma_hz = -inf\n", "gamma must be > 0 and finite, got -inf"),
+        ("[bath]\nr = inf\n", "squeeze parameter r must be >= 0 and finite, got inf"),
+    ])
+    def test_non_finite_config_value_exits_2(self, body, message, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(body)
+        code, text = run_cli("duan", "--config", str(path))
+        assert code == cli.EXIT_CONFIG and text == ""
+        assert capsys.readouterr().err == f"config error: invalid parameter value: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -606,14 +606,14 @@ class TestLockstepSearch:
             assert sweep.adiabatic_totals(base, at_argmin).item() == y
 
     @pytest.mark.parametrize("values1, overrides, message", [
-        ([2e-3, -1.0, 7e-3], {}, "power must be positive and finite, got -1.0"),
+        ([2e-3, -1.0, 7e-3], {}, "power must be > 0 and finite, got -1.0"),
         ([2e-3, 7e-3, 19e-3], {"temperature": [2.5e-4, 4e-4, -1.0]},
          "temperature must be >= 0 and finite, got -1.0"),
         ([2e-3, 7e-3, 19e-3], {"bath.r": [1.0, 2.0, -0.5]},
          "squeeze parameter r must be >= 0 and finite, got -0.5"),
         # unit 1 is checked before unit 2's points, and they before the bath
         ([2e-3, -2.0, 7e-3], {"unit2.temperature": [2.5e-4, 4e-4, -1.0]},
-         "power must be positive and finite, got -2.0"),
+         "power must be > 0 and finite, got -2.0"),
         ([2e-3, 7e-3, 19e-3], {"unit2.temperature": [2.5e-4, 4e-4, -1.0],
                                "bath.r": [1.0, 2.0, -0.5]},
          "temperature must be >= 0 and finite, got -1.0"),
@@ -768,8 +768,8 @@ class TestArrayCore:
 
     @pytest.mark.parametrize("path, valid, bad, error", [
         ("unit1.power", 1e-3, -1e-3, ValueError),
-        ("unit2.mirror.omega_M", OMEGA_M, math.nan, ValueError),
-        ("temperature", 1e-4, math.inf, ValueError),
+        ("unit2.mirror.omega_M", OMEGA_M, math.nan, FloatingPointError),
+        ("temperature", 1e-4, math.inf, FloatingPointError),
         ("unit2.temperature", 1e-4, -1.0, ValueError),
         ("bath.r", 1.0, 400.0, OverflowError),
         ("bath.r", 1.0, -0.5, ValueError),

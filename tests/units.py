@@ -22,9 +22,7 @@ KAPPA = 2 * math.pi * 215e3
 
 def temperature_for_occupation(omega_M: float, n_th: float) -> float:
     """Inverse of :func:`model.thermal_occupation`; n_th = 0 maps to T = 0."""
-    model._require_positive(omega_M=omega_M)
-    if not 0.0 <= n_th < math.inf:  # also rejects NaN
-        raise ValueError(f"n_th must be >= 0 and finite, got {n_th!r}")
+    model.require_bounds((("omega_M", "> 0"), ("n_th", ">= 0")), (omega_M, n_th))
     if n_th == 0.0:
         return 0.0
     return HBAR * omega_M / (KB * math.log1p(1.0 / n_th))
@@ -39,8 +37,7 @@ def unit_with_cooperativity(C: float, kappa: float, gamma: float,
     The drive power is chosen so that C = 4 g^2 n_bar / (gamma kappa) at
     delta_eff = -omega_M; the bath temperature realizes the requested n_th.
     """
-    if C < 0:
-        raise ValueError("C must be >= 0")
+    model.require_bounds((("C", ">= 0"),), (C,))
     d = REFERENCE_DEVICE
     g = model._coupling(d["omega_r"], d["length"], d["mass"], d["omega_M"], math.sqrt)
     n_bar = C * gamma * kappa / (4.0 * g**2)
