@@ -74,6 +74,9 @@ _UNIT_KEYS = {
     "temperature_k": ("temperature", 1.0),
 }
 
+#: section -> its key table; r is dimensionless
+_SECTION_KEYS = {"unit1": _UNIT_KEYS, "unit2": _UNIT_KEYS, "bath": {"r": ("r", 1.0)}}
+
 # the reference device at 10 mW; temperature defaults to the 50 uK
 # operating point used in the power-threshold study
 _FIG2_TEXT = REFERENCE_DEVICE | {"power": 10e-3, "temperature": 50e-6}
@@ -151,32 +154,27 @@ def load_config(path: str, preset: str = "fig2-text") -> SystemParams:
     base = preset_system(preset)
     values = {name: vars(unit.resonator) | vars(unit.mirror)
               for name, unit in (("unit1", base.unit1), ("unit2", base.unit2))}
-    r = base.bath.r
+    values["bath"] = {"r": base.bath.r}
 
     for section in parser.sections():
-        if section in ("unit1", "unit2"):
-            seen = set()
-            for key, raw in parser.items(section):
-                if key not in _UNIT_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-                field, factor = _UNIT_KEYS[key]
-                if field in seen:
-                    raise ConfigError(
-                        f"duplicate setting for {field!r} in [{section}] "
-                        "(two unit suffixes for the same quantity)"
-                    )
-                seen.add(field)
-                values[section][field] = _parse_float(section, key, raw) * factor
-        elif section == "bath":
-            for key, raw in parser.items(section):
-                if key != "r":
-                    raise ConfigError(f"unknown key {key!r} in [bath]")
-                r = _parse_float(section, key, raw)
-        else:
+        keys = _SECTION_KEYS.get(section)
+        if keys is None:
             raise ConfigError(f"unknown section [{section}]")
+        seen = set()
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            field, factor = keys[key]
+            if field in seen:
+                raise ConfigError(
+                    f"duplicate setting for {field!r} in [{section}] "
+                    "(two unit suffixes for the same quantity)"
+                )
+            seen.add(field)
+            values[section][field] = _parse_float(section, key, raw) * factor
 
     try:
-        return _system_from_values(values, r)
+        return _system_from_values(values, values["bath"]["r"])
     except (ValueError, FloatingPointError) as exc:  # the range gate's two errors
         raise ConfigError(f"invalid parameter value: {exc}") from exc
 

@@ -411,8 +411,8 @@ def mean_fields_from_effective_detuning(
     unit: OptomechanicalUnit, delta_eff: float
 ) -> SteadyState:
     """Closed-form steady-state rates for a prescribed effective detuning."""
-    if not math.isfinite(delta_eff):
-        raise ValueError("delta_eff must be finite")
+    if not math.isfinite(delta_eff):  # worded and typed as the range gate's errors
+        raise FloatingPointError(f"delta_eff must be finite, got {float(delta_eff)!r}")
     res, mir = unit.resonator, unit.mirror
     # before the rates: where hbar omega_M underflows, this error names the cause
     n_th = thermal_occupation(mir.omega_M, mir.temperature)
@@ -572,23 +572,42 @@ def squeeze_arrays(r) -> tuple[np.ndarray, np.ndarray]:
 class StabilityReport(Record):
     stable: bool
     max_real_part: float
-    worst_index: tuple[int, ...] = ()  # stack index of the least stable matrix
+    worst_index: tuple[int, ...] = ()  # stack index of the least stable system
 
 
-def stability_check(drift: np.ndarray) -> StabilityReport:
-    """Whether every eigenvalue of the drift matrix has negative real part.
+def _scaled(out: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+    """Write the rows ``(4, m)`` of entries 00, 01, 10, 11 of 2x2 blocks into
+    consecutive rows of ``out``, each item scaled by ``2**-e`` with ``e`` the
+    exponent of its largest entry over all of them; returns ``e``."""
+    parts = np.split(out, len(rows))
+    for part, x in zip(parts, rows):
+        np.abs(x, out=part)
+    e = np.frexp(out.max(axis=0))[1]
+    for part, x in zip(parts, rows):
+        np.ldexp(x, -e, out=part)
+    return e
 
-    Accepts one ``(n, n)`` matrix or a stack ``(..., n, n)``; for a stack
-    the report covers every matrix and names the least stable one.
+
+def stability_check(blocks: np.ndarray) -> StabilityReport:
+    """Whether every eigenvalue of a block-diagonal drift has negative real part.
+
+    ``blocks`` holds the rows ``(4, k, ...)`` of entries 00, 01, 10, 11 of the
+    drift's k 2x2 blocks, over systems in flat order; the report names the least
+    stable system. A block is stable when its trace is negative and its
+    determinant positive. With ``h = tr/2``, a real pair of eigenvalues is ``q =
+    h + sign(h) sqrt(disc)`` and ``det / q``, which does not cancel for an
+    overdamped block. Each block is first scaled by a power of two, so that no
+    product overflows.
     """
-    drift = np.asarray(drift, dtype=float)
-    if drift.ndim < 2 or drift.shape[-1] != drift.shape[-2]:
-        raise ValueError(f"drift must be a square matrix, got shape {drift.shape}")
-    max_re = np.linalg.eigvals(drift).real.max(axis=-1)
-    worst = np.unravel_index(np.argmax(max_re), max_re.shape)
-    worst_re = float(max_re[worst])
-    return StabilityReport(
-        stable=worst_re < 0.0,
-        max_real_part=worst_re,
-        worst_index=tuple(int(i) for i in worst),
-    )
+    rows = blocks.reshape(4, -1)
+    scaled = np.empty(rows.shape)
+    e = _scaled(scaled, rows)
+    a, b, c, d = scaled
+    h, det = (a + d) / 2.0, a * d - b * c
+    disc = ((a - d) / 2.0) ** 2 + b * c
+    q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
+    real = np.fmax(q, np.divide(det, q, out=np.zeros_like(q), where=q != 0.0))
+    max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(blocks.shape[1], -1).max(axis=0)
+    worst = int(np.argmax(max_re))
+    return StabilityReport(stable=bool(((h < 0.0) & (det > 0.0)).all()),
+                           max_real_part=float(max_re[worst]), worst_index=(worst,))

@@ -23,23 +23,24 @@ nonzero. :func:`_model_rows` writes those rows straight from each unit's
 :func:`build_rwa_drift_diffusion_stack` scatters the same rows into 8x8 A
 and D, and :func:`build_rwa_drift_diffusion` calls it on one system's floats.
 One kernel, :func:`_solve_split`, solves the rows elementwise over a stack,
-with no LAPACK call: stability from each block's trace and determinant, the
-2x2 Sylvester equation of each pair (Y is never derived from X) in closed
-form, ``0.5 V + 0.5 V^T``, and a residual gate that holds each pair to its
-own bound and the whole to the 8x8 bound ``1e-10 ||D||``. Each block pair is
-scaled by powers of two so that no product overflows, and a system's bits
-do not depend on its stack. The Sylvester solves and the residual gate each
-work their rows in place in one array, so that a chunk of ``STACK_CHUNK``
-(1024) systems peaks at about 2.2 KB per system. The kernel returns V as its
-pairs' rows ``(4, 6, B)``, which :func:`covariance_chunks` yields from
-parameter arrays, ``STACK_CHUNK`` systems at a time, forming no 8x8 A, D or
-V and copying no input out to the stack's size. :func:`solve_lyapunov_stack`
-gathers the rows of an explicit 8x8 split stack and, alone, scatters V into
-8x8 matrices, so both routes give the same bits; only generic stacks take
-the eigenvalues and a Kronecker LU solve. One reader, :func:`_duan_variances`,
-reads pair rows for :func:`duan_variance_arrays` and :func:`duan_from_covariance`
-alike; a Duan variance whose terms cancel past ``_CANCELLATION_TOL`` of
-relative error raises instead.
+with no LAPACK call: stability from each block's trace and determinant
+(:func:`model.stability_check`), the 2x2 Sylvester equation of each pair (Y is
+never derived from X) in closed form, ``0.5 V + 0.5 V^T``, and a residual gate
+that holds each pair to its own bound and the whole to the 8x8 bound
+``1e-10 ||D||``. Each block pair is scaled by powers of two so that no product
+overflows, and a system's bits do not depend on its stack. The Sylvester
+solves and the residual gate each work their rows in place in one array, so
+that a chunk of ``STACK_CHUNK`` (1024) systems peaks at about 2.2 KB per
+system. The kernel returns V as its pairs' rows ``(4, 6, B)``, which
+:func:`covariance_chunks` yields from parameter arrays, ``STACK_CHUNK``
+systems at a time, forming no 8x8 A, D or V and copying no input out to the
+stack's size. :func:`solve_lyapunov_stack` gathers the rows of an explicit 8x8
+split stack and, alone, scatters V into 8x8 matrices, so both routes give the
+same bits; it takes no other stack. Errors name the system's index in the
+whole input. One reader, :func:`_duan_variances`, reads pair rows for
+:func:`duan_variance_arrays` and :func:`duan_from_covariance` alike; a Duan
+variance whose terms cancel past ``_CANCELLATION_TOL`` of relative error
+raises instead.
 :func:`spectral_duan_sum` integrates one system's noise spectra over
 frequency. The integrals have a closed form, the table's I_2 and I_4
 (James, Nichols & Phillips 1947; Astrom 1970, ch. 5), which is the
@@ -63,8 +64,8 @@ from collections.abc import Iterator
 from ._lazy import lazy_import
 from .closedform import (_CANCELLATION_TOL, DuanResult, _require_digits, _require_pair,
                          duan_sum_nonadiabatic_general, require_totals)
-from .model import (Record, StabilityReport, SteadyState, SystemParams, UnstableDrift,
-                    raise_for_first, require_units, stability_check, unit_record)
+from .model import (Record, SteadyState, SystemParams, UnstableDrift, _scaled, raise_for_first,
+                    require_units, stability_check, unit_record)
 
 np = lazy_import("numpy")
 
@@ -199,13 +200,12 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     broadcast together and the systems come in flat order. No 8x8 A, D or V
     is formed: each chunk's drift blocks and diffusion pairs are written as
     rows by :func:`_model_rows` and solved by :func:`_solve_split`, the kernel
-    that :func:`solve_lyapunov_stack` runs on a split stack, which holds each
-    block pair's residual to its own bound and the whole to the 8x8 bound
-    ``1e-10 ||D||``. So the rows are the entries ``_PAIR_AT`` of the 8x8 V by
-    that route, bit for bit, and errors name the stack index within the
-    chunk. No input is copied out to the stack's size: a size-1 input, such
-    as a scalar kappa, stays a scalar, a full-size one is sliced as a view,
-    and only a partly broadcast one is copied, chunk by chunk, through ``.flat``.
+    of :func:`solve_lyapunov_stack`, so the rows are the entries ``_PAIR_AT``
+    of the 8x8 V by that route, bit for bit. Errors name the system's index in
+    the whole input. No input is copied out to the stack's size: a size-1
+    input, such as a scalar kappa, stays a scalar, a full-size one is sliced
+    as a view, and only a partly broadcast one is copied, chunk by chunk,
+    through ``.flat``.
     """
     inputs = [np.asarray(x) for x in (*unit1, *unit2, N, M)]
     shape = np.broadcast_shapes(*(x.shape for x in inputs))
@@ -221,7 +221,7 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     for start in range(0, size, STACK_CHUNK):
         part = slice(start, start + STACK_CHUNK)
         c = [x if scalar else x[part] for x, scalar in sources]
-        yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9]))
+        yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9]), start)
 
 
 def duan_variance_arrays(unit1, unit2, N, M, pair: str = "mirror"
@@ -247,58 +247,47 @@ def solve_lyapunov(dd: DriftDiffusion) -> np.ndarray:
 def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Steady-state covariances ``V[b]`` from ``A[b] V + V A[b]^T + D[b] = 0``.
 
-    ``A`` and ``D`` are stacks of shape ``(B, n, n)``. Every drift matrix
-    must be stable. An 8 x 8 stack whose ``A`` is zero outside the model's
-    drift blocks and whose symmetric ``D`` is zero between X and Y takes the
-    split: its block entries are gathered as rows and solved by
-    :func:`_solve_split`, the kernel of :func:`covariance_chunks`, whose
-    residual gate holds each block pair to its own bound (see
-    :func:`_split_residual`) as well as the whole to the 8x8 one; the pair
-    rows it returns are scattered into 8x8 matrices here alone. Any other
-    stack gets :func:`stability_check`, the full n^2-unknown LU solve and
-    ``0.5 V + 0.5 V^T``, and each item must then satisfy the full equation to
-    ``1e-10 * ||D[b]||``, checked on V and D divided by ``max |D[b]|`` so that
-    the norms cannot overflow. A non-finite A, D or V raises
-    ``FloatingPointError``. Errors name the stack index.
+    ``A`` and ``D`` are stacks ``(B, 8, 8)`` with the model's split, A zero
+    outside its drift blocks and D symmetric and zero between X and Y; any
+    other stack raises ``ValueError``. Their block entries are gathered as
+    rows, solved by :func:`_solve_split`, the kernel of :func:`covariance_chunks`,
+    and V's pair rows scattered into 8x8 matrices, here alone. Every drift must
+    be stable, and a non-finite A, D or V raises ``FloatingPointError``. Errors
+    name the stack index.
     """
     A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
-    if A.ndim != 3 or A.shape != D.shape:
-        raise ValueError(
-            f"need stacks A and D of equal shape (B, n, n), got {A.shape} and {D.shape}"
-        )
+    if A.ndim != 3 or A.shape != D.shape or A.shape[1:] != (8, 8):
+        raise ValueError(f"need stacks A and D of equal shape (B, 8, 8), got {A.shape} and "
+                         f"{D.shape}")
     if not len(A):
         return np.zeros(A.shape)
-    if A.shape[1:] == (8, 8) and not (
-            A.reshape(-1, 64)[:, _OFF_DRIFT].any() or D.reshape(-1, 64)[:, _OFF_PAIRS].any()
-            or (D != D.transpose(0, 2, 1)).any()):
-        V = _solve_split(_rows(A, _DRIFT_AT), _rows(D, _PAIR_AT))
-        return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT)
     _require_finite("drift or diffusion matrix", A.T, D.T)  # items on the last axis
-    _require_stable(stability_check(A))
-    V = _kronecker_solve(A, A, D)
-    V = 0.5 * V + 0.5 * V.transpose(0, 2, 1)  # halved first, so the sum cannot overflow
-    _require_finite("Lyapunov solution", V.T)
-    scale = np.abs(D).max(axis=(1, 2), keepdims=True)
-    scale[scale == 0.0] = 1.0
-    Vs, Ds = V / scale, D / scale
-    residual = np.linalg.norm(A @ Vs + Vs @ A.transpose(0, 2, 1) + Ds, axis=(1, 2))
-    _require_residual(residual[None], _bound(np.linalg.norm(Ds, axis=(1, 2)))[None])
-    return V
+    if (A.reshape(-1, 64)[:, _OFF_DRIFT].any() or D.reshape(-1, 64)[:, _OFF_PAIRS].any()
+            or (D != D.transpose(0, 2, 1)).any()):
+        raise ValueError("A and D do not have the model's split: A must be zero outside its "
+                         "drift blocks, and D symmetric and zero between X and Y")
+    V = _solve_split(_rows(A, _DRIFT_AT), _rows(D, _PAIR_AT))
+    return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT)
 
 
-def _solve_split(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
+def _solve_split(drift: np.ndarray, diffusion: np.ndarray, start: int = 0) -> np.ndarray:
     """The covariance rows ``(4, 6, B)`` of a split system's pairs from its rows.
 
     ``drift`` holds the rows ``(4, 4, B)`` of the drift blocks ``_BLOCKS`` and
     ``diffusion`` those ``(4, 6, B)`` of D's pairs ``_PAIRS``. The kernel checks
     that they are finite and that every block is stable
-    (:func:`_split_stability`), solves ``A_p W_pq + W_pq A_q^T + D_pq = 0`` for
+    (:func:`model.stability_check`), solves ``A_p W_pq + W_pq A_q^T + D_pq = 0`` for
     every pair by :func:`_sylvester_2x2`, with no LAPACK call, and forms
     ``0.5 V + 0.5 V^T`` on the rows. The residual gate (:func:`_split_residual`)
-    then holds each pair to its own bound and the whole to the 8x8 one.
+    then holds each pair to its own bound and the whole to the 8x8 one. Errors
+    name the stack index plus ``start``, the first system's index in the input.
     """
-    _require_finite("drift or diffusion matrix", drift, diffusion)
-    _require_stable(_split_stability(drift))
+    _require_finite("drift or diffusion matrix", drift, diffusion, start=start)
+    report = stability_check(drift)
+    if not report.stable:
+        raise UnstableDrift(f"drift matrix is not stable (max Re eigenvalue = "
+                            f"{report.max_real_part:g} at stack index "
+                            f"{start + report.worst_index[0]})")
     p, q = zip(*_PAIRS)
     A, C = np.take(drift, p, axis=1), np.take(drift, q, axis=1)  # A_p and A_q, pair by pair
     W = _sylvester_2x2(A.reshape(4, -1), C.reshape(4, -1), diffusion.reshape(4, -1))
@@ -306,8 +295,8 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     W *= 0.5  # halved first, so the sum cannot overflow
     V = (W + W[_TRANSPOSED]).reshape(diffusion.shape)
     del W  # so that the chunk's memory peak does not hold it through the gate
-    _require_finite("Lyapunov solution", V)
-    _require_residual(*_split_residual(A, C, diffusion, V))
+    _require_finite("Lyapunov solution", V, start=start)
+    _require_residual(*_split_residual(A, C, diffusion, V), start)
     return V
 
 
@@ -353,80 +342,31 @@ def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
     # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf
     AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
     bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
-                       _bound(np.sqrt(twice @ D2))])
+                       1e-10 * np.maximum(np.sqrt(twice @ D2), 1e-300)])
     return residual, bound
 
 
-def _bound(D_norm: np.ndarray) -> np.ndarray:
-    """The 8x8 gate's bound ``1e-10 ||D||`` on D divided by ``max |D|``."""
-    return 1e-10 * np.maximum(D_norm, 1e-300)
-
-
-def _require_residual(residual: np.ndarray, bound: np.ndarray):
-    """Raise unless every residual is within its bound; both are ``(k, B)``, and
-    the error names the item that exceeds a bound by the largest factor."""
+def _require_residual(residual: np.ndarray, bound: np.ndarray, start: int):
+    """Raise unless every residual is within its bound; both are ``(k, B)``, and the
+    error names the item, counted from ``start``, that exceeds its bound the most."""
     ratio = residual / bound
     worst = int(np.argmax(ratio.max(axis=0)))
     if not (residual[:, worst] <= bound[:, worst]).all():
         k = int(np.argmax(ratio[:, worst]))
         raise UnstableDrift(
-            f"Lyapunov residual {residual[k, worst]:g} at stack index {worst} exceeds "
+            f"Lyapunov residual {residual[k, worst]:g} at stack index {start + worst} exceeds "
             "tolerance; system nearly singular"
         )
 
 
-def _require_stable(report: StabilityReport):
-    if not report.stable:
-        raise UnstableDrift(
-            f"drift matrix is not stable (max Re eigenvalue = "
-            f"{report.max_real_part:g} at stack index {report.worst_index[0]})"
-        )
-
-
-def _require_finite(what: str, *stacks: np.ndarray):
-    """Raise for the first item (along the last axis) with a non-finite entry."""
+def _require_finite(what: str, *stacks: np.ndarray, start: int = 0):
+    """Raise for the first item, along the last axis, that is not finite; its index
+    counts from ``start``."""
     for x in stacks:
         finite = np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
         if not finite.all():
             raise FloatingPointError(
-                f"{what} is not finite at stack index {int(np.argmin(finite))}")
-
-
-def _scaled(out: np.ndarray, *rows: np.ndarray) -> np.ndarray:
-    """Write the rows ``(4, m)`` of entries 00, 01, 10, 11 of 2x2 blocks into
-    consecutive rows of ``out``, each item scaled by ``2**-e`` with ``e`` the
-    exponent of its largest entry over all of them; returns ``e``."""
-    parts = np.split(out, len(rows))
-    for part, x in zip(parts, rows):
-        np.abs(x, out=part)
-    e = np.frexp(out.max(axis=0))[1]
-    for part, x in zip(parts, rows):
-        np.ldexp(x, -e, out=part)
-    return e
-
-
-def _split_stability(drift: np.ndarray) -> StabilityReport:
-    """:func:`stability_check`'s report on a split stack, from its drift block rows.
-
-    A 2x2 block is stable when its trace is negative and its determinant
-    positive. With ``h = tr/2``, a real pair of eigenvalues is
-    ``q = h + sign(h) sqrt(disc)`` and ``det / q``, which unlike
-    ``h - sign(h) sqrt(disc)`` does not cancel when the block is overdamped.
-    Each block is scaled by a power of two first, so that no product
-    overflows.
-    """
-    rows = drift.reshape(4, -1)
-    scaled = np.empty(rows.shape)
-    e = _scaled(scaled, rows)
-    a, b, c, d = scaled
-    h, det = (a + d) / 2.0, a * d - b * c
-    disc = ((a - d) / 2.0) ** 2 + b * c
-    q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
-    real = np.fmax(q, np.divide(det, q, out=np.zeros_like(q), where=q != 0.0))
-    max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(drift.shape[1], -1).max(axis=0)
-    worst = int(np.argmax(max_re))
-    return StabilityReport(stable=bool(((h < 0.0) & (det > 0.0)).all()),
-                           max_real_part=float(max_re[worst]), worst_index=(worst,))
+                f"{what} is not finite at stack index {start + int(np.argmin(finite))}")
 
 
 def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -481,20 +421,6 @@ def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         W /= t
         return np.ldexp(W, eD - eA)
-
-
-def _kronecker_solve(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve ``A V + V C^T + D = 0`` as ``(A (x) I + I (x) C) vec V = -vec D``
-    for a stack of m x m blocks."""
-    B, m, _ = A.shape
-    # K[b, (i, k), (j, l)] = delta_ij C[b, k, l] + A[b, i, j] delta_kl, filled
-    # in place so that no temporary of K's size is made
-    K = np.zeros((B, m, m, m, m))
-    diag = np.arange(m)
-    K[:, diag, :, diag, :] = C
-    K[:, :, diag, :, diag] += A
-    rhs = -D.reshape(B, m * m, 1)
-    return np.linalg.solve(K.reshape(B, m * m, m * m), rhs).reshape(B, m, m)
 
 
 def duan_from_covariance(V: np.ndarray, pair: str = "mirror") -> DuanResult:

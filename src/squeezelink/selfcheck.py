@@ -161,13 +161,34 @@ def check_weak_coupling(tolerance: float = 1e-12) -> CheckResult:
 
 
 def _constructed_systems(rng):
-    """Stacks (V0, A, D) of random stable A with V0 as the exact solution."""
-    # trial k draws its B, then its L, as rows k of one draw
-    B, L = np.moveaxis(rng.standard_normal((LYAPUNOV_TRIALS, 2, 8, 8)), 1, 0)
-    shift = np.fmax(np.linalg.eigvals(B).real.max(axis=1), 0.0) + 1.0
-    A = B - shift[:, None, None] * np.eye(8)
-    V0 = L @ L.transpose(0, 2, 1)
-    return V0, A, -(A @ V0 + V0 @ A.transpose(0, 2, 1))
+    """Stacks (V0, A, D) of random stable split systems with V0 as the exact solution.
+
+    Each A has four random 2x2 drift blocks, each shifted stable in closed
+    form to a log-uniform margin from the stability boundary of 1e-4 to 1
+    times its largest entry, and scaled by 2**k, k from -60 to 60, to reach
+    the solver's power-of-two scaling. V0 is zero between X and Y, and
+    D = -(A V0 + V0 A^T).
+    """
+    # row t of one draw: trial t's 16 block entries, 4 log10 margins, k and V0's 32 factors
+    low, high = (np.repeat(bounds, [16, 4, 1, 32]) for bounds in ([-1.0, -4.0, -60.5, -1.0],
+                                                                  [1.0, 0.0, 60.5, 1.0]))
+    draw = rng.uniform(low, high, size=(LYAPUNOV_TRIALS, low.size))
+    blocks, log_margin, k, L = np.split(draw, [16, 20, 21], axis=1)
+    blocks = blocks.reshape(-1, 4, 2, 2)
+    a, b, c, d = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
+    # the block's largest real part: h + sqrt(disc) for a real pair, else h
+    h, disc = (a + d) / 2.0, ((a - d) / 2.0) ** 2 + b * c
+    margin = model.map_math(math.pow, 10.0, log_margin) * np.abs(blocks).max(axis=(2, 3))
+    shift = h + np.sqrt(np.fmax(disc, 0.0)) + margin
+    k = np.rint(k).astype(int)[..., None, None]
+    blocks = np.ldexp(blocks - shift[..., None, None] * np.eye(2), k)
+    A, V0 = np.zeros((2, LYAPUNOV_TRIALS, 8, 8))
+    for p, (i, j) in enumerate(oracle._BLOCKS):  # the drift blocks (X1, x1), (X2, x2), ...
+        A[:, [[i], [j]], [i, j]] = blocks[:, p]
+    L = L.reshape(-1, 2, 4, 4)
+    V0[:, ::2, ::2], V0[:, 1::2, 1::2] = (x @ x.transpose(0, 2, 1) for x in (L[:, 0], L[:, 1]))
+    S = A @ V0
+    return V0, A, -(S + S.transpose(0, 2, 1))
 
 
 def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:

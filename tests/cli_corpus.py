@@ -114,9 +114,9 @@ def pins_text(argv: list[str]) -> bool:
 def portable(argv: list[str]) -> bool:
     """Whether the stdout of ``argv`` is the same on every BLAS and LAPACK build.
 
-    The ``lyapunov`` check's ``max_err`` comes from a LAPACK solve of random
-    constructed systems, whose last bits depend on the build; its entry pins
-    the exit code and stderr only.
+    The ``lyapunov`` check's ``max_err`` rests on the BLAS matrix products that
+    build its random constructed systems, whose last bits depend on the build;
+    its entry pins the exit code and stderr only.
     """
     return argv != ["selfcheck", "--only", "lyapunov"]
 

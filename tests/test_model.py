@@ -290,9 +290,11 @@ class TestMeanFields:
                            r"underflows to 0"):
             mean_fields_from_effective_detuning(unit, delta_eff)
 
-    @pytest.mark.parametrize("delta_eff", [math.inf, math.nan])
+    @pytest.mark.parametrize("delta_eff", [math.inf, -math.inf, math.nan])
     def test_non_finite_detuning_rejected(self, delta_eff):
-        with pytest.raises(ValueError, match="delta_eff must be finite"):
+        # as the range gate raises for a non-finite value
+        with pytest.raises(FloatingPointError,
+                           match=f"^delta_eff must be finite, got {delta_eff!r}$"):
             mean_fields_from_effective_detuning(default_unit(), delta_eff)
 
 
@@ -319,36 +321,39 @@ class TestValidation:
             ResonatorParams(omega_r=1e8, omega_L=1e8, kappa=1e6, length=0.01, power=1e-3)
 
 
+def drift_blocks(gamma, kappa, G):
+    """The model's drift block rows ``(4, 4, ...)`` of two identical units, as the
+    oracle writes them."""
+    unit = (gamma, kappa, G, 0.0)
+    return oracle._model_rows(unit, unit, 0.0, 0.0)[0]
+
+
 class TestStability:
     def test_decoupled_damped_modes(self):
         gamma, kappa = 880.0, 1.35e6
-        A = np.diag([-gamma / 2, -gamma / 2, -kappa / 2, -kappa / 2])
-        report = stability_check(A)
+        report = stability_check(drift_blocks(gamma, kappa, 0.0))
         assert report.stable
         assert report.max_real_part == pytest.approx(-gamma / 2, rel=1e-12)
 
     def test_coupled_blocks_always_stable(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            gamma = 10.0 ** rng.uniform(0, 6)
-            kappa = 10.0 ** rng.uniform(0, 7)
-            G = 10.0 ** rng.uniform(-2, 8)
-            A = np.array([[-gamma / 2, G], [-G, -kappa / 2]])
-            assert stability_check(A).stable
+        gamma, kappa, G = 10.0 ** rng.uniform([0, 0, -2], [6, 7, 8], size=(200, 3)).T
+        assert stability_check(drift_blocks(gamma, kappa, G)).stable
 
     def test_stack_names_least_stable_matrix(self):
-        stack = np.stack([-np.eye(3), np.diag([-1.0, 0.5, -2.0]), -2.0 * np.eye(3)])
+        rates = np.array([2.0, 2.0, 4.0])
+        stack = drift_blocks(rates, rates, 0.0)
+        stack[0, 2, 1] = 0.5  # entry 00 of system 1's (Y1, y1) block
         report = stability_check(stack)
         assert not report.stable
         assert report.worst_index == (1,)
         assert report.max_real_part == pytest.approx(0.5)
-        assert stability_check(stack[[0, 2]]).stable
+        assert stability_check(stack[..., [0, 2]]).stable
 
     def test_equal_rates_give_exact_margin(self):
         gamma = 1234.5
         for G in (0.1, 10.0, 1e5):
-            A = np.array([[-gamma / 2, G], [-G, -gamma / 2]])
-            report = stability_check(A)
+            report = stability_check(drift_blocks(gamma, gamma, G))
             assert report.max_real_part == pytest.approx(-gamma / 2, rel=1e-12)
 
 

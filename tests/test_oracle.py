@@ -85,13 +85,8 @@ class TestLyapunovSolver:
         assert np.allclose(np.diag(V), np.diag(D) / (2 * rates), rtol=1e-12)
 
     def test_constructed_solutions(self):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            B = rng.standard_normal((8, 8))
-            A = B - (max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0) * np.eye(8)
-            L = rng.standard_normal((8, 8))
-            V0 = L @ L.T
-            D = -(A @ V0 + V0 @ A.T)
+        # the selfcheck's split systems, on another seed, one at a time
+        for V0, A, D in zip(*selfcheck._constructed_systems(np.random.default_rng(42))):
             V = solve_lyapunov(DriftDiffusion(A=A, D=D))
             assert np.linalg.norm(V - V0) <= 1e-9 * np.linalg.norm(V0)
 
@@ -111,11 +106,28 @@ class TestLyapunovSolver:
 
 
 def random_stable_system(rng, n=8):
+    """A dense stable drift and its diffusion, with the split of no model."""
     B = rng.standard_normal((n, n))
     A = B - (max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0) * np.eye(n)
     L = rng.standard_normal((n, n))
     V0 = L @ L.T
     return A, -(A @ V0 + V0 @ A.T)
+
+
+def kronecker_solve(A, C, D):
+    """Dense reference: ``A V + V C^T + D = 0`` as ``(A (x) I + I (x) C) vec V = -vec D``,
+    by LAPACK, for a stack of m x m blocks."""
+    B, m, _ = A.shape
+    K = np.einsum("bij,kl->bikjl", A, np.eye(m)) + np.einsum("ij,bkl->bikjl", np.eye(m), C)
+    return np.linalg.solve(K.reshape(B, m * m, m * m), -D.reshape(B, m * m, 1)).reshape(B, m, m)
+
+
+def eigenvalue_report(A):
+    """Dense reference: the stability report of the stack A from its eigenvalues, by LAPACK."""
+    max_re = np.linalg.eigvals(A).real.max(axis=-1)
+    worst = int(np.argmax(max_re))
+    return model.StabilityReport(stable=bool(max_re[worst] < 0.0),
+                                 max_real_part=float(max_re[worst]), worst_index=(worst,))
 
 
 def physical_stack():
@@ -128,7 +140,7 @@ def physical_stack():
     return np.stack([dd.A for dd in dds]), np.stack([dd.D for dd in dds])
 
 
-def spy_on(monkeypatch, name="_kronecker_solve"):
+def spy_on(monkeypatch, name):
     """Record the shape of the first argument of every call of ``oracle.<name>``;
     returns the record."""
     shapes, fn = [], getattr(oracle, name)
@@ -165,20 +177,15 @@ def random_stable_blocks(rng, count):
 
 
 class TestStackedLyapunov:
-    @pytest.mark.parametrize("kind", ["rwa", "generic"])
+    @pytest.mark.parametrize("kind", ["rwa", "constructed"])
     def test_stack_equals_per_item_solves(self, kind):
         if kind == "rwa":
             A, D = physical_stack()
         else:
-            rng = np.random.default_rng(5)
-            A, D = (np.stack(m) for m in zip(*(random_stable_system(rng) for _ in range(6))))
+            _, A, D = selfcheck._constructed_systems(np.random.default_rng(5))
         V = solve_lyapunov_stack(A, D)
-        for a, d, v in zip(A, D, V):
-            single = solve_lyapunov(DriftDiffusion(A=a, D=d))
-            if kind == "rwa":  # the model's split does not depend on the stack
-                assert np.array_equal(v, single)
-            else:
-                assert np.allclose(v, single, rtol=1e-12, atol=1e-12)
+        for a, d, v in zip(A, D, V):  # the split does not depend on the stack
+            assert np.array_equal(v, solve_lyapunov(DriftDiffusion(A=a, D=d)))
 
     def test_split_is_the_even_and_odd_quadratures(self):
         assert QUADRATURES[::2] == ("X1", "x1", "X2", "x2")
@@ -186,12 +193,12 @@ class TestStackedLyapunov:
 
     def test_rwa_stack_is_solved_on_its_drift_blocks_in_one_call(self, monkeypatch):
         # three pairs of 2x2 drift blocks within X and three within Y, in
-        # closed form: neither the eigenvalues nor the LU solve are called
-        shapes, kronecker, eigen = (spy_on(monkeypatch, name) for name in (
-            "_sylvester_2x2", "_kronecker_solve", "stability_check"))
+        # closed form, and the four blocks' stability in one check
+        shapes, blocks = (spy_on(monkeypatch, name) for name in ("_sylvester_2x2",
+                                                                 "stability_check"))
         A, D = physical_stack()
         V = solve_lyapunov_stack(A, D)
-        assert shapes == [(4, 6 * len(A))] and kronecker == eigen == []
+        assert shapes == [(4, 6 * len(A))] and blocks == [(4, 4, len(A))]
         for M in (A, D, V):
             assert not M[:, ::2, 1::2].any() and not M[:, 1::2, ::2].any()
         assert not A[:, :4, 4:].any() and not A[:, 4:, :4].any()
@@ -212,29 +219,25 @@ class TestStackedLyapunov:
 
     @pytest.mark.parametrize("which, i, j", [("A", "X1", "Y1"), ("D", "X1", "Y1"),
                                               ("A", "x1", "x2")])
-    def test_one_entry_off_the_split_sends_the_whole_stack_to_the_full_solve(
-            self, which, i, j, monkeypatch):
-        shapes = spy_on(monkeypatch)
+    def test_one_entry_off_the_split_is_rejected(self, which, i, j):
         A, D = physical_stack()
         M = A if which == "A" else D
         M[1, IDX[i], IDX[j]] = M[1, IDX[j], IDX[i]] = 1e-3 * np.abs(M[1]).max()
-        V = solve_lyapunov_stack(A, D)
-        assert shapes == [(len(A), 8, 8)]
-        single = solve_lyapunov(DriftDiffusion(A=A[0], D=D[0]))  # by the split
-        assert np.allclose(V[0], single, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="do not have the model's split"):
+            solve_lyapunov_stack(A, D)
 
-    def test_a_stack_of_another_size_gets_the_full_solve(self, monkeypatch):
-        shapes = spy_on(monkeypatch)
-        # each item alone is diagonal except for one different link
-        A = np.stack([-np.eye(4), -np.eye(4)])
-        A[0, 0, 1] = 0.3
-        A[1, 2, 3] = 0.3
-        D = np.stack([np.eye(4), np.eye(4)])
-        D[1, 1, 2] = D[1, 2, 1] = 0.1
-        V = solve_lyapunov_stack(A, D)
-        assert shapes == [(2, 4, 4)]
-        residual = A @ V + V @ A.transpose(0, 2, 1) + D
-        assert np.abs(residual).max() <= 1e-14
+    def test_a_dense_system_is_rejected(self):
+        A, D = random_stable_system(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="do not have the model's split"):
+            solve_lyapunov_stack(A[None], D[None])
+        with pytest.raises(ValueError, match="do not have the model's split"):
+            solve_lyapunov(DriftDiffusion(A=A, D=D))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_a_stack_of_another_size_is_rejected(self, n):
+        A, D = (np.stack([-np.eye(4), -np.eye(4)])[:n] for _ in range(2))
+        with pytest.raises(ValueError, match=r"equal shape \(B, 8, 8\)"):
+            solve_lyapunov_stack(A, D)
 
     def test_closed_form_blocks_agree_with_the_kronecker_solve(self):
         # entries scaled by 2**500 or 2**-500 would overflow or underflow
@@ -251,15 +254,25 @@ class TestStackedLyapunov:
             return W.T.reshape(-1, 2, 2)
 
         for A_k, C_k, D_k in ((A, C, D), (scale_A * A, scale_A * C, scale_D * D)):
-            W, ref = sylvester(A_k, C_k, D_k), oracle._kronecker_solve(A_k, C_k, D_k)
+            W, ref = sylvester(A_k, C_k, D_k), kronecker_solve(A_k, C_k, D_k)
             error = np.abs(W - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
             assert error.max() <= 1e-12
         # the scalings are powers of two, so they move no bit
         assert np.array_equal(sylvester(scale_A * A, scale_A * C, scale_D * D),
                               scale_D / scale_A * sylvester(A, C, D))
 
-    @pytest.mark.parametrize("case", ["unstable", "zero-trace", "overdamped"])
+    @pytest.mark.parametrize("case", ["unstable", "zero-trace", "overdamped", "constructed"])
     def test_block_stability_report_is_that_of_the_eigenvalues(self, case):
+        if case == "constructed":  # the lyapunov check's systems, near the boundary to 1e-4
+            _, A, _ = selfcheck._constructed_systems(
+                np.random.default_rng(selfcheck.LYAPUNOV_SEED))
+            for a in A:  # each system's margin, also where it is not the least stable
+                report, ref = model.stability_check(drift_rows(a[None])), eigenvalue_report(a[None])
+                assert report.stable and ref.stable
+                assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-10)
+            report, ref = model.stability_check(drift_rows(A)), eigenvalue_report(A)
+            assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
+            return
         gamma = KAPPA * np.array([1e-3, 0.01, 0.05, 0.2])
         G = KAPPA * np.array([0.01, 0.05, 0.1, 2.0])
         if case == "overdamped":  # tr/2 + sqrt(disc) loses 2 to 3 digits
@@ -270,7 +283,7 @@ class TestStackedLyapunov:
             A[1] = -A[1]
         if case == "zero-trace":  # unit 1 of item 2 has no damping at all
             A[2, [0, 1, 2, 3], [0, 1, 2, 3]] = 0.0
-        report, ref = oracle._split_stability(drift_rows(A)), model.stability_check(A)
+        report, ref = model.stability_check(drift_rows(A)), eigenvalue_report(A)
         assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
         assert report.stable == (case == "overdamped")
         assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-12)
@@ -282,8 +295,8 @@ class TestStackedLyapunov:
         G = KAPPA * 10.0 ** rng.uniform(-4.0, -0.7, 8)
         A, _ = build_rwa_drift_diffusion_stack((1e-6 * KAPPA, KAPPA, G, 1.0),
                                                (1e-6 * KAPPA, KAPPA, G[::-1], 1.0), 0.0, 0.0)
-        report = oracle._split_stability(drift_rows(A))
-        assert report.worst_index == model.stability_check(A).worst_index
+        report = model.stability_check(drift_rows(A))
+        assert report.worst_index == eigenvalue_report(A).worst_index
         import mpmath
         with mpmath.workdps(40):
             for a in A:
@@ -293,7 +306,7 @@ class TestStackedLyapunov:
                     for h, det in [(mpmath.mpf(block[0, 0]) / 2 + mpmath.mpf(block[1, 1]) / 2,
                                     mpmath.mpf(block[0, 0]) * block[1, 1]
                                     - mpmath.mpf(block[0, 1]) * block[1, 0])])
-                report = oracle._split_stability(drift_rows(a[None]))
+                report = model.stability_check(drift_rows(a[None]))
                 assert report.max_real_part == pytest.approx(float(exact), rel=1e-14)
 
     def test_unstable_item_is_named(self):
@@ -310,8 +323,8 @@ class TestStackedLyapunov:
             solve_lyapunov_stack(A, D)
 
     def test_overflowing_solution_is_named(self):
-        A = np.stack([-np.eye(2), -1e-10 * np.eye(2)])
-        D = np.stack([np.eye(2), 1e300 * np.eye(2)])  # V = D / 2e-10 overflows
+        A = np.stack([-np.eye(8), -1e-10 * np.eye(8)])
+        D = np.stack([np.eye(8), 1e300 * np.eye(8)])  # V = D / 2e-10 overflows
         with pytest.raises(FloatingPointError, match="at stack index 1"):
             solve_lyapunov_stack(A, D)
 
@@ -323,10 +336,9 @@ class TestStackedLyapunov:
         huge = solve_lyapunov_stack(A, 1e200 * D)
         assert np.abs(huge / 1e200 - V).max() <= 1e-14 * np.abs(V).max()
 
-    @pytest.mark.parametrize("n", [8, 3])  # the split's size and a generic one
-    def test_a_stack_of_no_systems_gives_an_empty_stack(self, n):
-        V = solve_lyapunov_stack(np.zeros((0, n, n)), np.zeros((0, n, n)))
-        assert V.shape == (0, n, n) and V.dtype == np.float64
+    def test_a_stack_of_no_systems_gives_an_empty_stack(self):
+        V = solve_lyapunov_stack(np.zeros((0, 8, 8)), np.zeros((0, 8, 8)))
+        assert V.shape == (0, 8, 8) and V.dtype == np.float64
 
     def test_shape_mismatch_rejected(self):
         A, D = physical_stack()
@@ -615,10 +627,10 @@ class TestSplitResidualGate:
 
     def test_an_asymmetric_diffusion_is_not_taken_for_a_split(self):
         # the split reads each cross pair once, so a D that differs from its
-        # transpose goes to the full solve, whose 8x8 gate rejects it
+        # transpose is rejected rather than solved as its upper half
         A, D = physical_stack()
         D[1, IDX["x2"], IDX["x1"]] *= 2.0
-        with pytest.raises(UnstableDrift, match="at stack index 1"):
+        with pytest.raises(ValueError, match="do not have the model's split"):
             solve_lyapunov_stack(A, D)
 
 
@@ -671,9 +683,10 @@ class TestRowAndMatrixRoutes:
         assert np.concatenate(chunks, axis=-1).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("entry, value, error, text", [
-        # the bath's M: the records pass the unit gate, and the kernel names the item
+        # the bath's M: the records pass the unit gate, and the kernel names the
+        # item by its index in the whole input, past the first chunk
         (9, math.inf, FloatingPointError,
-         "drift or diffusion matrix is not finite at stack index 44"),
+         f"drift or diffusion matrix is not finite at stack index {CHUNK + 44}"),
         # a record out of bounds stops at the unit gate, in the same chunk
         (2, math.nan, FloatingPointError, "unit 1: G must be >= 0 and finite, got nan"),
         (1, math.inf, FloatingPointError, "unit 1: kappa must be > 0 and finite, got inf"),
@@ -686,10 +699,28 @@ class TestRowAndMatrixRoutes:
         inputs[entry][bad] = value
         with pytest.raises(error, match=f"^{re.escape(text)}$") as by_rows:
             list(oracle.covariance_chunks(inputs[:4], inputs[4:8], *inputs[8:]))
-        c = [x[CHUNK:2 * CHUNK] for x in inputs]
         with pytest.raises(error) as by_matrices:
-            solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(c[:4], c[4:8], c[8], c[9]))
+            solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(inputs[:4], inputs[4:8],
+                                                                  *inputs[8:]))
         assert str(by_rows.value) == str(by_matrices.value)
+
+    @pytest.mark.parametrize("entries, value, error, text", [
+        # gamma = kappa = 5e-324 pass the unit gate, but -gamma/2 and -kappa/2 round to -0
+        ((0, 1), 5e-324, UnstableDrift,
+         "drift matrix is not stable (max Re eigenvalue = -0 at stack index 1200)"),
+        # kappa = G = 5e-324: a negative trace, but a zero determinant
+        ((1, 2), 5e-324, UnstableDrift,
+         "drift matrix is not stable (max Re eigenvalue = -0 at stack index 1200)"),
+        ((9,), math.inf, FloatingPointError,
+         "drift or diffusion matrix is not finite at stack index 1200"),
+    ])
+    def test_errors_name_the_index_in_the_whole_input(self, entries, value, error, text):
+        unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 1500)
+        inputs = [np.array(x) for x in (*unit1, *unit2, N, M)]
+        for entry in entries:
+            inputs[entry][1200] = value  # in the second chunk, as its item 176
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            oracle.duan_variance_arrays(inputs[:4], inputs[4:8], *inputs[8:])
 
     def test_chunks_form_no_8x8_drift_or_diffusion(self, monkeypatch):
         def forbidden(*args):
@@ -701,10 +732,10 @@ class TestRowAndMatrixRoutes:
         for pair in ("mirror", "field"):
             var_X, var_Y = oracle.duan_variance_arrays(*args, pair)
             assert var_X.shape == var_Y.shape == (2 * oracle.STACK_CHUNK + 1,)
-        results = selfcheck.run_checks(only=["triple", "separability", "xy-symmetry", "lyapunov"])
-        assert [result.passed for result in results] == [True] * 4
-        for name in ("build_rwa_drift_diffusion_stack", "solve_lyapunov_stack",
-                     "_kronecker_solve"):
+        # (the lyapunov check's constructed systems are 8x8 stacks by design)
+        results = selfcheck.run_checks(only=["triple", "separability", "xy-symmetry"])
+        assert [result.passed for result in results] == [True] * 3
+        for name in ("build_rwa_drift_diffusion_stack", "solve_lyapunov_stack"):
             monkeypatch.setattr(oracle, name, forbidden)
         chunks = list(oracle.covariance_chunks(*model_arrays([SPECTRAL_CASES[3]], 3)))
         assert [V.shape for V in chunks] == [(4, 6, 3)]

@@ -1,12 +1,14 @@
 """Chunked, stacked Lyapunov solves in the selfcheck grids."""
 
 import inspect
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+import cli_corpus
 from squeezelink import closedform, model, oracle, selfcheck
 from units import unit_with_cooperativity
 
@@ -192,18 +194,51 @@ def test_array_route_rejects_what_the_per_point_route_rejects():
 
 
 def test_constructed_systems_equal_one_trial_at_a_time():
-    # the per-trial loop that one stacked draw replaced, as the reference
+    # the reference builds one trial at a time from its row of the draw: each
+    # block shifted by its largest eigenvalue's real part, and the 8x8 matrices
+    # filled block by block
     rng = np.random.default_rng(selfcheck.LYAPUNOV_SEED)
+    low, high = (np.repeat(bounds, [16, 4, 1, 32]) for bounds in ([-1.0, -4.0, -60.5, -1.0],
+                                                                  [1.0, 0.0, 60.5, 1.0]))
     systems = []
     for _ in range(selfcheck.LYAPUNOV_TRIALS):
-        B = rng.standard_normal((8, 8))
-        A = B - (max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0) * np.eye(8)
-        L = rng.standard_normal((8, 8))
-        V0 = L @ L.T
-        systems.append((V0, A, -(A @ V0 + V0 @ A.T)))
+        row = rng.uniform(low, high)
+        k = int(np.rint(row[20]))
+        A, V0 = np.zeros((8, 8)), np.zeros((8, 8))
+        for block, log_margin, at in zip(row[:16].reshape(4, 2, 2), row[16:20],
+                                         oracle._BLOCKS):
+            (a, b), (c, d) = block.tolist()
+            h, disc = (a + d) / 2.0, ((a - d) / 2.0) ** 2 + b * c
+            margin = math.pow(10.0, log_margin) * np.abs(block).max()
+            shift = h + math.sqrt(max(disc, 0.0)) + margin
+            assert max(np.linalg.eigvals(block - shift * np.eye(2)).real) < 0.0
+            A[np.ix_(at, at)] = np.ldexp(block - shift * np.eye(2), k)
+        for sector, L in zip((slice(0, None, 2), slice(1, None, 2)), row[21:].reshape(2, 4, 4)):
+            V0[sector, sector] = L @ L.T
+        S = A @ V0
+        systems.append((V0, A, -(S + S.T)))
     stacks = selfcheck._constructed_systems(np.random.default_rng(selfcheck.LYAPUNOV_SEED))
     for stack, reference in zip(stacks, zip(*systems), strict=True):
         assert np.array_equal(stack, np.array(reference))
+
+
+def test_no_check_or_oracle_route_calls_lapack(monkeypatch):
+    # numpy.linalg's LAPACK-backed functions raise: the selfcheck still passes,
+    # and the one-point oracle prints what the CLI corpus pins
+    def lapack(*args, **kwargs):
+        raise AssertionError("a numpy.linalg LAPACK routine was called")
+
+    for name in ("eig", "eigvals", "solve", "det", "inv"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    assert all(result.passed for result in selfcheck.run_checks())
+    corpus = json.loads(cli_corpus.CORPUS.read_text())
+    oracle_entries = [want for want in corpus["entries"]
+                      if want["argv"][0] == "duan" and "oracle" in want["argv"]]
+    assert oracle_entries
+    with cli_corpus.config_files(corpus["configs"]) as configs:
+        for want in oracle_entries:
+            assert cli_corpus.run(want["argv"], configs) == (want["exit"], want["stdout"],
+                                                             want["stderr"])
 
 
 def test_every_check_takes_only_its_tolerance():
