@@ -54,12 +54,9 @@ class DegenerateSqueeze(ValueError):
 
 
 def is_entangled(total: float) -> bool:
-    """Strict inequality: a total variance of exactly 2 is separable."""
-    if total < 0:
-        raise ValueError(f"total variance must be >= 0, got {total!r}")
-    if not total < math.inf:  # NaN or +inf: an overflow upstream, not a verdict of "separable"
-        raise FloatingPointError(f"total variance is {'NaN' if math.isnan(total) else total}")
-    return total < SEPARABILITY_BOUND
+    """Strict inequality: a total variance of exactly 2 is separable. A non-finite or
+    negative total raises, by :class:`DuanResult`'s check."""
+    return DuanResult.from_total(total).entangled
 
 
 class DuanResult(Record):
@@ -80,7 +77,7 @@ class DuanResult(Record):
 
     @property
     def entangled(self) -> bool:
-        return is_entangled(self.total)
+        return self.total < SEPARABILITY_BOUND
 
     @classmethod
     def from_total(cls, total: float) -> "DuanResult":

@@ -579,7 +579,7 @@ def _scaled(out: np.ndarray, *rows: np.ndarray) -> np.ndarray:
     """Write the rows ``(4, m)`` of entries 00, 01, 10, 11 of 2x2 blocks into
     consecutive rows of ``out``, each item scaled by ``2**-e`` with ``e`` the
     exponent of its largest entry over all of them; returns ``e``."""
-    parts = np.split(out, len(rows))
+    parts = [out[4 * i:4 * i + 4] for i in range(len(rows))]  # np.split costs ~5 us a call
     for part, x in zip(parts, rows):
         np.abs(x, out=part)
     e = np.frexp(out.max(axis=0))[1]

@@ -19,11 +19,10 @@ split, and the solver works on it as rows of entries 00, 01, 10, 11 of the
 four drift blocks and of D's six block pairs; with the transposes of the
 cross pairs, these are every entry of A and D that the model can make
 nonzero. :func:`_model_rows` writes those rows straight from each unit's
-(gamma, kappa, G, n_th), past the unit gate, and the bath's N and M;
-:func:`build_rwa_drift_diffusion_stack` scatters the same rows into 8x8 A
-and D, and :func:`build_rwa_drift_diffusion` calls it on one system's floats.
-One kernel, :func:`_solve_split`, solves the rows elementwise over a stack,
-with no LAPACK call: stability from each block's trace and determinant
+(gamma, kappa, G, n_th), past the unit gate, and the bath's N and M, and
+raises where the bath's field terms overflow a float. One kernel,
+:func:`_solve_split`, solves the rows elementwise over a stack, with no
+LAPACK call: stability from each block's trace and determinant
 (:func:`model.stability_check`), the 2x2 Sylvester equation of each pair (Y is
 never derived from X) in closed form, ``0.5 V + 0.5 V^T``, and a residual gate
 that holds each pair to its own bound and the whole to the 8x8 bound
@@ -34,13 +33,16 @@ that a chunk of ``STACK_CHUNK`` (1024) systems peaks at about 2.2 KB per
 system. The kernel returns V as its pairs' rows ``(4, 6, B)``, which
 :func:`covariance_chunks` yields from parameter arrays, ``STACK_CHUNK``
 systems at a time, forming no 8x8 A, D or V and copying no input out to the
-stack's size. :func:`solve_lyapunov_stack` gathers the rows of an explicit 8x8
-split stack and, alone, scatters V into 8x8 matrices, so both routes give the
-same bits; it takes no other stack. Errors name the system's index in the
-whole input. One reader, :func:`_duan_variances`, reads pair rows for
-:func:`duan_variance_arrays` and :func:`duan_from_covariance` alike; a Duan
-variance whose terms cancel past ``_CANCELLATION_TOL`` of relative error
-raises instead.
+stack's size; every route, one point or a grid, reads them there. The 8x8
+matrices are a reference door that no route takes:
+:func:`build_rwa_drift_diffusion_stack` scatters the same rows into A and D,
+:func:`build_rwa_drift_diffusion` calls it on one system's floats, and
+:func:`solve_lyapunov` gathers them back from one split system or a stack
+and, alone, scatters V into 8x8 matrices, so both give the same bits.
+Errors name the system's index in the whole input. One reader,
+:func:`_duan_variances`, reads pair rows for :func:`duan_variance_arrays` and
+:func:`duan_from_covariance` alike; a Duan variance whose terms cancel past
+``_CANCELLATION_TOL`` of relative error raises instead.
 :func:`spectral_duan_sum` integrates one system's noise spectra over
 frequency. The integrals have a closed form, the table's I_2 and I_4
 (James, Nichols & Phillips 1947; Astrom 1970, ch. 5), which is the
@@ -108,7 +110,7 @@ class RwaViolation(UserWarning):
 
 
 class DriftDiffusion(Record):
-    """Drift matrix A and symmetrized diffusion matrix D (both 8x8, 1/s)."""
+    """Drift matrix A and symmetrized diffusion matrix D (1/s), 8x8 or stacks (B, 8, 8)."""
 
     A: np.ndarray
     D: np.ndarray
@@ -117,11 +119,8 @@ class DriftDiffusion(Record):
 def build_rwa_drift_diffusion(
     system: SystemParams, steady: tuple[SteadyState, SteadyState]
 ) -> DriftDiffusion:
-    """Assemble drift and diffusion of the rotating-frame beam-splitter model.
-
-    Raises ``OverflowError``, naming r, where the bath's field terms in D
-    overflow a float although its N and M do not.
-    """
+    """Drift and diffusion of the rotating-frame beam-splitter model at one operating
+    point; warns :class:`RwaViolation` where a unit is off the red sideband."""
     units = (system.unit1, system.unit2)
     for j, (unit, ss) in enumerate(zip(units, steady), start=1):
         target = -unit.mirror.omega_M
@@ -132,13 +131,8 @@ def build_rwa_drift_diffusion(
                 RwaViolation,
                 stacklevel=2,
             )
-    A, D = build_rwa_drift_diffusion_stack(*map(unit_record, units, steady),
-                                           system.bath.N, system.bath.M_corr)
-    # the records passed the unit gate and N and M are finite; D's bath terms may overflow
-    if not np.isfinite(D.reshape(2, 4, 2, 4)[:, 2:, :, 2:]).all():
-        raise OverflowError("squeezed-bath diffusion terms kappa (2N + 1)/2 and "
-                            f"sqrt(kappa1 kappa2) M overflow a float at r = {system.bath.r!r}")
-    return DriftDiffusion(A=A, D=D)
+    return DriftDiffusion(*build_rwa_drift_diffusion_stack(*map(unit_record, units, steady),
+                                                           system.bath.N, system.bath.M_corr))
 
 
 def build_rwa_drift_diffusion_stack(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
@@ -154,17 +148,18 @@ def build_rwa_drift_diffusion_stack(unit1, unit2, N, M) -> tuple[np.ndarray, np.
                                                   _SYMMETRIC_AT)
 
 
-def _model_rows(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
+def _model_rows(unit1, unit2, N, M, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The model's drift blocks ``_BLOCKS`` and diffusion pairs ``_PAIRS`` as rows.
 
     Takes the arguments of :func:`build_rwa_drift_diffusion_stack` and returns
     arrays ``(4, 4, ...)`` and ``(4, 6, ...)`` over their broadcast shape: entry
     00, 01, 10 or 11, then block or pair. These are the only entries of A and D
-    that the model does not hold at zero, once both units pass the unit gate."""
+    that the model does not hold at zero, once both units pass the unit gate.
+    Raises ``OverflowError`` where the bath's field terms overflow a float
+    although its N and M do not, naming the system's flat index plus ``start``."""
     require_units({1: unit1, 2: unit2})
     shape = np.broadcast(*unit1, *unit2, N, M).shape
     drift, diffusion = np.zeros((4, len(_BLOCKS)) + shape), np.zeros((4, len(_PAIRS)) + shape)
-    # an overflow in the diffusion shows as a non-finite entry, which the solve reports
     with np.errstate(over="ignore"):
         for j, (gamma, kappa, G, n_th) in enumerate((unit1, unit2)):
             # X' = -gamma/2 X + G x ; x' = -kappa/2 x - G X (same for Y, y); unit
@@ -175,6 +170,15 @@ def _model_rows(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
         # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-)
         kgm = np.sqrt(unit1[1] * unit2[1]) * M
     diffusion[3, 1], diffusion[3, 4] = kgm, -kgm
+    # the first non-finite system is the kernel's to report, unless its mirror terms
+    # (entry 00), N and M are finite: then its field terms (entry 11) overflowed
+    finite = np.isfinite(diffusion).reshape(4 * len(_PAIRS), -1).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        if np.isfinite(diffusion[0].reshape(len(_PAIRS), -1)[:, k]).all() and all(
+                math.isfinite(np.broadcast_to(x, shape).flat[k]) for x in (N, M)):
+            raise OverflowError("squeezed-bath diffusion terms kappa (2N + 1)/2 and sqrt(kappa1 "
+                                f"kappa2) M overflow a float at stack index {start + k}")
     return drift, diffusion
 
 
@@ -200,7 +204,7 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     broadcast together and the systems come in flat order. No 8x8 A, D or V
     is formed: each chunk's drift blocks and diffusion pairs are written as
     rows by :func:`_model_rows` and solved by :func:`_solve_split`, the kernel
-    of :func:`solve_lyapunov_stack`, so the rows are the entries ``_PAIR_AT``
+    of :func:`solve_lyapunov`, so the rows are the entries ``_PAIR_AT``
     of the 8x8 V by that route, bit for bit. Errors name the system's index in
     the whole input. No input is copied out to the stack's size: a size-1
     input, such as a scalar kappa, stays a scalar, a full-size one is sliced
@@ -221,7 +225,7 @@ def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     for start in range(0, size, STACK_CHUNK):
         part = slice(start, start + STACK_CHUNK)
         c = [x if scalar else x[part] for x, scalar in sources]
-        yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9]), start)
+        yield _solve_split(*_model_rows(c[:4], c[4:8], c[8], c[9], start), start)
 
 
 def duan_variance_arrays(unit1, unit2, N, M, pair: str = "mirror"
@@ -239,35 +243,28 @@ def duan_variance_arrays(unit1, unit2, N, M, pair: str = "mirror"
 
 
 def solve_lyapunov(dd: DriftDiffusion) -> np.ndarray:
-    """The 8x8 steady-state covariance V from A V + V A^T + D = 0 (a stack of one)."""
+    """Steady-state covariance V, of A's shape, from ``A V + V A^T + D = 0``.
+
+    ``dd.A`` and ``dd.D`` are one 8x8 system or a stack ``(B, 8, 8)`` with the
+    model's split, A zero outside its drift blocks and D symmetric and zero
+    between X and Y, or ``ValueError`` is raised. Their rows are solved by
+    :func:`_solve_split`, the kernel of :func:`covariance_chunks`, and V's
+    pair rows scattered into 8x8 matrices, here alone. Errors name the stack
+    index."""
     A, D = np.asarray(dd.A, dtype=float), np.asarray(dd.D, dtype=float)
-    return solve_lyapunov_stack(A[None], D[None])[0]
-
-
-def solve_lyapunov_stack(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Steady-state covariances ``V[b]`` from ``A[b] V + V A[b]^T + D[b] = 0``.
-
-    ``A`` and ``D`` are stacks ``(B, 8, 8)`` with the model's split, A zero
-    outside its drift blocks and D symmetric and zero between X and Y; any
-    other stack raises ``ValueError``. Their block entries are gathered as
-    rows, solved by :func:`_solve_split`, the kernel of :func:`covariance_chunks`,
-    and V's pair rows scattered into 8x8 matrices, here alone. Every drift must
-    be stable, and a non-finite A, D or V raises ``FloatingPointError``. Errors
-    name the stack index.
-    """
-    A, D = np.asarray(A, dtype=float), np.asarray(D, dtype=float)
-    if A.ndim != 3 or A.shape != D.shape or A.shape[1:] != (8, 8):
-        raise ValueError(f"need stacks A and D of equal shape (B, 8, 8), got {A.shape} and "
+    if A.ndim not in (2, 3) or A.shape != D.shape or A.shape[-2:] != (8, 8):
+        raise ValueError(f"need A and D of equal shape (8, 8) or (B, 8, 8), got {A.shape} and "
                          f"{D.shape}")
+    shape, A, D = A.shape, A.reshape(-1, 8, 8), D.reshape(-1, 8, 8)
     if not len(A):
-        return np.zeros(A.shape)
+        return np.zeros(shape)
     _require_finite("drift or diffusion matrix", A.T, D.T)  # items on the last axis
     if (A.reshape(-1, 64)[:, _OFF_DRIFT].any() or D.reshape(-1, 64)[:, _OFF_PAIRS].any()
             or (D != D.transpose(0, 2, 1)).any()):
         raise ValueError("A and D do not have the model's split: A must be zero outside its "
                          "drift blocks, and D symmetric and zero between X and Y")
     V = _solve_split(_rows(A, _DRIFT_AT), _rows(D, _PAIR_AT))
-    return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT)
+    return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT).reshape(shape)
 
 
 def _solve_split(drift: np.ndarray, diffusion: np.ndarray, start: int = 0) -> np.ndarray:

@@ -161,7 +161,8 @@ def check_weak_coupling(tolerance: float = 1e-12) -> CheckResult:
 
 
 def _constructed_systems(rng):
-    """Stacks (V0, A, D) of random stable split systems with V0 as the exact solution.
+    """Stacks (V0, A, D) of random stable split systems with V0 as the exact solution,
+    and each system's largest real part of a drift eigenvalue, ``-min(margin) 2**k``.
 
     Each A has four random 2x2 drift blocks, each shifted stable in closed
     form to a log-uniform margin from the stability boundary of 1e-4 to 1
@@ -180,22 +181,26 @@ def _constructed_systems(rng):
     h, disc = (a + d) / 2.0, ((a - d) / 2.0) ** 2 + b * c
     margin = model.map_math(math.pow, 10.0, log_margin) * np.abs(blocks).max(axis=(2, 3))
     shift = h + np.sqrt(np.fmax(disc, 0.0)) + margin
-    k = np.rint(k).astype(int)[..., None, None]
-    blocks = np.ldexp(blocks - shift[..., None, None] * np.eye(2), k)
+    k = np.rint(k).astype(int)
+    blocks = np.ldexp(blocks - shift[..., None, None] * np.eye(2), k[..., None, None])
     A, V0 = np.zeros((2, LYAPUNOV_TRIALS, 8, 8))
     for p, (i, j) in enumerate(oracle._BLOCKS):  # the drift blocks (X1, x1), (X2, x2), ...
         A[:, [[i], [j]], [i, j]] = blocks[:, p]
     L = L.reshape(-1, 2, 4, 4)
     V0[:, ::2, ::2], V0[:, 1::2, 1::2] = (x @ x.transpose(0, 2, 1) for x in (L[:, 0], L[:, 1]))
     S = A @ V0
-    return V0, A, -(S + S.transpose(0, 2, 1))
+    return V0, A, -(S + S.transpose(0, 2, 1)), -np.ldexp(margin.min(axis=1), k[:, 0])
 
 
 def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
-    """Constructed-solution recovery plus the uncertainty-principle floor."""
-    V0, A, D = _constructed_systems(np.random.default_rng(LYAPUNOV_SEED))
-    error = oracle.solve_lyapunov_stack(A, D) - V0
-    worst = float(np.max(np.linalg.norm(error, axis=(1, 2)) / np.linalg.norm(V0, axis=(1, 2))))
+    """Constructed-solution recovery, each constructed system's stability margin as
+    the stability check reports it, plus the uncertainty-principle floor."""
+    V0, A, D, max_real = _constructed_systems(np.random.default_rng(LYAPUNOV_SEED))
+    error = oracle.solve_lyapunov(oracle.DriftDiffusion(A, D)) - V0
+    blocks = oracle._rows(A, oracle._DRIFT_AT)  # (4, 4, trials): each system's drift blocks
+    reported = [model.stability_check(blocks[..., t]).max_real_part for t in range(len(A))]
+    errors = np.linalg.norm(error, axis=(1, 2)) / np.linalg.norm(V0, axis=(1, 2))
+    worst = float(np.max(np.fmax(errors, np.abs(reported / max_real - 1.0))))
     if worst > tolerance:
         return CheckResult("lyapunov", False, worst, tolerance, "constructed solutions")
 

@@ -135,15 +135,14 @@ def evaluate(system: SystemParams, pair: str, route: str) -> tuple[DuanResult, f
     steady = [mean_fields_from_effective_detuning(unit, -unit.mirror.omega_M)
               for unit in (system.unit1, system.unit2)]
     units = [unit_record(u, ss) for u, ss in zip((system.unit1, system.unit2), steady)]
-    if route == "oracle":  # the oracle's own builder forms the same units
-        dd = oracle.build_rwa_drift_diffusion(system, steady)
-        result = oracle.duan_from_covariance(oracle.solve_lyapunov(dd), pair)
+    N, M = system.bath.N, system.bath.M_corr
+    if route == "oracle":
+        var_X, var_Y = oracle.duan_variance_arrays(*units, N, M, pair)
+        result = DuanResult(var_X=float(var_X[0]), var_Y=float(var_Y[0]))
     elif (pair, route) == ("mirror", "adiabatic"):
-        result = closedform.duan_sum_adiabatic_general(*units, system.bath.N,
-                                                       system.bath.M_corr)
+        result = closedform.duan_sum_adiabatic_general(*units, N, M)
     else:
-        result = closedform.duan_sum_nonadiabatic_general(*units, system.bath.N,
-                                                          system.bath.M_corr, pair)
+        result = closedform.duan_sum_nonadiabatic_general(*units, N, M, pair)
     return result, steady[0].C, steady[1].C
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import cli_corpus
+from squeezelink import oracle
 
 
 def test_every_cli_output_equals_the_corpus():
@@ -24,3 +25,20 @@ def test_every_cli_output_equals_the_corpus():
                 moved.append((want, got))
     assert not moved, (f"{len(moved)} of {len(corpus['entries'])} entries moved; first:\n"
                        f"want {moved[0][0]}\ngot  {moved[0][1]}")
+
+
+def test_no_cli_route_takes_the_8x8_matrices(monkeypatch):
+    # the 8x8 matrix API is a reference door alone: with it stubbed out, every
+    # oracle `duan` and oracle sweep entry still gives its pinned bytes
+    def stub(*args, **kwargs):
+        raise AssertionError("8x8 route taken")
+
+    for name in ("build_rwa_drift_diffusion", "solve_lyapunov", "duan_from_covariance"):
+        monkeypatch.setattr(oracle, name, stub)
+    corpus = json.loads(cli_corpus.CORPUS.read_text())
+    entries = [want for want in corpus["entries"]
+               if (want["argv"][0] == "duan" and "oracle" in want["argv"])
+               or "oracle-duan" in want["argv"]]
+    assert {want["argv"][0] for want in entries} == {"duan", "sweep"}
+    with cli_corpus.config_files(corpus["configs"]) as configs:
+        assert [cli_corpus.entry(want["argv"], configs) for want in entries] == entries

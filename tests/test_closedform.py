@@ -443,8 +443,10 @@ class TestVerdict:
         assert not is_entangled(2.5)
 
     def test_negative_total_rejected(self):
-        with pytest.raises(ValueError):
-            is_entangled(-0.1)
+        # one check: the verdict and a result reject a negative total alike
+        for reject in (is_entangled, DuanResult.from_total):
+            with pytest.raises(FloatingPointError, match=r"^total variance is -0\.1$"):
+                reject(-0.1)
 
     def test_nan_total_rejected(self):
         with pytest.raises(FloatingPointError):

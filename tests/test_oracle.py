@@ -19,7 +19,6 @@ from squeezelink.oracle import (
     build_rwa_drift_diffusion_stack,
     duan_from_covariance,
     solve_lyapunov,
-    solve_lyapunov_stack,
     spectral_duan_sum,
 )
 from units import (KAPPA, SPECTRAL_CASES, SYSTEM_ARGS, asymmetric_system, make_system,
@@ -86,7 +85,7 @@ class TestLyapunovSolver:
 
     def test_constructed_solutions(self):
         # the selfcheck's split systems, on another seed, one at a time
-        for V0, A, D in zip(*selfcheck._constructed_systems(np.random.default_rng(42))):
+        for V0, A, D, _ in zip(*selfcheck._constructed_systems(np.random.default_rng(42))):
             V = solve_lyapunov(DriftDiffusion(A=A, D=D))
             assert np.linalg.norm(V - V0) <= 1e-9 * np.linalg.norm(V0)
 
@@ -182,8 +181,8 @@ class TestStackedLyapunov:
         if kind == "rwa":
             A, D = physical_stack()
         else:
-            _, A, D = selfcheck._constructed_systems(np.random.default_rng(5))
-        V = solve_lyapunov_stack(A, D)
+            _, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(5))
+        V = solve_lyapunov(DriftDiffusion(A, D))
         for a, d, v in zip(A, D, V):  # the split does not depend on the stack
             assert np.array_equal(v, solve_lyapunov(DriftDiffusion(A=a, D=d)))
 
@@ -197,7 +196,7 @@ class TestStackedLyapunov:
         shapes, blocks = (spy_on(monkeypatch, name) for name in ("_sylvester_2x2",
                                                                  "stability_check"))
         A, D = physical_stack()
-        V = solve_lyapunov_stack(A, D)
+        V = solve_lyapunov(DriftDiffusion(A, D))
         assert shapes == [(4, 6 * len(A))] and blocks == [(4, 4, len(A))]
         for M in (A, D, V):
             assert not M[:, ::2, 1::2].any() and not M[:, 1::2, ::2].any()
@@ -212,8 +211,8 @@ class TestStackedLyapunov:
         D2 = D.copy()
         for i, j in (("y1", "y2"), ("y2", "y1")):
             D2[:, IDX[i], IDX[j]] *= -1.0
-        before = duan_from_covariance(solve_lyapunov_stack(A, D)[2])
-        after = duan_from_covariance(solve_lyapunov_stack(A, D2)[2])
+        before = duan_from_covariance(solve_lyapunov(DriftDiffusion(A, D))[2])
+        after = duan_from_covariance(solve_lyapunov(DriftDiffusion(A, D2))[2])
         assert after.var_X == before.var_X
         assert after.var_Y > before.var_Y + 1.0
 
@@ -224,20 +223,20 @@ class TestStackedLyapunov:
         M = A if which == "A" else D
         M[1, IDX[i], IDX[j]] = M[1, IDX[j], IDX[i]] = 1e-3 * np.abs(M[1]).max()
         with pytest.raises(ValueError, match="do not have the model's split"):
-            solve_lyapunov_stack(A, D)
+            solve_lyapunov(DriftDiffusion(A, D))
 
     def test_a_dense_system_is_rejected(self):
         A, D = random_stable_system(np.random.default_rng(5))
         with pytest.raises(ValueError, match="do not have the model's split"):
-            solve_lyapunov_stack(A[None], D[None])
+            solve_lyapunov(DriftDiffusion(A[None], D[None]))
         with pytest.raises(ValueError, match="do not have the model's split"):
             solve_lyapunov(DriftDiffusion(A=A, D=D))
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_a_stack_of_another_size_is_rejected(self, n):
         A, D = (np.stack([-np.eye(4), -np.eye(4)])[:n] for _ in range(2))
-        with pytest.raises(ValueError, match=r"equal shape \(B, 8, 8\)"):
-            solve_lyapunov_stack(A, D)
+        with pytest.raises(ValueError, match=r"equal shape \(8, 8\) or \(B, 8, 8\)"):
+            solve_lyapunov(DriftDiffusion(A, D))
 
     def test_closed_form_blocks_agree_with_the_kronecker_solve(self):
         # entries scaled by 2**500 or 2**-500 would overflow or underflow
@@ -264,12 +263,13 @@ class TestStackedLyapunov:
     @pytest.mark.parametrize("case", ["unstable", "zero-trace", "overdamped", "constructed"])
     def test_block_stability_report_is_that_of_the_eigenvalues(self, case):
         if case == "constructed":  # the lyapunov check's systems, near the boundary to 1e-4
-            _, A, _ = selfcheck._constructed_systems(
+            _, A, _, max_real = selfcheck._constructed_systems(
                 np.random.default_rng(selfcheck.LYAPUNOV_SEED))
-            for a in A:  # each system's margin, also where it is not the least stable
+            for a, constructed in zip(A, max_real):  # also where it is not the least stable
                 report, ref = model.stability_check(drift_rows(a[None])), eigenvalue_report(a[None])
                 assert report.stable and ref.stable
                 assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-10)
+                assert ref.max_real_part == pytest.approx(constructed, rel=1e-10)
             report, ref = model.stability_check(drift_rows(A)), eigenvalue_report(A)
             assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
             return
@@ -313,39 +313,45 @@ class TestStackedLyapunov:
         A, D = physical_stack()
         A[1] = -A[1]
         with pytest.raises(UnstableDrift, match="at stack index 1"):
-            solve_lyapunov_stack(A, D)
+            solve_lyapunov(DriftDiffusion(A, D))
 
     @pytest.mark.parametrize("which", ["A", "D"])
     def test_non_finite_item_is_named(self, which):
         A, D = physical_stack()
         (A if which == "A" else D)[2, 0, 0] = math.inf
         with pytest.raises(FloatingPointError, match="at stack index 2"):
-            solve_lyapunov_stack(A, D)
+            solve_lyapunov(DriftDiffusion(A, D))
 
     def test_overflowing_solution_is_named(self):
         A = np.stack([-np.eye(8), -1e-10 * np.eye(8)])
         D = np.stack([np.eye(8), 1e300 * np.eye(8)])  # V = D / 2e-10 overflows
         with pytest.raises(FloatingPointError, match="at stack index 1"):
-            solve_lyapunov_stack(A, D)
+            solve_lyapunov(DriftDiffusion(A, D))
 
     def test_residual_gate_holds_when_the_norm_of_d_overflows(self):
         # ||D|| overflows at this scale; the gate works on D / max|D|, so it
         # neither warns nor lets the solution through unchecked
         A, D = physical_stack()
-        V = solve_lyapunov_stack(A, D)
-        huge = solve_lyapunov_stack(A, 1e200 * D)
+        V = solve_lyapunov(DriftDiffusion(A, D))
+        huge = solve_lyapunov(DriftDiffusion(A, 1e200 * D))
         assert np.abs(huge / 1e200 - V).max() <= 1e-14 * np.abs(V).max()
 
     def test_a_stack_of_no_systems_gives_an_empty_stack(self):
-        V = solve_lyapunov_stack(np.zeros((0, 8, 8)), np.zeros((0, 8, 8)))
+        V = solve_lyapunov(DriftDiffusion(np.zeros((0, 8, 8)), np.zeros((0, 8, 8))))
         assert V.shape == (0, 8, 8) and V.dtype == np.float64
 
     def test_shape_mismatch_rejected(self):
         A, D = physical_stack()
-        with pytest.raises(ValueError):
-            solve_lyapunov_stack(A, D[:2])
-        with pytest.raises(ValueError):
-            solve_lyapunov_stack(A[0], D[0])
+        for a, d in ((A, D[:2]), (A[0], D[:1]), (A[None], D[None])):
+            with pytest.raises(ValueError, match="equal shape"):
+                solve_lyapunov(DriftDiffusion(a, d))
+
+    def test_one_system_equals_its_stack_of_one(self):
+        A, D = physical_stack()
+        for a, d in zip(A, D):
+            V = solve_lyapunov(DriftDiffusion(a, d))
+            assert V.shape == (8, 8)
+            assert V.tobytes() == solve_lyapunov(DriftDiffusion(a[None], d[None]))[0].tobytes()
 
 
 class TestDuanFromCovariance:
@@ -498,7 +504,7 @@ class TestStackedDuan:
         # the row reader on one chunk, and over the arrays, reads what the
         # one-system reader reads from each 8x8 V
         args = model_arrays(SPECTRAL_CASES, len(SPECTRAL_CASES))
-        V = solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(*args))
+        V = solve_lyapunov(DriftDiffusion(*build_rwa_drift_diffusion_stack(*args)))
         for pair in ("mirror", "field"):
             by_rows = oracle._duan_variances(oracle._rows(V, oracle._PAIR_AT), pair)
             by_arrays = oracle.duan_variance_arrays(*args, pair)
@@ -586,7 +592,7 @@ class TestSplitResidualGate:
     def test_six_pair_norm_is_the_8x8_norm(self):
         # a symmetric error on every pair, so that the residual is not round-off
         A, D = physical_stack()
-        V = solve_lyapunov_stack(A, D)
+        V = solve_lyapunov(DriftDiffusion(A, D))
         support = np.zeros(64, dtype=bool)
         support[oracle._SYMMETRIC_AT] = True
         E = np.random.default_rng(8).standard_normal(V.shape)
@@ -607,7 +613,7 @@ class TestSplitResidualGate:
         A, D = physical_stack()
         dd = build_rwa_drift_diffusion(*make_system(15.0, 1e-3, 5.0, 0.01))
         A, D = np.concatenate([A, dd.A[None]]), np.concatenate([D, dd.D[None]])
-        V = solve_lyapunov_stack(A, D)
+        V = solve_lyapunov(DriftDiffusion(A, D))
         error = np.ones_like(V)
         error[3, ::2, ::2][:2, 2:] = error[3, ::2, ::2][2:, :2] = 1.0 + 1e-8  # X1-X2, X2-X1
         residual, bound = oracle._split_residual(*split_pair_rows(A, D, V * error))
@@ -623,7 +629,7 @@ class TestSplitResidualGate:
             return W.reshape(4, -1)
         monkeypatch.setattr(oracle, "_sylvester_2x2", planted)
         with pytest.raises(UnstableDrift, match="Lyapunov residual .* at stack index 3 exceeds"):
-            solve_lyapunov_stack(A, D)
+            solve_lyapunov(DriftDiffusion(A, D))
 
     def test_an_asymmetric_diffusion_is_not_taken_for_a_split(self):
         # the split reads each cross pair once, so a D that differs from its
@@ -631,7 +637,7 @@ class TestSplitResidualGate:
         A, D = physical_stack()
         D[1, IDX["x2"], IDX["x1"]] *= 2.0
         with pytest.raises(ValueError, match="do not have the model's split"):
-            solve_lyapunov_stack(A, D)
+            solve_lyapunov(DriftDiffusion(A, D))
 
 
 STACK_UNITS = st.lists(SYSTEM_ARGS, min_size=1, max_size=6)
@@ -658,7 +664,7 @@ class TestRowAndMatrixRoutes:
         chunks = list(oracle.covariance_chunks(*args))
         assert [V.shape for V in chunks] == [(4, 6, min(CHUNK, size - k))
                                              for k in range(0, size, CHUNK)]
-        V = solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(*args))
+        V = solve_lyapunov(DriftDiffusion(*build_rwa_drift_diffusion_stack(*args)))
         rows = np.concatenate(chunks, axis=-1)
         assert rows.tobytes() == oracle._rows(V, oracle._PAIR_AT).tobytes()
 
@@ -688,6 +694,10 @@ class TestRowAndMatrixRoutes:
         (9, math.inf, FloatingPointError,
          f"drift or diffusion matrix is not finite at stack index {CHUNK + 44}"),
         # a record out of bounds stops at the unit gate, in the same chunk
+        # a finite N whose field terms kappa (2N + 1)/2 overflow: the row builder
+        # of both routes names it, by the same index
+        (8, 1e308, OverflowError, "squeezed-bath diffusion terms kappa (2N + 1)/2 and "
+         f"sqrt(kappa1 kappa2) M overflow a float at stack index {CHUNK + 44}"),
         (2, math.nan, FloatingPointError, "unit 1: G must be >= 0 and finite, got nan"),
         (1, math.inf, FloatingPointError, "unit 1: kappa must be > 0 and finite, got inf"),
         (0, -2.0, ValueError, "unit 1: gamma must be > 0 and finite, got -2.0"),
@@ -700,8 +710,8 @@ class TestRowAndMatrixRoutes:
         with pytest.raises(error, match=f"^{re.escape(text)}$") as by_rows:
             list(oracle.covariance_chunks(inputs[:4], inputs[4:8], *inputs[8:]))
         with pytest.raises(error) as by_matrices:
-            solve_lyapunov_stack(*build_rwa_drift_diffusion_stack(inputs[:4], inputs[4:8],
-                                                                  *inputs[8:]))
+            solve_lyapunov(DriftDiffusion(*build_rwa_drift_diffusion_stack(
+                inputs[:4], inputs[4:8], *inputs[8:])))
         assert str(by_rows.value) == str(by_matrices.value)
 
     @pytest.mark.parametrize("entries, value, error, text", [
@@ -713,6 +723,9 @@ class TestRowAndMatrixRoutes:
          "drift matrix is not stable (max Re eigenvalue = -0 at stack index 1200)"),
         ((9,), math.inf, FloatingPointError,
          "drift or diffusion matrix is not finite at stack index 1200"),
+        # finite N and M whose field terms overflow a float
+        ((8, 9), 1e308, OverflowError, "squeezed-bath diffusion terms kappa (2N + 1)/2 and "
+         "sqrt(kappa1 kappa2) M overflow a float at stack index 1200"),
     ])
     def test_errors_name_the_index_in_the_whole_input(self, entries, value, error, text):
         unit1, unit2, N, M = model_arrays([SPECTRAL_CASES[3]], 1500)
@@ -735,7 +748,7 @@ class TestRowAndMatrixRoutes:
         # (the lyapunov check's constructed systems are 8x8 stacks by design)
         results = selfcheck.run_checks(only=["triple", "separability", "xy-symmetry"])
         assert [result.passed for result in results] == [True] * 3
-        for name in ("build_rwa_drift_diffusion_stack", "solve_lyapunov_stack"):
+        for name in ("build_rwa_drift_diffusion_stack", "solve_lyapunov"):
             monkeypatch.setattr(oracle, name, forbidden)
         chunks = list(oracle.covariance_chunks(*model_arrays([SPECTRAL_CASES[3]], 3)))
         assert [V.shape for V in chunks] == [(4, 6, 3)]
@@ -809,11 +822,12 @@ class TestInPlaceKernel:
         assert peak <= 3100 * CHUNK
 
     def test_scalar_and_full_size_inputs_reach_the_rows_uncopied(self, monkeypatch):
-        seen = []
+        seen, starts = [], []
         model_rows = oracle._model_rows
-        def spy(unit1, unit2, N, M):
+        def spy(unit1, unit2, N, M, start):
             seen.append((*unit1, *unit2, N, M))
-            return model_rows(unit1, unit2, N, M)
+            starts.append(start)
+            return model_rows(unit1, unit2, N, M, start)
 
         monkeypatch.setattr(oracle, "_model_rows", spy)
         monkeypatch.setattr(oracle, "STACK_CHUNK", 4)
@@ -824,6 +838,7 @@ class TestInPlaceKernel:
                   scalars[1], scalars[2]]
         chunks = list(oracle.covariance_chunks(inputs[:4], inputs[4:8], *inputs[8:]))
         assert [V.shape[-1] for V in chunks] == [len(args[0]) for args in seen] == [4, 4, 2]
+        assert starts == [0, 4, 8]
         for start, args in zip((0, 4, 8), seen):
             for given, got in zip(inputs, args):
                 assert np.shares_memory(given, got)

@@ -82,9 +82,9 @@ def test_unknown_name_is_an_attribute_error():
 
 
 @pytest.mark.parametrize("access, name, attr", [
-    ("import squeezelink.oracle as m", "oracle", "solve_lyapunov_stack"),
-    ("from squeezelink import oracle as m", "oracle", "solve_lyapunov_stack"),
-    ("import squeezelink; m = squeezelink.oracle", "oracle", "solve_lyapunov_stack"),
+    ("import squeezelink.oracle as m", "oracle", "covariance_chunks"),
+    ("from squeezelink import oracle as m", "oracle", "covariance_chunks"),
+    ("import squeezelink; m = squeezelink.oracle", "oracle", "covariance_chunks"),
     ("import squeezelink.selfcheck as m", "selfcheck", "run_checks"),
     ("from squeezelink import selfcheck as m", "selfcheck", "run_checks"),
 ])

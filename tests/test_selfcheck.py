@@ -196,7 +196,7 @@ def test_array_route_rejects_what_the_per_point_route_rejects():
 def test_constructed_systems_equal_one_trial_at_a_time():
     # the reference builds one trial at a time from its row of the draw: each
     # block shifted by its largest eigenvalue's real part, and the 8x8 matrices
-    # filled block by block
+    # filled block by block; the system's largest real part is its least margin
     rng = np.random.default_rng(selfcheck.LYAPUNOV_SEED)
     low, high = (np.repeat(bounds, [16, 4, 1, 32]) for bounds in ([-1.0, -4.0, -60.5, -1.0],
                                                                   [1.0, 0.0, 60.5, 1.0]))
@@ -204,19 +204,20 @@ def test_constructed_systems_equal_one_trial_at_a_time():
     for _ in range(selfcheck.LYAPUNOV_TRIALS):
         row = rng.uniform(low, high)
         k = int(np.rint(row[20]))
-        A, V0 = np.zeros((8, 8)), np.zeros((8, 8))
+        A, V0, margins = np.zeros((8, 8)), np.zeros((8, 8)), []
         for block, log_margin, at in zip(row[:16].reshape(4, 2, 2), row[16:20],
                                          oracle._BLOCKS):
             (a, b), (c, d) = block.tolist()
             h, disc = (a + d) / 2.0, ((a - d) / 2.0) ** 2 + b * c
             margin = math.pow(10.0, log_margin) * np.abs(block).max()
+            margins.append(margin)
             shift = h + math.sqrt(max(disc, 0.0)) + margin
             assert max(np.linalg.eigvals(block - shift * np.eye(2)).real) < 0.0
             A[np.ix_(at, at)] = np.ldexp(block - shift * np.eye(2), k)
         for sector, L in zip((slice(0, None, 2), slice(1, None, 2)), row[21:].reshape(2, 4, 4)):
             V0[sector, sector] = L @ L.T
         S = A @ V0
-        systems.append((V0, A, -(S + S.T)))
+        systems.append((V0, A, -(S + S.T), -math.ldexp(min(margins), k)))
     stacks = selfcheck._constructed_systems(np.random.default_rng(selfcheck.LYAPUNOV_SEED))
     for stack, reference in zip(stacks, zip(*systems), strict=True):
         assert np.array_equal(stack, np.array(reference))

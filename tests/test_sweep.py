@@ -463,6 +463,24 @@ class TestEvaluateQuantity:
         assert math.isfinite(result.total) and result.total >= 0.0
         assert isinstance(result.entangled, bool)
 
+    @pytest.mark.parametrize("pair", ["mirror", "field"])
+    @pytest.mark.parametrize("unit2", [{}, {"unit2.power": 4e-3, "unit2.kappa": 300e3,
+                                           "unit2.gamma": 200.0, "unit2.temperature": 5e-4}],
+                             ids=["identical", "mismatched"])
+    def test_oracle_point_has_the_bits_of_the_8x8_reference(self, base, pair, unit2):
+        # the row kernel on the point's unit records gives what the 8x8 matrix
+        # door gives: the reference the benchmark holds `duan --regime oracle` to
+        system = set_param(base, "bath.r", 1.3)
+        for path, value in unit2.items():
+            system = set_param(system, path, value)
+        steady = tuple(model.mean_fields_from_effective_detuning(u, -u.mirror.omega_M)
+                       for u in (system.unit1, system.unit2))
+        dd = oracle.build_rwa_drift_diffusion(system, steady)
+        want = oracle.duan_from_covariance(oracle.solve_lyapunov(dd), pair)
+        got, _, _ = sweep.evaluate(system, pair, "oracle")
+        assert [x.hex() for x in (got.var_X, got.var_Y, got.total)] == [
+            x.hex() for x in (want.var_X, want.var_Y, want.total)]
+
     @pytest.mark.parametrize("pair", ["field", "mirror"])
     def test_overflowing_drift_norm_beside_a_zero_covariance_pair(self, pair):
         # unit 2's drift rows square to inf and a cross pair of V is 0: that
