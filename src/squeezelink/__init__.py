@@ -23,7 +23,6 @@ from .closedform import (
     duan_sum_strong_coupling_approx,
     duan_sum_weak_coupling_approx,
     field_sum_nonadiabatic,
-    is_entangled,
     minimum_power,
     threshold_cooperativity,
 )
@@ -51,21 +50,5 @@ from .sweep import (
     run_sweep,
 )
 
-#: the oracle's public names, resolved by :func:`__getattr__` on first access
-_ORACLE_NAMES = frozenset({"DriftDiffusion", "build_rwa_drift_diffusion",
-                           "duan_from_covariance", "solve_lyapunov", "spectral_duan_sum"})
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
-
-
 # selfcheck is bound only for the lazy load; it has never been exported
-__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"selfcheck"}
-                 | _ORACLE_NAMES)
+__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"selfcheck"})

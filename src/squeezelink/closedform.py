@@ -53,12 +53,6 @@ class DegenerateSqueeze(ValueError):
     """A threshold diverges: r = 0, or r so small that the threshold overflows."""
 
 
-def is_entangled(total: float) -> bool:
-    """Strict inequality: a total variance of exactly 2 is separable. A non-finite or
-    negative total raises, by :class:`DuanResult`'s check."""
-    return DuanResult.from_total(total).entangled
-
-
 class DuanResult(Record):
     """Joint-quadrature variances and the resulting verdict."""
 

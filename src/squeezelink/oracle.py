@@ -32,15 +32,16 @@ solves and the residual gate each work their rows in place in one array, so
 that a chunk of ``STACK_CHUNK`` (1024) systems peaks at about 2.2 KB per
 system. The kernel returns V as its pairs' rows ``(4, 6, B)``, which
 :func:`covariance_chunks` yields from parameter arrays, ``STACK_CHUNK``
-systems at a time, forming no 8x8 A, D or V and copying no input out to the
-stack's size; every route, one point or a grid, reads them there. The 8x8
-matrices are a reference door that no route takes:
-:func:`build_rwa_drift_diffusion_stack` scatters the same rows into A and D,
-:func:`build_rwa_drift_diffusion` calls it on one system's floats, and
-:func:`solve_lyapunov` gathers them back from one split system or a stack
-and, alone, scatters V into 8x8 matrices, so both give the same bits.
-Errors name the system's index in the whole input. One reader,
-:func:`_duan_variances`, reads pair rows for :func:`duan_variance_arrays` and
+systems at a time, copying no input out to the stack's size; every route,
+one point or a grid, reads them there. No function here forms an 8x8
+matrix. Three names are thin shims over the same rows for callers that take
+one system at a time: :func:`build_rwa_drift_diffusion` writes one operating
+point's rows into a :class:`DriftDiffusion` and alone warns
+:class:`RwaViolation` off the red sideband, :func:`solve_lyapunov` checks the
+rows' shapes and runs the kernel on them, and :func:`duan_from_covariance`
+reads one system's V rows, so they give the bits of every route. Errors name
+the system's index in the whole input. One reader, :func:`_duan_variances`,
+reads pair rows for :func:`duan_variance_arrays` and
 :func:`duan_from_covariance` alike; a Duan variance whose terms cancel past
 ``_CANCELLATION_TOL`` of relative error raises instead.
 :func:`spectral_duan_sum` integrates one system's noise spectra over
@@ -81,24 +82,8 @@ STACK_CHUNK = 1024
 #: covariance blocks the split solves
 _BLOCKS = ((0, 2), (4, 6), (1, 3), (5, 7))
 _PAIRS = ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3))
-
-
-def _at(pairs, transposed=False):
-    """Flat 8x8 positions of entries 00, 01, 10, 11 of each pair of blocks (or
-    of its transpose), entry by entry, as the rows ``(4, k)`` flatten."""
-    return [8 * _BLOCKS[q][j] + _BLOCKS[p][i] if transposed else
-            8 * _BLOCKS[p][i] + _BLOCKS[q][j]
-            for i in (0, 1) for j in (0, 1) for p, q in pairs]
-
-
-#: where the rows of the drift blocks and of the pairs sit in the 8x8 matrices
-#: (D and V, being symmetric, also hold each pair's transpose), and the
-#: positions that a split stack holds at zero
-_DRIFT_AT = _at([(p, p) for p in range(len(_BLOCKS))])
-_PAIR_AT = _at(_PAIRS)
-_SYMMETRIC_AT = _PAIR_AT + _at(_PAIRS, transposed=True)
-_OFF_DRIFT = sorted(set(range(64)).difference(_DRIFT_AT))
-_OFF_PAIRS = sorted(set(range(64)).difference(_SYMMETRIC_AT))
+#: each pair's weight in a sum over the 8x8 matrix, which holds a cross pair twice
+_TWICE = [1.0 + (p != q) for p, q in _PAIRS]
 #: 0.5 V + 0.5 V^T on the pair rows: entry 01 meets 10 on the diagonal pairs,
 #: and every entry itself on the cross pairs
 _TRANSPOSED = [len(_PAIRS) * (e if p != q else (0, 2, 1, 3)[e]) + k
@@ -110,7 +95,8 @@ class RwaViolation(UserWarning):
 
 
 class DriftDiffusion(Record):
-    """Drift matrix A and symmetrized diffusion matrix D (1/s), 8x8 or stacks (B, 8, 8)."""
+    """Drift A and symmetrized diffusion D (1/s) as rows: A's drift blocks
+    ``(4, 4, ...)`` and D's pairs ``(4, 6, ...)``, of one system or a stack."""
 
     A: np.ndarray
     D: np.ndarray
@@ -119,8 +105,9 @@ class DriftDiffusion(Record):
 def build_rwa_drift_diffusion(
     system: SystemParams, steady: tuple[SteadyState, SteadyState]
 ) -> DriftDiffusion:
-    """Drift and diffusion of the rotating-frame beam-splitter model at one operating
-    point; warns :class:`RwaViolation` where a unit is off the red sideband."""
+    """Drift and diffusion rows ``(4, 4)`` and ``(4, 6)`` of the rotating-frame
+    beam-splitter model at one operating point, by :func:`_model_rows`; warns
+    :class:`RwaViolation` where a unit is off the red sideband."""
     units = (system.unit1, system.unit2)
     for j, (unit, ss) in enumerate(zip(units, steady), start=1):
         target = -unit.mirror.omega_M
@@ -131,29 +118,17 @@ def build_rwa_drift_diffusion(
                 RwaViolation,
                 stacklevel=2,
             )
-    return DriftDiffusion(*build_rwa_drift_diffusion_stack(*map(unit_record, units, steady),
-                                                           system.bath.N, system.bath.M_corr))
-
-
-def build_rwa_drift_diffusion_stack(unit1, unit2, N, M) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion stacks ``(..., 8, 8)`` of the model over parameter arrays.
-
-    ``unit1`` and ``unit2`` are each unit's ``(gamma, kappa, G, n_th)``; these
-    and the bath's ``N`` and ``M`` (``M_corr``) broadcast together, and their
-    shape is the stack's. Floats give one 8x8 pair. The entries are those of
-    :func:`_model_rows`, so they do not depend on the route.
-    """
-    drift, diffusion = _model_rows(unit1, unit2, N, M)
-    return _matrices(drift, _DRIFT_AT), _matrices(np.concatenate([diffusion, diffusion]),
-                                                  _SYMMETRIC_AT)
+    return DriftDiffusion(*_model_rows(*map(unit_record, units, steady), system.bath.N,
+                                       system.bath.M_corr))
 
 
 def _model_rows(unit1, unit2, N, M, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The model's drift blocks ``_BLOCKS`` and diffusion pairs ``_PAIRS`` as rows.
 
-    Takes the arguments of :func:`build_rwa_drift_diffusion_stack` and returns
-    arrays ``(4, 4, ...)`` and ``(4, 6, ...)`` over their broadcast shape: entry
-    00, 01, 10 or 11, then block or pair. These are the only entries of A and D
+    ``unit1`` and ``unit2`` are each unit's ``(gamma, kappa, G, n_th)``; these
+    and the bath's ``N`` and ``M`` (``M_corr``) broadcast together, and the
+    rows ``(4, 4, ...)`` and ``(4, 6, ...)`` are over their broadcast shape:
+    entry 00, 01, 10 or 11, then block or pair. These are the only entries of A and D
     that the model does not hold at zero, once both units pass the unit gate.
     Raises ``OverflowError`` where the bath's field terms overflow a float
     although its N and M do not, naming the system's flat index plus ``start``."""
@@ -182,30 +157,15 @@ def _model_rows(unit1, unit2, N, M, start: int = 0) -> tuple[np.ndarray, np.ndar
     return drift, diffusion
 
 
-def _matrices(rows: np.ndarray, at) -> np.ndarray:
-    """8x8 matrices ``(..., 8, 8)`` holding the rows ``(m, k, ...)`` at the flat
-    positions ``at`` and zero elsewhere, in one scatter."""
-    shape = rows.shape[2:]
-    M = np.zeros((64,) + shape)
-    M[at] = rows.reshape((-1,) + shape)
-    return np.ascontiguousarray(M.reshape(64, -1).T).reshape(shape + (8, 8))
-
-
-def _rows(M: np.ndarray, at) -> np.ndarray:
-    """The entries ``(4, k, B)`` of the 8x8 stack ``M`` at the flat positions ``at``."""
-    return M.reshape(len(M), 64)[:, at].T.reshape(4, -1, len(M))
-
-
 def covariance_chunks(unit1, unit2, N, M) -> Iterator[np.ndarray]:
     """The model's covariances V over parameter arrays as pair rows ``(4, 6, B)``,
     ``STACK_CHUNK`` systems each.
 
-    The arguments are those of :func:`build_rwa_drift_diffusion_stack`; they
-    broadcast together and the systems come in flat order. No 8x8 A, D or V
-    is formed: each chunk's drift blocks and diffusion pairs are written as
-    rows by :func:`_model_rows` and solved by :func:`_solve_split`, the kernel
-    of :func:`solve_lyapunov`, so the rows are the entries ``_PAIR_AT``
-    of the 8x8 V by that route, bit for bit. Errors name the system's index in
+    The arguments are those of :func:`_model_rows`; they broadcast together
+    and the systems come in flat order. Each chunk's drift blocks and
+    diffusion pairs are written as rows by :func:`_model_rows` and solved by
+    :func:`_solve_split`, which :func:`solve_lyapunov` runs too, so a system
+    has the same bits by either. Errors name the system's index in
     the whole input. No input is copied out to the stack's size: a size-1
     input, such as a scalar kappa, stays a scalar, a full-size one is sliced
     as a view, and only a partly broadcast one is copied, chunk by chunk,
@@ -232,9 +192,9 @@ def duan_variance_arrays(unit1, unit2, N, M, pair: str = "mirror"
                          ) -> tuple[np.ndarray, np.ndarray]:
     """``(var_X, var_Y)`` of the pair's Lyapunov covariances over parameter arrays.
 
-    Takes the arguments of :func:`build_rwa_drift_diffusion_stack`; the
-    variances come in flat order, each chunk of :func:`covariance_chunks` read
-    by :func:`_duan_variances`.
+    Takes the arguments of :func:`_model_rows`; the variances come in flat
+    order, each chunk of :func:`covariance_chunks` read by
+    :func:`_duan_variances`.
     """
     # reading no systems first checks the pair, and is the result when there are none
     var_X, var_Y = zip(_duan_variances(np.empty((4, len(_PAIRS), 0)), pair),
@@ -243,28 +203,22 @@ def duan_variance_arrays(unit1, unit2, N, M, pair: str = "mirror"
 
 
 def solve_lyapunov(dd: DriftDiffusion) -> np.ndarray:
-    """Steady-state covariance V, of A's shape, from ``A V + V A^T + D = 0``.
+    """Covariance rows, in D's shape, of ``A V + V A^T + D = 0``.
 
-    ``dd.A`` and ``dd.D`` are one 8x8 system or a stack ``(B, 8, 8)`` with the
-    model's split, A zero outside its drift blocks and D symmetric and zero
-    between X and Y, or ``ValueError`` is raised. Their rows are solved by
-    :func:`_solve_split`, the kernel of :func:`covariance_chunks`, and V's
-    pair rows scattered into 8x8 matrices, here alone. Errors name the stack
-    index."""
+    ``dd.A`` holds the drift block rows ``(4, 4, ...)`` and ``dd.D`` the
+    diffusion pair rows ``(4, 6, ...)`` of the same systems, one or a stack,
+    or ``ValueError`` names both shapes. :func:`_solve_split` solves them, as
+    it does the chunks of :func:`covariance_chunks`; errors name the system's
+    flat index."""
     A, D = np.asarray(dd.A, dtype=float), np.asarray(dd.D, dtype=float)
-    if A.ndim not in (2, 3) or A.shape != D.shape or A.shape[-2:] != (8, 8):
-        raise ValueError(f"need A and D of equal shape (8, 8) or (B, 8, 8), got {A.shape} and "
-                         f"{D.shape}")
-    shape, A, D = A.shape, A.reshape(-1, 8, 8), D.reshape(-1, 8, 8)
-    if not len(A):
-        return np.zeros(shape)
-    _require_finite("drift or diffusion matrix", A.T, D.T)  # items on the last axis
-    if (A.reshape(-1, 64)[:, _OFF_DRIFT].any() or D.reshape(-1, 64)[:, _OFF_PAIRS].any()
-            or (D != D.transpose(0, 2, 1)).any()):
-        raise ValueError("A and D do not have the model's split: A must be zero outside its "
-                         "drift blocks, and D symmetric and zero between X and Y")
-    V = _solve_split(_rows(A, _DRIFT_AT), _rows(D, _PAIR_AT))
-    return _matrices(np.concatenate([V, V]), _SYMMETRIC_AT).reshape(shape)
+    if (A.shape[:2] != (4, len(_BLOCKS)) or D.shape[:2] != (4, len(_PAIRS))
+            or A.shape[2:] != D.shape[2:]):
+        raise ValueError(f"need drift rows (4, 4, ...) and diffusion rows (4, 6, ...) of the "
+                         f"same systems, got {A.shape} and {D.shape}")
+    if not D.size:
+        return np.zeros(D.shape)
+    return _solve_split(A.reshape(4, len(_BLOCKS), -1),
+                        D.reshape(4, len(_PAIRS), -1)).reshape(D.shape)
 
 
 def _solve_split(drift: np.ndarray, diffusion: np.ndarray, start: int = 0) -> np.ndarray:
@@ -334,12 +288,11 @@ def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
         R2, D2, V2, A2, C2 = (np.square(x, out=out).sum(axis=0) for x, out in
                               ((R, R), (Ds, Ds), (Vs, Vs), (A, T), (C, T)))
     A_pq = np.sqrt(A2) + np.sqrt(C2)
-    twice = np.array([1.0 + (i != j) for i, j in _PAIRS])
-    residual = np.vstack([np.sqrt(R2), np.sqrt(twice @ R2)])
+    residual = np.vstack([np.sqrt(R2), np.sqrt(_TWICE @ R2)])
     # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf
     AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
     bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
-                       1e-10 * np.maximum(np.sqrt(twice @ D2), 1e-300)])
+                       1e-10 * np.maximum(np.sqrt(_TWICE @ D2), 1e-300)])
     return residual, bound
 
 
@@ -421,8 +374,12 @@ def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def duan_from_covariance(V: np.ndarray, pair: str = "mirror") -> DuanResult:
-    """Variances of the joint EPR quadratures (u1 - u2, v1 + v2) from the 8x8 V."""
-    (var_X,), (var_Y,) = _duan_variances(_rows(np.asarray(V)[None], _PAIR_AT), pair)
+    """Variances of the joint EPR quadratures (u1 - u2, v1 + v2) from one system's
+    covariance rows ``(4, 6)``, as :func:`solve_lyapunov` gives them."""
+    V = np.asarray(V, dtype=float)
+    if V.shape != (4, len(_PAIRS)):
+        raise ValueError(f"need one system's covariance rows (4, 6), got {V.shape}")
+    (var_X,), (var_Y,) = _duan_variances(V[..., None], pair)
     return DuanResult(var_X=float(var_X), var_Y=float(var_Y))
 
 

@@ -161,14 +161,16 @@ def check_weak_coupling(tolerance: float = 1e-12) -> CheckResult:
 
 
 def _constructed_systems(rng):
-    """Stacks (V0, A, D) of random stable split systems with V0 as the exact solution,
+    """Rows (V0, A, D) of random stable split systems with V0 as the exact solution,
     and each system's largest real part of a drift eigenvalue, ``-min(margin) 2**k``.
 
     Each A has four random 2x2 drift blocks, each shifted stable in closed
     form to a log-uniform margin from the stability boundary of 1e-4 to 1
     times its largest entry, and scaled by 2**k, k from -60 to 60, to reach
-    the solver's power-of-two scaling. V0 is zero between X and Y, and
-    D = -(A V0 + V0 A^T).
+    the solver's power-of-two scaling. A, V0 and D = -(A V0 + V0 A^T) are
+    formed as 4x4 matrices of the X and Y sectors, between which V0 is zero,
+    and come as the rows :func:`oracle.solve_lyapunov` takes: the drift
+    blocks ``(4, 4, trials)`` and the pairs ``(4, 6, trials)``.
     """
     # row t of one draw: trial t's 16 block entries, 4 log10 margins, k and V0's 32 factors
     low, high = (np.repeat(bounds, [16, 4, 1, 32]) for bounds in ([-1.0, -4.0, -60.5, -1.0],
@@ -183,23 +185,34 @@ def _constructed_systems(rng):
     shift = h + np.sqrt(np.fmax(disc, 0.0)) + margin
     k = np.rint(k).astype(int)
     blocks = np.ldexp(blocks - shift[..., None, None] * np.eye(2), k[..., None, None])
-    A, V0 = np.zeros((2, LYAPUNOV_TRIALS, 8, 8))
-    for p, (i, j) in enumerate(oracle._BLOCKS):  # the drift blocks (X1, x1), (X2, x2), ...
-        A[:, [[i], [j]], [i, j]] = blocks[:, p]
-    L = L.reshape(-1, 2, 4, 4)
-    V0[:, ::2, ::2], V0[:, 1::2, 1::2] = (x @ x.transpose(0, 2, 1) for x in (L[:, 0], L[:, 1]))
+    # sector s holds blocks 2s and 2s + 1 (X1 x1, X2 x2; Y1 y1, Y2 y2) on its diagonal
+    A = np.zeros((2, LYAPUNOV_TRIALS, 4, 4))
+    for p in range(4):
+        at = slice(2 * (p % 2), 2 * (p % 2) + 2)
+        A[p // 2, :, at, at] = blocks[:, p]
+    L = L.reshape(-1, 2, 4, 4).swapaxes(0, 1)
+    V0 = L @ L.swapaxes(-1, -2)
     S = A @ V0
-    return V0, A, -(S + S.transpose(0, 2, 1)), -np.ldexp(margin.min(axis=1), k[:, 0])
+    return (_pair_rows(V0), blocks.reshape(-1, 4, 4).T, _pair_rows(-(S + S.swapaxes(-1, -2))),
+            -np.ldexp(margin.min(axis=1), k[:, 0]))
+
+
+def _pair_rows(M):
+    """The rows ``(4, 6, trials)`` of the pairs of blocks ``oracle._PAIRS`` of the X and
+    Y sector stacks ``M``, ``(2, trials, 4, 4)``."""
+    return np.array([[M[p // 2, :, 2 * (p % 2) + i, 2 * (q % 2) + j] for p, q in oracle._PAIRS]
+                     for i in (0, 1) for j in (0, 1)])
 
 
 def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
     """Constructed-solution recovery, each constructed system's stability margin as
     the stability check reports it, plus the uncertainty-principle floor."""
     V0, A, D, max_real = _constructed_systems(np.random.default_rng(LYAPUNOV_SEED))
+    # the 8x8 Frobenius norms from the pair rows
     error = oracle.solve_lyapunov(oracle.DriftDiffusion(A, D)) - V0
-    blocks = oracle._rows(A, oracle._DRIFT_AT)  # (4, 4, trials): each system's drift blocks
-    reported = [model.stability_check(blocks[..., t]).max_real_part for t in range(len(A))]
-    errors = np.linalg.norm(error, axis=(1, 2)) / np.linalg.norm(V0, axis=(1, 2))
+    errors = np.sqrt(oracle._TWICE @ np.square(error).sum(axis=0)
+                     / (oracle._TWICE @ np.square(V0).sum(axis=0)))
+    reported = [model.stability_check(A[..., t]).max_real_part for t in range(A.shape[-1])]
     worst = float(np.max(np.fmax(errors, np.abs(reported / max_real - 1.0))))
     if worst > tolerance:
         return CheckResult("lyapunov", False, worst, tolerance, "constructed solutions")

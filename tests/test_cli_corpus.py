@@ -27,11 +27,11 @@ def test_every_cli_output_equals_the_corpus():
                        f"want {moved[0][0]}\ngot  {moved[0][1]}")
 
 
-def test_no_cli_route_takes_the_8x8_matrices(monkeypatch):
-    # the 8x8 matrix API is a reference door alone: with it stubbed out, every
+def test_no_cli_route_takes_the_shims(monkeypatch):
+    # the one-system shims are a reference alone: with them stubbed out, every
     # oracle `duan` and oracle sweep entry still gives its pinned bytes
     def stub(*args, **kwargs):
-        raise AssertionError("8x8 route taken")
+        raise AssertionError("shim taken")
 
     for name in ("build_rwa_drift_diffusion", "solve_lyapunov", "duan_from_covariance"):
         monkeypatch.setattr(oracle, name, stub)

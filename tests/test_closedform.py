@@ -20,7 +20,6 @@ from squeezelink.closedform import (
     duan_sum_strong_coupling_approx,
     duan_sum_weak_coupling_approx,
     field_sum_nonadiabatic,
-    is_entangled,
     minimum_power,
     threshold_cooperativity,
 )
@@ -437,25 +436,22 @@ class TestMinimumPower:
 
 class TestVerdict:
     def test_boundary_semantics(self):
-        assert is_entangled(0.0)
-        assert is_entangled(1.9999)
-        assert not is_entangled(2.0)
-        assert not is_entangled(2.5)
+        # strict inequality: a total variance of exactly 2 is separable
+        for total, entangled in ((0.0, True), (1.9999, True), (2.0, False), (2.5, False)):
+            assert DuanResult.from_total(total).entangled is entangled
 
     def test_negative_total_rejected(self):
-        # one check: the verdict and a result reject a negative total alike
-        for reject in (is_entangled, DuanResult.from_total):
-            with pytest.raises(FloatingPointError, match=r"^total variance is -0\.1$"):
-                reject(-0.1)
+        with pytest.raises(FloatingPointError, match=r"^total variance is -0\.1$"):
+            DuanResult.from_total(-0.1)
 
     def test_nan_total_rejected(self):
-        with pytest.raises(FloatingPointError):
-            is_entangled(math.nan)
+        with pytest.raises(FloatingPointError, match="^total variance is NaN$"):
+            DuanResult.from_total(math.nan)
 
     def test_infinite_total_rejected(self):
-        # an overflow upstream, as DuanResult rejects it; never "separable"
-        with pytest.raises(FloatingPointError, match="total variance is inf"):
-            is_entangled(math.inf)
+        # an overflow upstream; never "separable"
+        with pytest.raises(FloatingPointError, match="^total variance is inf$"):
+            DuanResult.from_total(math.inf)
 
     def test_non_finite_result_rejected(self):
         # sqrt(Gamma_a1 * Gamma_a2) overflows first at huge asymmetric drives

@@ -635,14 +635,20 @@ CLOSED_FORM_CALLS = [["duan"], ["duan", "--regime", "nonadiabatic"], ["duan", "-
                      ["threshold"]]
 
 
-def test_closed_form_routes_load_no_numpy():
+def test_closed_form_routes_load_no_numpy(tmp_path):
     # numpy, the oracle and the selfcheck are bound lazily, so their keys sit in
     # sys.modules from import on: a loaded numpy shows as its submodules, and a
     # lazy module that has run holds __builtins__, which reading its namespace
     # through object.__getattribute__ finds without running it. The records are
     # no dataclasses, so no call loads dataclasses, nor a closed-form call the
-    # inspect that dataclasses imports (numpy imports inspect itself)
-    calls = [*CLOSED_FORM_CALLS, ["duan", "--regime", "oracle"]]
+    # inspect that dataclasses imports (numpy imports inspect itself). The
+    # adiabatic and nonadiabatic forms take mismatched units too; a config file
+    # loads configparser, so those calls come after the others
+    mismatched = tmp_path / "mismatched.ini"
+    mismatched.write_text("[unit2]\ntemperature_uk = 500\n")
+    mismatched_calls = [argv + ["--config", str(mismatched)] for argv in CLOSED_FORM_CALLS
+                        if argv[0] == "duan"]
+    calls = [*CLOSED_FORM_CALLS, *mismatched_calls, ["duan", "--regime", "oracle"]]
     code = (
         "import io, json, sys\n"
         "import squeezelink\n"
@@ -664,14 +670,18 @@ def test_closed_form_routes_load_no_numpy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     at_import, *runs = json.loads(proc.stdout)
-    unloaded = {"configparser": False, "dataclasses": False}
-    assert at_import == {"numpy": [], "ran": [], "inspect": False, **unloaded}
+    assert at_import == {"numpy": [], "ran": [], "inspect": False, "configparser": False,
+                         "dataclasses": False}
+    assert [exit_code for exit_code, _, _ in runs] == [0] * len(calls)
+    configured = False
     for argv, (exit_code, text, state) in zip(calls, runs):
         assert [exit_code, text] == list(run_cli(*argv)), argv
-        closed_form = argv in CLOSED_FORM_CALLS
+        closed_form = "oracle" not in argv
+        configured = configured or "--config" in argv
         assert bool(state.pop("numpy")) != closed_form, argv
         assert not state.pop("inspect") or not closed_form, argv
-        assert state == {"ran": [] if closed_form else ["oracle"], **unloaded}, argv
+        assert state == {"ran": [] if closed_form else ["oracle"], "configparser": configured,
+                         "dataclasses": False}, argv
 
 
 def test_missing_numpy_fails_at_import():

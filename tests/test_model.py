@@ -411,7 +411,7 @@ def _records():
     unit = default_unit()
     system = SystemParams(unit, unit, SqueezedBath(r=1.0))
     steady = mean_fields_from_effective_detuning(unit, -OMEGA_M)
-    matrix = np.eye(8)
+    drift, diffusion = np.zeros((4, 4)), np.zeros((4, 6))
     return [
         (ResonatorParams, ("omega_r", "omega_L", "kappa", "length", "power"),
          dict(vars(unit.resonator)), {}, {"power": -1.0}, ValueError),
@@ -434,7 +434,7 @@ def _records():
         (sweep.FigureDataset, ("axis_name", "axis_unit", "columns", "rows", "metadata"),
          {"axis_name": "r", "axis_unit": "1", "columns": ["total"], "rows": [(0.0, 1.0)],
           "metadata": {}}, {}, None, None),
-        (oracle.DriftDiffusion, ("A", "D"), {"A": matrix, "D": matrix}, {}, None, None),
+        (oracle.DriftDiffusion, ("A", "D"), {"A": drift, "D": diffusion}, {}, None, None),
         (selfcheck.CheckResult, ("name", "passed", "max_err", "tolerance", "detail"),
          {"name": "triple", "passed": True, "max_err": 0.0, "tolerance": 1e-6},
          {"detail": ""}, None, None),
@@ -534,14 +534,14 @@ def route_outcomes(record, j):
         "adiabatic": lambda: closedform.duan_sum_adiabatic_general(*args),
         "mirror": lambda: closedform.duan_sum_nonadiabatic_general(*args, "mirror"),
         "field": lambda: closedform.duan_sum_nonadiabatic_general(*args, "field"),
-        "drift": lambda: oracle.build_rwa_drift_diffusion_stack(*args),
+        "drift": lambda: oracle._model_rows(*args),
         "adiabatic arrays": lambda: closedform.duan_sum_adiabatic_arrays(*array_args),
         "mirror arrays": lambda: closedform.duan_sum_nonadiabatic_general_arrays(
             *array_args, "mirror"),
         "field arrays": lambda: closedform.duan_sum_nonadiabatic_general_arrays(
             *array_args, "field"),
         "oracle arrays": lambda: oracle.duan_variance_arrays(*array_args),
-        "drift arrays": lambda: oracle.build_rwa_drift_diffusion_stack(*array_args),
+        "drift arrays": lambda: oracle._model_rows(*array_args),
     }
     outcomes = {}
     for name, route in routes.items():

@@ -16,26 +16,31 @@ from squeezelink.oracle import (
     RwaViolation,
     UnstableDrift,
     build_rwa_drift_diffusion,
-    build_rwa_drift_diffusion_stack,
     duan_from_covariance,
     solve_lyapunov,
     spectral_duan_sum,
 )
-from units import (KAPPA, SPECTRAL_CASES, SYSTEM_ARGS, asymmetric_system, make_system,
-                   system_units, unit_with_cooperativity)
+from units import (DRIFT_BLOCKS, KAPPA, SPECTRAL_CASES, SYSTEM_ARGS, asymmetric_system,
+                   make_system, matrix_of, rows_of, system_units, unit_with_cooperativity)
 
 IDX = {name: i for i, name in enumerate(QUADRATURES)}
+
+
+def dense(dd):
+    """The 8x8 A and D of the rows of ``dd``."""
+    return matrix_of(dd.A, DRIFT_BLOCKS), matrix_of(dd.D)
 
 
 class TestDriftDiffusion:
     def test_vacuum_covariance_is_half_identity(self):
         system, steady = make_system(0.0, 0.0, 0.0, 0.01)
         V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
-        assert np.allclose(V, np.eye(8) / 2, atol=1e-12)
+        assert V.shape == (4, 6)
+        assert np.allclose(matrix_of(V), np.eye(8) / 2, atol=1e-12)
 
     def test_decoupled_thermal_and_squeezed_baths(self):
         system, steady = make_system(0.0, 1.3, 3.0, 0.01)
-        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
+        V = matrix_of(solve_lyapunov(build_rwa_drift_diffusion(system, steady)))
         N = system.bath.N
         for name in ("X1", "Y1", "X2", "Y2"):
             assert V[IDX[name], IDX[name]] == pytest.approx(3.5, rel=1e-10)
@@ -46,7 +51,7 @@ class TestDriftDiffusion:
         # two decoupled fields: cross covariance solves
         # (kappa1 + kappa2)/2 * V12 = sqrt(kappa1 kappa2) * M
         system, steady = make_system(0.0, 0.8, 0.0, 0.01)
-        V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
+        V = matrix_of(solve_lyapunov(build_rwa_drift_diffusion(system, steady)))
         M = system.bath.M_corr
         assert V[IDX["x1"], IDX["x2"]] == pytest.approx(M, rel=1e-10)
         assert V[IDX["y1"], IDX["y2"]] == pytest.approx(-M, rel=1e-10)
@@ -54,7 +59,9 @@ class TestDriftDiffusion:
 
     def test_drift_block_structure(self):
         system, steady = make_system(15.0, 1.0, 5.0, 0.01)
-        A = build_rwa_drift_diffusion(system, steady).A
+        dd = build_rwa_drift_diffusion(system, steady)
+        assert dd.A.shape == (4, 4) and dd.D.shape == (4, 6)
+        A, _ = dense(dd)
         G = steady[0].G
         gamma = system.unit1.mirror.gamma
         kappa = system.unit1.resonator.kappa
@@ -62,8 +69,6 @@ class TestDriftDiffusion:
         assert A[IDX["X1"], IDX["x1"]] == pytest.approx(G)
         assert A[IDX["x1"], IDX["X1"]] == pytest.approx(-G)
         assert A[IDX["x1"], IDX["x1"]] == pytest.approx(-kappa / 2)
-        # no coupling between the units in the drift
-        assert np.all(A[:4, 4:] == 0) and np.all(A[4:, :4] == 0)
 
     def test_off_sideband_warns(self):
         system, _ = make_system(15.0, 1.0, 5.0, 0.01)
@@ -80,37 +85,32 @@ class TestLyapunovSolver:
     def test_scalar_ornstein_uhlenbeck(self):
         rates = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
         D = np.diag(np.arange(1.0, 9.0))
-        V = solve_lyapunov(DriftDiffusion(A=-np.diag(rates), D=D))
-        assert np.allclose(np.diag(V), np.diag(D) / (2 * rates), rtol=1e-12)
+        V = solve_lyapunov(DriftDiffusion(A=rows_of(-np.diag(rates), DRIFT_BLOCKS), D=rows_of(D)))
+        assert np.allclose(np.diag(matrix_of(V)), np.diag(D) / (2 * rates), rtol=1e-12)
 
     def test_constructed_solutions(self):
         # the selfcheck's split systems, on another seed, one at a time
-        for V0, A, D, _ in zip(*selfcheck._constructed_systems(np.random.default_rng(42))):
-            V = solve_lyapunov(DriftDiffusion(A=A, D=D))
-            assert np.linalg.norm(V - V0) <= 1e-9 * np.linalg.norm(V0)
+        V0, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(42))
+        for t in range(A.shape[-1]):
+            V, want = (matrix_of(x) for x in (solve_lyapunov(DriftDiffusion(A=A[..., t],
+                                                                             D=D[..., t])),
+                                              V0[..., t]))
+            assert np.linalg.norm(V - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_unstable_drift_rejected(self):
-        A = np.eye(8)
         with pytest.raises(UnstableDrift):
-            solve_lyapunov(DriftDiffusion(A=A, D=np.eye(8)))
+            solve_lyapunov(DriftDiffusion(A=rows_of(np.eye(8), DRIFT_BLOCKS),
+                                          D=rows_of(np.eye(8))))
 
     def test_residual_and_psd(self):
         system, steady = make_system(15.0, 1.0, 5.0, 0.01)
         dd = build_rwa_drift_diffusion(system, steady)
-        V = solve_lyapunov(dd)
-        residual = np.linalg.norm(dd.A @ V + V @ dd.A.T + dd.D)
-        assert residual <= 1e-10 * np.linalg.norm(dd.D)
+        V = matrix_of(solve_lyapunov(dd))
+        A, D = dense(dd)
+        residual = np.linalg.norm(A @ V + V @ A.T + D)
+        assert residual <= 1e-10 * np.linalg.norm(D)
         assert np.linalg.eigvalsh(V).min() >= -1e-12
         assert np.allclose(V, V.T, atol=1e-12)
-
-
-def random_stable_system(rng, n=8):
-    """A dense stable drift and its diffusion, with the split of no model."""
-    B = rng.standard_normal((n, n))
-    A = B - (max(np.linalg.eigvals(B).real.max(), 0.0) + 1.0) * np.eye(n)
-    L = rng.standard_normal((n, n))
-    V0 = L @ L.T
-    return A, -(A @ V0 + V0 @ A.T)
 
 
 def kronecker_solve(A, C, D):
@@ -122,21 +122,23 @@ def kronecker_solve(A, C, D):
 
 
 def eigenvalue_report(A):
-    """Dense reference: the stability report of the stack A from its eigenvalues, by LAPACK."""
-    max_re = np.linalg.eigvals(A).real.max(axis=-1)
+    """Dense reference: the stability report of the drift block rows A ``(4, 4, B)`` from
+    the eigenvalues of their 8x8 matrices, by LAPACK."""
+    max_re = np.linalg.eigvals(matrix_of(A, DRIFT_BLOCKS)).real.max(axis=-1)
     worst = int(np.argmax(max_re))
     return model.StabilityReport(stable=bool(max_re[worst] < 0.0),
                                  max_real_part=float(max_re[worst]), worst_index=(worst,))
 
 
 def physical_stack():
+    """The drift and diffusion rows ``(4, 4, 3)`` and ``(4, 6, 3)`` of three model systems."""
     dds = [
         build_rwa_drift_diffusion(*make_system(C, r, n_th, ratio))
         for C, r, n_th, ratio in [
             (0.5, 0.0, 0.0, 6.5e-4), (15.0, 1.0, 5.0, 0.01), (90.0, 2.0, 10.0, 0.05),
         ]
     ]
-    return np.stack([dd.A for dd in dds]), np.stack([dd.D for dd in dds])
+    return np.stack([dd.A for dd in dds], axis=-1), np.stack([dd.D for dd in dds], axis=-1)
 
 
 def spy_on(monkeypatch, name):
@@ -148,11 +150,6 @@ def spy_on(monkeypatch, name):
         return fn(A, *rest)
     monkeypatch.setattr(oracle, name, spy)
     return shapes
-
-
-def drift_rows(A):
-    """The rows (4, 4, B) of the model's drift blocks of the 8x8 stack A."""
-    return oracle._rows(A, oracle._DRIFT_AT)
 
 
 def drift_block(gamma, kappa, G):
@@ -183,8 +180,8 @@ class TestStackedLyapunov:
         else:
             _, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(5))
         V = solve_lyapunov(DriftDiffusion(A, D))
-        for a, d, v in zip(A, D, V):  # the split does not depend on the stack
-            assert np.array_equal(v, solve_lyapunov(DriftDiffusion(A=a, D=d)))
+        for t in range(A.shape[-1]):  # the split does not depend on the stack
+            assert np.array_equal(V[..., t], solve_lyapunov(DriftDiffusion(A[..., t], D[..., t])))
 
     def test_split_is_the_even_and_odd_quadratures(self):
         assert QUADRATURES[::2] == ("X1", "x1", "X2", "x2")
@@ -197,46 +194,39 @@ class TestStackedLyapunov:
                                                                  "stability_check"))
         A, D = physical_stack()
         V = solve_lyapunov(DriftDiffusion(A, D))
-        assert shapes == [(4, 6 * len(A))] and blocks == [(4, 4, len(A))]
-        for M in (A, D, V):
-            assert not M[:, ::2, 1::2].any() and not M[:, 1::2, ::2].any()
-        assert not A[:, :4, 4:].any() and not A[:, 4:, :4].any()
-        # the bath correlates the fields of items 1 and 2 (r > 0), and V stays symmetric
-        assert V[1:, IDX["x1"], IDX["x2"]].all() and np.array_equal(V, V.transpose(0, 2, 1))
+        assert shapes == [(4, 6 * 3)] and blocks == [(4, 4, 3)]
+        # the bath correlates the fields of items 1 and 2 (r > 0), entry 11 of the
+        # X1-X2 pair, and V stays symmetric: entries 01 and 10 of each diagonal pair
+        assert V[3, 1, 1:].all() and np.array_equal(V[1, [0, 2, 3, 5]], V[2, [0, 2, 3, 5]])
 
     def test_y_block_is_solved_not_copied(self):
-        # flipping the y1-y2 bath correlation moves var(Y1 + Y2) and leaves
-        # var(X1 - X2) alone; a Y block derived from the X block would not
+        # flipping the y1-y2 bath correlation, entry 11 of the Y1-Y2 pair, moves
+        # var(Y1 + Y2) and leaves var(X1 - X2) alone; a Y block derived from the
+        # X block would not
         A, D = physical_stack()
         D2 = D.copy()
-        for i, j in (("y1", "y2"), ("y2", "y1")):
-            D2[:, IDX[i], IDX[j]] *= -1.0
-        before = duan_from_covariance(solve_lyapunov(DriftDiffusion(A, D))[2])
-        after = duan_from_covariance(solve_lyapunov(DriftDiffusion(A, D2))[2])
+        D2[3, 4] *= -1.0
+        before = duan_from_covariance(solve_lyapunov(DriftDiffusion(A, D))[..., 2])
+        after = duan_from_covariance(solve_lyapunov(DriftDiffusion(A, D2))[..., 2])
         assert after.var_X == before.var_X
         assert after.var_Y > before.var_Y + 1.0
 
-    @pytest.mark.parametrize("which, i, j", [("A", "X1", "Y1"), ("D", "X1", "Y1"),
-                                              ("A", "x1", "x2")])
-    def test_one_entry_off_the_split_is_rejected(self, which, i, j):
-        A, D = physical_stack()
-        M = A if which == "A" else D
-        M[1, IDX[i], IDX[j]] = M[1, IDX[j], IDX[i]] = 1e-3 * np.abs(M[1]).max()
-        with pytest.raises(ValueError, match="do not have the model's split"):
-            solve_lyapunov(DriftDiffusion(A, D))
-
-    def test_a_dense_system_is_rejected(self):
-        A, D = random_stable_system(np.random.default_rng(5))
-        with pytest.raises(ValueError, match="do not have the model's split"):
-            solve_lyapunov(DriftDiffusion(A[None], D[None]))
-        with pytest.raises(ValueError, match="do not have the model's split"):
-            solve_lyapunov(DriftDiffusion(A=A, D=D))
-
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_a_stack_of_another_size_is_rejected(self, n):
-        A, D = (np.stack([-np.eye(4), -np.eye(4)])[:n] for _ in range(2))
-        with pytest.raises(ValueError, match=r"equal shape \(8, 8\) or \(B, 8, 8\)"):
-            solve_lyapunov(DriftDiffusion(A, D))
+    @pytest.mark.parametrize("a, d", [
+        ((8, 8), (8, 8)),  # an 8x8 system
+        ((3, 8, 8), (3, 8, 8)),
+        ((4, 4, 3), (4, 6, 2)),  # rows of different systems
+        ((4, 4), (4, 6, 1)),
+        ((4, 4, 0), (4, 6, 3)),
+        ((4, 6, 3), (4, 4, 3)),  # drift and diffusion swapped
+        ((4,), (4, 6)),
+        ((), ()),
+    ], ids=["8x8", "8x8-stack", "other-systems", "one-and-a-stack", "empty-and-three",
+            "swapped", "1-d", "scalars"])
+    def test_malformed_rows_are_rejected_naming_both_shapes(self, a, d):
+        text = (f"need drift rows (4, 4, ...) and diffusion rows (4, 6, ...) of the same "
+                f"systems, got {a} and {d}")
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            solve_lyapunov(DriftDiffusion(np.zeros(a), np.zeros(d)))
 
     def test_closed_form_blocks_agree_with_the_kronecker_solve(self):
         # entries scaled by 2**500 or 2**-500 would overflow or underflow
@@ -265,25 +255,26 @@ class TestStackedLyapunov:
         if case == "constructed":  # the lyapunov check's systems, near the boundary to 1e-4
             _, A, _, max_real = selfcheck._constructed_systems(
                 np.random.default_rng(selfcheck.LYAPUNOV_SEED))
-            for a, constructed in zip(A, max_real):  # also where it is not the least stable
-                report, ref = model.stability_check(drift_rows(a[None])), eigenvalue_report(a[None])
+            for t, constructed in enumerate(max_real):  # also where it is not the least stable
+                one = A[..., t:t + 1]
+                report, ref = model.stability_check(one), eigenvalue_report(one)
                 assert report.stable and ref.stable
                 assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-10)
                 assert ref.max_real_part == pytest.approx(constructed, rel=1e-10)
-            report, ref = model.stability_check(drift_rows(A)), eigenvalue_report(A)
+            report, ref = model.stability_check(A), eigenvalue_report(A)
             assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
             return
         gamma = KAPPA * np.array([1e-3, 0.01, 0.05, 0.2])
         G = KAPPA * np.array([0.01, 0.05, 0.1, 2.0])
         if case == "overdamped":  # tr/2 + sqrt(disc) loses 2 to 3 digits
             G = KAPPA * np.array([0.01, 0.02, 0.03, 0.05])
-        A, _ = build_rwa_drift_diffusion_stack((gamma, KAPPA, G, 1.0),
-                                               (gamma[::-1], KAPPA, G[::-1], 2.0), 0.0, 0.0)
+        A, _ = oracle._model_rows((gamma, KAPPA, G, 1.0), (gamma[::-1], KAPPA, G[::-1], 2.0),
+                                  0.0, 0.0)
         if case == "unstable":
-            A[1] = -A[1]
-        if case == "zero-trace":  # unit 1 of item 2 has no damping at all
-            A[2, [0, 1, 2, 3], [0, 1, 2, 3]] = 0.0
-        report, ref = model.stability_check(drift_rows(A)), eigenvalue_report(A)
+            A[..., 1] = -A[..., 1]
+        if case == "zero-trace":  # unit 1 of item 2 has no damping at all: entries 00
+            A[np.ix_([0, 3], [0, 2], [2])] = 0.0  # and 11 of its X and Y blocks
+        report, ref = model.stability_check(A), eigenvalue_report(A)
         assert (report.stable, report.worst_index) == (ref.stable, ref.worst_index)
         assert report.stable == (case == "overdamped")
         assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-12)
@@ -293,38 +284,36 @@ class TestStackedLyapunov:
         # eigenvalues keep ~5 fewer digits of it than the closed form
         rng = np.random.default_rng(3)
         G = KAPPA * 10.0 ** rng.uniform(-4.0, -0.7, 8)
-        A, _ = build_rwa_drift_diffusion_stack((1e-6 * KAPPA, KAPPA, G, 1.0),
-                                               (1e-6 * KAPPA, KAPPA, G[::-1], 1.0), 0.0, 0.0)
-        report = model.stability_check(drift_rows(A))
+        A, _ = oracle._model_rows((1e-6 * KAPPA, KAPPA, G, 1.0),
+                                  (1e-6 * KAPPA, KAPPA, G[::-1], 1.0), 0.0, 0.0)
+        report = model.stability_check(A)
         assert report.worst_index == eigenvalue_report(A).worst_index
         import mpmath
         with mpmath.workdps(40):
-            for a in A:
+            for t in range(A.shape[-1]):
                 exact = max(
                     mpmath.re(h + mpmath.sqrt(h * h - det))
-                    for block in (a[np.ix_(p, p)] for p in oracle._BLOCKS[:2])
-                    for h, det in [(mpmath.mpf(block[0, 0]) / 2 + mpmath.mpf(block[1, 1]) / 2,
-                                    mpmath.mpf(block[0, 0]) * block[1, 1]
-                                    - mpmath.mpf(block[0, 1]) * block[1, 0])])
-                report = model.stability_check(drift_rows(a[None]))
+                    for a, b, c, d in ([mpmath.mpf(x) for x in A[:, p, t]] for p in (0, 1))
+                    for h, det in [(a / 2 + d / 2, a * d - b * c)])
+                report = model.stability_check(A[..., t:t + 1])
                 assert report.max_real_part == pytest.approx(float(exact), rel=1e-14)
 
     def test_unstable_item_is_named(self):
         A, D = physical_stack()
-        A[1] = -A[1]
+        A[..., 1] = -A[..., 1]
         with pytest.raises(UnstableDrift, match="at stack index 1"):
             solve_lyapunov(DriftDiffusion(A, D))
 
     @pytest.mark.parametrize("which", ["A", "D"])
     def test_non_finite_item_is_named(self, which):
         A, D = physical_stack()
-        (A if which == "A" else D)[2, 0, 0] = math.inf
+        (A if which == "A" else D)[0, 0, 2] = math.inf
         with pytest.raises(FloatingPointError, match="at stack index 2"):
             solve_lyapunov(DriftDiffusion(A, D))
 
     def test_overflowing_solution_is_named(self):
-        A = np.stack([-np.eye(8), -1e-10 * np.eye(8)])
-        D = np.stack([np.eye(8), 1e300 * np.eye(8)])  # V = D / 2e-10 overflows
+        A = rows_of(np.stack([-np.eye(8), -1e-10 * np.eye(8)]), DRIFT_BLOCKS)
+        D = rows_of(np.stack([np.eye(8), 1e300 * np.eye(8)]))  # V = D / 2e-10 overflows
         with pytest.raises(FloatingPointError, match="at stack index 1"):
             solve_lyapunov(DriftDiffusion(A, D))
 
@@ -337,27 +326,21 @@ class TestStackedLyapunov:
         assert np.abs(huge / 1e200 - V).max() <= 1e-14 * np.abs(V).max()
 
     def test_a_stack_of_no_systems_gives_an_empty_stack(self):
-        V = solve_lyapunov(DriftDiffusion(np.zeros((0, 8, 8)), np.zeros((0, 8, 8))))
-        assert V.shape == (0, 8, 8) and V.dtype == np.float64
-
-    def test_shape_mismatch_rejected(self):
-        A, D = physical_stack()
-        for a, d in ((A, D[:2]), (A[0], D[:1]), (A[None], D[None])):
-            with pytest.raises(ValueError, match="equal shape"):
-                solve_lyapunov(DriftDiffusion(a, d))
+        V = solve_lyapunov(DriftDiffusion(np.zeros((4, 4, 0)), np.zeros((4, 6, 0))))
+        assert V.shape == (4, 6, 0) and V.dtype == np.float64
 
     def test_one_system_equals_its_stack_of_one(self):
         A, D = physical_stack()
-        for a, d in zip(A, D):
-            V = solve_lyapunov(DriftDiffusion(a, d))
-            assert V.shape == (8, 8)
-            assert V.tobytes() == solve_lyapunov(DriftDiffusion(a[None], d[None]))[0].tobytes()
+        for t in range(A.shape[-1]):
+            V = solve_lyapunov(DriftDiffusion(A[..., t], D[..., t]))
+            assert V.shape == (4, 6)
+            stack = solve_lyapunov(DriftDiffusion(A[..., t:t + 1], D[..., t:t + 1]))
+            assert V.tobytes() == stack[..., 0].tobytes()
 
 
 class TestDuanFromCovariance:
     def test_two_mode_vacuum_sits_on_boundary(self):
-        V = np.eye(8) / 2
-        result = duan_from_covariance(V, "mirror")
+        result = duan_from_covariance(rows_of(np.eye(8) / 2), "mirror")
         assert result.total == pytest.approx(2.0)
         assert not result.entangled
 
@@ -384,7 +367,13 @@ class TestDuanFromCovariance:
 
     def test_unknown_pair(self):
         with pytest.raises(ValueError):
-            duan_from_covariance(np.eye(8) / 2, "bogus")
+            duan_from_covariance(rows_of(np.eye(8) / 2), "bogus")
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 6, 1), (4, 6, 2), (6, 4), (24,), ()], ids=str)
+    def test_anything_but_one_systems_rows_is_rejected(self, shape):
+        text = f"need one system's covariance rows (4, 6), got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            duan_from_covariance(np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("pair", ["mirror", "field"])
@@ -423,8 +412,7 @@ class TestStructuralProperties:
             system, steady = make_system(C, 1.5, n_th, 0.01)
             dd = build_rwa_drift_diffusion(system, steady)
             D = dd.D.copy()
-            D[IDX["x1"], IDX["x2"]] = D[IDX["x2"], IDX["x1"]] = 0.0
-            D[IDX["y1"], IDX["y2"]] = D[IDX["y2"], IDX["y1"]] = 0.0
+            D[3, [1, 4]] = 0.0  # x1-x2 and y1-y2: entry 11 of the X and Y cross pairs
             total = duan_from_covariance(
                 solve_lyapunov(DriftDiffusion(A=dd.A, D=D)), "mirror"
             ).total
@@ -433,7 +421,7 @@ class TestStructuralProperties:
     def test_uncertainty_products(self):
         for C, r, n_th, ratio in [(0.5, 0.0, 0.0, 6.5e-4), (90.0, 2.0, 10.0, 0.05)]:
             system, steady = make_system(C, r, n_th, ratio)
-            V = solve_lyapunov(build_rwa_drift_diffusion(system, steady))
+            V = matrix_of(solve_lyapunov(build_rwa_drift_diffusion(system, steady)))
             for x, y in (("X1", "Y1"), ("x1", "y1"), ("X2", "Y2"), ("x2", "y2")):
                 assert V[IDX[x], IDX[x]] * V[IDX[y], IDX[y]] >= 0.25 - 1e-10
 
@@ -473,43 +461,45 @@ class TestArrayBuilder:
         units = (unit_arrays(0), unit_arrays(1))
         N = np.array([s.bath.N for s, _ in systems])
         M = np.array([s.bath.M_corr for s, _ in systems])
-        A, D = build_rwa_drift_diffusion_stack(*units, N, M)
-        assert A.shape == D.shape == (len(systems), 8, 8)
-        for a, d, (system, steady) in zip(A, D, systems):
+        A, D = oracle._model_rows(*units, N, M)
+        assert A.shape == (4, 4, len(systems)) and D.shape == (4, 6, len(systems))
+        for t, (system, steady) in enumerate(systems):
             dd = build_rwa_drift_diffusion(system, steady)
+            assert A[..., t].tobytes() == dd.A.tobytes() and D[..., t].tobytes() == dd.D.tobytes()
+            # the rows hold every entry of the reference assembly, zero elsewhere
             ref_A, ref_D = reference_drift_diffusion(system, steady)
-            assert a.tobytes() == dd.A.tobytes() == ref_A.tobytes()
-            assert d.tobytes() == dd.D.tobytes() == ref_D.tobytes()
+            dense_A, dense_D = dense(dd)
+            assert dense_A.tobytes() == ref_A.tobytes() and dense_D.tobytes() == ref_D.tobytes()
 
     def test_scalars_give_one_pair_and_shapes_broadcast(self):
-        A, D = build_rwa_drift_diffusion_stack((0.1, 1.0, 0.5, 2.0), (0.1, 1.0, 0.5, 2.0), 0.0, 0.0)
-        assert A.shape == D.shape == (8, 8)
+        A, D = oracle._model_rows((0.1, 1.0, 0.5, 2.0), (0.1, 1.0, 0.5, 2.0), 0.0, 0.0)
+        assert A.shape == (4, 4) and D.shape == (4, 6)
         G = np.array([0.5, 0.7, 0.9])
-        A, D = build_rwa_drift_diffusion_stack((0.1, 1.0, G, 2.0), (0.1, 1.0, G, 2.0), 1.0, 1.5)
-        assert A.shape == D.shape == (3, 8, 8)
-        assert A[:, IDX["X2"], IDX["x2"]].tolist() == G.tolist()
-        assert np.all(D[:, IDX["x1"], IDX["x2"]] == 1.5)
+        A, D = oracle._model_rows((0.1, 1.0, G, 2.0), (0.1, 1.0, G, 2.0), 1.0, 1.5)
+        assert A.shape == (4, 4, 3) and D.shape == (4, 6, 3)
+        assert A[1, 1].tolist() == G.tolist()  # entry 01 of the (X2, x2) block
+        assert np.all(D[3, 1] == 1.5)  # entry 11 of the X1-X2 pair: x1-x2
 
 
 def chunks_of(V, monkeypatch):
     """Make ``oracle.covariance_chunks`` hand out the pair rows of the 8x8 stack V as
     one chunk, whatever it is given; returns arguments to pass it."""
-    rows = oracle._rows(V, oracle._PAIR_AT)
+    rows = rows_of(V)
     monkeypatch.setattr(oracle, "covariance_chunks", lambda *args: iter([rows]))
     return model_arrays([SPECTRAL_CASES[0]], len(V))
 
 
 class TestStackedDuan:
     def test_equals_per_item_results(self):
-        # the row reader on one chunk, and over the arrays, reads what the
-        # one-system reader reads from each 8x8 V
+        # the row reader on one stack, and over the arrays in chunks, reads what
+        # the one-system reader reads from each system's rows
         args = model_arrays(SPECTRAL_CASES, len(SPECTRAL_CASES))
-        V = solve_lyapunov(DriftDiffusion(*build_rwa_drift_diffusion_stack(*args)))
+        V = solve_lyapunov(DriftDiffusion(*oracle._model_rows(*args)))
         for pair in ("mirror", "field"):
-            by_rows = oracle._duan_variances(oracle._rows(V, oracle._PAIR_AT), pair)
+            by_rows = oracle._duan_variances(V, pair)
             by_arrays = oracle.duan_variance_arrays(*args, pair)
-            for k, v in enumerate(V):
-                single = duan_from_covariance(v, pair)
+            for k in range(V.shape[-1]):
+                single = duan_from_covariance(V[..., k], pair)
                 assert ((by_rows[0][k], by_rows[1][k]) == (by_arrays[0][k], by_arrays[1][k])
                         == (single.var_X, single.var_Y))
 
@@ -522,7 +512,7 @@ class TestStackedDuan:
         with pytest.raises(ValueError, match="pair must be"):
             oracle.duan_variance_arrays(*args, "bogus")
         with pytest.raises(ValueError, match="pair must be"):
-            oracle._duan_variances(oracle._rows(V, oracle._PAIR_AT), "bogus")
+            oracle._duan_variances(rows_of(V), "bogus")
 
     @pytest.mark.parametrize("pair", ["mirror", "field"])
     def test_no_systems_give_empty_variances(self, pair):
@@ -543,10 +533,10 @@ class TestStackedDuan:
                 V[IDX[u1], IDX[u2]] = V[IDX[u2], IDX[u1]] = sign * size
             return V
 
-        assert duan_from_covariance(cancelling(1e6), pair).total == 2.0
+        assert duan_from_covariance(rows_of(cancelling(1e6)), pair).total == 2.0
         message = r"lost its digits to cancellation: .* estimate 8\.9e-06 exceeds 1e-06"
         with pytest.raises(FloatingPointError, match=message):
-            duan_from_covariance(cancelling(1e10), pair)
+            duan_from_covariance(rows_of(cancelling(1e10)), pair)
         V = np.stack([cancelling(1e6), cancelling(1e10), cancelling(1e11), np.eye(8) / 2])
         V[2, 0, 0] = math.nan  # a NaN total after the first cancelled one
         with pytest.raises(FloatingPointError, match=message):
@@ -573,15 +563,16 @@ def test_selfcheck_loads_neither_scipy_nor_numpy_polynomial():
 
 
 def split_pair_rows(A, D, V):
-    """The rows (4, 6, B) of A_p, A_q, D_pq and V_pq of a split 8x8 stack, pair by pair."""
+    """The rows (4, 6, B) of A_p, A_q, D_pq and V_pq, pair by pair, of split systems'
+    drift, diffusion and covariance rows."""
     p, q = zip(*oracle._PAIRS)
-    drift = drift_rows(A)
-    D_rows, V_rows = (oracle._rows(M, oracle._PAIR_AT) for M in (D, V))
-    return drift[:, p], drift[:, q], D_rows, V_rows
+    return A[:, p], A[:, q], D, V
 
 
 def matmul_gate(A, D, V):
-    """The 8x8 residual norm and bound of the gate on V and D divided by max |D|."""
+    """The 8x8 residual norm and bound of the gate on V and D divided by max |D|, by
+    dense matmuls on the rows' 8x8 matrices."""
+    A, D, V = matrix_of(A, DRIFT_BLOCKS), matrix_of(D), matrix_of(V)
     scale = np.abs(D).max(axis=(1, 2), keepdims=True)
     Vs, Ds = V / scale, D / scale
     residual = np.linalg.norm(A @ Vs + Vs @ A.transpose(0, 2, 1) + Ds, axis=(1, 2))
@@ -593,14 +584,12 @@ class TestSplitResidualGate:
         # a symmetric error on every pair, so that the residual is not round-off
         A, D = physical_stack()
         V = solve_lyapunov(DriftDiffusion(A, D))
-        support = np.zeros(64, dtype=bool)
-        support[oracle._SYMMETRIC_AT] = True
-        E = np.random.default_rng(8).standard_normal(V.shape)
-        E = (E + E.transpose(0, 2, 1)) * support.reshape(8, 8)
-        V_bad = V + 1e-3 * np.abs(V).max(axis=(1, 2), keepdims=True) * E
+        E = np.random.default_rng(8).standard_normal((A.shape[-1], 8, 8))
+        E = rows_of(E + E.transpose(0, 2, 1))
+        V_bad = V + 1e-3 * np.abs(V).max(axis=(0, 1)) * E
         residual, bound = oracle._split_residual(*split_pair_rows(A, D, V_bad))
         ref_residual, ref_bound = matmul_gate(A, D, V_bad)
-        assert residual.shape == bound.shape == (7, len(A))
+        assert residual.shape == bound.shape == (7, A.shape[-1])
         assert residual[6] == pytest.approx(ref_residual, rel=1e-12)
         assert bound[6] == pytest.approx(ref_bound, rel=1e-14)
         # and the solution itself passes both
@@ -612,10 +601,11 @@ class TestSplitResidualGate:
         # it is far inside the 8x8 bound, but not inside the pair's
         A, D = physical_stack()
         dd = build_rwa_drift_diffusion(*make_system(15.0, 1e-3, 5.0, 0.01))
-        A, D = np.concatenate([A, dd.A[None]]), np.concatenate([D, dd.D[None]])
+        A = np.concatenate([A, dd.A[..., None]], axis=-1)
+        D = np.concatenate([D, dd.D[..., None]], axis=-1)
         V = solve_lyapunov(DriftDiffusion(A, D))
         error = np.ones_like(V)
-        error[3, ::2, ::2][:2, 2:] = error[3, ::2, ::2][2:, :2] = 1.0 + 1e-8  # X1-X2, X2-X1
+        error[:, 1, 3] = 1.0 + 1e-8  # item 3's X1-X2 pair, and so its transpose X2-X1
         residual, bound = oracle._split_residual(*split_pair_rows(A, D, V * error))
         assert residual[1, 3] > bound[1, 3] and residual[6, 3] <= bound[6, 3]
         assert (np.delete(residual <= bound, 3, axis=1)).all()
@@ -629,14 +619,6 @@ class TestSplitResidualGate:
             return W.reshape(4, -1)
         monkeypatch.setattr(oracle, "_sylvester_2x2", planted)
         with pytest.raises(UnstableDrift, match="Lyapunov residual .* at stack index 3 exceeds"):
-            solve_lyapunov(DriftDiffusion(A, D))
-
-    def test_an_asymmetric_diffusion_is_not_taken_for_a_split(self):
-        # the split reads each cross pair once, so a D that differs from its
-        # transpose is rejected rather than solved as its upper half
-        A, D = physical_stack()
-        D[1, IDX["x2"], IDX["x1"]] *= 2.0
-        with pytest.raises(ValueError, match="do not have the model's split"):
             solve_lyapunov(DriftDiffusion(A, D))
 
 
@@ -656,17 +638,18 @@ CHUNK = oracle.STACK_CHUNK
 
 
 class TestRowAndMatrixRoutes:
+    """The chunked route of the arrays, and the one call of the shims on the same rows."""
+
     @settings(max_examples=25, deadline=None)
     @given(points=STACK_UNITS,
            size=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
-    def test_chunks_equal_the_8x8_stack_solve(self, points, size):
+    def test_chunks_equal_the_one_call_solve(self, points, size):
         args = model_arrays(points, size)
         chunks = list(oracle.covariance_chunks(*args))
         assert [V.shape for V in chunks] == [(4, 6, min(CHUNK, size - k))
                                              for k in range(0, size, CHUNK)]
-        V = solve_lyapunov(DriftDiffusion(*build_rwa_drift_diffusion_stack(*args)))
-        rows = np.concatenate(chunks, axis=-1)
-        assert rows.tobytes() == oracle._rows(V, oracle._PAIR_AT).tobytes()
+        V = solve_lyapunov(DriftDiffusion(*oracle._model_rows(*args)))
+        assert np.concatenate(chunks, axis=-1).tobytes() == V.tobytes()
 
     @pytest.mark.parametrize("shape", [(), (3, 5), (2, 1, 7)])
     def test_broadcast_inputs_give_the_bits_of_raveled_ones(self, monkeypatch, shape):
@@ -707,12 +690,12 @@ class TestRowAndMatrixRoutes:
         inputs = [np.array(x) for x in (*unit1, *unit2, N, M)]
         bad = CHUNK + 44  # item 44 of the second chunk
         inputs[entry][bad] = value
-        with pytest.raises(error, match=f"^{re.escape(text)}$") as by_rows:
+        with pytest.raises(error, match=f"^{re.escape(text)}$") as by_chunks:
             list(oracle.covariance_chunks(inputs[:4], inputs[4:8], *inputs[8:]))
-        with pytest.raises(error) as by_matrices:
-            solve_lyapunov(DriftDiffusion(*build_rwa_drift_diffusion_stack(
-                inputs[:4], inputs[4:8], *inputs[8:])))
-        assert str(by_rows.value) == str(by_matrices.value)
+        with pytest.raises(error) as in_one_call:
+            solve_lyapunov(DriftDiffusion(*oracle._model_rows(inputs[:4], inputs[4:8],
+                                                              *inputs[8:])))
+        assert str(by_chunks.value) == str(in_one_call.value)
 
     @pytest.mark.parametrize("entries, value, error, text", [
         # gamma = kappa = 5e-324 pass the unit gate, but -gamma/2 and -kappa/2 round to -0
@@ -735,23 +718,24 @@ class TestRowAndMatrixRoutes:
         with pytest.raises(error, match=f"^{re.escape(text)}$"):
             oracle.duan_variance_arrays(inputs[:4], inputs[4:8], *inputs[8:])
 
-    def test_chunks_form_no_8x8_drift_or_diffusion(self, monkeypatch):
+    def test_stacked_routes_take_no_shim(self, monkeypatch):
+        # the Duan variances over more than one chunk, the chunks themselves and
+        # the selfcheck's grid checks read the kernel's rows, not the shims
         def forbidden(*args):
-            raise AssertionError("8x8 route taken")
-        # no stacked read scatters V into 8x8 matrices: the Duan variances over
-        # more than one chunk, and the selfcheck's oracle checks
-        monkeypatch.setattr(oracle, "_matrices", forbidden)
+            raise AssertionError("shim taken")
+        for name in ("build_rwa_drift_diffusion", "solve_lyapunov", "duan_from_covariance"):
+            monkeypatch.setattr(oracle, name, forbidden)
         args = model_arrays(SPECTRAL_CASES, 2 * oracle.STACK_CHUNK + 1)
         for pair in ("mirror", "field"):
             var_X, var_Y = oracle.duan_variance_arrays(*args, pair)
             assert var_X.shape == var_Y.shape == (2 * oracle.STACK_CHUNK + 1,)
-        # (the lyapunov check's constructed systems are 8x8 stacks by design)
+        # (the lyapunov check solves its constructed rows through solve_lyapunov)
         results = selfcheck.run_checks(only=["triple", "separability", "xy-symmetry"])
         assert [result.passed for result in results] == [True] * 3
-        for name in ("build_rwa_drift_diffusion_stack", "solve_lyapunov"):
-            monkeypatch.setattr(oracle, name, forbidden)
         chunks = list(oracle.covariance_chunks(*model_arrays([SPECTRAL_CASES[3]], 3)))
         assert [V.shape for V in chunks] == [(4, 6, 3)]
+
+
 
 
 def expression_sylvester_2x2(A, C, D):

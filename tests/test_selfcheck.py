@@ -10,7 +10,7 @@ import pytest
 
 import cli_corpus
 from squeezelink import closedform, model, oracle, selfcheck
-from units import unit_with_cooperativity
+from units import DRIFT_BLOCKS, matrix_of, rows_of, unit_with_cooperativity
 
 
 def symmetric_system(C, r, n_th, ratio):
@@ -46,9 +46,8 @@ def test_chunked_solves_match_single_solves(monkeypatch, count):
     unit, N, M, dds = random_systems(count)
     chunks = list(oracle.covariance_chunks(unit, unit, N, M))
     assert [V.shape[-1] for V in chunks] == [7] * (count // 7) + [count % 7] * (count % 7 > 0)
-    singles = np.stack([oracle.solve_lyapunov(dd) for dd in dds])
-    # the chunks hand out V's pair rows, the entries of V that the model can make nonzero
-    assert np.array_equal(np.concatenate(chunks, axis=-1), oracle._rows(singles, oracle._PAIR_AT))
+    singles = np.stack([oracle.solve_lyapunov(dd) for dd in dds], axis=-1)
+    assert np.array_equal(np.concatenate(chunks, axis=-1), singles)
 
 
 def test_bad_item_aborts_the_check(monkeypatch):
@@ -64,11 +63,12 @@ def test_bad_item_aborts_the_check(monkeypatch):
 
 
 def dense_lyapunov(dd):
-    """The unsplit 64-unknown Kronecker solve, as a reference."""
-    n = dd.A.shape[0]
-    K = np.kron(np.eye(n), dd.A) + np.kron(dd.A, np.eye(n))
-    V = np.linalg.solve(K, -dd.D.reshape(n * n)).reshape(n, n)
-    return 0.5 * (V + V.T)
+    """The unsplit 64-unknown Kronecker solve of the rows' 8x8 matrices, as a reference;
+    returns V's pair rows."""
+    A, D = matrix_of(dd.A, DRIFT_BLOCKS), matrix_of(dd.D)
+    K = np.kron(np.eye(8), A) + np.kron(A, np.eye(8))
+    V = np.linalg.solve(K, -D.reshape(64)).reshape(8, 8)
+    return rows_of(0.5 * (V + V.T))
 
 
 def scalar_separability_totals(samples, seed):
@@ -132,8 +132,8 @@ def test_separability_bits_do_not_depend_on_the_oracle_chunk(monkeypatch):
 
 def test_array_route_equals_per_point_solves(monkeypatch):
     # the grid's oracle totals, built over arrays and solved in chunks, equal
-    # one build_rwa_drift_diffusion_stack + solve_lyapunov per point on the
-    # same (gamma, kappa, G, n_th) floats
+    # one _model_rows + solve_lyapunov per point on the same (gamma, kappa, G,
+    # n_th) floats
     monkeypatch.setattr(oracle, "STACK_CHUNK", 50)
     grid = selfcheck._grid()
     totals = np.add(*selfcheck._mirror_variances(*grid))
@@ -143,7 +143,7 @@ def test_array_route_equals_per_point_solves(monkeypatch):
         gamma = ratio * kappa
         unit = (gamma, kappa, math.sqrt(C * gamma * kappa) / 2.0, n_th)
         bath = model.SqueezedBath(r=r)
-        A, D = oracle.build_rwa_drift_diffusion_stack(unit, unit, bath.N, bath.M_corr)
+        A, D = oracle._model_rows(unit, unit, bath.N, bath.M_corr)
         V = oracle.solve_lyapunov(oracle.DriftDiffusion(A=A, D=D))
         assert total == oracle.duan_from_covariance(V, "mirror").total
 
@@ -196,7 +196,8 @@ def test_array_route_rejects_what_the_per_point_route_rejects():
 def test_constructed_systems_equal_one_trial_at_a_time():
     # the reference builds one trial at a time from its row of the draw: each
     # block shifted by its largest eigenvalue's real part, and the 8x8 matrices
-    # filled block by block; the system's largest real part is its least margin
+    # filled block by block, then read as rows; the system's largest real part is
+    # its least margin
     rng = np.random.default_rng(selfcheck.LYAPUNOV_SEED)
     low, high = (np.repeat(bounds, [16, 4, 1, 32]) for bounds in ([-1.0, -4.0, -60.5, -1.0],
                                                                   [1.0, 0.0, 60.5, 1.0]))
@@ -217,10 +218,11 @@ def test_constructed_systems_equal_one_trial_at_a_time():
         for sector, L in zip((slice(0, None, 2), slice(1, None, 2)), row[21:].reshape(2, 4, 4)):
             V0[sector, sector] = L @ L.T
         S = A @ V0
-        systems.append((V0, A, -(S + S.T), -math.ldexp(min(margins), k)))
+        systems.append((rows_of(V0), rows_of(A, DRIFT_BLOCKS), rows_of(-(S + S.T)),
+                        -math.ldexp(min(margins), k)))
     stacks = selfcheck._constructed_systems(np.random.default_rng(selfcheck.LYAPUNOV_SEED))
     for stack, reference in zip(stacks, zip(*systems), strict=True):
-        assert np.array_equal(stack, np.array(reference))
+        assert np.array_equal(stack, np.moveaxis(np.array(reference), 0, -1))
 
 
 def test_no_check_or_oracle_route_calls_lapack(monkeypatch):

@@ -467,9 +467,9 @@ class TestEvaluateQuantity:
     @pytest.mark.parametrize("unit2", [{}, {"unit2.power": 4e-3, "unit2.kappa": 300e3,
                                            "unit2.gamma": 200.0, "unit2.temperature": 5e-4}],
                              ids=["identical", "mismatched"])
-    def test_oracle_point_has_the_bits_of_the_8x8_reference(self, base, pair, unit2):
-        # the row kernel on the point's unit records gives what the 8x8 matrix
-        # door gives: the reference the benchmark holds `duan --regime oracle` to
+    def test_oracle_point_has_the_bits_of_the_shim_reference(self, base, pair, unit2):
+        # the row kernel on the point's unit records gives what the one-system
+        # shims give: the reference the benchmark holds `duan --regime oracle` to
         system = set_param(base, "bath.r", 1.3)
         for path, value in unit2.items():
             system = set_param(system, path, value)

@@ -1,11 +1,12 @@
-"""Units of the reference device built from their rates, and systems of two such
-units, for the tests."""
+"""Units of the reference device built from their rates, systems of two such
+units, and the 8x8 matrices of the oracle's rows, for the tests."""
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
-from squeezelink import model
+from squeezelink import model, oracle
 from squeezelink.model import (
     HBAR,
     KB,
@@ -94,3 +95,28 @@ SPECTRAL_CASES = [
     (0.5, 300.0, 0.3, 1e-4, 0.2, 0.0, 30.0, 2.5),
     (900.0, 2.0, 1.0, 0.05, 6.0, 40.0, 0.5, 0.3),
 ]
+
+
+#: the oracle's four drift blocks, as pairs (p, p) of blocks
+DRIFT_BLOCKS = [(p, p) for p in range(len(oracle._BLOCKS))]
+
+
+def rows_of(M, pairs=oracle._PAIRS):
+    """The rows ``(4, k, ...)`` of entries 00, 01, 10, 11 of the pairs of blocks ``pairs``
+    of the 8x8 matrices ``M`` ``(..., 8, 8)``, as the oracle's kernel takes them."""
+    return np.array([[M[..., oracle._BLOCKS[p][i], oracle._BLOCKS[q][j]] for p, q in pairs]
+                     for i in (0, 1) for j in (0, 1)])
+
+
+def matrix_of(rows, pairs=oracle._PAIRS):
+    """The 8x8 matrices ``(..., 8, 8)`` holding the rows ``(4, k, ...)`` of the pairs of
+    blocks ``pairs`` and zero elsewhere: a dense reference. A cross pair is written
+    with its transpose, as a symmetric D or V holds it; A has no cross pairs."""
+    M = np.zeros(np.shape(rows)[2:] + (8, 8))
+    for e, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        for k, (p, q) in enumerate(pairs):
+            r, c = oracle._BLOCKS[p][i], oracle._BLOCKS[q][j]
+            M[..., r, c] = rows[e][k]
+            if p != q:
+                M[..., c, r] = rows[e][k]
+    return M
