@@ -1,13 +1,15 @@
 """Modules that load on first attribute access.
 
 The closed-form routes (``duan`` by the adiabatic and nonadiabatic forms,
-``threshold``) need only :mod:`math`, while importing numpy costs most of
-a CLI call's start-up. So the package binds numpy through
+``threshold``, and ``selfcheck --only`` one of the closed-form checks, such
+as ``adiabatic-limit``) need only :mod:`math`, while importing numpy costs
+most of a CLI call's start-up. So the package binds numpy through
 :func:`lazy_import` and loads it where an array is first made. The package
 binds its ``oracle`` and ``selfcheck`` modules the same way, in its
 ``__init__`` before any module that uses them is imported, so that they
 run at their first attribute access: ``duan --regime oracle`` runs the
-oracle, ``selfcheck`` both, and a closed-form call neither.
+oracle, ``selfcheck`` both, and a closed-form ``duan`` or ``threshold`` call
+neither.
 """
 
 from __future__ import annotations

@@ -588,6 +588,22 @@ def _scaled(out: np.ndarray, *rows: np.ndarray) -> np.ndarray:
     return e
 
 
+def _stability(blocks: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Whether every block of :func:`stability_check`'s ``blocks`` is stable, and
+    each system's largest real part of an eigenvalue, in flat order. Each block
+    is scaled on its own, so a system's value does not depend on the others."""
+    rows = blocks.reshape(4, -1)
+    scaled = np.empty(rows.shape)
+    e = _scaled(scaled, rows)
+    a, b, c, d = scaled
+    h, det = (a + d) / 2.0, a * d - b * c
+    disc = ((a - d) / 2.0) ** 2 + b * c
+    q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
+    real = np.fmax(q, np.divide(det, q, out=np.zeros_like(q), where=q != 0.0))
+    max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(blocks.shape[1], -1).max(axis=0)
+    return bool(((h < 0.0) & (det > 0.0)).all()), max_re
+
+
 def stability_check(blocks: np.ndarray) -> StabilityReport:
     """Whether every eigenvalue of a block-diagonal drift has negative real part.
 
@@ -599,15 +615,7 @@ def stability_check(blocks: np.ndarray) -> StabilityReport:
     overdamped block. Each block is first scaled by a power of two, so that no
     product overflows.
     """
-    rows = blocks.reshape(4, -1)
-    scaled = np.empty(rows.shape)
-    e = _scaled(scaled, rows)
-    a, b, c, d = scaled
-    h, det = (a + d) / 2.0, a * d - b * c
-    disc = ((a - d) / 2.0) ** 2 + b * c
-    q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
-    real = np.fmax(q, np.divide(det, q, out=np.zeros_like(q), where=q != 0.0))
-    max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(blocks.shape[1], -1).max(axis=0)
+    stable, max_re = _stability(blocks)
     worst = int(np.argmax(max_re))
-    return StabilityReport(stable=bool(((h < 0.0) & (det > 0.0)).all()),
-                           max_real_part=float(max_re[worst]), worst_index=(worst,))
+    return StabilityReport(stable=stable, max_real_part=float(max_re[worst]),
+                           worst_index=(worst,))

@@ -634,42 +634,56 @@ def test_row_template_writes_each_cell_as_fmt(rows):
 CLOSED_FORM_CALLS = [["duan"], ["duan", "--regime", "nonadiabatic"], ["duan", "--pair", "field"],
                      ["threshold"]]
 
+#: what a fresh interpreter has loaded, as ``loaded()`` returns it: numpy, the
+#: oracle and the selfcheck are bound lazily, so their keys sit in sys.modules
+#: from import on. A loaded numpy shows as its submodules, and a lazy module that
+#: has run holds __builtins__, which reading its namespace through
+#: object.__getattribute__ finds without running it
+LOADED = (
+    "import io, json, sys\n"
+    "import squeezelink\n"
+    "from squeezelink import cli\n"
+    "def loaded():\n"
+    "    ran = [name for name in ('oracle', 'selfcheck') if '__builtins__' in\n"
+    "           object.__getattribute__(sys.modules['squeezelink.' + name], '__dict__')]\n"
+    "    numpy = [m for m in sys.modules if m.startswith('numpy.')]\n"
+    "    return {'numpy': numpy, 'ran': ran,\n"
+    "            **{name: name in sys.modules for name in ('configparser', 'dataclasses',\n"
+    "                                                      'inspect')}}\n"
+)
+
+#: the selfcheck checks that run on closed forms and math alone
+NUMPY_FREE_CHECKS = ["adiabatic-limit", "threshold", "strong-coupling", "weak-coupling",
+                     "field-insensitivity", "thermal-occupation", "power-threshold"]
+
+
+def run_fresh(code: str):
+    """What ``code`` prints as JSON, run in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
 
 def test_closed_form_routes_load_no_numpy(tmp_path):
-    # numpy, the oracle and the selfcheck are bound lazily, so their keys sit in
-    # sys.modules from import on: a loaded numpy shows as its submodules, and a
-    # lazy module that has run holds __builtins__, which reading its namespace
-    # through object.__getattribute__ finds without running it. The records are
-    # no dataclasses, so no call loads dataclasses, nor a closed-form call the
-    # inspect that dataclasses imports (numpy imports inspect itself). The
-    # adiabatic and nonadiabatic forms take mismatched units too; a config file
-    # loads configparser, so those calls come after the others
+    # the records are no dataclasses, so no call loads dataclasses, nor a
+    # closed-form call the inspect that dataclasses imports (numpy imports
+    # inspect itself). The adiabatic and nonadiabatic forms take mismatched
+    # units too; a config file loads configparser, so those calls come after
+    # the others
     mismatched = tmp_path / "mismatched.ini"
     mismatched.write_text("[unit2]\ntemperature_uk = 500\n")
     mismatched_calls = [argv + ["--config", str(mismatched)] for argv in CLOSED_FORM_CALLS
                         if argv[0] == "duan"]
     calls = [*CLOSED_FORM_CALLS, *mismatched_calls, ["duan", "--regime", "oracle"]]
-    code = (
-        "import io, json, sys\n"
-        "import squeezelink\n"
-        "from squeezelink import cli\n"
-        "def loaded():\n"
-        "    ran = [name for name in ('oracle', 'selfcheck') if '__builtins__' in\n"
-        "           object.__getattribute__(sys.modules['squeezelink.' + name], '__dict__')]\n"
-        "    numpy = [m for m in sys.modules if m.startswith('numpy.')]\n"
-        "    return {'numpy': numpy, 'ran': ran,\n"
-        "            **{name: name in sys.modules for name in ('configparser', 'dataclasses',\n"
-        "                                                      'inspect')}}\n"
-        "runs = [loaded()]\n"
+    at_import, *runs = run_fresh(
+        LOADED
+        + "runs = [loaded()]\n"
         f"for argv in {calls!r}:\n"
         "    out = io.StringIO()\n"
         "    runs.append([cli.main(argv, out=out), out.getvalue(), loaded()])\n"
         "print(json.dumps(runs))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    at_import, *runs = json.loads(proc.stdout)
     assert at_import == {"numpy": [], "ran": [], "inspect": False, "configparser": False,
                          "dataclasses": False}
     assert [exit_code for exit_code, _, _ in runs] == [0] * len(calls)
@@ -682,6 +696,27 @@ def test_closed_form_routes_load_no_numpy(tmp_path):
         assert not state.pop("inspect") or not closed_form, argv
         assert state == {"ran": [] if closed_form else ["oracle"], "configparser": configured,
                          "dataclasses": False}, argv
+
+
+def test_closed_form_checks_load_no_numpy():
+    # one interpreter runs each closed-form check on its own, then one check on
+    # the oracle, to show that the detection flips
+    names = [*NUMPY_FREE_CHECKS, "xy-symmetry"]
+    runs = run_fresh(
+        LOADED
+        + "runs = []\n"
+        f"for name in {names!r}:\n"
+        "    out = io.StringIO()\n"
+        "    code = cli.main(['selfcheck', '--only', name], out=out)\n"
+        "    runs.append([code, out.getvalue(), loaded()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    for name, (exit_code, text, state) in zip(names, runs):
+        assert exit_code == 0, name
+        assert text.startswith(f"PASS {name} ") and text.endswith("1/1 checks passed\n"), text
+        on_arrays = name not in NUMPY_FREE_CHECKS
+        assert bool(state["numpy"]) == on_arrays, name
+        assert state["ran"] == (["oracle", "selfcheck"] if on_arrays else ["selfcheck"]), name
 
 
 def test_missing_numpy_fails_at_import():

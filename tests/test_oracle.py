@@ -279,6 +279,17 @@ class TestStackedLyapunov:
         assert report.stable == (case == "overdamped")
         assert report.max_real_part == pytest.approx(ref.max_real_part, rel=1e-12)
 
+    def test_stack_real_parts_are_those_of_one_system_at_a_time(self):
+        # the lyapunov check reads every system's value from one call: each block
+        # is scaled on its own, so a system's bits do not depend on the others
+        _, A, _, _ = selfcheck._constructed_systems(
+            np.random.default_rng(selfcheck.LYAPUNOV_SEED))
+        A[..., 1] = -A[..., 1]
+        stable, max_re = model._stability(A)
+        assert stable is model.stability_check(A).stable is False
+        assert max_re.tolist() == [model.stability_check(A[..., t:t + 1]).max_real_part
+                                   for t in range(A.shape[-1])]
+
     def test_overdamped_block_real_part_does_not_cancel(self):
         # at gamma/kappa = 1e-6 the slow rate is ~1e-6 of the trace: LAPACK's
         # eigenvalues keep ~5 fewer digits of it than the closed form
