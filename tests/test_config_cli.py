@@ -711,12 +711,27 @@ def test_closed_form_checks_load_no_numpy():
         "    runs.append([code, out.getvalue(), loaded()])\n"
         "print(json.dumps(runs))\n"
     )
-    for name, (exit_code, text, state) in zip(names, runs):
+    for name, (exit_code, text, state) in zip(names, runs, strict=True):
         assert exit_code == 0, name
         assert text.startswith(f"PASS {name} ") and text.endswith("1/1 checks passed\n"), text
         on_arrays = name not in NUMPY_FREE_CHECKS
         assert bool(state["numpy"]) == on_arrays, name
         assert state["ran"] == (["oracle", "selfcheck"] if on_arrays else ["selfcheck"]), name
+
+
+def test_selfcheck_loads_no_scipy():
+    # the whole suite runs on numpy alone: scipy is no dependency, and no
+    # check or route uses numpy.polynomial
+    passed, scipy, polynomial = run_fresh(
+        "import json, sys\n"
+        "from squeezelink import selfcheck\n"
+        "passed = all(result.passed for result in selfcheck.run_checks())\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([passed, scipy, 'numpy.polynomial' in sys.modules]))\n"
+    )
+    assert passed is True
+    assert scipy == []
+    assert polynomial is False
 
 
 def test_missing_numpy_fails_at_import():

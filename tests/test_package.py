@@ -125,21 +125,6 @@ def test_closed_form_commands_import_no_typing():
     assert json.loads(proc.stdout) == [[0, 0], False]
 
 
-def test_selfcheck_loads_no_scipy():
-    # the whole suite runs on numpy alone: scipy is no dependency, and no
-    # check or route uses numpy.polynomial
-    passed, scipy, polynomial = fresh(
-        "import json, sys\n"
-        "from squeezelink import selfcheck\n"
-        "passed = all(result.passed for result in selfcheck.run_checks())\n"
-        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps([passed, scipy, 'numpy.polynomial' in sys.modules]))\n"
-    )
-    assert passed is True
-    assert scipy == []
-    assert polynomial is False
-
-
 def test_every_annotation_resolves():
     # each name an annotation uses is imported where it is used, so that
     # typing.get_type_hints, as documentation tools call it, resolves them all
