@@ -6,6 +6,7 @@ happen at config ingestion (see :mod:`squeezelink.config`), never here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import namedtuple
@@ -519,14 +520,20 @@ def map_math(fn, *arrays) -> np.ndarray:
 
     One ``map`` over the arrays' floats, so that per element only ``fn`` runs
     and the values are its own bits; every other operation belongs in numpy,
-    whose ``+ - * /`` are the same IEEE operations as Python's.
+    whose ``+ - * /`` are the same IEEE operations as Python's. A size-1
+    argument, such as a scalar, is the same float for every element, and is
+    not copied out to the broadcast shape.
     """
     shape = np.broadcast(*arrays).shape
-    columns = [np.empty(shape) for _ in arrays]
-    for column, array in zip(columns, arrays):
-        np.copyto(column, array)  # faster than np.broadcast_arrays on small arrays
-    values = map(fn, *(column.ravel().tolist() for column in columns))
-    return np.fromiter(values, float, columns[0].size).reshape(shape)
+    columns = []
+    for array in arrays:
+        if np.size(array) == 1:
+            columns.append(itertools.repeat(float(np.reshape(array, ()))))
+        else:
+            column = np.empty(shape)
+            np.copyto(column, array)  # faster than np.broadcast_arrays on small arrays
+            columns.append(column.ravel().tolist())
+    return np.fromiter(map(fn, *columns), float, math.prod(shape)).reshape(shape)
 
 
 def _occupation_arrays(omega_M, temperature) -> np.ndarray:
@@ -613,9 +620,12 @@ def stability_check(blocks: np.ndarray) -> StabilityReport:
     determinant positive. With ``h = tr/2``, a real pair of eigenvalues is ``q =
     h + sign(h) sqrt(disc)`` and ``det / q``, which does not cancel for an
     overdamped block. Each block is first scaled by a power of two, so that no
-    product overflows.
+    product overflows. A stack of no systems is stable, with ``max_real_part =
+    -inf`` and no worst index.
     """
     stable, max_re = _stability(blocks)
+    if not max_re.size:
+        return StabilityReport(stable=stable, max_real_part=-math.inf)
     worst = int(np.argmax(max_re))
     return StabilityReport(stable=stable, max_real_part=float(max_re[worst]),
                            worst_index=(worst,))

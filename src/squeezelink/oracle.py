@@ -27,10 +27,13 @@ LAPACK call: stability from each block's trace and determinant
 never derived from X) in closed form, ``0.5 V + 0.5 V^T``, and a residual gate
 that holds each pair to its own bound and the whole to the 8x8 bound
 ``1e-10 ||D||``. Each block pair is scaled by powers of two so that no product
-overflows, and a system's bits do not depend on its stack. The Sylvester
-solves and the residual gate each work their rows in place in one array, so
-that a chunk of ``STACK_CHUNK`` (1024) systems peaks at about 2.2 KB per
-system. The kernel returns V as its pairs' rows ``(4, 6, B)``, which
+overflows, and a system's bits do not depend on its stack; the pairs' scales
+and the norms of their drift blocks come from the four blocks, once. The
+Sylvester solves, and then the residual gate, each gather the pairs' drift
+rows into one work array of their own and work them there in place; no
+gathered copy outlives its work array, so that a chunk of ``STACK_CHUNK``
+(1024) systems peaks at about 1.6 KB per system. The kernel returns V as its
+pairs' rows ``(4, 6, B)``, which
 :func:`covariance_chunks` yields from parameter arrays, ``STACK_CHUNK``
 systems at a time, copying no input out to the stack's size; every route,
 one point or a grid, reads them there. No function here forms an 8x8
@@ -82,6 +85,8 @@ STACK_CHUNK = 1024
 #: covariance blocks the split solves
 _BLOCKS = ((0, 2), (4, 6), (1, 3), (5, 7))
 _PAIRS = ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3))
+#: each pair's blocks p and q, as lists that index the blocks' axis
+_P, _Q = ([pair[i] for pair in _PAIRS] for i in (0, 1))
 #: each pair's weight in a sum over the 8x8 matrix, which holds a cross pair twice
 _TWICE = [1.0 + (p != q) for p, q in _PAIRS]
 #: 0.5 V + 0.5 V^T on the pair rows: entry 01 meets 10 on the diagonal pairs,
@@ -239,41 +244,74 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray, start: int = 0) -> np
         raise UnstableDrift(f"drift matrix is not stable (max Re eigenvalue = "
                             f"{report.max_real_part:g} at stack index "
                             f"{start + report.worst_index[0]})")
-    p, q = zip(*_PAIRS)
-    A, C = np.take(drift, p, axis=1), np.take(drift, q, axis=1)  # A_p and A_q, pair by pair
-    W = _sylvester_2x2(A.reshape(4, -1), C.reshape(4, -1), diffusion.reshape(4, -1))
+    W = _sylvester_2x2(drift, _pair_exponents(drift), diffusion)
     W = W.reshape(4 * len(_PAIRS), -1)
     W *= 0.5  # halved first, so the sum cannot overflow
-    V = (W + W[_TRANSPOSED]).reshape(diffusion.shape)
-    del W  # so that the chunk's memory peak does not hold it through the gate
+    V = np.take(W, _TRANSPOSED, axis=0)
+    V += W
+    del W  # and the work array it lives in, so that the gate's peak does not hold it
+    V = V.reshape(diffusion.shape)
     _require_finite("Lyapunov solution", V, start=start)
-    _require_residual(*_split_residual(A, C, diffusion, V), start)
+    _require_residual(*_split_residual(drift, diffusion, V), start)
     return V
 
 
-def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
-    """Residual norms ``(7, B)`` of the split and their bounds, from the rows
-    ``(4, 6, B)`` of each pair's ``A_p``, ``A_q``, ``D_pq`` and ``V_pq``.
+def _pair_exponents(drift: np.ndarray) -> np.ndarray:
+    """The exponent of ``frexp`` of each pair's largest entry, ``(6, B)``, from the
+    drift block rows ``(4, 4, B)``: the larger of its two blocks' exponents.
+    ``frexp``'s exponent grows with the value, so the two agree for blocks that
+    are not all zero, as no stable block is."""
+    e = np.frexp(np.abs(drift).max(axis=0))[1]
+    return np.maximum(e[_P], e[_Q])
+
+
+def _split_residual(drift: np.ndarray, D: np.ndarray, V: np.ndarray):
+    """Residual norms ``(7, B)`` of the split and their bounds, from the drift block
+    rows ``(4, 4, B)`` and the pair rows ``(4, 6, B)`` of D and V.
 
     Rows 0 to 5 are the pairs: ``||A_p V_pq + V_pq A_q^T + D_pq||`` against
     ``1e-10 (||D_pq|| + ||A_p|| ||V_pq|| + ||V_pq|| ||A_q||)``, raised by
     ``1e-310 (1 + ||A_p|| + ||A_q||)``, the reach of the subnormal spacing in
     a pair that is nothing beside its system. Row 6 is the 8x8 residual
     against ``1e-10 ||D||``, each cross pair counted twice, as the 8x8
-    matrix holds it and its transpose. V and D are divided by ``max |D|`` of
-    their system first, so that the norms cannot overflow. Norms are
-    Frobenius, and the products are 2x2 ones, worked in place in one array.
+    matrix holds it and its transpose. Norms are Frobenius: those of the
+    residual, D and V by :func:`_pair_squares`, and ``||A_p||`` and ``||A_q||``
+    from the four blocks' norms.
     """
-    Vs, Ds, R, T = np.empty((4,) + D.shape)
-    scale = np.abs(D, out=Ds).max(axis=(0, 1))
+    R2, D2, V2 = _pair_squares(drift, D, V)
+    with np.errstate(over="ignore"):  # as ||A_p||^2 of a huge drift does, quietly
+        norm = np.sqrt(np.square(drift).sum(axis=0))
+    A_pq = norm[_P] + norm[_Q]
+    residual = np.vstack([np.sqrt(R2), np.sqrt(_TWICE @ R2)])
+    # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf;
+    # numpy may form inf * 0 where it is masked out, quietly
+    with np.errstate(invalid="ignore"):
+        AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
+    bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
+                       1e-10 * np.maximum(np.sqrt(_TWICE @ D2), 1e-300)])
+    return residual, bound
+
+
+def _pair_squares(drift: np.ndarray, D: np.ndarray, V: np.ndarray):
+    """The squared norms ``(6, B)`` of each pair's residual ``A_p V_pq + V_pq A_q^T +
+    D_pq``, of ``D_pq`` and of ``V_pq``, from the rows of :func:`_split_residual`.
+
+    V and D are divided by ``max |D|`` of their system first, so that the norms
+    cannot overflow. The products are 2x2 ones, worked in place in one array,
+    into which the entries of A_p and A_q are gathered pair by pair; the array
+    is freed on return, before the gate forms its bounds.
+    """
+    Vs, R, T, A, C = np.empty((5,) + D.shape)
+    scale = np.abs(D, out=A).max(axis=(0, 1))
     scale[scale == 0.0] = 1.0
     np.divide(V, scale, out=Vs)
-    np.divide(D, scale, out=Ds)
+    # the indices are valid: "clip" writes out directly, where "raise" buffers a copy
+    np.take(drift, _P, axis=1, out=A, mode="clip")
+    np.take(drift, _Q, axis=1, out=C, mode="clip")
     # entry ij of R = A_p V_pq + V_pq A_q^T + D_pq is
     # (A_i0 V_0j + A_i1 V_1j) + (V_i0 C_j0 + V_i1 C_j1) + D_ij, two j at a time.
-    # A product, its two-term sum or a squared norm may overflow (as ||A_p||^2
-    # of a huge drift does): these run quietly, as in an einsum, and the gate
-    # reports what they give
+    # A product, its two-term sum or a squared norm may overflow: these run
+    # quietly, as in an einsum, and the gate reports what they give
     quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
     for i in (0, 1):
         r, s, t = R[2 * i:2 * i + 2], T[:2], T[2:]
@@ -283,17 +321,10 @@ def _split_residual(A: np.ndarray, C: np.ndarray, D: np.ndarray, V: np.ndarray):
             np.multiply(Vs[2 * i], C[::2], out=s)
             s += np.multiply(Vs[2 * i + 1], C[1::2], out=t)
         r += s
+    Ds = np.divide(D, scale, out=A)  # A is read for the last time above
     R += Ds
     with quiet():  # the squares of entries 00, 01, 10 and 11, summed in that order
-        R2, D2, V2, A2, C2 = (np.square(x, out=out).sum(axis=0) for x, out in
-                              ((R, R), (Ds, Ds), (Vs, Vs), (A, T), (C, T)))
-    A_pq = np.sqrt(A2) + np.sqrt(C2)
-    residual = np.vstack([np.sqrt(R2), np.sqrt(_TWICE @ R2)])
-    # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf
-    AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
-    bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
-                       1e-10 * np.maximum(np.sqrt(_TWICE @ D2), 1e-300)])
-    return residual, bound
+        return [np.square(x, out=x).sum(axis=0) for x in (R, Ds, Vs)]
 
 
 def _require_residual(residual: np.ndarray, bound: np.ndarray, start: int):
@@ -319,24 +350,31 @@ def _require_finite(what: str, *stacks: np.ndarray, start: int = 0):
                 f"{what} is not finite at stack index {start + int(np.argmin(finite))}")
 
 
-def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve ``A W + W C^T + D = 0`` in closed form for 2 x 2 blocks given as rows.
+def _sylvester_2x2(drift: np.ndarray, exponent: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Solve ``A_p W_pq + W_pq A_q^T + D_pq = 0`` in closed form for every pair (p, q)
+    of ``_PAIRS``.
 
-    Each argument and the result hold the rows ``(4, m)`` of entries 00, 01,
-    10, 11 of m blocks. With ``B = C^T`` and ``Q = -D``, Cayley-Hamilton for B
-    gives ``(A^2 + tr(B) A + det(B) I) W = A Q - Q B + tr(B) Q``, and for A
-    turns the left matrix into ``(tr A + tr B) A + (det B - det A) I``, whose
-    explicit inverse gives W. A and C of each item are scaled by one power of
-    two and D by another, so that no product overflows; both scalings are
-    exact and are undone on W. A non-finite W is left to the caller. The
-    intermediate rows are written in place into one work array, each
-    operation in the order of the expression in its comment (``r11 = (a + h)
-    q11 + b q21 - g q12`` is ``((a + h) q11 + b q21) - g q12``), so W has the
-    bits of those expressions.
+    ``drift`` holds the rows ``(4, 4, B)`` of entries 00, 01, 10, 11 of the drift
+    blocks, ``exponent`` each pair's ``(6, B)`` from :func:`_pair_exponents`,
+    and D and the result the pairs' rows ``(4, 6, B)``. With ``A = A_p``, ``B =
+    A_q^T`` and ``Q = -D``, Cayley-Hamilton for B gives ``(A^2 + tr(B) A +
+    det(B) I) W = A Q - Q B + tr(B) Q``, and for A turns the left matrix into
+    ``(tr A + tr B) A + (det B - det A) I``, whose explicit inverse gives W.
+    A_p and A_q of each pair are gathered from the blocks and scaled by
+    ``2**-exponent``, and D by a power of two of its own, so that no product
+    overflows; both scalings are exact and are undone on W. A non-finite W is
+    left to the caller. The intermediate rows are written in place into one
+    work array, each operation in the order of the expression in its comment
+    (``r11 = (a + h) q11 + b q21 - g q12`` is ``((a + h) q11 + b q21) - g
+    q12``), so W has the bits of those expressions. W is a view of that array.
     """
-    work = np.empty((20, A.shape[-1]))  # every row below lives here
+    work = np.empty((20, D[0].size))  # every row below lives here
     S, Q, R, (t, k, x, y) = work[:8], work[8:12], work[12:16], work[16:]
-    eA, eD = _scaled(S, A, C), _scaled(Q, D)
+    eA = exponent.reshape(-1)
+    for rows, blocks in ((S[:4], _P), (S[4:], _Q)):  # A_p, then A_q
+        np.take(drift, blocks, axis=1, out=rows.reshape(D.shape), mode="clip")  # as in the gate
+        np.ldexp(rows, -eA, out=rows)
+    eD = _scaled(Q, D.reshape(4, -1))
     np.negative(Q, out=Q)  # Q = -D, scaled: the sign commutes with the exact scaling
     (a, b, c, d, e, g, f, h), (q11, q12, q21, q22) = S, Q  # B = [[e, f], [g, h]]
     np.add(a, d, out=t)
@@ -370,7 +408,8 @@ def _sylvester_2x2(A: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     t -= np.multiply(m12, m21, out=x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         W /= t
-        return np.ldexp(W, eD - eA)
+        np.ldexp(W, eD - eA, out=W)
+    return W.reshape(D.shape)
 
 
 def duan_from_covariance(V: np.ndarray, pair: str = "mirror") -> DuanResult:

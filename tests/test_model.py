@@ -197,6 +197,28 @@ class TestArrayHelpers:
         assert out.tolist() == (A / B).tolist()
         assert calls == list(zip(A.ravel().tolist(), B.ravel().tolist()))
 
+    @pytest.mark.parametrize("a, b", [
+        (10.0, np.linspace(-6.0, 3.0, 1001)),  # a scalar first, as 10 ** u
+        (np.sinh(np.linspace(0.0, 30.0, 1001)), 2.0),  # a scalar second, as sinh ** 2
+        (np.array(10.0), np.linspace(-2.0, 3.0, 7).reshape(7, 1)),  # a 0-d array
+        (np.array([[1.5]]), np.array([2.0, -0.5, 3.0])),  # size 1, broadcast to (1, 3)
+        (np.array([2.0]), np.zeros((0, 3))),  # size 1 beside no elements
+        (2.0, 0.5),  # every argument a scalar
+        (np.float32(1.1), 3),  # cast to float alike
+    ])
+    def test_map_math_size_1_arguments_give_the_broadcast_bits(self, a, b):
+        # a size-1 argument repeats one float instead of a broadcast list
+        def broadcast(fn, *arrays):
+            shape = np.broadcast(*arrays).shape
+            columns = [np.empty(shape) for _ in arrays]
+            for column, array in zip(columns, arrays):
+                np.copyto(column, array)
+            values = map(fn, *(column.ravel().tolist() for column in columns))
+            return np.fromiter(values, float, columns[0].size).reshape(shape)
+
+        got, want = model.map_math(math.pow, a, b), broadcast(math.pow, a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_occupation_arrays_equal_the_point_bit_for_bit(self):
         # x = hbar omega_M / k_B T log-spaced across the x > 700 branch, where
         # the occupation is exp(-x); T = 0, and a T where k_B T underflows to 0
@@ -349,6 +371,12 @@ class TestStability:
         assert report.worst_index == (1,)
         assert report.max_real_part == pytest.approx(0.5)
         assert stability_check(stack[..., [0, 2]]).stable
+
+    @pytest.mark.parametrize("shape", [(4, 4, 0), (4, 2, 3, 0)])
+    def test_a_stack_of_no_systems_is_vacuously_stable(self, shape):
+        report = stability_check(np.zeros(shape))
+        assert report == model.StabilityReport(stable=True, max_real_part=-math.inf)
+        assert report.worst_index == ()
 
     def test_equal_rates_give_exact_margin(self):
         gamma = 1234.5

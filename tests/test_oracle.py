@@ -142,12 +142,12 @@ def physical_stack():
 
 
 def spy_on(monkeypatch, name):
-    """Record the shape of the first argument of every call of ``oracle.<name>``;
+    """Record the shapes of the arguments of every call of ``oracle.<name>``;
     returns the record."""
     shapes, fn = [], getattr(oracle, name)
-    def spy(A, *rest):
-        shapes.append(A.shape)
-        return fn(A, *rest)
+    def spy(*args):
+        shapes.append(tuple(np.shape(x) for x in args))
+        return fn(*args)
     monkeypatch.setattr(oracle, name, spy)
     return shapes
 
@@ -189,12 +189,13 @@ class TestStackedLyapunov:
 
     def test_rwa_stack_is_solved_on_its_drift_blocks_in_one_call(self, monkeypatch):
         # three pairs of 2x2 drift blocks within X and three within Y, in
-        # closed form, and the four blocks' stability in one check
+        # closed form from the four blocks and each pair's exponent, and the
+        # four blocks' stability in one check
         shapes, blocks = (spy_on(monkeypatch, name) for name in ("_sylvester_2x2",
                                                                  "stability_check"))
         A, D = physical_stack()
         V = solve_lyapunov(DriftDiffusion(A, D))
-        assert shapes == [(4, 6 * 3)] and blocks == [(4, 4, 3)]
+        assert shapes == [((4, 4, 3), (6, 3), (4, 6, 3))] and blocks == [((4, 4, 3),)]
         # the bath correlates the fields of items 1 and 2 (r > 0), entry 11 of the
         # X1-X2 pair, and V stays symmetric: entries 01 and 10 of each diagonal pair
         assert V[3, 1, 1:].all() and np.array_equal(V[1, [0, 2, 3, 5]], V[2, [0, 2, 3, 5]])
@@ -239,7 +240,7 @@ class TestStackedLyapunov:
         scale_A, scale_D = (np.ldexp(1.0, rng.choice([-500, 0, 500], count))[:, None, None]
                             for _ in range(2))
         def sylvester(A, C, D):  # on the rows of entries 00, 01, 10, 11
-            W = oracle._sylvester_2x2(*(x.reshape(-1, 4).T for x in (A, C, D)))
+            W = pair_sylvester(*(x.reshape(-1, 4).T for x in (A, C, D)))
             return W.T.reshape(-1, 2, 2)
 
         for A_k, C_k, D_k in ((A, C, D), (scale_A * A, scale_A * C, scale_D * D)):
@@ -327,6 +328,15 @@ class TestStackedLyapunov:
         D = rows_of(np.stack([np.eye(8), 1e300 * np.eye(8)]))  # V = D / 2e-10 overflows
         with pytest.raises(FloatingPointError, match="at stack index 1"):
             solve_lyapunov(DriftDiffusion(A, D))
+
+    def test_a_drift_whose_squared_norm_overflows_passes_quietly(self):
+        # at 2**900 times the constructed drifts, ||A_p||^2 overflows to inf and
+        # ||V_pq||^2 underflows to 0: the gate's product of the two is masked out,
+        # and nothing warns; the power-of-two scaling moves no bit
+        _, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(5))
+        V = solve_lyapunov(DriftDiffusion(A, D))
+        huge = solve_lyapunov(DriftDiffusion(np.ldexp(A, 900), D))
+        assert np.ldexp(huge, 900).tobytes() == V.tobytes()
 
     def test_residual_gate_holds_when_the_norm_of_d_overflows(self):
         # ||D|| overflows at this scale; the gate works on D / max|D|, so it
@@ -576,8 +586,37 @@ def test_selfcheck_loads_neither_scipy_nor_numpy_polynomial():
 def split_pair_rows(A, D, V):
     """The rows (4, 6, B) of A_p, A_q, D_pq and V_pq, pair by pair, of split systems'
     drift, diffusion and covariance rows."""
-    p, q = zip(*oracle._PAIRS)
-    return A[:, p], A[:, q], D, V
+    return A[:, oracle._P], A[:, oracle._Q], D, V
+
+
+def reference_gate(A, C, D, V):
+    """The residual gate's norms and bounds from the gathered rows (4, 6, B) of each
+    pair's A_p, A_q, D_pq and V_pq, with ||A_p|| and ||A_q|| from those rows, as the
+    kernel formed them before it took the drift blocks; quiet where it warned."""
+    Vs, Ds, R, T = np.empty((4,) + D.shape)
+    scale = np.abs(D, out=Ds).max(axis=(0, 1))
+    scale[scale == 0.0] = 1.0
+    np.divide(V, scale, out=Vs)
+    np.divide(D, scale, out=Ds)
+    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
+    for i in (0, 1):
+        r, s, t = R[2 * i:2 * i + 2], T[:2], T[2:]
+        with quiet():
+            np.multiply(A[2 * i], Vs[:2], out=r)
+            r += np.multiply(A[2 * i + 1], Vs[2:], out=s)
+            np.multiply(Vs[2 * i], C[::2], out=s)
+            s += np.multiply(Vs[2 * i + 1], C[1::2], out=t)
+        r += s
+    R += Ds
+    with quiet():
+        R2, D2, V2, A2, C2 = (np.square(x, out=out).sum(axis=0) for x, out in
+                              ((R, R), (Ds, Ds), (Vs, Vs), (A, T), (C, T)))
+        A_pq = np.sqrt(A2) + np.sqrt(C2)
+        residual = np.vstack([np.sqrt(R2), np.sqrt(oracle._TWICE @ R2)])
+        AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
+    bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
+                       1e-10 * np.maximum(np.sqrt(oracle._TWICE @ D2), 1e-300)])
+    return residual, bound
 
 
 def matmul_gate(A, D, V):
@@ -598,14 +637,31 @@ class TestSplitResidualGate:
         E = np.random.default_rng(8).standard_normal((A.shape[-1], 8, 8))
         E = rows_of(E + E.transpose(0, 2, 1))
         V_bad = V + 1e-3 * np.abs(V).max(axis=(0, 1)) * E
-        residual, bound = oracle._split_residual(*split_pair_rows(A, D, V_bad))
+        residual, bound = oracle._split_residual(A, D, V_bad)
         ref_residual, ref_bound = matmul_gate(A, D, V_bad)
         assert residual.shape == bound.shape == (7, A.shape[-1])
         assert residual[6] == pytest.approx(ref_residual, rel=1e-12)
         assert bound[6] == pytest.approx(ref_bound, rel=1e-14)
         # and the solution itself passes both
-        residual, bound = oracle._split_residual(*split_pair_rows(A, D, V))
+        residual, bound = oracle._split_residual(A, D, V)
         assert (residual <= bound).all()
+
+    @pytest.mark.parametrize("case", ["physical", "constructed", "2**900", "1e200 D"])
+    def test_norms_and_bounds_keep_the_bits_of_the_gathered_rows(self, case):
+        # ||A_p|| and ||A_q|| from the four blocks' norms, and A_p and A_q gathered
+        # in the gate's own array, give the bits of the rows gathered before it
+        if case == "physical":
+            A, D = physical_stack()
+        else:
+            _, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(5))
+            A = np.ldexp(A, 900) if case == "2**900" else A  # ||A_p||^2 overflows
+            D = 1e200 * D if case == "1e200 D" else D
+        V = solve_lyapunov(DriftDiffusion(A, D))
+        E = np.random.default_rng(9).standard_normal(V.shape)
+        for V_k in (V, V * (1.0 + 1e-6 * E)):
+            got = oracle._split_residual(A, D, V_k)
+            want = reference_gate(*split_pair_rows(A, D, V_k))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
     def test_an_error_in_a_small_pair_fails_its_own_bound_only(self, monkeypatch):
         # at r = 1e-3 the x1-x2 covariance is ~1e-3 of D; an error of 1e-8 of
@@ -617,17 +673,17 @@ class TestSplitResidualGate:
         V = solve_lyapunov(DriftDiffusion(A, D))
         error = np.ones_like(V)
         error[:, 1, 3] = 1.0 + 1e-8  # item 3's X1-X2 pair, and so its transpose X2-X1
-        residual, bound = oracle._split_residual(*split_pair_rows(A, D, V * error))
+        residual, bound = oracle._split_residual(A, D, V * error)
         assert residual[1, 3] > bound[1, 3] and residual[6, 3] <= bound[6, 3]
         assert (np.delete(residual <= bound, 3, axis=1)).all()
         ref_residual, ref_bound = matmul_gate(A, D, V * error)
         assert (ref_residual <= ref_bound).all()  # the 8x8 gate alone lets it through
 
         sylvester = oracle._sylvester_2x2
-        def planted(A_rows, C_rows, D_rows):
-            W = sylvester(A_rows, C_rows, D_rows).reshape(4, 6, -1)
+        def planted(drift, exponent, D_rows):
+            W = sylvester(drift, exponent, D_rows)
             W[:, 1, 3] *= 1.0 + 1e-8
-            return W.reshape(4, -1)
+            return W
         monkeypatch.setattr(oracle, "_sylvester_2x2", planted)
         with pytest.raises(UnstableDrift, match="Lyapunov residual .* at stack index 3 exceeds"):
             solve_lyapunov(DriftDiffusion(A, D))
@@ -770,7 +826,27 @@ def expression_sylvester_2x2(A, C, D):
         return np.ldexp(W / (m11 * m22 - m12 * m21), eD - eA)
 
 
+def pair_sylvester(A, C, D):
+    """The kernel's W of ``A W + W C^T + D = 0`` for the rows (4, m) of m blocks each:
+    A and C as drift blocks 0 and 1 of m systems, solved as their pair (0, 1)."""
+    drift = np.stack([A, C, C, A], axis=1)
+    W = oracle._sylvester_2x2(drift, oracle._pair_exponents(drift),
+                              np.repeat(D[:, None], len(oracle._PAIRS), axis=1))
+    return W[:, 1]
+
+
 class TestInPlaceKernel:
+    def test_pair_exponents_are_those_of_each_pairs_largest_entry(self):
+        # each block at its own scale, 2**-1000 to 2**1000; frexp's exponent grows
+        # with the value, so the larger of two blocks' exponents is the pair's
+        rng = np.random.default_rng(23)
+        count = 600
+        blocks = random_stable_blocks(rng, 4 * count).reshape(count, 4, 4)
+        drift = np.ldexp(blocks, rng.integers(-1000, 1001, (count, 4, 1))).T
+        largest = np.maximum(*(np.abs(drift[:, side]).max(axis=0)
+                               for side in (oracle._P, oracle._Q)))
+        assert np.array_equal(oracle._pair_exponents(drift), np.frexp(largest)[1])
+
     @pytest.mark.parametrize("case", ["random", "overdamped", "near-boundary", "1e300",
                                       "-1e300"])
     def test_sylvester_keeps_the_bits_of_the_expression_form(self, case):
@@ -783,22 +859,30 @@ class TestInPlaceKernel:
             C = -A.transpose(0, 2, 1) * (1.0 + 1e-13 * rng.standard_normal((count, 1, 1)))
         else:
             A, C = rng.standard_normal((2, count, 2, 2))
-        D = rng.standard_normal((len(A), 2, 2))
+        D = rng.standard_normal((len(A), len(oracle._PAIRS), 2, 2))
         if case.endswith("1e300"):  # A and C near the top of the float range, D near 1
             sign = float(case[:-5] + "1")
             A, C, D = sign * 1e300 * A, 1e300 * C, sign * 1e-1 * D
-        # rows of entries 00, 01, 10, 11, strided as the callers pass them
-        rows = [x.reshape(-1, 4).T for x in (A, C, D)]
-        given = [x.copy() for x in rows]
+        # A and C as the drift blocks (A, C, C, A) of each system, so that the six
+        # pairs hold them in every order, and D as each pair's own rows; the rows
+        # of entries 00, 01, 10, 11 are strided, as a transposed stack is
+        drift = np.stack([A, C, C, A], axis=1).reshape(len(A), 4, 4).T
+        D = D.reshape(len(A), len(oracle._PAIRS), 4).T
+        given = [x.copy() for x in (drift, D)]
         with np.errstate(all="ignore"):  # a singular item is left to the caller alike
-            want = expression_sylvester_2x2(*rows)
-            got = oracle._sylvester_2x2(*rows)
-        assert got.shape == (4, len(A)) and got.tobytes() == want.tobytes()
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(rows, given))  # inputs intact
+            # the expression form on the gathered pair rows, with its own exponents
+            want = expression_sylvester_2x2(*(drift[:, blocks].reshape(4, -1)
+                                              for blocks in (oracle._P, oracle._Q)),
+                                            D.reshape(4, -1))
+            got = oracle._sylvester_2x2(drift, oracle._pair_exponents(drift), D)
+        assert got.shape == D.shape and got.reshape(4, -1).tobytes() == want.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip((drift, D), given))  # intact
 
-    def test_one_chunk_peaks_below_3_1_kb_per_system(self):
-        # the kernel's rows are worked in place; the expression form peaked at
-        # about 3.1 KB per system at 256 systems a chunk
+    def test_one_chunk_peaks_below_1_72_kb_per_system(self):
+        # the kernel's rows are worked in place, in one 20-row array at a time, and
+        # no copy of the pairs' drift rows outlives its use: a chunk peaks at about
+        # 1.63 KB per system (the expression form peaked at about 3.1 KB, at 256
+        # systems a chunk, and the kernel with gathered A_p and A_q at 2.2 KB)
         args = model_arrays(SPECTRAL_CASES, CHUNK)
         next(oracle.covariance_chunks(*args))  # imports and first-call caches
         chunks = oracle.covariance_chunks(*args)
@@ -814,7 +898,7 @@ class TestInPlaceKernel:
             if not tracing:
                 tracemalloc.stop()
         assert V.shape == (4, 6, CHUNK)
-        assert peak <= 3100 * CHUNK
+        assert peak <= 1720 * CHUNK
 
     def test_scalar_and_full_size_inputs_reach_the_rows_uncopied(self, monkeypatch):
         seen, starts = [], []
