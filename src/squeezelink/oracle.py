@@ -284,7 +284,8 @@ def _split_residual(drift: np.ndarray, D: np.ndarray, V: np.ndarray):
     A_pq = norm[_P] + norm[_Q]
     residual = np.vstack([np.sqrt(R2), np.sqrt(_TWICE @ R2)])
     # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf;
-    # numpy may form inf * 0 where it is masked out, quietly
+    # where ||A_p||^2 underflows to 0 and ||V_pq||^2 overflows, it is 0 * inf =
+    # NaN, formed quietly, and the bound fails
     with np.errstate(invalid="ignore"):
         AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
     bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),

@@ -329,14 +329,19 @@ class TestStackedLyapunov:
         with pytest.raises(FloatingPointError, match="at stack index 1"):
             solve_lyapunov(DriftDiffusion(A, D))
 
-    def test_a_drift_whose_squared_norm_overflows_passes_quietly(self):
-        # at 2**900 times the constructed drifts, ||A_p||^2 overflows to inf and
-        # ||V_pq||^2 underflows to 0: the gate's product of the two is masked out,
-        # and nothing warns; the power-of-two scaling moves no bit
+    def test_drift_norms_past_the_float_range_run_quietly(self):
+        # at 2**900 times the constructed drifts ||A_p||^2 overflows to inf, and the
+        # power-of-two scaling moves no bit; at 2**-600 it underflows to 0 while
+        # ||V_pq||^2 overflows, and the gate forms their product 0 * inf quietly
+        # (RuntimeWarnings are errors here) and reports it as its own error, if any
         _, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(5))
         V = solve_lyapunov(DriftDiffusion(A, D))
         huge = solve_lyapunov(DriftDiffusion(np.ldexp(A, 900), D))
         assert np.ldexp(huge, 900).tobytes() == V.tobytes()
+        try:
+            solve_lyapunov(DriftDiffusion(np.ldexp(A, -600), D))
+        except UnstableDrift:
+            pass
 
     def test_residual_gate_holds_when_the_norm_of_d_overflows(self):
         # ||D|| overflows at this scale; the gate works on D / max|D|, so it
