@@ -147,8 +147,11 @@ def _model_rows(unit1, unit2, N, M, start: int = 0) -> tuple[np.ndarray, np.ndar
             block, own = drift[:, j::2], diffusion[:, 2 * j::3]
             block[0], block[1], block[2], block[3] = -gamma / 2.0, G, -G, -kappa / 2.0
             own[0], own[3] = gamma * (2.0 * n_th + 1.0) / 2.0, kappa * (2.0 * N + 1.0) / 2.0
-        # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-)
-        kgm = np.sqrt(unit1[1] * unit2[1]) * M
+        # squeezed-bath cross correlations: only x1-x2 (+) and y1-y2 (-); where
+        # kappa1 kappa2 overflows, sqrt(kappa1) sqrt(kappa2) is its root
+        kk = unit1[1] * unit2[1]
+        root = np.where(np.isinf(kk), np.sqrt(unit1[1]) * np.sqrt(unit2[1]), np.sqrt(kk))
+        kgm = root * M
     diffusion[3, 1], diffusion[3, 4] = kgm, -kgm
     # the first non-finite system is the kernel's to report, unless its mirror terms
     # (entry 00), N and M are finite: then its field terms (entry 11) overflowed

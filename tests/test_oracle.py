@@ -3,6 +3,7 @@ import inspect
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -505,6 +506,19 @@ class TestArrayBuilder:
         assert A.shape == (4, 4, 3) and D.shape == (4, 6, 3)
         assert A[1, 1].tolist() == G.tolist()  # entry 01 of the (X2, x2) block
         assert np.all(D[3, 1] == 1.5)  # entry 11 of the X1-X2 pair: x1-x2
+
+    def test_bath_cross_term_survives_an_overflowing_kappa_product(self):
+        # kappa1 kappa2 = 1e600 overflows: the cross term is sqrt(kappa1) sqrt(kappa2) M,
+        # 0 at M = 0 rather than inf * 0 = NaN, and the variances are the bare 2 n_th + 1,
+        # to the ulp that the split solve's rounding leaves
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            variances = oracle.duan_variance_arrays((1e-3, 1e300, 0.0, 1.0),
+                                                    (2e-3, 1e300, 0.0, 1.0), 0.0, 0.0)
+            _, D = oracle._model_rows((1e-3, 1e300, 0.0, 1.0), (2e-3, 4e300, 0.0, 1.0),
+                                      0.0, 1e-5)
+        assert [v.tolist() for v in variances] == [[pytest.approx(3.0, rel=1e-15)]] * 2
+        assert D[3, 1] == -D[3, 4] == math.sqrt(1e300) * math.sqrt(4e300) * 1e-5
 
 
 def chunks_of(V, monkeypatch):

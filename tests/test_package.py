@@ -107,22 +107,53 @@ def test_lazy_modules_load_by_every_import_form(access, name, attr):
     ) == [True, True]
 
 
-def test_closed_form_commands_import_no_typing():
-    # python -S skips site, whose .pth files may import typing at every start-up;
-    # the package and numpy are then found through PYTHONPATH alone
+def fresh_without_site(code: str):
+    """What ``code`` prints as JSON, run in a new ``python -S``, which skips site,
+    whose .pth files may import modules at every start-up; the package and numpy
+    are then found through PYTHONPATH alone."""
     import squeezelink
 
     path = os.pathsep.join(str(Path(origin).parents[1]) for origin in (
         squeezelink.__file__, importlib.util.find_spec("numpy").origin))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import io, json, sys\n"
-         "from squeezelink import cli\n"
-         "codes = [cli.main(args, out=io.StringIO()) for args in (['duan'], ['threshold'])]\n"
-         "print(json.dumps([codes, 'typing' in sys.modules]))\n"],
-        capture_output=True, text=True, timeout=120, env=os.environ | {"PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=120, env=os.environ | {"PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0], False]
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_import_no_typing():
+    assert fresh_without_site(
+        "import io, json, sys\n"
+        "from squeezelink import cli\n"
+        "codes = [cli.main(args, out=io.StringIO()) for args in (['duan'], ['threshold'])]\n"
+        "print(json.dumps([codes, 'typing' in sys.modules]))\n"
+    ) == [[0, 0], False]
+
+
+@pytest.mark.parametrize("call", [
+    "all(result.passed for result in selfcheck.run_checks())",
+    "cli.main(['selfcheck', '--only', 'separability'], out=io.StringIO()) == 0",
+    "cli.main(['selfcheck', '--only', 'lyapunov'], out=io.StringIO()) == 0",
+])
+def test_seeded_checks_do_not_load_numpy_random(call):
+    # the separability and lyapunov draws come from the standard library's
+    # random.Random, so no command pays numpy.random's extension modules
+    assert fresh(
+        "import io, json, sys\n"
+        "from squeezelink import cli, selfcheck\n"
+        f"passed = {call}\n"
+        "print(json.dumps([passed, 'numpy.random' in sys.modules]))\n"
+    ) == [True, False]
+
+
+def test_numpy_free_check_does_not_load_random():
+    # the draws' random module loads at their first use, not with the selfcheck
+    assert fresh_without_site(
+        "import io, json, sys\n"
+        "from squeezelink import cli\n"
+        "code = cli.main(['selfcheck', '--only', 'adiabatic-limit'], out=io.StringIO())\n"
+        "print(json.dumps([code, 'random' in sys.modules]))\n"
+    ) == [0, False]
 
 
 def test_every_annotation_resolves():

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -73,13 +74,13 @@ def dense_lyapunov(dd):
 
 def scalar_separability_totals(samples, seed):
     """(closed-form, oracle) totals, one dense solve per sample, in draw order."""
-    rng = np.random.default_rng(seed)
+    rng = selfcheck.SeededUniform(seed)
     bath = model.SqueezedBath(r=0.0)
     totals = []
     for _ in range(samples):
-        C = float(10.0 ** rng.uniform(-2, 3))
+        C = 10.0 ** float(rng.uniform(-2, 3))
         n_th = float(rng.uniform(0.0, 50.0))
-        ratio = float(10.0 ** rng.uniform(-6, 0))
+        ratio = 10.0 ** float(rng.uniform(-6, 0))
         kappa = selfcheck.KAPPA_REF
         closed = selfcheck.closedform.duan_sum_nonadiabatic(
             C, 0.0, n_th, ratio * kappa, kappa
@@ -108,9 +109,32 @@ def test_separability_matches_scalar_loop(monkeypatch, seed):
     assert result.max_err == pytest.approx(dip, abs=1e-14)
 
 
+LYAPUNOV_BOUNDS = tuple(np.repeat(bounds, [16, 4, 1, 32]).tolist()
+                        for bounds in ([-1.0, -4.0, -60.5, -1.0], [1.0, 0.0, 60.5, 1.0]))
+
+
+@pytest.mark.parametrize("seed, low, high, size", [
+    # the selfcheck's two draws, then one scalar
+    (selfcheck.SEPARABILITY_SEED, [-2.0, 0.0, -6.0], [3.0, 50.0, 0.0],
+     (selfcheck.SEPARABILITY_SAMPLES, 3)),
+    (selfcheck.LYAPUNOV_SEED, *LYAPUNOV_BOUNDS, (selfcheck.LYAPUNOV_TRIALS, 53)),
+    (3, -1.0, 1.0, None),
+])
+def test_seeded_draws_are_those_of_the_standard_library_stream(seed, low, high, size):
+    # value k is low + (high - low) u_k, u_k the k-th random() of Random(seed), in
+    # row-major order, bit for bit, and each lies in [low, high)
+    draws = selfcheck.SeededUniform(seed).uniform(low, high, size)
+    assert draws.shape == (() if size is None else np.empty(size).shape)
+    low, high = (np.broadcast_to(x, draws.shape).ravel().tolist() for x in (low, high))
+    stream = random.Random(seed).random
+    want = [lo + (hi - lo) * stream() for lo, hi in zip(low, high)]
+    assert list(map(float.hex, draws.ravel().tolist())) == list(map(float.hex, want))
+    assert all(lo <= x < hi for lo, x, hi in zip(low, draws.ravel().tolist(), high))
+
+
 def test_separability_powers_equal_float_powers_bit_for_bit():
     # the draws' 10 ** x by math.pow over the array, against Python's float power
-    rng = np.random.default_rng(selfcheck.SEPARABILITY_SEED)
+    rng = selfcheck.SeededUniform(selfcheck.SEPARABILITY_SEED)
     log_C, _, log_ratio = rng.uniform([-2, 0, -6], [3, 50, 0],
                                       size=(selfcheck.SEPARABILITY_SAMPLES, 3)).T
     for u in (log_C, log_ratio):
@@ -151,7 +175,7 @@ def test_array_route_equals_per_point_solves(monkeypatch):
 def test_symmetric_units_take_the_grids_n_th_and_c_as_given():
     # the first separability draws: n_th reaches the oracle bit for bit, and
     # the coupling G gives back C = 4 G^2 / (gamma kappa) to rounding
-    rng = np.random.default_rng(selfcheck.SEPARABILITY_SEED)
+    rng = selfcheck.SeededUniform(selfcheck.SEPARABILITY_SEED)
     log_C, n_th, log_ratio = rng.uniform([-2, 0, -6], [3, 50, 0], size=(256, 3)).T
     C, ratio = 10.0 ** log_C, 10.0 ** log_ratio
     (gamma, kappa, G, unit_n_th), _, N, M = selfcheck._symmetric_units(C, 0.0, n_th, ratio)
@@ -198,9 +222,8 @@ def test_constructed_systems_equal_one_trial_at_a_time():
     # block shifted by its largest eigenvalue's real part, and the 8x8 matrices
     # filled block by block, then read as rows; the system's largest real part is
     # its least margin
-    rng = np.random.default_rng(selfcheck.LYAPUNOV_SEED)
-    low, high = (np.repeat(bounds, [16, 4, 1, 32]) for bounds in ([-1.0, -4.0, -60.5, -1.0],
-                                                                  [1.0, 0.0, 60.5, 1.0]))
+    rng = selfcheck.SeededUniform(selfcheck.LYAPUNOV_SEED)
+    low, high = LYAPUNOV_BOUNDS
     systems = []
     for _ in range(selfcheck.LYAPUNOV_TRIALS):
         row = rng.uniform(low, high)
@@ -220,7 +243,7 @@ def test_constructed_systems_equal_one_trial_at_a_time():
         S = A @ V0
         systems.append((rows_of(V0), rows_of(A, DRIFT_BLOCKS), rows_of(-(S + S.T)),
                         -math.ldexp(min(margins), k)))
-    stacks = selfcheck._constructed_systems(np.random.default_rng(selfcheck.LYAPUNOV_SEED))
+    stacks = selfcheck._constructed_systems(selfcheck.SeededUniform(selfcheck.LYAPUNOV_SEED))
     for stack, reference in zip(stacks, zip(*systems), strict=True):
         assert np.array_equal(stack, np.moveaxis(np.array(reference), 0, -1))
 
