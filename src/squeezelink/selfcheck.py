@@ -38,7 +38,7 @@ class SeededUniform:
     """Seeded uniform draws with ``numpy.random.Generator.uniform``'s signature,
     from ``random.Random(seed).random()``: each value is ``low + (high - low) u``,
     filled in row-major order. Loads ``random`` at first use, and never
-    ``numpy.random``, whose import costs about 6 MB and 15 ms."""
+    ``numpy.random``, whose import costs about 6 MB of RSS and 10 ms."""
 
     def __init__(self, seed: int):
         import random

@@ -256,7 +256,7 @@ class TestStackedLyapunov:
     def test_block_stability_report_is_that_of_the_eigenvalues(self, case):
         if case == "constructed":  # the lyapunov check's systems, near the boundary to 1e-4
             _, A, _, max_real = selfcheck._constructed_systems(
-                np.random.default_rng(selfcheck.LYAPUNOV_SEED))
+                selfcheck.SeededUniform(selfcheck.LYAPUNOV_SEED))
             for t, constructed in enumerate(max_real):  # also where it is not the least stable
                 one = A[..., t:t + 1]
                 report, ref = model.stability_check(one), eigenvalue_report(one)
@@ -285,7 +285,7 @@ class TestStackedLyapunov:
         # the lyapunov check reads every system's value from one call: each block
         # is scaled on its own, so a system's bits do not depend on the others
         _, A, _, _ = selfcheck._constructed_systems(
-            np.random.default_rng(selfcheck.LYAPUNOV_SEED))
+            selfcheck.SeededUniform(selfcheck.LYAPUNOV_SEED))
         A[..., 1] = -A[..., 1]
         stable, max_re = model._stability(A)
         assert stable is model.stability_check(A).stable is False
