@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+
+import pytest
 
 import cli_corpus
 from squeezelink import oracle
@@ -15,8 +19,7 @@ def test_every_cli_output_equals_the_corpus():
             code, out, err = cli_corpus.run(want["argv"], configs)
             got = {"argv": want["argv"], "exit": code, "stderr": err}
             # an entry without its stdout is one whose bytes depend on the BLAS
-            # and LAPACK build, such as the lyapunov check's max_err (see
-            # cli_corpus.portable)
+            # build, such as the lyapunov check's max_err (see cli_corpus.portable)
             if "stdout" in want:
                 got["stdout"] = out
             if "stdout_sha256" in want:
@@ -42,3 +45,26 @@ def test_no_cli_route_takes_the_shims(monkeypatch):
     assert {want["argv"][0] for want in entries} == {"duan", "sweep"}
     with cli_corpus.config_files(corpus["configs"]) as configs:
         assert [cli_corpus.entry(want["argv"], configs) for want in entries] == entries
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold"],
+    ["selfcheck", "--only", "separability"],
+    ["selfcheck", "--only", "lyapunov"],
+], ids=" ".join)
+def test_module_entry_point_runs_clean_with_warnings_as_errors(argv):
+    # the corpus runs in process, after other tests have imported what they
+    # need; this runs the -m entry point in a new interpreter, so each seeded
+    # check's first import of its random module runs under warnings as errors
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m",
+                           "squeezelink.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    if argv[0] == "threshold":
+        corpus = json.loads(cli_corpus.CORPUS.read_text())
+        [want] = [want for want in corpus["entries"]
+                  if want["argv"] == ["threshold", "--preset", "fig2-text"]]
+        assert proc.stdout == want["stdout"]
+    else:
+        assert proc.stdout.startswith(f"PASS {argv[2]} "), proc.stdout
+        assert proc.stdout.endswith("1/1 checks passed\n"), proc.stdout

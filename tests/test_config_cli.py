@@ -67,6 +67,11 @@ class TestPresets:
         assert system.bath.r == 0.5  # and r to the preset's r
         code, text = run_cli("duan", "--preset", "lab", "--config", str(tmp_path / "over.ini"))
         assert code == cli.EXIT_OK and "r = 0.5\n" in text
+        # a config's own [bath] r overrides the preset's
+        (tmp_path / "over.ini").write_text("[bath]\nr = 1.5\n")
+        assert resolve_system(str(tmp_path / "over.ini"), preset="lab").bath.r == 1.5
+        code, text = run_cli("duan", "--preset", "lab", "--config", str(tmp_path / "over.ini"))
+        assert code == cli.EXIT_OK and "r = 1.5\n" in text.splitlines(keepends=True)
 
     def test_presets_are_the_reference_device_bit_for_bit(self):
         text, fig3 = preset_system("fig2-text"), preset_system("fig3")
@@ -717,21 +722,6 @@ def test_closed_form_checks_load_no_numpy():
         on_arrays = name not in NUMPY_FREE_CHECKS
         assert bool(state["numpy"]) == on_arrays, name
         assert state["ran"] == (["oracle", "selfcheck"] if on_arrays else ["selfcheck"]), name
-
-
-def test_selfcheck_loads_no_scipy():
-    # the whole suite runs on numpy alone: scipy is no dependency, and no
-    # check or route uses numpy.polynomial
-    passed, scipy, polynomial = run_fresh(
-        "import json, sys\n"
-        "from squeezelink import selfcheck\n"
-        "passed = all(result.passed for result in selfcheck.run_checks())\n"
-        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps([passed, scipy, 'numpy.polynomial' in sys.modules]))\n"
-    )
-    assert passed is True
-    assert scipy == []
-    assert polynomial is False
 
 
 def test_missing_numpy_fails_at_import():
