@@ -22,7 +22,7 @@ nonzero. :func:`_model_rows` writes those rows straight from each unit's
 (gamma, kappa, G, n_th), past the unit gate, and the bath's N and M, and
 raises where the bath's field terms overflow a float. One kernel,
 :func:`_solve_split`, solves the rows elementwise over a stack, with no
-LAPACK call: stability from each block's trace and determinant
+BLAS or LAPACK call: stability from each block's trace and determinant
 (:func:`model.stability_check`), the 2x2 Sylvester equation of each pair (Y is
 never derived from X) in closed form, ``0.5 V + 0.5 V^T``, and a residual gate
 that holds each pair to its own bound and the whole to the 8x8 bound
@@ -87,8 +87,6 @@ _BLOCKS = ((0, 2), (4, 6), (1, 3), (5, 7))
 _PAIRS = ((0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3))
 #: each pair's blocks p and q, as lists that index the blocks' axis
 _P, _Q = ([pair[i] for pair in _PAIRS] for i in (0, 1))
-#: each pair's weight in a sum over the 8x8 matrix, which holds a cross pair twice
-_TWICE = [1.0 + (p != q) for p, q in _PAIRS]
 #: 0.5 V + 0.5 V^T on the pair rows: entry 01 meets 10 on the diagonal pairs,
 #: and every entry itself on the cross pairs
 _TRANSPOSED = [len(_PAIRS) * (e if p != q else (0, 2, 1, 3)[e]) + k
@@ -236,7 +234,7 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray, start: int = 0) -> np
     ``diffusion`` those ``(4, 6, B)`` of D's pairs ``_PAIRS``. The kernel checks
     that they are finite and that every block is stable
     (:func:`model.stability_check`), solves ``A_p W_pq + W_pq A_q^T + D_pq = 0`` for
-    every pair by :func:`_sylvester_2x2`, with no LAPACK call, and forms
+    every pair by :func:`_sylvester_2x2`, with no BLAS or LAPACK call, and forms
     ``0.5 V + 0.5 V^T`` on the rows. The residual gate (:func:`_split_residual`)
     then holds each pair to its own bound and the whole to the 8x8 one. Errors
     name the stack index plus ``start``, the first system's index in the input.
@@ -285,15 +283,23 @@ def _split_residual(drift: np.ndarray, D: np.ndarray, V: np.ndarray):
     with np.errstate(over="ignore"):  # as ||A_p||^2 of a huge drift does, quietly
         norm = np.sqrt(np.square(drift).sum(axis=0))
     A_pq = norm[_P] + norm[_Q]
-    residual = np.vstack([np.sqrt(R2), np.sqrt(_TWICE @ R2)])
+    residual = np.vstack([np.sqrt(R2), np.sqrt(_squared_norm(R2))])
     # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf;
     # where ||A_p||^2 underflows to 0 and ||V_pq||^2 overflows, it is 0 * inf =
     # NaN, formed quietly, and the bound fails
     with np.errstate(invalid="ignore"):
         AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
     bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
-                       1e-10 * np.maximum(np.sqrt(_TWICE @ D2), 1e-300)])
+                       1e-10 * np.maximum(np.sqrt(_squared_norm(D2)), 1e-300)])
     return residual, bound
+
+
+def _squared_norm(pairs: np.ndarray) -> np.ndarray:
+    """The squared 8x8 Frobenius norm ``(B,)`` from the six pairs' squared norms
+    ``(6, B)``, each cross pair counted twice, as the 8x8 matrix holds it and its
+    transpose; summed elementwise in pair order, so that its bits do not depend on
+    the BLAS build."""
+    return sum(x + x if p != q else x for (p, q), x in zip(_PAIRS, pairs))
 
 
 def _pair_squares(drift: np.ndarray, D: np.ndarray, V: np.ndarray):

@@ -213,10 +213,16 @@ def _constructed_systems(rng):
         at = slice(2 * (p % 2), 2 * (p % 2) + 2)
         A[p // 2, :, at, at] = blocks[:, p]
     L = L.reshape(-1, 2, 4, 4).swapaxes(0, 1)
-    V0 = L @ L.swapaxes(-1, -2)
-    S = A @ V0
+    V0 = _product(L, L.swapaxes(-1, -2))
+    S = _product(A, V0)
     return (_pair_rows(V0), blocks.reshape(-1, 4, 4).T, _pair_rows(-(S + S.swapaxes(-1, -2))),
             -np.ldexp(margin.min(axis=1), k[:, 0]))
+
+
+def _product(X, Y):
+    """The products ``X Y`` of stacks of 4x4 matrices, summed elementwise in the order
+    of k, so that their bits do not depend on the BLAS build."""
+    return sum(X[..., :, k, None] * Y[..., None, k, :] for k in range(4))
 
 
 def _pair_rows(M):
@@ -232,8 +238,8 @@ def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
     V0, A, D, max_real = _constructed_systems(SeededUniform(LYAPUNOV_SEED))
     # the 8x8 Frobenius norms from the pair rows
     error = oracle.solve_lyapunov(oracle.DriftDiffusion(A, D)) - V0
-    errors = np.sqrt(oracle._TWICE @ np.square(error).sum(axis=0)
-                     / (oracle._TWICE @ np.square(V0).sum(axis=0)))
+    errors = np.sqrt(oracle._squared_norm(np.square(error).sum(axis=0))
+                     / oracle._squared_norm(np.square(V0).sum(axis=0)))
     _, reported = model._stability(A)
     worst = float(np.max(np.fmax(errors, np.abs(reported / max_real - 1.0))))
     if worst > tolerance:

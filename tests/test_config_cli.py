@@ -1,6 +1,5 @@
 import hashlib
 import io
-import json
 import math
 import subprocess
 import sys
@@ -12,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from squeezelink import cli, config, model
 from squeezelink.config import ConfigError, load_config, preset_system, resolve_system
+from test_package import fresh
 
 
 def run_cli(*argv):
@@ -662,14 +662,6 @@ NUMPY_FREE_CHECKS = ["adiabatic-limit", "threshold", "strong-coupling", "weak-co
                      "field-insensitivity", "thermal-occupation", "power-threshold"]
 
 
-def run_fresh(code: str):
-    """What ``code`` prints as JSON, run in a new interpreter."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 def test_closed_form_routes_load_no_numpy(tmp_path):
     # the records are no dataclasses, so no call loads dataclasses, nor a
     # closed-form call the inspect that dataclasses imports (numpy imports
@@ -681,7 +673,7 @@ def test_closed_form_routes_load_no_numpy(tmp_path):
     mismatched_calls = [argv + ["--config", str(mismatched)] for argv in CLOSED_FORM_CALLS
                         if argv[0] == "duan"]
     calls = [*CLOSED_FORM_CALLS, *mismatched_calls, ["duan", "--regime", "oracle"]]
-    at_import, *runs = run_fresh(
+    at_import, *runs = fresh(
         LOADED
         + "runs = [loaded()]\n"
         f"for argv in {calls!r}:\n"
@@ -707,7 +699,7 @@ def test_closed_form_checks_load_no_numpy():
     # one interpreter runs each closed-form check on its own, then one check on
     # the oracle, to show that the detection flips
     names = [*NUMPY_FREE_CHECKS, "xy-symmetry"]
-    runs = run_fresh(
+    runs = fresh(
         LOADED
         + "runs = []\n"
         f"for name in {names!r}:\n"

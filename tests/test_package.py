@@ -31,7 +31,8 @@ REMOVED = ["DriftDiffusion", "build_rwa_drift_diffusion", "duan_from_covariance"
 
 
 def fresh(code: str):
-    """What ``code`` prints as JSON, run in a new interpreter."""
+    """What ``code`` prints as JSON, run in a new interpreter; every test that runs
+    plain ``python -c`` calls this."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -131,16 +132,16 @@ def test_closed_form_commands_import_no_typing():
 
 
 @pytest.mark.parametrize("call", [
-    "all(result.passed for result in selfcheck.run_checks())",
     "cli.main(['selfcheck', '--only', 'separability'], out=io.StringIO()) == 0",
     "cli.main(['selfcheck', '--only', 'lyapunov'], out=io.StringIO()) == 0",
 ])
 def test_seeded_checks_do_not_load_numpy_random(call):
     # the separability and lyapunov draws come from the standard library's
-    # random.Random, so no command pays numpy.random's extension modules
+    # random.Random, so no command pays numpy.random's extension modules; the
+    # full selfcheck's run is test_oracle's, which asserts this too
     assert fresh(
         "import io, json, sys\n"
-        "from squeezelink import cli, selfcheck\n"
+        "from squeezelink import cli\n"
         f"passed = {call}\n"
         "print(json.dumps([passed, 'numpy.random' in sys.modules]))\n"
     ) == [True, False]
