@@ -30,11 +30,12 @@ REMOVED = ["DriftDiffusion", "build_rwa_drift_diffusion", "duan_from_covariance"
            "solve_lyapunov", "spectral_duan_sum", "is_entangled"]
 
 
-def fresh(code: str):
-    """What ``code`` prints as JSON, run in a new interpreter; every test that runs
-    plain ``python -c`` calls this."""
+def fresh(code: str, **env: str):
+    """What ``code`` prints as JSON, run in a new interpreter with the variables
+    ``env`` added to its environment; every test that runs plain ``python -c``
+    calls this."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, env=os.environ | env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

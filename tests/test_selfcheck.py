@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from squeezelink import closedform, model, oracle, selfcheck
+from test_package import fresh
 from units import DRIFT_BLOCKS, matrix_of, rows_of, unit_with_cooperativity
 
 
@@ -274,6 +275,30 @@ def test_no_source_line_calls_blas_or_lapack():
                   and node.value.id == "np" and node.attr in BLAS_NAMES):
                 found.append(f"{path.name}:{node.lineno} np.{node.attr}")
     assert not found, found
+
+
+#: SHA-256 of each array that a BLAS product once formed: the constructed systems,
+#: their solve error, and the residual gate's rows on the acceptance grid
+BLAS_SENSITIVE_HASHES = (
+    "import hashlib, json\n"
+    "import numpy as np\n"
+    "from squeezelink import oracle, selfcheck\n"
+    "V0, A, D, max_real = selfcheck._constructed_systems(selfcheck.SeededUniform(7))\n"
+    "error = oracle.solve_lyapunov(oracle.DriftDiffusion(A, D)) - V0\n"
+    "drift, diffusion = oracle._model_rows(*selfcheck._symmetric_units(*selfcheck._grid()))\n"
+    "V = oracle.solve_lyapunov(oracle.DriftDiffusion(drift, diffusion))\n"
+    "gate = oracle._split_residual(drift, diffusion, V)\n"
+    "print(json.dumps([hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()\n"
+    "                  for x in (V0, A, D, max_real, error, *gate)]))\n"
+)
+
+
+def test_results_keep_their_bits_under_another_blas_core():
+    # OpenBLAS picks its kernels by CPU type as it loads; those of Prescott run on
+    # any x86-64 CPU and round a product otherwise than the AVX2 ones do, so a
+    # product that reached BLAS would change these bits; other builds ignore it
+    assert fresh(BLAS_SENSITIVE_HASHES, OPENBLAS_CORETYPE="Prescott") == fresh(
+        BLAS_SENSITIVE_HASHES)
 
 
 def test_every_check_takes_only_its_tolerance():
