@@ -580,6 +580,7 @@ class StabilityReport(Record):
     stable: bool
     max_real_part: float
     worst_index: tuple[int, ...] = ()  # stack index of the least stable system
+    exponents: np.ndarray = None  # frexp exponent of each block's largest entry
 
 
 def _scaled(out: np.ndarray, *rows: np.ndarray) -> np.ndarray:
@@ -595,10 +596,10 @@ def _scaled(out: np.ndarray, *rows: np.ndarray) -> np.ndarray:
     return e
 
 
-def _stability(blocks: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Whether every block of :func:`stability_check`'s ``blocks`` is stable, and
-    each system's largest real part of an eigenvalue, in flat order. Each block
-    is scaled on its own, so a system's value does not depend on the others."""
+def _stability(blocks: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether every block of :func:`stability_check`'s ``blocks`` is stable, each
+    system's largest real part of an eigenvalue (flat order) and each block's exponent
+    (``blocks.shape[1:]``); blocks are scaled on their own, so systems do not mix."""
     rows = blocks.reshape(4, -1)
     scaled = np.empty(rows.shape)
     e = _scaled(scaled, rows)
@@ -608,7 +609,7 @@ def _stability(blocks: np.ndarray) -> tuple[bool, np.ndarray]:
     q = h + np.copysign(np.sqrt(np.fmax(disc, 0.0)), h)  # the real root of larger size
     real = np.fmax(q, np.divide(det, q, out=np.zeros_like(q), where=q != 0.0))
     max_re = np.ldexp(np.where(disc < 0.0, h, real), e).reshape(blocks.shape[1], -1).max(axis=0)
-    return bool(((h < 0.0) & (det > 0.0)).all()), max_re
+    return bool(((h < 0.0) & (det > 0.0)).all()), max_re, e.reshape(blocks.shape[1:])
 
 
 def stability_check(blocks: np.ndarray) -> StabilityReport:
@@ -619,13 +620,13 @@ def stability_check(blocks: np.ndarray) -> StabilityReport:
     stable system. A block is stable when its trace is negative and its
     determinant positive. With ``h = tr/2``, a real pair of eigenvalues is ``q =
     h + sign(h) sqrt(disc)`` and ``det / q``, which does not cancel for an
-    overdamped block. Each block is first scaled by a power of two, so that no
-    product overflows. A stack of no systems is stable, with ``max_real_part =
-    -inf`` and no worst index.
+    overdamped block. Each block is first scaled by ``2**-e``, ``e`` the exponent of
+    ``frexp`` of its largest entry, so that no product overflows; the report's
+    ``exponents`` ``(k, ...)`` hold each block's ``e``, which the Lyapunov kernel
+    scales by. A stack of no systems is stable, ``max_real_part = -inf``.
     """
-    stable, max_re = _stability(blocks)
+    stable, max_re, exponents = _stability(blocks)
     if not max_re.size:
-        return StabilityReport(stable=stable, max_real_part=-math.inf)
+        return StabilityReport(stable, -math.inf, (), exponents)
     worst = int(np.argmax(max_re))
-    return StabilityReport(stable=stable, max_real_part=float(max_re[worst]),
-                           worst_index=(worst,))
+    return StabilityReport(stable, float(max_re[worst]), (worst,), exponents)

@@ -27,8 +27,9 @@ BLAS or LAPACK call: stability from each block's trace and determinant
 never derived from X) in closed form, ``0.5 V + 0.5 V^T``, and a residual gate
 that holds each pair to its own bound and the whole to the 8x8 bound
 ``1e-10 ||D||``. Each block pair is scaled by powers of two so that no product
-overflows, and a system's bits do not depend on its stack; the pairs' scales
-and the norms of their drift blocks come from the four blocks, once. The
+overflows, and a system's bits do not depend on its stack; the pairs' scales,
+and the gate's one power-of-two frame per system, come from the four blocks'
+exponents that :func:`model.stability_check` reports, once per chunk. The
 Sylvester solves, and then the residual gate, each gather the pairs' drift
 rows into one work array of their own and work them there in place; no
 gathered copy outlives its work array, so that a chunk of ``STACK_CHUNK``
@@ -62,7 +63,6 @@ pins the diffusion matrix used here.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections.abc import Iterator
@@ -245,7 +245,8 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray, start: int = 0) -> np
         raise UnstableDrift(f"drift matrix is not stable (max Re eigenvalue = "
                             f"{report.max_real_part:g} at stack index "
                             f"{start + report.worst_index[0]})")
-    W = _sylvester_2x2(drift, _pair_exponents(drift), diffusion)
+    e = report.exponents  # each block's, for every scaling below
+    W = _sylvester_2x2(drift, np.maximum(e[_P], e[_Q]), diffusion)
     W = W.reshape(4 * len(_PAIRS), -1)
     W *= 0.5  # halved first, so the sum cannot overflow
     V = np.take(W, _TRANSPOSED, axis=0)
@@ -253,44 +254,38 @@ def _solve_split(drift: np.ndarray, diffusion: np.ndarray, start: int = 0) -> np
     del W  # and the work array it lives in, so that the gate's peak does not hold it
     V = V.reshape(diffusion.shape)
     _require_finite("Lyapunov solution", V, start=start)
-    _require_residual(*_split_residual(drift, diffusion, V), start)
+    _require_residual(*_split_residual(drift, e, diffusion, V), start)
     return V
 
 
-def _pair_exponents(drift: np.ndarray) -> np.ndarray:
-    """The exponent of ``frexp`` of each pair's largest entry, ``(6, B)``, from the
-    drift block rows ``(4, 4, B)``: the larger of its two blocks' exponents.
-    ``frexp``'s exponent grows with the value, so the two agree for blocks that
-    are not all zero, as no stable block is."""
-    e = np.frexp(np.abs(drift).max(axis=0))[1]
-    return np.maximum(e[_P], e[_Q])
-
-
-def _split_residual(drift: np.ndarray, D: np.ndarray, V: np.ndarray):
+def _split_residual(drift: np.ndarray, exponents: np.ndarray, D: np.ndarray, V: np.ndarray):
     """Residual norms ``(7, B)`` of the split and their bounds, from the drift block
-    rows ``(4, 4, B)`` and the pair rows ``(4, 6, B)`` of D and V.
+    rows ``(4, 4, B)``, their exponents ``(4, B)`` (:func:`model.stability_check`)
+    and the pair rows ``(4, 6, B)`` of D and V.
 
-    Rows 0 to 5 are the pairs: ``||A_p V_pq + V_pq A_q^T + D_pq||`` against
-    ``1e-10 (||D_pq|| + ||A_p|| ||V_pq|| + ||V_pq|| ||A_q||)``, raised by
-    ``1e-310 (1 + ||A_p|| + ||A_q||)``, the reach of the subnormal spacing in
-    a pair that is nothing beside its system. Row 6 is the 8x8 residual
-    against ``1e-10 ||D||``, each cross pair counted twice, as the 8x8
+    Each system is worked in one frame: its drift times ``2**-a``, with ``a`` its
+    largest block exponent, V times ``2**-v``, with ``v`` the exponent of V's
+    largest entry, and D times ``2**-(a + v)``, so that the residual is scaled by
+    ``2**-(a + v)`` exactly and no entry or product leaves the float range; the
+    residual and D are squared in the unit of their own largest entry. Scaling A
+    and D by a power of two, 2**-900 to 2**900, thus moves no bit of a ratio of
+    residual to bound. Rows 0 to 5 are the pairs: ``||A_p V_pq + V_pq A_q^T +
+    D_pq||`` against ``1e-10 (||D_pq|| + (||A_p|| + ||A_q||) ||V_pq||)``, raised by
+    ``1e-310 (1 + ||A_p|| + ||A_q||)`` in this frame, the reach of the subnormal
+    spacing in a pair that is nothing beside its system. Row 6 is the 8x8
+    residual against ``1e-10 ||D||``, each cross pair counted twice, as the 8x8
     matrix holds it and its transpose. Norms are Frobenius: those of the
     residual, D and V by :func:`_pair_squares`, and ``||A_p||`` and ``||A_q||``
-    from the four blocks' norms.
+    from the four blocks'.
     """
-    R2, D2, V2 = _pair_squares(drift, D, V)
-    with np.errstate(over="ignore"):  # as ||A_p||^2 of a huge drift does, quietly
-        norm = np.sqrt(np.square(drift).sum(axis=0))
+    a, v = exponents.max(axis=0), np.frexp(np.abs(V).max(axis=(0, 1)))[1]
+    u, R2, D2, V2 = _pair_squares(drift, a, v, D, V)
+    norm = np.sqrt(np.square(np.ldexp(drift, -a)).sum(axis=0))
     A_pq = norm[_P] + norm[_Q]
-    residual = np.vstack([np.sqrt(R2), np.sqrt(_squared_norm(R2))])
-    # ||A_p|| ||V_pq|| is 0 where V_pq = 0, also where ||A_p||^2 overflows to inf;
-    # where ||A_p||^2 underflows to 0 and ||V_pq||^2 overflows, it is 0 * inf =
-    # NaN, formed quietly, and the bound fails
-    with np.errstate(invalid="ignore"):
-        AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
-    bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
-                       1e-10 * np.maximum(np.sqrt(_squared_norm(D2)), 1e-300)])
+    residual = np.ldexp(np.vstack([np.sqrt(R2), np.sqrt(_squared_norm(R2))]), u)
+    D_pq, D_8x8 = (np.ldexp(np.sqrt(x), u) for x in (D2, _squared_norm(D2)))
+    bound = np.vstack([1e-10 * (D_pq + A_pq * np.sqrt(V2) + 1e-300 * (1.0 + A_pq)),
+                       1e-10 * np.maximum(D_8x8, 1e-300)])
     return residual, bound
 
 
@@ -302,52 +297,52 @@ def _squared_norm(pairs: np.ndarray) -> np.ndarray:
     return sum(x + x if p != q else x for (p, q), x in zip(_PAIRS, pairs))
 
 
-def _pair_squares(drift: np.ndarray, D: np.ndarray, V: np.ndarray):
-    """The squared norms ``(6, B)`` of each pair's residual ``A_p V_pq + V_pq A_q^T +
-    D_pq``, of ``D_pq`` and of ``V_pq``, from the rows of :func:`_split_residual`.
+def _pair_squares(drift: np.ndarray, a: np.ndarray, v: np.ndarray, D: np.ndarray,
+                  V: np.ndarray):
+    """The exponent ``u`` ``(B,)`` and the squared norms ``(6, B)`` of each pair's
+    residual ``A_p V_pq + V_pq A_q^T + D_pq`` and of ``D_pq``, both in units of
+    ``2**u``, and of ``V_pq``, in :func:`_split_residual`'s frame of each system's
+    exponents ``a`` and ``v`` ``(B,)``.
 
-    V and D are divided by ``max |D|`` of their system first, so that the norms
-    cannot overflow. The products are 2x2 ones, worked in place in one array,
-    into which the entries of A_p and A_q are gathered pair by pair; the array
-    is freed on return, before the gate forms its bounds.
+    The products are 2x2 ones, worked in place in one array, into which the
+    entries of A_p and A_q are gathered and scaled pair by pair; the array is
+    freed on return, before the gate forms its bounds.
     """
     Vs, R, T, A, C = np.empty((5,) + D.shape)
-    scale = np.abs(D, out=A).max(axis=(0, 1))
-    scale[scale == 0.0] = 1.0
-    np.divide(V, scale, out=Vs)
+    np.ldexp(V, -v, out=Vs)
     # the indices are valid: "clip" writes out directly, where "raise" buffers a copy
-    np.take(drift, _P, axis=1, out=A, mode="clip")
-    np.take(drift, _Q, axis=1, out=C, mode="clip")
+    for rows, blocks in ((A, _P), (C, _Q)):
+        np.take(drift, blocks, axis=1, out=rows, mode="clip")
+        np.ldexp(rows, -a, out=rows)
     # entry ij of R = A_p V_pq + V_pq A_q^T + D_pq is
-    # (A_i0 V_0j + A_i1 V_1j) + (V_i0 C_j0 + V_i1 C_j1) + D_ij, two j at a time.
-    # A product, its two-term sum or a squared norm may overflow: these run
-    # quietly, as in an einsum, and the gate reports what they give
-    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
+    # (A_i0 V_0j + A_i1 V_1j) + (V_i0 C_j0 + V_i1 C_j1) + D_ij, two j at a time
     for i in (0, 1):
         r, s, t = R[2 * i:2 * i + 2], T[:2], T[2:]
-        with quiet():
-            np.multiply(A[2 * i], Vs[:2], out=r)
-            r += np.multiply(A[2 * i + 1], Vs[2:], out=s)
-            np.multiply(Vs[2 * i], C[::2], out=s)
-            s += np.multiply(Vs[2 * i + 1], C[1::2], out=t)
+        np.multiply(A[2 * i], Vs[:2], out=r)
+        r += np.multiply(A[2 * i + 1], Vs[2:], out=s)
+        np.multiply(Vs[2 * i], C[::2], out=s)
+        s += np.multiply(Vs[2 * i + 1], C[1::2], out=t)
         r += s
-    Ds = np.divide(D, scale, out=A)  # A is read for the last time above
+    Ds = np.ldexp(D, -(a + v), out=A)  # A is read for the last time above
     R += Ds
-    with quiet():  # the squares of entries 00, 01, 10 and 11, summed in that order
-        return [np.square(x, out=x).sum(axis=0) for x in (R, Ds, Vs)]
+    # R and D in the unit of their largest entry, so that no square underflows where
+    # D is nothing beside A V, as beside a coupling 1e163 times the damping
+    u = np.frexp(np.maximum(np.abs(R, out=T).max(axis=(0, 1)),
+                            np.abs(Ds, out=T).max(axis=(0, 1))))[1]
+    np.ldexp(R, -u, out=R)
+    np.ldexp(Ds, -u, out=Ds)
+    # the squares of entries 00, 01, 10 and 11, summed in that order
+    return u, *(np.square(x, out=x).sum(axis=0) for x in (R, Ds, Vs))
 
 
 def _require_residual(residual: np.ndarray, bound: np.ndarray, start: int):
     """Raise unless every residual is within its bound; both are ``(k, B)``, and the
-    error names the item, counted from ``start``, that exceeds its bound the most."""
+    error names the item, counted from ``start``, that exceeds it the most, and by what factor."""
     ratio = residual / bound
     worst = int(np.argmax(ratio.max(axis=0)))
     if not (residual[:, worst] <= bound[:, worst]).all():
-        k = int(np.argmax(ratio[:, worst]))
-        raise UnstableDrift(
-            f"Lyapunov residual {residual[k, worst]:g} at stack index {start + worst} exceeds "
-            "tolerance; system nearly singular"
-        )
+        raise UnstableDrift(f"Lyapunov residual at stack index {start + worst} is "
+                            f"{ratio[:, worst].max():g} times its bound; system nearly singular")
 
 
 def _require_finite(what: str, *stacks: np.ndarray, start: int = 0):
@@ -365,8 +360,8 @@ def _sylvester_2x2(drift: np.ndarray, exponent: np.ndarray, D: np.ndarray) -> np
     of ``_PAIRS``.
 
     ``drift`` holds the rows ``(4, 4, B)`` of entries 00, 01, 10, 11 of the drift
-    blocks, ``exponent`` each pair's ``(6, B)`` from :func:`_pair_exponents`,
-    and D and the result the pairs' rows ``(4, 6, B)``. With ``A = A_p``, ``B =
+    blocks, ``exponent`` each pair's ``(6, B)`` (the larger of its two blocks'), and
+    D and the result the pairs' rows ``(4, 6, B)``. With ``A = A_p``, ``B =
     A_q^T`` and ``Q = -D``, Cayley-Hamilton for B gives ``(A^2 + tr(B) A +
     det(B) I) W = A Q - Q B + tr(B) Q``, and for A turns the left matrix into
     ``(tr A + tr B) A + (det B - det A) I``, whose explicit inverse gives W.

@@ -240,10 +240,12 @@ def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
     error = oracle.solve_lyapunov(oracle.DriftDiffusion(A, D)) - V0
     errors = np.sqrt(oracle._squared_norm(np.square(error).sum(axis=0))
                      / oracle._squared_norm(np.square(V0).sum(axis=0)))
-    _, reported = model._stability(A)
-    worst = float(np.max(np.fmax(errors, np.abs(reported / max_real - 1.0))))
+    _, reported, _ = model._stability(A)
+    margins = np.abs(reported / max_real - 1.0)
+    worst = float(np.max(np.fmax(errors, margins)))
+    terms = f"constructed solutions {np.max(errors):.3e}, stability margins {np.max(margins):.3e}"
     if worst > tolerance:
-        return CheckResult("lyapunov", False, worst, tolerance, "constructed solutions")
+        return CheckResult("lyapunov", False, worst, tolerance, terms)
 
     # uncertainty products X1 Y1, x1 y1, X2 Y2 and x2 y2 on physical solutions: the
     # variances are entries 00 (mirror) and 11 (field) of V's diagonal pairs, which
@@ -252,7 +254,7 @@ def check_lyapunov_solver(tolerance: float = 1e-9) -> CheckResult:
     uncert_worst = float(np.max(0.25 - V[::3, [0, 2]] * V[::3, [3, 5]], initial=0.0))
     ok = uncert_worst <= 1e-10
     return CheckResult("lyapunov", ok, worst if ok else uncert_worst, tolerance,
-                       "constructed solutions + uncertainty floor")
+                       f"{terms} + uncertainty floor")
 
 
 def check_symmetric_drive_optimum(tolerance: float = 1e-3) -> CheckResult:

@@ -2,7 +2,8 @@
 
 ``cli_corpus.json`` pins these outputs, and ``test_cli_corpus.py`` replays
 every entry in process. Regenerate the file only when an output is meant to
-change, and list each entry that moved (old -> new):
+change, and list each entry that moved (old -> new); before it writes the
+file, the tool prints one line per entry that moved, was added or was dropped:
 
     PYTHONPATH=src python tests/cli_corpus.py
 
@@ -149,9 +150,41 @@ def config_files(texts: dict[str, str]):
         yield paths
 
 
+def moves(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per entry that differs between the corpora ``old`` and ``new``:
+    ``argv: old → new`` for each of its exit code, stdout (the stdout's lines that
+    changed, or a SHA-256 prefix) and stderr that moved, and ``argv: added`` or
+    ``argv: dropped`` for an argv that only one of them holds."""
+    before = {tuple(item["argv"]): item for item in old}
+    after = {tuple(item["argv"]): item for item in new}
+    lines = [f"{' '.join(argv)}: dropped" for argv in before if argv not in after]
+    for argv, item in after.items():
+        was = before.get(argv)
+        if was is None:
+            lines.append(f"{' '.join(argv)}: added")
+            continue
+        changes = []
+        for key in ("exit", "stdout", "stdout_sha256", "stderr"):
+            a, b = was.get(key, ""), item.get(key, "")
+            if a == b:
+                continue
+            if key == "stdout":  # the lines that changed, as one line each side
+                a, b = ("\n".join(line for line in x.splitlines() if line not in y.splitlines())
+                        for x, y in ((a, b), (b, a)))
+            elif key == "stdout_sha256":
+                a, b = a[:8], b[:8]
+            changes.append(f"{key} {a!r} → {b!r}")
+        if changes:
+            lines.append(f"{' '.join(argv)}: {'; '.join(changes)}")
+    return lines
+
+
 def main() -> int:
     with config_files(CONFIGS) as configs:
         entries = [entry(argv, configs) for argv in argvs()]
+    if CORPUS.exists():
+        for line in moves(json.loads(CORPUS.read_text())["entries"], entries):
+            print(line)
     CORPUS.write_text(json.dumps({"configs": CONFIGS, "entries": entries}, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {CORPUS}")
     return 0

@@ -22,6 +22,31 @@ def test_every_cli_output_equals_the_corpus():
                        f"want {moved[0][0]}\ngot  {moved[0][1]}")
 
 
+def test_the_corpus_file_is_the_generators():
+    # the replay walks the file alone; a file that the generator no longer
+    # writes would go unnoticed there
+    corpus = json.loads(cli_corpus.CORPUS.read_text())
+    assert [want["argv"] for want in corpus["entries"]] == cli_corpus.argvs()
+    assert corpus["configs"] == cli_corpus.CONFIGS
+
+
+def test_the_tool_lists_each_entry_that_moved():
+    old = [{"argv": ["duan"], "exit": 0, "stdout": "r = 1\ntotal = 0.5\n", "stderr": ""},
+           {"argv": ["selfcheck"], "exit": 0, "stdout_sha256": "8fb6cd50ab", "stderr": ""},
+           {"argv": ["threshold"], "exit": 0, "stdout": "C = 1\n", "stderr": ""}]
+    new = [{"argv": ["duan"], "exit": 3, "stdout": "r = 1\n", "stderr": "error: lost\n"},
+           {"argv": ["selfcheck"], "exit": 0, "stdout_sha256": "e1bb20fdcd", "stderr": ""},
+           {"argv": ["sweep", "--figure", "fig2"], "exit": 0, "stdout_sha256": "00",
+            "stderr": ""}]
+    assert cli_corpus.moves(old, new) == [
+        "threshold: dropped",
+        "duan: exit 0 → 3; stdout 'total = 0.5' → ''; stderr '' → 'error: lost\\n'",
+        "selfcheck: stdout_sha256 '8fb6cd50' → 'e1bb20fd'",
+        "sweep --figure fig2: added",
+    ]
+    assert cli_corpus.moves(new, new) == []
+
+
 def test_no_cli_route_takes_the_shims(monkeypatch):
     # the one-system shims are a reference alone: with them stubbed out, every
     # oracle `duan` and oracle sweep entry still gives its pinned bytes

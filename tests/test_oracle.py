@@ -288,10 +288,13 @@ class TestStackedLyapunov:
         _, A, _, _ = selfcheck._constructed_systems(
             selfcheck.SeededUniform(selfcheck.LYAPUNOV_SEED))
         A[..., 1] = -A[..., 1]
-        stable, max_re = model._stability(A)
+        stable, max_re, exponents = model._stability(A)
         assert stable is model.stability_check(A).stable is False
         assert max_re.tolist() == [model.stability_check(A[..., t:t + 1]).max_real_part
                                    for t in range(A.shape[-1])]
+        assert np.array_equal(exponents, np.concatenate(
+            [model.stability_check(A[..., t:t + 1]).exponents for t in range(A.shape[-1])],
+            axis=-1))
 
     def test_overdamped_block_real_part_does_not_cancel(self):
         # at gamma/kappa = 1e-6 the slow rate is ~1e-6 of the trace: LAPACK's
@@ -331,22 +334,40 @@ class TestStackedLyapunov:
         with pytest.raises(FloatingPointError, match="at stack index 1"):
             solve_lyapunov(DriftDiffusion(A, D))
 
-    def test_drift_norms_past_the_float_range_run_quietly(self):
-        # at 2**900 times the constructed drifts ||A_p||^2 overflows to inf, and the
-        # power-of-two scaling moves no bit; at 2**-600 it underflows to 0 while
-        # ||V_pq||^2 overflows, and the gate forms their product 0 * inf quietly
-        # (RuntimeWarnings are errors here) and reports it as its own error, if any
+    @pytest.mark.parametrize("k", [-900, -600, 900])
+    def test_drift_norms_past_the_float_range_run_quietly(self, k):
+        # the constructed drifts alone times 2**k, where ||A_p||^2 of the drift or
+        # ||V_pq||^2 of V = 2**-k V_0 leaves the float range: the gate's frame takes
+        # both back to order 1, so V moves by 2**-k, bit for bit, and the gate's
+        # ratios by no bit (RuntimeWarnings are errors here)
         _, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(5))
         V = solve_lyapunov(DriftDiffusion(A, D))
-        huge = solve_lyapunov(DriftDiffusion(np.ldexp(A, 900), D))
-        assert np.ldexp(huge, 900).tobytes() == V.tobytes()
-        try:
-            solve_lyapunov(DriftDiffusion(np.ldexp(A, -600), D))
-        except UnstableDrift:
-            pass
+        scaled = solve_lyapunov(DriftDiffusion(np.ldexp(A, k), D))
+        assert np.ldexp(scaled, k).tobytes() == V.tobytes()
+        assert ratios(A, D, V).tobytes() == ratios(np.ldexp(A, k), D, scaled).tobytes()
+
+    @pytest.mark.parametrize("case", ["constructed", "physical"])
+    def test_scaling_a_and_d_by_a_power_of_two_moves_no_bit(self, case):
+        # A and D both times 2**k leave V as it is, and the gate's frame, 2**-a for
+        # the drift and 2**-(a + v) for D, takes the 2**k back out exactly: every
+        # residual-to-bound ratio keeps its bits, and no bound is 0, inf or NaN
+        if case == "physical":
+            A, D = physical_stack()
+        else:
+            _, A, D, _ = selfcheck._constructed_systems(selfcheck.SeededUniform(5))
+        V = solve_lyapunov(DriftDiffusion(A, D))
+        scaled = {k: (np.ldexp(A, k), np.ldexp(D, k))
+                  for k in (-900, -600, -500, 0, 512, 600, 900)}
+        for k, (A_k, D_k) in scaled.items():
+            assert solve_lyapunov(DriftDiffusion(A_k, D_k)).tobytes() == V.tobytes(), k
+        want = ratios(A, D, V)
+        for k, (A_k, D_k) in scaled.items():
+            residual, bound = gate(A_k, D_k, V)
+            assert (residual / bound).tobytes() == want.tobytes(), k
+            assert (np.isfinite(bound) & (bound > 0.0)).all(), k
 
     def test_residual_gate_holds_when_the_norm_of_d_overflows(self):
-        # ||D|| overflows at this scale; the gate works on D / max|D|, so it
+        # ||D|| overflows at this scale; the gate works on D / 2**(a + v), so it
         # neither warns nor lets the solution through unchecked
         A, D = physical_stack()
         V = solve_lyapunov(DriftDiffusion(A, D))
@@ -599,6 +620,23 @@ def test_selfcheck_loads_neither_scipy_nor_numpy_polynomial():
     ) == [False, True, [], [False, False]]
 
 
+def gate(A, D, V):
+    """The residual gate's norms and bounds ``(7, B)``, on the block exponents of the
+    stability check, as the kernel runs it."""
+    return oracle._split_residual(A, model.stability_check(A).exponents, D, V)
+
+
+def ratios(A, D, V):
+    """The residual gate's ratios of residual to bound ``(7, B)``."""
+    residual, bound = gate(A, D, V)
+    return residual / bound
+
+
+def exponent(x, axis):
+    """The exponent of ``frexp`` of the largest entry of ``x`` over ``axis``."""
+    return np.frexp(np.abs(x).max(axis=axis))[1]
+
+
 def split_pair_rows(A, D, V):
     """The rows (4, 6, B) of A_p, A_q, D_pq and V_pq, pair by pair, of split systems'
     drift, diffusion and covariance rows."""
@@ -616,41 +654,35 @@ def squared_8x8(pairs):
 
 def reference_gate(A, C, D, V):
     """The residual gate's norms and bounds from the gathered rows (4, 6, B) of each
-    pair's A_p, A_q, D_pq and V_pq, with ||A_p|| and ||A_q|| from those rows, as the
-    kernel formed them before it took the drift blocks; quiet where it warned."""
-    Vs, Ds, R, T = np.empty((4,) + D.shape)
-    scale = np.abs(D, out=Ds).max(axis=(0, 1))
-    scale[scale == 0.0] = 1.0
-    np.divide(V, scale, out=Vs)
-    np.divide(D, scale, out=Ds)
-    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
-    for i in (0, 1):
-        r, s, t = R[2 * i:2 * i + 2], T[:2], T[2:]
-        with quiet():
-            np.multiply(A[2 * i], Vs[:2], out=r)
-            r += np.multiply(A[2 * i + 1], Vs[2:], out=s)
-            np.multiply(Vs[2 * i], C[::2], out=s)
-            s += np.multiply(Vs[2 * i + 1], C[1::2], out=t)
-        r += s
-    R += Ds
-    with quiet():
-        R2, D2, V2, A2, C2 = (np.square(x, out=out).sum(axis=0) for x, out in
-                              ((R, R), (Ds, Ds), (Vs, Vs), (A, T), (C, T)))
-        A_pq = np.sqrt(A2) + np.sqrt(C2)
-        residual = np.vstack([np.sqrt(R2), np.sqrt(squared_8x8(R2))])
-        AV = np.multiply(A_pq, np.sqrt(V2), out=np.zeros_like(A_pq), where=V2 != 0.0)
-    bound = np.vstack([1e-10 * (np.sqrt(D2) + AV + 1e-300 * (1.0 + A_pq)),
-                       1e-10 * np.maximum(np.sqrt(squared_8x8(D2)), 1e-300)])
+    pair's A_p, A_q, D_pq and V_pq, in the frame of each system's largest entries of
+    A_p and A_q and of V, the residual's and D's squares in the unit of their own
+    largest entry, with ||A_p|| and ||A_q|| from those rows, one temporary per
+    operation."""
+    a, v = exponent(np.maximum(np.abs(A), np.abs(C)), (0, 1)), exponent(V, (0, 1))
+    A, C, Vs, Ds = np.ldexp(A, -a), np.ldexp(C, -a), np.ldexp(V, -v), np.ldexp(D, -(a + v))
+    R = np.empty(D.shape)
+    for i in (0, 1):  # (A_i0 V_0j + A_i1 V_1j) + (V_i0 C_j0 + V_i1 C_j1), two j at a time
+        R[2 * i:2 * i + 2] = ((A[2 * i] * Vs[:2] + A[2 * i + 1] * Vs[2:])
+                              + (Vs[2 * i] * C[::2] + Vs[2 * i + 1] * C[1::2]))
+    R = R + Ds
+    u = exponent(np.maximum(np.abs(R), np.abs(Ds)), (0, 1))
+    R2, D2 = (np.square(np.ldexp(x, -u)).sum(axis=0) for x in (R, Ds))
+    V2, A2, C2 = (np.square(x).sum(axis=0) for x in (Vs, A, C))
+    A_pq = np.sqrt(A2) + np.sqrt(C2)
+    residual = np.ldexp(np.vstack([np.sqrt(R2), np.sqrt(squared_8x8(R2))]), u)
+    bound = np.vstack([
+        1e-10 * (np.ldexp(np.sqrt(D2), u) + A_pq * np.sqrt(V2) + 1e-300 * (1.0 + A_pq)),
+        1e-10 * np.maximum(np.ldexp(np.sqrt(squared_8x8(D2)), u), 1e-300)])
     return residual, bound
 
 
 def matmul_gate(A, D, V):
-    """The 8x8 residual norm and bound of the gate on V and D divided by max |D|, by
-    dense matmuls on the rows' 8x8 matrices."""
+    """The 8x8 residual norm and bound of the gate in its frame, A / 2**a, V / 2**v and
+    D / 2**(a + v), by dense matmuls on the rows' 8x8 matrices."""
     A, D, V = matrix_of(A, DRIFT_BLOCKS), matrix_of(D), matrix_of(V)
-    scale = np.abs(D).max(axis=(1, 2), keepdims=True)
-    Vs, Ds = V / scale, D / scale
-    residual = np.linalg.norm(A @ Vs + Vs @ A.transpose(0, 2, 1) + Ds, axis=(1, 2))
+    a, v = (exponent(x, (1, 2))[:, None, None] for x in (A, V))
+    As, Vs, Ds = np.ldexp(A, -a), np.ldexp(V, -v), np.ldexp(D, -(a + v))
+    residual = np.linalg.norm(As @ Vs + Vs @ As.transpose(0, 2, 1) + Ds, axis=(1, 2))
     return residual, 1e-10 * np.linalg.norm(Ds, axis=(1, 2))
 
 
@@ -662,31 +694,45 @@ class TestSplitResidualGate:
         E = np.random.default_rng(8).standard_normal((A.shape[-1], 8, 8))
         E = rows_of(E + E.transpose(0, 2, 1))
         V_bad = V + 1e-3 * np.abs(V).max(axis=(0, 1)) * E
-        residual, bound = oracle._split_residual(A, D, V_bad)
+        residual, bound = gate(A, D, V_bad)
         ref_residual, ref_bound = matmul_gate(A, D, V_bad)
         assert residual.shape == bound.shape == (7, A.shape[-1])
         assert residual[6] == pytest.approx(ref_residual, rel=1e-12)
         assert bound[6] == pytest.approx(ref_bound, rel=1e-14)
         # and the solution itself passes both
-        residual, bound = oracle._split_residual(A, D, V)
+        residual, bound = gate(A, D, V)
         assert (residual <= bound).all()
 
-    @pytest.mark.parametrize("case", ["physical", "constructed", "2**900", "1e200 D"])
+    @pytest.mark.parametrize("case", ["physical", "constructed", "2**900", "2**-900",
+                                      "1e200 D"])
     def test_norms_and_bounds_keep_the_bits_of_the_gathered_rows(self, case):
-        # ||A_p|| and ||A_q|| from the four blocks' norms, and A_p and A_q gathered
-        # in the gate's own array, give the bits of the rows gathered before it
+        # ||A_p|| and ||A_q|| from the four blocks' norms, the frame from the stability
+        # check's exponents, and A_p and A_q gathered in the gate's own array, give the
+        # bits of the rows gathered and scaled apart; at 2**900 and 2**-900 times the
+        # drift every bound stays finite
         if case == "physical":
             A, D = physical_stack()
         else:
             _, A, D, _ = selfcheck._constructed_systems(np.random.default_rng(5))
-            A = np.ldexp(A, 900) if case == "2**900" else A  # ||A_p||^2 overflows
+            A = np.ldexp(A, int(case[3:])) if case.startswith("2**") else A
             D = 1e200 * D if case == "1e200 D" else D
         V = solve_lyapunov(DriftDiffusion(A, D))
         E = np.random.default_rng(9).standard_normal(V.shape)
         for V_k in (V, V * (1.0 + 1e-6 * E)):
-            got = oracle._split_residual(A, D, V_k)
+            got = gate(A, D, V_k)
             want = reference_gate(*split_pair_rows(A, D, V_k))
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+            assert np.isfinite(got[1]).all()
+
+    def test_a_residual_beside_a_huge_drift_is_not_squared_away(self):
+        # G = 1e160 against gamma = 1e-3 and kappa = 1: D is some 1e-160 of A V, so in
+        # the frame of A and V the residual's entries are ~1e-164 and their squares
+        # underflow to 0; in the unit of R and D they keep their size, and the gate
+        # rejects this V, whose total is 1e-4 off the exact one (7.5216 for 7.5209)
+        bath, units = SqueezedBath(r=1.0), ((1e-3, 1.0, 1e160, 0.5), (1e-3, 1.0, 10.0, 0.5))
+        for pair in (units, units[::-1]):
+            with pytest.raises(UnstableDrift, match="residual at stack index 0 is .* times"):
+                oracle.duan_variance_arrays(*pair, bath.N, bath.M_corr)
 
     def test_an_error_in_a_small_pair_fails_its_own_bound_only(self, monkeypatch):
         # at r = 1e-3 the x1-x2 covariance is ~1e-3 of D; an error of 1e-8 of
@@ -698,7 +744,7 @@ class TestSplitResidualGate:
         V = solve_lyapunov(DriftDiffusion(A, D))
         error = np.ones_like(V)
         error[:, 1, 3] = 1.0 + 1e-8  # item 3's X1-X2 pair, and so its transpose X2-X1
-        residual, bound = oracle._split_residual(A, D, V * error)
+        residual, bound = gate(A, D, V * error)
         assert residual[1, 3] > bound[1, 3] and residual[6, 3] <= bound[6, 3]
         assert (np.delete(residual <= bound, 3, axis=1)).all()
         ref_residual, ref_bound = matmul_gate(A, D, V * error)
@@ -710,7 +756,7 @@ class TestSplitResidualGate:
             W[:, 1, 3] *= 1.0 + 1e-8
             return W
         monkeypatch.setattr(oracle, "_sylvester_2x2", planted)
-        with pytest.raises(UnstableDrift, match="Lyapunov residual .* at stack index 3 exceeds"):
+        with pytest.raises(UnstableDrift, match="Lyapunov residual at stack index 3 is .* times its bound"):
             solve_lyapunov(DriftDiffusion(A, D))
 
 
@@ -851,26 +897,36 @@ def expression_sylvester_2x2(A, C, D):
         return np.ldexp(W / (m11 * m22 - m12 * m21), eD - eA)
 
 
+def pair_exponents(drift):
+    """Each pair's exponent ``(6, B)`` for :func:`oracle._sylvester_2x2`, as the kernel
+    takes it: the larger of its two blocks' exponents from the stability check."""
+    e = model.stability_check(drift).exponents
+    return np.maximum(e[oracle._P], e[oracle._Q])
+
+
 def pair_sylvester(A, C, D):
     """The kernel's W of ``A W + W C^T + D = 0`` for the rows (4, m) of m blocks each:
     A and C as drift blocks 0 and 1 of m systems, solved as their pair (0, 1)."""
     drift = np.stack([A, C, C, A], axis=1)
-    W = oracle._sylvester_2x2(drift, oracle._pair_exponents(drift),
+    W = oracle._sylvester_2x2(drift, pair_exponents(drift),
                               np.repeat(D[:, None], len(oracle._PAIRS), axis=1))
     return W[:, 1]
 
 
 class TestInPlaceKernel:
     def test_pair_exponents_are_those_of_each_pairs_largest_entry(self):
-        # each block at its own scale, 2**-1000 to 2**1000; frexp's exponent grows
-        # with the value, so the larger of two blocks' exponents is the pair's
+        # each block at its own scale, 2**-1000 to 2**1000; the stability check
+        # reports each block's exponent, and frexp's exponent grows with the value,
+        # so the larger of two blocks' exponents is the pair's
         rng = np.random.default_rng(23)
         count = 600
         blocks = random_stable_blocks(rng, 4 * count).reshape(count, 4, 4)
         drift = np.ldexp(blocks, rng.integers(-1000, 1001, (count, 4, 1))).T
+        exponents = model.stability_check(drift).exponents
+        assert np.array_equal(exponents, np.frexp(np.abs(drift).max(axis=0))[1])
         largest = np.maximum(*(np.abs(drift[:, side]).max(axis=0)
                                for side in (oracle._P, oracle._Q)))
-        assert np.array_equal(oracle._pair_exponents(drift), np.frexp(largest)[1])
+        assert np.array_equal(pair_exponents(drift), np.frexp(largest)[1])
 
     @pytest.mark.parametrize("case", ["random", "overdamped", "near-boundary", "1e300",
                                       "-1e300"])
@@ -899,14 +955,14 @@ class TestInPlaceKernel:
             want = expression_sylvester_2x2(*(drift[:, blocks].reshape(4, -1)
                                               for blocks in (oracle._P, oracle._Q)),
                                             D.reshape(4, -1))
-            got = oracle._sylvester_2x2(drift, oracle._pair_exponents(drift), D)
+            got = oracle._sylvester_2x2(drift, pair_exponents(drift), D)
         assert got.shape == D.shape and got.reshape(4, -1).tobytes() == want.tobytes()
         assert all(x.tobytes() == y.tobytes() for x, y in zip((drift, D), given))  # intact
 
     def test_one_chunk_peaks_below_1_72_kb_per_system(self):
         # the kernel's rows are worked in place, in one 20-row array at a time, and
         # no copy of the pairs' drift rows outlives its use: a chunk peaks at about
-        # 1.63 KB per system (the expression form peaked at about 3.1 KB, at 256
+        # 1.65 KB per system (the expression form peaked at about 3.1 KB, at 256
         # systems a chunk, and the kernel with gathered A_p and A_q at 2.2 KB)
         args = model_arrays(SPECTRAL_CASES, CHUNK)
         next(oracle.covariance_chunks(*args))  # imports and first-call caches

@@ -282,12 +282,13 @@ def test_no_source_line_calls_blas_or_lapack():
 BLAS_SENSITIVE_HASHES = (
     "import hashlib, json\n"
     "import numpy as np\n"
-    "from squeezelink import oracle, selfcheck\n"
+    "from squeezelink import model, oracle, selfcheck\n"
     "V0, A, D, max_real = selfcheck._constructed_systems(selfcheck.SeededUniform(7))\n"
     "error = oracle.solve_lyapunov(oracle.DriftDiffusion(A, D)) - V0\n"
     "drift, diffusion = oracle._model_rows(*selfcheck._symmetric_units(*selfcheck._grid()))\n"
     "V = oracle.solve_lyapunov(oracle.DriftDiffusion(drift, diffusion))\n"
-    "gate = oracle._split_residual(drift, diffusion, V)\n"
+    "exponents = model.stability_check(drift).exponents\n"
+    "gate = oracle._split_residual(drift, exponents, diffusion, V)\n"
     "print(json.dumps([hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()\n"
     "                  for x in (V0, A, D, max_real, error, *gate)]))\n"
 )
